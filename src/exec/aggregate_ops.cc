@@ -1,7 +1,6 @@
 #include "exec/aggregate_ops.h"
 
 #include <map>
-#include <unordered_map>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -15,34 +14,13 @@ namespace htg::exec {
 
 namespace {
 
-struct RowHash {
-  size_t operator()(const Row& row) const {
-    size_t h = 14695981039346656037ULL;
-    for (const Value& v : row) {
-      h ^= v.Hash();
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
-struct RowEq {
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
-    }
-    return true;
-  }
-};
-
-using GroupMap =
-    std::unordered_map<Row, std::vector<std::unique_ptr<udf::AggregateInstance>>,
-                       RowHash, RowEq>;
-
-// Rough per-group accounting overheads (hash node + instance vector +
-// instance footprints) on top of the key's own bytes.
-constexpr size_t kGroupOverheadBytes = 96;
+// Rough per-group accounting on top of the key values' own bytes (which
+// sit in the table's flat key vector): the group's share of the slot
+// array, 4 slots of 8 bytes at the lowest load factor (1/4, right after
+// a doubling), plus the flat vectors' growth slack; and per aggregate an
+// 8-byte pointer in the flat instance vector plus the heap instance with
+// its allocator header.
+constexpr size_t kGroupOverheadBytes = 64;
 constexpr size_t kInstanceOverheadBytes = 64;
 
 // Thread-safe partition-spill sink for input rows whose group key did
@@ -123,67 +101,245 @@ struct AggGovernance {
   const char* op_name = "Hash Match (Aggregate)";
 };
 
-// Looks up (or creates) the group for `key`. Group creation is charged
-// against the query budget; once the budget rejects a new group, rows of
-// unseen keys are routed to the spill partitions instead — keys already
-// resident keep accumulating, so every in-map group is complete and
-// disjoint from the spilled keys. Returns end() when the row was routed
-// (caller skips it); `make_input` materializes the input row only on
-// that path.
-template <typename InputFn>
-Result<GroupMap::iterator> FindOrCreateGroup(GroupMap* groups, Row key,
-                                             const std::vector<AggSpec>& aggs,
-                                             AggGovernance* gov,
-                                             InputFn&& make_input) {
-  auto it = groups->find(key);
-  if (it != groups->end()) return it;
-  if (gov != nullptr && gov->charge != nullptr) {
-    const size_t bytes = ApproxRowBytes(key) + kGroupOverheadBytes +
-                         aggs.size() * kInstanceOverheadBytes;
-    Status charged = gov->charge->Add(bytes);
-    if (!charged.ok()) {
-      gov->charge->Release(bytes);  // the group is not being created
-      if (!charged.IsResourceExhausted()) return charged;
-      if (!gov->ctx->CanSpill()) {
-        return SpillUnavailableError(gov->op_name, *gov->ctx->mem);
+// The group table behind every hash aggregate: the serial row and batch
+// builds, the parallel partial tables and their partitioned final merge,
+// and the spill re-aggregation passes. Open addressing with linear
+// probing over 8-byte slots of (cached hash, group index); group keys
+// and aggregate instances live in flat per-table vectors indexed by
+// group. Slots keep the low 32 bits of the key's hash, and group indexes
+// fit 32 bits (4 G groups, far past any memory budget).
+// A probe compares cached hashes before it touches a key, and growth
+// re-slots by cached hash without re-hashing any key. Rows probe through
+// a reused scratch key, so a row whose group exists allocates nothing.
+class GroupTable {
+ public:
+  static constexpr size_t kNone = ~size_t{0};
+
+  GroupTable(size_t key_width, const std::vector<AggSpec>* aggs)
+      : width_(key_width),
+        aggs_(aggs),
+        scratch_(key_width),
+        slots_(kInitialSlots) {}
+
+  size_t size() const { return num_groups_; }
+
+  // The probe key: callers assign a row's group key values here, then
+  // call FindOrCreate.
+  Row& scratch() { return scratch_; }
+
+  udf::AggregateInstance* instance(size_t group, size_t agg) {
+    return instances_[group * aggs_->size() + agg].get();
+  }
+
+  // Returns the group of the scratch key, creating it when absent. Group
+  // creation is charged against the query budget; once the budget
+  // rejects a new group, rows of unseen keys are routed to the spill
+  // partitions instead — keys already resident keep accumulating, so
+  // every resident group is complete and disjoint from the spilled keys.
+  // Returns kNone when the row was routed (the caller skips it);
+  // `make_input` materializes the input row only on that path.
+  template <typename InputFn>
+  Result<size_t> FindOrCreate(AggGovernance* gov, InputFn&& make_input) {
+    const auto hash =
+        static_cast<uint32_t>(HashKey(scratch_.data(), width_));
+    size_t slot = 0;
+    const size_t found = Find(hash, scratch_.data(), &slot);
+    if (found != kNone) return found;
+    if (gov != nullptr && gov->charge != nullptr) {
+      const size_t bytes = GroupBytes(scratch_.data());
+      Status charged = gov->charge->Add(bytes);
+      if (!charged.ok()) {
+        gov->charge->Release(bytes);  // the group is not being created
+        if (!charged.IsResourceExhausted()) return charged;
+        if (!gov->ctx->CanSpill()) {
+          return SpillUnavailableError(gov->op_name, *gov->ctx->mem);
+        }
+        HTG_RETURN_IF_ERROR(gov->spill->Add(scratch_, make_input()));
+        return kNone;
       }
-      HTG_RETURN_IF_ERROR(gov->spill->Add(key, make_input()));
-      return groups->end();
+    }
+    const size_t group = AddGroup(hash, slot, scratch_.data());
+    for (const AggSpec& a : *aggs_) instances_.push_back(a.NewInstance());
+    return group;
+  }
+
+  // Folds the groups of `from` whose cached hash falls in partition
+  // `part` of `nparts` into this table: instances of keys already here
+  // merge, new keys move in with their instances. A call moves only its
+  // own partition's entries out of `from`, so concurrent calls over
+  // disjoint partitions need no locking.
+  Status MergeFrom(GroupTable* from, size_t part, size_t nparts) {
+    const size_t naggs = aggs_->size();
+    for (const Slot& s : from->slots_) {
+      if (s.group == kFree || PartitionOf(s.hash, nparts) != part) continue;
+      Value* key = from->keys_.data() + s.group * width_;
+      std::unique_ptr<udf::AggregateInstance>* theirs =
+          from->instances_.data() + s.group * naggs;
+      size_t slot = 0;
+      const size_t found = Find(s.hash, key, &slot);
+      if (found == kNone) {
+        AddGroup(s.hash, slot, key);
+        for (size_t a = 0; a < naggs; ++a) {
+          instances_.push_back(std::move(theirs[a]));
+        }
+        continue;
+      }
+      for (size_t a = 0; a < naggs; ++a) {
+        HTG_RETURN_IF_ERROR(instance(found, a)->Merge(*theirs[a]));
+      }
+    }
+    return Status::OK();
+  }
+
+  // What FindOrCreate charged for every resident group.
+  size_t ChargedBytes() const {
+    size_t bytes = 0;
+    for (size_t g = 0; g < num_groups_; ++g) {
+      bytes += GroupBytes(keys_.data() + g * width_);
+    }
+    return bytes;
+  }
+
+  // Output rows, group key then each aggregate's result, in group
+  // creation order. Consumes the keys and instances.
+  Result<std::vector<Row>> Finalize(bool global_aggregate) {
+    std::vector<Row> out;
+    // Output rows replace the table 1:1; callers hold the charge that
+    // already covers it.
+    out.reserve(num_groups_);  // NOLINT(htg-exec-untracked-reserve)
+    const size_t naggs = aggs_->size();
+    if (num_groups_ == 0 && global_aggregate) {
+      // SELECT COUNT(*) over an empty input still yields one row.
+      Row row;
+      for (const AggSpec& a : *aggs_) {
+        HTG_ASSIGN_OR_RETURN(Value v, a.NewInstance()->Terminate());
+        row.push_back(std::move(v));
+      }
+      out.push_back(std::move(row));
+      return out;
+    }
+    for (size_t g = 0; g < num_groups_; ++g) {
+      Row row;
+      row.reserve(width_ + naggs);
+      for (size_t i = 0; i < width_; ++i) {
+        row.push_back(std::move(keys_[g * width_ + i]));
+      }
+      for (size_t a = 0; a < naggs; ++a) {
+        std::unique_ptr<udf::AggregateInstance>& inst =
+            instances_[g * naggs + a];
+        HTG_ASSIGN_OR_RETURN(Value v, inst->Terminate());
+        inst.reset();
+        row.push_back(std::move(v));
+      }
+      out.push_back(std::move(row));
+    }
+    return out;
+  }
+
+ private:
+  static constexpr uint32_t kFree = ~uint32_t{0};  // empty slot
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t group = kFree;
+  };
+  static constexpr size_t kInitialSlots = 16;
+
+  // Partition of a cached hash in the parallel final merge: its top
+  // bits, independent of the low bits the slot mask uses.
+  static size_t PartitionOf(uint32_t hash, size_t nparts) {
+    return static_cast<size_t>((uint64_t{hash} * nparts) >> 32);
+  }
+
+  size_t GroupBytes(const Value* key) const {
+    size_t bytes = kGroupOverheadBytes + aggs_->size() * kInstanceOverheadBytes;
+    for (size_t i = 0; i < width_; ++i) bytes += key[i].ApproxBytes();
+    return bytes;
+  }
+
+  // The group of `key`, or kNone with *slot at the empty slot that ended
+  // the probe.
+  size_t Find(uint32_t hash, const Value* key, size_t* slot) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.group == kFree) {
+        *slot = i;
+        return kNone;
+      }
+      if (s.hash == hash &&
+          KeysEqual(keys_.data() + s.group * width_, key, width_)) {
+        return s.group;
+      }
     }
   }
-  std::vector<std::unique_ptr<udf::AggregateInstance>> instances;
-  instances.reserve(aggs.size());
-  for (const AggSpec& a : aggs) instances.push_back(a.NewInstance());
-  return groups->emplace(std::move(key), std::move(instances)).first;
+
+  // Appends a group, moving its key values in from `key`; `slot` is the
+  // empty slot from the failed Find. Keeps the load factor at most 1/2.
+  size_t AddGroup(uint32_t hash, size_t slot, Value* key) {
+    if (2 * (num_groups_ + 1) > slots_.size()) {
+      Grow();
+      slot = EmptySlot(hash);
+    }
+    slots_[slot] = Slot{hash, static_cast<uint32_t>(num_groups_)};
+    for (size_t i = 0; i < width_; ++i) keys_.push_back(std::move(key[i]));
+    return num_groups_++;
+  }
+
+  size_t EmptySlot(uint32_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    while (slots_[i].group != kFree) i = (i + 1) & mask;
+    return i;
+  }
+
+  // Doubles the slot array, re-slotting every group by its cached hash.
+  void Grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.group != kFree) slots_[EmptySlot(s.hash)] = s;
+    }
+  }
+
+  size_t width_;
+  const std::vector<AggSpec>* aggs_;
+  Row scratch_;
+  std::vector<Slot> slots_;  // power-of-two size
+  std::vector<Value> keys_;  // width_ values per group
+  // aggs_->size() instances per group.
+  std::vector<std::unique_ptr<udf::AggregateInstance>> instances_;
+  size_t num_groups_ = 0;
+};
+
+// One reusable argument vector per aggregate.
+std::vector<std::vector<Value>> ArgScratch(const std::vector<AggSpec>& aggs) {
+  std::vector<std::vector<Value>> args(aggs.size());
+  for (size_t i = 0; i < aggs.size(); ++i) args[i].resize(aggs[i].args.size());
+  return args;
 }
 
-// Drains a child fully into a group map (spilling over-budget keys when
+// Drains a child fully into a group table (spilling over-budget keys when
 // `gov` is armed).
 Status BuildGroups(storage::RowIterator* iter,
                    const std::vector<ExprPtr>& group_exprs,
                    const std::vector<AggSpec>& aggs, udf::EvalContext* eval,
-                   GroupMap* groups, AggGovernance* gov) {
+                   GroupTable* groups, AggGovernance* gov) {
   Row row;
+  Row& key = groups->scratch();
+  std::vector<std::vector<Value>> args = ArgScratch(aggs);
   while (iter->Next(&row)) {
-    Row key;
-    key.reserve(group_exprs.size());
-    for (const ExprPtr& g : group_exprs) {
-      HTG_ASSIGN_OR_RETURN(Value v, g->Eval(eval, row));
-      key.push_back(std::move(v));
+    for (size_t g = 0; g < group_exprs.size(); ++g) {
+      HTG_ASSIGN_OR_RETURN(key[g], group_exprs[g]->Eval(eval, row));
     }
     HTG_ASSIGN_OR_RETURN(
-        GroupMap::iterator it,
-        FindOrCreateGroup(groups, std::move(key), aggs, gov,
-                          [&]() -> const Row& { return row; }));
-    if (it == groups->end()) continue;
+        const size_t group,
+        groups->FindOrCreate(gov, [&]() -> const Row& { return row; }));
+    if (group == GroupTable::kNone) continue;
     for (size_t i = 0; i < aggs.size(); ++i) {
-      std::vector<Value> args;
-      args.reserve(aggs[i].args.size());
-      for (const ExprPtr& a : aggs[i].args) {
-        HTG_ASSIGN_OR_RETURN(Value v, a->Eval(eval, row));
-        args.push_back(std::move(v));
+      for (size_t a = 0; a < args[i].size(); ++a) {
+        HTG_ASSIGN_OR_RETURN(args[i][a], aggs[i].args[a]->Eval(eval, row));
       }
-      HTG_RETURN_IF_ERROR(it->second[i]->Accumulate(args));
+      HTG_RETURN_IF_ERROR(groups->instance(group, i)->Accumulate(args[i]));
     }
   }
   return iter->status();
@@ -197,7 +353,7 @@ Status BuildGroups(storage::RowIterator* iter,
 Status BuildGroupsBatch(storage::RowIterator* iter, size_t batch_rows,
                         const std::vector<ExprPtr>& group_exprs,
                         const std::vector<AggSpec>& aggs,
-                        udf::EvalContext* eval, GroupMap* groups,
+                        udf::EvalContext* eval, GroupTable* groups,
                         AggGovernance* gov) {
   RowBatch batch(batch_rows);
   std::vector<std::vector<Value>> key_cols(group_exprs.size());
@@ -205,7 +361,8 @@ Status BuildGroupsBatch(storage::RowIterator* iter, size_t batch_rows,
   for (size_t i = 0; i < aggs.size(); ++i) {
     agg_cols[i].resize(aggs[i].args.size());
   }
-  std::vector<Value> args;
+  Row& key = groups->scratch();
+  std::vector<std::vector<Value>> args = ArgScratch(aggs);
   while (iter->NextBatch(&batch)) {
     const size_t n = batch.ActiveRows();
     const uint32_t* sel = batch.selection_data();
@@ -220,14 +377,11 @@ Status BuildGroupsBatch(storage::RowIterator* iter, size_t batch_rows,
       }
     }
     for (size_t j = 0; j < n; ++j) {
-      Row key;
-      key.reserve(group_exprs.size());
       for (size_t g = 0; g < group_exprs.size(); ++g) {
-        key.push_back(std::move(key_cols[g][j]));
+        key[g] = std::move(key_cols[g][j]);
       }
       HTG_ASSIGN_OR_RETURN(
-          GroupMap::iterator it,
-          FindOrCreateGroup(groups, std::move(key), aggs, gov, [&]() {
+          const size_t group, groups->FindOrCreate(gov, [&]() {
             const size_t r = batch.ActiveIndex(j);
             Row input;
             input.reserve(batch.num_columns());
@@ -236,49 +390,16 @@ Status BuildGroupsBatch(storage::RowIterator* iter, size_t batch_rows,
             }
             return input;
           }));
-      if (it == groups->end()) continue;
+      if (group == GroupTable::kNone) continue;
       for (size_t i = 0; i < aggs.size(); ++i) {
-        args.clear();
-        args.reserve(agg_cols[i].size());
-        for (size_t a = 0; a < agg_cols[i].size(); ++a) {
-          args.push_back(std::move(agg_cols[i][a][j]));
+        for (size_t a = 0; a < args[i].size(); ++a) {
+          args[i][a] = std::move(agg_cols[i][a][j]);
         }
-        HTG_RETURN_IF_ERROR(it->second[i]->Accumulate(args));
+        HTG_RETURN_IF_ERROR(groups->instance(group, i)->Accumulate(args[i]));
       }
     }
   }
   return iter->status();
-}
-
-// Finalizes a group map into output rows.
-Result<std::vector<Row>> FinalizeGroups(GroupMap* groups, size_t num_aggs,
-                                        bool global_aggregate,
-                                        const std::vector<AggSpec>& aggs) {
-  std::vector<Row> out;
-  // Output rows replace the group map 1:1; callers hold the charge that
-  // already covers the map.
-  out.reserve(groups->size());  // NOLINT(htg-exec-untracked-reserve)
-  if (groups->empty() && global_aggregate) {
-    // SELECT COUNT(*) over an empty input still yields one row.
-    Row row;
-    for (const AggSpec& a : aggs) {
-      auto instance = a.NewInstance();
-      HTG_ASSIGN_OR_RETURN(Value v, instance->Terminate());
-      row.push_back(std::move(v));
-    }
-    out.push_back(std::move(row));
-    return out;
-  }
-  for (auto& [key, instances] : *groups) {
-    Row row = key;
-    row.reserve(key.size() + num_aggs);
-    for (auto& instance : instances) {
-      HTG_ASSIGN_OR_RETURN(Value v, instance->Terminate());
-      row.push_back(std::move(v));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
 }
 
 std::string DescribeAggs(const std::vector<ExprPtr>& group_exprs,
@@ -367,14 +488,12 @@ class SpilledAggIterator : public storage::RowIterator {
     auto sub = std::make_unique<AggSpill>(
         ctx_->tablespace, ctx_->spill_partitions, work.level, stats_);
     AggGovernance gov{&charge_, ctx_, sub.get(), "Hash Match (Aggregate)"};
-    GroupMap groups;
+    GroupTable groups(group_exprs_->size(), aggs_);
     storage::SpillRunReader reader(work.file, std::move(work.run));
     HTG_RETURN_IF_ERROR(BuildGroups(&reader, *group_exprs_, *aggs_,
                                     &ctx_->eval, &groups, &gov));
     if (stats_ != nullptr) RecordPeakMem(stats_, charge_.peak());
-    HTG_ASSIGN_OR_RETURN(ready_,
-                         FinalizeGroups(&groups, aggs_->size(), false,
-                                        *aggs_));
+    HTG_ASSIGN_OR_RETURN(ready_, groups.Finalize(false));
     if (sub->engaged()) {
       HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs,
                            sub->Finish());
@@ -507,7 +626,7 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
   auto spill = std::make_unique<AggSpill>(
       ctx->tablespace, ctx->spill_partitions, 0, stats);
   AggGovernance gov{&charge, ctx, spill.get(), "Hash Match (Aggregate)"};
-  GroupMap groups;
+  GroupTable groups(group_exprs_.size(), &aggs_);
   if (ctx->UseBatches() && child->BatchNative()) {
     HTG_RETURN_IF_ERROR(BuildGroupsBatch(child.get(), ctx->batch_rows,
                                          group_exprs_, aggs_, &ctx->eval,
@@ -517,9 +636,8 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
                                     &ctx->eval, &groups, &gov));
   }
   RecordPeakMem(stats, charge.peak());
-  HTG_ASSIGN_OR_RETURN(
-      std::vector<Row> rows,
-      FinalizeGroups(&groups, aggs_.size(), group_exprs_.empty(), aggs_));
+  HTG_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                       groups.Finalize(group_exprs_.empty()));
   if (!spill->engaged()) {
     return {std::make_unique<ChargedRowsIterator>(std::move(rows),
                                                   std::move(charge))};
@@ -554,7 +672,8 @@ class StreamAggIterator : public storage::RowIterator {
       : child_(std::move(child)),
         group_exprs_(group_exprs),
         aggs_(aggs),
-        eval_(eval) {}
+        eval_(eval),
+        args_(ArgScratch(*aggs)) {}
 
   bool Next(Row* out) override {
     if (done_) return false;
@@ -604,17 +723,15 @@ class StreamAggIterator : public storage::RowIterator {
 
   bool Accumulate(const Row& input) {
     for (size_t i = 0; i < aggs_->size(); ++i) {
-      std::vector<Value> args;
-      args.reserve((*aggs_)[i].args.size());
-      for (const ExprPtr& a : (*aggs_)[i].args) {
-        Result<Value> v = a->Eval(eval_, input);
+      for (size_t a = 0; a < args_[i].size(); ++a) {
+        Result<Value> v = (*aggs_)[i].args[a]->Eval(eval_, input);
         if (!v.ok()) {
           status_ = v.status();
           return false;
         }
-        args.push_back(std::move(*v));
+        args_[i][a] = std::move(*v);
       }
-      const Status s = instances_[i]->Accumulate(args);
+      const Status s = instances_[i]->Accumulate(args_[i]);
       if (!s.ok()) {
         status_ = s;
         return false;
@@ -644,6 +761,7 @@ class StreamAggIterator : public storage::RowIterator {
   bool has_group_ = false;
   bool done_ = false;
   std::vector<std::unique_ptr<udf::AggregateInstance>> instances_;
+  std::vector<std::vector<Value>> args_;  // reused per row
   Status status_;
 };
 
@@ -716,9 +834,13 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
 
   // Partial phase: workers steal morsels off the shared counter, replay
   // the stage pipeline over each page range, and accumulate into
-  // thread-local partial maps. Expression trees are immutable and shared;
-  // each worker evaluates through its own EvalContext copy.
-  std::vector<GroupMap> partials(dop);
+  // thread-local partial tables. Expression trees are immutable and
+  // shared; each worker evaluates through its own EvalContext copy.
+  std::vector<GroupTable> partials;
+  partials.reserve(dop);
+  for (int w = 0; w < dop; ++w) {
+    partials.emplace_back(group_exprs_.size(), &aggs_);
+  }
   std::vector<ExecContext> worker_ctx(dop, *ctx);
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
@@ -731,7 +853,7 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
                              pipeline->Open(&worker_ctx[worker]));
         if (ctx->collect_stats) {
           // Count the rows (and batches) this worker feeds its partial
-          // map, for the per-worker skew lines under the exchange in
+          // table, for the per-worker skew lines under the exchange in
           // ANALYZE output.
           iter = WrapCounting(std::move(iter), &stats->worker_rows[worker],
                               &stats->worker_batches[worker]);
@@ -748,43 +870,28 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   RecordPeakMem(stats, charge.peak());
 
   size_t total_groups = 0;
-  for (const GroupMap& p : partials) total_groups += p.size();
+  for (const GroupTable& p : partials) total_groups += p.size();
   if (total_groups == 0 && !spill->engaged()) {
     // SELECT COUNT(*) over an empty input still yields one row.
-    HTG_ASSIGN_OR_RETURN(
-        std::vector<Row> rows,
-        FinalizeGroups(&partials[0], aggs_.size(), group_exprs_.empty(),
-                       aggs_));
+    HTG_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                         partials[0].Finalize(group_exprs_.empty()));
     return {std::make_unique<MaterializedRowsIterator>(std::move(rows))};
   }
 
   if (spill->engaged()) {
-    // Degraded path: fold every partial map into one final map, then
+    // Degraded path: fold every partial table into one final table, then
     // re-aggregate each spill partition (recursively, fresh budget per
     // pass) and merge its groups in too — the only ordering that is
-    // correct when a key sits in one worker's map and in the spill.
-    GroupMap merged;
-    const auto merge_in = [&](GroupMap* from) -> Status {
-      for (auto& [key, instances] : *from) {
-        auto it = merged.find(key);
-        if (it == merged.end()) {
-          merged.emplace(key, std::move(instances));
-          continue;
-        }
-        for (size_t a = 0; a < instances.size(); ++a) {
-          HTG_RETURN_IF_ERROR(it->second[a]->Merge(*instances[a]));
-        }
-      }
-      from->clear();
-      return Status::OK();
-    };
-    for (GroupMap& partial : partials) {
-      HTG_RETURN_IF_ERROR(merge_in(&partial));
+    // correct when a key sits in one worker's table and in the spill.
+    GroupTable merged(group_exprs_.size(), &aggs_);
+    for (GroupTable& partial : partials) {
+      HTG_RETURN_IF_ERROR(merged.MergeFrom(&partial, 0, 1));
     }
-    // The resident merged map was sized by the budget during the build;
+    partials.clear();
+    // The resident merged table was sized by the budget during the build;
     // release its charges so each partition pass below gets the full
     // budget — otherwise a pass could never admit a group and rows would
-    // re-spill until the depth limit. The map is re-accounted (and the
+    // re-spill until the depth limit. The table is re-accounted (and the
     // peak recorded) once the passes are done.
     charge.ReleaseAll();
     HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs,
@@ -809,14 +916,14 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
       AggGovernance pass_gov{&pass_charge, ctx, sub.get(),
                              "Parallel Hash Match (Aggregate)"};
       storage::SpillRunReader reader(work.file, std::move(work.run));
-      GroupMap part_groups;
+      GroupTable part_groups(group_exprs_.size(), &aggs_);
       HTG_RETURN_IF_ERROR(BuildGroups(&reader, group_exprs_, aggs_,
                                       &ctx->eval, &part_groups, &pass_gov));
       RecordPeakMem(stats, pass_charge.peak());
       // Keys are owned by exactly one partition per level, so a pass's
       // groups can only collide with build-time residents, never with
       // another pass.
-      HTG_RETURN_IF_ERROR(merge_in(&part_groups));
+      HTG_RETURN_IF_ERROR(merged.MergeFrom(&part_groups, 0, 1));
       if (sub->engaged()) {
         HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> sub_runs,
                              sub->Finish());
@@ -827,46 +934,28 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
         spill_files.push_back(std::move(sub));
       }
     }
-    size_t merged_bytes = 0;
-    for (const auto& [key, instances] : merged) {
-      merged_bytes += ApproxRowBytes(key) + kGroupOverheadBytes +
-                      aggs_.size() * kInstanceOverheadBytes;
-    }
-    charge.AddUnchecked(merged_bytes);
+    charge.AddUnchecked(merged.ChargedBytes());
     RecordPeakMem(stats, charge.peak());
-    HTG_ASSIGN_OR_RETURN(
-        std::vector<Row> rows,
-        FinalizeGroups(&merged, aggs_.size(), group_exprs_.empty(), aggs_));
+    HTG_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                         merged.Finalize(group_exprs_.empty()));
     return {std::make_unique<ChargedRowsIterator>(std::move(rows),
                                                   std::move(charge))};
   }
 
   // Final phase: a parallel partitioned merge instead of a serial fold.
-  // Groups are owned by hash partition; each partition worker walks every
-  // partial map, merges the entries it owns, and finalizes them. Entries
-  // are only read (key hash) or moved by their owning partition, so the
-  // partial maps need no locking.
+  // Groups are owned by partition of their cached hash; each partition
+  // worker walks every partial table, merges the entries it owns, and
+  // finalizes them. Entries are only read (cached hash) or moved by their
+  // owning partition, so the partial tables need no locking.
   const size_t nparts = static_cast<size_t>(dop);
   std::vector<std::vector<Row>> out_parts(nparts);
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, nparts, [&](int, size_t part) -> Status {
-        GroupMap merged;
-        for (GroupMap& partial : partials) {
-          for (auto& [key, instances] : partial) {
-            if (RowHash()(key) % nparts != part) continue;
-            auto it = merged.find(key);
-            if (it == merged.end()) {
-              merged.emplace(key, std::move(instances));
-              continue;
-            }
-            for (size_t a = 0; a < instances.size(); ++a) {
-              HTG_RETURN_IF_ERROR(it->second[a]->Merge(*instances[a]));
-            }
-          }
+        GroupTable merged(group_exprs_.size(), &aggs_);
+        for (GroupTable& partial : partials) {
+          HTG_RETURN_IF_ERROR(merged.MergeFrom(&partial, part, nparts));
         }
-        HTG_ASSIGN_OR_RETURN(
-            out_parts[part],
-            FinalizeGroups(&merged, aggs_.size(), false, aggs_));
+        HTG_ASSIGN_OR_RETURN(out_parts[part], merged.Finalize(false));
         return Status::OK();
       }));
 

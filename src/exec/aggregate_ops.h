@@ -86,7 +86,7 @@ class StreamAggregateOp : public Operator {
 // plan, scheduled at morsel granularity: workers steal page-range morsels
 // of the heap scan from a shared counter, replay the stage pipeline
 // (filter / CROSS APPLY) per morsel, and accumulate into thread-local
-// partial GroupMaps. The final merge is itself parallel — groups are
+// partial group tables. The final merge is itself parallel — groups are
 // partitioned by hash and each partition merges/finalizes on its own
 // worker — and results stream out of the gather. Requires every aggregate
 // to SupportsMerge().

@@ -1,5 +1,7 @@
 #include "exec/apply_ops.h"
 
+#include <algorithm>
+
 #include "common/metrics.h"
 #include "exec/join_ops.h"
 
@@ -15,15 +17,17 @@ class CrossApplyIterator : public storage::RowIterator {
                      udf::EvalContext* eval)
       : child_(std::move(child)), fn_(fn), args_(args), db_(db), eval_(eval) {}
 
+  // Copy-assigns the outer and inner values into the caller's row, so a
+  // caller that reuses its row reuses its string buffers too.
   bool Next(Row* row) override {
     for (;;) {
       if (inner_ != nullptr) {
-        Row inner_row;
-        if (inner_->Next(&inner_row)) {
-          row->clear();
-          row->reserve(outer_row_.size() + inner_row.size());
-          row->insert(row->end(), outer_row_.begin(), outer_row_.end());
-          row->insert(row->end(), inner_row.begin(), inner_row.end());
+        if (inner_->Next(&inner_row_)) {
+          const size_t outer = outer_row_.size();
+          row->resize(outer + inner_row_.size());
+          std::copy(outer_row_.begin(), outer_row_.end(), row->begin());
+          std::copy(inner_row_.begin(), inner_row_.end(),
+                    row->begin() + static_cast<ptrdiff_t>(outer));
           return true;
         }
         status_ = inner_->status();
@@ -34,19 +38,18 @@ class CrossApplyIterator : public storage::RowIterator {
         status_ = child_->status();
         return false;
       }
-      std::vector<Value> args;
-      args.reserve(args_->size());
-      for (const ExprPtr& a : *args_) {
-        Result<Value> v = a->Eval(eval_, outer_row_);
+      arg_values_.resize(args_->size());
+      for (size_t a = 0; a < args_->size(); ++a) {
+        Result<Value> v = (*args_)[a]->Eval(eval_, outer_row_);
         if (!v.ok()) {
           status_ = v.status();
           return false;
         }
-        args.push_back(std::move(*v));
+        arg_values_[a] = std::move(*v);
       }
       HTG_METRIC_COUNTER("udf.tvf.opens")->Add(1);
       Result<std::unique_ptr<storage::RowIterator>> inner =
-          fn_->Open(args, db_);
+          fn_->Open(arg_values_, db_);
       if (!inner.ok()) {
         status_ = inner.status();
         return false;
@@ -64,6 +67,8 @@ class CrossApplyIterator : public storage::RowIterator {
   Database* db_;
   udf::EvalContext* eval_;
   Row outer_row_;
+  Row inner_row_;
+  std::vector<Value> arg_values_;
   std::unique_ptr<storage::RowIterator> inner_;
   Status status_;
 };

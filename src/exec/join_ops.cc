@@ -10,27 +10,6 @@ namespace htg::exec {
 
 namespace {
 
-struct RowHash {
-  size_t operator()(const Row& row) const {
-    size_t h = 14695981039346656037ULL;
-    for (const Value& v : row) {
-      h ^= v.Hash();
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
-struct RowEq {
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
-    }
-    return true;
-  }
-};
-
 using BuildMap = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
 
 // Rough accounting overhead per build-table entry (hash node + bucket

@@ -1,5 +1,7 @@
 #include "exec/operator.h"
 
+#include <algorithm>
+
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 
@@ -93,6 +95,24 @@ void ExplainRec(const Operator& op, int depth, std::string* out) {
   }
 }
 
+uint64_t OwnNs(const OperatorStats& s) {
+  return s.open_ns.load(std::memory_order_relaxed) +
+         s.next_ns.load(std::memory_order_relaxed) +
+         s.close_ns.load(std::memory_order_relaxed);
+}
+
+// Inclusive time of `op`. Operators that never opened (EXPLAIN-only
+// markers such as Distribute Streams) are transparent: their children's
+// time stands in for theirs.
+uint64_t InclusiveNs(const Operator& op) {
+  if (op.stats().open_calls.load(std::memory_order_relaxed) > 0) {
+    return OwnNs(op.stats());
+  }
+  uint64_t sum = 0;
+  for (const Operator* child : op.children()) sum += InclusiveNs(*child);
+  return sum;
+}
+
 void ExplainAnalyzeRec(const Operator& op, int depth, std::string* out) {
   const size_t indent = static_cast<size_t>(depth) * 2;
   out->append(indent, ' ');
@@ -103,20 +123,32 @@ void ExplainAnalyzeRec(const Operator& op, int depth, std::string* out) {
     const uint64_t rows = s.rows_out.load(std::memory_order_relaxed);
     const uint64_t batches = s.batches_out.load(std::memory_order_relaxed);
     const int64_t est = op.EstimateRows();
-    const double total_ms =
-        static_cast<double>(s.open_ns.load(std::memory_order_relaxed) +
-                            s.next_ns.load(std::memory_order_relaxed) +
-                            s.close_ns.load(std::memory_order_relaxed)) /
-        1e6;
+    const double total_ns = static_cast<double>(OwnNs(s));
+    double children_ns = 0;
+    for (const Operator* child : op.children()) {
+      children_ns += static_cast<double>(InclusiveNs(*child));
+    }
+    // Self time is inclusive time minus the children's. Below an exchange
+    // the children ran on the workers and their times are summed, so the
+    // exchange is charged its wall time minus the workers' average, and
+    // the summed worker time is shown next to it.
+    const size_t workers = s.worker_rows.size();
+    const double self_ns =
+        total_ns - (workers > 0 ? children_ns / static_cast<double>(workers)
+                                : children_ns);
     out->append(StringPrintf(" (actual rows=%llu, est rows=%s, opens=%llu, "
-                             "time=%.3f ms)",
+                             "time=%.3f ms, self=%.3f ms",
                              static_cast<unsigned long long>(rows),
                              est < 0 ? "?"
                                      : StringPrintf("%lld",
                                                     static_cast<long long>(est))
                                            .c_str(),
                              static_cast<unsigned long long>(opens),
-                             total_ms));
+                             total_ns / 1e6, std::max(0.0, self_ns) / 1e6));
+    if (workers > 0) {
+      out->append(StringPrintf(", worker time=%.3f ms", children_ns / 1e6));
+    }
+    out->push_back(')');
     if (batches > 0) {
       out->append(StringPrintf(
           " (batches=%llu, rows/batch=%.1f)",

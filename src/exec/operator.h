@@ -159,9 +159,12 @@ std::string ExplainPlan(const Operator& root);
 // Renders the plan tree annotated with runtime stats. Only meaningful
 // after the plan ran with ExecContext::collect_stats set; operators that
 // never opened (EXPLAIN-only markers) print without an annotation.
+// `time` is inclusive, `self` excludes the children; an exchange's self
+// is its wall time minus its workers' average, and it also prints the
+// workers' summed time.
 //
-//   Hash Match (Aggregate) [...] (actual rows=4, est rows=?, time=1.2 ms)
-//     Filter [...] (actual rows=600, est rows=333, time=0.8 ms)
+//   Hash Match (Aggregate) [...] (actual rows=4, ..., time=1.2 ms, self=0.4 ms)
+//     Filter [...] (actual rows=600, ..., time=0.8 ms, self=0.3 ms)
 std::string ExplainAnalyzePlan(const Operator& root);
 
 // Drains `iter`, appending every row to `rows`. Pulls batches and moves

@@ -1,6 +1,9 @@
 #include "types/value.h"
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "common/string_util.h"
@@ -31,31 +34,23 @@ int Value::Compare(const Value& other) const {
 }
 
 size_t Value::Hash() const {
-  constexpr size_t kFnvOffset = 1469598103934665603ULL;
-  constexpr size_t kFnvPrime = 1099511628211ULL;
-  size_t h = kFnvOffset;
-  auto mix_bytes = [&h](const char* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(p[i]);
-      h *= kFnvPrime;
-    }
-  };
-  if (is_null()) {
-    h ^= 0x7f;
-    h *= kFnvPrime;
-    return h;
-  }
+  if (is_null()) return 0x7f4a7c159e3779b9ULL;
+  if (IsStringKind()) return std::hash<std::string_view>()(AsString());
+  // Numbers that Compare() calls equal must hash alike: an integral
+  // double (including -0.0) hashes as the int64 it equals.
+  int64_t bits = 0;
   if (IsIntegerKind()) {
-    const int64_t v = AsInt64();
-    mix_bytes(reinterpret_cast<const char*>(&v), sizeof(v));
-  } else if (IsDoubleKind()) {
-    const double v = AsDouble();
-    mix_bytes(reinterpret_cast<const char*>(&v), sizeof(v));
+    bits = AsInt64();
   } else {
-    const std::string& s = AsString();
-    mix_bytes(s.data(), s.size());
+    const double d = AsDouble();
+    if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+        d == std::trunc(d)) {
+      bits = static_cast<int64_t>(d);
+    } else {
+      std::memcpy(&bits, &d, sizeof(bits));
+    }
   }
-  return h;
+  return static_cast<size_t>(bits) * 0x9e3779b97f4a7c15ULL;
 }
 
 std::string Value::ToString() const {

@@ -62,7 +62,9 @@ class Value {
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  // Stable hash for hash-based operators (FNV over kind + bytes).
+  // Hash for hash-based operators, consistent with Compare(): values that
+  // compare equal hash equal, across numeric kinds too. Not avalanched;
+  // row hashes (exec/spill_util.h) mix it before masking.
   size_t Hash() const;
 
   // Approximate resident bytes of this value, used by the executor's

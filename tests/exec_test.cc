@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
 #include "catalog/database.h"
 #include "exec/aggregate_ops.h"
 #include "exec/basic_ops.h"
@@ -260,6 +264,89 @@ TEST(OperatorTest, ParallelAggregateWithFilterStage) {
   ASSERT_TRUE(DrainIterator(iter->get(), &rows).ok());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0].AsInt64(), 2500);
+}
+
+// GROUP BY k, s over ~100k distinct composite keys (NULLs among both key
+// columns), so every table path grows through many doublings: the serial
+// batch and row builds and the DOP-4 partial tables with their
+// partitioned final merge. Checked against a std::map oracle.
+TEST(OperatorTest, GroupTableManyCompositeKeysMatchOracle) {
+  auto db = OpenTestDb("groupkeys");
+  catalog::TableDef def;
+  def.name = "t";
+  def.schema.AddColumn({.name = "k", .type = DataType::kInt32});
+  def.schema.AddColumn({.name = "s", .type = DataType::kString});
+  def.schema.AddColumn({.name = "v", .type = DataType::kInt64});
+  ASSERT_TRUE(db->CreateTable(std::move(def)).ok());
+  catalog::TableDef* table = *db->GetTable("t");
+  constexpr int kDistinct = 100000;
+  constexpr int kRows = 130000;  // every key once, some twice
+  std::map<std::string, std::pair<int64_t, int64_t>> oracle;  // count, sum
+  for (int i = 0; i < kRows; ++i) {
+    const int j = i % kDistinct;
+    const Value k = j % 97 == 0 ? Value::Null() : Value::Int32(j / 7);
+    const Value s = j % 89 == 0 ? Value::Null()
+                                : Value::String("key-" + std::to_string(j % 7));
+    ASSERT_TRUE(table->table->Insert(Row{k, s, Value::Int64(i)}).ok());
+    auto& [count, sum] = oracle[k.ToString() + "|" + s.ToString()];
+    ++count;
+    sum += i;
+  }
+  auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
+  ASSERT_NE(heap, nullptr);
+  ASSERT_TRUE(heap->SealCurrentPage().ok());
+  ASSERT_GT(oracle.size(), 90000u);
+
+  auto make_groups = [] {
+    std::vector<ExprPtr> groups;
+    groups.push_back(Col(0, DataType::kInt32));
+    groups.push_back(Col(1, DataType::kString));
+    return groups;
+  };
+  auto make_aggs = [&] {
+    std::vector<AggSpec> aggs;
+    AggSpec count;
+    count.fn = db->functions()->FindAggregate("COUNT");
+    count.display = "COUNT(*)";
+    aggs.push_back(std::move(count));
+    AggSpec sum;
+    sum.fn = db->functions()->FindAggregate("SUM");
+    sum.args.push_back(Col(2));
+    sum.display = "SUM(v)";
+    aggs.push_back(std::move(sum));
+    return aggs;
+  };
+  auto check = [&](OperatorPtr plan, size_t batch_rows, const char* what) {
+    ExecContext ctx = ExecContext::For(db.get());
+    ctx.batch_rows = batch_rows;
+    auto iter = plan->Open(&ctx);
+    ASSERT_TRUE(iter.ok()) << what;
+    std::vector<Row> rows;
+    ASSERT_TRUE(DrainIterator(iter->get(), &rows).ok()) << what;
+    ASSERT_EQ(rows.size(), oracle.size()) << what;
+    std::map<std::string, std::pair<int64_t, int64_t>> got;
+    for (const Row& r : rows) {
+      const std::string key = r[0].ToString() + "|" + r[1].ToString();
+      ASSERT_TRUE(got.emplace(key, std::make_pair(r[2].AsInt64(),
+                                                  r[3].AsInt64()))
+                      .second)
+          << what << ": group " << key << " emitted twice";
+    }
+    EXPECT_EQ(got, oracle) << what;
+  };
+  check(std::make_unique<HashAggregateOp>(
+            std::make_unique<TableScanOp>(table), make_groups(),
+            std::vector<std::string>{"k", "s"}, make_aggs()),
+        RowBatch::kDefaultRows, "DOP 1, batches");
+  check(std::make_unique<HashAggregateOp>(
+            std::make_unique<TableScanOp>(table), make_groups(),
+            std::vector<std::string>{"k", "s"}, make_aggs()),
+        1, "DOP 1, rows");
+  check(std::make_unique<ParallelAggregateOp>(
+            table, std::vector<ParallelStage>{}, make_groups(),
+            std::vector<std::string>{"k", "s"}, make_aggs(), /*dop=*/4,
+            /*morsel_pages=*/8),
+        RowBatch::kDefaultRows, "DOP 4");
 }
 
 TEST(ParallelTest, MakeMorselsCoversAllPages) {

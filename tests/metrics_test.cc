@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "genomics/register.h"
@@ -192,6 +194,36 @@ TEST_F(ExplainAnalyzeTest, RowCountsFlowThroughScanFilterAggregate) {
   EXPECT_NE(plan.find("actual rows=2"), std::string::npos) << plan;
   EXPECT_NE(plan.find("Filter"), std::string::npos) << plan;
   EXPECT_NE(plan.find("total: 2 rows"), std::string::npos) << plan;
+}
+
+TEST_F(ExplainAnalyzeTest, SelfTimesSumToRootTimeOnSerialPlan) {
+  Exec("CREATE TABLE t (k INT, v BIGINT)");
+  Exec("INSERT INTO t VALUES (1, 10), (1, 20), (2, 30), (2, 5), (3, 1), "
+       "(4, 40), (5, 50), (5, 12)");
+  const std::string plan = ExplainAnalyze(
+      "SELECT TOP 3 k, SUM(v) FROM t WHERE v >= 10 GROUP BY k "
+      "ORDER BY SUM(v) DESC");
+  ASSERT_EQ(plan.find("Gather Streams"), std::string::npos) << plan;
+  std::vector<std::pair<double, double>> times;  // (inclusive, self)
+  for (size_t at = plan.find("time="); at != std::string::npos;
+       at = plan.find("time=", at + 1)) {
+    double time_ms = 0;
+    double self_ms = 0;
+    ASSERT_EQ(std::sscanf(plan.c_str() + at, "time=%lf ms, self=%lf ms",
+                          &time_ms, &self_ms),
+              2)
+        << plan;
+    times.emplace_back(time_ms, self_ms);
+  }
+  ASSERT_GE(times.size(), 4u) << plan;  // top, sort, aggregate, filter, scan
+  double self_sum = 0;
+  for (const auto& [time_ms, self_ms] : times) {
+    EXPECT_GE(self_ms, 0.0) << plan;
+    EXPECT_LE(self_ms, time_ms + 0.001) << plan;
+    self_sum += self_ms;
+  }
+  // Each figure is rounded to the microsecond when printed.
+  EXPECT_NEAR(self_sum, times.front().first, 0.001 * times.size()) << plan;
 }
 
 TEST_F(ExplainAnalyzeTest, EstimatedVersusActualShown) {

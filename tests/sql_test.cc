@@ -190,6 +190,22 @@ TEST_F(SqlTest, JoinResultsCorrect) {
   EXPECT_EQ(r.rows[1][2].AsString(), "y");
 }
 
+TEST_F(SqlTest, HashJoinMatchesAcrossNumericKinds) {
+  // 1 and 1.0 compare equal, so they must also hash alike for the Hash
+  // Match build table to pair them.
+  Exec("CREATE TABLE A (x INT)");
+  Exec("CREATE TABLE B (y FLOAT)");
+  Exec("INSERT INTO A VALUES (1)");
+  Exec("INSERT INTO B VALUES (1.0)");
+  Result<std::string> plan =
+      engine_->Explain("SELECT COUNT(*) FROM A JOIN B ON x = y");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("Hash Match (Inner Join)"), std::string::npos) << *plan;
+  QueryResult r = Exec("SELECT COUNT(*) FROM A JOIN B ON x = y");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt64(), 1);
+}
+
 TEST_F(SqlTest, ParallelPlanForLargeHeapAggregate) {
   Exec("CREATE TABLE big (k INT, v BIGINT)");
   // Below threshold: serial plan.

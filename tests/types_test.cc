@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "types/data_type.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -47,6 +50,23 @@ TEST(ValueTest, HashEqualValuesAgree) {
   EXPECT_EQ(Value::Int32(7).Hash(), Value::Int32(7).Hash());
   EXPECT_EQ(Value::String("ACGT").Hash(), Value::String("ACGT").Hash());
   EXPECT_NE(Value::String("ACGT").Hash(), Value::String("ACGA").Hash());
+}
+
+TEST(ValueTest, HashAgreesWithCompareAcrossNumericKinds) {
+  const std::vector<std::pair<Value, Value>> equal = {
+      {Value::Int64(1), Value::Double(1.0)},
+      {Value::Int32(-7), Value::Double(-7.0)},
+      {Value::Int64(0), Value::Double(-0.0)},
+      {Value::Double(0.0), Value::Double(-0.0)},
+      {Value::Bool(true), Value::Int64(1)},
+      {Value::Int32(5), Value::Int64(5)},
+      {Value::Null(), Value::Null()}};
+  for (const auto& [a, b] : equal) {
+    ASSERT_EQ(a.Compare(b), 0) << a.ToString() << " vs " << b.ToString();
+    EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
+  }
+  // Non-integral doubles still hash apart from their truncation.
+  EXPECT_NE(Value::Double(1.5).Hash(), Value::Int64(1).Hash());
 }
 
 TEST(ValueTest, CastIntToString) {
