@@ -10,6 +10,8 @@
 #include "storage/heap_table.h"
 #include "storage/page.h"
 #include "storage/row_codec.h"
+#include "storage/tablespace.h"
+#include "storage/vfs.h"
 
 namespace htg::storage {
 namespace {
@@ -133,14 +135,23 @@ BENCHMARK(BM_PageCycle)
 void BM_HeapInsertScan(benchmark::State& state) {
   const Compression mode = static_cast<Compression>(state.range(0));
   const std::vector<Row> rows = MakeRows(2000, true);
+  // Heap pages seal into a buffer pool; the default 64 MiB holds them all.
+  BufferPool pool;
+  std::unique_ptr<TableSpace> space = bench::CheckOk(
+      TableSpace::Open(Vfs::Default(), "/tmp/htg_ablation_compression", &pool),
+      "TableSpace::Open");
+  HeapTable table(ReadSchema(), mode,
+                  bench::CheckOk(space->CreateTableFile("heap"),
+                                 "CreateTableFile"));
   for (auto _ : state) {
-    HeapTable table(ReadSchema(), mode);
     for (const Row& r : rows) bench::CheckOk(table.Insert(r), "Insert");
     auto iter = table.NewScan();
     Row row;
     int count = 0;
     while (iter->Next(&row)) ++count;
     if (count != static_cast<int>(rows.size())) state.SkipWithError("lost rows");
+    iter.reset();
+    table.Truncate();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(rows.size()));

@@ -42,14 +42,6 @@ bool DatabaseOptions::ResolvedSpillEnabled() const {
   return true;
 }
 
-bool DatabaseOptions::ResolvedMvccEnabled() const {
-  if (!enable_mvcc) return false;
-  if (const char* env = std::getenv("HTG_MVCC")) {
-    if (env[0] == '0' && env[1] == '\0') return false;
-  }
-  return true;
-}
-
 uint64_t DatabaseOptions::ResolvedMvccGcEvery() const {
   if (mvcc_gc_every >= 0) return static_cast<uint64_t>(mvcc_gc_every);
   if (const char* env = std::getenv("HTG_MVCC_GC_EVERY")) {
@@ -71,30 +63,26 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& name,
     options.filestream_root = "/tmp/htgdb_" + name + "_fs";
   }
   std::unique_ptr<Database> db(new Database(name, std::move(options)));
-  if (db->options_.enable_buffer_pool) {
-    storage::BufferPoolOptions pool_options;
-    pool_options.capacity_bytes = db->options_.buffer_pool_bytes != 0
-                                      ? db->options_.buffer_pool_bytes
-                                      : storage::BufferPoolCapacityFromEnv();
-    db->buffer_pool_ =
-        std::make_unique<storage::BufferPool>(pool_options);
-    storage::Vfs* vfs = db->options_.filestream_options.vfs != nullptr
-                            ? db->options_.filestream_options.vfs
-                            : storage::Vfs::Default();
-    HTG_ASSIGN_OR_RETURN(
-        db->tablespace_,
-        storage::TableSpace::Open(vfs,
-                                  db->options_.filestream_root + "/tablespace",
-                                  db->buffer_pool_.get()));
-    // Blob chunk reads share the same pool as table pages.
-    db->options_.filestream_options.buffer_pool = db->buffer_pool_.get();
-  }
+  storage::BufferPoolOptions pool_options;
+  pool_options.capacity_bytes = db->options_.buffer_pool_bytes != 0
+                                    ? db->options_.buffer_pool_bytes
+                                    : storage::BufferPoolCapacityFromEnv();
+  db->buffer_pool_ = std::make_unique<storage::BufferPool>(pool_options);
+  storage::Vfs* vfs = db->options_.filestream_options.vfs != nullptr
+                          ? db->options_.filestream_options.vfs
+                          : storage::Vfs::Default();
+  HTG_ASSIGN_OR_RETURN(
+      db->tablespace_,
+      storage::TableSpace::Open(vfs,
+                                db->options_.filestream_root + "/tablespace",
+                                db->buffer_pool_.get()));
+  // Blob chunk reads share the same pool as table pages.
+  db->options_.filestream_options.buffer_pool = db->buffer_pool_.get();
   HTG_ASSIGN_OR_RETURN(
       db->filestream_,
       storage::FileStreamStore::Open(db->options_.filestream_root,
                                      db->options_.filestream_options));
   HTG_RETURN_IF_ERROR(udf::RegisterBuiltins(&db->functions_));
-  db->mvcc_enabled_ = db->options_.ResolvedMvccEnabled();
   db->mvcc_gc_every_ = db->options_.ResolvedMvccGcEvery();
   return db;
 }
@@ -112,27 +100,16 @@ Status Database::CreateTable(catalog::TableDef def) {
       return Status::InvalidArgument("clustered key column out of range");
     }
   }
-  if (def.table == nullptr) {
-    if (def.clustered_key.empty()) {
-      auto heap = std::make_unique<storage::HeapTable>(def.schema,
-                                                       def.compression);
-      if (tablespace_ != nullptr) {
-        HTG_RETURN_IF_ERROR(heap->AttachStorage(tablespace_.get(), def.name));
-      }
-      def.table = std::move(heap);
-    } else {
-      auto clustered = std::make_unique<storage::ClusteredTable>(
-          def.schema, def.clustered_key, def.compression);
-      if (tablespace_ != nullptr) {
-        HTG_RETURN_IF_ERROR(
-            clustered->AttachStorage(tablespace_.get(), def.name));
-      }
-      def.table = std::move(clustered);
-    }
+  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::TableFile> file,
+                       tablespace_->CreateTableFile(def.name));
+  if (def.clustered_key.empty()) {
+    def.table = std::make_unique<storage::HeapTable>(
+        def.schema, def.compression, std::move(file));
+  } else {
+    def.table = std::make_unique<storage::ClusteredTable>(
+        def.schema, def.clustered_key, def.compression, std::move(file));
   }
-  if (def.mvcc == nullptr) {
-    def.mvcc = std::make_unique<storage::MvccTableState>();
-  }
+  def.mvcc = std::make_unique<storage::MvccTableState>();
   MutexLock lock(&catalog_mu_);
   const auto [it, inserted] = tables_.emplace(
       key, std::make_unique<catalog::TableDef>(std::move(def)));
@@ -168,13 +145,14 @@ std::vector<std::string> Database::ListTables() const {
   return names;
 }
 
-Status Database::InsertRow(catalog::TableDef* table, Row row,
-                           storage::Transaction* txn) {
-  return InsertRow(table, std::move(row), txn, storage::kFrozenTxn);
-}
+namespace {
 
-Status Database::InsertRow(catalog::TableDef* table, Row row,
-                           storage::Transaction* txn, storage::TxnId stamp) {
+// Validates and casts `row`, moves FILESTREAM content into `store`, and
+// appends the row. Paths of the blobs it creates go to `blobs` even when
+// a later step fails, so the caller can delete them.
+Status StoreRow(storage::FileStreamStore* store, catalog::TableDef* table,
+                Row row, storage::TxnId stamp,
+                std::vector<std::string>* blobs) {
   const Schema& schema = table->schema;
   if (static_cast<int>(row.size()) != schema.num_columns()) {
     return Status::InvalidArgument(StringPrintf(
@@ -196,20 +174,15 @@ Status Database::InsertRow(catalog::TableDef* table, Row row,
       // is content and moves out into the FileStream store, with the row
       // keeping the file path (PathName()/DATALENGTH resolve it later).
       if (row[i].type() != DataType::kBlob &&
-          row[i].AsString().rfind(filestream_->root(), 0) == 0 &&
-          filestream_->BlobSize(row[i].AsString()).ok()) {
+          row[i].AsString().rfind(store->root(), 0) == 0 &&
+          store->BlobSize(row[i].AsString()).ok()) {
         continue;
       }
       HTG_ASSIGN_OR_RETURN(
           std::string path,
-          filestream_->CreateBlob(table->name + "_" + col.name,
-                                  row[i].AsString()));
-      if (txn != nullptr) {
-        storage::FileStreamStore* store = filestream_.get();
-        txn->OnRollback(
-            [store, path] { HTG_IGNORE_STATUS(store->Delete(path)); });
-      }
-      row[i] = Value::String(path);
+          store->CreateBlob(table->name + "_" + col.name, row[i].AsString()));
+      blobs->push_back(path);
+      row[i] = Value::String(std::move(path));
       continue;
     }
     if (row[i].type() != col.type) {
@@ -227,8 +200,30 @@ Status Database::InsertRow(catalog::TableDef* table, Row row,
   return table->table->Insert(row);
 }
 
+}  // namespace
+
+Status Database::InsertRow(catalog::TableDef* table, Row row,
+                           storage::TxnId stamp,
+                           std::vector<std::string>* created_blobs) {
+  std::vector<std::string> blobs;
+  const Status stored =
+      StoreRow(filestream_.get(), table, std::move(row), stamp, &blobs);
+  if (!stored.ok()) {
+    // No row references these blobs (a later column or the append
+    // failed): delete them, newest first.
+    for (auto it = blobs.rbegin(); it != blobs.rend(); ++it) {
+      HTG_IGNORE_STATUS(filestream_->Delete(*it));
+    }
+    return stored;
+  }
+  if (created_blobs != nullptr) {
+    created_blobs->insert(created_blobs->end(), blobs.begin(), blobs.end());
+  }
+  return Status::OK();
+}
+
 void Database::MaybeSweepVersions() {
-  if (!mvcc_enabled_ || mvcc_gc_every_ == 0) return;
+  if (mvcc_gc_every_ == 0) return;
   const uint64_t taken = txn_manager_.TakeCompletedSinceSweep();
   uint64_t pending =
       gc_pending_.fetch_add(taken, std::memory_order_acq_rel) + taken;
@@ -261,7 +256,6 @@ uint64_t Database::SweepVersions() {
     // table latch.
     ReaderMutexLock lock(&catalog_mu_);
     for (const auto& [key, def] : tables_) {
-      if (def->mvcc == nullptr) continue;
       def->mvcc->CollapseBelow(horizon);
       if (!aborted.empty()) {
         if (auto* clustered =

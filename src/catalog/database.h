@@ -12,7 +12,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/filestream.h"
 #include "storage/tablespace.h"
-#include "storage/transaction.h"
 #include "udf/registry.h"
 
 namespace htg {
@@ -24,12 +23,9 @@ struct DatabaseOptions {
   // Durability knobs for the BLOB store (Vfs seam, retry policy, read
   // verification). Tests inject a FaultInjectingVfs here.
   storage::FileStreamOptions filestream_options;
-  // Route table pages and BLOB chunk reads through one shared buffer
-  // pool (with spill files under "<filestream_root>/tablespace"). Off
-  // reverts every table to the fully in-memory storage mode — the
-  // ablation knob for cache-effect measurements.
-  bool enable_buffer_pool = true;
-  // Pool capacity in bytes; 0 = HTG_BUFFER_POOL_MB (default 64 MiB).
+  // Capacity of the buffer pool that every table page and BLOB chunk read
+  // goes through (spill files under "<filestream_root>/tablespace"), in
+  // bytes; 0 = HTG_BUFFER_POOL_MB (default 64 MiB).
   size_t buffer_pool_bytes = 0;
   // Degree of parallelism for eligible query plans (SQL Server's MAXDOP).
   int max_dop = 4;
@@ -51,17 +47,12 @@ struct DatabaseOptions {
   //   >0 = that many bytes
   int64_t query_mem_bytes = -1;
   // Let over-budget operators degrade to disk spill runs through the
-  // tablespace instead of failing. Off (or no buffer pool/tablespace):
-  // over-budget statements fail with kResourceExhausted. HTG_SPILL=0
+  // tablespace instead of failing. Off: over-budget statements fail
+  // with kResourceExhausted. HTG_SPILL=0
   // disables it from the environment.
   bool enable_spill = true;
   // Fan-out of one partition-spill pass in hash aggregate / hash join.
   size_t spill_partitions = 16;
-  // Snapshot-isolation MVCC: statements read a consistent snapshot
-  // (heap row-count watermarks, clustered txn stamps) and the server
-  // accepts multi-statement BEGIN/COMMIT/ABORT. HTG_MVCC=0 disables it
-  // from the environment and reverts to lock-only visibility.
-  bool enable_mvcc = true;
   // Completed (committed + aborted) transactions between opportunistic
   // version-GC sweeps. -1 = HTG_MVCC_GC_EVERY (default 16); 0 disables
   // the automatic sweep (SweepVersions can still be called directly).
@@ -74,8 +65,6 @@ struct DatabaseOptions {
   size_t ResolvedQueryMemBytes() const;
   // enable_spill combined with the HTG_SPILL environment override.
   bool ResolvedSpillEnabled() const;
-  // enable_mvcc combined with the HTG_MVCC environment override.
-  bool ResolvedMvccEnabled() const;
   // mvcc_gc_every with the -1 = environment default applied.
   uint64_t ResolvedMvccGcEvery() const;
 };
@@ -96,11 +85,8 @@ class Database {
   udf::FunctionRegistry* functions() { return &functions_; }
   const udf::FunctionRegistry* functions() const { return &functions_; }
   storage::FileStreamStore* filestream() { return filestream_.get(); }
-  // Null when options.enable_buffer_pool is false.
   storage::BufferPool* buffer_pool() { return buffer_pool_.get(); }
-  // Spill-file space for out-of-core operators; null when the buffer
-  // pool is disabled (no tablespace -> no spilling, budget errors
-  // instead).
+  // Spill files for table pages and out-of-core operators.
   storage::TableSpace* tablespace() { return tablespace_.get(); }
 
   // DDL -----------------------------------------------------------------
@@ -110,8 +96,9 @@ class Database {
   // until DropTable, which the server's LockManager serializes against
   // in-flight statements (exclusive table + catalog locks).
 
-  // Creates a table; `def.table` is instantiated here (heap, or clustered
-  // when def.clustered_key is non-empty).
+  // Creates a table; `def.table` (heap, or clustered when
+  // def.clustered_key is non-empty, paged through the buffer pool) and
+  // `def.mvcc` are instantiated here.
   Status CreateTable(catalog::TableDef def);
   Status DropTable(const std::string& name);
 
@@ -122,24 +109,27 @@ class Database {
 
   // Inserts one row, converting inline BLOB values bound for FILESTREAM
   // columns into store-managed files (the stored value becomes the file
-  // path, as with SQL Server's PathName()). If `txn` is non-null, undo
-  // actions are registered.
+  // path, as with SQL Server's PathName()). A row that fails deletes the
+  // blobs it created.
+  //
+  // Inside a transaction (SqlEngine's INSERT path), `stamp` is its id —
+  // clustered tables record it on the B+-tree entry for snapshot scans to
+  // filter on; heaps ignore it, their visibility is a row-count watermark
+  // — and the paths of created blobs are appended to `created_blobs` so
+  // the transaction's abort can delete them.
+  //
+  // InsertRow(table, row) is the bulk-load API of the loaders: the row is
+  // frozen (visible to every later snapshot) on return. No transaction
+  // may be writing the same table concurrently.
   Status InsertRow(catalog::TableDef* table, Row row,
-                   storage::Transaction* txn = nullptr);
-
-  // Inserts one row stamped with the writing transaction's id: clustered
-  // tables record it on the B+-tree entry (snapshot scans filter on it);
-  // heaps ignore the stamp — their visibility is watermark-based.
-  Status InsertRow(catalog::TableDef* table, Row row,
-                   storage::Transaction* txn, storage::TxnId stamp);
+                   storage::TxnId stamp = storage::kFrozenTxn,
+                   std::vector<std::string>* created_blobs = nullptr);
 
   // An EvalContext wired to this database (DATALENGTH on filestreams etc).
   udf::EvalContext MakeEvalContext();
 
   // MVCC ----------------------------------------------------------------
 
-  // Resolved enable_mvcc, cached at Open.
-  bool mvcc_enabled() const { return mvcc_enabled_; }
   storage::TxnManager* txns() { return &txn_manager_; }
 
   // Opportunistic version GC: once ResolvedMvccGcEvery() transactions
@@ -166,8 +156,7 @@ class Database {
   udf::FunctionRegistry functions_;
   std::unique_ptr<storage::FileStreamStore> filestream_;
   storage::TxnManager txn_manager_;
-  bool mvcc_enabled_ = true;        // resolved once at Open
-  uint64_t mvcc_gc_every_ = 16;     // resolved once at Open
+  uint64_t mvcc_gc_every_ = 16;  // resolved once at Open
   std::atomic<uint64_t> gc_pending_{0};
 };
 

@@ -19,7 +19,7 @@ struct TableDef {
   storage::Compression compression = storage::Compression::kNone;
   std::unique_ptr<storage::TableStorage> table;
   // Per-table MVCC bookkeeping (writer watermarks, first-writer-wins
-  // probe). Created by Database::CreateTable; null for hand-built defs.
+  // probe). Created by Database::CreateTable.
   std::unique_ptr<storage::MvccTableState> mvcc;
 
   bool HasFilestreamColumns() const {

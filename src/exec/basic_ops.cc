@@ -281,7 +281,7 @@ Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
   // plans and morsel pipelines (each morsel is a range-scan clone opened
   // with a worker copy of the same context).
   const storage::Snapshot* snap =
-      ctx != nullptr && table_->mvcc != nullptr ? ctx->snapshot : nullptr;
+      ctx != nullptr ? ctx->snapshot : nullptr;
   if (snap != nullptr) {
     if (auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get())) {
       const uint64_t limit =

@@ -6,8 +6,8 @@
 // statement needs up front (reads shared, writes exclusive) in one
 // canonical sorted order, hold them for the statement, and release on
 // RAII destruction — two-phase locking at statement granularity, which
-// composes with storage::Transaction's compensation rollback: a failed
-// statement undoes its writes before the exclusive lock drops, so readers
+// composes with the engine's transaction undo: a failed statement's
+// implicit transaction aborts before the exclusive lock drops, so readers
 // never observe a partial load.
 //
 // Waits are bounded: a conflict that outlives the timeout returns a typed

@@ -16,12 +16,12 @@ const char kCatalogLock[] =
     "\x01"
     "catalog";
 
-// Per-table schema-stability pseudo-locks, used when MVCC snapshots are
-// on. A snapshot reader holds "\x02<TABLE>" shared instead of locking
-// the table itself: its snapshot already isolates it from concurrent
-// inserts, but TRUNCATE/DROP physically destroy the rows the scan is
-// walking, so those take the schema lock exclusively and wait readers
-// out. Like \x01, the prefix cannot collide with a SQL identifier.
+// Per-table schema-stability pseudo-locks. A snapshot reader holds
+// "\x02<TABLE>" shared instead of locking the table itself: its
+// snapshot already isolates it from concurrent inserts, but
+// TRUNCATE/DROP physically destroy the rows the scan is walking, so
+// those take the schema lock exclusively and wait readers out. Like
+// \x01, the prefix cannot collide with a SQL identifier.
 std::string SchemaLockName(const std::string& upper_table) {
   return std::string("\x02") + upper_table;
 }
@@ -56,8 +56,7 @@ void CollectSelectReads(const sql::SelectStmt& stmt,
 
 }  // namespace
 
-LockFootprint DeriveLockFootprint(const std::vector<sql::Statement>& stmts,
-                                  bool mvcc_snapshots) {
+LockFootprint DeriveLockFootprint(const std::vector<sql::Statement>& stmts) {
   LockFootprint fp;
   bool ddl = false;
   std::vector<std::string> scans;  // tables read through a snapshot
@@ -70,11 +69,9 @@ LockFootprint DeriveLockFootprint(const std::vector<sql::Statement>& stmts,
       case sql::Statement::Kind::kInsert: {
         const std::string target = ToUpper(stmt.insert->table);
         fp.writes.push_back(target);
-        if (mvcc_snapshots) {
-          // The writer needs the table to keep existing until its txn
-          // finishes, exactly like a reader does.
-          fp.reads.push_back(SchemaLockName(target));
-        }
+        // The writer needs the table to keep existing until its txn
+        // finishes, exactly like a reader does.
+        fp.reads.push_back(SchemaLockName(target));
         if (stmt.insert->select != nullptr) {
           CollectSelectReads(*stmt.insert->select, &scans);
         }
@@ -89,7 +86,7 @@ LockFootprint DeriveLockFootprint(const std::vector<sql::Statement>& stmts,
       case sql::Statement::Kind::kDropTable: {
         const std::string target = ToUpper(stmt.table_name);
         fp.writes.push_back(target);
-        if (mvcc_snapshots) fp.writes.push_back(SchemaLockName(target));
+        fp.writes.push_back(SchemaLockName(target));
         fp.has_writes = true;
         ddl = true;
         break;
@@ -97,18 +94,17 @@ LockFootprint DeriveLockFootprint(const std::vector<sql::Statement>& stmts,
       case sql::Statement::Kind::kTruncate: {
         const std::string target = ToUpper(stmt.table_name);
         fp.writes.push_back(target);
-        if (mvcc_snapshots) fp.writes.push_back(SchemaLockName(target));
+        fp.writes.push_back(SchemaLockName(target));
         fp.has_writes = true;
         break;
       }
     }
   }
-  // Scanned tables: with MVCC the snapshot isolates the scan from
-  // concurrent inserts, so readers take only the schema-stability lock
-  // (a SELECT never blocks behind a bulk load); without it they must
-  // lock the table shared to keep writers out mid-scan.
+  // Scanned tables: the snapshot isolates the scan from concurrent
+  // inserts, so readers take only the schema-stability lock (a SELECT
+  // never blocks behind a bulk load).
   for (const std::string& table : scans) {
-    fp.reads.push_back(mvcc_snapshots ? SchemaLockName(table) : table);
+    fp.reads.push_back(SchemaLockName(table));
   }
   // Every statement participates in the catalog lock: DDL exclusively
   // (changing the table map), everything else shared (resolving pointers
@@ -216,8 +212,7 @@ void Session::Serve(Socket* socket, const std::atomic<bool>* draining) {
 Result<sql::QueryResult> Session::Run(
     const std::vector<sql::Statement>& stmts,
     const std::string& client_token) {
-  const bool mvcc = engine_->db()->mvcc_enabled();
-  LockFootprint fp = DeriveLockFootprint(stmts, mvcc);
+  LockFootprint fp = DeriveLockFootprint(stmts);
 
   sql::StatementOptions opts;
   opts.caller_owns_retries = true;

@@ -7,13 +7,11 @@
 // failures cross the wire as typed Error frames and the loop keeps
 // serving; only protocol errors or a peer hangup end the session.
 //
-// Two lock regimes (see docs/CONCURRENCY.md). With MVCC on (the
-// default), readers do not lock tables at all — their snapshot isolates
-// them from concurrent inserts — they hold per-table schema-stability
-// locks shared so TRUNCATE/DROP cannot destroy the rows a scan is
-// walking; INSERT holds the table exclusively (one writer per table is
-// what makes commit order equal append order). With HTG_MVCC=0 the
-// footprint reverts to plain reads-shared / writes-exclusive table locks.
+// Lock regime (see docs/CONCURRENCY.md): readers do not lock tables at
+// all — their snapshot isolates them from concurrent inserts — they hold
+// per-table schema-stability locks shared so TRUNCATE/DROP cannot destroy
+// the rows a scan is walking; INSERT holds the table exclusively (one
+// writer per table is what makes commit order equal append order).
 //
 // BEGIN/COMMIT/ABORT frames bracket a multi-statement transaction: the
 // session owns the TxnContext, accumulates each statement's locks until
@@ -71,13 +69,12 @@ struct LockFootprint {
 // reads, INSERT/TRUNCATE/CREATE/DROP targets are writes, and every
 // statement takes the catalog pseudo-lock (shared for DML, exclusive for
 // DDL) so a DROP cannot yank a TableDef out from under a running scan.
-// With `mvcc_snapshots` set, scanned tables become shared
-// schema-stability locks ("\x02"-prefixed) instead of table read locks —
-// snapshot readers need the table to keep existing, not to stop moving —
-// and TRUNCATE/DROP additionally take the schema lock exclusively to
-// wait out every in-flight scan.
-LockFootprint DeriveLockFootprint(const std::vector<sql::Statement>& stmts,
-                                  bool mvcc_snapshots = false);
+// Scanned tables (and INSERT targets) take shared schema-stability locks
+// ("\x02"-prefixed) instead of table read locks — snapshot readers need
+// the table to keep existing, not to stop moving — and TRUNCATE/DROP
+// additionally take the schema lock exclusively to wait out every
+// in-flight scan.
+LockFootprint DeriveLockFootprint(const std::vector<sql::Statement>& stmts);
 
 class Session {
  public:

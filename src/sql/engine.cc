@@ -1,7 +1,6 @@
 #include "sql/engine.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
@@ -10,7 +9,6 @@
 #include "sql/parser.h"
 #include "storage/clustered_table.h"
 #include "storage/heap_table.h"
-#include "storage/transaction.h"
 
 namespace htg::sql {
 
@@ -250,7 +248,7 @@ Result<QueryResult> SqlEngine::ExecuteStatement(const Statement& stmt,
       table->table->Truncate();
       // Version history restarts from zero rows; the server's exclusive
       // schema lock guarantees no snapshot scan is mid-flight here.
-      if (table->mvcc != nullptr) table->mvcc->ResetForTruncate();
+      table->mvcc->ResetForTruncate();
       QueryResult result;
       result.message = "TRUNCATE TABLE " + stmt.table_name;
       return result;
@@ -270,20 +268,17 @@ Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
   // autocommit SELECT begins a short-lived read transaction, which pins
   // the GC horizon so the sweep cannot collapse versions out from under
   // the running scan.
-  storage::Snapshot pinned_snapshot;
-  storage::TxnId pinned_id = storage::kFrozenTxn;
+  storage::TxnManager::BeginResult pin;
   if (opts.txn != nullptr) {
     ctx.snapshot = &opts.txn->snapshot;
     ctx.txn_id = opts.txn->id;
-  } else if (db_->mvcc_enabled()) {
-    storage::TxnManager::BeginResult pin = db_->txns()->Begin();
-    pinned_snapshot = std::move(pin.snapshot);
-    pinned_id = pin.id;
-    ctx.snapshot = &pinned_snapshot;
-    ctx.txn_id = pinned_id;
+  } else {
+    pin = db_->txns()->Begin();
+    ctx.snapshot = &pin.snapshot;
+    ctx.txn_id = pin.id;
   }
   const auto finish = [&](Result<QueryResult> r) -> Result<QueryResult> {
-    if (pinned_id != storage::kFrozenTxn) db_->txns()->Commit(pinned_id);
+    if (pin.id != storage::kFrozenTxn) db_->txns()->Commit(pin.id);
     return r;
   };
   Result<std::unique_ptr<storage::RowIterator>> iter = plan->Open(&ctx);
@@ -356,28 +351,28 @@ Result<QueryResult> SqlEngine::ExecuteCreateTable(const CreateTableStmt& stmt) {
 
 namespace {
 
-// Accumulates (table, rows inserted) into a transaction's written set.
-void RecordWrite(TxnContext* txn, catalog::TableDef* table, uint64_t rows) {
+// Allocates the txn id and snapshot of a fresh transaction.
+void StartTxn(storage::TxnManager* txns, TxnContext* txn) {
+  storage::TxnManager::BeginResult begun = txns->Begin();
+  txn->id = begun.id;
+  txn->snapshot = std::move(begun.snapshot);
+}
+
+// The written-set entry for `table`, added on the transaction's first
+// write to it.
+TxnContext::WrittenTable& WrittenEntry(TxnContext* txn,
+                                       catalog::TableDef* table) {
   for (TxnContext::WrittenTable& w : txn->written) {
-    if (w.table == table) {
-      w.rows_inserted += rows;
-      return;
-    }
+    if (w.table == table) return w;
   }
-  txn->written.push_back(TxnContext::WrittenTable{table, rows});
+  return txn->written.emplace_back(TxnContext::WrittenTable{table, 0});
 }
 
 }  // namespace
 
 Result<std::unique_ptr<TxnContext>> SqlEngine::BeginTxn() {
-  if (!db_->mvcc_enabled()) {
-    return Status::InvalidArgument(
-        "transactions require MVCC (HTG_MVCC=0 disables them)");
-  }
   auto txn = std::make_unique<TxnContext>();
-  storage::TxnManager::BeginResult begun = db_->txns()->Begin();
-  txn->id = begun.id;
-  txn->snapshot = std::move(begun.snapshot);
+  StartTxn(db_->txns(), txn.get());
   txn->is_explicit = true;
   return txn;
 }
@@ -388,7 +383,7 @@ Status SqlEngine::CommitTxn(TxnContext* txn) {
   for (const TxnContext::WrittenTable& w : txn->written) {
     w.table->mvcc->CommitWrite(txn->id, w.table->table->num_rows());
   }
-  txn->compensations.Commit();
+  txn->created_blobs.clear();  // now referenced by committed rows
   db_->txns()->Commit(txn->id);
   HTG_IGNORE_STATUS(db_->filestream()->LogTxnOutcome(txn->id, true));
   db_->MaybeSweepVersions();
@@ -418,7 +413,11 @@ Status SqlEngine::AbortTxn(TxnContext* txn) {
     // snapshot) rather than re-exposed as committed rows.
     if (undone) w.table->mvcc->AbortWrite(txn->id);
   }
-  txn->compensations.Rollback();
+  for (auto it = txn->created_blobs.rbegin(); it != txn->created_blobs.rend();
+       ++it) {
+    HTG_IGNORE_STATUS(db_->filestream()->Delete(*it));
+  }
+  txn->created_blobs.clear();
   db_->txns()->Abort(txn->id);
   HTG_IGNORE_STATUS(db_->filestream()->LogTxnOutcome(txn->id, false));
   db_->MaybeSweepVersions();
@@ -428,6 +427,28 @@ Status SqlEngine::AbortTxn(TxnContext* txn) {
 Result<QueryResult> SqlEngine::ExecuteInsert(const InsertStmt& stmt,
                                              const StatementOptions& opts) {
   HTG_ASSIGN_OR_RETURN(catalog::TableDef * table, db_->GetTable(stmt.table));
+  // Inside an explicit transaction a failed statement leaves rollback to
+  // the session's ABORT (the appended tail is already invisible to every
+  // snapshot).
+  if (opts.txn != nullptr) return InsertInTxn(stmt, table, opts.txn, opts);
+  // Autocommit: an implicit one-statement transaction, so concurrent
+  // snapshot readers never see a partial statement and a failed one is
+  // side-effect-free (safe to retry whole).
+  TxnContext implicit;
+  StartTxn(db_->txns(), &implicit);
+  Result<QueryResult> result = InsertInTxn(stmt, table, &implicit, opts);
+  if (!result.ok()) {
+    HTG_IGNORE_STATUS(AbortTxn(&implicit));
+    return result;
+  }
+  HTG_RETURN_IF_ERROR(CommitTxn(&implicit));
+  return result;
+}
+
+Result<QueryResult> SqlEngine::InsertInTxn(const InsertStmt& stmt,
+                                           catalog::TableDef* table,
+                                           TxnContext* txn,
+                                           const StatementOptions& opts) {
   const Schema& schema = table->schema;
 
   // Map the supplied column order to table positions.
@@ -441,80 +462,30 @@ Result<QueryResult> SqlEngine::ExecuteInsert(const InsertStmt& stmt,
     }
   }
 
-  // Transaction setup. Three modes:
-  //  * explicit   — opts.txn: first-writer-wins check, writes recorded for
-  //                 the session's later COMMIT/ABORT.
-  //  * implicit   — MVCC on, no opts.txn: a per-statement transaction so
-  //                 concurrent snapshot readers never see a partial
-  //                 statement; committed (or aborted) before returning.
-  //  * untracked  — MVCC off, or a hand-built TableDef without MVCC
-  //                 state: the legacy truncate-to-prior-rows undo.
-  TxnContext* txn = opts.txn;
-  std::unique_ptr<TxnContext> implicit;
-  bool tracked = false;
-  auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
-  if (table->mvcc != nullptr && db_->mvcc_enabled()) {
-    if (txn == nullptr) {
-      implicit = std::make_unique<TxnContext>();
-      storage::TxnManager::BeginResult begun = db_->txns()->Begin();
-      implicit->id = begun.id;
-      implicit->snapshot = std::move(begun.snapshot);
-      txn = implicit.get();
-    } else {
-      // First-writer-wins: another transaction committed this table after
-      // our snapshot was taken; appending behind it would interleave with
-      // writes this transaction cannot see. Typed kAborted so clients can
-      // retry the whole transaction.
-      const storage::TxnId last = table->mvcc->LastCommittedWriter();
-      if (last != storage::kFrozenTxn && last != txn->id &&
-          !txn->snapshot.Sees(last)) {
-        return Status::Aborted(
-            "write-write conflict: table " + table->name +
-            " was modified by a transaction concurrent with this one");
-      }
-    }
-    const Status begun = table->mvcc->BeginWrite(txn->id,
-                                                 table->table->num_rows());
-    if (begun.ok()) {
-      tracked = true;
-      if (txn->is_explicit) {
-        // Record the table the moment it has a pending marker, not only on
-        // statement success: if this statement fails mid-way, the session's
-        // ABORT must still find the table to truncate its tail and clear
-        // the marker — an unrecorded pending writer would hide the table's
-        // tail from every snapshot forever.
-        RecordWrite(txn, table, 0);
-      }
-    } else if (txn->is_explicit) {
-      return begun;  // impossible under the server's write locks
-    } else {
-      // Library-mode race: another untracked writer is mid-statement on
-      // this table. Release the unused txn and fall back to the legacy
-      // (unversioned) insert path.
-      db_->txns()->Commit(implicit->id);
-      implicit.reset();
-      txn = nullptr;
+  if (txn->is_explicit) {
+    // First-writer-wins: another transaction committed this table after
+    // our snapshot was taken; appending behind it would interleave with
+    // writes this transaction cannot see. Typed kAborted so clients can
+    // retry the whole transaction.
+    const storage::TxnId last = table->mvcc->LastCommittedWriter();
+    if (last != storage::kFrozenTxn && last != txn->id &&
+        !txn->snapshot.Sees(last)) {
+      return Status::Aborted(
+          "write-write conflict: table " + table->name +
+          " was modified by a transaction concurrent with this one");
     }
   }
-  const storage::TxnId stamp =
-      tracked ? txn->id : storage::kFrozenTxn;
-
-  // Blob compensations: statement-local for autocommit, transaction-owned
-  // for explicit transactions (they must survive until COMMIT/ABORT).
-  storage::Transaction local_undo;
-  storage::Transaction* blob_undo =
-      (txn != nullptr && txn->is_explicit) ? &txn->compensations
-                                           : &local_undo;
-  if (!tracked && heap != nullptr) {
-    const uint64_t prior_rows = heap->num_rows();
-    local_undo.OnRollback([heap, prior_rows] {
-      // Rollback runs on the void undo path; an undo that loses rows is a
-      // broken invariant, not a recoverable error.
-      const Status undo = heap->TruncateToRows(prior_rows);
-      assert(undo.ok());
-      (void)undo;
-    });
-  }
+  // Fails kAborted while another transaction has a pending write here
+  // (possible only in library mode, where no lock manager serializes
+  // writers): rows appended behind it would share its fate.
+  HTG_RETURN_IF_ERROR(
+      table->mvcc->BeginWrite(txn->id, table->table->num_rows()));
+  // Into the written set the moment the table has a pending marker, not
+  // only on success: if this statement fails mid-way, AbortTxn must still
+  // find the table to truncate its tail and clear the marker — an
+  // unrecorded pending writer would hide the table's tail from every
+  // snapshot forever.
+  TxnContext::WrittenTable& written = WrittenEntry(txn, table);
 
   uint64_t inserted = 0;
   auto insert_source_row = [&](Row source) -> Status {
@@ -527,48 +498,13 @@ Result<QueryResult> SqlEngine::ExecuteInsert(const InsertStmt& stmt,
     for (size_t i = 0; i < positions.size(); ++i) {
       row[positions[i]] = std::move(source[i]);
     }
-    HTG_RETURN_IF_ERROR(db_->InsertRow(table, std::move(row), blob_undo,
-                                       stamp));
+    HTG_RETURN_IF_ERROR(db_->InsertRow(table, std::move(row), txn->id,
+                                       &txn->created_blobs));
+    // Counted per row, so an abort after a mid-statement failure
+    // discounts exactly the clustered entries that landed.
+    ++written.rows_inserted;
     ++inserted;
     return Status::OK();
-  };
-
-  // Statement failure. Explicit transactions leave rollback to the
-  // session's ABORT (the appended tail is already invisible to every
-  // snapshot); implicit ones abort right here; untracked ones run the
-  // legacy compensation.
-  auto fail = [&](Status s) -> Status {
-    if (tracked && txn->is_explicit) {
-      // The rows inserted before the failure are physically present (heap
-      // tail / stamped clustered entries); fold them into the written set
-      // so ABORT's truncate target and clustered discount match reality.
-      RecordWrite(txn, table, inserted);
-    } else if (tracked) {
-      bool undone = true;
-      if (heap != nullptr) {
-        const uint64_t target = table->mvcc->AbortTarget(txn->id);
-        const Status undo = heap->TruncateToRows(target);
-        undone = undo.ok();
-      } else if (auto* clustered = dynamic_cast<storage::ClusteredTable*>(
-                     table->table.get())) {
-        clustered->MarkAborted(inserted);
-      }
-      if (undone) {
-        table->mvcc->AbortWrite(txn->id);
-      }
-      // Undo failure (I/O error truncating the tail): keep the pending
-      // marker set. It quarantines the table — the surviving uncommitted
-      // tail stays invisible to every snapshot — instead of clearing the
-      // marker and letting VisibleRows treat the tail as committed
-      // library-mode rows.
-      local_undo.Rollback();
-      db_->txns()->Abort(txn->id);
-      HTG_IGNORE_STATUS(db_->filestream()->LogTxnOutcome(txn->id, false));
-      db_->MaybeSweepVersions();
-    } else {
-      local_undo.Rollback();
-    }
-    return s;
   };
 
   if (!stmt.values_rows.empty()) {
@@ -578,51 +514,31 @@ Result<QueryResult> SqlEngine::ExecuteInsert(const InsertStmt& stmt,
       Row source;
       for (const AstExprPtr& ast : exprs) {
         // VALUES expressions are scalar (no column references).
-        Result<exec::ExprPtr> bound = binder.BindValueExpr(*ast);
-        if (!bound.ok()) return fail(bound.status());
-        Result<Value> v = (*bound)->Eval(&eval, Row{});
-        if (!v.ok()) return fail(v.status());
-        source.push_back(std::move(*v));
+        HTG_ASSIGN_OR_RETURN(exec::ExprPtr bound, binder.BindValueExpr(*ast));
+        HTG_ASSIGN_OR_RETURN(Value v, bound->Eval(&eval, Row{}));
+        source.push_back(std::move(v));
       }
-      const Status s = insert_source_row(std::move(source));
-      if (!s.ok()) return fail(s);
+      HTG_RETURN_IF_ERROR(insert_source_row(std::move(source)));
     }
   } else if (stmt.select != nullptr) {
     Binder binder(db_);
-    Result<exec::OperatorPtr> plan = binder.BindSelect(*stmt.select);
-    if (!plan.ok()) return fail(plan.status());
+    HTG_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
+                         binder.BindSelect(*stmt.select));
     exec::ExecContext ctx = MakeContext(opts);
-    if (txn != nullptr) {
-      // INSERT..SELECT reads through the writing transaction's snapshot
-      // (and sees its own earlier writes via self-visibility).
-      ctx.snapshot = &txn->snapshot;
-      ctx.txn_id = txn->id;
-    }
-    Result<std::unique_ptr<storage::RowIterator>> iter = (*plan)->Open(&ctx);
-    if (!iter.ok()) return fail(iter.status());
+    // INSERT..SELECT reads through the writing transaction's snapshot
+    // (and sees its own earlier writes via self-visibility).
+    ctx.snapshot = &txn->snapshot;
+    ctx.txn_id = txn->id;
+    HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
+                         plan->Open(&ctx));
     Row row;
-    while ((*iter)->Next(&row)) {
-      const Status s = insert_source_row(std::move(row));
-      if (!s.ok()) return fail(s);
+    while (iter->Next(&row)) {
+      HTG_RETURN_IF_ERROR(insert_source_row(std::move(row)));
       row.clear();
     }
-    const Status s = (*iter)->status();
-    if (!s.ok()) return fail(s);
+    HTG_RETURN_IF_ERROR(iter->status());
   }
 
-  if (tracked) {
-    if (txn->is_explicit) {
-      RecordWrite(txn, table, inserted);
-    } else {
-      table->mvcc->CommitWrite(txn->id, table->table->num_rows());
-      local_undo.Commit();
-      db_->txns()->Commit(txn->id);
-      HTG_IGNORE_STATUS(db_->filestream()->LogTxnOutcome(txn->id, true));
-      db_->MaybeSweepVersions();
-    }
-  } else {
-    local_undo.Commit();
-  }
   QueryResult result;
   result.rows_affected = inserted;
   result.message = StringPrintf("(%llu rows affected)",

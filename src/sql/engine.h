@@ -12,7 +12,6 @@
 #include "exec/operator.h"
 #include "sql/ast.h"
 #include "storage/mvcc.h"
-#include "storage/transaction.h"
 
 namespace htg::sql {
 
@@ -28,11 +27,12 @@ struct QueryResult {
   std::string ToString(size_t max_rows = 50) const;
 };
 
-// State of one multi-statement transaction (wire BEGIN .. COMMIT/ABORT).
-// Created by SqlEngine::BeginTxn, owned by the session, threaded into
-// every statement via StatementOptions::txn, and finished by exactly one
-// of CommitTxn/AbortTxn. Statements outside a transaction get an implicit
-// per-statement equivalent inside the engine.
+// State of one transaction. An explicit one (wire BEGIN .. COMMIT/ABORT)
+// is created by SqlEngine::BeginTxn, owned by the session, and threaded
+// into every statement via StatementOptions::txn; an autocommit INSERT
+// runs in an implicit one the engine begins and ends inside the
+// statement. Either way it finishes through exactly one of
+// CommitTxn/AbortTxn.
 struct TxnContext {
   storage::TxnId id = storage::kFrozenTxn;
   // The consistent view every read in this transaction uses; writes the
@@ -49,9 +49,10 @@ struct TxnContext {
     uint64_t rows_inserted = 0;  // clustered abort: entries to discount
   };
   std::vector<WrittenTable> written;
-  // Compensation actions that must run on abort (FILESTREAM blob
-  // deletes). Heap undo is not here — it derives from the MVCC watermark.
-  storage::Transaction compensations;
+  // FILESTREAM blobs this transaction created, oldest first: abort
+  // deletes them newest first, commit keeps them. (Row undo is not here —
+  // it derives from `written` and the MVCC watermarks.)
+  std::vector<std::string> created_blobs;
 };
 
 // Per-call execution knobs, threaded from the session layer.
@@ -119,13 +120,16 @@ class SqlEngine {
 
   // Transactions ---------------------------------------------------------
   // Starts an explicit multi-statement transaction: allocates a txn id
-  // and takes its snapshot. Fails when MVCC is disabled (HTG_MVCC=0).
+  // and takes its snapshot.
   Result<std::unique_ptr<TxnContext>> BeginTxn();
   // Publishes every written table's watermark, then marks the txn
   // committed — its writes become visible to new snapshots atomically.
   Status CommitTxn(TxnContext* txn);
-  // Rolls back: truncates heap tails to their pre-txn watermarks, hides
-  // clustered stamps, runs blob compensations, marks the txn aborted.
+  // The one undo routine, for explicit transactions and failed autocommit
+  // INSERTs alike: truncates heap tails to their pre-txn watermarks, hides
+  // clustered stamps, deletes the blobs the txn created, marks the txn
+  // aborted. Returns the first truncate failure; the table it hit stays
+  // quarantined (its uncommitted tail hidden from every snapshot).
   Status AbortTxn(TxnContext* txn);
 
   Database* db() { return db_; }
@@ -138,6 +142,10 @@ class SqlEngine {
   Result<QueryResult> ExecuteCreateTable(const CreateTableStmt& stmt);
   Result<QueryResult> ExecuteInsert(const InsertStmt& stmt,
                                     const StatementOptions& opts);
+  // The INSERT's writes inside `txn`; the caller ends the transaction.
+  Result<QueryResult> InsertInTxn(const InsertStmt& stmt,
+                                  catalog::TableDef* table, TxnContext* txn,
+                                  const StatementOptions& opts);
 
   // ExecContext::For(db_) with the per-statement budget override applied.
   exec::ExecContext MakeContext(const StatementOptions& opts);

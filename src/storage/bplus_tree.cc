@@ -36,7 +36,6 @@ void BPlusTree::Clear() {
   delete root_;
   root_ = new Node();
   size_ = 0;
-  payload_bytes_ = 0;
   num_nodes_ = 1;
   height_ = 1;
 }
@@ -143,7 +142,6 @@ BPlusTree::SplitResult BPlusTree::InsertInto(Node* node, Row key,
 }
 
 void BPlusTree::Insert(Row key, std::string payload, uint64_t stamp) {
-  payload_bytes_ += payload.size();
   ++size_;
   SplitResult split =
       InsertInto(root_, std::move(key), std::move(payload), stamp);

@@ -27,7 +27,6 @@ class BPlusTree {
   void Insert(Row key, std::string payload, uint64_t stamp = 0);
 
   uint64_t size() const { return size_; }
-  uint64_t payload_bytes() const { return payload_bytes_; }
   // Approximate structural overhead (node bookkeeping + key storage).
   uint64_t ApproxNodeBytes() const;
   int height() const { return height_; }
@@ -71,7 +70,6 @@ class BPlusTree {
   Node* root_;
   int fanout_;
   uint64_t size_ = 0;
-  uint64_t payload_bytes_ = 0;
   uint64_t num_nodes_ = 1;
   int height_ = 1;
 };

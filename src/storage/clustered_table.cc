@@ -13,8 +13,8 @@ namespace htg::storage {
 
 namespace {
 
-// Pooled-mode leaf reference: where one row's payload lives in the
-// table's leaf-page file.
+// Leaf reference: where one row's payload lives in the table's
+// leaf-page file.
 struct LeafRef {
   uint32_t page_no = 0;
   uint32_t offset = 0;
@@ -81,9 +81,6 @@ int CompareFull(const Row& a, const Row& b) {
 
 Status ClusteredTable::DecodeEntryLocked(const std::string& payload,
                                          PageGuard* guard, Row* row) const {
-  if (backing_ == nullptr) {
-    return DecodePayload(schema_, row_mode_, Slice(payload), row);
-  }
   LeafRef ref;
   HTG_RETURN_IF_ERROR(DecodeLeafRef(payload, &ref));
   Slice page;
@@ -270,23 +267,14 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
 };
 
 ClusteredTable::ClusteredTable(Schema schema, std::vector<int> key_columns,
-                               Compression mode)
+                               Compression mode,
+                               std::unique_ptr<TableFile> file)
     : schema_(std::move(schema)),
       key_columns_(std::move(key_columns)),
       mode_(mode),
       row_mode_(mode == Compression::kNone ? Compression::kNone
-                                           : Compression::kRow) {}
-
-Status ClusteredTable::AttachStorage(TableSpace* space,
-                                     const std::string& name) {
-  MutexLock lock(&latch_);
-  if (tree_.size() != 0 || backing_ != nullptr) {
-    return Status::InvalidArgument(
-        "AttachStorage requires an empty, unattached table");
-  }
-  HTG_ASSIGN_OR_RETURN(backing_, space->CreateTableFile(name));
-  return Status::OK();
-}
+                                           : Compression::kRow),
+      backing_(std::move(file)) {}
 
 Status ClusteredTable::Insert(const Row& row) {
   MutexLock lock(&latch_);
@@ -310,15 +298,11 @@ Status ClusteredTable::InsertLocked(const Row& row, TxnId txn) {
   std::string payload;
   HTG_RETURN_IF_ERROR(EncodeRow(schema_, row, row_mode_, &payload));
   // Per-payload CRC32C trailer: leaf payloads are the clustered table's
-  // durable row images, so scans detect in-memory or spilled corruption the
+  // durable row images, so scans detect cached or spilled corruption the
   // same way page decodes do.
   const uint32_t crc = Crc32c(payload.data(), payload.size());
   for (int i = 0; i < 4; ++i) {
     payload.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
-  if (backing_ == nullptr) {
-    tree_.Insert(std::move(key), std::move(payload), txn);
-    return Status::OK();
   }
   LeafRef ref;
   ref.page_no = static_cast<uint32_t>(backing_->num_pages());
@@ -360,11 +344,7 @@ StorageStats ClusteredTable::Stats() const {
   StorageStats stats;
   stats.rows = tree_.size() - std::min(tree_.size(), dead_rows_);
   stats.pages = tree_.num_nodes();
-  // payload_bytes_total_ mirrors what tree_.payload_bytes() holds in the
-  // in-memory mode, so the Table 1/2 numbers do not depend on residency.
-  const uint64_t payload_bytes =
-      backing_ == nullptr ? tree_.payload_bytes() : payload_bytes_total_;
-  stats.data_bytes = payload_bytes + tree_.ApproxNodeBytes();
+  stats.data_bytes = payload_bytes_total_ + tree_.ApproxNodeBytes();
   return stats;
 }
 
@@ -417,11 +397,9 @@ uint64_t ClusteredTable::SweepAborted(const std::vector<TxnId>& aborted) {
   for (BPlusTree::Cursor cur = tree_.First(); cur.Valid(); cur.Advance()) {
     if (std::binary_search(aborted.begin(), aborted.end(), cur.stamp())) {
       ++removed;
-      if (backing_ != nullptr) {
-        LeafRef ref;
-        if (DecodeLeafRef(cur.payload(), &ref).ok()) {
-          removed_bytes += ref.length;
-        }
+      LeafRef ref;
+      if (DecodeLeafRef(cur.payload(), &ref).ok()) {
+        removed_bytes += ref.length;
       }
       continue;
     }
@@ -432,8 +410,8 @@ uint64_t ClusteredTable::SweepAborted(const std::vector<TxnId>& aborted) {
   for (auto& [key, payload, stamp] : keep) {
     tree_.Insert(std::move(key), std::move(payload), stamp);
   }
-  // Pooled mode: the swept payload bytes stay as dead space in the leaf
-  // pages (accounting only; the space is not reclaimed).
+  // The swept payload bytes stay as dead space in the leaf pages
+  // (accounting only; the space is not reclaimed).
   payload_bytes_total_ -= std::min(payload_bytes_total_, removed_bytes);
   dead_rows_ -= std::min(dead_rows_, removed);
   return removed;
@@ -445,7 +423,7 @@ void ClusteredTable::Truncate() {
   leaf_buf_.clear();
   payload_bytes_total_ = 0;
   dead_rows_ = 0;
-  if (backing_ != nullptr) HTG_IGNORE_STATUS(backing_->DropTailPages(0));
+  HTG_IGNORE_STATUS(backing_->DropTailPages(0));
 }
 
 }  // namespace htg::storage

@@ -21,16 +21,13 @@ namespace htg::storage {
 // allow PAGE compression on indexes; we restrict page compression to heaps
 // and note it in DESIGN.md — the storage study of Tables 1/2 uses heaps.)
 //
-// Two payload residency modes:
-//   * In-memory (default): the encoded row (plus its CRC32C trailer)
-//     lives directly in the tree leaf.
-//   * Pooled (AttachStorage): leaf payloads accumulate into ~8 KiB leaf
-//     pages sealed into a TableFile through the shared BufferPool; the
-//     tree keeps a fixed 12-byte (page, offset, length) reference per
-//     row, and scans pin leaf pages via PageGuard — the B+-tree's leaf
-//     level becomes cache-managed while the key level stays in memory.
-//   Both modes keep the per-row CRC32C trailer; pooled pages add the
-//   page-level trailer the pool verifies on every miss-fill.
+// Leaf payloads (each encoded row plus its CRC32C trailer) accumulate
+// into ~8 KiB leaf pages sealed into a TableFile through the shared
+// BufferPool; the tree keeps a fixed 12-byte (page, offset, length)
+// reference per row, and scans pin leaf pages via PageGuard — the
+// B+-tree's leaf level is cache-managed while the key level stays in
+// memory. Sealed pages add the page-level CRC32C trailer the pool
+// verifies on every miss-fill.
 //
 // Concurrency (MVCC): every tree entry carries the txn-id stamp of its
 // inserting transaction (0 = frozen). Snapshot scans (NewSnapshotScan)
@@ -43,12 +40,9 @@ namespace htg::storage {
 // concurrent DML — the library-mode contract.
 class ClusteredTable : public TableStorage {
  public:
+  // `file` (from TableSpace::CreateTableFile) receives the leaf pages.
   ClusteredTable(Schema schema, std::vector<int> key_columns,
-                 Compression mode);
-
-  // Routes sealed leaf pages through `space`'s buffer pool. Must be
-  // called before the first Insert.
-  Status AttachStorage(TableSpace* space, const std::string& name);
+                 Compression mode, std::unique_ptr<TableFile> file);
 
   const Schema& schema() const override { return schema_; }
   Compression compression() const override { return mode_; }
@@ -89,8 +83,8 @@ class ClusteredTable : public TableStorage {
   // Seals leaf_buf_ into the backing file (page CRC trailer appended).
   Status SealLeafPage() HTG_REQUIRES(latch_);
   Status InsertLocked(const Row& row, TxnId txn) HTG_REQUIRES(latch_);
-  // Resolves one tree payload to a decoded row (in-memory payloads decode
-  // directly; pooled LeafRefs pin their leaf page into `guard`).
+  // Resolves one tree payload (a LeafRef) to a decoded row, pinning its
+  // leaf page into `guard`.
   Status DecodeEntryLocked(const std::string& payload, PageGuard* guard,
                            Row* row) const HTG_REQUIRES_SHARED(latch_);
 
@@ -102,14 +96,13 @@ class ClusteredTable : public TableStorage {
   mutable SharedMutex latch_{"ClusteredTable::latch_"};
   BPlusTree tree_ HTG_GUARDED_BY(latch_);
   std::string leaf_buf_ HTG_GUARDED_BY(latch_);  // in-progress leaf page
-  // Raw payload bytes stored (incl. per-row CRC trailers) — what
-  // tree_.payload_bytes() reports in the in-memory mode, so Table 1/2
-  // storage accounting is identical in both modes.
+  // Raw payload bytes stored (incl. per-row CRC trailers), the Table 1/2
+  // storage accounting.
   uint64_t payload_bytes_total_ HTG_GUARDED_BY(latch_) = 0;
   // Entries inserted by aborted txns, pending SweepAborted.
   uint64_t dead_rows_ HTG_GUARDED_BY(latch_) = 0;
 
-  std::unique_ptr<TableFile> backing_;  // set once, before first use
+  const std::unique_ptr<TableFile> backing_;  // owns the leaf pages
 };
 
 }  // namespace htg::storage

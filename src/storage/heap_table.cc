@@ -63,28 +63,23 @@ class HeapTable::ScanIterator : public RowIterator {
   // Positions reader_ on the next page of the range. Returns false at the
   // end of the range or on error (status_ distinguishes). The page fetch
   // runs under the table's shared lock so it cannot race a truncation
-  // rewriting the page directory; the fetched image stays valid after the
-  // lock drops (shared_ptr in memory mode, pin in pooled mode).
+  // rewriting the page directory; the pin keeps the fetched image valid
+  // after the lock drops.
   bool AdvancePage() {
     if (page_index_ >= end_page_) return false;
     Slice page;
     {
       ReaderMutexLock lock(&table_->mu_);
       if (page_index_ >= table_->page_rows_.size()) return false;
-      if (table_->backing_ != nullptr) {
-        auto pinned = table_->backing_->ReadPage(page_index_);
-        if (!pinned.ok()) {
-          status_ = std::move(pinned).status();
-          return false;
-        }
-        // Drop the reader into the old page before unpinning it.
-        reader_.reset();
-        guard_ = std::move(pinned).value();
-        page = guard_.data();
-      } else {
-        page_ref_ = table_->pages_[page_index_];
-        page = Slice(*page_ref_);
+      auto pinned = table_->backing_->ReadPage(page_index_);
+      if (!pinned.ok()) {
+        status_ = std::move(pinned).status();
+        return false;
       }
+      // Drop the reader into the old page before unpinning it.
+      reader_.reset();
+      guard_ = std::move(pinned).value();
+      page = guard_.data();
     }
     ++page_index_;
     rows_left_ = (page_index_ == end_page_ && tail_rows_ > 0)
@@ -106,7 +101,6 @@ class HeapTable::ScanIterator : public RowIterator {
   uint64_t tail_rows_;
   uint64_t rows_left_ = 0;  // cap on rows still to emit from this page
   PageGuard guard_;  // pin on the page reader_ is positioned on
-  std::shared_ptr<const std::string> page_ref_;  // in-memory image keepalive
   std::unique_ptr<PageReader> reader_;
   Status status_;
 };
@@ -126,20 +120,13 @@ class FailedIterator : public RowIterator {
 
 }  // namespace
 
-HeapTable::HeapTable(Schema schema, Compression mode, size_t page_size)
+HeapTable::HeapTable(Schema schema, Compression mode,
+                     std::unique_ptr<TableFile> file, size_t page_size)
     : schema_(std::move(schema)),
       mode_(mode),
       page_size_(page_size),
-      builder_(&schema_, mode, page_size) {}
-
-Status HeapTable::AttachStorage(TableSpace* space, const std::string& name) {
-  if (num_rows() != 0 || backing_ != nullptr) {
-    return Status::InvalidArgument(
-        "AttachStorage requires an empty, unattached table");
-  }
-  HTG_ASSIGN_OR_RETURN(backing_, space->CreateTableFile(name));
-  return Status::OK();
-}
+      builder_(&schema_, mode, page_size),
+      backing_(std::move(file)) {}
 
 Status HeapTable::Insert(const Row& row) {
   MutexLock lock(&mu_);
@@ -164,19 +151,15 @@ Status HeapTable::SealLocked() {
   std::string page = builder_.Finish();
   page_rows_.push_back(rows);
   page_bytes_.push_back(static_cast<uint32_t>(page.size()));
-  if (backing_ != nullptr) {
-    auto page_no = backing_->AppendPage(std::move(page));
-    if (!page_no.ok()) {
-      // The rows of the failed page are gone; surface that rather than
-      // pretending the table still holds them.
-      page_rows_.pop_back();
-      page_bytes_.pop_back();
-      num_rows_.fetch_sub(static_cast<uint64_t>(rows),
-                          std::memory_order_acq_rel);
-      return std::move(page_no).status();
-    }
-  } else {
-    pages_.push_back(std::make_shared<const std::string>(std::move(page)));
+  auto page_no = backing_->AppendPage(std::move(page));
+  if (!page_no.ok()) {
+    // The rows of the failed page are gone; surface that rather than
+    // pretending the table still holds them.
+    page_rows_.pop_back();
+    page_bytes_.pop_back();
+    num_rows_.fetch_sub(static_cast<uint64_t>(rows),
+                        std::memory_order_acq_rel);
+    return std::move(page_no).status();
   }
   sealed_rows_ += static_cast<uint64_t>(rows);
   return Status::OK();
@@ -253,8 +236,7 @@ std::unique_ptr<RowIterator> HeapTable::NewScanRangeCapped(
 
 void HeapTable::Truncate() {
   MutexLock lock(&mu_);
-  if (backing_ != nullptr) HTG_IGNORE_STATUS(backing_->DropTailPages(0));
-  pages_.clear();
+  HTG_IGNORE_STATUS(backing_->DropTailPages(0));
   page_rows_.clear();
   page_bytes_.clear();
   sealed_rows_ = 0;
@@ -269,8 +251,8 @@ Status HeapTable::TruncateToRows(uint64_t target_rows) {
   // Drop whole tail pages; if the boundary falls inside a page, re-insert
   // the surviving prefix of that page. Snapshot readers are safe: their
   // visible limit only covers committed rows, which are all below
-  // target_rows, and any page image they already fetched stays alive
-  // (shared_ptr / pin) with its surviving prefix intact.
+  // target_rows, and any page image they already fetched stays pinned
+  // with its surviving prefix intact.
   uint64_t rows = num_rows();
   size_t keep_pages = page_rows_.size();
   std::vector<Row> survivors;
@@ -281,23 +263,11 @@ Status HeapTable::TruncateToRows(uint64_t target_rows) {
     if (rows - page_rows < target_rows) {
       // Partial page: keep its first (target_rows - rows_before_it) rows.
       const uint64_t keep = target_rows - (rows - page_rows);
-      PageGuard guard;
-      Slice page;
-      std::shared_ptr<const std::string> page_ref;
-      if (backing_ != nullptr) {
-        auto pinned = backing_->ReadPage(keep_pages - 1);
-        if (pinned.ok()) {
-          guard = std::move(pinned).value();
-          page = guard.data();
-        } else {
-          status = std::move(pinned).status();
-        }
+      auto pinned = backing_->ReadPage(keep_pages - 1);
+      if (!pinned.ok()) {
+        status = std::move(pinned).status();
       } else {
-        page_ref = pages_[keep_pages - 1];
-        page = Slice(*page_ref);
-      }
-      if (status.ok()) {
-        PageReader reader(&schema_, page);
+        PageReader reader(&schema_, pinned->data());
         status = reader.Init();
         if (status.ok()) {
           Row row;
@@ -317,12 +287,8 @@ Status HeapTable::TruncateToRows(uint64_t target_rows) {
     rows -= page_rows;
     --keep_pages;
   }
-  if (backing_ != nullptr) {
-    Status dropped = backing_->DropTailPages(keep_pages);
-    if (!dropped.ok() && status.ok()) status = dropped;
-  } else {
-    pages_.resize(keep_pages);
-  }
+  Status dropped = backing_->DropTailPages(keep_pages);
+  if (!dropped.ok() && status.ok()) status = dropped;
   uint64_t kept_sealed = 0;
   for (size_t i = 0; i < keep_pages; ++i) {
     kept_sealed += static_cast<uint64_t>(page_rows_[i]);

@@ -15,29 +15,22 @@ namespace htg::storage {
 // An append-oriented heap table: rows accumulate into a PageBuilder and
 // seal into immutable serialized pages. Scans stream page by page.
 //
-// Two residency modes:
-//   * In-memory (default): sealed pages live in pages_ — the mode of
-//     directly constructed tables in tests and ablation benches.
-//   * Pooled (AttachStorage): sealed pages go to a TableFile, i.e. into
-//     the shared BufferPool as dirty frames with the spill file behind
-//     them; scans pin pages via PageGuard. Database::CreateTable attaches
-//     every table it creates, so SQL-visible heaps are cache-managed.
+// Sealed pages go to the table's TableFile, i.e. into the shared
+// BufferPool as dirty frames with the spill file behind them; scans pin
+// pages via PageGuard, so every heap is cache-managed.
 //
 // Concurrency: an internal reader/writer lock covers the page directory
 // and builder, so MVCC snapshot scans (NewScanPrefix) can stream sealed
 // pages while a writer transaction keeps appending. Sealed page images
-// are immutable and reference-counted (in-memory mode) or pinned
-// (pooled mode), so a scan never observes a page being torn down by a
-// concurrent transaction abort (TruncateToRows) — visibility limits
-// guarantee a snapshot reader only decodes rows that survive any abort.
+// are immutable and pinned while scanned, so a scan never observes a
+// page being torn down by a concurrent transaction abort (TruncateToRows)
+// — visibility limits guarantee a snapshot reader only decodes rows that
+// survive any abort.
 class HeapTable : public TableStorage {
  public:
-  HeapTable(Schema schema, Compression mode,
+  // `file` (from TableSpace::CreateTableFile) receives the sealed pages.
+  HeapTable(Schema schema, Compression mode, std::unique_ptr<TableFile> file,
             size_t page_size = kDefaultPageSize);
-
-  // Routes sealed pages through `space`'s buffer pool (named spill file).
-  // Must be called before the first Insert.
-  Status AttachStorage(TableSpace* space, const std::string& name);
 
   const Schema& schema() const override { return schema_; }
   Compression compression() const override { return mode_; }
@@ -79,8 +72,8 @@ class HeapTable : public TableStorage {
 
   size_t num_pages_sealed() const;
 
-  // Seals the in-progress page so Stats()/scans see every row. Can only
-  // fail in pooled mode (page hand-off to the pool may write back).
+  // Seals the in-progress page so Stats()/scans see every row. Fails if
+  // the page hand-off to the pool fails (it may write back).
   Status SealCurrentPage();
 
   // Drops rows from the tail until `target_rows` remain (transaction undo;
@@ -99,17 +92,13 @@ class HeapTable : public TableStorage {
   Compression mode_;
   size_t page_size_;
   mutable SharedMutex mu_{"HeapTable::mu_"};
-  // In-memory mode: the sealed page images, shared with in-flight scans
-  // so a truncation cannot pull a page out from under a reader. Pooled
-  // mode: unused (the pool + spill file own the images).
-  std::vector<std::shared_ptr<const std::string>> pages_ HTG_GUARDED_BY(mu_);
   std::vector<int> page_rows_ HTG_GUARDED_BY(mu_);  // row count per page
   std::vector<uint32_t> page_bytes_ HTG_GUARDED_BY(mu_);  // serialized size
   uint64_t sealed_rows_ HTG_GUARDED_BY(mu_) = 0;
   PageBuilder builder_ HTG_GUARDED_BY(mu_);
   // Written under mu_ exclusive; read lock-free by num_rows().
   std::atomic<uint64_t> num_rows_{0};
-  std::unique_ptr<TableFile> backing_;  // set once, before first use
+  const std::unique_ptr<TableFile> backing_;  // owns the sealed pages
 };
 
 }  // namespace htg::storage

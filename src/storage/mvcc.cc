@@ -96,7 +96,7 @@ uint64_t TxnManager::active_count() const {
 Status MvccTableState::BeginWrite(TxnId txn, uint64_t current_rows) {
   MutexLock lock(&mu_);
   if (pending_txn_ != kFrozenTxn && pending_txn_ != txn) {
-    return Status::Internal("table already has a pending writer txn");
+    return Status::Aborted("table already has a pending writer transaction");
   }
   if (pending_txn_ == txn) return Status::OK();  // second write, same txn
   // Fold untracked (library-mode) rows into the frozen base: they were

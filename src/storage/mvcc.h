@@ -111,8 +111,9 @@ class MvccTableState {
   // Registers `txn` as the table's writer. `current_rows` is the row
   // count at first write — the undo target if the txn aborts. Folds any
   // untracked rows (library-mode inserts bypassing the txn layer) into
-  // the frozen base first. Fails if another writer is already pending,
-  // which the lock manager should have made impossible.
+  // the frozen base first. Fails kAborted if another writer is already
+  // pending (impossible under the server's write locks; in library mode
+  // the second writer must retry once the first finishes).
   Status BeginWrite(TxnId txn, uint64_t current_rows);
 
   // Publishes the writer's watermark. Call before TxnManager::Commit so

@@ -65,6 +65,19 @@ TEST_F(RobustnessTest, FailedInsertRollsBackFilestreamBlobs) {
   EXPECT_EQ(count.rows[0][0].AsInt64(), 0);
 }
 
+TEST_F(RobustnessTest, FailedDirectInsertDeletesItsBlob) {
+  Exec("CREATE TABLE f (data VARBINARY(MAX) FILESTREAM, n INT NOT NULL)");
+  auto* table = *db_->GetTable("f");
+  const uint64_t before = db_->filestream()->TotalBytes();
+  // The blob column comes first, so its file exists by the time the NULL
+  // in the NOT NULL column fails the row.
+  const Status failed =
+      db_->InsertRow(table, Row{Value::Blob("blob-bytes"), Value::Null()});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(db_->filestream()->TotalBytes(), before);
+  EXPECT_EQ(table->table->num_rows(), 0u);
+}
+
 TEST_F(RobustnessTest, SuccessfulFilestreamInsertKeepsBlob) {
   Exec("CREATE TABLE files (id INT, data VARBINARY(MAX) FILESTREAM)");
   Exec("INSERT INTO files VALUES (1, 'blob-bytes')");

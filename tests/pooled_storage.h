@@ -1,0 +1,40 @@
+#pragma once
+
+// A buffer pool plus tablespace for tests that construct HeapTable /
+// ClusteredTable directly instead of through Database::CreateTable.
+// Declare it before the tables it feeds: a table's file must be destroyed
+// before the tablespace and pool it points into.
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+
+#include "storage/buffer_pool.h"
+#include "storage/tablespace.h"
+#include "storage/vfs.h"
+
+namespace htg::storage {
+
+class PooledStorage {
+ public:
+  // `root` is the spill directory; any files in it are swept.
+  explicit PooledStorage(const std::string& root) {
+    auto space = TableSpace::Open(Vfs::Default(), root, &pool_);
+    EXPECT_TRUE(space.ok()) << space.status().ToString();
+    if (space.ok()) space_ = std::move(*space);
+  }
+
+  // A fresh page file for one table.
+  std::unique_ptr<TableFile> NewFile(const std::string& name) {
+    auto file = space_->CreateTableFile(name);
+    EXPECT_TRUE(file.ok()) << file.status().ToString();
+    return file.ok() ? std::move(*file) : nullptr;
+  }
+
+ private:
+  BufferPool pool_;
+  std::unique_ptr<TableSpace> space_;
+};
+
+}  // namespace htg::storage

@@ -18,6 +18,7 @@
 #include "storage/heap_table.h"
 #include "storage/page.h"
 #include "storage/row_codec.h"
+#include "pooled_storage.h"
 
 namespace htg {
 namespace {
@@ -337,7 +338,9 @@ TEST(HeapTableProperty, ScanReturnsInsertionOrderAtAnyPageSize) {
     Schema schema;
     schema.AddColumn({.name = "i", .type = DataType::kInt64});
     schema.AddColumn({.name = "s", .type = DataType::kString});
-    storage::HeapTable table(schema, Compression::kRow, page_size);
+    storage::PooledStorage storage("/tmp/htg_property_test_heap");
+    storage::HeapTable table(schema, Compression::kRow, storage.NewFile("t"),
+                             page_size);
     const int n = 777;
     for (int i = 0; i < n; ++i) {
       ASSERT_TRUE(

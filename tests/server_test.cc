@@ -167,8 +167,12 @@ TEST(LockFootprintTest, DerivedFromAst) {
   EXPECT_TRUE(fp.has_writes);
   ASSERT_EQ(fp.writes.size(), 1u);
   EXPECT_EQ(fp.writes[0], "DST");
-  // src + other + the shared catalog pseudo-lock.
-  EXPECT_EQ(fp.reads.size(), 3u);
+  // Schema-stability locks on the target and both sources (snapshot reads
+  // take no table read lock) + the shared catalog pseudo-lock.
+  ASSERT_EQ(fp.reads.size(), 4u);
+  EXPECT_EQ(fp.reads[0], std::string("\x02") + "DST");
+  EXPECT_EQ(fp.reads[1], std::string("\x02") + "SRC");
+  EXPECT_EQ(fp.reads[2], std::string("\x02") + "OTHER");
 }
 
 // --------------------------------------------------------- conversations

@@ -10,7 +10,7 @@
 #include "storage/heap_table.h"
 #include "storage/page.h"
 #include "storage/row_codec.h"
-#include "storage/transaction.h"
+#include "pooled_storage.h"
 
 namespace htg::storage {
 namespace {
@@ -212,7 +212,8 @@ TEST(PageCompressionTest, UniqueValuesGainLittle) {
 }
 
 TEST(HeapTableTest, InsertScanRoundTrip) {
-  HeapTable table(TestSchema(), Compression::kRow, 1024);
+  PooledStorage storage("/tmp/htg_storage_test_heap_roundtrip");
+  HeapTable table(TestSchema(), Compression::kRow, storage.NewFile("t"), 1024);
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   }
@@ -230,7 +231,8 @@ TEST(HeapTableTest, InsertScanRoundTrip) {
 }
 
 TEST(HeapTableTest, RangeScansPartitionCompletely) {
-  HeapTable table(TestSchema(), Compression::kNone, 512);
+  PooledStorage storage("/tmp/htg_storage_test_heap_ranges");
+  HeapTable table(TestSchema(), Compression::kNone, storage.NewFile("t"), 512);
   for (int i = 0; i < 300; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   ASSERT_TRUE(table.SealCurrentPage().ok());
   const size_t pages = table.num_pages_sealed();
@@ -247,7 +249,8 @@ TEST(HeapTableTest, RangeScansPartitionCompletely) {
 }
 
 TEST(HeapTableTest, TruncateToRowsUndoesAppends) {
-  HeapTable table(TestSchema(), Compression::kRow, 512);
+  PooledStorage storage("/tmp/htg_storage_test_heap_truncate_to");
+  HeapTable table(TestSchema(), Compression::kRow, storage.NewFile("t"), 512);
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   for (int i = 100; i < 177; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   ASSERT_TRUE(table.TruncateToRows(100).ok());
@@ -263,7 +266,8 @@ TEST(HeapTableTest, TruncateToRowsUndoesAppends) {
 }
 
 TEST(HeapTableTest, TruncateClearsAll) {
-  HeapTable table(TestSchema(), Compression::kNone);
+  PooledStorage storage("/tmp/htg_storage_test_heap_truncate");
+  HeapTable table(TestSchema(), Compression::kNone, storage.NewFile("t"));
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   table.Truncate();
   EXPECT_EQ(table.num_rows(), 0u);
@@ -351,7 +355,8 @@ TEST(ClusteredTableTest, ScanInKeyOrder) {
   schema.AddColumn({.name = "chr", .type = DataType::kInt32});
   schema.AddColumn({.name = "pos", .type = DataType::kInt64});
   schema.AddColumn({.name = "payload", .type = DataType::kString});
-  ClusteredTable table(schema, {0, 1}, Compression::kRow);
+  PooledStorage storage("/tmp/htg_storage_test_clustered_order");
+  ClusteredTable table(schema, {0, 1}, Compression::kRow, storage.NewFile("t"));
   Random rng(9);
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(table
@@ -380,7 +385,8 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
   Schema schema;
   schema.AddColumn({.name = "k", .type = DataType::kInt64});
   schema.AddColumn({.name = "v", .type = DataType::kString});
-  ClusteredTable table(schema, {0}, Compression::kNone);
+  PooledStorage storage("/tmp/htg_storage_test_clustered_seek");
+  ClusteredTable table(schema, {0}, Compression::kNone, storage.NewFile("t"));
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(table.Insert(Row{Value::Int64(i), Value::String("x")}).ok());
   }
@@ -448,38 +454,6 @@ TEST(FileStreamTest, ImportFileCopiesBytes) {
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(*(*store)->ReadAll(*path), "imported content");
   EXPECT_FALSE((*store)->ImportFile("/nonexistent", "x").ok());
-}
-
-TEST(TransactionTest, RollbackRunsUndoInReverse) {
-  std::vector<int> order;
-  {
-    Transaction txn;
-    txn.OnRollback([&order] { order.push_back(1); });
-    txn.OnRollback([&order] { order.push_back(2); });
-    txn.Rollback();
-  }
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);
-  EXPECT_EQ(order[1], 1);
-}
-
-TEST(TransactionTest, CommitSkipsUndo) {
-  bool undone = false;
-  {
-    Transaction txn;
-    txn.OnRollback([&undone] { undone = true; });
-    txn.Commit();
-  }
-  EXPECT_FALSE(undone);
-}
-
-TEST(TransactionTest, DestructorRollsBackIfActive) {
-  bool undone = false;
-  {
-    Transaction txn;
-    txn.OnRollback([&undone] { undone = true; });
-  }
-  EXPECT_TRUE(undone);
 }
 
 }  // namespace

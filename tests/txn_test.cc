@@ -3,8 +3,7 @@
 // first-writer-wins conflicts, rollback of heap and clustered tables,
 // version GC), and full wire conversations — readers not blocking behind
 // an open bulk-load transaction, auto-abort on statement failure with
-// the session surviving, implicit abort on client disconnect, and the
-// typed rejection of BEGIN when MVCC is disabled.
+// the session surviving, and implicit abort on client disconnect.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +22,7 @@
 #include "sql/parser.h"
 #include "storage/clustered_table.h"
 #include "storage/mvcc.h"
+#include "pooled_storage.h"
 
 namespace htg {
 namespace {
@@ -152,7 +152,9 @@ TEST(ClusteredSweepTest, SweepRemovesAbortedStampsWithoutDeadRowAccounting) {
   Schema schema;
   schema.AddColumn({.name = "k", .type = DataType::kInt64});
   schema.AddColumn({.name = "v", .type = DataType::kString});
-  storage::ClusteredTable table(schema, {0}, storage::Compression::kNone);
+  storage::PooledStorage storage("/tmp/htg_txn_test_sweep");
+  storage::ClusteredTable table(schema, {0}, storage::Compression::kNone,
+                                storage.NewFile("t"));
   ASSERT_TRUE(table.Insert(Row{Value::Int64(1), Value::String("keep")}).ok());
   // An entry stamped by an aborted txn whose MarkAborted accounting was
   // lost: dead_rows_ is zero, yet the sweep must still remove it — the
@@ -362,16 +364,57 @@ TEST_F(TxnEngineTest, DdlInsideTxnRejected) {
   ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
 }
 
-TEST_F(TxnEngineTest, BeginTxnFailsWithMvccDisabled) {
-  DatabaseOptions options;
-  options.enable_mvcc = false;
-  options.filestream_root = "/tmp/htg_txn_test_nomvcc";
-  auto db = Database::Open("nomvcc", options);
-  ASSERT_TRUE(db.ok());
-  SqlEngine engine(db->get());
-  auto txn = engine.BeginTxn();
-  ASSERT_FALSE(txn.ok());
-  EXPECT_EQ(txn.status().code(), StatusCode::kInvalidArgument);
+// Library mode has no lock manager to serialize writers. An autocommit
+// INSERT arriving while a transaction has a pending write on the same
+// heap must fail typed instead of appending rows whose fate is tied to
+// the other transaction (an abort used to erase them after an OK).
+TEST_F(TxnEngineTest, AutocommitInsertBehindPendingWriterFailsAborted) {
+  Exec("CREATE TABLE h (id INT)");
+  Exec("INSERT INTO h VALUES (1)");
+  int64_t expected = 1;
+  for (const bool commit : {false, true}) {
+    auto txn = engine_->BeginTxn();
+    ASSERT_TRUE(txn.ok());
+    Exec("INSERT INTO h VALUES (2), (3)", txn->get());
+    auto autocommit = engine_->Execute("INSERT INTO h VALUES (4), (5)");
+    ASSERT_FALSE(autocommit.ok());
+    EXPECT_EQ(autocommit.status().code(), StatusCode::kAborted)
+        << autocommit.status().ToString();
+    if (commit) {
+      ASSERT_TRUE(engine_->CommitTxn(txn->get()).ok());
+      expected += 2;
+    } else {
+      ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
+    }
+    EXPECT_EQ(Count("h"), expected)
+        << (commit ? "after commit" : "after abort");
+  }
+}
+
+TEST_F(TxnEngineTest, AbortDeletesBlobsTheTxnCreated) {
+  Exec("CREATE TABLE f (id INT, data VARBINARY(MAX) FILESTREAM)");
+  Exec("INSERT INTO f VALUES (1, 'kept')");
+  const uint64_t before = db_->filestream()->TotalBytes();
+  auto txn = engine_->BeginTxn();
+  ASSERT_TRUE(txn.ok());
+  Exec("INSERT INTO f VALUES (2, 'blob-bytes')", txn->get());
+  EXPECT_EQ(db_->filestream()->TotalBytes(), before + 10);
+  ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
+  EXPECT_EQ(db_->filestream()->TotalBytes(), before);
+  EXPECT_EQ(Count("f"), 1);
+}
+
+TEST_F(TxnEngineTest, CommitKeepsBlobsTheTxnCreated) {
+  Exec("CREATE TABLE f (id INT, data VARBINARY(MAX) FILESTREAM)");
+  const uint64_t before = db_->filestream()->TotalBytes();
+  auto txn = engine_->BeginTxn();
+  ASSERT_TRUE(txn.ok());
+  Exec("INSERT INTO f VALUES (1, 'blob-bytes')", txn->get());
+  ASSERT_TRUE(engine_->CommitTxn(txn->get()).ok());
+  EXPECT_EQ(db_->filestream()->TotalBytes(), before + 10);
+  const sql::QueryResult r = Exec("SELECT DATALENGTH(data) FROM f");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt64(), 10);
 }
 
 // ------------------------------------------------------- lock footprints
@@ -380,7 +423,7 @@ TEST(TxnLockFootprintTest, MvccReadersTakeSchemaLocksNotTableLocks) {
   auto stmts = sql::ParseSql("SELECT * FROM t");
   ASSERT_TRUE(stmts.ok());
   const server::LockFootprint fp =
-      server::DeriveLockFootprint(*stmts, /*mvcc_snapshots=*/true);
+      server::DeriveLockFootprint(*stmts);
   EXPECT_TRUE(fp.writes.empty());
   // Schema-stability lock + catalog pseudo-lock; no plain "T" read lock,
   // which is exactly why a SELECT cannot block behind a bulk load.
@@ -392,7 +435,7 @@ TEST(TxnLockFootprintTest, MvccInsertHoldsTableExclusiveAndSchemaShared) {
   auto stmts = sql::ParseSql("INSERT INTO t VALUES (1)");
   ASSERT_TRUE(stmts.ok());
   const server::LockFootprint fp =
-      server::DeriveLockFootprint(*stmts, /*mvcc_snapshots=*/true);
+      server::DeriveLockFootprint(*stmts);
   ASSERT_EQ(fp.writes.size(), 1u);
   EXPECT_EQ(fp.writes[0], "T");
   ASSERT_EQ(fp.reads.size(), 2u);
@@ -403,7 +446,7 @@ TEST(TxnLockFootprintTest, MvccTruncateTakesSchemaExclusive) {
   auto stmts = sql::ParseSql("TRUNCATE TABLE t");
   ASSERT_TRUE(stmts.ok());
   const server::LockFootprint fp =
-      server::DeriveLockFootprint(*stmts, /*mvcc_snapshots=*/true);
+      server::DeriveLockFootprint(*stmts);
   // Table exclusive + schema exclusive: waits out snapshot scans.
   ASSERT_EQ(fp.writes.size(), 2u);
   EXPECT_EQ(fp.writes[0], "T");
@@ -572,19 +615,24 @@ TEST_F(TxnServerTest, DisconnectMidTxnAbortsAndReleasesLocks) {
   EXPECT_EQ(Count(survivor.get(), "t"), 2);
 }
 
-TEST_F(TxnServerTest, BeginRejectedTypedWhenMvccDisabled) {
-  options_.enable_mvcc = false;
+TEST_F(TxnServerTest, DisconnectMidTxnDeletesItsBlobs) {
   OpenAndStart();
-  std::unique_ptr<Client> c = Connect();
-  ASSERT_NE(c, nullptr);
-  const Status begin = c->Begin();
-  ASSERT_FALSE(begin.ok());
-  EXPECT_EQ(begin.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(begin.message().find("MVCC"), std::string::npos);
-  // Plain autocommit statements still work without MVCC.
-  Query(c.get(), "CREATE TABLE t (id INT)");
-  Query(c.get(), "INSERT INTO t VALUES (1)");
-  EXPECT_EQ(Count(c.get(), "t"), 1);
+  std::unique_ptr<Client> doomed = Connect();
+  ASSERT_NE(doomed, nullptr);
+  Query(doomed.get(),
+        "CREATE TABLE f (id INT, data VARBINARY(MAX) FILESTREAM)");
+  const uint64_t before = db_->filestream()->TotalBytes();
+  ASSERT_TRUE(doomed->Begin().ok());
+  Query(doomed.get(), "INSERT INTO f VALUES (1, 'blob-bytes')");
+  EXPECT_EQ(db_->filestream()->TotalBytes(), before + 10);
+  doomed->Goodbye();
+  doomed.reset();
+  // The session aborts the transaction before it releases its locks.
+  for (int i = 0; i < 100 && server_->locks()->LockedTableCount() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server_->locks()->LockedTableCount(), 0u);
+  EXPECT_EQ(db_->filestream()->TotalBytes(), before);
 }
 
 }  // namespace

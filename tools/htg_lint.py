@@ -40,7 +40,11 @@ Rules (ids usable in NOLINT suppressions):
   env-doc           Every HTG_* environment variable referenced from src/
                     or bench/ must appear in docs/OPERATIONS.md -- one
                     table holds every runtime knob, so a knob that exists
-                    only in code is undocumented by definition.
+                    only in code is undocumented by definition. In
+                    reverse, every knob row there must still be referenced
+                    from src/, bench/, perfbench/, tests/, tools/ or a
+                    CMake file, so deleting a knob cannot leave a stale
+                    row behind.
   sync-raw-mutex    No raw std::mutex / std::shared_mutex / lock_guard /
                     unique_lock / shared_lock / scoped_lock /
                     condition_variable outside
@@ -612,6 +616,57 @@ def check_env_doc(path, text, rel):
     ]
 
 
+# A knob-table row: | `HTG_NAME` | default | effect |
+KNOB_ROW_RE = re.compile(r"^\|\s*`(HTG_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
+KNOB_NAME_RE = re.compile(r"\bHTG_[A-Z0-9_]+\b")
+# Where a documented knob must still be referenced from (besides the
+# top-level CMakeLists.txt; nested CMake files live under these).
+KNOB_REFERENCE_DIRS = ("src", "bench", "perfbench", "tests", "tools")
+# A whole-tree check, so its fixture is a miniature repo root.
+ENV_DOC_STALE_FIXTURE = os.path.join(FIXTURE_DIR, "env_doc_stale")
+
+
+def referenced_knobs(root):
+    """HTG_* names mentioned in any file under KNOB_REFERENCE_DIRS (lint
+    fixtures excluded) or in the top-level CMakeLists.txt."""
+    paths = [os.path.join(root, "CMakeLists.txt")]
+    fixture_dir = os.path.join(root, FIXTURE_DIR)
+    for top in KNOB_REFERENCE_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            if dirpath == fixture_dir:
+                dirnames[:] = []
+                continue
+            paths.extend(os.path.join(dirpath, name) for name in filenames)
+    names = set()
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8", errors="replace") as f:
+                names.update(KNOB_NAME_RE.findall(f.read()))
+        except OSError:
+            pass
+    return names
+
+
+def check_env_doc_stale(root):
+    """env-doc in reverse: a knob-table row in docs/OPERATIONS.md whose
+    knob nothing references any more documents a knob that is gone."""
+    path = os.path.join(root, OPERATIONS_DOC)
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError:
+        return []
+    referenced = referenced_knobs(root)
+    return [
+        Finding(path, line_of(text, m.start()), "env-doc",
+                f"knob `{m.group(1)}` has a row in {OPERATIONS_DOC} but "
+                f"nothing under {', '.join(KNOB_REFERENCE_DIRS)} or a "
+                "CMake file references it; delete the stale row")
+        for m in KNOB_ROW_RE.finditer(text)
+        if m.group(1) not in referenced
+    ]
+
+
 # -------------------------------------------------------- sync rules ---
 
 # The one sanctioned home of raw std:: synchronization primitives.
@@ -771,7 +826,8 @@ RULE_DESCRIPTIONS = {
                           "kernels",
     "exec-untracked-reserve": "data-proportional row buffers hold a "
                               "MemoryCharge",
-    "env-doc": "every HTG_* env knob is documented in docs/OPERATIONS.md",
+    "env-doc": "every HTG_* env knob is documented in docs/OPERATIONS.md, "
+               "and every documented knob is still referenced",
     "sync-raw-mutex": "raw std:: sync primitives live only in "
                       "src/common/synchronization.{h,cc}",
     "sync-unguarded-field": "a Mutex member needs a sibling "
@@ -848,6 +904,8 @@ def run_lint(root, rule_ids=None):
     for path, rel in tree_files(root):
         count += 1
         findings.extend(lint_file(path, rel, rule_ids=rule_ids))
+    if rule_ids is None or "env-doc" in rule_ids:
+        findings.extend(check_env_doc_stale(root))
     for f in findings:
         print(f)
     which = f" [{', '.join(sorted(rule_ids))}]" if rule_ids else ""
@@ -857,6 +915,8 @@ def run_lint(root, rule_ids=None):
 
 
 EXPECT_RE = re.compile(r"//\s*expect-lint:\s*([\w-]+)")
+# The markdown form, used by the env-doc stale-row fixture's knob table.
+EXPECT_MD_RE = re.compile(r"<!--\s*expect-lint:\s*env-doc\s*-->")
 
 
 def run_selftest(root):
@@ -886,6 +946,22 @@ def run_selftest(root):
         if unexpected:
             failures.append(f"{name}: unexpected rule(s) fired: "
                             f"{', '.join(sorted(unexpected))}")
+    # env-doc's reverse direction: exactly the knob rows marked
+    # expect-lint in the miniature tree's OPERATIONS.md are stale.
+    stale_root = os.path.join(root, ENV_DOC_STALE_FIXTURE)
+    try:
+        with open(os.path.join(stale_root, OPERATIONS_DOC),
+                  encoding="utf-8") as f:
+            stale_doc = f.read().splitlines()
+    except OSError:
+        stale_doc = []
+    expected_rows = {i for i, line in enumerate(stale_doc, start=1)
+                     if EXPECT_MD_RE.search(line)}
+    flagged_rows = {f.line for f in check_env_doc_stale(stale_root)}
+    if not expected_rows or flagged_rows != expected_rows:
+        failures.append(
+            f"{ENV_DOC_STALE_FIXTURE}: stale knob rows flagged on lines "
+            f"{sorted(flagged_rows)}, expected {sorted(expected_rows)}")
     # Every rule must be exercised by at least one fixture: a rule with no
     # fixture can regress silently.
     unfixtured = sorted(set(RULES) - all_expected)
