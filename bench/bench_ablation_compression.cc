@@ -146,9 +146,11 @@ void BM_HeapInsertScan(benchmark::State& state) {
   for (auto _ : state) {
     for (const Row& r : rows) bench::CheckOk(table.Insert(r), "Insert");
     auto iter = table.NewScan();
-    Row row;
+    RowBatch batch;
     int count = 0;
-    while (iter->Next(&row)) ++count;
+    while (iter->NextBatch(&batch)) {
+      count += static_cast<int>(batch.ActiveRows());
+    }
     if (count != static_cast<int>(rows.size())) state.SkipWithError("lost rows");
     iter.reset();
     table.Truncate();

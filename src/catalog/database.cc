@@ -8,19 +8,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "types/row_batch.h"
-
 namespace htg {
-
-size_t DatabaseOptions::ResolvedBatchRows() const {
-  if (batch_rows != 0) return batch_rows;
-  if (const char* env = std::getenv("HTG_BATCH_ROWS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && parsed > 0) return static_cast<size_t>(parsed);
-  }
-  return RowBatch::kDefaultRows;
-}
 
 size_t DatabaseOptions::ResolvedQueryMemBytes() const {
   if (query_mem_bytes >= 0) return static_cast<size_t>(query_mem_bytes);

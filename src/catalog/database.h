@@ -35,13 +35,8 @@ struct DatabaseOptions {
   // parallel plans; the planner shrinks morsels on small tables so every
   // worker gets several.
   size_t morsel_pages = 32;
-  // Rows per execution batch on the vectorized pull path.
-  //   0  = use HTG_BATCH_ROWS (default 1024)
-  //   1  = force the legacy row-at-a-time iterators (parity testing)
-  //   ≥2 = that many rows per batch
-  size_t batch_rows = 0;
   // Per-query memory budget for materializing operators (sort, hash
-  // aggregate, hash join, DISTINCT).
+  // aggregate including DISTINCT, hash join).
   //   -1 = use HTG_QUERY_MEM_MB (default 256 MiB)
   //    0 = unlimited
   //   >0 = that many bytes
@@ -58,8 +53,6 @@ struct DatabaseOptions {
   // the automatic sweep (SweepVersions can still be called directly).
   int64_t mvcc_gc_every = -1;
 
-  // batch_rows with the 0 = environment default applied.
-  size_t ResolvedBatchRows() const;
   // query_mem_bytes with the -1 = environment default applied; 0 means
   // unlimited.
   size_t ResolvedQueryMemBytes() const;

@@ -1,6 +1,7 @@
 #include "exec/aggregate_ops.h"
 
-#include <map>
+#include <algorithm>
+#include <unordered_set>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -101,9 +102,9 @@ struct AggGovernance {
   const char* op_name = "Hash Match (Aggregate)";
 };
 
-// The group table behind every hash aggregate: the serial row and batch
-// builds, the parallel partial tables and their partitioned final merge,
-// and the spill re-aggregation passes. Open addressing with linear
+// The group table behind every hash aggregate (and SELECT DISTINCT): the
+// serial build, the parallel partial tables and their partitioned final
+// merge, and the spill re-aggregation passes. Open addressing with linear
 // probing over 8-byte slots of (cached hash, group index); group keys
 // and aggregate instances live in flat per-table vectors indexed by
 // group. Slots keep the low 32 bits of the key's hash, and group indexes
@@ -200,13 +201,10 @@ class GroupTable {
     return bytes;
   }
 
-  // Output rows, group key then each aggregate's result, in group
-  // creation order. Consumes the keys and instances.
-  Result<std::vector<Row>> Finalize(bool global_aggregate) {
-    std::vector<Row> out;
-    // Output rows replace the table 1:1; callers hold the charge that
-    // already covers it.
-    out.reserve(num_groups_);  // NOLINT(htg-exec-untracked-reserve)
+  // Output batches, each row the group key then each aggregate's result,
+  // in group creation order. Consumes the keys and instances.
+  Result<std::vector<RowBatch>> Finalize(bool global_aggregate) {
+    std::vector<RowBatch> out;
     const size_t naggs = aggs_->size();
     if (num_groups_ == 0 && global_aggregate) {
       // SELECT COUNT(*) over an empty input still yields one row.
@@ -215,23 +213,30 @@ class GroupTable {
         HTG_ASSIGN_OR_RETURN(Value v, a.NewInstance()->Terminate());
         row.push_back(std::move(v));
       }
-      out.push_back(std::move(row));
+      out.emplace_back().AppendRow(std::move(row));
       return out;
     }
-    for (size_t g = 0; g < num_groups_; ++g) {
-      Row row;
-      row.reserve(width_ + naggs);
-      for (size_t i = 0; i < width_; ++i) {
-        row.push_back(std::move(keys_[g * width_ + i]));
+    for (size_t begin = 0; begin < num_groups_;
+         begin += RowBatch::kDefaultRows) {
+      const size_t end = std::min(num_groups_, begin + RowBatch::kDefaultRows);
+      RowBatch& batch = out.emplace_back();
+      batch.ResetColumns(width_ + naggs);
+      for (size_t c = 0; c < width_ + naggs; ++c) {
+        batch.column(c).reserve(end - begin);
       }
-      for (size_t a = 0; a < naggs; ++a) {
-        std::unique_ptr<udf::AggregateInstance>& inst =
-            instances_[g * naggs + a];
-        HTG_ASSIGN_OR_RETURN(Value v, inst->Terminate());
-        inst.reset();
-        row.push_back(std::move(v));
+      for (size_t g = begin; g < end; ++g) {
+        for (size_t i = 0; i < width_; ++i) {
+          batch.column(i).push_back(std::move(keys_[g * width_ + i]));
+        }
+        for (size_t a = 0; a < naggs; ++a) {
+          std::unique_ptr<udf::AggregateInstance>& inst =
+              instances_[g * naggs + a];
+          HTG_ASSIGN_OR_RETURN(Value v, inst->Terminate());
+          inst.reset();
+          batch.column(width_ + a).push_back(std::move(v));
+        }
       }
-      out.push_back(std::move(row));
+      batch.set_num_rows(end - begin);
     }
     return out;
   }
@@ -319,43 +324,17 @@ std::vector<std::vector<Value>> ArgScratch(const std::vector<AggSpec>& aggs) {
 }
 
 // Drains a child fully into a group table (spilling over-budget keys when
-// `gov` is armed).
-Status BuildGroups(storage::RowIterator* iter,
-                   const std::vector<ExprPtr>& group_exprs,
-                   const std::vector<AggSpec>& aggs, udf::EvalContext* eval,
-                   GroupTable* groups, AggGovernance* gov) {
-  Row row;
-  Row& key = groups->scratch();
-  std::vector<std::vector<Value>> args = ArgScratch(aggs);
-  while (iter->Next(&row)) {
-    for (size_t g = 0; g < group_exprs.size(); ++g) {
-      HTG_ASSIGN_OR_RETURN(key[g], group_exprs[g]->Eval(eval, row));
-    }
-    HTG_ASSIGN_OR_RETURN(
-        const size_t group,
-        groups->FindOrCreate(gov, [&]() -> const Row& { return row; }));
-    if (group == GroupTable::kNone) continue;
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      for (size_t a = 0; a < args[i].size(); ++a) {
-        HTG_ASSIGN_OR_RETURN(args[i][a], aggs[i].args[a]->Eval(eval, row));
-      }
-      HTG_RETURN_IF_ERROR(groups->instance(group, i)->Accumulate(args[i]));
-    }
-  }
-  return iter->status();
-}
-
-// Vectorized BuildGroups: group keys and aggregate arguments evaluate as
-// batch kernels, so only the hash probe and the UDA Accumulate call (the
+// `gov` is armed). Group keys and aggregate arguments evaluate as batch
+// kernels, so only the hash probe and the UDA Accumulate call (the
 // per-row seam — udf.uda instances accumulate row-at-a-time by contract)
 // remain per-row work. Spilled rows are reassembled from the (untouched)
 // batch columns.
-Status BuildGroupsBatch(storage::RowIterator* iter, size_t batch_rows,
+Status BuildGroupsBatch(storage::RowIterator* iter,
                         const std::vector<ExprPtr>& group_exprs,
                         const std::vector<AggSpec>& aggs,
                         udf::EvalContext* eval, GroupTable* groups,
                         AggGovernance* gov) {
-  RowBatch batch(batch_rows);
+  RowBatch batch;
   std::vector<std::vector<Value>> key_cols(group_exprs.size());
   std::vector<std::vector<std::vector<Value>>> agg_cols(aggs.size());
   for (size_t i = 0; i < aggs.size(); ++i) {
@@ -411,7 +390,7 @@ std::string DescribeAggs(const std::vector<ExprPtr>& group_exprs,
       if (i > 0) out += ", ";
       out += group_exprs[i]->ToString();
     }
-    out += "; ";
+    if (!aggs.empty()) out += "; ";
   }
   for (size_t i = 0; i < aggs.size(); ++i) {
     if (i > 0) out += ", ";
@@ -436,9 +415,9 @@ struct AggSpillWork {
 // still blow the budget sub-partition recursively with a new hash salt).
 // Owns every spill file involved, so the data is deleted with the
 // iterator.
-class SpilledAggIterator : public storage::RowIterator {
+class SpilledAggIterator : public BatchIterator {
  public:
-  SpilledAggIterator(std::vector<Row> ready, MemoryCharge charge,
+  SpilledAggIterator(std::vector<RowBatch> ready, MemoryCharge charge,
                      std::unique_ptr<AggSpill> spill,
                      std::vector<storage::SpillRun> runs,
                      const std::vector<ExprPtr>* group_exprs,
@@ -457,23 +436,19 @@ class SpilledAggIterator : public storage::RowIterator {
     spills_.push_back(std::move(spill));
   }
 
-  bool Next(Row* out) override {
+ protected:
+  bool ProduceBatch(RowBatch* batch) override {
     if (!status_.ok()) return false;
     for (;;) {
-      if (next_ready_ < ready_.size()) {
-        *out = std::move(ready_[next_ready_++]);
-        return true;
+      while (next_ready_ < ready_.size()) {
+        *batch = std::move(ready_[next_ready_++]);
+        if (batch->ActiveRows() > 0) return true;
       }
       if (worklist_.empty()) return false;
-      const Status s = ProcessNextPartition();
-      if (!s.ok()) {
-        status_ = s;
-        return false;
-      }
+      status_ = ProcessNextPartition();
+      if (!status_.ok()) return false;
     }
   }
-
-  Status status() const override { return status_; }
 
  private:
   Status ProcessNextPartition() {
@@ -490,8 +465,8 @@ class SpilledAggIterator : public storage::RowIterator {
     AggGovernance gov{&charge_, ctx_, sub.get(), "Hash Match (Aggregate)"};
     GroupTable groups(group_exprs_->size(), aggs_);
     storage::SpillRunReader reader(work.file, std::move(work.run));
-    HTG_RETURN_IF_ERROR(BuildGroups(&reader, *group_exprs_, *aggs_,
-                                    &ctx_->eval, &groups, &gov));
+    HTG_RETURN_IF_ERROR(BuildGroupsBatch(&reader, *group_exprs_, *aggs_,
+                                         &ctx_->eval, &groups, &gov));
     if (stats_ != nullptr) RecordPeakMem(stats_, charge_.peak());
     HTG_ASSIGN_OR_RETURN(ready_, groups.Finalize(false));
     if (sub->engaged()) {
@@ -506,7 +481,7 @@ class SpilledAggIterator : public storage::RowIterator {
     return Status::OK();
   }
 
-  std::vector<Row> ready_;
+  std::vector<RowBatch> ready_;
   size_t next_ready_ = 0;
   MemoryCharge charge_;
   const std::vector<ExprPtr>* group_exprs_;
@@ -515,7 +490,6 @@ class SpilledAggIterator : public storage::RowIterator {
   OperatorStats* stats_;
   std::vector<std::unique_ptr<AggSpill>> spills_;  // keeps files alive
   std::vector<AggSpillWork> worklist_;
-  Status status_;
 };
 
 }  // namespace
@@ -523,44 +497,47 @@ class SpilledAggIterator : public storage::RowIterator {
 namespace {
 
 // Wraps an aggregate with DISTINCT semantics: argument tuples are
-// deduplicated and replayed into a fresh inner instance at Terminate so
-// that Merge (set union) stays correct under parallel plans.
+// deduplicated under the hash operators' key equality (Value::Compare, so
+// 1 = 1.0 and NULL = NULL, as in GROUP BY) and replayed into a fresh inner
+// instance at Terminate, so that Merge (set union) stays correct under
+// parallel plans. The replay runs in Value::Compare order, so order-
+// sensitive results such as SUM over doubles do not depend on which
+// morsel saw a tuple first.
 class DistinctAggregateInstance : public udf::AggregateInstance {
  public:
   explicit DistinctAggregateInstance(const udf::AggregateFunction* fn)
       : fn_(fn) {}
 
   Status Accumulate(const std::vector<Value>& args) override {
-    std::string key;
-    for (const Value& v : args) {
-      if (v.is_null()) {
-        key += "\x01N";
-      } else {
-        key += '\x02';
-        key += v.ToString();
-      }
-    }
-    distinct_.emplace(std::move(key), args);
+    distinct_.insert(args);
     return Status::OK();
   }
 
   Status Merge(const udf::AggregateInstance& other) override {
     const auto& o = static_cast<const DistinctAggregateInstance&>(other);
-    for (const auto& [key, args] : o.distinct_) distinct_.emplace(key, args);
+    distinct_.insert(o.distinct_.begin(), o.distinct_.end());
     return Status::OK();
   }
 
   Result<Value> Terminate() override {
+    std::vector<const Row*> order;
+    order.reserve(distinct_.size());
+    for (const Row& args : distinct_) order.push_back(&args);
+    std::sort(order.begin(), order.end(), [](const Row* a, const Row* b) {
+      for (size_t i = 0; i < a->size(); ++i) {
+        const int cmp = (*a)[i].Compare((*b)[i]);
+        if (cmp != 0) return cmp < 0;
+      }
+      return false;
+    });
     std::unique_ptr<udf::AggregateInstance> inner = fn_->NewInstance();
-    for (const auto& [key, args] : distinct_) {
-      HTG_RETURN_IF_ERROR(inner->Accumulate(args));
-    }
+    for (const Row* args : order) HTG_RETURN_IF_ERROR(inner->Accumulate(*args));
     return inner->Terminate();
   }
 
  private:
   const udf::AggregateFunction* fn_;
-  std::map<std::string, std::vector<Value>> distinct_;
+  std::unordered_set<Row, RowHash, RowEq> distinct_;
 };
 
 }  // namespace
@@ -627,24 +604,18 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
       ctx->tablespace, ctx->spill_partitions, 0, stats);
   AggGovernance gov{&charge, ctx, spill.get(), "Hash Match (Aggregate)"};
   GroupTable groups(group_exprs_.size(), &aggs_);
-  if (ctx->UseBatches() && child->BatchNative()) {
-    HTG_RETURN_IF_ERROR(BuildGroupsBatch(child.get(), ctx->batch_rows,
-                                         group_exprs_, aggs_, &ctx->eval,
-                                         &groups, &gov));
-  } else {
-    HTG_RETURN_IF_ERROR(BuildGroups(child.get(), group_exprs_, aggs_,
-                                    &ctx->eval, &groups, &gov));
-  }
+  HTG_RETURN_IF_ERROR(BuildGroupsBatch(child.get(), group_exprs_, aggs_,
+                                       &ctx->eval, &groups, &gov));
   RecordPeakMem(stats, charge.peak());
-  HTG_ASSIGN_OR_RETURN(std::vector<Row> rows,
+  HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
                        groups.Finalize(group_exprs_.empty()));
   if (!spill->engaged()) {
-    return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                  std::move(charge))};
+    return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                          std::move(charge))};
   }
   HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs, spill->Finish());
   return {std::make_unique<SpilledAggIterator>(
-      std::move(rows), std::move(charge), std::move(spill), std::move(runs),
+      std::move(batches), std::move(charge), std::move(spill), std::move(runs),
       &group_exprs_, &aggs_, ctx, stats)};
 }
 
@@ -664,67 +635,63 @@ StreamAggregateOp::StreamAggregateOp(OperatorPtr child,
 namespace {
 
 // Emits one row per run of equal group keys in the (ordered) input.
-class StreamAggIterator : public storage::RowIterator {
+class StreamAggIterator : public storage::RowSource {
  public:
   StreamAggIterator(std::unique_ptr<storage::RowIterator> child,
                     const std::vector<ExprPtr>* group_exprs,
                     const std::vector<AggSpec>* aggs, udf::EvalContext* eval)
       : child_(std::move(child)),
+        input_(child_.get()),
         group_exprs_(group_exprs),
         aggs_(aggs),
         eval_(eval),
+        key_(group_exprs->size()),
         args_(ArgScratch(*aggs)) {}
 
   bool Next(Row* out) override {
     if (done_) return false;
-    Row input;
     for (;;) {
-      if (!child_->Next(&input)) {
-        status_ = child_->status();
+      if (!input_.Next(&row_)) {
+        status_ = input_.status();
         done_ = true;
         if (!status_.ok() || !has_group_) return false;
         return EmitCurrent(out);
       }
-      Row key;
-      key.reserve(group_exprs_->size());
-      for (const ExprPtr& g : *group_exprs_) {
-        Result<Value> v = g->Eval(eval_, input);
+      for (size_t g = 0; g < group_exprs_->size(); ++g) {
+        Result<Value> v = (*group_exprs_)[g]->Eval(eval_, row_);
         if (!v.ok()) {
           status_ = v.status();
           return false;
         }
-        key.push_back(std::move(*v));
+        key_[g] = std::move(*v);
       }
-      const bool same =
-          has_group_ && RowEq()(key, current_key_);
+      const bool same = has_group_ && RowEq()(key_, current_key_);
       if (!same && has_group_) {
         // Close the previous group, then start the new one with this row.
-        Row result;
-        if (!EmitCurrent(&result)) return false;
-        StartGroup(std::move(key));
-        if (!Accumulate(input)) return false;
-        *out = std::move(result);
-        return true;
+        if (!EmitCurrent(out)) return false;
+        StartGroup();
+        return Accumulate();
       }
-      if (!has_group_) StartGroup(std::move(key));
-      if (!Accumulate(input)) return false;
+      if (!has_group_) StartGroup();
+      if (!Accumulate()) return false;
     }
   }
 
   Status status() const override { return status_; }
 
  private:
-  void StartGroup(Row key) {
-    current_key_ = std::move(key);
+  void StartGroup() {
+    current_key_.swap(key_);
+    key_.resize(current_key_.size());
     has_group_ = true;
     instances_.clear();
     for (const AggSpec& a : *aggs_) instances_.push_back(a.NewInstance());
   }
 
-  bool Accumulate(const Row& input) {
+  bool Accumulate() {
     for (size_t i = 0; i < aggs_->size(); ++i) {
       for (size_t a = 0; a < args_[i].size(); ++a) {
-        Result<Value> v = (*aggs_)[i].args[a]->Eval(eval_, input);
+        Result<Value> v = (*aggs_)[i].args[a]->Eval(eval_, row_);
         if (!v.ok()) {
           status_ = v.status();
           return false;
@@ -754,10 +721,13 @@ class StreamAggIterator : public storage::RowIterator {
   }
 
   std::unique_ptr<storage::RowIterator> child_;
+  BatchReader input_;
   const std::vector<ExprPtr>* group_exprs_;
   const std::vector<AggSpec>* aggs_;
   udf::EvalContext* eval_;
-  Row current_key_;
+  Row row_;          // the input row being folded in
+  Row key_;          // its group key (scratch)
+  Row current_key_;  // the open group's key
   bool has_group_ = false;
   bool done_ = false;
   std::vector<std::unique_ptr<udf::AggregateInstance>> instances_;
@@ -859,13 +829,9 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
                               &stats->worker_batches[worker]);
           ++stats->worker_morsels[worker];
         }
-        if (ctx->UseBatches() && iter->BatchNative()) {
-          return BuildGroupsBatch(iter.get(), ctx->batch_rows, group_exprs_,
-                                  aggs_, &worker_ctx[worker].eval,
-                                  &partials[worker], &gov);
-        }
-        return BuildGroups(iter.get(), group_exprs_, aggs_,
-                           &worker_ctx[worker].eval, &partials[worker], &gov);
+        return BuildGroupsBatch(iter.get(), group_exprs_, aggs_,
+                                &worker_ctx[worker].eval, &partials[worker],
+                                &gov);
       }));
   RecordPeakMem(stats, charge.peak());
 
@@ -873,9 +839,9 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   for (const GroupTable& p : partials) total_groups += p.size();
   if (total_groups == 0 && !spill->engaged()) {
     // SELECT COUNT(*) over an empty input still yields one row.
-    HTG_ASSIGN_OR_RETURN(std::vector<Row> rows,
+    HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
                          partials[0].Finalize(group_exprs_.empty()));
-    return {std::make_unique<MaterializedRowsIterator>(std::move(rows))};
+    return {std::make_unique<MaterializedBatchesIterator>(std::move(batches))};
   }
 
   if (spill->engaged()) {
@@ -917,8 +883,9 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
                              "Parallel Hash Match (Aggregate)"};
       storage::SpillRunReader reader(work.file, std::move(work.run));
       GroupTable part_groups(group_exprs_.size(), &aggs_);
-      HTG_RETURN_IF_ERROR(BuildGroups(&reader, group_exprs_, aggs_,
-                                      &ctx->eval, &part_groups, &pass_gov));
+      HTG_RETURN_IF_ERROR(BuildGroupsBatch(&reader, group_exprs_, aggs_,
+                                           &ctx->eval, &part_groups,
+                                           &pass_gov));
       RecordPeakMem(stats, pass_charge.peak());
       // Keys are owned by exactly one partition per level, so a pass's
       // groups can only collide with build-time residents, never with
@@ -936,10 +903,10 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     }
     charge.AddUnchecked(merged.ChargedBytes());
     RecordPeakMem(stats, charge.peak());
-    HTG_ASSIGN_OR_RETURN(std::vector<Row> rows,
+    HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
                          merged.Finalize(group_exprs_.empty()));
-    return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                  std::move(charge))};
+    return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                          std::move(charge))};
   }
 
   // Final phase: a parallel partitioned merge instead of a serial fold.
@@ -948,7 +915,7 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   // finalizes them. Entries are only read (cached hash) or moved by their
   // owning partition, so the partial tables need no locking.
   const size_t nparts = static_cast<size_t>(dop);
-  std::vector<std::vector<Row>> out_parts(nparts);
+  std::vector<std::vector<RowBatch>> out_parts(nparts);
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, nparts, [&](int, size_t part) -> Status {
         GroupTable merged(group_exprs_.size(), &aggs_);
@@ -959,15 +926,13 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
         return Status::OK();
       }));
 
-  std::vector<Row> rows;
-  rows.reserve(total_groups);
-  for (std::vector<Row>& part : out_parts) {
-    for (Row& r : part) rows.push_back(std::move(r));
-    part.clear();
+  std::vector<RowBatch> batches;
+  for (std::vector<RowBatch>& part : out_parts) {
+    for (RowBatch& b : part) batches.push_back(std::move(b));
   }
   RecordPeakMem(stats, charge.peak());
-  return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                        std::move(charge))};
 }
 
 std::string ParallelAggregateOp::Describe() const {

@@ -1,76 +1,112 @@
 #include "exec/apply_ops.h"
 
-#include <algorithm>
-
 #include "common/metrics.h"
+#include "exec/batch.h"
 #include "exec/join_ops.h"
 
 namespace htg::exec {
 
 namespace {
 
-class CrossApplyIterator : public storage::RowIterator {
+// CROSS APPLY as a batch producer. The TVF arguments evaluate as batch
+// kernels over each outer batch; then, per outer row, the TVF opens and
+// its rows are pulled one at a time through Next() (the paper's §5.2
+// seam). Outer values and inner rows are copy-assigned straight into the
+// output batch's retained value slots, so each pivoted value is copied
+// once and a recycled output batch reuses its string buffers.
+class CrossApplyIterator : public BatchIterator {
  public:
   CrossApplyIterator(std::unique_ptr<storage::RowIterator> child,
                      const udf::TableFunction* fn,
                      const std::vector<ExprPtr>* args, Database* db,
-                     udf::EvalContext* eval)
-      : child_(std::move(child)), fn_(fn), args_(args), db_(db), eval_(eval) {}
+                     udf::EvalContext* eval, size_t outer_width,
+                     size_t inner_width)
+      : child_(std::move(child)),
+        fn_(fn),
+        args_(args),
+        db_(db),
+        eval_(eval),
+        outer_width_(outer_width),
+        inner_width_(inner_width),
+        arg_cols_(args->size()),
+        arg_values_(args->size()) {}
 
-  // Copy-assigns the outer and inner values into the caller's row, so a
-  // caller that reuses its row reuses its string buffers too.
-  bool Next(Row* row) override {
+ protected:
+  bool ProduceBatch(RowBatch* out) override {
+    out->StartFill(outer_width_ + inner_width_);
+    const size_t n = Fill(out);
+    out->FinishFill(n);
+    return n > 0 && status_.ok();
+  }
+
+ private:
+  // Writes output rows until the batch is full or the input ends; returns
+  // how many. On error, sets status_.
+  size_t Fill(RowBatch* out) {
+    size_t n = 0;
     for (;;) {
       if (inner_ != nullptr) {
-        if (inner_->Next(&inner_row_)) {
-          const size_t outer = outer_row_.size();
-          row->resize(outer + inner_row_.size());
-          std::copy(outer_row_.begin(), outer_row_.end(), row->begin());
-          std::copy(inner_row_.begin(), inner_row_.end(),
-                    row->begin() + static_cast<ptrdiff_t>(outer));
-          return true;
+        while (n < out->capacity() && inner_->Next(&inner_row_)) {
+          for (size_t c = 0; c < outer_width_; ++c) {
+            out->Slot(c, n) = outer_.column(c)[outer_row_];
+          }
+          for (size_t k = 0; k < inner_width_; ++k) {
+            out->Slot(outer_width_ + k, n) =
+                k < inner_row_.size() ? inner_row_[k] : Value::Null();
+          }
+          ++n;
         }
+        if (n == out->capacity()) return n;
         status_ = inner_->status();
-        if (!status_.ok()) return false;
+        if (!status_.ok()) return n;
         inner_ = nullptr;
       }
-      if (!child_->Next(&outer_row_)) {
-        status_ = child_->status();
-        return false;
-      }
-      arg_values_.resize(args_->size());
+      if (next_outer_ >= outer_.ActiveRows() && !NextOuterBatch()) return n;
       for (size_t a = 0; a < args_->size(); ++a) {
-        Result<Value> v = (*args_)[a]->Eval(eval_, outer_row_);
-        if (!v.ok()) {
-          status_ = v.status();
-          return false;
-        }
-        arg_values_[a] = std::move(*v);
+        arg_values_[a] = arg_cols_[a][next_outer_];
       }
+      outer_row_ = outer_.ActiveIndex(next_outer_++);
       HTG_METRIC_COUNTER("udf.tvf.opens")->Add(1);
-      Result<std::unique_ptr<storage::RowIterator>> inner =
+      Result<std::unique_ptr<storage::RowSource>> inner =
           fn_->Open(arg_values_, db_);
       if (!inner.ok()) {
         status_ = inner.status();
-        return false;
+        return n;
       }
       inner_ = std::move(*inner);
     }
   }
 
-  Status status() const override { return status_; }
+  // Pulls the next outer batch and evaluates the TVF arguments over its
+  // live rows. False at end of input or on error (status_ says which).
+  bool NextOuterBatch() {
+    if (!child_->NextBatch(&outer_)) {
+      status_ = child_->status();
+      return false;
+    }
+    next_outer_ = 0;
+    for (size_t a = 0; a < args_->size(); ++a) {
+      status_ = (*args_)[a]->EvalBatch(eval_, outer_, outer_.selection_data(),
+                                       outer_.ActiveRows(), &arg_cols_[a]);
+      if (!status_.ok()) return false;
+    }
+    return true;
+  }
 
- private:
   std::unique_ptr<storage::RowIterator> child_;
   const udf::TableFunction* fn_;
   const std::vector<ExprPtr>* args_;
   Database* db_;
   udf::EvalContext* eval_;
-  Row outer_row_;
-  Row inner_row_;
+  size_t outer_width_;
+  size_t inner_width_;
+  RowBatch outer_;
+  size_t next_outer_ = 0;  // live index of the next outer row to apply
+  size_t outer_row_ = 0;   // physical row of the outer row being applied
+  std::vector<std::vector<Value>> arg_cols_;  // per argument, per live row
   std::vector<Value> arg_values_;
-  std::unique_ptr<storage::RowIterator> inner_;
-  Status status_;
+  Row inner_row_;
+  std::unique_ptr<storage::RowSource> inner_;
 };
 
 }  // namespace
@@ -84,7 +120,9 @@ Result<std::unique_ptr<storage::RowIterator>> TvfScanOp::OpenImpl(
     args.push_back(std::move(v));
   }
   HTG_METRIC_COUNTER("udf.tvf.opens")->Add(1);
-  return fn_->Open(args, ctx->db);
+  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowSource> source,
+                       fn_->Open(args, ctx->db));
+  return {std::move(source)};
 }
 
 std::string TvfScanOp::Describe() const {
@@ -109,8 +147,9 @@ Result<std::unique_ptr<storage::RowIterator>> CrossApplyOp::OpenImpl(
     ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
-  return {std::make_unique<CrossApplyIterator>(std::move(child), fn_, &args_,
-                                               ctx->db, &ctx->eval)};
+  return {std::make_unique<CrossApplyIterator>(
+      std::move(child), fn_, &args_, ctx->db, &ctx->eval,
+      child_->output_schema().num_columns(), fn_schema_.num_columns())};
 }
 
 std::string CrossApplyOp::Describe() const {

@@ -1,7 +1,5 @@
 #include "exec/basic_ops.h"
 
-#include <unordered_set>
-
 #include "common/string_util.h"
 #include "exec/batch.h"
 #include "exec/spill_util.h"
@@ -12,147 +10,13 @@ namespace htg::exec {
 
 namespace {
 
-class FilterIterator : public storage::RowIterator {
- public:
-  FilterIterator(std::unique_ptr<storage::RowIterator> child,
-                 const Expr* predicate, udf::EvalContext* eval)
-      : child_(std::move(child)), predicate_(predicate), eval_(eval) {}
-
-  bool Next(Row* row) override {
-    while (child_->Next(row)) {
-      Result<bool> keep = EvalPredicate(*predicate_, eval_, *row);
-      if (!keep.ok()) {
-        status_ = keep.status();
-        return false;
-      }
-      if (*keep) return true;
-    }
-    status_ = child_->status();
-    return false;
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  std::unique_ptr<storage::RowIterator> child_;
-  const Expr* predicate_;
-  udf::EvalContext* eval_;
-  Status status_;
-};
-
-class ProjectIterator : public storage::RowIterator {
- public:
-  ProjectIterator(std::unique_ptr<storage::RowIterator> child,
-                  const std::vector<ExprPtr>* exprs, udf::EvalContext* eval)
-      : child_(std::move(child)), exprs_(exprs), eval_(eval) {}
-
-  bool Next(Row* row) override {
-    Row input;
-    if (!child_->Next(&input)) {
-      status_ = child_->status();
-      return false;
-    }
-    row->clear();
-    row->reserve(exprs_->size());
-    for (const ExprPtr& e : *exprs_) {
-      Result<Value> v = e->Eval(eval_, input);
-      if (!v.ok()) {
-        status_ = v.status();
-        return false;
-      }
-      row->push_back(std::move(*v));
-    }
-    return true;
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  std::unique_ptr<storage::RowIterator> child_;
-  const std::vector<ExprPtr>* exprs_;
-  udf::EvalContext* eval_;
-  Status status_;
-};
-
-// Rough accounting overhead of one std::unordered_set<std::string> node
-// beyond the string payload itself.
-constexpr size_t kDistinctEntryOverheadBytes = 64;
-
-class DistinctIterator : public storage::RowIterator {
- public:
-  DistinctIterator(std::unique_ptr<storage::RowIterator> child,
-                   MemoryContext* mem, OperatorStats* stats)
-      : child_(std::move(child)), charge_(mem, "Distinct"), stats_(stats) {}
-
-  ~DistinctIterator() override {
-    if (stats_ != nullptr) RecordPeakMem(stats_, charge_.peak());
-  }
-
-  bool Next(Row* row) override {
-    if (!status_.ok()) return false;
-    while (child_->Next(row)) {
-      std::string key;
-      for (const Value& v : *row) {
-        if (v.is_null()) {
-          key += "\x01N";
-        } else {
-          key += '\x02';
-          key += v.ToString();
-        }
-      }
-      // The dedup set grows without bound with the key cardinality;
-      // charge each retained key so a runaway DISTINCT fails cleanly
-      // instead of exhausting the process.
-      const size_t bytes = key.size() + kDistinctEntryOverheadBytes;
-      if (!seen_.insert(std::move(key)).second) continue;
-      status_ = charge_.Add(bytes);
-      if (!status_.ok()) return false;
-      return true;
-    }
-    status_ = child_->status();
-    return false;
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  std::unique_ptr<storage::RowIterator> child_;
-  MemoryCharge charge_;
-  OperatorStats* stats_;
-  std::unordered_set<std::string> seen_;
-  Status status_;
-};
-
-class TopIterator : public storage::RowIterator {
- public:
-  TopIterator(std::unique_ptr<storage::RowIterator> child, int64_t limit)
-      : child_(std::move(child)), remaining_(limit) {}
-
-  bool Next(Row* row) override {
-    if (remaining_ <= 0) return false;
-    if (!child_->Next(row)) return false;
-    --remaining_;
-    return true;
-  }
-
-  Status status() const override { return child_->status(); }
-
- private:
-  std::unique_ptr<storage::RowIterator> child_;
-  int64_t remaining_;
-};
-
-// Vectorized Filter: pulls child batches and narrows each one's selection
-// vector in place (no row copying) until at least one row survives.
+// Filter: pulls child batches and narrows each one's selection vector in
+// place (no row copying) until at least one row survives.
 class FilterBatchIterator : public BatchIterator {
  public:
   FilterBatchIterator(std::unique_ptr<storage::RowIterator> child,
-                      const Expr* predicate, udf::EvalContext* eval,
-                      size_t batch_rows)
-      : BatchIterator(batch_rows),
-        child_(std::move(child)),
-        predicate_(predicate),
-        eval_(eval) {}
+                      const Expr* predicate, udf::EvalContext* eval)
+      : child_(std::move(child)), predicate_(predicate), eval_(eval) {}
 
  protected:
   bool ProduceBatch(RowBatch* batch) override {
@@ -177,19 +41,15 @@ class FilterBatchIterator : public BatchIterator {
   std::vector<Value> scratch_;
 };
 
-// Vectorized Compute Scalar: evaluates each projection expression over
-// the whole input batch (kernel loop over the selection vector), writing
-// straight into the output batch's dense columns.
+// Compute Scalar: evaluates each projection expression over the whole
+// input batch (kernel loop over the selection vector), writing straight
+// into the output batch's dense columns.
 class ProjectBatchIterator : public BatchIterator {
  public:
   ProjectBatchIterator(std::unique_ptr<storage::RowIterator> child,
                        const std::vector<ExprPtr>* exprs,
-                       udf::EvalContext* eval, size_t batch_rows)
-      : BatchIterator(batch_rows),
-        child_(std::move(child)),
-        exprs_(exprs),
-        eval_(eval),
-        input_(batch_rows) {}
+                       udf::EvalContext* eval)
+      : child_(std::move(child)), exprs_(exprs), eval_(eval) {}
 
  protected:
   bool ProduceBatch(RowBatch* batch) override {
@@ -198,7 +58,8 @@ class ProjectBatchIterator : public BatchIterator {
       return false;
     }
     const size_t n = input_.ActiveRows();
-    batch->ResetColumns(exprs_->size());
+    // Each kernel assigns into the column's retained value slots.
+    batch->StartFill(exprs_->size());
     for (size_t e = 0; e < exprs_->size(); ++e) {
       const Status s = (*exprs_)[e]->EvalBatch(
           eval_, input_, input_.selection_data(), n, &batch->column(e));
@@ -218,17 +79,16 @@ class ProjectBatchIterator : public BatchIterator {
   RowBatch input_;
 };
 
-// Vectorized Top: passes batches through, truncating the final batch's
-// selection to the remaining row budget.
+// Top: passes batches through, truncating the final batch's selection to
+// the remaining row budget.
 class TopBatchIterator : public BatchIterator {
  public:
   TopBatchIterator(std::unique_ptr<storage::RowIterator> child, int64_t limit,
-                   size_t batch_rows, MemoryContext* mem)
-      : BatchIterator(batch_rows), child_(std::move(child)),
-        remaining_(limit), charge_(mem, "Top") {
+                   MemoryContext* mem)
+      : child_(std::move(child)), remaining_(limit), charge_(mem, "Top") {
     // The pass-through batch is bounded scratch (one batch of values);
     // account it for an honest peak without gating the statement on it.
-    charge_.AddUnchecked(batch_rows * sizeof(Value));
+    charge_.AddUnchecked(RowBatch::kDefaultRows * sizeof(Value));
   }
 
  protected:
@@ -362,8 +222,8 @@ Result<std::unique_ptr<storage::RowIterator>> ValuesOp::OpenImpl(
     rows.push_back(std::move(row));
   }
   RecordPeakMem(mutable_stats(), charge.peak());
-  return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(
+      RowsToBatches(std::move(rows)), std::move(charge))};
 }
 
 std::string ValuesOp::Describe() const {
@@ -396,8 +256,8 @@ Result<std::unique_ptr<storage::RowIterator>> OpenRowsetOp::OpenImpl(
   MemoryCharge charge(ctx->mem.get(), "Bulk Import");
   HTG_RETURN_IF_ERROR(charge.Add(ApproxRowBytes(rows[0])));
   RecordPeakMem(mutable_stats(), charge.peak());
-  return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(
+      RowsToBatches(std::move(rows)), std::move(charge))};
 }
 
 std::string OpenRowsetOp::Describe() const {
@@ -408,12 +268,8 @@ Result<std::unique_ptr<storage::RowIterator>> FilterOp::OpenImpl(
     ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
-  if (ctx->UseBatches() && child->BatchNative()) {
-    return {std::make_unique<FilterBatchIterator>(
-        std::move(child), predicate_.get(), &ctx->eval, ctx->batch_rows)};
-  }
-  return {std::make_unique<FilterIterator>(std::move(child), predicate_.get(),
-                                           &ctx->eval)};
+  return {std::make_unique<FilterBatchIterator>(std::move(child),
+                                               predicate_.get(), &ctx->eval)};
 }
 
 std::string FilterOp::Describe() const {
@@ -435,13 +291,8 @@ Result<std::unique_ptr<storage::RowIterator>> ProjectOp::OpenImpl(
     ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
-  if (ctx->UseBatches() && child->BatchNative()) {
-    return {std::make_unique<ProjectBatchIterator>(std::move(child), &exprs_,
-                                                   &ctx->eval,
-                                                   ctx->batch_rows)};
-  }
-  return {std::make_unique<ProjectIterator>(std::move(child), &exprs_,
-                                            &ctx->eval)};
+  return {std::make_unique<ProjectBatchIterator>(std::move(child), &exprs_,
+                                                 &ctx->eval)};
 }
 
 std::string ProjectOp::Describe() const {
@@ -454,23 +305,11 @@ std::string ProjectOp::Describe() const {
   return out;
 }
 
-Result<std::unique_ptr<storage::RowIterator>> DistinctOp::OpenImpl(
-    ExecContext* ctx) {
-  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
-                       child_->Open(ctx));
-  return {std::make_unique<DistinctIterator>(std::move(child), ctx->mem.get(),
-                                             mutable_stats())};
-}
-
 Result<std::unique_ptr<storage::RowIterator>> TopOp::OpenImpl(ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
-  if (ctx->UseBatches() && child->BatchNative()) {
-    return {std::make_unique<TopBatchIterator>(std::move(child), limit_,
-                                               ctx->batch_rows,
-                                               ctx->mem.get())};
-  }
-  return {std::make_unique<TopIterator>(std::move(child), limit_)};
+  return {std::make_unique<TopBatchIterator>(std::move(child), limit_,
+                                             ctx->mem.get())};
 }
 
 std::string TopOp::Describe() const {

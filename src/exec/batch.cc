@@ -1,42 +1,38 @@
 #include "exec/batch.h"
 
+#include <algorithm>
+
 #include "common/metrics.h"
 
 namespace htg::exec {
 
-bool BatchIterator::Next(Row* row) {
-  // The row seam: refill the internal buffer from the batch path and hand
-  // rows out one at a time. exec.batch.fillrow_rows measures how much
-  // output crosses back into row-at-a-time form (the §5.2 boundary).
-  while (buffer_pos_ >= buffer_.ActiveRows()) {
-    if (!ProduceBatch(&buffer_)) return false;
-    buffer_pos_ = 0;
-  }
-  buffer_.FillRow(buffer_pos_++, row);
-  HTG_METRIC_COUNTER("exec.batch.fillrow_rows")->Add(1);
+bool BatchIterator::NextBatch(RowBatch* batch) {
+  if (!ProduceBatch(batch)) return false;
+  HTG_METRIC_COUNTER("exec.batch.batches")->Add(1);
+  HTG_METRIC_COUNTER("exec.batch.rows")->Add(batch->ActiveRows());
   return true;
 }
 
-bool BatchIterator::NextBatch(RowBatch* batch) {
-  // Hand out any rows the Next() shim buffered first, so mixing the two
-  // pull styles on one iterator never drops or duplicates rows.
-  if (buffer_pos_ < buffer_.ActiveRows()) {
-    *batch = std::move(buffer_);
-    if (buffer_pos_ > 0) {
-      std::vector<uint32_t> rest;
-      rest.reserve(batch->ActiveRows() - buffer_pos_);
-      for (size_t i = buffer_pos_; i < batch->ActiveRows(); ++i) {
-        rest.push_back(static_cast<uint32_t>(batch->ActiveIndex(i)));
-      }
-      batch->SetSelection(std::move(rest));
-    }
-    buffer_ = RowBatch(batch_rows_);
-    buffer_pos_ = 0;
-  } else if (!ProduceBatch(batch)) {
-    return false;
+BatchReader::~BatchReader() {
+  HTG_METRIC_COUNTER("exec.batch.fillrow_rows")->Add(uncounted_);
+}
+
+bool BatchReader::Next(Row* row) {
+  while (pos_ >= batch_.ActiveRows()) {
+    // The metric ticks once per batch rather than once per row.
+    HTG_METRIC_COUNTER("exec.batch.fillrow_rows")->Add(uncounted_);
+    uncounted_ = 0;
+    if (!iter_->NextBatch(&batch_)) return false;
+    pos_ = 0;
   }
-  HTG_METRIC_COUNTER("exec.batch.batches")->Add(1);
-  HTG_METRIC_COUNTER("exec.batch.rows")->Add(batch->ActiveRows());
+  // Selection vectors never repeat a physical row, so each value is
+  // moved out exactly once.
+  const size_t r = batch_.ActiveIndex(pos_++);
+  row->resize(batch_.num_columns());
+  for (size_t c = 0; c < batch_.num_columns(); ++c) {
+    (*row)[c] = std::move(batch_.column(c)[r]);
+  }
+  ++uncounted_;
   return true;
 }
 
@@ -48,10 +44,31 @@ bool MaterializedBatchesIterator::ProduceBatch(RowBatch* batch) {
   return false;
 }
 
-Status DrainBatches(storage::RowIterator* iter, size_t batch_rows,
-                    std::vector<RowBatch>* out, uint64_t* rows) {
+std::vector<RowBatch> RowsToBatches(std::vector<Row> rows) {
+  std::vector<RowBatch> batches;
+  for (size_t begin = 0; begin < rows.size();
+       begin += RowBatch::kDefaultRows) {
+    const size_t end = std::min(rows.size(), begin + RowBatch::kDefaultRows);
+    RowBatch& batch = batches.emplace_back();
+    batch.ResetColumns(rows[begin].size());
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      batch.column(c).reserve(end - begin);
+    }
+    for (size_t r = begin; r < end; ++r) {
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        batch.column(c).push_back(std::move(rows[r][c]));
+      }
+      Row().swap(rows[r]);
+    }
+    batch.set_num_rows(end - begin);
+  }
+  return batches;
+}
+
+Status DrainBatches(storage::RowIterator* iter, std::vector<RowBatch>* out,
+                    uint64_t* rows) {
   for (;;) {
-    RowBatch batch(batch_rows);
+    RowBatch batch;
     if (!iter->NextBatch(&batch)) break;
     if (batch.ActiveRows() == 0) continue;
     *rows += batch.ActiveRows();

@@ -3,82 +3,70 @@
 #include <memory>
 #include <vector>
 
+#include "common/memory.h"
 #include "common/result.h"
 #include "storage/table.h"
 #include "types/row_batch.h"
 
 namespace htg::exec {
 
-// Base class for batch-native executor iterators. Subclasses implement
-// ProduceBatch() only; this class provides both pull interfaces:
-//
-//   * NextBatch() — the vectorized fast path. Ticks the exec.batch.*
-//     metrics so batch throughput shows up next to the morsel counters.
-//   * Next() — a row-at-a-time shim that drains an internal buffer batch
-//     via RowBatch::FillRow. This is the sanctioned row seam: row-only
-//     consumers (CROSS APPLY, stream aggregate, DISTINCT) sit on top of
-//     batch producers without any operator knowing about the other side.
+// Base class of the executor's batch operators. Subclasses implement
+// ProduceBatch() only; NextBatch() forwards to it and ticks the
+// exec.batch.* metrics so batch throughput shows up next to the morsel
+// counters.
 //
 // Error contract matches storage::RowIterator: a false return means end
 // of stream or error; status() distinguishes.
 class BatchIterator : public storage::RowIterator {
  public:
-  explicit BatchIterator(size_t batch_rows)
-      : batch_rows_(batch_rows == 0 ? RowBatch::kDefaultRows : batch_rows),
-        buffer_(batch_rows_) {}
-
-  bool Next(Row* row) final;
   bool NextBatch(RowBatch* batch) final;
-  bool BatchNative() const final { return true; }
 
   Status status() const override { return status_; }
 
  protected:
-  // Clears and fills `batch` with up to batch_rows_ rows. Returns true
-  // iff at least one live row was produced; on error, sets status_ and
-  // returns false.
+  // Refills `batch` with up to its capacity of rows. Returns true iff at
+  // least one live row was produced; on error, sets status_ and returns
+  // false.
   virtual bool ProduceBatch(RowBatch* batch) = 0;
 
-  size_t batch_rows_;
   Status status_;
-
- private:
-  RowBatch buffer_;  // backs the Next() shim only
-  size_t buffer_pos_ = 0;
 };
 
-// Row-native iterator over pre-materialized rows — the one shared
-// implementation behind sort output, aggregate output, constant scans,
-// and the row-pipeline parallel gather (previously four private copies).
-// Deliberately NOT batch-native: the rows already exist, so Next() hands
-// each one over with a single vector move, while batching them would
-// move every value into columns and straight back out. Batch consumers
-// above a materialization point still work via the inherited adapter.
-class MaterializedRowsIterator : public storage::RowIterator {
+// Row cursor over a batch stream: the one way a row-at-a-time consumer
+// (the joins, the stream aggregate, INSERT ... SELECT, provenance) reads
+// an operator's output. Each live row is moved out of the cursor's own
+// batch into the caller's row; exec.batch.fillrow_rows counts the rows
+// that cross back into row form.
+class BatchReader {
  public:
-  explicit MaterializedRowsIterator(std::vector<Row> rows)
-      : rows_(std::move(rows)) {}
+  explicit BatchReader(storage::RowIterator* iter) : iter_(iter) {}
+  ~BatchReader();
 
-  bool Next(Row* row) override {
-    if (next_ >= rows_.size()) return false;
-    *row = std::move(rows_[next_++]);
-    return true;
-  }
+  BatchReader(const BatchReader&) = delete;
+  BatchReader& operator=(const BatchReader&) = delete;
+
+  // Produces the next row. Returns false at end of stream or on error
+  // (check status() to distinguish).
+  bool Next(Row* row);
+
+  Status status() const { return iter_->status(); }
 
  private:
-  std::vector<Row> rows_;
-  size_t next_ = 0;
+  storage::RowIterator* iter_;
+  RowBatch batch_;
+  size_t pos_ = 0;
+  uint64_t uncounted_ = 0;  // rows read since the metric last ticked
 };
 
-// Batch-native iterator over pre-materialized batches (parallel gather:
-// morsel workers drain their pipelines into RowBatch buffers, and the
-// gather side replays them without ever converting to rows).
+// Iterator over pre-materialized batches: sort, aggregate and constant
+// scan results and the parallel gather. Holds the memory charge that
+// accounts for the batches until the consumer is done with them.
 class MaterializedBatchesIterator : public BatchIterator {
  public:
-  explicit MaterializedBatchesIterator(
-      std::vector<RowBatch> batches,
-      size_t batch_rows = RowBatch::kDefaultRows)
-      : BatchIterator(batch_rows), batches_(std::move(batches)) {}
+  explicit MaterializedBatchesIterator(std::vector<RowBatch> batches,
+                                       MemoryCharge charge = MemoryCharge(
+                                           nullptr))
+      : batches_(std::move(batches)), charge_(std::move(charge)) {}
 
  protected:
   bool ProduceBatch(RowBatch* batch) override;
@@ -86,12 +74,16 @@ class MaterializedBatchesIterator : public BatchIterator {
  private:
   std::vector<RowBatch> batches_;
   size_t next_ = 0;
+  MemoryCharge charge_;
 };
 
-// Drains `iter` into freshly allocated batches of `batch_rows` capacity,
-// appending them to `out` (empty batches are not stored). Adds the live
-// row count to *rows.
-Status DrainBatches(storage::RowIterator* iter, size_t batch_rows,
-                    std::vector<RowBatch>* out, uint64_t* rows);
+// Moves `rows` into dense batches of RowBatch::kDefaultRows rows, freeing
+// each row as it is consumed.
+std::vector<RowBatch> RowsToBatches(std::vector<Row> rows);
+
+// Drains `iter` into freshly allocated batches, appending them to `out`
+// (empty batches are not stored). Adds the live row count to *rows.
+Status DrainBatches(storage::RowIterator* iter, std::vector<RowBatch>* out,
+                    uint64_t* rows);
 
 }  // namespace htg::exec

@@ -1,8 +1,10 @@
 #include "exec/join_ops.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/string_util.h"
+#include "exec/batch.h"
 #include "exec/spill_util.h"
 #include "storage/spill.h"
 
@@ -16,23 +18,31 @@ using BuildMap = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
 // vector slot) on top of the key's and row's own bytes.
 constexpr size_t kJoinEntryOverheadBytes = 96;
 
+// Evaluates the join keys of `row` into `out`, assigning into its
+// existing values.
+Status EvalKeysInto(const std::vector<ExprPtr>& keys, udf::EvalContext* eval,
+                    const Row& row, Row* out) {
+  out->resize(keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    HTG_ASSIGN_OR_RETURN((*out)[k], keys[k]->Eval(eval, row));
+  }
+  return Status::OK();
+}
+
 Result<Row> EvalKeys(const std::vector<ExprPtr>& keys, udf::EvalContext* eval,
                      const Row& row) {
   Row out;
-  out.reserve(keys.size());
-  for (const ExprPtr& k : keys) {
-    HTG_ASSIGN_OR_RETURN(Value v, k->Eval(eval, row));
-    out.push_back(std::move(v));
-  }
+  HTG_RETURN_IF_ERROR(EvalKeysInto(keys, eval, row, &out));
   return out;
 }
 
-Row ConcatRows(const Row& left, const Row& right) {
-  Row out;
-  out.reserve(left.size() + right.size());
-  out.insert(out.end(), left.begin(), left.end());
-  out.insert(out.end(), right.begin(), right.end());
-  return out;
+// Writes left ++ right into `out`, copy-assigning into its existing
+// values so a reused output row keeps its string buffers.
+void AssignConcat(const Row& left, const Row& right, Row* out) {
+  out->resize(left.size() + right.size());
+  std::copy(left.begin(), left.end(), out->begin());
+  std::copy(right.begin(), right.end(),
+            out->begin() + static_cast<ptrdiff_t>(left.size()));
 }
 
 std::string DescribeJoinKeys(const std::vector<ExprPtr>& l,
@@ -46,43 +56,41 @@ std::string DescribeJoinKeys(const std::vector<ExprPtr>& l,
   return out;
 }
 
-class HashJoinIterator : public storage::RowIterator {
+class HashJoinIterator : public storage::RowSource {
  public:
   HashJoinIterator(std::unique_ptr<storage::RowIterator> left, BuildMap build,
                    const std::vector<ExprPtr>* left_keys,
                    udf::EvalContext* eval, bool left_outer, int right_width,
                    MemoryCharge charge)
       : left_(std::move(left)),
+        left_rows_(left_.get()),
         build_(std::move(build)),
         left_keys_(left_keys),
         eval_(eval),
         left_outer_(left_outer),
-        right_width_(right_width),
+        null_right_(right_width, Value::Null()),
         charge_(std::move(charge)) {}
 
   bool Next(Row* row) override {
     for (;;) {
       if (matches_ != nullptr && match_index_ < matches_->size()) {
-        *row = ConcatRows(left_row_, (*matches_)[match_index_++]);
+        AssignConcat(left_row_, (*matches_)[match_index_++], row);
         return true;
       }
-      if (!left_->Next(&left_row_)) {
-        status_ = left_->status();
+      if (!left_rows_.Next(&left_row_)) {
+        status_ = left_rows_.status();
         return false;
       }
-      Result<Row> key = EvalKeys(*left_keys_, eval_, left_row_);
-      if (!key.ok()) {
-        status_ = key.status();
-        return false;
-      }
+      status_ = EvalKeysInto(*left_keys_, eval_, left_row_, &left_key_);
+      if (!status_.ok()) return false;
       // SQL equi-join: NULL keys never match.
       bool has_null = false;
-      for (const Value& v : *key) has_null = has_null || v.is_null();
-      auto it = has_null ? build_.end() : build_.find(*key);
+      for (const Value& v : left_key_) has_null = has_null || v.is_null();
+      auto it = has_null ? build_.end() : build_.find(left_key_);
       if (it == build_.end()) {
         if (left_outer_) {
           // Unmatched left row: pad the right side with NULLs.
-          *row = ConcatRows(left_row_, Row(right_width_, Value::Null()));
+          AssignConcat(left_row_, null_right_, row);
           matches_ = nullptr;
           return true;
         }
@@ -98,13 +106,15 @@ class HashJoinIterator : public storage::RowIterator {
 
  private:
   std::unique_ptr<storage::RowIterator> left_;
+  BatchReader left_rows_;
   BuildMap build_;
   const std::vector<ExprPtr>* left_keys_;
   udf::EvalContext* eval_;
   bool left_outer_;
-  int right_width_;
+  Row null_right_;  // right-side padding of unmatched left-outer rows
   MemoryCharge charge_;  // keeps the build table accounted while live
   Row left_row_;
+  Row left_key_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_index_ = 0;
   Status status_;
@@ -218,7 +228,7 @@ class JoinSpill {
 // budget re-partition both runs with a deeper hash salt and re-queue.
 // Output order differs from the in-memory join. Owns every spill file,
 // so the data is deleted with the iterator.
-class GraceHashJoinIterator : public storage::RowIterator {
+class GraceHashJoinIterator : public storage::RowSource {
  public:
   GraceHashJoinIterator(std::vector<std::unique_ptr<storage::SpillFile>> files,
                         std::vector<JoinSpillWork> work,
@@ -235,7 +245,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
         ctx_(ctx),
         stats_(stats),
         left_outer_(left_outer),
-        right_width_(right_width),
+        null_right_(right_width, Value::Null()),
         op_name_(op_name),
         charge_(std::move(charge)) {
     if (left_outer_ && null_run.rows > 0 && !files_.empty()) {
@@ -248,7 +258,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
     if (!status_.ok()) return false;
     for (;;) {
       if (matches_ != nullptr && match_index_ < matches_->size()) {
-        *out = ConcatRows(probe_row_, (*matches_)[match_index_++]);
+        AssignConcat(probe_row_, (*matches_)[match_index_++], out);
         return true;
       }
       matches_ = nullptr;
@@ -262,7 +272,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
           auto it = build_.find(*key);
           if (it == build_.end()) {
             if (left_outer_) {
-              *out = ConcatRows(probe_row_, Row(right_width_, Value::Null()));
+              AssignConcat(probe_row_, null_right_, out);
               return true;
             }
             continue;
@@ -279,7 +289,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
       }
       if (null_reader_ != nullptr) {
         if (null_reader_->Next(&probe_row_)) {
-          *out = ConcatRows(probe_row_, Row(right_width_, Value::Null()));
+          AssignConcat(probe_row_, null_right_, out);
           return true;
         }
         status_ = null_reader_->status();
@@ -364,7 +374,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
   ExecContext* ctx_;
   OperatorStats* stats_;
   bool left_outer_;
-  int right_width_;
+  Row null_right_;  // right-side padding of unmatched left-outer rows
   const char* op_name_;
   MemoryCharge charge_;
   BuildMap build_;
@@ -379,7 +389,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
 // Streaming merge join. Both inputs ascend on their keys; buffers the
 // right-side group matching the current key (charged against the query
 // budget — a pathological key group can be arbitrarily wide).
-class MergeJoinIterator : public storage::RowIterator {
+class MergeJoinIterator : public storage::RowSource {
  public:
   MergeJoinIterator(std::unique_ptr<storage::RowIterator> left,
                     std::unique_ptr<storage::RowIterator> right,
@@ -388,6 +398,8 @@ class MergeJoinIterator : public storage::RowIterator {
                     udf::EvalContext* eval, MemoryContext* mem)
       : left_(std::move(left)),
         right_(std::move(right)),
+        left_rows_(left_.get()),
+        right_rows_(right_.get()),
         left_keys_(left_keys),
         right_keys_(right_keys),
         eval_(eval),
@@ -397,7 +409,7 @@ class MergeJoinIterator : public storage::RowIterator {
     if (!status_.ok()) return false;
     for (;;) {
       if (emitting_ && group_index_ < right_group_.size()) {
-        *row = ConcatRows(left_row_, right_group_[group_index_++]);
+        AssignConcat(left_row_, right_group_[group_index_++], row);
         return true;
       }
       emitting_ = false;
@@ -438,17 +450,12 @@ class MergeJoinIterator : public storage::RowIterator {
   }
 
   bool AdvanceLeft() {
-    if (!left_->Next(&left_row_)) {
-      status_ = left_->status();
+    if (!left_rows_.Next(&left_row_)) {
+      status_ = left_rows_.status();
       return false;
     }
-    Result<Row> key = EvalKeys(*left_keys_, eval_, left_row_);
-    if (!key.ok()) {
-      status_ = key.status();
-      return false;
-    }
-    left_key_ = std::move(*key);
-    return true;
+    status_ = EvalKeysInto(*left_keys_, eval_, left_row_, &left_key_);
+    return status_.ok();
   }
 
   bool BufferRightRow(Row row) {
@@ -466,17 +473,13 @@ class MergeJoinIterator : public storage::RowIterator {
     right_group_.clear();
     charge_.ReleaseAll();
     if (!pending_valid_) {
-      if (!right_->Next(&pending_row_)) {
-        status_ = right_->status();
+      if (!right_rows_.Next(&pending_row_)) {
+        status_ = right_rows_.status();
         group_valid_ = false;
         return false;
       }
-      Result<Row> key = EvalKeys(*right_keys_, eval_, pending_row_);
-      if (!key.ok()) {
-        status_ = key.status();
-        return false;
-      }
-      pending_key_ = std::move(*key);
+      status_ = EvalKeysInto(*right_keys_, eval_, pending_row_, &pending_key_);
+      if (!status_.ok()) return false;
       pending_valid_ = true;
     }
     right_group_key_ = pending_key_;
@@ -484,20 +487,16 @@ class MergeJoinIterator : public storage::RowIterator {
     pending_valid_ = false;
     // Pull until the key changes.
     for (;;) {
-      if (!right_->Next(&pending_row_)) {
-        status_ = right_->status();
+      if (!right_rows_.Next(&pending_row_)) {
+        status_ = right_rows_.status();
         break;
       }
-      Result<Row> key = EvalKeys(*right_keys_, eval_, pending_row_);
-      if (!key.ok()) {
-        status_ = key.status();
-        return false;
-      }
-      if (CompareKeys(*key, right_group_key_) == 0) {
+      status_ = EvalKeysInto(*right_keys_, eval_, pending_row_, &pending_key_);
+      if (!status_.ok()) return false;
+      if (CompareKeys(pending_key_, right_group_key_) == 0) {
         if (!BufferRightRow(std::move(pending_row_))) return false;
         continue;
       }
-      pending_key_ = std::move(*key);
       pending_valid_ = true;
       break;
     }
@@ -507,6 +506,8 @@ class MergeJoinIterator : public storage::RowIterator {
 
   std::unique_ptr<storage::RowIterator> left_;
   std::unique_ptr<storage::RowIterator> right_;
+  BatchReader left_rows_;
+  BatchReader right_rows_;
   const std::vector<ExprPtr>* left_keys_;
   const std::vector<ExprPtr>* right_keys_;
   udf::EvalContext* eval_;
@@ -525,12 +526,13 @@ class MergeJoinIterator : public storage::RowIterator {
   Status status_;
 };
 
-class NestedLoopIterator : public storage::RowIterator {
+class NestedLoopIterator : public storage::RowSource {
  public:
   NestedLoopIterator(std::unique_ptr<storage::RowIterator> left,
                      std::vector<Row> right, const Expr* predicate,
                      udf::EvalContext* eval, MemoryCharge charge)
       : left_(std::move(left)),
+        left_rows_(left_.get()),
         right_(std::move(right)),
         predicate_(predicate),
         eval_(eval),
@@ -539,23 +541,17 @@ class NestedLoopIterator : public storage::RowIterator {
   bool Next(Row* row) override {
     for (;;) {
       while (right_index_ < right_.size()) {
-        Row candidate = ConcatRows(left_row_, right_[right_index_++]);
-        if (predicate_ == nullptr) {
-          *row = std::move(candidate);
-          return true;
-        }
-        Result<bool> keep = EvalPredicate(*predicate_, eval_, candidate);
+        AssignConcat(left_row_, right_[right_index_++], row);
+        if (predicate_ == nullptr) return true;
+        Result<bool> keep = EvalPredicate(*predicate_, eval_, *row);
         if (!keep.ok()) {
           status_ = keep.status();
           return false;
         }
-        if (*keep) {
-          *row = std::move(candidate);
-          return true;
-        }
+        if (*keep) return true;
       }
-      if (!left_->Next(&left_row_)) {
-        status_ = left_->status();
+      if (!left_rows_.Next(&left_row_)) {
+        status_ = left_rows_.status();
         return false;
       }
       right_index_ = 0;
@@ -566,6 +562,7 @@ class NestedLoopIterator : public storage::RowIterator {
 
  private:
   std::unique_ptr<storage::RowIterator> left_;
+  BatchReader left_rows_;
   std::vector<Row> right_;
   const Expr* predicate_;
   udf::EvalContext* eval_;
@@ -613,8 +610,9 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
   MemoryCharge charge(ctx->mem.get(), op_name);
   BuildMap build;
   std::unique_ptr<JoinSpill> spill;  // engaged when the build overflows
+  BatchReader right_rows(right.get());
   Row row;
-  while (right->Next(&row)) {
+  while (right_rows.Next(&row)) {
     HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(right_keys_, &ctx->eval, row));
     // NULL build keys never match; drop them here.
     bool has_null = false;
@@ -665,7 +663,8 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
   // Route the probe side into the matching partitions. NULL-keyed probe
   // rows match nothing: an inner join drops them, a left-outer join
   // parks them in a dedicated run to pad later.
-  while (left->Next(&row)) {
+  BatchReader left_rows(left.get());
+  while (left_rows.Next(&row)) {
     HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(left_keys_, &ctx->eval, row));
     bool has_null = false;
     for (const Value& v : key) has_null = has_null || v.is_null();

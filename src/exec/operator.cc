@@ -9,9 +9,9 @@ namespace htg::exec {
 
 namespace {
 
-// Times Next() and counts rows into the owning operator's stats. Only
-// constructed under EXPLAIN ANALYZE, so the two clock reads per row are
-// never on the normal query path.
+// Times NextBatch() and counts rows and batches into the owning
+// operator's stats. Only constructed under EXPLAIN ANALYZE, so the two
+// clock reads per batch are never on the normal query path.
 class StatsIterator : public storage::RowIterator {
  public:
   StatsIterator(std::unique_ptr<storage::RowIterator> inner,
@@ -22,14 +22,6 @@ class StatsIterator : public storage::RowIterator {
     Stopwatch sw;
     inner_.reset();
     stats_->close_ns.fetch_add(sw.ElapsedNanos(), std::memory_order_relaxed);
-  }
-
-  bool Next(Row* row) override {
-    Stopwatch sw;
-    const bool ok = inner_->Next(row);
-    stats_->next_ns.fetch_add(sw.ElapsedNanos(), std::memory_order_relaxed);
-    if (ok) stats_->rows_out.fetch_add(1, std::memory_order_relaxed);
-    return ok;
   }
 
   bool NextBatch(RowBatch* batch) override {
@@ -43,8 +35,6 @@ class StatsIterator : public storage::RowIterator {
     }
     return ok;
   }
-
-  bool BatchNative() const override { return inner_->BatchNative(); }
 
   Status status() const override { return inner_->status(); }
 
@@ -61,12 +51,6 @@ class CountingIterator : public storage::RowIterator {
         counter_(counter),
         batch_counter_(batch_counter) {}
 
-  bool Next(Row* row) override {
-    const bool ok = inner_->Next(row);
-    if (ok) ++*counter_;
-    return ok;
-  }
-
   bool NextBatch(RowBatch* batch) override {
     const bool ok = inner_->NextBatch(batch);
     if (ok) {
@@ -75,8 +59,6 @@ class CountingIterator : public storage::RowIterator {
     }
     return ok;
   }
-
-  bool BatchNative() const override { return inner_->BatchNative(); }
 
   Status status() const override { return inner_->status(); }
 
@@ -222,16 +204,6 @@ std::string ExplainAnalyzePlan(const Operator& root) {
 }
 
 Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows) {
-  if (!iter->BatchNative()) {
-    // Row-only producer: pulling batches through the adapter would move
-    // every value into columns and straight back out. Drain rows as rows.
-    Row row;
-    while (iter->Next(&row)) {
-      rows->push_back(std::move(row));
-      row.clear();
-    }
-    return iter->status();
-  }
   RowBatch batch;
   while (iter->NextBatch(&batch)) {
     const size_t n = batch.ActiveRows();
@@ -241,7 +213,7 @@ Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows) {
       Row row;
       row.reserve(batch.num_columns());
       // Selection vectors never repeat a physical row, so moving the
-      // values out of the batch (about to be cleared) is safe.
+      // values out of the batch (about to be refilled) is safe.
       for (size_t c = 0; c < batch.num_columns(); ++c) {
         row.push_back(std::move(batch.column(c)[r]));
       }

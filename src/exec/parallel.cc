@@ -318,21 +318,14 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
     stats->worker_batches.assign(dop, 0);
   }
 
-  // Workers drain morsels into per-morsel buffers; each worker evaluates
-  // expressions through its own EvalContext copy. Batch-native pipelines
-  // (scan, scan+filter, ...) buffer RowBatches, so rows cross the
-  // exchange without ever converting to row-at-a-time form; row-only
-  // pipelines (CROSS APPLY and friends) buffer plain rows instead of
-  // paying a round trip through columns. The stages are identical across
-  // morsels, so nativeness is uniform and the gather side picks one
-  // replay shape for the whole exchange.
+  // Workers drain morsels into per-morsel batch buffers; each worker
+  // evaluates expressions through its own EvalContext copy. Rows cross
+  // the exchange as RowBatches and are never converted to row form.
   std::vector<ExecContext> worker_ctx(dop, *ctx);
   std::vector<std::vector<RowBatch>> buffers(morsels.size());
-  std::vector<std::vector<Row>> row_buffers(morsels.size());
-  std::atomic<bool> batch_exchange{false};
   std::vector<size_t> done_order;  // completion order of morsel indexes
   Mutex done_mu;  // guards done_order until the drain barrier; the
-                  // gather loops below read it quiescently afterwards
+                  // gather loop below reads it quiescently afterwards
   done_order.reserve(morsels.size());
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
@@ -344,15 +337,8 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
         HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
                              pipeline->Open(&worker_ctx[worker]));
         uint64_t morsel_rows = 0;
-        const bool batchy = ctx->UseBatches() && iter->BatchNative();
-        if (batchy) {
-          batch_exchange.store(true, std::memory_order_relaxed);
-          HTG_RETURN_IF_ERROR(DrainBatches(iter.get(), ctx->batch_rows,
-                                           &buffers[m], &morsel_rows));
-        } else {
-          HTG_RETURN_IF_ERROR(DrainIterator(iter.get(), &row_buffers[m]));
-          morsel_rows = row_buffers[m].size();
-        }
+        HTG_RETURN_IF_ERROR(DrainBatches(iter.get(), &buffers[m],
+                                         &morsel_rows));
         if (ctx->collect_stats) {
           stats->worker_rows[worker] += morsel_rows;
           stats->worker_batches[worker] += buffers[m].size();
@@ -364,25 +350,6 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
         }
         return Status::OK();
       }));
-
-  if (!batch_exchange.load(std::memory_order_relaxed)) {
-    size_t total = 0;
-    for (const std::vector<Row>& b : row_buffers) total += b.size();
-    std::vector<Row> rows;
-    rows.reserve(total);
-    if (preserve_order_) {
-      for (std::vector<Row>& b : row_buffers) {
-        for (Row& row : b) rows.push_back(std::move(row));
-        b.clear();
-      }
-    } else {
-      for (size_t m : done_order) {
-        for (Row& row : row_buffers[m]) rows.push_back(std::move(row));
-        row_buffers[m].clear();
-      }
-    }
-    return {std::make_unique<MaterializedRowsIterator>(std::move(rows))};
-  }
 
   size_t total = 0;
   for (const std::vector<RowBatch>& b : buffers) total += b.size();
@@ -400,8 +367,7 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
       buffers[m].clear();
     }
   }
-  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
-                                                        ctx->batch_rows)};
+  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches))};
 }
 
 std::string ParallelMapOp::Describe() const {

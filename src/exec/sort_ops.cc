@@ -32,7 +32,7 @@ constexpr size_t kParallelSortMinRows = 4096;
 // row); the comparator orders by the key prefix with per-key direction,
 // breaking ties by run index — runs are written in arrival order and
 // sorted stably, so the merged order equals the in-memory stable sort.
-class SortRunMergeIterator : public storage::RowIterator {
+class SortRunMergeIterator : public storage::RowSource {
  public:
   SortRunMergeIterator(std::unique_ptr<storage::SpillFile> file,
                        std::vector<storage::SpillRun> runs, size_t nkeys,
@@ -169,53 +169,35 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
     return flush_run();
   };
 
-  if (ctx->UseBatches() && iter->BatchNative()) {
-    // Batch path: extract sort keys with vectorized kernels while the
-    // input drains, materializing rows by moving values out of each
-    // batch.
-    RowBatch batch(ctx->batch_rows);
-    std::vector<std::vector<Value>> key_cols(keys.size());
-    while (iter->NextBatch(&batch)) {
-      const size_t n = batch.ActiveRows();
-      const uint32_t* sel = batch.selection_data();
-      for (size_t k = 0; k < keys.size(); ++k) {
-        HTG_RETURN_IF_ERROR(
-            keys[k].expr->EvalBatch(&ctx->eval, batch, sel, n, &key_cols[k]));
-      }
-      rows.reserve(rows.size() + n);
-      sort_keys.reserve(sort_keys.size() + n);
-      for (size_t j = 0; j < n; ++j) {
-        Row key;
-        key.reserve(keys.size());
-        for (size_t k = 0; k < keys.size(); ++k) {
-          key.push_back(std::move(key_cols[k][j]));
-        }
-        const size_t r = batch.ActiveIndex(j);
-        Row row;
-        row.reserve(batch.num_columns());
-        for (size_t c = 0; c < batch.num_columns(); ++c) {
-          row.push_back(std::move(batch.column(c)[r]));
-        }
-        HTG_RETURN_IF_ERROR(append_row(std::move(row), std::move(key)));
-      }
+  // Extract sort keys with batch kernels while the input drains,
+  // materializing rows by moving values out of each batch.
+  RowBatch batch;
+  std::vector<std::vector<Value>> key_cols(keys.size());
+  while (iter->NextBatch(&batch)) {
+    const size_t n = batch.ActiveRows();
+    const uint32_t* sel = batch.selection_data();
+    for (size_t k = 0; k < keys.size(); ++k) {
+      HTG_RETURN_IF_ERROR(
+          keys[k].expr->EvalBatch(&ctx->eval, batch, sel, n, &key_cols[k]));
     }
-    HTG_RETURN_IF_ERROR(iter->status());
-  } else {
-    // Row path: evaluate the keys per row while draining (exprs may be
-    // arbitrarily costly, but spilling needs the key alongside the row).
-    Row row;
-    while (iter->Next(&row)) {
+    rows.reserve(rows.size() + n);
+    sort_keys.reserve(sort_keys.size() + n);
+    for (size_t j = 0; j < n; ++j) {
       Row key;
       key.reserve(keys.size());
-      for (const SortKey& k : keys) {
-        HTG_ASSIGN_OR_RETURN(Value v, k.expr->Eval(&ctx->eval, row));
-        key.push_back(std::move(v));
+      for (size_t k = 0; k < keys.size(); ++k) {
+        key.push_back(std::move(key_cols[k][j]));
+      }
+      const size_t r = batch.ActiveIndex(j);
+      Row row;
+      row.reserve(batch.num_columns());
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        row.push_back(std::move(batch.column(c)[r]));
       }
       HTG_RETURN_IF_ERROR(append_row(std::move(row), std::move(key)));
-      row = Row();
     }
-    HTG_RETURN_IF_ERROR(iter->status());
   }
+  HTG_RETURN_IF_ERROR(iter->status());
 
   if (!runs.empty()) {
     // External path: the tail buffer becomes the final run, then a k-way
@@ -286,8 +268,8 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
   sorted.reserve(rows.size());
   for (size_t i : order) sorted.push_back(std::move(rows[i]));
   if (stats != nullptr) RecordPeakMem(stats, charge.peak());
-  return {std::make_unique<ChargedRowsIterator>(std::move(sorted),
-                                                std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(
+      RowsToBatches(std::move(sorted)), std::move(charge))};
 }
 
 Result<std::unique_ptr<storage::RowIterator>> SortOp::OpenImpl(
@@ -309,20 +291,28 @@ RowNumberOp::RowNumberOp(OperatorPtr child, std::vector<SortKey> keys,
 
 namespace {
 
-// Streams the sorted input, appending the 1-based rank — no extra
-// materialization on top of the sort.
-class RowNumberIterator : public storage::RowIterator {
+// Streams the sorted input, appending the 1-based rank column to each
+// batch — no extra materialization on top of the sort.
+class RowNumberIterator : public BatchIterator {
  public:
   explicit RowNumberIterator(std::unique_ptr<storage::RowIterator> input)
       : input_(std::move(input)) {}
 
-  bool Next(Row* row) override {
-    if (!input_->Next(row)) return false;
-    row->push_back(Value::Int64(static_cast<int64_t>(++rank_)));
+ protected:
+  bool ProduceBatch(RowBatch* batch) override {
+    if (!input_->NextBatch(batch)) {
+      status_ = input_->status();
+      return false;
+    }
+    // The rank column is dense over the physical rows; rows outside the
+    // selection keep a NULL rank nobody reads.
+    std::vector<Value>& ranks = batch->AddColumn();
+    for (size_t i = 0; i < batch->ActiveRows(); ++i) {
+      ranks[batch->ActiveIndex(i)] =
+          Value::Int64(static_cast<int64_t>(++rank_));
+    }
     return true;
   }
-
-  Status status() const override { return input_->status(); }
 
  private:
   std::unique_ptr<storage::RowIterator> input_;

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "common/memory.h"
 #include "common/string_util.h"
-#include "exec/batch.h"
 #include "types/value.h"
 
 namespace htg::exec {
@@ -82,18 +80,5 @@ inline Status SpillDepthError(const char* op) {
       "for this memory budget)",
       op, kMaxSpillDepth));
 }
-
-// Materialized-rows stream that keeps its MemoryCharge (and with it the
-// query-context accounting) alive until the consumer is done with the
-// rows.
-class ChargedRowsIterator : public MaterializedRowsIterator {
- public:
-  ChargedRowsIterator(std::vector<Row> rows, MemoryCharge charge)
-      : MaterializedRowsIterator(std::move(rows)),
-        charge_(std::move(charge)) {}
-
- private:
-  MemoryCharge charge_;
-};
 
 }  // namespace htg::exec

@@ -59,20 +59,19 @@ Result<const CachedReference*> GetOrBuild(const std::string& path,
 }
 
 // Pulls reads from the lane stream, aligns, and emits aligned rows.
-class AlignIterator : public storage::RowIterator {
+class AlignIterator : public storage::RowSource {
  public:
-  AlignIterator(std::unique_ptr<storage::RowIterator> reads,
+  AlignIterator(std::unique_ptr<storage::RowSource> reads,
                 const CachedReference* cached)
       : reads_(std::move(reads)), cached_(cached) {}
 
   bool Next(Row* row) override {
-    Row read_row;
-    while (reads_->Next(&read_row)) {
+    while (reads_->Next(&read_row_)) {
       ShortRead read;
-      read.name = read_row[0].AsString();
-      read.sequence = read_row[1].AsString();
-      if (read_row.size() > 2 && !read_row[2].is_null()) {
-        read.quality = read_row[2].AsString();
+      read.name = read_row_[0].AsString();
+      read.sequence = read_row_[1].AsString();
+      if (read_row_.size() > 2 && !read_row_[2].is_null()) {
+        read.quality = read_row_[2].AsString();
       }
       Result<Alignment> aligned = cached_->aligner->AlignRead(read);
       if (!aligned.ok()) continue;  // unaligned reads are dropped
@@ -93,8 +92,9 @@ class AlignIterator : public storage::RowIterator {
   Status status() const override { return status_; }
 
  private:
-  std::unique_ptr<storage::RowIterator> reads_;
+  std::unique_ptr<storage::RowSource> reads_;
   const CachedReference* cached_;
+  Row read_row_;
   Status status_;
 };
 
@@ -111,7 +111,7 @@ Result<Schema> AlignReadsTvf::BindSchema(const std::vector<Value>&) const {
   return schema;
 }
 
-Result<std::unique_ptr<storage::RowIterator>> AlignReadsTvf::Open(
+Result<std::unique_ptr<storage::RowSource>> AlignReadsTvf::Open(
     const std::vector<Value>& args, Database* db) const {
   if (args.size() < 3 || args[2].is_null()) {
     return Status::InvalidArgument(

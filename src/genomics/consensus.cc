@@ -15,18 +15,18 @@ int BaseIndex(char base) {
 
 char IndexBase(int i) { return i < 4 ? kBases[i] : 'N'; }
 
-class PivotIterator : public storage::RowIterator {
+class PivotIterator : public storage::RowSource {
  public:
   PivotIterator(int64_t position, std::string seq, std::string quals)
       : position_(position), seq_(std::move(seq)), quals_(std::move(quals)) {}
 
   bool Next(Row* row) override {
     if (index_ >= seq_.size()) return false;
-    row->clear();
-    row->push_back(Value::Int64(position_ + static_cast<int64_t>(index_)));
-    row->push_back(Value::String(std::string(1, seq_[index_])));
-    row->push_back(Value::Int32(
-        index_ < quals_.size() ? CharToPhred(quals_[index_]) : 0));
+    row->resize(3);
+    (*row)[0] = Value::Int64(position_ + static_cast<int64_t>(index_));
+    (*row)[1] = Value::String(std::string(1, seq_[index_]));
+    (*row)[2] = Value::Int32(
+        index_ < quals_.size() ? CharToPhred(quals_[index_]) : 0);
     ++index_;
     return true;
   }
@@ -150,7 +150,7 @@ Result<Schema> PivotAlignmentTvf::BindSchema(const std::vector<Value>&) const {
 
 // Thread-safe for concurrent Open() (parallel CROSS APPLY): no shared
 // mutable state — each iterator owns copies of its arguments.
-Result<std::unique_ptr<storage::RowIterator>> PivotAlignmentTvf::Open(
+Result<std::unique_ptr<storage::RowSource>> PivotAlignmentTvf::Open(
     const std::vector<Value>& args, Database*) const {
   if (args.size() != 3) {
     return Status::InvalidArgument("PivotAlignment(pos, seq, quals)");

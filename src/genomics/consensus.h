@@ -16,7 +16,7 @@ class PivotAlignmentTvf : public udf::TableFunction {
  public:
   std::string_view name() const override { return "PivotAlignment"; }
   Result<Schema> BindSchema(const std::vector<Value>& args) const override;
-  Result<std::unique_ptr<storage::RowIterator>> Open(
+  Result<std::unique_ptr<storage::RowSource>> Open(
       const std::vector<Value>& args, Database* db) const override;
 };
 

@@ -111,12 +111,17 @@ Result<std::string> FindShortReadBlob(Database* db, int64_t sample,
         "ShortReadFiles must have (sample, lane, reads) columns");
   }
   std::unique_ptr<storage::RowIterator> scan = table->table->NewScan();
-  Row row;
-  while (scan->Next(&row)) {
-    if (!row[sample_col].is_null() && !row[lane_col].is_null() &&
-        row[sample_col].AsInt64() == sample &&
-        row[lane_col].AsInt64() == lane && !row[reads_col].is_null()) {
-      return row[reads_col].AsString();
+  RowBatch batch;
+  while (scan->NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.ActiveRows(); ++i) {
+      const size_t r = batch.ActiveIndex(i);
+      const Value& s = batch.column(sample_col)[r];
+      const Value& l = batch.column(lane_col)[r];
+      const Value& reads = batch.column(reads_col)[r];
+      if (!s.is_null() && !l.is_null() && s.AsInt64() == sample &&
+          l.AsInt64() == lane && !reads.is_null()) {
+        return reads.AsString();
+      }
     }
   }
   HTG_RETURN_IF_ERROR(scan->status());
@@ -153,7 +158,7 @@ Result<Schema> ListShortReadsTvf::BindSchema(
   return ShortReadSchema(format);
 }
 
-Result<std::unique_ptr<storage::RowIterator>> ListShortReadsTvf::Open(
+Result<std::unique_ptr<storage::RowSource>> ListShortReadsTvf::Open(
     const std::vector<Value>& args, Database* db) const {
   if (args.size() < 2 || args.size() > 4) {
     return Status::InvalidArgument(
@@ -177,7 +182,7 @@ Result<Schema> ReadFastqFileTvf::BindSchema(const std::vector<Value>&) const {
   return ShortReadSchema(ShortReadFormat::kFastq);
 }
 
-Result<std::unique_ptr<storage::RowIterator>> ReadFastqFileTvf::Open(
+Result<std::unique_ptr<storage::RowSource>> ReadFastqFileTvf::Open(
     const std::vector<Value>& args, Database* db) const {
   if (args.empty() || args[0].is_null()) {
     return Status::InvalidArgument("ReadFastqFile(path [, chunk_kb])");
@@ -193,7 +198,7 @@ Result<Schema> ReadFastaFileTvf::BindSchema(const std::vector<Value>&) const {
   return ShortReadSchema(ShortReadFormat::kFasta);
 }
 
-Result<std::unique_ptr<storage::RowIterator>> ReadFastaFileTvf::Open(
+Result<std::unique_ptr<storage::RowSource>> ReadFastaFileTvf::Open(
     const std::vector<Value>& args, Database* db) const {
   if (args.empty() || args[0].is_null()) {
     return Status::InvalidArgument("ReadFastaFile(path [, chunk_kb])");

@@ -815,7 +815,21 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   plan = std::make_unique<exec::ProjectOp>(std::move(plan),
                                            std::move(proj_exprs), proj_names);
   if (stmt.distinct) {
-    plan = std::make_unique<exec::DistinctOp>(std::move(plan));
+    // SELECT DISTINCT is a GROUP BY over every select-list column with no
+    // aggregates: the hash aggregate's key equality, memory accounting
+    // and spilling.
+    const Schema& cols = plan->output_schema();
+    std::vector<ExprPtr> keys;
+    std::vector<std::string> names;
+    for (int i = 0; i < cols.num_columns(); ++i) {
+      const Column& col = cols.column(i);
+      keys.push_back(
+          std::make_unique<exec::ColumnRefExpr>(i, col.name, col.type));
+      names.push_back(col.name);
+    }
+    plan = std::make_unique<exec::HashAggregateOp>(
+        std::move(plan), std::move(keys), std::move(names),
+        std::vector<exec::AggSpec>{});
   }
 
   if (!sort_cols.empty()) {

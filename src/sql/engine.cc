@@ -5,6 +5,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "exec/batch.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "storage/clustered_table.h"
@@ -531,12 +532,13 @@ Result<QueryResult> SqlEngine::InsertInTxn(const InsertStmt& stmt,
     ctx.txn_id = txn->id;
     HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
                          plan->Open(&ctx));
+    exec::BatchReader rows(iter.get());
     Row row;
-    while (iter->Next(&row)) {
+    while (rows.Next(&row)) {
       HTG_RETURN_IF_ERROR(insert_source_row(std::move(row)));
       row.clear();
     }
-    HTG_RETURN_IF_ERROR(iter->status());
+    HTG_RETURN_IF_ERROR(rows.status());
   }
 
   QueryResult result;

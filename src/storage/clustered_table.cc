@@ -114,17 +114,8 @@ class ClusteredTable::ScanIterator : public RowIterator {
   ScanIterator(const ClusteredTable* table, BPlusTree::Cursor cursor)
       : table_(table), cursor_(cursor) {}
 
-  bool Next(Row* row) override {
-    ReaderMutexLock lock(&table_->latch_);
-    if (!cursor_.Valid()) return false;
-    status_ = table_->DecodeEntryLocked(cursor_.payload(), &guard_, row);
-    if (!status_.ok()) return false;
-    cursor_.Advance();
-    return true;
-  }
-
-  // Batch-native fill: one cursor walk decodes a whole batch, reusing the
-  // leaf-page pin across the run of rows that share a page.
+  // One cursor walk decodes a whole batch, reusing the leaf-page pin
+  // across the run of rows that share a page.
   bool NextBatch(RowBatch* batch) override {
     batch->Clear();
     ReaderMutexLock lock(&table_->latch_);
@@ -138,8 +129,6 @@ class ClusteredTable::ScanIterator : public RowIterator {
     }
     return batch->num_rows() > 0;
   }
-
-  bool BatchNative() const override { return true; }
 
   Status status() const override { return status_; }
 
@@ -166,16 +155,6 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
         self_(self),
         seek_(std::move(seek)) {}
 
-  bool Next(Row* row) override {
-    for (;;) {
-      if (buffer_pos_ < buffer_.size()) {
-        *row = std::move(buffer_[buffer_pos_++]);
-        return true;
-      }
-      if (!Refill()) return false;
-    }
-  }
-
   bool NextBatch(RowBatch* batch) override {
     batch->Clear();
     for (;;) {
@@ -186,8 +165,6 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
       if (!Refill()) return status_.ok() && batch->num_rows() > 0;
     }
   }
-
-  bool BatchNative() const override { return true; }
 
   Status status() const override { return status_; }
 

@@ -18,23 +18,8 @@ class HeapTable::ScanIterator : public RowIterator {
         end_page_(end_page),
         tail_rows_(tail_rows) {}
 
-  bool Next(Row* row) override {
-    for (;;) {
-      if (reader_ != nullptr && rows_left_ > 0 && reader_->Next(row)) {
-        --rows_left_;
-        return true;
-      }
-      if (reader_ != nullptr && rows_left_ > 0) {
-        status_ = reader_->status();
-        if (!status_.ok()) return false;
-      }
-      if (!AdvancePage()) return false;
-    }
-  }
-
-  // Batch-native fill: decodes page rows straight into the batch while
-  // the page pin is held, so the per-row virtual Next() dispatch of the
-  // Volcano path disappears from the scan entirely.
+  // Decodes page rows straight into the batch while the page pin is
+  // held.
   bool NextBatch(RowBatch* batch) override {
     batch->Clear();
     Row row;
@@ -54,8 +39,6 @@ class HeapTable::ScanIterator : public RowIterator {
       if (!AdvancePage()) return status_.ok() && batch->num_rows() > 0;
     }
   }
-
-  bool BatchNative() const override { return true; }
 
   Status status() const override { return status_; }
 
@@ -111,7 +94,7 @@ namespace {
 class FailedIterator : public RowIterator {
  public:
   explicit FailedIterator(Status status) : status_(std::move(status)) {}
-  bool Next(Row*) override { return false; }
+  bool NextBatch(RowBatch*) override { return false; }
   Status status() const override { return status_; }
 
  private:

@@ -96,7 +96,7 @@ class SpillRunWriter {
 
 // Streams one run back, pinning pages through the buffer pool (CRC
 // verified on any miss fill).
-class SpillRunReader : public RowIterator {
+class SpillRunReader : public RowSource {
  public:
   SpillRunReader(SpillFile* file, SpillRun run)
       : file_(file), run_(std::move(run)) {}

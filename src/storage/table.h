@@ -13,38 +13,45 @@
 
 namespace htg::storage {
 
-// Pull-based row cursor, the engine's universal scan interface.
+// Pull-based batch cursor, the engine's one scan and operator interface.
 class RowIterator {
  public:
   virtual ~RowIterator() = default;
 
-  // Produces the next row. Returns false at end of stream or on error
-  // (check status() to distinguish).
-  virtual bool Next(Row* row) = 0;
-
-  // Produces the next batch of rows: clears `batch` and fills it up to
-  // its capacity. Returns true iff at least one row was produced; false
-  // means end of stream or error (check status()). The default adapter
-  // loops Next() so every row-only iterator participates in the batch
-  // pull path; hot storage scans override this with a page-native fill.
-  virtual bool NextBatch(RowBatch* batch) {
-    batch->Clear();
-    Row row;
-    while (!batch->full() && Next(&row)) {
-      batch->AppendRow(std::move(row));
-      row.clear();
-    }
-    return batch->num_rows() > 0;
-  }
-
-  // True when NextBatch() is a native columnar fill rather than the
-  // row-loop adapter above. Batch consumers check this to decide whether
-  // a vectorized kernel pays: pulling batches from a row-only producer
-  // moves every value into a batch and straight back out again, so those
-  // pipelines stay row-at-a-time end to end.
-  virtual bool BatchNative() const { return false; }
+  // Produces the next batch: refills `batch` with up to its capacity
+  // rows. Returns true iff at least one live row was produced; false
+  // means end of stream or error (check status()).
+  virtual bool NextBatch(RowBatch* batch) = 0;
 
   virtual Status status() const { return Status::OK(); }
+};
+
+// Adapter base of the row-at-a-time producers: the TVF iterators (the
+// paper's §5.2 seam), the joins, the stream aggregate, the sort-run merge
+// and the spill-run readers. Subclasses implement Next(); NextBatch()
+// fills the batch from it through one reused row whose values are
+// swapped into the batch's retained value slots, so each value is copied
+// once (by Next) and string buffers circulate instead of being
+// reallocated.
+class RowSource : public RowIterator {
+ public:
+  // Produces the next row. Returns false at end of stream or on error
+  // (check status() to distinguish). `row` holds stale values from
+  // earlier rows: implementations overwrite every value, assigning into
+  // the existing ones rather than rebuilding the row, so their buffers
+  // are reused.
+  virtual bool Next(Row* row) = 0;
+
+  bool NextBatch(RowBatch* batch) final {
+    batch->StartFill(batch->num_columns());
+    size_t n = 0;
+    while (n < batch->capacity() && Next(&row_)) batch->SwapRow(n++, &row_);
+    batch->FinishFill(n);
+    return n > 0;
+  }
+
+ private:
+  Row row_;
 };
 
 // Physical storage accounting, the measurement behind Tables 1 and 2.

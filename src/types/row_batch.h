@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "types/value.h"
@@ -22,12 +23,12 @@ namespace htg {
 //   * Filters narrow a batch by replacing the selection vector; they never
 //     move column data. Projections emit dense (selection-free) batches.
 //
-// Rows cross back into row-at-a-time form only through FillRow()/
-// AppendRow() — the deliberate seam where per-row UDF/TVF/CROSS APPLY
-// work happens (the paper's §5.2 boundary, kept measurable on purpose).
+// Rows cross into and out of row-at-a-time form only through the row
+// seams below (AppendRow, SwapRow, FillRow) — where row producers such as
+// the TVF iterators (the paper's §5.2 boundary) meet the batch path.
 class RowBatch {
  public:
-  // Default batch size; see HTG_BATCH_ROWS / DatabaseOptions::batch_rows.
+  // Rows per batch everywhere in the executor.
   static constexpr size_t kDefaultRows = 1024;
 
   RowBatch() : capacity_(kDefaultRows) {}
@@ -86,6 +87,12 @@ class RowBatch {
     Clear();
   }
 
+  // Appends a column of num_rows() NULLs for a kernel to fill.
+  std::vector<Value>& AddColumn() {
+    columns_.emplace_back(num_rows_);
+    return columns_.back();
+  }
+
   // Declares the row count after columns were written directly by a batch
   // kernel. Every column must hold exactly `n` values.
   void set_num_rows(size_t n) { num_rows_ = n; }
@@ -101,6 +108,47 @@ class RowBatch {
       columns_[c].push_back(c < row.size() ? std::move(row[c]) : Value::Null());
     }
     ++num_rows_;
+  }
+
+  // Retained-slot fill, the refill path of row producers. A fill writes
+  // rows 0, 1, ... in order through Slot()/SwapRow() and ends with
+  // FinishFill(n). Values the previous fill left stay in place until they
+  // are overwritten, so their string buffers are reused instead of freed
+  // and reallocated.
+  //
+  // The value slot of column `c` for row `r` of the fill in progress;
+  // rows must be written in order (r <= the column's size).
+  Value& Slot(size_t c, size_t r) {
+    std::vector<Value>& col = columns_[c];
+    if (r == col.size()) col.emplace_back();
+    return col[r];
+  }
+
+  // Starts a fill of `num_columns`-wide rows: drops the selection and
+  // reshapes if the arity changed, keeping every retained value.
+  void StartFill(size_t num_columns) {
+    if (columns_.size() != num_columns) columns_.resize(num_columns);
+    num_rows_ = 0;
+    ClearSelection();
+  }
+
+  // Writes `row` as row `r` of the fill in progress by swapping values:
+  // the slot's previous value comes back in `row`, where the producer's
+  // next copy-assignment reuses its buffer. Row 0 reshapes the batch to
+  // the row's arity, so a recycled batch can move between producers.
+  void SwapRow(size_t r, Row* row) {
+    if (r == 0 && columns_.size() != row->size()) {
+      columns_.resize(row->size());
+    }
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      std::swap(Slot(c, r), (*row)[c]);
+    }
+  }
+
+  // Ends a fill of `n` rows, trimming the values left beyond them.
+  void FinishFill(size_t n) {
+    for (std::vector<Value>& col : columns_) col.resize(n);
+    num_rows_ = n;
   }
 
   // Row seam: copies the i-th *live* row into `row` (cleared first).

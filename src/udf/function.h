@@ -43,9 +43,10 @@ struct ScalarFunction {
 };
 
 // A table-valued function (paper §2.3.2 / Fig. 5): binds an output schema
-// from constant arguments, then opens a pull-based row iterator. The
-// iterator owns all file access and parsing; the engine pulls one row at a
-// time, so results stream instead of materializing.
+// from constant arguments, then opens a pull-based row source. The source
+// owns all file access and parsing; the engine pulls one row at a time
+// through Next() (CROSS APPLY writes each row straight into its output
+// batch), so results stream instead of materializing.
 //
 // Concurrency contract: the parallel executor calls Open() from multiple
 // worker threads at once (one CROSS APPLY invocation per input row per
@@ -64,7 +65,7 @@ class TableFunction {
   virtual Result<Schema> BindSchema(const std::vector<Value>& args) const = 0;
 
   // Opens the row stream for one invocation.
-  virtual Result<std::unique_ptr<storage::RowIterator>> Open(
+  virtual Result<std::unique_ptr<storage::RowSource>> Open(
       const std::vector<Value>& args, Database* db) const = 0;
 };
 

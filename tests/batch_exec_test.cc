@@ -1,15 +1,16 @@
-// Batch/row execution parity: every operator converted to the vectorized
-// NextBatch path must produce exactly the rows the legacy row-at-a-time
-// path produces. DatabaseOptions::batch_rows = 1 forces the row
-// iterators, so each query runs under three engines (row mode, an odd
-// batch size, the default 1024) over identically seeded data — with
-// NULLs, empty inputs, and row counts straddling the batch boundary.
+// Batch execution against a plain C++ oracle: every operator runs only on
+// the NextBatch path, so each query's expected rows are computed directly
+// from the seeding formula — with NULLs, empty inputs, and row counts
+// straddling the 1024-row batch boundary — at DOP 1 and DOP 8.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,7 +75,40 @@ TEST(RowBatchTest, ClearKeepsShapeAndReshapesOnNewArity) {
   EXPECT_EQ(row[2].AsInt64(), 9);
 }
 
-// -------------------------------------------------------------- parity ---
+TEST(RowBatchTest, RetainedSlotFillReusesAndTrims) {
+  RowBatch batch(4);
+  batch.StartFill(2);
+  for (size_t r = 0; r < 3; ++r) {
+    Row row{Value::Int64(static_cast<int64_t>(r)),
+            Value::String(std::string(40, 'x'))};
+    batch.SwapRow(r, &row);
+  }
+  batch.FinishFill(3);
+  EXPECT_EQ(batch.num_rows(), 3u);
+  const char* buffer = batch.column(1)[0].AsString().data();
+  // A refill swaps the row into the retained slot: the slot's old value
+  // (and its string buffer) comes back in the row for the producer to
+  // overwrite, and the values beyond the refill's rows are trimmed.
+  batch.SetSelection({2});
+  batch.StartFill(2);
+  EXPECT_FALSE(batch.has_selection());
+  Row row{Value::Int64(9), Value::String(std::string(40, 'y'))};
+  batch.SwapRow(0, &row);
+  batch.FinishFill(1);
+  EXPECT_EQ(row[1].AsString().data(), buffer);
+  EXPECT_EQ(batch.num_rows(), 1u);
+  EXPECT_EQ(batch.column(0).size(), 1u);
+  EXPECT_EQ(batch.column(1)[0].AsString(), std::string(40, 'y'));
+  // Row 0 of a fill reshapes to the new arity.
+  batch.StartFill(batch.num_columns());
+  row = Row{Value::Int64(1), Value::Int64(2), Value::Int64(3)};
+  batch.SwapRow(0, &row);
+  batch.FinishFill(1);
+  EXPECT_EQ(batch.num_columns(), 3u);
+  EXPECT_EQ(batch.column(2)[0].AsInt64(), 3);
+}
+
+// -------------------------------------------------------------- oracle ---
 
 class BatchParityTest : public ::testing::Test {
  protected:
@@ -83,13 +117,12 @@ class BatchParityTest : public ::testing::Test {
     std::unique_ptr<sql::SqlEngine> engine;
   };
 
-  Instance Make(size_t batch_rows, int max_dop = 0,
-                uint64_t parallel_threshold = 0) {
+  // DOP > 1 also drops the parallel threshold so exchanges plan in.
+  Instance Make(int max_dop = 1) {
     static int counter = 0;
     DatabaseOptions options;
-    options.batch_rows = batch_rows;
-    if (max_dop > 0) options.max_dop = max_dop;
-    if (parallel_threshold > 0) options.parallel_threshold = parallel_threshold;
+    options.max_dop = max_dop;
+    if (max_dop > 1) options.parallel_threshold = 1;
     options.filestream_root =
         "/tmp/htg_batch_exec_test_" + std::to_string(counter++);
     auto db = Database::Open("batchtest", options);
@@ -109,36 +142,41 @@ class BatchParityTest : public ::testing::Test {
     return result.ok() ? std::move(*result) : sql::QueryResult{};
   }
 
-  // Seeds `t(a BIGINT, b VARCHAR(20), c FLOAT)` with n deterministic rows;
-  // every 7th b and every 11th c is NULL, and a == 0 appears (the
-  // short-circuit division guard needs it).
+  // Row i of `t(id BIGINT, a BIGINT, b VARCHAR(20), c FLOAT)`: id = i,
+  // a = i % 97 (so a == 0 appears, which the short-circuit division guard
+  // needs), every 7th b and every 11th c NULL.
+  static Row SeedRow(int i) {
+    Row row;
+    row.push_back(Value::Int64(i));
+    row.push_back(Value::Int64(i % 97));
+    if (i % 7 == 3) {
+      row.push_back(Value::Null());
+    } else {
+      row.push_back(Value::String((i % 3 != 0 ? "ACGT" : "TTNA") +
+                                  std::to_string(i % 53)));
+    }
+    if (i % 11 == 5) {
+      row.push_back(Value::Null());
+    } else {
+      row.push_back(Value::Double(i * 0.5));
+    }
+    return row;
+  }
+
   void SeedT(Instance& in, int n) {
-    Exec(in, "CREATE TABLE t (a BIGINT, b VARCHAR(20), c FLOAT)");
+    Exec(in, "CREATE TABLE t (id BIGINT, a BIGINT, b VARCHAR(20), c FLOAT)");
     auto table = in.db->GetTable("t");
     ASSERT_TRUE(table.ok());
     for (int i = 0; i < n; ++i) {
-      Row row;
-      row.push_back(Value::Int64(i % 97));
-      if (i % 7 == 3) {
-        row.push_back(Value::Null());
-      } else {
-        row.push_back(Value::String((i % 3 != 0 ? "ACGT" : "TTNA") +
-                                    std::to_string(i % 53)));
-      }
-      if (i % 11 == 5) {
-        row.push_back(Value::Null());
-      } else {
-        row.push_back(Value::Double(i * 0.5));
-      }
-      ASSERT_TRUE(in.db->InsertRow(*table, std::move(row)).ok());
+      ASSERT_TRUE(in.db->InsertRow(*table, SeedRow(i)).ok());
     }
   }
 
   // One line per row; unordered queries compare as sorted multisets.
-  static std::string Render(const sql::QueryResult& r, bool sort_lines) {
+  static std::string Render(const std::vector<Row>& rows, bool sort_lines) {
     std::vector<std::string> lines;
-    lines.reserve(r.rows.size());
-    for (const Row& row : r.rows) {
+    lines.reserve(rows.size());
+    for (const Row& row : rows) {
       std::string line;
       for (const Value& v : row) {
         line += v.is_null() ? "<null>" : v.ToString();
@@ -155,110 +193,238 @@ class BatchParityTest : public ::testing::Test {
     return out;
   }
 
-  // Every converted operator shows up here: scan, filter (with the
-  // short-circuit AND divide guard), project (CASE / IS NULL / LIKE),
-  // hash aggregate, global aggregate, distinct, sort, top.
-  struct ParityQuery {
+  // Every operator shows up here: scan, filter (with the short-circuit
+  // AND divide guard), project (CASE / IS NULL / LIKE), hash aggregate,
+  // global aggregate, distinct, sort, top, ROW_NUMBER. Ordered queries
+  // break every tie on a unique key, so their order is fully determined.
+  struct OracleQuery {
     const char* sql;
     bool ordered;  // ORDER BY output: compare positionally, not as a set
+    std::function<std::vector<Row>(const std::vector<Row>& t)> expect;
   };
-  static const std::vector<ParityQuery>& Queries() {
-    static const std::vector<ParityQuery>* queries =
-        new std::vector<ParityQuery>{
-            {"SELECT a, b, c FROM t WHERE a >= 40 AND a < 80", false},
-            {"SELECT a, CASE WHEN c IS NULL THEN 'nul' WHEN a < 10 "
-             "THEN 'small' ELSE 'big' END FROM t",
-             false},
-            {"SELECT b FROM t WHERE b LIKE 'ACGT%'", false},
-            {"SELECT a, c FROM t WHERE b IS NULL", false},
-            // AND must not evaluate the division for a == 0 rows.
-            {"SELECT a FROM t WHERE a <> 0 AND 100 / a > 1", false},
-            {"SELECT a, COUNT(*), SUM(c) FROM t GROUP BY a", false},
-            {"SELECT COUNT(*), SUM(a), MIN(b), MAX(c) FROM t", false},
-            {"SELECT DISTINCT a FROM t", false},
-            {"SELECT a, b, c FROM t ORDER BY a", true},
-            {"SELECT TOP 10 a, b, c FROM t ORDER BY a DESC", true},
-        };
+
+  static std::vector<Row> Where(const std::vector<Row>& t,
+                                const std::function<bool(const Row&)>& keep,
+                                const std::function<Row(const Row&)>& out) {
+    std::vector<Row> rows;
+    for (const Row& r : t) {
+      if (keep(r)) rows.push_back(out(r));
+    }
+    return rows;
+  }
+
+  // (a, COUNT(*), SUM(c)) per distinct a, in ascending a.
+  static std::vector<Row> CountsByA(const std::vector<Row>& t) {
+    std::map<int64_t, std::pair<int64_t, std::optional<double>>> groups;
+    for (const Row& r : t) {
+      auto& [count, sum] = groups[r[1].AsInt64()];
+      ++count;
+      if (!r[3].is_null()) sum = sum.value_or(0) + r[3].AsDouble();
+    }
+    std::vector<Row> rows;
+    for (const auto& [a, g] : groups) {
+      Row row{Value::Int64(a), Value::Int64(g.first), Value::Null()};
+      if (g.second) row[2] = Value::Double(*g.second);
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+
+  // Rows ordered by a (descending when `desc`), ties broken by id.
+  static std::vector<Row> OrderByA(std::vector<Row> t, bool desc) {
+    std::sort(t.begin(), t.end(), [desc](const Row& x, const Row& y) {
+      if (x[1].AsInt64() != y[1].AsInt64()) {
+        return desc ? x[1].AsInt64() > y[1].AsInt64()
+                    : x[1].AsInt64() < y[1].AsInt64();
+      }
+      return x[0].AsInt64() < y[0].AsInt64();
+    });
+    return t;
+  }
+
+  static const std::vector<OracleQuery>& Queries() {
+    static const std::vector<OracleQuery>* queries = new std::vector<
+        OracleQuery>{
+        {"SELECT a, b, c FROM t WHERE a >= 40 AND a < 80", false,
+         [](const std::vector<Row>& t) {
+           return Where(
+               t,
+               [](const Row& r) {
+                 return r[1].AsInt64() >= 40 && r[1].AsInt64() < 80;
+               },
+               [](const Row& r) { return Row{r[1], r[2], r[3]}; });
+         }},
+        {"SELECT a, CASE WHEN c IS NULL THEN 'nul' WHEN a < 10 "
+         "THEN 'small' ELSE 'big' END FROM t",
+         false,
+         [](const std::vector<Row>& t) {
+           return Where(
+               t, [](const Row&) { return true; },
+               [](const Row& r) {
+                 const char* label = r[3].is_null()       ? "nul"
+                                     : r[1].AsInt64() < 10 ? "small"
+                                                           : "big";
+                 return Row{r[1], Value::String(label)};
+               });
+         }},
+        {"SELECT b FROM t WHERE b LIKE 'ACGT%'", false,
+         [](const std::vector<Row>& t) {
+           return Where(
+               t,
+               [](const Row& r) {
+                 return !r[2].is_null() && r[2].AsString().rfind("ACGT", 0) == 0;
+               },
+               [](const Row& r) { return Row{r[2]}; });
+         }},
+        {"SELECT a, c FROM t WHERE b IS NULL", false,
+         [](const std::vector<Row>& t) {
+           return Where(
+               t, [](const Row& r) { return r[2].is_null(); },
+               [](const Row& r) { return Row{r[1], r[3]}; });
+         }},
+        // AND must not evaluate the division for a == 0 rows.
+        {"SELECT a FROM t WHERE a <> 0 AND 100 / a > 1", false,
+         [](const std::vector<Row>& t) {
+           return Where(
+               t,
+               [](const Row& r) {
+                 return r[1].AsInt64() != 0 && 100 / r[1].AsInt64() > 1;
+               },
+               [](const Row& r) { return Row{r[1]}; });
+         }},
+        {"SELECT a, COUNT(*), SUM(c) FROM t GROUP BY a", false, CountsByA},
+        {"SELECT COUNT(*), SUM(a), MIN(b), MAX(c) FROM t", false,
+         [](const std::vector<Row>& t) {
+           Value sum;
+           Value min_b;
+           Value max_c;
+           for (const Row& r : t) {
+             sum = Value::Int64((sum.is_null() ? 0 : sum.AsInt64()) +
+                                r[1].AsInt64());
+             if (!r[2].is_null() &&
+                 (min_b.is_null() || r[2].Compare(min_b) < 0)) {
+               min_b = r[2];
+             }
+             if (!r[3].is_null() &&
+                 (max_c.is_null() || r[3].Compare(max_c) > 0)) {
+               max_c = r[3];
+             }
+           }
+           return std::vector<Row>{
+               Row{Value::Int64(static_cast<int64_t>(t.size())), sum, min_b,
+                   max_c}};
+         }},
+        {"SELECT DISTINCT a FROM t", false,
+         [](const std::vector<Row>& t) {
+           std::vector<Row> rows;
+           for (const Row& g : CountsByA(t)) rows.push_back(Row{g[0]});
+           return rows;
+         }},
+        {"SELECT id, a, b, c FROM t ORDER BY a, id", true,
+         [](const std::vector<Row>& t) { return OrderByA(t, false); }},
+        {"SELECT TOP 10 id, a, b, c FROM t ORDER BY a DESC, id", true,
+         [](const std::vector<Row>& t) {
+           std::vector<Row> rows = OrderByA(t, true);
+           if (rows.size() > 10) rows.resize(10);
+           return rows;
+         }},
+        {"SELECT ROW_NUMBER() OVER (ORDER BY COUNT(*) DESC, a) AS rank, "
+         "COUNT(*) AS freq, a FROM t GROUP BY a",
+         true,
+         [](const std::vector<Row>& t) {
+           std::vector<Row> groups = CountsByA(t);
+           std::sort(groups.begin(), groups.end(),
+                     [](const Row& x, const Row& y) {
+                       if (x[1].AsInt64() != y[1].AsInt64()) {
+                         return x[1].AsInt64() > y[1].AsInt64();
+                       }
+                       return x[0].AsInt64() < y[0].AsInt64();
+                     });
+           std::vector<Row> rows;
+           for (const Row& g : groups) {
+             rows.push_back(
+                 Row{Value::Int64(static_cast<int64_t>(rows.size() + 1)), g[1],
+                     g[0]});
+           }
+           return rows;
+         }},
+    };
     return *queries;
   }
 
-  void ExpectParityAt(int n) {
-    Instance row_mode = Make(1);
-    Instance odd_mode = Make(7);
-    Instance batch_mode = Make(1024);
-    SeedT(row_mode, n);
-    SeedT(odd_mode, n);
-    SeedT(batch_mode, n);
-    for (const ParityQuery& q : Queries()) {
-      const std::string want = Render(Exec(row_mode, q.sql), !q.ordered);
-      EXPECT_EQ(want, Render(Exec(odd_mode, q.sql), !q.ordered))
-          << "rows=" << n << " batch_rows=7: " << q.sql;
-      EXPECT_EQ(want, Render(Exec(batch_mode, q.sql), !q.ordered))
-          << "rows=" << n << " batch_rows=1024: " << q.sql;
+  void ExpectOracleAt(int n, int dop) {
+    Instance in = Make(dop);
+    SeedT(in, n);
+    std::vector<Row> t;
+    for (int i = 0; i < n; ++i) t.push_back(SeedRow(i));
+    for (const OracleQuery& q : Queries()) {
+      EXPECT_EQ(Render(q.expect(t), !q.ordered),
+                Render(Exec(in, q.sql).rows, !q.ordered))
+          << "rows=" << n << " dop=" << dop << ": " << q.sql;
     }
   }
 };
 
-TEST_F(BatchParityTest, EmptyInput) { ExpectParityAt(0); }
+TEST_F(BatchParityTest, EmptyInput) {
+  ExpectOracleAt(0, 1);
+  ExpectOracleAt(0, 8);
+}
 
 TEST_F(BatchParityTest, BatchBoundaryRowCounts) {
   // One row short of a full batch, exactly one batch, one row into the
-  // second batch: the classic off-by-one surface of batched producers.
-  for (int n : {1023, 1024, 1025}) ExpectParityAt(n);
-}
-
-TEST_F(BatchParityTest, CrossApplyTvfSeam) {
-  // CROSS APPLY stays row-at-a-time by design (the paper's UDF/TVF
-  // boundary); it must still consume batched children losslessly.
-  const int n = 1025;
-  Instance row_mode = Make(1);
-  Instance batch_mode = Make(1024);
-  for (Instance* in : {&row_mode, &batch_mode}) {
-    Exec(*in,
-         "CREATE TABLE aligned (pos BIGINT, seq VARCHAR(10), "
-         "quals VARCHAR(10))");
-    auto table = in->db->GetTable("aligned");
-    ASSERT_TRUE(table.ok());
-    for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(in->db
-                      ->InsertRow(*table, Row{Value::Int64(i * 2),
-                                              Value::String("ACG"),
-                                              Value::String("III")})
-                      .ok());
-    }
-  }
-  const std::string query =
-      "SELECT pa.pos AS ref_pos, base, qual FROM aligned "
-      "CROSS APPLY PivotAlignment(aligned.pos, seq, quals) AS pa";
-  EXPECT_EQ(Render(Exec(row_mode, query), true),
-            Render(Exec(batch_mode, query), true));
+  // second batch, one into the third: the classic off-by-one surface of
+  // batched producers.
+  for (int n : {1, 1023, 1024, 1025, 2049}) ExpectOracleAt(n, 1);
 }
 
 TEST_F(BatchParityTest, ParallelPlansAtDop8) {
   // Morsel-driven parallel map and partial/final aggregate pipelines at
-  // DOP 8 (parallel_threshold 1 forces the exchange in); run under
-  // HTG_SANITIZE=thread via the concurrency ctest label.
-  const int n = 3000;
-  Instance row_mode = Make(1, /*max_dop=*/8, /*parallel_threshold=*/1);
-  Instance batch_mode = Make(1024, /*max_dop=*/8, /*parallel_threshold=*/1);
-  SeedT(row_mode, n);
-  SeedT(batch_mode, n);
-  for (const char* query :
-       {"SELECT a, COUNT(*), SUM(c) FROM t GROUP BY a",
-        "SELECT a, b FROM t WHERE a >= 10 AND b IS NOT NULL",
-        // The second sort key breaks COUNT(*) ties: group order out of the
-        // parallel partitioned merge depends on morsel completion order, so
-        // without it ROW_NUMBER over tied counts is nondeterministic.
-        "SELECT ROW_NUMBER() OVER (ORDER BY COUNT(*) DESC, a) AS rank, "
-        "COUNT(*) AS freq, a FROM t GROUP BY a"}) {
-    EXPECT_EQ(Render(Exec(row_mode, query), true),
-              Render(Exec(batch_mode, query), true))
-        << query;
+  // DOP 8; run under HTG_SANITIZE=thread via the concurrency ctest label.
+  for (int n : {1, 1023, 1024, 1025, 2049}) ExpectOracleAt(n, 8);
+}
+
+TEST_F(BatchParityTest, CrossApplyTvfSeam) {
+  // The TVF is pulled row by row (the paper's UDF/TVF boundary) while
+  // CROSS APPLY writes batches. Pivots of 1..7 bases per outer row split
+  // the output at arbitrary points of an outer row's pivot.
+  const int n = 1025;
+  const std::string bases = "ACGTNAC";
+  std::vector<Row> want;
+  for (int i = 0; i < n; ++i) {
+    const size_t len = 1 + static_cast<size_t>(i % 7);
+    for (size_t k = 0; k < len; ++k) {
+      want.push_back(Row{Value::Int64(i * 2 + static_cast<int64_t>(k)),
+                         Value::String(std::string(1, bases[k])),
+                         Value::Int32(i % 41)});
+    }
+  }
+  for (int dop : {1, 8}) {
+    Instance in = Make(dop);
+    Exec(in,
+         "CREATE TABLE aligned (pos BIGINT, seq VARCHAR(10), "
+         "quals VARCHAR(10))");
+    auto table = in.db->GetTable("aligned");
+    ASSERT_TRUE(table.ok());
+    for (int i = 0; i < n; ++i) {
+      const size_t len = 1 + static_cast<size_t>(i % 7);
+      ASSERT_TRUE(in.db
+                      ->InsertRow(*table,
+                                  Row{Value::Int64(i * 2),
+                                      Value::String(bases.substr(0, len)),
+                                      Value::String(std::string(
+                                          len, static_cast<char>('!' + i % 41)))})
+                      .ok());
+    }
+    const std::string query =
+        "SELECT pa.pos AS ref_pos, base, qual FROM aligned "
+        "CROSS APPLY PivotAlignment(aligned.pos, seq, quals) AS pa";
+    EXPECT_EQ(Render(want, true), Render(Exec(in, query).rows, true))
+        << "dop=" << dop;
   }
 }
 
 TEST_F(BatchParityTest, ExplainAnalyzeReportsBatchSizes) {
-  Instance in = Make(1024);
+  Instance in = Make();
   SeedT(in, 4000);
   Result<sql::QueryResult> result =
       in.engine->Execute("EXPLAIN ANALYZE SELECT a, b, c FROM t "
@@ -275,12 +441,58 @@ TEST_F(BatchParityTest, ExplainAnalyzeReportsBatchSizes) {
   EXPECT_GT(rows_per_batch, 256.0) << plan;
 }
 
+TEST_F(BatchParityTest, ExplainAnalyzeEveryOperatorReportsBatches) {
+  // Every operator exchanges batches, including the row-at-a-time
+  // producers (merge join) and the TVF seam (CROSS APPLY): each operator
+  // that produced rows reports its batch count.
+  Instance in = Make();
+  Exec(in, "CREATE TABLE aln (rid BIGINT PRIMARY KEY, pos BIGINT)");
+  Exec(in,
+       "CREATE TABLE rd (rid BIGINT PRIMARY KEY, seq VARCHAR(10), "
+       "quals VARCHAR(10))");
+  auto aln = in.db->GetTable("aln");
+  auto rd = in.db->GetTable("rd");
+  ASSERT_TRUE(aln.ok() && rd.ok());
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(
+        in.db->InsertRow(*aln, Row{Value::Int64(i), Value::Int64(i % 50)})
+            .ok());
+    ASSERT_TRUE(in.db
+                    ->InsertRow(*rd, Row{Value::Int64(i), Value::String("ACG"),
+                                         Value::String("III")})
+                    .ok());
+  }
+  Result<sql::QueryResult> result = in.engine->Execute(
+      "EXPLAIN ANALYZE SELECT pa.pos, COUNT(*) FROM aln JOIN rd "
+      "ON aln.rid = rd.rid "
+      "CROSS APPLY PivotAlignment(aln.pos, seq, quals) AS pa "
+      "GROUP BY pa.pos");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string& plan = result->message;
+  ASSERT_NE(plan.find("Merge Join"), std::string::npos) << plan;
+  ASSERT_NE(plan.find("Cross Apply"), std::string::npos) << plan;
+  size_t begin = 0;
+  int producing = 0;
+  while (begin < plan.size()) {
+    size_t end = plan.find('\n', begin);
+    if (end == std::string::npos) end = plan.size();
+    const std::string line = plan.substr(begin, end - begin);
+    begin = end + 1;
+    const size_t at = line.find("actual rows=");
+    if (at == std::string::npos) continue;
+    if (std::strtoull(line.c_str() + at + 12, nullptr, 10) == 0) continue;
+    ++producing;
+    EXPECT_NE(line.find("rows/batch="), std::string::npos) << line;
+  }
+  EXPECT_GE(producing, 5) << plan;
+}
+
 TEST_F(BatchParityTest, UdfSeamStillCountsPerRowCalls) {
   // Vectorization must stop at the scalar-UDF boundary: CHARINDEX over n
   // rows is n individual udf.scalar.calls ticks (NULL inputs propagate
   // without a call), not one vectorized invocation.
   const int n = 1000;
-  Instance in = Make(1024);
+  Instance in = Make();
   SeedT(in, n);
   uint64_t expected_calls = 0;
   for (int i = 0; i < n; ++i) {

@@ -268,8 +268,8 @@ TEST(OperatorTest, ParallelAggregateWithFilterStage) {
 
 // GROUP BY k, s over ~100k distinct composite keys (NULLs among both key
 // columns), so every table path grows through many doublings: the serial
-// batch and row builds and the DOP-4 partial tables with their
-// partitioned final merge. Checked against a std::map oracle.
+// build and the DOP-4 partial tables with their partitioned final merge.
+// Checked against a std::map oracle.
 TEST(OperatorTest, GroupTableManyCompositeKeysMatchOracle) {
   auto db = OpenTestDb("groupkeys");
   catalog::TableDef def;
@@ -316,9 +316,8 @@ TEST(OperatorTest, GroupTableManyCompositeKeysMatchOracle) {
     aggs.push_back(std::move(sum));
     return aggs;
   };
-  auto check = [&](OperatorPtr plan, size_t batch_rows, const char* what) {
+  auto check = [&](OperatorPtr plan, const char* what) {
     ExecContext ctx = ExecContext::For(db.get());
-    ctx.batch_rows = batch_rows;
     auto iter = plan->Open(&ctx);
     ASSERT_TRUE(iter.ok()) << what;
     std::vector<Row> rows;
@@ -337,16 +336,12 @@ TEST(OperatorTest, GroupTableManyCompositeKeysMatchOracle) {
   check(std::make_unique<HashAggregateOp>(
             std::make_unique<TableScanOp>(table), make_groups(),
             std::vector<std::string>{"k", "s"}, make_aggs()),
-        RowBatch::kDefaultRows, "DOP 1, batches");
-  check(std::make_unique<HashAggregateOp>(
-            std::make_unique<TableScanOp>(table), make_groups(),
-            std::vector<std::string>{"k", "s"}, make_aggs()),
-        1, "DOP 1, rows");
+        "DOP 1");
   check(std::make_unique<ParallelAggregateOp>(
             table, std::vector<ParallelStage>{}, make_groups(),
             std::vector<std::string>{"k", "s"}, make_aggs(), /*dop=*/4,
             /*morsel_pages=*/8),
-        RowBatch::kDefaultRows, "DOP 4");
+        "DOP 4");
 }
 
 TEST(ParallelTest, MakeMorselsCoversAllPages) {

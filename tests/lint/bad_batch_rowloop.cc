@@ -9,8 +9,7 @@ namespace htg::exec {
 
 class LeakyBatchScan : public BatchIterator {
  public:
-  explicit LeakyBatchScan(storage::RowIterator* child)
-      : BatchIterator(0), child_(child) {}
+  explicit LeakyBatchScan(storage::RowSource* child) : child_(child) {}
 
  protected:
   bool ProduceBatch(RowBatch* batch) override {
@@ -24,10 +23,10 @@ class LeakyBatchScan : public BatchIterator {
   }
 
  private:
-  storage::RowIterator* child_;
+  storage::RowSource* child_;
 };
 
-inline Status DrainOneBatch(storage::RowIterator* iter, RowBatch* batch) {
+inline Status DrainOneBatch(storage::RowSource* iter, RowBatch* batch) {
   batch->Clear();
   Row row;
   while (!batch->full() && iter->Next(&row)) {

@@ -9,8 +9,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "storage/buffer_pool.h"
+#include "storage/table.h"
 #include "storage/tablespace.h"
 #include "storage/vfs.h"
 
@@ -36,5 +38,19 @@ class PooledStorage {
   BufferPool pool_;
   std::unique_ptr<TableSpace> space_;
 };
+
+// Every row of a scan, drained batch by batch; a failed scan fails the
+// calling test.
+inline std::vector<Row> ScanRows(RowIterator* iter) {
+  std::vector<Row> rows;
+  RowBatch batch;
+  while (iter->NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.ActiveRows(); ++i) {
+      batch.FillRow(i, &rows.emplace_back());
+    }
+  }
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+  return rows;
+}
 
 }  // namespace htg::storage

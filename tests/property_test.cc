@@ -349,9 +349,8 @@ TEST(HeapTableProperty, ScanReturnsInsertionOrderAtAnyPageSize) {
               .ok());
     }
     auto iter = table.NewScan();
-    Row row;
     int i = 0;
-    while (iter->Next(&row)) {
+    for (const Row& row : storage::ScanRows(iter.get())) {
       EXPECT_EQ(row[0].AsInt64(), i) << "page_size=" << page_size;
       ++i;
     }

@@ -1,6 +1,6 @@
 // Memory governance and spill-to-disk degradation: parity between
-// in-memory and forced-spill execution for sort / hash aggregate / hash
-// join (row mode, batch mode, and DOP-8 parallel aggregation), typed
+// in-memory and forced-spill execution for sort / hash aggregate /
+// DISTINCT / hash join (serial and DOP-8 parallel aggregation), typed
 // kResourceExhausted failures when spilling is unavailable, EXPLAIN
 // ANALYZE spill reporting, and fault injection into the spill write path
 // through the Vfs seam (ENOSPC, torn write, transient EIO) — after which
@@ -45,15 +45,13 @@ std::string PayloadFor(int i) {
 // the deterministic fact table t and dimension table u.
 std::unique_ptr<Database> OpenLoaded(const std::string& tag,
                                      int64_t query_mem_bytes,
-                                     bool enable_spill, size_t batch_rows,
-                                     int max_dop,
+                                     bool enable_spill, int max_dop,
                                      storage::Vfs* vfs = nullptr) {
   DatabaseOptions options;
   options.filestream_root = "/tmp/htg_spill_test_" + tag;
   std::filesystem::remove_all(options.filestream_root);
   options.query_mem_bytes = query_mem_bytes;
   options.enable_spill = enable_spill;
-  options.batch_rows = batch_rows;
   options.max_dop = max_dop;
   if (vfs != nullptr) options.filestream_options.vfs = vfs;
   auto db = Database::Open("spill_" + tag, options);
@@ -122,15 +120,9 @@ void ExpectParity(SqlEngine* reference, SqlEngine* tiny,
   EXPECT_EQ(want, have) << sql;
 }
 
-// batch_rows parameter: 1 = legacy row-at-a-time path, 0 = vectorized
-// batches (the default).
-class SpillParityTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(SpillParityTest, ExternalSortMatchesInMemorySort) {
-  auto ref = OpenLoaded("sortref_" + std::to_string(GetParam()), 0, true,
-                        GetParam(), 4);
-  auto tiny = OpenLoaded("sorttiny_" + std::to_string(GetParam()), kTinyBudget,
-                         true, GetParam(), 4);
+TEST(SpillParityTest, ExternalSortMatchesInMemorySort) {
+  auto ref = OpenLoaded("sortref", 0, true, 4);
+  auto tiny = OpenLoaded("sorttiny", kTinyBudget, true, 4);
   ASSERT_NE(ref, nullptr);
   ASSERT_NE(tiny, nullptr);
   SqlEngine ref_engine(ref.get());
@@ -141,11 +133,9 @@ TEST_P(SpillParityTest, ExternalSortMatchesInMemorySort) {
                "SELECT s, v FROM t ORDER BY s, v", /*ordered=*/true);
 }
 
-TEST_P(SpillParityTest, SpilledAggregateMatchesInMemoryAggregate) {
-  auto ref = OpenLoaded("aggref_" + std::to_string(GetParam()), 0, true,
-                        GetParam(), 1);
-  auto tiny = OpenLoaded("aggtiny_" + std::to_string(GetParam()), kTinyBudget,
-                         true, GetParam(), 1);
+TEST(SpillParityTest, SpilledAggregateMatchesInMemoryAggregate) {
+  auto ref = OpenLoaded("aggref", 0, true, 1);
+  auto tiny = OpenLoaded("aggtiny", kTinyBudget, true, 1);
   ASSERT_NE(ref, nullptr);
   ASSERT_NE(tiny, nullptr);
   SqlEngine ref_engine(ref.get());
@@ -155,13 +145,13 @@ TEST_P(SpillParityTest, SpilledAggregateMatchesInMemoryAggregate) {
                /*ordered=*/false);
   ExpectParity(&ref_engine, &tiny_engine,
                "SELECT s, COUNT(*) FROM t GROUP BY s", /*ordered=*/false);
+  ExpectParity(&ref_engine, &tiny_engine, "SELECT DISTINCT s, k FROM t",
+               /*ordered=*/false);
 }
 
-TEST_P(SpillParityTest, ParallelAggregateSpillsAtDop8) {
-  auto ref = OpenLoaded("pagref_" + std::to_string(GetParam()), 0, true,
-                        GetParam(), 8);
-  auto tiny = OpenLoaded("pagtiny_" + std::to_string(GetParam()), kTinyBudget,
-                         true, GetParam(), 8);
+TEST(SpillParityTest, ParallelAggregateSpillsAtDop8) {
+  auto ref = OpenLoaded("pagref", 0, true, 8);
+  auto tiny = OpenLoaded("pagtiny", kTinyBudget, true, 8);
   ASSERT_NE(ref, nullptr);
   ASSERT_NE(tiny, nullptr);
   SqlEngine ref_engine(ref.get());
@@ -171,11 +161,9 @@ TEST_P(SpillParityTest, ParallelAggregateSpillsAtDop8) {
                /*ordered=*/false);
 }
 
-TEST_P(SpillParityTest, GraceHashJoinMatchesInMemoryJoin) {
-  auto ref = OpenLoaded("joinref_" + std::to_string(GetParam()), 0, true,
-                        GetParam(), 1);
-  auto tiny = OpenLoaded("jointiny_" + std::to_string(GetParam()), kTinyBudget,
-                         true, GetParam(), 1);
+TEST(SpillParityTest, GraceHashJoinMatchesInMemoryJoin) {
+  auto ref = OpenLoaded("joinref", 0, true, 1);
+  auto tiny = OpenLoaded("jointiny", kTinyBudget, true, 1);
   ASSERT_NE(ref, nullptr);
   ASSERT_NE(tiny, nullptr);
   SqlEngine ref_engine(ref.get());
@@ -185,11 +173,8 @@ TEST_P(SpillParityTest, GraceHashJoinMatchesInMemoryJoin) {
                /*ordered=*/false);
 }
 
-INSTANTIATE_TEST_SUITE_P(RowAndBatchModes, SpillParityTest,
-                         ::testing::Values<size_t>(1, 0));
-
 TEST(SpillDisabledTest, OverBudgetFailsTypedAndSessionSurvives) {
-  auto db = OpenLoaded("nospill", kTinyBudget, /*enable_spill=*/false, 0, 4);
+  auto db = OpenLoaded("nospill", kTinyBudget, /*enable_spill=*/false, 4);
   ASSERT_NE(db, nullptr);
   SqlEngine engine(db.get());
   for (const char* sql :
@@ -207,20 +192,31 @@ TEST(SpillDisabledTest, OverBudgetFailsTypedAndSessionSurvives) {
   EXPECT_EQ(alive->rows[0][0].AsInt64(), kRows);
 }
 
-TEST(SpillDisabledTest, DistinctHasNoSpillAndFailsTyped) {
-  // DISTINCT's dedup set has no out-of-core fallback: over budget it
-  // fails typed even with spilling enabled.
-  auto db = OpenLoaded("distinct", kTinyBudget, /*enable_spill=*/true, 0, 4);
+TEST(SpillDisabledTest, DistinctSpillsOrFailsTyped) {
+  // DISTINCT is a hash aggregate: over budget it spills like GROUP BY and
+  // still returns every distinct row...
+  const char* sql = "SELECT DISTINCT s, v FROM t";
+  auto db = OpenLoaded("distinct", kTinyBudget, /*enable_spill=*/true, 4);
   ASSERT_NE(db, nullptr);
   SqlEngine engine(db.get());
-  Result<QueryResult> r = engine.Execute("SELECT DISTINCT s, v FROM t");
+  const uint64_t runs_before = SpillRunsCounter();
+  Result<QueryResult> r = engine.Execute(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(SpillRunsCounter(), runs_before);
+  EXPECT_EQ(r->rows.size(), static_cast<size_t>(kRows));  // v is unique
+  // ...and with spilling off it fails typed, leaving the session usable.
+  auto nospill =
+      OpenLoaded("distinct_nospill", kTinyBudget, /*enable_spill=*/false, 4);
+  ASSERT_NE(nospill, nullptr);
+  SqlEngine nospill_engine(nospill.get());
+  r = nospill_engine.Execute(sql);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-  EXPECT_TRUE(engine.Execute("SELECT COUNT(*) FROM t").ok());
+  EXPECT_TRUE(nospill_engine.Execute("SELECT COUNT(*) FROM t").ok());
 }
 
 TEST(SpillExplainTest, AnalyzeReportsSpillRunsAndPeakMem) {
-  auto db = OpenLoaded("explain", kTinyBudget, true, 0, 4);
+  auto db = OpenLoaded("explain", kTinyBudget, true, 4);
   ASSERT_NE(db, nullptr);
   SqlEngine engine(db.get());
   Result<QueryResult> r = engine.Execute(
@@ -257,7 +253,7 @@ class SpillFaultTest : public ::testing::Test {
   void SetUp() override {
     vfs_ = std::make_unique<storage::FaultInjectingVfs>(
         storage::Vfs::Default(), storage::FaultPlan{});
-    db_ = OpenLoaded("fault", kTinyBudget, true, 0, 4, vfs_.get());
+    db_ = OpenLoaded("fault", kTinyBudget, true, 4, vfs_.get());
     ASSERT_NE(db_, nullptr);
     engine_ = std::make_unique<SqlEngine>(db_.get());
   }

@@ -326,6 +326,24 @@ TEST_F(SqlTest, SelectDistinct) {
   ASSERT_EQ(r.rows.size(), 2u);
 }
 
+TEST_F(SqlTest, DistinctComparesValuesNotTheirPrintedForm) {
+  // All three doubles print as 1.23457 (%g) and every blob prints as
+  // "<blob 4 bytes>": DISTINCT and DISTINCT aggregates must compare the
+  // values themselves, exactly as GROUP BY does.
+  Exec("CREATE TABLE d (x FLOAT, v VARBINARY(8))");
+  Exec("INSERT INTO d VALUES (1.2345671, 'abcd'), (1.2345672, 'abce'), "
+       "(1.2345673, 'abcf')");
+  EXPECT_EQ(Exec("SELECT x FROM d GROUP BY x").rows.size(), 3u);
+  EXPECT_EQ(Exec("SELECT DISTINCT x FROM d").rows.size(), 3u);
+  EXPECT_EQ(Exec("SELECT DISTINCT v FROM d").rows.size(), 3u);
+  QueryResult r = Exec(
+      "SELECT COUNT(DISTINCT x), SUM(DISTINCT x), COUNT(DISTINCT v) FROM d");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt64(), 3);
+  EXPECT_DOUBLE_EQ(r.rows[0][1].AsDouble(), 1.2345671 + 1.2345672 + 1.2345673);
+  EXPECT_EQ(r.rows[0][2].AsInt64(), 3);
+}
+
 TEST_F(SqlTest, CountDistinct) {
   Exec("CREATE TABLE obs (g INT, v INT)");
   Exec("INSERT INTO obs VALUES (1,10), (1,10), (1,20), (2,10), (2,10)");

@@ -219,13 +219,11 @@ TEST(HeapTableTest, InsertScanRoundTrip) {
   }
   EXPECT_EQ(table.num_rows(), 500u);
   auto iter = table.NewScan();
-  Row row;
   int count = 0;
-  while (iter->Next(&row)) {
+  for (const Row& row : ScanRows(iter.get())) {
     EXPECT_EQ(row[0].AsInt64(), count);
     ++count;
   }
-  EXPECT_TRUE(iter->status().ok());
   EXPECT_EQ(count, 500);
   EXPECT_GT(table.Stats().pages, 1u);
 }
@@ -241,9 +239,7 @@ TEST(HeapTableTest, RangeScansPartitionCompletely) {
   const int parts = 3;
   for (int p = 0; p < parts; ++p) {
     auto iter = table.NewScanRange(pages * p / parts, pages * (p + 1) / parts);
-    Row row;
-    while (iter->Next(&row)) ++total;
-    EXPECT_TRUE(iter->status().ok());
+    total += static_cast<int>(ScanRows(iter.get()).size());
   }
   EXPECT_EQ(total, 300);
 }
@@ -256,9 +252,8 @@ TEST(HeapTableTest, TruncateToRowsUndoesAppends) {
   ASSERT_TRUE(table.TruncateToRows(100).ok());
   EXPECT_EQ(table.num_rows(), 100u);
   auto iter = table.NewScan();
-  Row row;
   int count = 0;
-  while (iter->Next(&row)) {
+  for (const Row& row : ScanRows(iter.get())) {
     EXPECT_EQ(row[0].AsInt64(), count);
     ++count;
   }
@@ -272,8 +267,7 @@ TEST(HeapTableTest, TruncateClearsAll) {
   table.Truncate();
   EXPECT_EQ(table.num_rows(), 0u);
   auto iter = table.NewScan();
-  Row row;
-  EXPECT_FALSE(iter->Next(&row));
+  EXPECT_TRUE(ScanRows(iter.get()).empty());
 }
 
 TEST(BPlusTreeTest, OrderedScanMatchesMultimap) {
@@ -368,10 +362,9 @@ TEST(ClusteredTableTest, ScanInKeyOrder) {
                     .ok());
   }
   auto iter = table.NewScan();
-  Row row;
   Row prev;
   int count = 0;
-  while (iter->Next(&row)) {
+  for (const Row& row : ScanRows(iter.get())) {
     if (!prev.empty()) {
       EXPECT_LE(CompareRowsOn(prev, row, {0, 1}), 0);
     }
@@ -392,9 +385,8 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
   }
   auto iter = table.NewScanFrom(Row{Value::Int64(90)});
   ASSERT_TRUE(iter.ok());
-  Row row;
   int count = 0;
-  while ((*iter)->Next(&row)) {
+  for (const Row& row : ScanRows(iter->get())) {
     EXPECT_GE(row[0].AsInt64(), 90);
     ++count;
   }

@@ -168,10 +168,9 @@ TEST(ClusteredSweepTest, SweepRemovesAbortedStampsWithoutDeadRowAccounting) {
   EXPECT_EQ(table.SweepAborted({7}), 1u);
   EXPECT_EQ(table.num_rows(), 1u);
   auto iter = table.NewScan();
-  Row row;
-  ASSERT_TRUE(iter->Next(&row));
-  EXPECT_EQ(row[0].AsInt64(), 1);
-  EXPECT_FALSE(iter->Next(&row));
+  const std::vector<Row> rows = storage::ScanRows(iter.get());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].AsInt64(), 1);
 }
 
 // ----------------------------------------------------------- GC cadence

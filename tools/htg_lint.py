@@ -69,10 +69,12 @@ Rules (ids usable in NOLINT suppressions):
   exec-batch-rowloop
                     No per-row `Next()` pulls inside src/exec batch
                     kernels (functions named *Batch* or classes deriving
-                    BatchIterator): a row loop there silently degrades the
-                    vectorized path back to tuple-at-a-time. Pull whole
-                    batches with NextBatch(). Row-at-a-time iteration is
-                    sanctioned only at the UDF/TVF apply seam
+                    BatchIterator): pulling a RowSource or a BatchReader
+                    row by row there silently degrades the batch path
+                    back to tuple-at-a-time. Pull whole batches with
+                    NextBatch(). Row-at-a-time pulls are sanctioned in
+                    the RowSource operators (joins, stream aggregate,
+                    spill readers) and at the TVF seam inside CROSS APPLY
                     (src/exec/apply_ops.cc is exempt wholesale).
   exec-untracked-reserve
                     In the materializing operator files (sort_ops,
@@ -477,10 +479,10 @@ def _batch_kernel_bodies(text):
 
 def check_exec_batch_rowloop(path, text, rel):
     # Only the executor's batch kernels are restricted; the storage layer's
-    # default NextBatch adapter legitimately loops Next(). apply_ops.cc is
-    # the deliberate row seam (UDF/TVF/CROSS APPLY, paper Sec. 5.2) and is
-    # exempt wholesale. Selftest fixtures arrive with a bare filename, which
-    # must still trip the rule.
+    # RowSource adapter legitimately fills batches from Next(). apply_ops.cc
+    # is the deliberate row seam (CROSS APPLY pulls the TVF row by row,
+    # paper Sec. 5.2) and is exempt wholesale. Selftest fixtures arrive
+    # with a bare filename, which must still trip the rule.
     norm = rel.replace(os.sep, "/")
     if "/" in norm and not norm.startswith("src/exec/"):
         return []
@@ -498,8 +500,9 @@ def check_exec_batch_rowloop(path, text, rel):
                 path, line_of(text, m.start()), "exec-batch-rowloop",
                 "per-row Next() inside a batch kernel degrades the "
                 "vectorized path to tuple-at-a-time; pull whole batches "
-                "with NextBatch() (row pulls are sanctioned only at the "
-                "UDF/TVF apply seam, src/exec/apply_ops.cc)"))
+                "with NextBatch() (row pulls are sanctioned only in "
+                "RowSource operators and at the TVF seam, "
+                "src/exec/apply_ops.cc)"))
     return findings
 
 
