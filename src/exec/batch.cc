@@ -26,11 +26,12 @@ bool BatchReader::Next(Row* row) {
     pos_ = 0;
   }
   // Selection vectors never repeat a physical row, so each value is
-  // moved out exactly once.
+  // taken exactly once; the row's previous value goes back into the
+  // batch, to be overwritten by its next refill.
   const size_t r = batch_.ActiveIndex(pos_++);
   row->resize(batch_.num_columns());
   for (size_t c = 0; c < batch_.num_columns(); ++c) {
-    (*row)[c] = std::move(batch_.column(c)[r]);
+    swap((*row)[c], batch_.column(c)[r]);
   }
   ++uncounted_;
   return true;

@@ -34,7 +34,7 @@ class BatchIterator : public storage::RowIterator {
 
 // Row cursor over a batch stream: the one way a row-at-a-time consumer
 // (the joins, the stream aggregate, INSERT ... SELECT, provenance) reads
-// an operator's output. Each live row is moved out of the cursor's own
+// an operator's output. Each live row is swapped out of the cursor's own
 // batch into the caller's row; exec.batch.fillrow_rows counts the rows
 // that cross back into row form.
 class BatchReader {

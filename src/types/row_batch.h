@@ -140,9 +140,7 @@ class RowBatch {
     if (r == 0 && columns_.size() != row->size()) {
       columns_.resize(row->size());
     }
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      std::swap(Slot(c, r), (*row)[c]);
-    }
+    for (size_t c = 0; c < columns_.size(); ++c) swap(Slot(c, r), (*row)[c]);
   }
 
   // Ends a fill of `n` rows, trimming the values left beyond them.

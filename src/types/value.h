@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -82,6 +83,14 @@ class Value {
 
   // Casts to `target`, erroring on lossy/non-sensible conversions.
   Result<Value> CastTo(DataType target) const;
+
+  // Exchanges two values without a temporary when they hold the same
+  // kind (the common case between a row and a batch column), so string
+  // buffers trade places instead of being moved three times.
+  friend void swap(Value& a, Value& b) noexcept {
+    std::swap(a.type_, b.type_);
+    a.data_.swap(b.data_);
+  }
 
  private:
   Value(DataType type, int64_t v) : type_(type), data_(v) {}
