@@ -46,8 +46,6 @@ struct DatabaseOptions {
   // with kResourceExhausted. HTG_SPILL=0
   // disables it from the environment.
   bool enable_spill = true;
-  // Fan-out of one partition-spill pass in hash aggregate / hash join.
-  size_t spill_partitions = 16;
   // Completed (committed + aborted) transactions between opportunistic
   // version-GC sweeps. -1 = HTG_MVCC_GC_EVERY (default 16); 0 disables
   // the automatic sweep (SweepVersions can still be called directly).

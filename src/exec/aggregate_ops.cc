@@ -5,7 +5,6 @@
 
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "common/synchronization.h"
 #include "exec/batch.h"
 #include "exec/spill_util.h"
 #include "storage/heap_table.h"
@@ -23,84 +22,6 @@ namespace {
 // its allocator header.
 constexpr size_t kGroupOverheadBytes = 64;
 constexpr size_t kInstanceOverheadBytes = 64;
-
-// Thread-safe partition-spill sink for input rows whose group key did
-// not fit in memory. Rows are hashed (salted by recursion level) into
-// spill_partitions runs on one shared spill file; a later pass re-
-// aggregates each partition with a fresh budget. The file and writers
-// materialize lazily on the first spilled row, so the happy path costs
-// one atomic load.
-class AggSpill {
- public:
-  AggSpill(storage::TableSpace* space, size_t nparts, int level,
-           OperatorStats* stats)
-      : space_(space),
-        nparts_(nparts == 0 ? 1 : nparts),
-        level_(level),
-        stats_(stats) {}
-
-  bool engaged() const { return engaged_.load(std::memory_order_acquire); }
-  int level() const { return level_; }
-  storage::SpillFile* file() { return file_.get(); }
-
-  Status Add(const Row& key, const Row& input) {
-    MutexLock lock(&mu_);
-    if (file_ == nullptr) {
-      HTG_ASSIGN_OR_RETURN(file_, storage::SpillFile::Create(space_, "agg"));
-      writers_.reserve(nparts_);
-      for (size_t p = 0; p < nparts_; ++p) {
-        writers_.push_back(
-            std::make_unique<storage::SpillRunWriter>(file_.get()));
-      }
-      engaged_.store(true, std::memory_order_release);
-    }
-    return writers_[SpillRowHash(key, level_) % nparts_]->Add(input);
-  }
-
-  // Seals every nonempty partition and flushes the file, so injected
-  // write faults surface inside the statement. Returns the runs.
-  Result<std::vector<storage::SpillRun>> Finish() {
-    MutexLock lock(&mu_);
-    std::vector<storage::SpillRun> runs;
-    for (auto& writer : writers_) {
-      if (writer->rows() == 0) continue;
-      HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writer->Finish());
-      if (stats_ != nullptr) {
-        stats_->spill_runs.fetch_add(1, std::memory_order_relaxed);
-        stats_->spill_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-      }
-      runs.push_back(std::move(run));
-    }
-    writers_.clear();
-    if (file_ != nullptr) HTG_RETURN_IF_ERROR(file_->Flush());
-    return runs;
-  }
-
- private:
-  storage::TableSpace* space_;
-  size_t nparts_;
-  int level_;
-  OperatorStats* stats_;
-  Mutex mu_{"AggSpill::mu_"};
-  std::atomic<bool> engaged_{false};
-  // file_ is written once under mu_ and published by the engaged_
-  // release store; the unlocked file() accessor is only used after an
-  // acquire load observes engaged() == true (or after Finish), so it
-  // stays unannotated by design.
-  std::unique_ptr<storage::SpillFile> file_;
-  std::vector<std::unique_ptr<storage::SpillRunWriter>> writers_
-      HTG_GUARDED_BY(mu_);
-};
-
-// Memory governance handles threaded into the group-build loops. All
-// fields are shared by every morsel worker of a parallel build: the
-// charge and spill sink are thread-safe, the rest is read-only.
-struct AggGovernance {
-  MemoryCharge* charge = nullptr;
-  ExecContext* ctx = nullptr;
-  AggSpill* spill = nullptr;
-  const char* op_name = "Hash Match (Aggregate)";
-};
 
 // The group table behind every hash aggregate (and SELECT DISTINCT): the
 // serial build, the parallel partial tables and their partitioned final
@@ -134,30 +55,26 @@ class GroupTable {
 
   // Returns the group of the scratch key, creating it when absent. Group
   // creation is charged against the query budget; once the budget
-  // rejects a new group, rows of unseen keys are routed to the spill
-  // partitions instead — keys already resident keep accumulating, so
-  // every resident group is complete and disjoint from the spilled keys.
-  // Returns kNone when the row was routed (the caller skips it);
-  // `make_input` materializes the input row only on that path.
+  // rejects a new group, rows of unseen keys are routed to `spill`
+  // instead — keys already resident keep accumulating, so every resident
+  // group is complete and disjoint from the spilled keys. Returns kNone
+  // when the row was routed (the caller skips it); `make_input`
+  // materializes the input row only on that path.
   template <typename InputFn>
-  Result<size_t> FindOrCreate(AggGovernance* gov, InputFn&& make_input) {
+  Result<size_t> FindOrCreate(MemoryCharge* charge, PartitionSpill* spill,
+                              InputFn&& make_input) {
     const auto hash =
         static_cast<uint32_t>(HashKey(scratch_.data(), width_));
     size_t slot = 0;
     const size_t found = Find(hash, scratch_.data(), &slot);
     if (found != kNone) return found;
-    if (gov != nullptr && gov->charge != nullptr) {
-      const size_t bytes = GroupBytes(scratch_.data());
-      Status charged = gov->charge->Add(bytes);
-      if (!charged.ok()) {
-        gov->charge->Release(bytes);  // the group is not being created
-        if (!charged.IsResourceExhausted()) return charged;
-        if (!gov->ctx->CanSpill()) {
-          return SpillUnavailableError(gov->op_name, *gov->ctx->mem);
-        }
-        HTG_RETURN_IF_ERROR(gov->spill->Add(scratch_, make_input()));
-        return kNone;
-      }
+    const size_t bytes = GroupBytes(scratch_.data());
+    Status charged = charge->Add(bytes);
+    if (!charged.ok()) {
+      charge->Release(bytes);  // the group is not being created
+      if (!charged.IsResourceExhausted()) return charged;
+      HTG_RETURN_IF_ERROR(spill->Add(0, scratch_, make_input()));
+      return kNone;
     }
     const size_t group = AddGroup(hash, slot, scratch_.data());
     for (const AggSpec& a : *aggs_) instances_.push_back(a.NewInstance());
@@ -323,17 +240,17 @@ std::vector<std::vector<Value>> ArgScratch(const std::vector<AggSpec>& aggs) {
   return args;
 }
 
-// Drains a child fully into a group table (spilling over-budget keys when
-// `gov` is armed). Group keys and aggregate arguments evaluate as batch
-// kernels, so only the hash probe and the UDA Accumulate call (the
-// per-row seam — udf.uda instances accumulate row-at-a-time by contract)
-// remain per-row work. Spilled rows are reassembled from the (untouched)
-// batch columns.
+// Drains a child fully into a group table, charging new groups to
+// `charge` and spilling the rows of keys it refuses to `spill`. Group
+// keys and aggregate arguments evaluate as batch kernels, so only the
+// hash probe and the UDA Accumulate call (the per-row seam — udf.uda
+// instances accumulate row-at-a-time by contract) remain per-row work.
+// Spilled rows are reassembled from the (untouched) batch columns.
 Status BuildGroupsBatch(storage::RowIterator* iter,
                         const std::vector<ExprPtr>& group_exprs,
                         const std::vector<AggSpec>& aggs,
                         udf::EvalContext* eval, GroupTable* groups,
-                        AggGovernance* gov) {
+                        MemoryCharge* charge, PartitionSpill* spill) {
   RowBatch batch;
   std::vector<std::vector<Value>> key_cols(group_exprs.size());
   std::vector<std::vector<std::vector<Value>>> agg_cols(aggs.size());
@@ -360,7 +277,7 @@ Status BuildGroupsBatch(storage::RowIterator* iter,
         key[g] = std::move(key_cols[g][j]);
       }
       HTG_ASSIGN_OR_RETURN(
-          const size_t group, groups->FindOrCreate(gov, [&]() {
+          const size_t group, groups->FindOrCreate(charge, spill, [&]() {
             const size_t r = batch.ActiveIndex(j);
             Row input;
             input.reserve(batch.num_columns());
@@ -400,41 +317,41 @@ std::string DescribeAggs(const std::vector<ExprPtr>& group_exprs,
   return out;
 }
 
-// One spill partition awaiting re-aggregation. `level` is the recursion
-// depth of the pass that will process it (its sub-spills salt their hash
-// with this level).
-struct AggSpillWork {
-  storage::SpillFile* file;
-  storage::SpillRun run;
-  int level;
-};
+// One re-aggregation pass: pops the next spilled partition and folds its
+// rows into a fresh group table under `charge`. Rows of keys the budget
+// still refuses spill one level deeper and queue on the worklist.
+Result<GroupTable> AggregateSpilledPartition(
+    SpillWorklist* worklist, const std::vector<ExprPtr>& group_exprs,
+    const std::vector<AggSpec>* aggs, ExecContext* ctx, OperatorStats* stats,
+    MemoryCharge* charge, const char* op) {
+  HTG_ASSIGN_OR_RETURN(SpillWork work, worklist->Pop(op));
+  PartitionSpill sub(ctx, stats, op, work.level);
+  GroupTable groups(group_exprs.size(), aggs);
+  storage::SpillRunReader reader(work.file, std::move(work.runs[0]));
+  HTG_RETURN_IF_ERROR(BuildGroupsBatch(&reader, group_exprs, *aggs,
+                                       &ctx->eval, &groups, charge, &sub));
+  RecordPeakMem(stats, charge->peak());
+  HTG_RETURN_IF_ERROR(sub.Finish(worklist));
+  return groups;
+}
 
 // Streams the aggregate's output when the build spilled: emits the
 // finalized in-memory groups first, then lazily re-aggregates one spill
-// partition at a time (each under a fresh budget charge; partitions that
-// still blow the budget sub-partition recursively with a new hash salt).
-// Owns every spill file involved, so the data is deleted with the
-// iterator.
+// partition at a time, each under the budget the previous one released.
 class SpilledAggIterator : public BatchIterator {
  public:
   SpilledAggIterator(std::vector<RowBatch> ready, MemoryCharge charge,
-                     std::unique_ptr<AggSpill> spill,
-                     std::vector<storage::SpillRun> runs,
+                     SpillWorklist worklist,
                      const std::vector<ExprPtr>* group_exprs,
                      const std::vector<AggSpec>* aggs, ExecContext* ctx,
                      OperatorStats* stats)
       : ready_(std::move(ready)),
         charge_(std::move(charge)),
+        worklist_(std::move(worklist)),
         group_exprs_(group_exprs),
         aggs_(aggs),
         ctx_(ctx),
-        stats_(stats) {
-    for (storage::SpillRun& run : runs) {
-      worklist_.push_back(
-          AggSpillWork{spill->file(), std::move(run), spill->level() + 1});
-    }
-    spills_.push_back(std::move(spill));
-  }
+        stats_(stats) {}
 
  protected:
   bool ProduceBatch(RowBatch* batch) override {
@@ -445,51 +362,32 @@ class SpilledAggIterator : public BatchIterator {
         if (batch->ActiveRows() > 0) return true;
       }
       if (worklist_.empty()) return false;
-      status_ = ProcessNextPartition();
+      status_ = NextPartition();
       if (!status_.ok()) return false;
     }
   }
 
  private:
-  Status ProcessNextPartition() {
-    AggSpillWork work = std::move(worklist_.back());
-    worklist_.pop_back();
-    if (work.level > kMaxSpillDepth) {
-      return SpillDepthError("Hash Match (Aggregate)");
-    }
+  Status NextPartition() {
     ready_.clear();
     next_ready_ = 0;
     charge_.ReleaseAll();  // the previous partition's rows are consumed
-    auto sub = std::make_unique<AggSpill>(
-        ctx_->tablespace, ctx_->spill_partitions, work.level, stats_);
-    AggGovernance gov{&charge_, ctx_, sub.get(), "Hash Match (Aggregate)"};
-    GroupTable groups(group_exprs_->size(), aggs_);
-    storage::SpillRunReader reader(work.file, std::move(work.run));
-    HTG_RETURN_IF_ERROR(BuildGroupsBatch(&reader, *group_exprs_, *aggs_,
-                                         &ctx_->eval, &groups, &gov));
-    if (stats_ != nullptr) RecordPeakMem(stats_, charge_.peak());
+    HTG_ASSIGN_OR_RETURN(
+        GroupTable groups,
+        AggregateSpilledPartition(&worklist_, *group_exprs_, aggs_, ctx_,
+                                  stats_, &charge_, "Hash Match (Aggregate)"));
     HTG_ASSIGN_OR_RETURN(ready_, groups.Finalize(false));
-    if (sub->engaged()) {
-      HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs,
-                           sub->Finish());
-      for (storage::SpillRun& run : runs) {
-        worklist_.push_back(
-            AggSpillWork{sub->file(), std::move(run), work.level + 1});
-      }
-      spills_.push_back(std::move(sub));
-    }
     return Status::OK();
   }
 
   std::vector<RowBatch> ready_;
   size_t next_ready_ = 0;
   MemoryCharge charge_;
+  SpillWorklist worklist_;
   const std::vector<ExprPtr>* group_exprs_;
   const std::vector<AggSpec>* aggs_;
   ExecContext* ctx_;
   OperatorStats* stats_;
-  std::vector<std::unique_ptr<AggSpill>> spills_;  // keeps files alive
-  std::vector<AggSpillWork> worklist_;
 };
 
 }  // namespace
@@ -599,23 +497,23 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
   OperatorStats* stats = mutable_stats();
-  MemoryCharge charge(ctx->mem.get(), "Hash Match (Aggregate)");
-  auto spill = std::make_unique<AggSpill>(
-      ctx->tablespace, ctx->spill_partitions, 0, stats);
-  AggGovernance gov{&charge, ctx, spill.get(), "Hash Match (Aggregate)"};
+  const char* op = "Hash Match (Aggregate)";
+  MemoryCharge charge(ctx->mem.get(), op);
+  PartitionSpill spill(ctx, stats, op, 0);
   GroupTable groups(group_exprs_.size(), &aggs_);
   HTG_RETURN_IF_ERROR(BuildGroupsBatch(child.get(), group_exprs_, aggs_,
-                                       &ctx->eval, &groups, &gov));
+                                       &ctx->eval, &groups, &charge, &spill));
   RecordPeakMem(stats, charge.peak());
   HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
                        groups.Finalize(group_exprs_.empty()));
-  if (!spill->engaged()) {
+  if (!spill.engaged()) {
     return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
                                                           std::move(charge))};
   }
-  HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs, spill->Finish());
+  SpillWorklist worklist;
+  HTG_RETURN_IF_ERROR(spill.Finish(&worklist));
   return {std::make_unique<SpilledAggIterator>(
-      std::move(batches), std::move(charge), std::move(spill), std::move(runs),
+      std::move(batches), std::move(charge), std::move(worklist),
       &group_exprs_, &aggs_, ctx, stats)};
 }
 
@@ -796,11 +694,9 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   // keep accumulating. The same key may then live in one worker's map
   // and in the spill partitions, so the spill path below merges
   // everything (maps and re-aggregated partitions) into one final map.
-  MemoryCharge charge(ctx->mem.get(), "Parallel Hash Match (Aggregate)");
-  auto spill = std::make_unique<AggSpill>(
-      ctx->tablespace, ctx->spill_partitions, 0, stats);
-  AggGovernance gov{&charge, ctx, spill.get(),
-                    "Parallel Hash Match (Aggregate)"};
+  const char* op = "Parallel Hash Match (Aggregate)";
+  MemoryCharge charge(ctx->mem.get(), op);
+  PartitionSpill spill(ctx, stats, op, 0);
 
   // Partial phase: workers steal morsels off the shared counter, replay
   // the stage pipeline over each page range, and accumulate into
@@ -831,24 +727,25 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
         }
         return BuildGroupsBatch(iter.get(), group_exprs_, aggs_,
                                 &worker_ctx[worker].eval, &partials[worker],
-                                &gov);
+                                &charge, &spill);
       }));
   RecordPeakMem(stats, charge.peak());
 
   size_t total_groups = 0;
   for (const GroupTable& p : partials) total_groups += p.size();
-  if (total_groups == 0 && !spill->engaged()) {
+  if (total_groups == 0 && !spill.engaged()) {
     // SELECT COUNT(*) over an empty input still yields one row.
     HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
                          partials[0].Finalize(group_exprs_.empty()));
     return {std::make_unique<MaterializedBatchesIterator>(std::move(batches))};
   }
 
-  if (spill->engaged()) {
+  if (spill.engaged()) {
     // Degraded path: fold every partial table into one final table, then
-    // re-aggregate each spill partition (recursively, fresh budget per
-    // pass) and merge its groups in too — the only ordering that is
-    // correct when a key sits in one worker's table and in the spill.
+    // re-aggregate each spill partition and merge its groups in too — the
+    // only ordering that is correct when a key sits in one worker's table
+    // and in the spill. Keys are owned by exactly one partition per level,
+    // so a pass's groups can only collide with build-time residents.
     GroupTable merged(group_exprs_.size(), &aggs_);
     for (GroupTable& partial : partials) {
       HTG_RETURN_IF_ERROR(merged.MergeFrom(&partial, 0, 1));
@@ -860,46 +757,15 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     // re-spill until the depth limit. The table is re-accounted (and the
     // peak recorded) once the passes are done.
     charge.ReleaseAll();
-    HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs,
-                         spill->Finish());
-    std::vector<AggSpillWork> worklist;
-    std::vector<std::unique_ptr<AggSpill>> spill_files;
-    for (storage::SpillRun& run : runs) {
-      worklist.push_back(
-          AggSpillWork{spill->file(), std::move(run), spill->level() + 1});
-    }
-    spill_files.push_back(std::move(spill));
+    SpillWorklist worklist;
+    HTG_RETURN_IF_ERROR(spill.Finish(&worklist));
     while (!worklist.empty()) {
-      AggSpillWork work = std::move(worklist.back());
-      worklist.pop_back();
-      if (work.level > kMaxSpillDepth) {
-        return SpillDepthError("Parallel Hash Match (Aggregate)");
-      }
-      MemoryCharge pass_charge(ctx->mem.get(),
-                               "Parallel Hash Match (Aggregate)");
-      auto sub = std::make_unique<AggSpill>(
-          ctx->tablespace, ctx->spill_partitions, work.level, stats);
-      AggGovernance pass_gov{&pass_charge, ctx, sub.get(),
-                             "Parallel Hash Match (Aggregate)"};
-      storage::SpillRunReader reader(work.file, std::move(work.run));
-      GroupTable part_groups(group_exprs_.size(), &aggs_);
-      HTG_RETURN_IF_ERROR(BuildGroupsBatch(&reader, group_exprs_, aggs_,
-                                           &ctx->eval, &part_groups,
-                                           &pass_gov));
-      RecordPeakMem(stats, pass_charge.peak());
-      // Keys are owned by exactly one partition per level, so a pass's
-      // groups can only collide with build-time residents, never with
-      // another pass.
+      MemoryCharge pass_charge(ctx->mem.get(), op);
+      HTG_ASSIGN_OR_RETURN(
+          GroupTable part_groups,
+          AggregateSpilledPartition(&worklist, group_exprs_, &aggs_, ctx,
+                                    stats, &pass_charge, op));
       HTG_RETURN_IF_ERROR(merged.MergeFrom(&part_groups, 0, 1));
-      if (sub->engaged()) {
-        HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> sub_runs,
-                             sub->Finish());
-        for (storage::SpillRun& run : sub_runs) {
-          worklist.push_back(
-              AggSpillWork{sub->file(), std::move(run), work.level + 1});
-        }
-        spill_files.push_back(std::move(sub));
-      }
     }
     charge.AddUnchecked(merged.ChargedBytes());
     RecordPeakMem(stats, charge.peak());

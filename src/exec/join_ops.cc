@@ -1,6 +1,7 @@
 #include "exec/join_ops.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -29,11 +30,10 @@ Status EvalKeysInto(const std::vector<ExprPtr>& keys, udf::EvalContext* eval,
   return Status::OK();
 }
 
-Result<Row> EvalKeys(const std::vector<ExprPtr>& keys, udf::EvalContext* eval,
-                     const Row& row) {
-  Row out;
-  HTG_RETURN_IF_ERROR(EvalKeysInto(keys, eval, row, &out));
-  return out;
+bool HasNull(const Row& key) {
+  bool has_null = false;
+  for (const Value& v : key) has_null = has_null || v.is_null();
+  return has_null;
 }
 
 // Writes left ++ right into `out`, copy-assigning into its existing
@@ -56,271 +56,47 @@ std::string DescribeJoinKeys(const std::vector<ExprPtr>& l,
   return out;
 }
 
+// Streams a hash join, in memory or partitioned to disk. A pass builds
+// the table from the right child (level 0) or a spilled build run, then
+// streams the left child or the paired probe run against it. When the
+// build busts the budget, the pass dumps its table into a PartitionSpill
+// at its level and routes the rest of the build and all its probe rows
+// there; each partition is a later pass one level deeper. The in-memory
+// join is the case where nothing spilled. Output order of a spilled join
+// differs from the in-memory join's.
 class HashJoinIterator : public storage::RowSource {
  public:
-  HashJoinIterator(std::unique_ptr<storage::RowIterator> left, BuildMap build,
-                   const std::vector<ExprPtr>* left_keys,
-                   udf::EvalContext* eval, bool left_outer, int right_width,
-                   MemoryCharge charge)
-      : left_(std::move(left)),
-        left_rows_(left_.get()),
-        build_(std::move(build)),
-        left_keys_(left_keys),
-        eval_(eval),
-        left_outer_(left_outer),
-        null_right_(right_width, Value::Null()),
-        charge_(std::move(charge)) {}
-
-  bool Next(Row* row) override {
-    for (;;) {
-      if (matches_ != nullptr && match_index_ < matches_->size()) {
-        AssignConcat(left_row_, (*matches_)[match_index_++], row);
-        return true;
-      }
-      if (!left_rows_.Next(&left_row_)) {
-        status_ = left_rows_.status();
-        return false;
-      }
-      status_ = EvalKeysInto(*left_keys_, eval_, left_row_, &left_key_);
-      if (!status_.ok()) return false;
-      // SQL equi-join: NULL keys never match.
-      bool has_null = false;
-      for (const Value& v : left_key_) has_null = has_null || v.is_null();
-      auto it = has_null ? build_.end() : build_.find(left_key_);
-      if (it == build_.end()) {
-        if (left_outer_) {
-          // Unmatched left row: pad the right side with NULLs.
-          AssignConcat(left_row_, null_right_, row);
-          matches_ = nullptr;
-          return true;
-        }
-        matches_ = nullptr;
-        continue;
-      }
-      matches_ = &it->second;
-      match_index_ = 0;
-    }
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  std::unique_ptr<storage::RowIterator> left_;
-  BatchReader left_rows_;
-  BuildMap build_;
-  const std::vector<ExprPtr>* left_keys_;
-  udf::EvalContext* eval_;
-  bool left_outer_;
-  Row null_right_;  // right-side padding of unmatched left-outer rows
-  MemoryCharge charge_;  // keeps the build table accounted while live
-  Row left_row_;
-  Row left_key_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_index_ = 0;
-  Status status_;
-};
-
-// One spilled join partition: a build run and a probe run on the same
-// spill file, paired by partition index. `level` is the recursion depth
-// of the pass that will process it.
-struct JoinSpillWork {
-  storage::SpillFile* file;
-  storage::SpillRun build;
-  storage::SpillRun probe;
-  int level;
-};
-
-// Partitioned spill sink for a grace hash join (build rows and probe
-// rows hashed into paired runs, plus an optional run for NULL-keyed
-// probe rows that a left-outer join must still pad and emit).
-class JoinSpill {
- public:
-  JoinSpill(storage::TableSpace* space, size_t nparts, int level,
-            OperatorStats* stats, bool with_null_run)
-      : space_(space),
-        nparts_(nparts == 0 ? 1 : nparts),
-        level_(level),
-        stats_(stats),
-        with_null_run_(with_null_run) {}
-
-  Status Open() {
-    HTG_ASSIGN_OR_RETURN(file_, storage::SpillFile::Create(space_, "join"));
-    build_writers_.reserve(nparts_);
-    probe_writers_.reserve(nparts_);
-    for (size_t p = 0; p < nparts_; ++p) {
-      build_writers_.push_back(
-          std::make_unique<storage::SpillRunWriter>(file_.get()));
-      probe_writers_.push_back(
-          std::make_unique<storage::SpillRunWriter>(file_.get()));
-    }
-    if (with_null_run_) {
-      null_writer_ = std::make_unique<storage::SpillRunWriter>(file_.get());
-    }
-    return Status::OK();
-  }
-
-  int level() const { return level_; }
-  storage::SpillFile* file() { return file_.get(); }
-  std::unique_ptr<storage::SpillFile> TakeFile() { return std::move(file_); }
-  storage::SpillRun TakeNullRun() { return std::move(null_run_); }
-
-  Status AddBuild(const Row& key, const Row& row) {
-    return build_writers_[SpillRowHash(key, level_) % nparts_]->Add(row);
-  }
-  Status AddProbe(const Row& key, const Row& row) {
-    return probe_writers_[SpillRowHash(key, level_) % nparts_]->Add(row);
-  }
-  Status AddNullProbe(const Row& row) { return null_writer_->Add(row); }
-
-  // Seals all partitions and flushes the file, so injected write faults
-  // surface inside the statement. A partition with no probe rows can
-  // never produce output and is dropped here.
-  Result<std::vector<JoinSpillWork>> Finish() {
-    std::vector<JoinSpillWork> work;
-    for (size_t p = 0; p < nparts_; ++p) {
-      storage::SpillRun build;
-      storage::SpillRun probe;
-      if (build_writers_[p]->rows() > 0) {
-        HTG_ASSIGN_OR_RETURN(build, FinishOne(build_writers_[p].get()));
-      }
-      if (probe_writers_[p]->rows() > 0) {
-        HTG_ASSIGN_OR_RETURN(probe, FinishOne(probe_writers_[p].get()));
-      }
-      if (probe.rows == 0) continue;
-      work.push_back(JoinSpillWork{file_.get(), std::move(build),
-                                   std::move(probe), level_ + 1});
-    }
-    build_writers_.clear();
-    probe_writers_.clear();
-    if (null_writer_ != nullptr && null_writer_->rows() > 0) {
-      HTG_ASSIGN_OR_RETURN(null_run_, FinishOne(null_writer_.get()));
-    }
-    null_writer_.reset();
-    HTG_RETURN_IF_ERROR(file_->Flush());
-    return work;
-  }
-
- private:
-  Result<storage::SpillRun> FinishOne(storage::SpillRunWriter* writer) {
-    HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writer->Finish());
-    if (stats_ != nullptr) {
-      stats_->spill_runs.fetch_add(1, std::memory_order_relaxed);
-      stats_->spill_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-    }
-    return run;
-  }
-
-  storage::TableSpace* space_;
-  size_t nparts_;
-  int level_;
-  OperatorStats* stats_;
-  bool with_null_run_;
-  std::unique_ptr<storage::SpillFile> file_;
-  std::vector<std::unique_ptr<storage::SpillRunWriter>> build_writers_;
-  std::vector<std::unique_ptr<storage::SpillRunWriter>> probe_writers_;
-  std::unique_ptr<storage::SpillRunWriter> null_writer_;
-  storage::SpillRun null_run_;
-};
-
-// Streams a spilled (grace) hash join: per partition, the build run is
-// loaded into an in-memory table under the budget charge and the probe
-// run streamed against it; partitions whose build side still exceeds the
-// budget re-partition both runs with a deeper hash salt and re-queue.
-// Output order differs from the in-memory join. Owns every spill file,
-// so the data is deleted with the iterator.
-class GraceHashJoinIterator : public storage::RowSource {
- public:
-  GraceHashJoinIterator(std::vector<std::unique_ptr<storage::SpillFile>> files,
-                        std::vector<JoinSpillWork> work,
-                        storage::SpillRun null_run,
-                        const std::vector<ExprPtr>* left_keys,
-                        const std::vector<ExprPtr>* right_keys,
-                        ExecContext* ctx, OperatorStats* stats,
-                        bool left_outer, int right_width, const char* op_name,
-                        MemoryCharge charge)
-      : files_(std::move(files)),
-        worklist_(std::move(work)),
-        left_keys_(left_keys),
+  HashJoinIterator(const std::vector<ExprPtr>* left_keys,
+                   const std::vector<ExprPtr>* right_keys, ExecContext* ctx,
+                   OperatorStats* stats, bool left_outer, int right_width,
+                   const char* op)
+      : left_keys_(left_keys),
         right_keys_(right_keys),
         ctx_(ctx),
         stats_(stats),
         left_outer_(left_outer),
         null_right_(right_width, Value::Null()),
-        op_name_(op_name),
-        charge_(std::move(charge)) {
-    if (left_outer_ && null_run.rows > 0 && !files_.empty()) {
-      null_reader_ = std::make_unique<storage::SpillRunReader>(
-          files_.front().get(), std::move(null_run));
-    }
-  }
+        op_(op),
+        charge_(ctx->mem.get(), op) {}
 
-  bool Next(Row* out) override {
-    if (!status_.ok()) return false;
-    for (;;) {
-      if (matches_ != nullptr && match_index_ < matches_->size()) {
-        AssignConcat(probe_row_, (*matches_)[match_index_++], out);
-        return true;
-      }
-      matches_ = nullptr;
-      if (probe_ != nullptr) {
-        if (probe_->Next(&probe_row_)) {
-          Result<Row> key = EvalKeys(*left_keys_, &ctx_->eval, probe_row_);
-          if (!key.ok()) {
-            status_ = key.status();
-            return false;
-          }
-          auto it = build_.find(*key);
-          if (it == build_.end()) {
-            if (left_outer_) {
-              AssignConcat(probe_row_, null_right_, out);
-              return true;
-            }
-            continue;
-          }
-          matches_ = &it->second;
-          match_index_ = 0;
-          continue;
-        }
-        status_ = probe_->status();
-        if (!status_.ok()) return false;
-        probe_.reset();
-        build_.clear();
-        charge_.ReleaseAll();
-      }
-      if (null_reader_ != nullptr) {
-        if (null_reader_->Next(&probe_row_)) {
-          AssignConcat(probe_row_, null_right_, out);
-          return true;
-        }
-        status_ = null_reader_->status();
-        if (!status_.ok()) return false;
-        null_reader_.reset();
-      }
-      if (worklist_.empty()) return false;
-      const Status s = LoadNextPartition();
-      if (!s.ok()) {
-        status_ = s;
-        return false;
-      }
-    }
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  Status LoadNextPartition() {
-    JoinSpillWork work = std::move(worklist_.back());
-    worklist_.pop_back();
-    if (work.level > kMaxSpillDepth) return SpillDepthError(op_name_);
+  // Loads the build table of a pass at `level` from `input`: each row is
+  // charged, or, once the budget refuses one, the resident table is
+  // dumped into this level's partitions and the rest of the input routed
+  // there.
+  Status Build(storage::RowIterator* input, int level) {
+    matches_ = nullptr;  // pointed into the previous pass's table
     build_.clear();
     charge_.ReleaseAll();
-    storage::SpillRunReader build_reader(work.file, std::move(work.build));
-    std::unique_ptr<JoinSpill> sub;
+    spill_ = std::make_unique<PartitionSpill>(ctx_, stats_, op_, level,
+                                              /*sides=*/2);
+    BatchReader rows(input);
     Row row;
-    while (build_reader.Next(&row)) {
-      HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(*right_keys_, &ctx_->eval, row));
-      if (sub != nullptr) {
-        HTG_RETURN_IF_ERROR(sub->AddBuild(key, row));
+    Row key;
+    while (rows.Next(&row)) {
+      HTG_RETURN_IF_ERROR(EvalKeysInto(*right_keys_, &ctx_->eval, row, &key));
+      if (HasNull(key)) continue;  // NULL build keys never match
+      if (spill_->engaged()) {
+        HTG_RETURN_IF_ERROR(spill_->Add(0, key, row));
         continue;
       }
       const size_t bytes =
@@ -332,55 +108,101 @@ class GraceHashJoinIterator : public storage::RowSource {
       }
       charge_.Release(bytes);
       if (!charged.IsResourceExhausted()) return charged;
-      // This partition's build side alone busts the budget: push the
-      // resident table (and everything still unread) one level deeper.
-      sub = std::make_unique<JoinSpill>(ctx_->tablespace,
-                                        ctx_->spill_partitions, work.level,
-                                        stats_, /*with_null_run=*/false);
-      HTG_RETURN_IF_ERROR(sub->Open());
       for (auto& [bkey, brows] : build_) {
         for (const Row& brow : brows) {
-          HTG_RETURN_IF_ERROR(sub->AddBuild(bkey, brow));
+          HTG_RETURN_IF_ERROR(spill_->Add(0, bkey, brow));
         }
       }
       build_.clear();
       charge_.ReleaseAll();
-      HTG_RETURN_IF_ERROR(sub->AddBuild(key, row));
+      HTG_RETURN_IF_ERROR(spill_->Add(0, key, row));
     }
-    HTG_RETURN_IF_ERROR(build_reader.status());
-    if (sub == nullptr) {
-      if (stats_ != nullptr) RecordPeakMem(stats_, charge_.peak());
-      probe_ = std::make_unique<storage::SpillRunReader>(work.file,
-                                                         std::move(work.probe));
-      return Status::OK();
-    }
-    storage::SpillRunReader probe_reader(work.file, std::move(work.probe));
-    while (probe_reader.Next(&row)) {
-      HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(*left_keys_, &ctx_->eval, row));
-      HTG_RETURN_IF_ERROR(sub->AddProbe(key, row));
-    }
-    HTG_RETURN_IF_ERROR(probe_reader.status());
-    HTG_ASSIGN_OR_RETURN(std::vector<JoinSpillWork> sub_work, sub->Finish());
-    for (JoinSpillWork& w : sub_work) worklist_.push_back(std::move(w));
-    files_.push_back(sub->TakeFile());
-    return Status::OK();
+    RecordPeakMem(stats_, charge_.peak());
+    return rows.status();
   }
 
-  // Files outlive the readers below (destruction is reverse order).
-  std::vector<std::unique_ptr<storage::SpillFile>> files_;
-  std::vector<JoinSpillWork> worklist_;
+  // Streams `input` against the table Build loaded, or, when the build
+  // spilled, routes it into the same partitions and queues them. NULL
+  // keys match nothing: an inner join drops those rows, a left-outer join
+  // routes them like any other and pads them in their partition.
+  Status Probe(std::unique_ptr<storage::RowIterator> input) {
+    if (!spill_->engaged()) {
+      probe_ = std::move(input);
+      probe_rows_.emplace(probe_.get());
+      return Status::OK();
+    }
+    BatchReader rows(input.get());
+    Row row;
+    Row key;
+    while (rows.Next(&row)) {
+      HTG_RETURN_IF_ERROR(EvalKeysInto(*left_keys_, &ctx_->eval, row, &key));
+      if (!left_outer_ && HasNull(key)) continue;
+      HTG_RETURN_IF_ERROR(spill_->Add(1, key, row));
+    }
+    HTG_RETURN_IF_ERROR(rows.status());
+    return spill_->Finish(&worklist_);
+  }
+
+  bool Next(Row* row) override {
+    for (;;) {
+      if (matches_ != nullptr && match_index_ < matches_->size()) {
+        AssignConcat(probe_row_, (*matches_)[match_index_++], row);
+        return true;
+      }
+      if (!probe_rows_.has_value() || !probe_rows_->Next(&probe_row_)) {
+        if (probe_rows_.has_value()) status_ = probe_rows_->status();
+        probe_rows_.reset();
+        if (!status_.ok() || worklist_.empty()) return false;
+        status_ = NextPartition();
+        if (!status_.ok()) return false;
+        continue;
+      }
+      status_ = EvalKeysInto(*left_keys_, &ctx_->eval, probe_row_, &probe_key_);
+      if (!status_.ok()) return false;
+      // SQL equi-join: NULL keys never match.
+      auto it = HasNull(probe_key_) ? build_.end() : build_.find(probe_key_);
+      if (it == build_.end()) {
+        matches_ = nullptr;
+        if (left_outer_) {
+          // Unmatched left row: pad the right side with NULLs.
+          AssignConcat(probe_row_, null_right_, row);
+          return true;
+        }
+        continue;
+      }
+      matches_ = &it->second;
+      match_index_ = 0;
+    }
+  }
+
+  Status status() const override { return status_; }
+
+ private:
+  // One pass over the next spilled partition.
+  Status NextPartition() {
+    HTG_ASSIGN_OR_RETURN(SpillWork work, worklist_.Pop(op_));
+    storage::SpillRunReader build(work.file, std::move(work.runs[0]));
+    HTG_RETURN_IF_ERROR(Build(&build, work.level));
+    return Probe(std::make_unique<storage::SpillRunReader>(
+        work.file, std::move(work.runs[1])));
+  }
+
   const std::vector<ExprPtr>* left_keys_;
   const std::vector<ExprPtr>* right_keys_;
   ExecContext* ctx_;
   OperatorStats* stats_;
   bool left_outer_;
   Row null_right_;  // right-side padding of unmatched left-outer rows
-  const char* op_name_;
-  MemoryCharge charge_;
+  const char* op_;
+  MemoryCharge charge_;  // keeps the build table accounted while live
   BuildMap build_;
-  std::unique_ptr<storage::SpillRunReader> probe_;
-  std::unique_ptr<storage::SpillRunReader> null_reader_;
+  // The worklist owns the spill files, so it outlives their readers.
+  SpillWorklist worklist_;
+  std::unique_ptr<PartitionSpill> spill_;  // this pass's partitions
+  std::unique_ptr<storage::RowIterator> probe_;
+  std::optional<BatchReader> probe_rows_;  // over probe_; empty when spilled
   Row probe_row_;
+  Row probe_key_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_index_ = 0;
   Status status_;
@@ -602,88 +424,17 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
 
 Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
     ExecContext* ctx) {
-  const char* op_name = left_outer_ ? "Hash Match (Left Outer Join)"
-                                    : "Hash Match (Inner Join)";
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> right,
                        right_->Open(ctx));
-  OperatorStats* stats = mutable_stats();
-  MemoryCharge charge(ctx->mem.get(), op_name);
-  BuildMap build;
-  std::unique_ptr<JoinSpill> spill;  // engaged when the build overflows
-  BatchReader right_rows(right.get());
-  Row row;
-  while (right_rows.Next(&row)) {
-    HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(right_keys_, &ctx->eval, row));
-    // NULL build keys never match; drop them here.
-    bool has_null = false;
-    for (const Value& v : key) has_null = has_null || v.is_null();
-    if (has_null) continue;
-    if (spill != nullptr) {
-      HTG_RETURN_IF_ERROR(spill->AddBuild(key, row));
-      row.clear();
-      continue;
-    }
-    const size_t bytes =
-        ApproxRowBytes(key) + ApproxRowBytes(row) + kJoinEntryOverheadBytes;
-    const Status charged = charge.Add(bytes);
-    if (charged.ok()) {
-      build[std::move(key)].push_back(std::move(row));
-      row.clear();
-      continue;
-    }
-    charge.Release(bytes);
-    if (!charged.IsResourceExhausted()) return charged;
-    if (!ctx->CanSpill()) return SpillUnavailableError(op_name, *ctx->mem);
-    // Degrade to a grace hash join: dump the resident build table into
-    // hash partitions and keep routing the rest of both inputs there.
-    spill = std::make_unique<JoinSpill>(ctx->tablespace, ctx->spill_partitions,
-                                        /*level=*/0, stats,
-                                        /*with_null_run=*/left_outer_);
-    HTG_RETURN_IF_ERROR(spill->Open());
-    for (auto& [bkey, brows] : build) {
-      for (const Row& brow : brows) {
-        HTG_RETURN_IF_ERROR(spill->AddBuild(bkey, brow));
-      }
-    }
-    build.clear();
-    charge.ReleaseAll();
-    HTG_RETURN_IF_ERROR(spill->AddBuild(key, row));
-    row.clear();
-  }
-  HTG_RETURN_IF_ERROR(right->status());
+  auto join = std::make_unique<HashJoinIterator>(
+      &left_keys_, &right_keys_, ctx, mutable_stats(), left_outer_,
+      right_->output_schema().num_columns(),
+      left_outer_ ? "Hash Match (Left Outer Join)" : "Hash Match (Inner Join)");
+  HTG_RETURN_IF_ERROR(join->Build(right.get(), /*level=*/0));
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> left,
                        left_->Open(ctx));
-  if (spill == nullptr) {
-    RecordPeakMem(stats, charge.peak());
-    return {std::make_unique<HashJoinIterator>(
-        std::move(left), std::move(build), &left_keys_, &ctx->eval,
-        left_outer_, right_->output_schema().num_columns(),
-        std::move(charge))};
-  }
-  // Route the probe side into the matching partitions. NULL-keyed probe
-  // rows match nothing: an inner join drops them, a left-outer join
-  // parks them in a dedicated run to pad later.
-  BatchReader left_rows(left.get());
-  while (left_rows.Next(&row)) {
-    HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(left_keys_, &ctx->eval, row));
-    bool has_null = false;
-    for (const Value& v : key) has_null = has_null || v.is_null();
-    if (has_null) {
-      if (left_outer_) HTG_RETURN_IF_ERROR(spill->AddNullProbe(row));
-      continue;
-    }
-    HTG_RETURN_IF_ERROR(spill->AddProbe(key, row));
-  }
-  HTG_RETURN_IF_ERROR(left->status());
-  HTG_ASSIGN_OR_RETURN(std::vector<JoinSpillWork> work, spill->Finish());
-  storage::SpillRun null_run = spill->TakeNullRun();
-  std::vector<std::unique_ptr<storage::SpillFile>> files;
-  files.push_back(spill->TakeFile());
-  RecordPeakMem(stats, charge.peak());
-  return {std::make_unique<GraceHashJoinIterator>(
-      std::move(files), std::move(work), std::move(null_run), &left_keys_,
-      &right_keys_, ctx, stats, left_outer_,
-      right_->output_schema().num_columns(), op_name, std::move(charge))};
+  HTG_RETURN_IF_ERROR(join->Probe(std::move(left)));
+  return {std::move(join)};
 }
 
 std::string HashJoinOp::Describe() const {

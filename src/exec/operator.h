@@ -33,8 +33,6 @@ struct ExecContext {
   // Where over-budget operators write spill runs; null disables spilling
   // (over-budget statements fail with kResourceExhausted instead).
   storage::TableSpace* tablespace = nullptr;
-  // Fan-out of one partition-spill pass (hash aggregate / hash join).
-  size_t spill_partitions = 16;
   // MVCC visibility: when set, table scans bound themselves to this
   // snapshot (heap row-count prefix, clustered stamp filter) instead of
   // reading the live table tail. The pointer outlives the statement (it
@@ -62,7 +60,6 @@ struct ExecContext {
           db->options().ResolvedQueryMemBytes(),
           db->options().ResolvedSpillEnabled());
       ctx.tablespace = db->tablespace();
-      ctx.spill_partitions = db->options().spill_partitions;
       ctx.eval = db->MakeEvalContext();
     }
     return ctx;

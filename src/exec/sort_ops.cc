@@ -145,10 +145,7 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
     }
     HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writer.Finish());
     HTG_RETURN_IF_ERROR(spill->Flush());
-    if (stats != nullptr) {
-      stats->spill_runs.fetch_add(1, std::memory_order_relaxed);
-      stats->spill_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-    }
+    CountSpillRun(stats, run);
     runs.push_back(std::move(run));
     rows.clear();
     sort_keys.clear();

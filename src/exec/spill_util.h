@@ -1,17 +1,25 @@
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/memory.h"
 #include "common/string_util.h"
+#include "common/synchronization.h"
+#include "exec/operator.h"
+#include "storage/spill.h"
 #include "types/value.h"
 
 namespace htg::exec {
 
 // Shared pieces of the hash operators (the one row hash and equality)
-// and of the operators' spill machinery (external sort, hash aggregate /
-// hash join partition spills).
+// and of the operators' spill machinery: the one hash-partition spill
+// (PartitionSpill) and its recursion worklist (SpillWorklist) behind
+// both the hash aggregate and the hash join, and the run accounting the
+// external sort shares with them.
 
 // Hash of the key values [key, key + n), salted by `salt`. The final
 // avalanche spreads every input bit over the word, so both a power-of-two
@@ -53,6 +61,9 @@ struct RowEq {
   }
 };
 
+// Fan-out of one partition-spill pass.
+inline constexpr size_t kSpillPartitions = 16;
+
 // Sub-partitioning at recursion depth > kMaxSpillDepth means the data is
 // pathologically skewed (or the budget is absurdly small); the operator
 // gives up with kResourceExhausted instead of looping.
@@ -80,5 +91,115 @@ inline Status SpillDepthError(const char* op) {
       "for this memory budget)",
       op, kMaxSpillDepth));
 }
+
+// Credits one sealed spill run to the operator's EXPLAIN ANALYZE
+// counters.
+inline void CountSpillRun(OperatorStats* stats, const storage::SpillRun& run) {
+  stats->spill_runs.fetch_add(1, std::memory_order_relaxed);
+  stats->spill_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
+}
+
+// One spilled partition awaiting its pass: the aggregate's input rows in
+// runs[0], or a join's build rows in runs[0] and probe rows in runs[1].
+// `level` is the recursion depth of that pass, whose own spill salts its
+// hash with it.
+struct SpillWork {
+  storage::SpillFile* file;
+  std::array<storage::SpillRun, 2> runs;
+  int level;
+};
+
+// The partitions an operator still has to process, and the spill files
+// holding them: the files (and so every reader of their runs) live as
+// long as the worklist, and are deleted with it, even on error paths.
+class SpillWorklist {
+ public:
+  bool empty() const { return work_.empty(); }
+
+  // Pops the most recently queued partition, so sub-partitions drain
+  // before their siblings; SpillDepthError past kMaxSpillDepth.
+  Result<SpillWork> Pop(const char* op) {
+    SpillWork work = std::move(work_.back());
+    work_.pop_back();
+    if (work.level > kMaxSpillDepth) return SpillDepthError(op);
+    return work;
+  }
+
+ private:
+  friend class PartitionSpill;
+
+  std::vector<std::unique_ptr<storage::SpillFile>> files_;
+  std::vector<SpillWork> work_;
+};
+
+// One pass's hash-partition spill: rows are routed by their key's
+// level-salted hash into kSpillPartitions runs per side on one spill
+// file. Side 0 takes aggregate input or join build rows, side 1 join
+// probe rows. Thread-safe, and lazily engaged: the file and writers
+// materialize on the first spilled row, so an operator that never spills
+// pays one atomic load per check.
+class PartitionSpill {
+ public:
+  PartitionSpill(ExecContext* ctx, OperatorStats* stats, const char* op,
+                 int level, size_t sides = 1)
+      : ctx_(ctx), stats_(stats), op_(op), level_(level), sides_(sides) {}
+
+  bool engaged() const { return engaged_.load(std::memory_order_acquire); }
+
+  // Appends `row` to its key's partition on `side`. The first call
+  // creates the spill file, or fails with SpillUnavailableError when
+  // the statement may not spill.
+  Status Add(size_t side, const Row& key, const Row& row) {
+    MutexLock lock(&mu_);
+    if (file_ == nullptr) {
+      if (!ctx_->CanSpill()) return SpillUnavailableError(op_, *ctx_->mem);
+      HTG_ASSIGN_OR_RETURN(file_,
+                           storage::SpillFile::Create(ctx_->tablespace, "part"));
+      writers_.reserve(sides_ * kSpillPartitions);
+      for (size_t w = 0; w < sides_ * kSpillPartitions; ++w) {
+        writers_.emplace_back(file_.get());
+      }
+      engaged_.store(true, std::memory_order_release);
+    }
+    const size_t part = SpillRowHash(key, level_) % kSpillPartitions;
+    return writers_[side * kSpillPartitions + part].Add(row);
+  }
+
+  // Seals every partition, flushes the file so injected write faults
+  // surface inside the statement, and hands the file and the partitions
+  // to `worklist` for passes one level deeper. A partition with no rows
+  // on its last side can yield nothing (no aggregate input, or no join
+  // probe rows) and is dropped. Does nothing when no row spilled.
+  Status Finish(SpillWorklist* worklist) {
+    MutexLock lock(&mu_);
+    if (file_ == nullptr) return Status::OK();
+    std::vector<SpillWork> work(kSpillPartitions,
+                                SpillWork{file_.get(), {}, level_ + 1});
+    for (size_t w = 0; w < writers_.size(); ++w) {
+      if (writers_[w].rows() == 0) continue;
+      HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writers_[w].Finish());
+      CountSpillRun(stats_, run);
+      work[w % kSpillPartitions].runs[w / kSpillPartitions] = std::move(run);
+    }
+    writers_.clear();
+    HTG_RETURN_IF_ERROR(file_->Flush());
+    for (SpillWork& w : work) {
+      if (w.runs[sides_ - 1].rows > 0) worklist->work_.push_back(std::move(w));
+    }
+    worklist->files_.push_back(std::move(file_));
+    return Status::OK();
+  }
+
+ private:
+  ExecContext* ctx_;
+  OperatorStats* stats_;
+  const char* op_;
+  int level_;
+  size_t sides_;
+  Mutex mu_{"PartitionSpill::mu_"};
+  std::atomic<bool> engaged_{false};
+  std::unique_ptr<storage::SpillFile> file_ HTG_GUARDED_BY(mu_);
+  std::vector<storage::SpillRunWriter> writers_ HTG_GUARDED_BY(mu_);
+};
 
 }  // namespace htg::exec

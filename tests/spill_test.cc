@@ -1,10 +1,13 @@
 // Memory governance and spill-to-disk degradation: parity between
 // in-memory and forced-spill execution for sort / hash aggregate /
-// DISTINCT / hash join (serial and DOP-8 parallel aggregation), typed
-// kResourceExhausted failures when spilling is unavailable, EXPLAIN
-// ANALYZE spill reporting, and fault injection into the spill write path
-// through the Vfs seam (ENOSPC, torn write, transient EIO) — after which
-// the session keeps working and no orphan spill files remain.
+// DISTINCT / hash join (serial and DOP-8 parallel aggregation; inner and
+// left-outer joins over NULL and unmatched keys; recursive join
+// partitions), typed kResourceExhausted failures when spilling is
+// unavailable or repartitioning hits the depth limit, EXPLAIN ANALYZE
+// spill reporting, and fault injection into the aggregate's and the
+// join's spill writes through the Vfs seam (ENOSPC, torn write,
+// transient EIO) — after which the session keeps working and no orphan
+// spill files remain.
 
 #include <gtest/gtest.h>
 
@@ -173,6 +176,101 @@ TEST(SpillParityTest, GraceHashJoinMatchesInMemoryJoin) {
                /*ordered=*/false);
 }
 
+// True when a spill file is left in the tablespace directory under
+// `root`.
+bool AnySpillFilesLeft(const std::string& root) {
+  const std::filesystem::path dir = root + "/tablespace";
+  if (!std::filesystem::exists(dir)) return false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("spill", 0) == 0) return true;
+  }
+  return false;
+}
+
+// Loads table n into `db`: NULL join keys (every key divisible by 5),
+// and non-NULL keys 500..799 that no row of u carries. Joined with u on
+// either side, it gives NULL-keyed rows on the probe and the build side
+// and probe rows with no build match.
+void LoadNullKeyed(Database* db) {
+  SqlEngine engine(db);
+  ASSERT_TRUE(
+      engine.Execute("CREATE TABLE n (k INT, v BIGINT, s VARCHAR(64))").ok());
+  catalog::TableDef* n = *db->GetTable("n");
+  for (int i = 0; i < 3000; ++i) {
+    const int k = i % 800;
+    const Status s = db->InsertRow(
+        n, Row{k % 5 == 0 ? Value::Null() : Value::Int32(k), Value::Int64(i),
+               Value::String(PayloadFor(i))});
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+}
+
+TEST(SpillParityTest, SpilledLeftOuterJoinWithNullKeysMatchesInMemoryJoin) {
+  auto ref = OpenLoaded("nullref", 0, true, 1);
+  auto tiny = OpenLoaded("nulltiny", kTinyBudget, true, 1);
+  ASSERT_NE(ref, nullptr);
+  ASSERT_NE(tiny, nullptr);
+  LoadNullKeyed(ref.get());
+  LoadNullKeyed(tiny.get());
+  SqlEngine ref_engine(ref.get());
+  SqlEngine tiny_engine(tiny.get());
+  for (const char* join : {"JOIN", "LEFT JOIN"}) {
+    // NULL and unmatched keys on the probe side (n), then on the build
+    // side (n again).
+    ExpectParity(&ref_engine, &tiny_engine,
+                 std::string("SELECT n.v, n.k, u.w FROM n ") + join +
+                     " u ON n.k = u.k",
+                 /*ordered=*/false);
+    ExpectParity(&ref_engine, &tiny_engine,
+                 std::string("SELECT u.w, n.v, n.s FROM u ") + join +
+                     " n ON u.k = n.k",
+                 /*ordered=*/false);
+  }
+}
+
+TEST(SpillParityTest, SpilledJoinPartitionsRecurse) {
+  // Build side t: 12000 rows of ~200 accounted bytes, so each of the
+  // level-0 partitions still exceeds the budget and partitions again.
+  auto ref = OpenLoaded("recref", 0, true, 1);
+  auto tiny = OpenLoaded("rectiny", kTinyBudget, true, 1);
+  ASSERT_NE(ref, nullptr);
+  ASSERT_NE(tiny, nullptr);
+  SqlEngine ref_engine(ref.get());
+  SqlEngine tiny_engine(tiny.get());
+  const uint64_t runs_before = SpillRunsCounter();
+  ExpectParity(&ref_engine, &tiny_engine,
+               "SELECT u.w, t.v, t.s FROM u JOIN t ON u.k = t.k",
+               /*ordered=*/false);
+  // One level writes at most 16 build and 16 probe runs.
+  EXPECT_GT(SpillRunsCounter() - runs_before, 32u);
+}
+
+TEST(SpillDepthTest, SingleKeyJoinBuildFailsAtDepthLimit) {
+  // Every build row has one key, so no level of repartitioning splits
+  // it: the join fails typed at the depth limit.
+  auto db = OpenLoaded("depth", kTinyBudget, true, 1);
+  ASSERT_NE(db, nullptr);
+  SqlEngine engine(db.get());
+  ASSERT_TRUE(engine.Execute("CREATE TABLE one (k INT, s VARCHAR(64))").ok());
+  catalog::TableDef* one = *db->GetTable("one");
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(
+        db->InsertRow(one, Row{Value::Int32(1), Value::String(PayloadFor(i))})
+            .ok());
+  }
+  Result<QueryResult> r =
+      engine.Execute("SELECT u.w, one.s FROM u JOIN one ON u.k = one.k");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find("spill repartitioning exceeded depth"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_FALSE(AnySpillFilesLeft(db->options().filestream_root));
+  Result<QueryResult> alive = engine.Execute("SELECT COUNT(*) FROM one");
+  ASSERT_TRUE(alive.ok()) << alive.status().ToString();
+  EXPECT_EQ(alive->rows[0][0].AsInt64(), 2000);
+}
+
 TEST(SpillDisabledTest, OverBudgetFailsTypedAndSessionSurvives) {
   auto db = OpenLoaded("nospill", kTinyBudget, /*enable_spill=*/false, 4);
   ASSERT_NE(db, nullptr);
@@ -239,15 +337,6 @@ TEST(SpillExplainTest, AnalyzeReportsSpillRunsAndPeakMem) {
 // ---------------------------------------------------------------------
 // Fault injection into the spill write path
 
-bool AnySpillFilesLeft(const std::string& root) {
-  const std::filesystem::path dir = root + "/tablespace";
-  if (!std::filesystem::exists(dir)) return false;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().filename().string().rfind("spill", 0) == 0) return true;
-  }
-  return false;
-}
-
 class SpillFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -269,7 +358,16 @@ class SpillFaultTest : public ::testing::Test {
 
   void Heal() { vfs_->Reset(storage::FaultPlan{}); }
 
-  const char* kSpillQuery = "SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k";
+  // The spilling statements under test, with their result sizes: the
+  // aggregate, and the hash join (build u, 4 rows per key of t).
+  struct SpillQuery {
+    const char* sql;
+    size_t rows;
+  };
+  const SpillQuery kSpillQueries[2] = {
+      {"SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k", kGroups},
+      {"SELECT t.v, u.w FROM t JOIN u ON t.k = u.k",
+       kRows * (kDimRows / kGroups)}};
 
   std::unique_ptr<storage::FaultInjectingVfs> vfs_;
   std::unique_ptr<Database> db_;
@@ -277,43 +375,52 @@ class SpillFaultTest : public ::testing::Test {
 };
 
 TEST_F(SpillFaultTest, NoSpaceOnSpillWriteFailsStatementOnly) {
-  Arm(storage::FaultPlan::Kind::kNoSpace, 0);
-  Result<QueryResult> failed = engine_->Execute(kSpillQuery);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_TRUE(vfs_->fault_fired());
-  // The failed statement's spill files were cleaned up with its
-  // iterators — nothing orphaned in the tablespace directory.
-  Heal();
-  EXPECT_FALSE(AnySpillFilesLeft(db_->options().filestream_root));
-  // The device recovered: the same session runs the same query.
-  Result<QueryResult> ok = engine_->Execute(kSpillQuery);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok->rows.size(), static_cast<size_t>(kGroups));
-  EXPECT_FALSE(AnySpillFilesLeft(db_->options().filestream_root));
+  for (const SpillQuery& q : kSpillQueries) {
+    SCOPED_TRACE(q.sql);
+    Arm(storage::FaultPlan::Kind::kNoSpace, 0);
+    Result<QueryResult> failed = engine_->Execute(q.sql);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(vfs_->fault_fired());
+    // The failed statement's spill files were cleaned up with its
+    // iterators — nothing orphaned in the tablespace directory.
+    Heal();
+    EXPECT_FALSE(AnySpillFilesLeft(db_->options().filestream_root));
+    // The device recovered: the same session runs the same query.
+    Result<QueryResult> ok = engine_->Execute(q.sql);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok->rows.size(), q.rows);
+    EXPECT_FALSE(AnySpillFilesLeft(db_->options().filestream_root));
+  }
 }
 
 TEST_F(SpillFaultTest, TornSpillWriteFailsStatementOnly) {
-  Arm(storage::FaultPlan::Kind::kTornWrite, 2);
-  Result<QueryResult> failed = engine_->Execute(kSpillQuery);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_TRUE(vfs_->fault_fired());
-  Heal();
-  EXPECT_FALSE(AnySpillFilesLeft(db_->options().filestream_root));
-  Result<QueryResult> ok = engine_->Execute(kSpillQuery);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok->rows.size(), static_cast<size_t>(kGroups));
+  for (const SpillQuery& q : kSpillQueries) {
+    SCOPED_TRACE(q.sql);
+    Arm(storage::FaultPlan::Kind::kTornWrite, 2);
+    Result<QueryResult> failed = engine_->Execute(q.sql);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(vfs_->fault_fired());
+    Heal();
+    EXPECT_FALSE(AnySpillFilesLeft(db_->options().filestream_root));
+    Result<QueryResult> ok = engine_->Execute(q.sql);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok->rows.size(), q.rows);
+  }
 }
 
 TEST_F(SpillFaultTest, TransientEioOnSpillWriteIsAbsorbed) {
   // The device flakes twice on one spill write, then heals: the storage
   // retry policy (and statement-level retry above it) absorb the fault
   // and the query still answers correctly.
-  Arm(storage::FaultPlan::Kind::kTransientEio, 1, /*transient=*/2);
-  Result<QueryResult> r = engine_->Execute(kSpillQuery);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(vfs_->fault_fired());
-  EXPECT_EQ(r->rows.size(), static_cast<size_t>(kGroups));
-  EXPECT_FALSE(AnySpillFilesLeft(db_->options().filestream_root));
+  for (const SpillQuery& q : kSpillQueries) {
+    SCOPED_TRACE(q.sql);
+    Arm(storage::FaultPlan::Kind::kTransientEio, 1, /*transient=*/2);
+    Result<QueryResult> r = engine_->Execute(q.sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(vfs_->fault_fired());
+    EXPECT_EQ(r->rows.size(), q.rows);
+    EXPECT_FALSE(AnySpillFilesLeft(db_->options().filestream_root));
+  }
 }
 
 }  // namespace

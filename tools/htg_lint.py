@@ -86,6 +86,14 @@ Rules (ids usable in NOLINT suppressions):
                     MemoryContext) so the bytes count against the query
                     budget and can trigger spilling. Fixed-size literal
                     reservations and arity-sized scratch are exempt.
+  exec-spill-seam   In src/exec, spill files are created and spill runs
+                    written (SpillFile::Create, SpillRunWriter) only in
+                    src/exec/spill_util.h -- the one hash-partition
+                    spill (PartitionSpill) and its worklist -- and in
+                    src/exec/sort_ops.cc, whose sorted runs are the one
+                    spill that is not a hash partition. A third copy of
+                    the partition-spill-recurse algorithm cannot creep
+                    back in.
 
 Suppression: append `// NOLINT(htg-<rule>)` to the offending line (or a
 bare NOLINT comment, honoured for compatibility with clang-tidy). Lint
@@ -583,6 +591,25 @@ def check_exec_untracked_reserve(path, text, rel):
     return findings
 
 
+SPILL_SEAM_RE = re.compile(
+    r"\bSpillFile\s*::\s*Create\b|\bSpillRunWriter\b")
+SPILL_SEAM = {"src/exec/spill_util.h", "src/exec/sort_ops.cc"}
+
+
+def check_exec_spill_seam(path, text, rel):
+    # Selftest fixtures arrive with a bare filename, which must still trip
+    # the rule.
+    norm = rel.replace(os.sep, "/")
+    if norm in SPILL_SEAM or ("/" in norm and not norm.startswith("src/exec/")):
+        return []
+    return [
+        Finding(path, line_of(text, m.start()), "exec-spill-seam",
+                f"`{m.group(0)}` outside the spill seam; spill through "
+                "PartitionSpill / SpillWorklist (src/exec/spill_util.h)")
+        for m in SPILL_SEAM_RE.finditer(text)
+    ]
+
+
 OPERATIONS_DOC = os.path.join("docs", "OPERATIONS.md")
 # String literals naming an environment knob ("HTG_SCALE" etc). Project
 # macros (HTG_RETURN_IF_ERROR, HTG_METRIC_*) are identifiers, not quoted,
@@ -800,6 +827,7 @@ RULES = {
     "exec-batch-rowloop": (check_exec_batch_rowloop, ("src",), False),
     "exec-untracked-reserve":
         (check_exec_untracked_reserve, ("src",), False),
+    "exec-spill-seam": (check_exec_spill_seam, ("src",), False),
     # env-doc matches quoted knob names, so it needs unstripped text.
     "env-doc": (check_env_doc, ("src", "bench"), True),
     "sync-raw-mutex": (check_sync_raw_mutex, ("src",), False),
@@ -829,6 +857,8 @@ RULE_DESCRIPTIONS = {
                           "kernels",
     "exec-untracked-reserve": "data-proportional row buffers hold a "
                               "MemoryCharge",
+    "exec-spill-seam": "spill files and run writers in src/exec only in "
+                       "spill_util.h and sort_ops.cc",
     "env-doc": "every HTG_* env knob is documented in docs/OPERATIONS.md, "
                "and every documented knob is still referenced",
     "sync-raw-mutex": "raw std:: sync primitives live only in "
