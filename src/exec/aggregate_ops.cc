@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "exec/batch.h"
 #include "exec/spill_util.h"
-#include "storage/heap_table.h"
 #include "storage/spill.h"
 
 namespace htg::exec {
@@ -670,14 +669,8 @@ int64_t ParallelAggregateOp::EstimateRows() const {
 
 Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     ExecContext* ctx) {
-  auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
-  if (heap == nullptr) {
-    return Status::Internal("parallel aggregate over non-heap table " +
-                            table_->name);
-  }
-  HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
-  const std::vector<Morsel> morsels =
-      MakeMorsels(heap->num_pages_sealed(), morsel_pages_);
+  HTG_ASSIGN_OR_RETURN(const std::vector<Morsel> morsels,
+                       PlanHeapMorsels(table_, *ctx, morsel_pages_));
   const int dop =
       std::min(static_cast<size_t>(dop_), std::max<size_t>(1, morsels.size()));
 

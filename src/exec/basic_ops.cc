@@ -124,73 +124,49 @@ class TopBatchIterator : public BatchIterator {
 
 TableScanOp::TableScanOp(catalog::TableDef* table) : table_(table) {}
 
-TableScanOp::TableScanOp(catalog::TableDef* table, size_t first_page,
-                         size_t end_page)
-    : table_(table),
-      has_range_(true),
-      first_page_(first_page),
-      end_page_(end_page) {}
+TableScanOp::TableScanOp(catalog::TableDef* table,
+                         const storage::HeapTable::PageRange& morsel)
+    : table_(table), morsel_(morsel) {}
 
-TableScanOp::TableScanOp(catalog::TableDef* table, Row seek_prefix)
-    : table_(table), has_seek_(true), seek_prefix_(std::move(seek_prefix)) {}
+Result<storage::HeapTable::PageRange> PlanVisibleHeap(
+    catalog::TableDef* table, const ExecContext& ctx) {
+  auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
+  if (heap == nullptr) {
+    return Status::Internal("page-range scan on non-heap table " +
+                            table->name);
+  }
+  return heap->PlanVisiblePrefix(
+      table->mvcc->VisibleRows(*ctx.snapshot, ctx.txn_id, heap->num_rows()));
+}
 
+// The executor's one MVCC seam: every table scan, serial or morsel,
+// opens here through the context's snapshot.
 Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
     ExecContext* ctx) {
-  // MVCC: with a snapshot in the context, bound the scan to the rows the
-  // snapshot sees. This is the single interception point for both serial
-  // plans and morsel pipelines (each morsel is a range-scan clone opened
-  // with a worker copy of the same context).
-  const storage::Snapshot* snap =
-      ctx != nullptr ? ctx->snapshot : nullptr;
-  if (snap != nullptr) {
-    if (auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get())) {
-      const uint64_t limit =
-          table_->mvcc->VisibleRows(*snap, ctx->txn_id, heap->num_rows());
-      HTG_ASSIGN_OR_RETURN(const storage::HeapTable::PrefixPlan plan,
-                           heap->PlanVisiblePrefix(limit));
-      size_t first = 0;
-      size_t end = plan.end_page;
-      if (has_range_) {
-        // Morsels past the visible prefix become empty scans.
-        first = first_page_;
-        if (end_page_ < end) {
-          // The morsel ends before the prefix does: no mid-page cap.
-          return {heap->NewScanRangeCapped(first, end_page_, 0)};
-        }
-      }
-      return {heap->NewScanRangeCapped(first, end, plan.tail_rows)};
-    }
-    if (auto* clustered =
-            dynamic_cast<storage::ClusteredTable*>(table_->table.get())) {
-      if (has_seek_) {
-        return clustered->NewSnapshotScanFrom(seek_prefix_, *snap,
-                                              ctx->txn_id);
-      }
-      return {clustered->NewSnapshotScan(*snap, ctx->txn_id)};
-    }
+  if (auto* clustered =
+          dynamic_cast<storage::ClusteredTable*>(table_->table.get())) {
+    return {clustered->NewSnapshotScan(*ctx->snapshot, ctx->txn_id)};
   }
-  if (has_range_) {
-    auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
-    if (heap == nullptr) {
-      return Status::Internal("page-range scan on non-heap table " +
-                              table_->name);
-    }
-    return {heap->NewScanRange(first_page_, end_page_)};
+  storage::HeapTable::PageRange range;
+  if (morsel_.has_value()) {
+    range = *morsel_;
+  } else {
+    HTG_ASSIGN_OR_RETURN(range, PlanVisibleHeap(table_, *ctx));
   }
-  if (has_seek_) {
-    return table_->table->NewScanFrom(seek_prefix_);
-  }
-  return {table_->table->NewScan()};
+  return {static_cast<storage::HeapTable*>(table_->table.get())
+              ->NewScanRange(range)};
 }
 
 int64_t TableScanOp::EstimateRows() const {
   const auto rows = static_cast<int64_t>(table_->table->num_rows());
-  if (!has_range_) return rows;
-  // Page-range partition: prorate by the fraction of sealed pages scanned.
+  if (!morsel_.has_value()) return rows;
+  // Morsel: prorate by the fraction of the heap's pages scanned.
   auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
-  const size_t npages = heap != nullptr ? heap->num_pages_sealed() : 0;
+  const size_t npages = heap != nullptr ? heap->num_pages() : 0;
   if (npages == 0) return rows;
-  const size_t span = end_page_ > first_page_ ? end_page_ - first_page_ : 0;
+  const size_t span = morsel_->end_page > morsel_->first_page
+                          ? morsel_->end_page - morsel_->first_page
+                          : 0;
   return static_cast<int64_t>(static_cast<uint64_t>(rows) * span / npages);
 }
 
@@ -199,10 +175,10 @@ std::string TableScanOp::Describe() const {
                          ? "Table Scan"
                          : "Clustered Index Scan";
   std::string out = kind + " [" + table_->name + "]";
-  if (has_range_) {
-    out += StringPrintf(" pages [%zu, %zu)", first_page_, end_page_);
+  if (morsel_.has_value()) {
+    out += StringPrintf(" pages [%zu, %zu)", morsel_->first_page,
+                        morsel_->end_page);
   }
-  if (has_seek_) out += " (seek)";
   return out;
 }
 

@@ -2,26 +2,28 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/table_def.h"
 #include "exec/operator.h"
+#include "storage/heap_table.h"
 
 namespace htg::exec {
 
-// Scan of a base table. Heap scans can be restricted to a page range (the
-// partition unit of parallel plans); clustered scans can seek to a key
-// prefix and stream in key order.
+// Scan of a base table through the context's snapshot: a heap scan reads
+// the snapshot's visible row prefix, a clustered scan streams the
+// entries the snapshot sees in key order. A morsel scan reads one
+// pre-planned page range of a heap (parallel plans cut the statement's
+// visible prefix into morsels once, see PlanHeapMorsels).
 class TableScanOp : public Operator {
  public:
   explicit TableScanOp(catalog::TableDef* table);
 
-  // Heap page-range partition scan.
-  TableScanOp(catalog::TableDef* table, size_t first_page, size_t end_page);
-
-  // Clustered-index range scan from `seek_prefix`.
-  TableScanOp(catalog::TableDef* table, Row seek_prefix);
+  // Heap morsel scan.
+  TableScanOp(catalog::TableDef* table,
+              const storage::HeapTable::PageRange& morsel);
 
   const Schema& output_schema() const override { return table_->schema; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
@@ -32,12 +34,13 @@ class TableScanOp : public Operator {
 
  private:
   catalog::TableDef* table_;
-  bool has_range_ = false;
-  size_t first_page_ = 0;
-  size_t end_page_ = 0;
-  bool has_seek_ = false;
-  Row seek_prefix_;
+  std::optional<storage::HeapTable::PageRange> morsel_;
 };
+
+// The heap rows of `table` visible to ctx's snapshot, as one page range.
+// Fails if `table` is not a heap.
+Result<storage::HeapTable::PageRange> PlanVisibleHeap(
+    catalog::TableDef* table, const ExecContext& ctx);
 
 // Literal rows (INSERT ... VALUES and tests).
 class ValuesOp : public Operator {

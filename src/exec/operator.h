@@ -33,12 +33,12 @@ struct ExecContext {
   // Where over-budget operators write spill runs; null disables spilling
   // (over-budget statements fail with kResourceExhausted instead).
   storage::TableSpace* tablespace = nullptr;
-  // MVCC visibility: when set, table scans bound themselves to this
-  // snapshot (heap row-count prefix, clustered stamp filter) instead of
-  // reading the live table tail. The pointer outlives the statement (it
-  // points into the session's TxnContext or the engine's per-statement
-  // pin) and is shared by every morsel-worker copy of this context.
-  const storage::Snapshot* snapshot = nullptr;
+  // MVCC visibility: every table scan bounds itself to this snapshot
+  // (heap row-count prefix, clustered stamp filter). SQL statements point
+  // it into the session's TxnContext or the engine's per-statement pin;
+  // it outlives the statement and is shared by every morsel-worker copy
+  // of this context. Outside any transaction it sees every stamp.
+  const storage::Snapshot* snapshot = &storage::Snapshot::All();
   // The reading transaction's id — a transaction always sees its own
   // uncommitted writes. kFrozenTxn outside any transaction.
   storage::TxnId txn_id = storage::kFrozenTxn;

@@ -24,6 +24,15 @@ std::vector<Morsel> MakeMorsels(size_t num_pages, size_t morsel_pages) {
   return morsels;
 }
 
+Result<std::vector<Morsel>> PlanHeapMorsels(catalog::TableDef* table,
+                                            const ExecContext& ctx,
+                                            size_t morsel_pages) {
+  HTG_ASSIGN_OR_RETURN(const Morsel visible, PlanVisibleHeap(table, ctx));
+  std::vector<Morsel> morsels = MakeMorsels(visible.end_page, morsel_pages);
+  if (!morsels.empty()) morsels.back().tail_rows = visible.tail_rows;
+  return morsels;
+}
+
 size_t ChooseMorselPages(size_t num_pages, int dop, size_t max_pages) {
   if (max_pages == 0) max_pages = kDefaultMorselPages;
   if (dop < 1) dop = 1;
@@ -197,8 +206,7 @@ OperatorPtr ApplyStages(OperatorPtr op,
 
 OperatorPtr BuildMorselPipeline(catalog::TableDef* table, const Morsel& morsel,
                                 const std::vector<ParallelStage>& stages) {
-  OperatorPtr op =
-      std::make_unique<TableScanOp>(table, morsel.first_page, morsel.end_page);
+  OperatorPtr op = std::make_unique<TableScanOp>(table, morsel);
   return ApplyStages(std::move(op), stages);
 }
 
@@ -256,8 +264,8 @@ OperatorPtr BuildExplainPipeline(catalog::TableDef* table,
                                  const std::vector<ParallelStage>& stages,
                                  int dop, size_t morsel_pages) {
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
-  const size_t npages = heap != nullptr ? heap->num_pages_sealed() : 0;
-  OperatorPtr op = std::make_unique<TableScanOp>(table, 0, npages);
+  const size_t npages = heap != nullptr ? heap->num_pages() : 0;
+  OperatorPtr op = std::make_unique<TableScanOp>(table, Morsel{0, npages, 0});
   op = std::make_unique<DistributeStreamsOp>(std::move(op), dop, morsel_pages);
   return ApplyStages(std::move(op), stages);
 }
@@ -301,14 +309,8 @@ int64_t ParallelMapOp::EstimateRows() const {
 
 Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
     ExecContext* ctx) {
-  auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
-  if (heap == nullptr) {
-    return Status::Internal("parallel map over non-heap table " +
-                            table_->name);
-  }
-  HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
-  const std::vector<Morsel> morsels =
-      MakeMorsels(heap->num_pages_sealed(), morsel_pages_);
+  HTG_ASSIGN_OR_RETURN(const std::vector<Morsel> morsels,
+                       PlanHeapMorsels(table_, *ctx, morsel_pages_));
   const int dop = std::min<size_t>(dop_, std::max<size_t>(1, morsels.size()));
 
   OperatorStats* stats = mutable_stats();

@@ -7,6 +7,7 @@
 
 #include "catalog/table_def.h"
 #include "exec/operator.h"
+#include "storage/heap_table.h"
 #include "udf/function.h"
 
 namespace htg::exec {
@@ -19,11 +20,9 @@ namespace htg::exec {
 // partitioning stalled on the unlucky partition.
 // ---------------------------------------------------------------------------
 
-// One unit of parallel work: pages [first_page, end_page) of a heap table.
-struct Morsel {
-  size_t first_page = 0;
-  size_t end_page = 0;
-};
+// One unit of parallel work: pages [first_page, end_page) of a heap table,
+// the last morsel of a statement capped at its visible prefix's tail_rows.
+using Morsel = storage::HeapTable::PageRange;
 
 // Default morsel size. Chosen so a morsel is a few hundred KB of pages:
 // big enough to amortize per-morsel pipeline setup, small enough that
@@ -33,6 +32,13 @@ inline constexpr size_t kDefaultMorselPages = 32;
 // Splits [0, num_pages) into morsels of `morsel_pages` pages (last one
 // may be short). Empty input yields no morsels.
 std::vector<Morsel> MakeMorsels(size_t num_pages, size_t morsel_pages);
+
+// The statement's morsels: the heap rows of `table` visible to ctx's
+// snapshot (PlanVisibleHeap, planned once), cut into morsels of
+// `morsel_pages` pages. The last morsel carries the prefix's mid-page cap.
+Result<std::vector<Morsel>> PlanHeapMorsels(catalog::TableDef* table,
+                                            const ExecContext& ctx,
+                                            size_t morsel_pages);
 
 // Picks a morsel size for a table of `num_pages` pages: the configured
 // `max_pages` cap, shrunk so that `dop` workers see several morsels each
@@ -80,8 +86,8 @@ struct ParallelStage {
 
 std::vector<ParallelStage> CloneStages(const std::vector<ParallelStage>& s);
 
-// Builds the per-morsel operator chain: a page-range scan of `table`
-// wrapped by each stage in order.
+// Builds the per-morsel operator chain: a morsel scan of `table` wrapped
+// by each stage in order.
 OperatorPtr BuildMorselPipeline(catalog::TableDef* table, const Morsel& morsel,
                                 const std::vector<ParallelStage>& stages);
 

@@ -559,7 +559,7 @@ struct MorselPlan {
 
 MorselPlan PlanMorsels(const storage::HeapTable* heap,
                        const DatabaseOptions& options) {
-  const size_t npages = heap->num_pages_sealed();
+  const size_t npages = heap->num_pages();
   MorselPlan plan;
   plan.morsel_pages =
       exec::ChooseMorselPages(npages, options.max_dop, options.morsel_pages);
@@ -653,7 +653,6 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
     parallel = parallel && heap != nullptr;
 
     if (parallel) {
-      HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
       const MorselPlan mp = PlanMorsels(heap, db_->options());
       // Stage order matches the serial plan: CROSS APPLY stages from the
       // FROM clause, then the WHERE filter over the widened rows.
@@ -690,7 +689,6 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
                           from.pipeline_heap->table->num_rows() >=
                               db_->options().parallel_threshold;
     if (parallel) {
-      HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
       const MorselPlan mp = PlanMorsels(heap, db_->options());
       std::vector<exec::ParallelStage> stages =
           exec::CloneStages(from.apply_stages);

@@ -13,6 +13,40 @@
 
 namespace htg::sql {
 
+namespace {
+
+// A statement's MVCC read view, installed into its context: the session
+// transaction's snapshot, or an autocommit read transaction that pins
+// the GC horizon so the sweep cannot collapse versions out from under
+// the running scan. The pin commits when the view goes out of scope, so
+// every return path ends it.
+class ReadView {
+ public:
+  ReadView(storage::TxnManager* txns, const StatementOptions& opts,
+           exec::ExecContext* ctx)
+      : txns_(txns) {
+    if (opts.txn != nullptr) {
+      ctx->snapshot = &opts.txn->snapshot;
+      ctx->txn_id = opts.txn->id;
+    } else {
+      pin_ = txns_->Begin();
+      ctx->snapshot = &pin_.snapshot;
+      ctx->txn_id = pin_.id;
+    }
+  }
+  ~ReadView() {
+    if (pin_.id != storage::kFrozenTxn) txns_->Commit(pin_.id);
+  }
+  ReadView(const ReadView&) = delete;
+  ReadView& operator=(const ReadView&) = delete;
+
+ private:
+  storage::TxnManager* txns_;
+  storage::TxnManager::BeginResult pin_;
+};
+
+}  // namespace
+
 std::string QueryResult::ToString(size_t max_rows) const {
   if (schema.num_columns() == 0) {
     return message.empty()
@@ -184,6 +218,7 @@ Result<QueryResult> SqlEngine::ExecuteStatement(const Statement& stmt,
       // are drained and discarded — the plan is the output.
       exec::ExecContext ctx = MakeContext(opts);
       ctx.collect_stats = true;
+      ReadView view(db_->txns(), opts, &ctx);
       const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
       Stopwatch total;
       HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
@@ -265,34 +300,17 @@ Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
   Binder binder(db_);
   HTG_ASSIGN_OR_RETURN(exec::OperatorPtr plan, binder.BindSelect(stmt));
   exec::ExecContext ctx = MakeContext(opts);
-  // MVCC read view: a transaction reads through its own snapshot; an
-  // autocommit SELECT begins a short-lived read transaction, which pins
-  // the GC horizon so the sweep cannot collapse versions out from under
-  // the running scan.
-  storage::TxnManager::BeginResult pin;
-  if (opts.txn != nullptr) {
-    ctx.snapshot = &opts.txn->snapshot;
-    ctx.txn_id = opts.txn->id;
-  } else {
-    pin = db_->txns()->Begin();
-    ctx.snapshot = &pin.snapshot;
-    ctx.txn_id = pin.id;
-  }
-  const auto finish = [&](Result<QueryResult> r) -> Result<QueryResult> {
-    if (pin.id != storage::kFrozenTxn) db_->txns()->Commit(pin.id);
-    return r;
-  };
-  Result<std::unique_ptr<storage::RowIterator>> iter = plan->Open(&ctx);
-  if (!iter.ok()) return finish(iter.status());
+  ReadView view(db_->txns(), opts, &ctx);
+  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
+                       plan->Open(&ctx));
   QueryResult result;
   result.schema = plan->output_schema();
-  const Status drained = exec::DrainIterator(iter->get(), &result.rows);
-  if (!drained.ok()) return finish(drained);
-  iter->reset();  // operators release their charges before we read the peak
+  HTG_RETURN_IF_ERROR(exec::DrainIterator(iter.get(), &result.rows));
+  iter.reset();  // operators release their charges before we read the peak
   HTG_METRIC_GAUGE("mem.query.peak")
       ->Set(static_cast<int64_t>(ctx.mem->peak()));
   result.rows_affected = result.rows.size();
-  return finish(std::move(result));
+  return result;
 }
 
 Result<QueryResult> SqlEngine::ExecuteCreateTable(const CreateTableStmt& stmt) {

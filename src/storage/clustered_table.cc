@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <tuple>
 
 #include "common/crc32c.h"
@@ -65,7 +64,7 @@ Status DecodePayload(const Schema& schema, Compression row_mode,
 }
 
 // Full-key comparison, shorter keys sort first on ties (mirrors the
-// B+-tree's internal ordering; snapshot scans use it to resume).
+// B+-tree's internal ordering; scans use it to resume).
 int CompareFull(const Row& a, const Row& b) {
   const size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {
@@ -75,6 +74,12 @@ int CompareFull(const Row& a, const Row& b) {
   if (a.size() < b.size()) return -1;
   if (a.size() > b.size()) return 1;
   return 0;
+}
+
+// Insertion order of two leaf references: payloads append to the leaf
+// file, so a later insert has a later (page, offset).
+bool After(const LeafRef& a, const LeafRef& b) {
+  return std::tie(a.page_no, a.offset) > std::tie(b.page_no, b.offset);
 }
 
 }  // namespace
@@ -105,49 +110,17 @@ Status ClusteredTable::DecodeEntryLocked(const std::string& payload,
                        Slice(page.data() + ref.offset, ref.length), row);
 }
 
-// Legacy cursor scan: key-ordered walk assuming no concurrent DML (the
-// library-mode contract — a cursor points into tree nodes between calls).
-// Each call still takes the shared latch so field access is race-free
-// against the MVCC write paths.
-class ClusteredTable::ScanIterator : public RowIterator {
- public:
-  ScanIterator(const ClusteredTable* table, BPlusTree::Cursor cursor)
-      : table_(table), cursor_(cursor) {}
-
-  // One cursor walk decodes a whole batch, reusing the leaf-page pin
-  // across the run of rows that share a page.
-  bool NextBatch(RowBatch* batch) override {
-    batch->Clear();
-    ReaderMutexLock lock(&table_->latch_);
-    Row row;
-    while (!batch->full() && cursor_.Valid()) {
-      status_ = table_->DecodeEntryLocked(cursor_.payload(), &guard_, &row);
-      if (!status_.ok()) return false;
-      batch->AppendRow(std::move(row));
-      row.clear();
-      cursor_.Advance();
-    }
-    return batch->num_rows() > 0;
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  const ClusteredTable* table_;
-  BPlusTree::Cursor cursor_;
-  PageGuard guard_;  // pin on the sealed leaf page last resolved
-  Status status_;
-};
-
-// MVCC snapshot scan: latch-per-refill with (key, visible-duplicate
-// count) resume, so a concurrent writer's inserts (and splits they
-// trigger) never invalidate scan state — the cursor is rebuilt from the
-// key each refill. Entries are filtered by stamp visibility.
+// The clustered scan: key order, entries filtered by snapshot
+// visibility. The latch is held only while one refill decodes up to
+// kFillRows entries straight into the batch; between refills the scan
+// keeps the (key, leaf reference) of the last entry it visited and
+// re-seeks past it, so a concurrent writer's inserts (and the splits
+// they trigger) and GC sweeps never invalidate scan state. Equal keys
+// order by insertion, and leaf references grow with insertion, so the
+// resume point is exact even when the entry it names was swept.
 class ClusteredTable::SnapshotIterator : public RowIterator {
  public:
-  SnapshotIterator(const ClusteredTable* table, Snapshot snap, TxnId self)
-      : table_(table), snap_(std::move(snap)), self_(self) {}
-
+  // An empty `seek` scans from the first key.
   SnapshotIterator(const ClusteredTable* table, Snapshot snap, TxnId self,
                    Row seek)
       : table_(table),
@@ -156,14 +129,12 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
         seek_(std::move(seek)) {}
 
   bool NextBatch(RowBatch* batch) override {
-    batch->Clear();
-    for (;;) {
-      while (!batch->full() && buffer_pos_ < buffer_.size()) {
-        batch->AppendRow(std::move(buffer_[buffer_pos_++]));
-      }
-      if (batch->full()) return true;
-      if (!Refill()) return status_.ok() && batch->num_rows() > 0;
+    batch->StartFill(table_->schema_.num_columns());
+    size_t n = 0;
+    while (n < batch->capacity() && Refill(batch, &n)) {
     }
+    batch->FinishFill(n);
+    return status_.ok() && n > 0;
   }
 
   Status status() const override { return status_; }
@@ -175,54 +146,50 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
     return stamp == kFrozenTxn || stamp == self_ || snap_.Sees(stamp);
   }
 
-  bool Refill() {
-    buffer_.clear();
-    buffer_pos_ = 0;
+  // Visits up to kFillRows more entries under one latch hold, decoding
+  // the visible ones into rows *n, *n + 1, ... of the batch. Returns
+  // false once the scan is exhausted or failed.
+  bool Refill(RowBatch* batch, size_t* n) {
     if (done_ || !status_.ok()) return false;
     ReaderMutexLock lock(&table_->latch_);
     BPlusTree::Cursor cur = PositionLocked();
-    Row row;
-    while (buffer_.size() < kFillRows && cur.Valid()) {
-      const Row& key = cur.key();
-      if (!started_ || CompareFull(key, last_key_) != 0) {
-        last_key_ = key;
-        seen_vis_ = 0;
-        started_ = true;
-      }
+    BPlusTree::Cursor last;
+    for (size_t visited = 0; visited < kFillRows && cur.Valid() &&
+                             *n < batch->capacity();
+         ++visited) {
       if (Visible(cur.stamp())) {
-        status_ = table_->DecodeEntryLocked(cur.payload(), &guard_, &row);
-        if (!status_.ok()) {
-          done_ = true;
-          buffer_.clear();
-          return false;
-        }
-        buffer_.push_back(std::move(row));
-        row.clear();
-        ++seen_vis_;
+        status_ = table_->DecodeEntryLocked(cur.payload(), &guard_, &row_);
+        if (!status_.ok()) return false;
+        batch->SwapRow((*n)++, &row_);
       }
+      last = cur;
       cur.Advance();
     }
+    if (last.Valid()) {
+      last_key_ = last.key();
+      status_ = DecodeLeafRef(last.payload(), &last_ref_);
+      started_ = true;
+    }
     if (!cur.Valid()) done_ = true;
-    // Drop the pin between refills: a long-lived snapshot scan should not
-    // hold buffer-pool frames while the caller processes the batch.
+    // Drop the pin between refills: a long-lived scan should not hold
+    // buffer-pool frames while the caller processes the batch.
     guard_ = PageGuard();
-    return !buffer_.empty();
+    return status_.ok() && !done_;
   }
 
-  // Rebuilds a cursor at the first entry not yet consumed: lower-bound
-  // seek to the last key, then skip the visible duplicates already
-  // returned. Correct because equal keys insert after existing equals
-  // and GC only removes invisible (aborted) entries.
+  // Rebuilds a cursor at the first entry not yet visited: lower-bound
+  // seek to the last visited key, then past the equal-key entries
+  // inserted no later than the last visited one.
   BPlusTree::Cursor PositionLocked() HTG_REQUIRES_SHARED(table_->latch_) {
     if (!started_) {
-      return seek_.has_value() ? table_->tree_.Seek(*seek_)
-                               : table_->tree_.First();
+      return seek_.empty() ? table_->tree_.First()
+                           : table_->tree_.Seek(seek_);
     }
     BPlusTree::Cursor cur = table_->tree_.Seek(last_key_);
-    uint64_t skipped = 0;
-    while (cur.Valid() && skipped < seen_vis_ &&
-           CompareFull(cur.key(), last_key_) == 0) {
-      if (Visible(cur.stamp())) ++skipped;
+    LeafRef ref;
+    while (cur.Valid() && CompareFull(cur.key(), last_key_) == 0 &&
+           DecodeLeafRef(cur.payload(), &ref).ok() &&
+           !After(ref, last_ref_)) {
       cur.Advance();
     }
     return cur;
@@ -231,14 +198,13 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
   const ClusteredTable* table_;
   const Snapshot snap_;
   const TxnId self_;
-  const std::optional<Row> seek_;
+  const Row seek_;
 
   bool started_ = false;
   bool done_ = false;
-  Row last_key_;
-  uint64_t seen_vis_ = 0;  // visible entries of last_key_ already consumed
-  std::vector<Row> buffer_;
-  size_t buffer_pos_ = 0;
+  Row last_key_;      // key of the last entry visited
+  LeafRef last_ref_;  // and its leaf reference
+  Row row_;  // decode target, swapped into the batch's value slots
   PageGuard guard_;
   Status status_;
 };
@@ -326,22 +292,13 @@ StorageStats ClusteredTable::Stats() const {
 }
 
 std::unique_ptr<RowIterator> ClusteredTable::NewScan() {
-  ReaderMutexLock lock(&latch_);
-  return std::make_unique<ScanIterator>(this, tree_.First());
-}
-
-Result<std::unique_ptr<RowIterator>> ClusteredTable::NewScanFrom(
-    const Row& prefix) {
-  if (prefix.size() > key_columns_.size()) {
-    return Status::InvalidArgument("seek key longer than clustered key");
-  }
-  ReaderMutexLock lock(&latch_);
-  return {std::make_unique<ScanIterator>(this, tree_.Seek(prefix))};
+  return NewSnapshotScan(Snapshot::All(), kFrozenTxn);
 }
 
 std::unique_ptr<RowIterator> ClusteredTable::NewSnapshotScan(Snapshot snap,
                                                              TxnId self) {
-  return std::make_unique<SnapshotIterator>(this, std::move(snap), self);
+  return std::make_unique<SnapshotIterator>(this, std::move(snap), self,
+                                            Row());
 }
 
 Result<std::unique_ptr<RowIterator>> ClusteredTable::NewSnapshotScanFrom(

@@ -30,14 +30,13 @@ namespace htg::storage {
 // verifies on every miss-fill.
 //
 // Concurrency (MVCC): every tree entry carries the txn-id stamp of its
-// inserting transaction (0 = frozen). Snapshot scans (NewSnapshotScan)
-// hold an internal reader/writer latch only while filling one batch and
-// re-seek by (last key, visible-duplicate count) between batches, so
-// they interleave with a writer transaction's inserts; entries of
-// aborted transactions stay in the tree but are invisible to every
-// snapshot until SweepAborted rebuilds without them. Plain NewScan
-// cursors walk tree nodes unlatched across calls and still require no
-// concurrent DML — the library-mode contract.
+// inserting transaction (0 = frozen). Every scan reads through a
+// snapshot: it holds an internal reader/writer latch only while filling
+// part of one batch and re-seeks past the last entry it visited between
+// fills, so it interleaves with a writer transaction's inserts and with
+// GC sweeps. Entries of aborted transactions stay in the tree but are
+// invisible to every transaction's snapshot until SweepAborted rebuilds
+// without them.
 class ClusteredTable : public TableStorage {
  public:
   // `file` (from TableSpace::CreateTableFile) receives the leaf pages.
@@ -55,12 +54,13 @@ class ClusteredTable : public TableStorage {
   Status InsertStamped(const Row& row, TxnId txn);
   uint64_t num_rows() const override;
   StorageStats Stats() const override;
+  // Every entry in the tree: a scan through Snapshot::All().
   std::unique_ptr<RowIterator> NewScan() override;
-  Result<std::unique_ptr<RowIterator>> NewScanFrom(const Row& prefix) override;
   void Truncate() override;
 
   // Key-ordered scan of exactly the rows visible to `snap` (`self` sees
-  // its own uncommitted inserts). Safe against concurrent InsertStamped.
+  // its own uncommitted inserts), optionally starting at the first key
+  // >= `prefix`. Safe against concurrent InsertStamped and SweepAborted.
   std::unique_ptr<RowIterator> NewSnapshotScan(Snapshot snap, TxnId self);
   Result<std::unique_ptr<RowIterator>> NewSnapshotScanFrom(const Row& prefix,
                                                            Snapshot snap,
@@ -72,12 +72,10 @@ class ClusteredTable : public TableStorage {
   void MarkAborted(uint64_t count);
 
   // GC: rebuilds the tree without entries stamped by a txn in `aborted`
-  // (sorted). Returns the number of entries removed. Callers must ensure
-  // no legacy NewScan cursor is live (snapshot scans are safe).
+  // (sorted). Returns the number of entries removed.
   uint64_t SweepAborted(const std::vector<TxnId>& aborted);
 
  private:
-  class ScanIterator;
   class SnapshotIterator;
 
   // Seals leaf_buf_ into the backing file (page CRC trailer appended).

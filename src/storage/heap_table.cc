@@ -8,36 +8,28 @@ namespace htg::storage {
 
 class HeapTable::ScanIterator : public RowIterator {
  public:
-  // `tail_rows` caps the number of rows emitted from page end_page - 1
-  // (0 = no cap) — how snapshot scans stop mid-page when the visible row
-  // limit falls inside a sealed page.
-  ScanIterator(HeapTable* table, size_t first_page, size_t end_page,
-               uint64_t tail_rows = 0)
-      : table_(table),
-        page_index_(first_page),
-        end_page_(end_page),
-        tail_rows_(tail_rows) {}
+  ScanIterator(HeapTable* table, const PageRange& range)
+      : table_(table), page_index_(range.first_page), range_(range) {}
 
   // Decodes page rows straight into the batch while the page pin is
   // held.
   bool NextBatch(RowBatch* batch) override {
-    batch->Clear();
-    Row row;
-    for (;;) {
+    batch->StartFill(table_->schema_.num_columns());
+    size_t n = 0;
+    while (status_.ok()) {
       if (reader_ != nullptr) {
-        while (!batch->full() && rows_left_ > 0 && reader_->Next(&row)) {
+        while (n < batch->capacity() && rows_left_ > 0 &&
+               reader_->Next(&row_)) {
           --rows_left_;
-          batch->AppendRow(std::move(row));
-          row.clear();
+          batch->SwapRow(n++, &row_);
         }
-        if (batch->full()) return true;
-        if (rows_left_ > 0) {
-          status_ = reader_->status();
-          if (!status_.ok()) return false;
-        }
+        if (n == batch->capacity()) break;
+        if (rows_left_ > 0) status_ = reader_->status();
       }
-      if (!AdvancePage()) return status_.ok() && batch->num_rows() > 0;
+      if (!status_.ok() || !AdvancePage()) break;
     }
+    batch->FinishFill(n);
+    return status_.ok() && n > 0;
   }
 
   Status status() const override { return status_; }
@@ -49,7 +41,7 @@ class HeapTable::ScanIterator : public RowIterator {
   // rewriting the page directory; the pin keeps the fetched image valid
   // after the lock drops.
   bool AdvancePage() {
-    if (page_index_ >= end_page_) return false;
+    if (page_index_ >= range_.end_page) return false;
     Slice page;
     {
       ReaderMutexLock lock(&table_->mu_);
@@ -65,8 +57,8 @@ class HeapTable::ScanIterator : public RowIterator {
       page = guard_.data();
     }
     ++page_index_;
-    rows_left_ = (page_index_ == end_page_ && tail_rows_ > 0)
-                     ? tail_rows_
+    rows_left_ = (page_index_ == range_.end_page && range_.tail_rows > 0)
+                     ? range_.tail_rows
                      : std::numeric_limits<uint64_t>::max();
     HTG_METRIC_COUNTER("heap.page.reads")->Add(1);
     reader_ = std::make_unique<PageReader>(&table_->schema_, page);
@@ -80,11 +72,11 @@ class HeapTable::ScanIterator : public RowIterator {
 
   HeapTable* table_;
   size_t page_index_;
-  size_t end_page_;
-  uint64_t tail_rows_;
+  const PageRange range_;
   uint64_t rows_left_ = 0;  // cap on rows still to emit from this page
   PageGuard guard_;  // pin on the page reader_ is positioned on
   std::unique_ptr<PageReader> reader_;
+  Row row_;  // decode target, swapped into the batch's value slots
   Status status_;
 };
 
@@ -123,11 +115,6 @@ Status HeapTable::InsertLocked(const Row& row) {
   return Status::OK();
 }
 
-Status HeapTable::SealCurrentPage() {
-  MutexLock lock(&mu_);
-  return SealLocked();
-}
-
 Status HeapTable::SealLocked() {
   if (builder_.empty()) return Status::OK();
   const int rows = builder_.row_count();
@@ -158,28 +145,20 @@ StorageStats HeapTable::Stats() const {
   return stats;
 }
 
-size_t HeapTable::num_pages_sealed() const {
+size_t HeapTable::num_pages() const {
   ReaderMutexLock lock(&mu_);
-  return page_rows_.size();
+  return page_rows_.size() + (builder_.empty() ? 0 : 1);
 }
 
 std::unique_ptr<RowIterator> HeapTable::NewScan() {
-  MutexLock lock(&mu_);
-  Status sealed = SealLocked();
-  if (!sealed.ok()) return std::make_unique<FailedIterator>(std::move(sealed));
-  return std::make_unique<ScanIterator>(this, 0, page_rows_.size());
+  Result<PageRange> range = PlanVisiblePrefix(num_rows());
+  if (!range.ok()) {
+    return std::make_unique<FailedIterator>(std::move(range).status());
+  }
+  return NewScanRange(*range);
 }
 
-std::unique_ptr<RowIterator> HeapTable::NewScanRange(size_t first_page,
-                                                     size_t end_page) {
-  MutexLock lock(&mu_);
-  Status sealed = SealLocked();
-  if (!sealed.ok()) return std::make_unique<FailedIterator>(std::move(sealed));
-  return std::make_unique<ScanIterator>(
-      this, first_page, std::min(end_page, page_rows_.size()));
-}
-
-Result<HeapTable::PrefixPlan> HeapTable::PlanVisiblePrefix(
+Result<HeapTable::PageRange> HeapTable::PlanVisiblePrefix(
     uint64_t row_limit) {
   MutexLock lock(&mu_);
   row_limit = std::min(row_limit, num_rows());
@@ -187,34 +166,19 @@ Result<HeapTable::PrefixPlan> HeapTable::PlanVisiblePrefix(
   // seal so the rows have a scannable page image. (Appending writers are
   // unaffected: sealing mid-transaction just closes a page early.)
   if (row_limit > sealed_rows_) HTG_RETURN_IF_ERROR(SealLocked());
-  PrefixPlan plan;
+  PageRange range;
   uint64_t acc = 0;
   for (size_t i = 0; i < page_rows_.size() && acc < row_limit; ++i) {
     const uint64_t rows = static_cast<uint64_t>(page_rows_[i]);
-    plan.end_page = i + 1;
-    if (acc + rows > row_limit) {
-      plan.tail_rows = row_limit - acc;
-    } else if (acc + rows == row_limit) {
-      plan.tail_rows = 0;
-    }
+    range.end_page = i + 1;
+    range.tail_rows = acc + rows > row_limit ? row_limit - acc : 0;
     acc += rows;
   }
-  return plan;
+  return range;
 }
 
-std::unique_ptr<RowIterator> HeapTable::NewScanPrefix(uint64_t row_limit) {
-  Result<PrefixPlan> plan = PlanVisiblePrefix(row_limit);
-  if (!plan.ok()) {
-    return std::make_unique<FailedIterator>(std::move(plan).status());
-  }
-  return std::make_unique<ScanIterator>(this, 0, plan->end_page,
-                                        plan->tail_rows);
-}
-
-std::unique_ptr<RowIterator> HeapTable::NewScanRangeCapped(
-    size_t first_page, size_t end_page, uint64_t tail_rows) {
-  return std::make_unique<ScanIterator>(this, first_page, end_page,
-                                        tail_rows);
+std::unique_ptr<RowIterator> HeapTable::NewScanRange(const PageRange& range) {
+  return std::make_unique<ScanIterator>(this, range);
 }
 
 void HeapTable::Truncate() {

@@ -19,13 +19,16 @@ namespace htg::storage {
 // BufferPool as dirty frames with the spill file behind them; scans pin
 // pages via PageGuard, so every heap is cache-managed.
 //
-// Concurrency: an internal reader/writer lock covers the page directory
-// and builder, so MVCC snapshot scans (NewScanPrefix) can stream sealed
-// pages while a writer transaction keeps appending. Sealed page images
-// are immutable and pinned while scanned, so a scan never observes a
-// page being torn down by a concurrent transaction abort (TruncateToRows)
-// — visibility limits guarantee a snapshot reader only decodes rows that
-// survive any abort.
+// Scans: one iterator reads a PageRange — a page span whose last page may
+// be capped mid-page. Readers plan the range holding a snapshot's visible
+// row prefix with PlanVisiblePrefix and scan it whole or cut into morsels;
+// NewScan plans it over every row. An internal reader/writer lock covers
+// the page directory and builder, so scans stream sealed pages while a
+// writer transaction keeps appending. Sealed page images are immutable
+// and pinned while scanned, so a scan never observes a page being torn
+// down by a concurrent transaction abort (TruncateToRows) — visibility
+// limits guarantee a snapshot reader only decodes rows that survive any
+// abort.
 class HeapTable : public TableStorage {
  public:
   // `file` (from TableSpace::CreateTableFile) receives the sealed pages.
@@ -40,41 +43,29 @@ class HeapTable : public TableStorage {
     return num_rows_.load(std::memory_order_acquire);
   }
   StorageStats Stats() const override;
+  // Every row, including the pending tail of a writer transaction.
   std::unique_ptr<RowIterator> NewScan() override;
   void Truncate() override;
 
-  // Scan over the page subrange [first_page, end_page) — the unit of
-  // parallel-scan partitioning. Seals the in-progress page first.
-  std::unique_ptr<RowIterator> NewScanRange(size_t first_page,
-                                            size_t end_page);
-
-  // MVCC snapshot scan: exactly rows [0, row_limit), immune to appends
-  // that land after the scan opens. Seals the in-progress page on demand
-  // when the limit reaches into it (the rows are committed; only the
-  // page image is pending).
-  std::unique_ptr<RowIterator> NewScanPrefix(uint64_t row_limit);
-
-  // Page extent covering rows [0, row_limit): parallel planners partition
-  // [0, end_page) into morsels; the morsel containing the final page caps
-  // it at tail_rows rows (0 = the whole page is within the limit). Seals
-  // on demand like NewScanPrefix.
-  struct PrefixPlan {
+  // Pages [first_page, end_page); the last one is capped at tail_rows
+  // rows (0 = the whole page).
+  struct PageRange {
+    size_t first_page = 0;
     size_t end_page = 0;
     uint64_t tail_rows = 0;
   };
-  Result<PrefixPlan> PlanVisiblePrefix(uint64_t row_limit);
 
-  // Range scan with the final-page cap from a PrefixPlan (morsels that do
-  // not include the plan's last page pass tail_rows = 0).
-  std::unique_ptr<RowIterator> NewScanRangeCapped(size_t first_page,
-                                                  size_t end_page,
-                                                  uint64_t tail_rows);
+  // The range holding exactly rows [0, row_limit), a snapshot's visible
+  // prefix. Seals the in-progress page when the limit reaches into it
+  // (the rows are committed; only their page image is pending) — the
+  // only seal a reader performs.
+  Result<PageRange> PlanVisiblePrefix(uint64_t row_limit);
 
-  size_t num_pages_sealed() const;
+  // Scan of `range`, immune to appends that land after it opens.
+  std::unique_ptr<RowIterator> NewScanRange(const PageRange& range);
 
-  // Seals the in-progress page so Stats()/scans see every row. Fails if
-  // the page hand-off to the pool fails (it may write back).
-  Status SealCurrentPage();
+  // Pages holding rows, counting the in-progress page.
+  size_t num_pages() const;
 
   // Drops rows from the tail until `target_rows` remain (transaction undo;
   // only supports undoing appends). Fails only if a surviving row from a

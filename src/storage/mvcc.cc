@@ -1,8 +1,15 @@
 #include "storage/mvcc.h"
 
+#include <limits>
+
 #include "common/metrics.h"
 
 namespace htg::storage {
+
+const Snapshot& Snapshot::All() {
+  static const Snapshot all{std::numeric_limits<TxnId>::max(), {}, {}};
+  return all;
+}
 
 TxnManager::BeginResult TxnManager::Begin() {
   MutexLock lock(&mu_);

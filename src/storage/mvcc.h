@@ -47,6 +47,12 @@ struct Snapshot {
   }
 
   bool valid() const { return next != kFrozenTxn; }
+
+  // Sees every stamp, committed or not: the view of readers outside any
+  // transaction (ExecContext's default, ClusteredTable::NewScan). A
+  // heap's visible prefix under it still ends at the last committed
+  // watermark while a writer is pending (MvccTableState::VisibleRows).
+  static const Snapshot& All();
 };
 
 // Process-wide transaction-id allocator and active-set tracker. One per

@@ -78,7 +78,9 @@ class TableStorage {
   virtual uint64_t num_rows() const = 0;
   virtual StorageStats Stats() const = 0;
 
-  // Full scan. Heap order for heaps, key order for clustered tables.
+  // Full scan of every row the table holds, outside any transaction:
+  // heap order for heaps, key order for clustered tables. SQL reads
+  // through a snapshot instead (exec::TableScanOp).
   virtual std::unique_ptr<RowIterator> NewScan() = 0;
 
   // Removes all rows.
@@ -88,13 +90,6 @@ class TableStorage {
   virtual const std::vector<int>& clustered_key() const {
     static const std::vector<int>& empty = *new std::vector<int>();
     return empty;
-  }
-
-  // Range scan from the first row with key >= prefix. Only clustered
-  // tables support this.
-  virtual Result<std::unique_ptr<RowIterator>> NewScanFrom(const Row& prefix) {
-    (void)prefix;
-    return Status::NotImplemented("table has no clustered index");
   }
 };
 

@@ -18,6 +18,7 @@
 #include "common/metrics.h"
 #include "genomics/register.h"
 #include "sql/engine.h"
+#include "storage/heap_table.h"
 #include "types/row_batch.h"
 
 namespace htg {
@@ -381,6 +382,58 @@ TEST_F(BatchParityTest, ParallelPlansAtDop8) {
   // Morsel-driven parallel map and partial/final aggregate pipelines at
   // DOP 8; run under HTG_SANITIZE=thread via the concurrency ctest label.
   for (int n : {1, 1023, 1024, 1025, 2049}) ExpectOracleAt(n, 8);
+}
+
+// A parallel GROUP BY while another transaction's appends are pending:
+// the autocommit reader's visible prefix ends inside a page, so the last
+// morsel carries the mid-page cap. DOP 8 must match DOP 1 and the oracle
+// over the committed rows.
+TEST_F(BatchParityTest, ParallelGroupByOverMidPageVisiblePrefix) {
+  const int n = 2049;
+  const std::string query =
+      "SELECT a, COUNT(*), SUM(id) FROM t GROUP BY a";
+  std::map<int64_t, std::pair<int64_t, int64_t>> groups;
+  for (int i = 0; i < n; ++i) {
+    auto& [count, sum] = groups[SeedRow(i)[1].AsInt64()];
+    ++count;
+    sum += i;
+  }
+  std::vector<Row> want;
+  for (const auto& [a, agg] : groups) {
+    want.push_back(Row{Value::Int64(a), Value::Int64(agg.first),
+                       Value::Int64(agg.second)});
+  }
+  std::string serial;
+  for (int dop : {1, 8}) {
+    Instance in = Make(dop);
+    SeedT(in, n);
+    auto txn = in.engine->BeginTxn();
+    ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+    sql::StatementOptions opts;
+    opts.txn = txn->get();
+    std::string values;
+    for (int i = n; i < n + 500; ++i) {
+      values += (i == n ? "(" : ", (") + std::to_string(i) + ", 1, 'x', 0.5)";
+    }
+    ASSERT_TRUE(in.engine->Execute("INSERT INTO t VALUES " + values, opts)
+                    .ok());
+    if (dop > 1) {
+      EXPECT_NE(Exec(in, "EXPLAIN " + query).message.find("Gather Streams"),
+                std::string::npos);
+    }
+    const std::string got = Render(Exec(in, query).rows, true);
+    EXPECT_EQ(Render(want, true), got) << "dop=" << dop;
+    if (dop == 1) serial = got;
+    EXPECT_EQ(serial, got) << "dop=" << dop;
+    // The committed prefix really did end inside a page.
+    auto* heap = dynamic_cast<storage::HeapTable*>(
+        (*in.db->GetTable("t"))->table.get());
+    ASSERT_NE(heap, nullptr);
+    Result<storage::HeapTable::PageRange> prefix = heap->PlanVisiblePrefix(n);
+    ASSERT_TRUE(prefix.ok());
+    EXPECT_GT(prefix->tail_rows, 0u);
+    ASSERT_TRUE(in.engine->AbortTxn(txn->get()).ok());
+  }
 }
 
 TEST_F(BatchParityTest, CrossApplyTvfSeam) {

@@ -204,7 +204,6 @@ TEST(OperatorTest, ParallelAggregateMatchesSerial) {
   catalog::TableDef* table = MakeNumbersTable(db.get(), "t", 5000, 13);
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
   ASSERT_NE(heap, nullptr);
-  ASSERT_TRUE(heap->SealCurrentPage().ok());
   auto make_aggs = [&] {
     std::vector<AggSpec> aggs;
     AggSpec count;
@@ -241,7 +240,6 @@ TEST(OperatorTest, ParallelAggregateWithFilterStage) {
   catalog::TableDef* table = MakeNumbersTable(db.get(), "t", 5000, 13);
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
   ASSERT_NE(heap, nullptr);
-  ASSERT_TRUE(heap->SealCurrentPage().ok());
   // WHERE v >= 2500 as a per-morsel filter stage.
   auto make_pred = [&]() -> ExprPtr {
     return std::make_unique<BinaryExpr>(BinaryOp::kGe, Col(1), Lit(int64_t{2500}));
@@ -294,7 +292,6 @@ TEST(OperatorTest, GroupTableManyCompositeKeysMatchOracle) {
   }
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
   ASSERT_NE(heap, nullptr);
-  ASSERT_TRUE(heap->SealCurrentPage().ok());
   ASSERT_GT(oracle.size(), 90000u);
 
   auto make_groups = [] {
@@ -377,7 +374,6 @@ TEST(ParallelTest, ParallelMapOpMatchesSerialOrder) {
   catalog::TableDef* table = MakeNumbersTable(db.get(), "t", 5000, 7);
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
   ASSERT_NE(heap, nullptr);
-  ASSERT_TRUE(heap->SealCurrentPage().ok());
   auto make_pred = [&]() -> ExprPtr {
     return std::make_unique<BinaryExpr>(BinaryOp::kLt, Col(1), Lit(int64_t{100}));
   };

@@ -228,20 +228,32 @@ TEST(HeapTableTest, InsertScanRoundTrip) {
   EXPECT_GT(table.Stats().pages, 1u);
 }
 
+// A visible-prefix plan whose limit ends mid-page, cut into ranges the
+// way parallel plans cut morsels: only the last range carries the cap,
+// and together the ranges return exactly rows [0, row_limit) in order.
 TEST(HeapTableTest, RangeScansPartitionCompletely) {
   PooledStorage storage("/tmp/htg_storage_test_heap_ranges");
   HeapTable table(TestSchema(), Compression::kNone, storage.NewFile("t"), 512);
   for (int i = 0; i < 300; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
-  ASSERT_TRUE(table.SealCurrentPage().ok());
-  const size_t pages = table.num_pages_sealed();
-  ASSERT_GT(pages, 3u);
-  int total = 0;
-  const int parts = 3;
-  for (int p = 0; p < parts; ++p) {
-    auto iter = table.NewScanRange(pages * p / parts, pages * (p + 1) / parts);
-    total += static_cast<int>(ScanRows(iter.get()).size());
+  constexpr uint64_t kLimit = 250;
+  Result<HeapTable::PageRange> plan = table.PlanVisiblePrefix(kLimit);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_GT(plan->end_page, 3u);
+  ASSERT_GT(plan->tail_rows, 0u) << "the limit should end inside a page";
+  int64_t next = 0;
+  const size_t parts = 3;
+  for (size_t p = 0; p < parts; ++p) {
+    HeapTable::PageRange range;
+    range.first_page = plan->end_page * p / parts;
+    range.end_page = plan->end_page * (p + 1) / parts;
+    range.tail_rows = p + 1 == parts ? plan->tail_rows : 0;
+    auto iter = table.NewScanRange(range);
+    for (const Row& row : ScanRows(iter.get())) {
+      EXPECT_EQ(row[0].AsInt64(), next);
+      ++next;
+    }
   }
-  EXPECT_EQ(total, 300);
+  EXPECT_EQ(next, static_cast<int64_t>(kLimit));
 }
 
 TEST(HeapTableTest, TruncateToRowsUndoesAppends) {
@@ -383,7 +395,9 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(table.Insert(Row{Value::Int64(i), Value::String("x")}).ok());
   }
-  auto iter = table.NewScanFrom(Row{Value::Int64(90)});
+  auto iter =
+      table.NewSnapshotScanFrom(Row{Value::Int64(90)}, Snapshot::All(),
+                                kFrozenTxn);
   ASSERT_TRUE(iter.ok());
   int count = 0;
   for (const Row& row : ScanRows(iter->get())) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -200,10 +201,14 @@ TEST(GcCadenceTest, BatchedCompletionsCountTowardSweepThreshold) {
 
 class TxnEngineTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Open(DatabaseOptions{}); }
+
+  // (Re)opens the fixture's database; tests that must control version GC
+  // reopen with their own options.
+  void Open(DatabaseOptions options) {
     static int counter = 0;
-    DatabaseOptions options;
     options.filestream_root = "/tmp/htg_txn_test_" + std::to_string(counter++);
+    engine_.reset();
     auto db = Database::Open("txntest", options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(*db);
@@ -224,9 +229,128 @@ class TxnEngineTest : public ::testing::Test {
     return r.rows.empty() ? -1 : r.rows[0][0].AsInt64();
   }
 
+  // The row count on the `total: N rows` line of EXPLAIN ANALYZE.
+  int64_t ExplainAnalyzeRows(const std::string& select,
+                             TxnContext* txn = nullptr) {
+    const std::string message = Exec("EXPLAIN ANALYZE " + select, txn).message;
+    const size_t at = message.find("total: ");
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no total line in:\n" << message;
+      return -1;
+    }
+    return std::stoll(message.substr(at + 7));
+  }
+
   std::unique_ptr<Database> db_;
   std::unique_ptr<SqlEngine> engine_;
 };
+
+// EXPLAIN ANALYZE runs its plan through the same read view as SELECT:
+// another transaction's uncommitted rows stay out of its row count, and
+// so does a clustered table's aborted entry before any GC sweep.
+TEST_F(TxnEngineTest, ExplainAnalyzeReadsThroughTheStatementsReadView) {
+  DatabaseOptions options;
+  options.mvcc_gc_every = 0;  // no automatic sweep: aborted entries stay
+  Open(options);
+  Exec("CREATE TABLE h (id INT, v INT)");
+  Exec("CREATE TABLE c (id INT PRIMARY KEY, v INT)");
+  Exec("INSERT INTO h VALUES (1, 10), (2, 20)");
+  Exec("INSERT INTO c VALUES (1, 10), (2, 20)");
+  auto txn = engine_->BeginTxn();
+  ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+  Exec("INSERT INTO h VALUES (3, 30)", txn->get());
+  Exec("INSERT INTO c VALUES (3, 30)", txn->get());
+  for (const std::string table : {"h", "c"}) {
+    const std::string select = "SELECT * FROM " + table;
+    EXPECT_EQ(Exec(select).rows.size(), 2u) << table;
+    EXPECT_EQ(ExplainAnalyzeRows(select), 2) << table;
+    // Inside the writer, both see its own row.
+    EXPECT_EQ(ExplainAnalyzeRows(select, txn->get()), 3) << table;
+  }
+  ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
+  ASSERT_FALSE(db_->txns()->AbortedSet().empty())
+      << "the aborted entry must still be in the tree for this check";
+  EXPECT_EQ(Exec("SELECT * FROM c").rows.size(), 2u);
+  EXPECT_EQ(ExplainAnalyzeRows("SELECT * FROM c"), 2);
+  EXPECT_EQ(ExplainAnalyzeRows("SELECT * FROM h"), 2);
+}
+
+// Readers racing a writer whose transactions split B+-tree leaves and a
+// GC sweep after each one: EXPLAIN ANALYZE and SELECT read through their
+// snapshots, and library NewScan() drains (which see every entry still in
+// the tree) resume exactly across fills — every key once, in order, and
+// none of the rows that predate the race missing.
+TEST_F(TxnEngineTest, ScansRaceLeafSplitsAndSweeps) {
+  DatabaseOptions options;
+  options.mvcc_gc_every = 0;  // the writer sweeps explicitly
+  Open(options);
+  Exec("CREATE TABLE c (id INT PRIMARY KEY, v INT)");
+  constexpr int kBase = 1000;  // even keys, committed before the race
+  constexpr int kPerTxn = 50;  // odd keys, spread over the whole range
+  constexpr int kTxns = kBase / kPerTxn;
+  for (int i = 0; i < kBase; i += kPerTxn) {
+    std::string values;
+    for (int j = i; j < i + kPerTxn; ++j) {
+      values += (j == i ? "(" : ", (") + std::to_string(2 * j) + ", 0)";
+    }
+    Exec("INSERT INTO c VALUES " + values);
+  }
+  auto table = db_->GetTable("c");
+  ASSERT_TRUE(table.ok());
+  storage::TableStorage* storage = (*table)->table.get();
+
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    for (int t = 0; t < kTxns; ++t) {
+      auto txn = engine_->BeginTxn();
+      ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+      std::string values;
+      for (int j = 0; j < kPerTxn; ++j) {
+        // 37 is coprime with kBase: keys never repeat across txns.
+        const int slot = (t * kPerTxn + j) * 37 % kBase;
+        values += (j == 0 ? "(" : ", (") + std::to_string(2 * slot + 1) +
+                  ", 1)";
+      }
+      Exec("INSERT INTO c VALUES " + values, txn->get());
+      if (t % 3 == 2) {
+        ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
+      } else {
+        ASSERT_TRUE(engine_->CommitTxn(txn->get()).ok());
+      }
+      db_->SweepVersions();
+    }
+  });
+  std::thread reader([&] {
+    int64_t last_count = kBase;
+    int rounds = 0;
+    while (writing.load() || rounds < 2) {
+      ++rounds;
+      EXPECT_EQ(ExplainAnalyzeRows("SELECT COUNT(*) FROM c"), 1);
+      // Whole transactions only, never fewer rows than an earlier read.
+      const int64_t count = Count("c");
+      EXPECT_EQ(count % kPerTxn, 0) << count;
+      EXPECT_GE(count, last_count);
+      last_count = count;
+      auto scan = storage->NewScan();
+      const std::vector<Row> rows = storage::ScanRows(scan.get());
+      int64_t prev = -1;
+      int base_seen = 0;
+      for (const Row& row : rows) {
+        const int64_t id = row[0].AsInt64();
+        ASSERT_GT(id, prev) << "key repeated or out of order";
+        prev = id;
+        if (id % 2 == 0) ++base_seen;
+      }
+      EXPECT_EQ(base_seen, kBase);
+    }
+  });
+  writer.join();
+  writing.store(false);
+  reader.join();
+  EXPECT_EQ(Count("c"), kBase + (kTxns - kTxns / 3) * kPerTxn);
+  db_->SweepVersions();  // the reader's pins may have held the last ones
+  EXPECT_TRUE(db_->txns()->AbortedSet().empty());
+}
 
 TEST_F(TxnEngineTest, SnapshotReaderSeesNoneOfOpenTxnsRows) {
   Exec("CREATE TABLE t (id INT, v INT)");

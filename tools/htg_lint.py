@@ -94,6 +94,12 @@ Rules (ids usable in NOLINT suppressions):
                     spill that is not a hash partition. A third copy of
                     the partition-spill-recurse algorithm cannot creep
                     back in.
+  exec-scan-seam    In src/exec, src/sql and src/server, table scans are
+                    opened (NewScan, NewScanRange, NewSnapshotScan*) only
+                    in src/exec/basic_ops.cc -- TableScanOp, which reads
+                    through the statement's snapshot -- and in
+                    src/exec/parallel.cc. A scan that skips the snapshot
+                    cannot creep back into the engine.
 
 Suppression: append `// NOLINT(htg-<rule>)` to the offending line (or a
 bare NOLINT comment, honoured for compatibility with clang-tidy). Lint
@@ -610,6 +616,28 @@ def check_exec_spill_seam(path, text, rel):
     ]
 
 
+SCAN_SEAM_RE = re.compile(
+    r"\bNewScan(?:Range)?\s*\(|\bNewSnapshotScan\w*")
+SCAN_SEAM = {"src/exec/basic_ops.cc", "src/exec/parallel.cc"}
+SCAN_SEAM_DIRS = ("src/exec/", "src/sql/", "src/server/")
+
+
+def check_exec_scan_seam(path, text, rel):
+    # Selftest fixtures arrive with a bare filename, which must still trip
+    # the rule.
+    norm = rel.replace(os.sep, "/")
+    if norm in SCAN_SEAM or ("/" in norm and
+                             not norm.startswith(SCAN_SEAM_DIRS)):
+        return []
+    return [
+        Finding(path, line_of(text, m.start()), "exec-scan-seam",
+                f"`{m.group(0).rstrip('(').strip()}` outside the scan "
+                "seam; scan tables through exec::TableScanOp, which reads "
+                "through the statement's snapshot")
+        for m in SCAN_SEAM_RE.finditer(text)
+    ]
+
+
 OPERATIONS_DOC = os.path.join("docs", "OPERATIONS.md")
 # String literals naming an environment knob ("HTG_SCALE" etc). Project
 # macros (HTG_RETURN_IF_ERROR, HTG_METRIC_*) are identifiers, not quoted,
@@ -828,6 +856,7 @@ RULES = {
     "exec-untracked-reserve":
         (check_exec_untracked_reserve, ("src",), False),
     "exec-spill-seam": (check_exec_spill_seam, ("src",), False),
+    "exec-scan-seam": (check_exec_scan_seam, ("src",), False),
     # env-doc matches quoted knob names, so it needs unstripped text.
     "env-doc": (check_env_doc, ("src", "bench"), True),
     "sync-raw-mutex": (check_sync_raw_mutex, ("src",), False),
@@ -859,6 +888,8 @@ RULE_DESCRIPTIONS = {
                               "MemoryCharge",
     "exec-spill-seam": "spill files and run writers in src/exec only in "
                        "spill_util.h and sort_ops.cc",
+    "exec-scan-seam": "table scans in src/exec, src/sql and src/server "
+                      "open only in basic_ops.cc and parallel.cc",
     "env-doc": "every HTG_* env knob is documented in docs/OPERATIONS.md, "
                "and every documented knob is still referenced",
     "sync-raw-mutex": "raw std:: sync primitives live only in "
