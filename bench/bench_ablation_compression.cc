@@ -82,12 +82,13 @@ void BM_DecodeRow(benchmark::State& state) {
     bench::CheckOk(EncodeRow(schema, r, mode, &out), "EncodeRow");
     encoded.push_back(std::move(out));
   }
+  const std::vector<int> columns = AllColumns(schema);
   size_t i = 0;
   for (auto _ : state) {
     Row row;
-    bench::CheckOk(
-        DecodeRow(schema, mode, Slice(encoded[i % encoded.size()]), &row),
-        "DecodeRow");
+    bench::CheckOk(DecodeRow(schema, mode, Slice(encoded[i % encoded.size()]),
+                             columns, &row),
+                   "DecodeRow");
     benchmark::DoNotOptimize(row);
     ++i;
   }
@@ -112,7 +113,7 @@ void BM_PageCycle(benchmark::State& state) {
     raw = builder.raw_bytes();
     const std::string page = builder.Finish();
     ratio = static_cast<double>(page.size()) / raw;
-    PageReader reader(&schema, Slice(page));
+    PageReader reader(&schema, Slice(page), AllColumns(schema));
     bench::CheckOk(reader.Init(), "PageReader::Init");
     Row row;
     int count = 0;

@@ -647,19 +647,22 @@ std::string StreamAggregateOp::Describe() const {
 }
 
 ParallelAggregateOp::ParallelAggregateOp(catalog::TableDef* table,
+                                         std::vector<int> columns,
                                          std::vector<ParallelStage> stages,
                                          std::vector<ExprPtr> group_exprs,
                                          std::vector<std::string> group_names,
                                          std::vector<AggSpec> aggs, int dop,
                                          size_t morsel_pages)
     : table_(table),
+      columns_(std::move(columns)),
       stages_(std::move(stages)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
       dop_(dop < 1 ? 1 : dop),
       morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages),
       schema_(MakeAggregateSchema(group_exprs_, group_names, aggs_)),
-      repr_(BuildExplainPipeline(table_, stages_, dop_, morsel_pages_)) {}
+      repr_(BuildExplainPipeline(table_, columns_, stages_, dop_,
+                                 morsel_pages_)) {}
 
 int64_t ParallelAggregateOp::EstimateRows() const {
   // A global aggregate yields exactly one row; grouped cardinality is
@@ -704,7 +707,7 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
         OperatorPtr pipeline =
-            BuildMorselPipeline(table_, morsels[m], stages_);
+            BuildMorselPipeline(table_, columns_, morsels[m], stages_);
         if (ctx->collect_stats) {
           LinkPipelineStats(pipeline.get(), repr_.get());
         }

@@ -92,7 +92,8 @@ class StreamAggregateOp : public Operator {
 // to SupportsMerge().
 class ParallelAggregateOp : public Operator {
  public:
-  ParallelAggregateOp(catalog::TableDef* table,
+  // The pipeline scans `columns` of `table` (ascending schema indexes).
+  ParallelAggregateOp(catalog::TableDef* table, std::vector<int> columns,
                       std::vector<ParallelStage> stages,
                       std::vector<ExprPtr> group_exprs,
                       std::vector<std::string> group_names,
@@ -108,6 +109,7 @@ class ParallelAggregateOp : public Operator {
 
  private:
   catalog::TableDef* table_;
+  std::vector<int> columns_;
   std::vector<ParallelStage> stages_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;

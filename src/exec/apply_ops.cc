@@ -11,22 +11,24 @@ namespace {
 // CROSS APPLY as a batch producer. The TVF arguments evaluate as batch
 // kernels over each outer batch; then, per outer row, the TVF opens and
 // its rows are pulled one at a time through Next() (the paper's §5.2
-// seam). Outer values and inner rows are copy-assigned straight into the
-// output batch's retained value slots, so each pivoted value is copied
-// once and a recycled output batch reuses its string buffers.
+// seam). The kept outer values and inner rows are copy-assigned straight
+// into the output batch's retained value slots, so each pivoted value is
+// copied once and a recycled output batch reuses its string buffers.
 class CrossApplyIterator : public BatchIterator {
  public:
   CrossApplyIterator(std::unique_ptr<storage::RowIterator> child,
                      const udf::TableFunction* fn,
                      const std::vector<ExprPtr>* args, Database* db,
-                     udf::EvalContext* eval, size_t outer_width,
+                     udf::EvalContext* eval,
+                     const std::vector<int>* outer_columns,
                      size_t inner_width)
       : child_(std::move(child)),
         fn_(fn),
         args_(args),
         db_(db),
         eval_(eval),
-        outer_width_(outer_width),
+        outer_columns_(outer_columns),
+        outer_width_(outer_columns->size()),
         inner_width_(inner_width),
         arg_cols_(args->size()),
         arg_values_(args->size()) {}
@@ -48,7 +50,7 @@ class CrossApplyIterator : public BatchIterator {
       if (inner_ != nullptr) {
         while (n < out->capacity() && inner_->Next(&inner_row_)) {
           for (size_t c = 0; c < outer_width_; ++c) {
-            out->Slot(c, n) = outer_.column(c)[outer_row_];
+            out->Slot(c, n) = outer_.column((*outer_columns_)[c])[outer_row_];
           }
           for (size_t k = 0; k < inner_width_; ++k) {
             out->Slot(outer_width_ + k, n) =
@@ -98,6 +100,7 @@ class CrossApplyIterator : public BatchIterator {
   const std::vector<ExprPtr>* args_;
   Database* db_;
   udf::EvalContext* eval_;
+  const std::vector<int>* outer_columns_;  // input columns carried out
   size_t outer_width_;
   size_t inner_width_;
   RowBatch outer_;
@@ -136,24 +139,28 @@ std::string TvfScanOp::Describe() const {
 }
 
 CrossApplyOp::CrossApplyOp(OperatorPtr child, const udf::TableFunction* fn,
-                           std::vector<ExprPtr> args, Schema fn_schema)
+                           std::vector<ExprPtr> args, Schema fn_schema,
+                           std::vector<int> outer_columns)
     : child_(std::move(child)),
       fn_(fn),
       args_(std::move(args)),
       fn_schema_(std::move(fn_schema)),
-      schema_(ConcatSchemas(child_->output_schema(), fn_schema_)) {}
+      outer_columns_(std::move(outer_columns)),
+      schema_(ConcatSchemas(child_->output_schema().Project(outer_columns_),
+                            fn_schema_)) {}
 
 Result<std::unique_ptr<storage::RowIterator>> CrossApplyOp::OpenImpl(
     ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
   return {std::make_unique<CrossApplyIterator>(
-      std::move(child), fn_, &args_, ctx->db, &ctx->eval,
-      child_->output_schema().num_columns(), fn_schema_.num_columns())};
+      std::move(child), fn_, &args_, ctx->db, &ctx->eval, &outer_columns_,
+      fn_schema_.num_columns())};
 }
 
 std::string CrossApplyOp::Describe() const {
-  return "Nested Loops (Cross Apply) [" + std::string(fn_->name()) + "]";
+  return "Nested Loops (Cross Apply) [" + std::string(fn_->name()) + "]" +
+         DescribeColumns(schema_);
 }
 
 }  // namespace htg::exec

@@ -28,12 +28,15 @@ class TvfScanOp : public Operator {
 };
 
 // CROSS APPLY tvf(args): for each input row, evaluates the arguments
-// against that row, opens the TVF, and emits input ⨯ tvf rows. The pivot
+// against that row, opens the TVF, and emits input ⨯ tvf rows. Each output
+// row carries the input's `outer_columns` (indexes into the input row, the
+// ones the plan uses above the apply) followed by the TVF row. The pivot
 // step of the paper's Query 3 (PivotAlignment) runs through this operator.
 class CrossApplyOp : public Operator {
  public:
   CrossApplyOp(OperatorPtr child, const udf::TableFunction* fn,
-               std::vector<ExprPtr> args, Schema fn_schema);
+               std::vector<ExprPtr> args, Schema fn_schema,
+               std::vector<int> outer_columns);
 
   const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
@@ -47,6 +50,7 @@ class CrossApplyOp : public Operator {
   const udf::TableFunction* fn_;
   std::vector<ExprPtr> args_;
   Schema fn_schema_;
+  std::vector<int> outer_columns_;
   Schema schema_;
 };
 

@@ -122,11 +122,19 @@ class TopBatchIterator : public BatchIterator {
 
 }  // namespace
 
-TableScanOp::TableScanOp(catalog::TableDef* table) : table_(table) {}
+TableScanOp::TableScanOp(catalog::TableDef* table, std::vector<int> columns)
+    : table_(table),
+      columns_(std::move(columns)),
+      schema_(table->schema.Project(columns_)) {}
 
-TableScanOp::TableScanOp(catalog::TableDef* table,
+TableScanOp::TableScanOp(catalog::TableDef* table)
+    : TableScanOp(table, storage::AllColumns(table->schema)) {}
+
+TableScanOp::TableScanOp(catalog::TableDef* table, std::vector<int> columns,
                          const storage::HeapTable::PageRange& morsel)
-    : table_(table), morsel_(morsel) {}
+    : TableScanOp(table, std::move(columns)) {
+  morsel_ = morsel;
+}
 
 Result<storage::HeapTable::PageRange> PlanVisibleHeap(
     catalog::TableDef* table, const ExecContext& ctx) {
@@ -145,7 +153,8 @@ Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
     ExecContext* ctx) {
   if (auto* clustered =
           dynamic_cast<storage::ClusteredTable*>(table_->table.get())) {
-    return {clustered->NewSnapshotScan(*ctx->snapshot, ctx->txn_id)};
+    return {clustered->NewSnapshotScan(*ctx->snapshot, ctx->txn_id,
+                                       columns_)};
   }
   storage::HeapTable::PageRange range;
   if (morsel_.has_value()) {
@@ -154,7 +163,7 @@ Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
     HTG_ASSIGN_OR_RETURN(range, PlanVisibleHeap(table_, *ctx));
   }
   return {static_cast<storage::HeapTable*>(table_->table.get())
-              ->NewScanRange(range)};
+              ->NewScanRange(range, columns_)};
 }
 
 int64_t TableScanOp::EstimateRows() const {
@@ -179,7 +188,7 @@ std::string TableScanOp::Describe() const {
     out += StringPrintf(" pages [%zu, %zu)", morsel_->first_page,
                         morsel_->end_page);
   }
-  return out;
+  return out + DescribeColumns(schema_);
 }
 
 Result<std::unique_ptr<storage::RowIterator>> ValuesOp::OpenImpl(

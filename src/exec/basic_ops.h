@@ -16,24 +16,33 @@ namespace htg::exec {
 // the snapshot's visible row prefix, a clustered scan streams the
 // entries the snapshot sees in key order. A morsel scan reads one
 // pre-planned page range of a heap (parallel plans cut the statement's
-// visible prefix into morsels once, see PlanHeapMorsels).
+// visible prefix into morsels once, see PlanHeapMorsels). The scan
+// decodes and emits only the schema columns in its column list
+// (ascending indexes), the columns its plan uses.
 class TableScanOp : public Operator {
  public:
+  TableScanOp(catalog::TableDef* table, std::vector<int> columns);
+
+  // Every column.
   explicit TableScanOp(catalog::TableDef* table);
 
   // Heap morsel scan.
-  TableScanOp(catalog::TableDef* table,
+  TableScanOp(catalog::TableDef* table, std::vector<int> columns,
               const storage::HeapTable::PageRange& morsel);
 
-  const Schema& output_schema() const override { return table_->schema; }
+  const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
   std::string Describe() const override;
   int64_t EstimateRows() const override;
 
   catalog::TableDef* table() const { return table_; }
+  // Schema column index of each output column.
+  const std::vector<int>& columns() const { return columns_; }
 
  private:
   catalog::TableDef* table_;
+  std::vector<int> columns_;
+  Schema schema_;  // the table's schema projected onto columns_
   std::optional<storage::HeapTable::PageRange> morsel_;
 };
 

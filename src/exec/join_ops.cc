@@ -36,13 +36,14 @@ bool HasNull(const Row& key) {
   return has_null;
 }
 
-// Writes left ++ right into `out`, copy-assigning into its existing
-// values so a reused output row keeps its string buffers.
-void AssignConcat(const Row& left, const Row& right, Row* out) {
-  out->resize(left.size() + right.size());
-  std::copy(left.begin(), left.end(), out->begin());
-  std::copy(right.begin(), right.end(),
-            out->begin() + static_cast<ptrdiff_t>(left.size()));
+// Writes the `columns` of left ++ right into `out`, copy-assigning into
+// its existing values so a reused output row keeps its string buffers.
+void AssignJoined(const Row& left, const Row& right,
+                  const JoinColumns& columns, Row* out) {
+  out->resize(columns.left.size() + columns.right.size());
+  auto it = out->begin();
+  for (int c : columns.left) *it++ = left[c];
+  for (int c : columns.right) *it++ = right[c];
 }
 
 std::string DescribeJoinKeys(const std::vector<ExprPtr>& l,
@@ -69,12 +70,13 @@ class HashJoinIterator : public storage::RowSource {
   HashJoinIterator(const std::vector<ExprPtr>* left_keys,
                    const std::vector<ExprPtr>* right_keys, ExecContext* ctx,
                    OperatorStats* stats, bool left_outer, int right_width,
-                   const char* op)
+                   const JoinColumns* columns, const char* op)
       : left_keys_(left_keys),
         right_keys_(right_keys),
         ctx_(ctx),
         stats_(stats),
         left_outer_(left_outer),
+        columns_(columns),
         null_right_(right_width, Value::Null()),
         op_(op),
         charge_(ctx->mem.get(), op) {}
@@ -146,7 +148,7 @@ class HashJoinIterator : public storage::RowSource {
   bool Next(Row* row) override {
     for (;;) {
       if (matches_ != nullptr && match_index_ < matches_->size()) {
-        AssignConcat(probe_row_, (*matches_)[match_index_++], row);
+        AssignJoined(probe_row_, (*matches_)[match_index_++], *columns_, row);
         return true;
       }
       if (!probe_rows_.has_value() || !probe_rows_->Next(&probe_row_)) {
@@ -165,7 +167,7 @@ class HashJoinIterator : public storage::RowSource {
         matches_ = nullptr;
         if (left_outer_) {
           // Unmatched left row: pad the right side with NULLs.
-          AssignConcat(probe_row_, null_right_, row);
+          AssignJoined(probe_row_, null_right_, *columns_, row);
           return true;
         }
         continue;
@@ -192,6 +194,7 @@ class HashJoinIterator : public storage::RowSource {
   ExecContext* ctx_;
   OperatorStats* stats_;
   bool left_outer_;
+  const JoinColumns* columns_;
   Row null_right_;  // right-side padding of unmatched left-outer rows
   const char* op_;
   MemoryCharge charge_;  // keeps the build table accounted while live
@@ -217,13 +220,15 @@ class MergeJoinIterator : public storage::RowSource {
                     std::unique_ptr<storage::RowIterator> right,
                     const std::vector<ExprPtr>* left_keys,
                     const std::vector<ExprPtr>* right_keys,
-                    udf::EvalContext* eval, MemoryContext* mem)
+                    const JoinColumns* columns, udf::EvalContext* eval,
+                    MemoryContext* mem)
       : left_(std::move(left)),
         right_(std::move(right)),
         left_rows_(left_.get()),
         right_rows_(right_.get()),
         left_keys_(left_keys),
         right_keys_(right_keys),
+        columns_(columns),
         eval_(eval),
         charge_(mem, "Merge Join") {}
 
@@ -231,7 +236,7 @@ class MergeJoinIterator : public storage::RowSource {
     if (!status_.ok()) return false;
     for (;;) {
       if (emitting_ && group_index_ < right_group_.size()) {
-        AssignConcat(left_row_, right_group_[group_index_++], row);
+        AssignJoined(left_row_, right_group_[group_index_++], *columns_, row);
         return true;
       }
       emitting_ = false;
@@ -332,6 +337,7 @@ class MergeJoinIterator : public storage::RowSource {
   BatchReader right_rows_;
   const std::vector<ExprPtr>* left_keys_;
   const std::vector<ExprPtr>* right_keys_;
+  const JoinColumns* columns_;
   udf::EvalContext* eval_;
   MemoryCharge charge_;
 
@@ -352,18 +358,20 @@ class NestedLoopIterator : public storage::RowSource {
  public:
   NestedLoopIterator(std::unique_ptr<storage::RowIterator> left,
                      std::vector<Row> right, const Expr* predicate,
-                     udf::EvalContext* eval, MemoryCharge charge)
+                     const JoinColumns* columns, udf::EvalContext* eval,
+                     MemoryCharge charge)
       : left_(std::move(left)),
         left_rows_(left_.get()),
         right_(std::move(right)),
         predicate_(predicate),
+        columns_(columns),
         eval_(eval),
         charge_(std::move(charge)) {}
 
   bool Next(Row* row) override {
     for (;;) {
       while (right_index_ < right_.size()) {
-        AssignConcat(left_row_, right_[right_index_++], row);
+        AssignJoined(left_row_, right_[right_index_++], *columns_, row);
         if (predicate_ == nullptr) return true;
         Result<bool> keep = EvalPredicate(*predicate_, eval_, *row);
         if (!keep.ok()) {
@@ -387,6 +395,7 @@ class NestedLoopIterator : public storage::RowSource {
   BatchReader left_rows_;
   std::vector<Row> right_;
   const Expr* predicate_;
+  const JoinColumns* columns_;
   udf::EvalContext* eval_;
   MemoryCharge charge_;  // keeps the inner table accounted while live
   Row left_row_;
@@ -402,24 +411,33 @@ Schema ConcatSchemas(const Schema& left, const Schema& right) {
   return out;
 }
 
+JoinColumns::JoinColumns(const std::vector<int>& columns, int left_width) {
+  for (int c : columns) {
+    if (c < left_width) {
+      left.push_back(c);
+    } else {
+      right.push_back(c - left_width);
+    }
+  }
+}
+
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
                        std::vector<ExprPtr> left_keys,
-                       std::vector<ExprPtr> right_keys, bool left_outer)
+                       std::vector<ExprPtr> right_keys,
+                       const std::vector<int>& columns, bool left_outer)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       left_outer_(left_outer),
-      schema_(ConcatSchemas(left_->output_schema(), right_->output_schema())) {
-  if (left_outer_) {
+      columns_(columns, left_->output_schema().num_columns()) {
+  Schema joined = left_->output_schema();
+  for (Column col : right_->output_schema().columns()) {
     // Outer-padded right columns are nullable in the output schema.
-    Schema padded = left_->output_schema();
-    for (Column col : right_->output_schema().columns()) {
-      col.nullable = true;
-      padded.AddColumn(std::move(col));
-    }
-    schema_ = std::move(padded);
+    if (left_outer_) col.nullable = true;
+    joined.AddColumn(std::move(col));
   }
+  schema_ = joined.Project(columns);
 }
 
 Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
@@ -428,7 +446,7 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
                        right_->Open(ctx));
   auto join = std::make_unique<HashJoinIterator>(
       &left_keys_, &right_keys_, ctx, mutable_stats(), left_outer_,
-      right_->output_schema().num_columns(),
+      right_->output_schema().num_columns(), &columns_,
       left_outer_ ? "Hash Match (Left Outer Join)" : "Hash Match (Inner Join)");
   HTG_RETURN_IF_ERROR(join->Build(right.get(), /*level=*/0));
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> left,
@@ -440,17 +458,20 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
 std::string HashJoinOp::Describe() const {
   return std::string(left_outer_ ? "Hash Match (Left Outer Join) "
                                  : "Hash Match (Inner Join) ") +
-         DescribeJoinKeys(left_keys_, right_keys_);
+         DescribeJoinKeys(left_keys_, right_keys_) + DescribeColumns(schema_);
 }
 
 MergeJoinOp::MergeJoinOp(OperatorPtr left, OperatorPtr right,
                          std::vector<ExprPtr> left_keys,
-                         std::vector<ExprPtr> right_keys)
+                         std::vector<ExprPtr> right_keys,
+                         const std::vector<int>& columns)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      schema_(ConcatSchemas(left_->output_schema(), right_->output_schema())) {}
+      columns_(columns, left_->output_schema().num_columns()),
+      schema_(ConcatSchemas(left_->output_schema(), right_->output_schema())
+                  .Project(columns)) {}
 
 Result<std::unique_ptr<storage::RowIterator>> MergeJoinOp::OpenImpl(
     ExecContext* ctx) {
@@ -460,20 +481,24 @@ Result<std::unique_ptr<storage::RowIterator>> MergeJoinOp::OpenImpl(
                        right_->Open(ctx));
   return {std::make_unique<MergeJoinIterator>(std::move(left), std::move(right),
                                               &left_keys_, &right_keys_,
-                                              &ctx->eval, ctx->mem.get())};
+                                              &columns_, &ctx->eval,
+                                              ctx->mem.get())};
 }
 
 std::string MergeJoinOp::Describe() const {
   return "Merge Join (Inner Join) " +
-         DescribeJoinKeys(left_keys_, right_keys_);
+         DescribeJoinKeys(left_keys_, right_keys_) + DescribeColumns(schema_);
 }
 
 NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
-                                   ExprPtr predicate)
+                                   ExprPtr predicate,
+                                   const std::vector<int>& columns)
     : left_(std::move(left)),
       right_(std::move(right)),
       predicate_(std::move(predicate)),
-      schema_(ConcatSchemas(left_->output_schema(), right_->output_schema())) {}
+      columns_(columns, left_->output_schema().num_columns()),
+      schema_(ConcatSchemas(left_->output_schema(), right_->output_schema())
+                  .Project(columns)) {}
 
 Result<std::unique_ptr<storage::RowIterator>> NestedLoopJoinOp::OpenImpl(
     ExecContext* ctx) {
@@ -492,13 +517,14 @@ Result<std::unique_ptr<storage::RowIterator>> NestedLoopJoinOp::OpenImpl(
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> left,
                        left_->Open(ctx));
   return {std::make_unique<NestedLoopIterator>(
-      std::move(left), std::move(right_rows), predicate_.get(), &ctx->eval,
-      std::move(charge))};
+      std::move(left), std::move(right_rows), predicate_.get(), &columns_,
+      &ctx->eval, std::move(charge))};
 }
 
 std::string NestedLoopJoinOp::Describe() const {
   return "Nested Loops (Inner Join) [" +
-         (predicate_ ? predicate_->ToString() : std::string("true")) + "]";
+         (predicate_ ? predicate_->ToString() : std::string("true")) + "]" +
+         DescribeColumns(schema_);
 }
 
 }  // namespace htg::exec

@@ -8,6 +8,16 @@
 
 namespace htg::exec {
 
+// A join's output column list: ascending indexes into the concatenated
+// left ++ right row, split into each side's own indexes. Every join emits
+// only the columns its list names.
+struct JoinColumns {
+  JoinColumns(const std::vector<int>& columns, int left_width);
+
+  std::vector<int> left;
+  std::vector<int> right;
+};
+
 // Equi-join via a hash table on the right input ("Hash Match (Inner
 // Join)" / "Hash Match (Left Outer Join)"). Blocking on the build side.
 // Left-outer emits unmatched left rows padded with NULLs.
@@ -15,7 +25,7 @@ class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
              std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
-             bool left_outer = false);
+             const std::vector<int>& columns, bool left_outer = false);
 
   const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
@@ -30,6 +40,7 @@ class HashJoinOp : public Operator {
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
   bool left_outer_;
+  JoinColumns columns_;
   Schema schema_;
 };
 
@@ -40,7 +51,8 @@ class HashJoinOp : public Operator {
 class MergeJoinOp : public Operator {
  public:
   MergeJoinOp(OperatorPtr left, OperatorPtr right,
-              std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys);
+              std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
+              const std::vector<int>& columns);
 
   const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
@@ -54,14 +66,17 @@ class MergeJoinOp : public Operator {
   OperatorPtr right_;
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
+  JoinColumns columns_;
   Schema schema_;
 };
 
 // Inner join with an arbitrary residual predicate; materializes the right
 // input ("Nested Loops (Inner Join)"). The fallback for non-equi joins.
+// The predicate sees the join's output row.
 class NestedLoopJoinOp : public Operator {
  public:
-  NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr predicate);
+  NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr predicate,
+                   const std::vector<int>& columns);
 
   const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
@@ -74,6 +89,7 @@ class NestedLoopJoinOp : public Operator {
   OperatorPtr left_;
   OperatorPtr right_;
   ExprPtr predicate_;
+  JoinColumns columns_;
   Schema schema_;
 };
 

@@ -133,9 +133,11 @@ void ExplainAnalyzeRec(const Operator& op, int depth, std::string* out) {
     out->push_back(')');
     if (batches > 0) {
       out->append(StringPrintf(
-          " (batches=%llu, rows/batch=%.1f)",
+          " (batches=%llu, rows/batch=%.1f, self ns/row=%.1f)",
           static_cast<unsigned long long>(batches),
-          static_cast<double>(rows) / static_cast<double>(batches)));
+          static_cast<double>(rows) / static_cast<double>(batches),
+          std::max(0.0, self_ns) /
+              static_cast<double>(std::max<uint64_t>(rows, 1))));
     }
     const uint64_t peak_mem =
         s.peak_mem_bytes.load(std::memory_order_relaxed);
@@ -200,6 +202,16 @@ std::string ExplainPlan(const Operator& root) {
 std::string ExplainAnalyzePlan(const Operator& root) {
   std::string out;
   ExplainAnalyzeRec(root, 0, &out);
+  return out;
+}
+
+std::string DescribeColumns(const Schema& schema) {
+  std::string out = " columns (";
+  for (int i = 0; i < schema.num_columns(); ++i) {
+    if (i > 0) out += ", ";
+    out += schema.column(i).name;
+  }
+  out += ")";
   return out;
 }
 

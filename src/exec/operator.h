@@ -159,6 +159,10 @@ std::string ExplainPlan(const Operator& root);
 //     Filter [...] (actual rows=600, ..., time=0.8 ms, self=0.3 ms)
 std::string ExplainAnalyzePlan(const Operator& root);
 
+// " columns (a, b, ...)": the output column list that ends the EXPLAIN
+// line of an operator that narrows its rows (scans, joins, CROSS APPLY).
+std::string DescribeColumns(const Schema& schema);
+
 // Drains `iter`, appending every row to `rows`. Pulls batches and moves
 // rows out of them, so pipelines stay vectorized up to the final
 // materialization.

@@ -134,6 +134,7 @@ ParallelStage ParallelStage::Clone() const {
   copy.args.reserve(args.size());
   for (const ExprPtr& a : args) copy.args.push_back(a->Clone());
   copy.fn_schema = fn_schema;
+  copy.outer_columns = outer_columns;
   return copy;
 }
 
@@ -155,12 +156,14 @@ ParallelStage ParallelStage::Project(std::vector<ExprPtr> exprs,
 
 ParallelStage ParallelStage::Apply(const udf::TableFunction* fn,
                                    std::vector<ExprPtr> args,
-                                   Schema fn_schema) {
+                                   Schema fn_schema,
+                                   std::vector<int> outer_columns) {
   ParallelStage stage;
   stage.kind = Kind::kApply;
   stage.fn = fn;
   stage.args = std::move(args);
   stage.fn_schema = std::move(fn_schema);
+  stage.outer_columns = std::move(outer_columns);
   return stage;
 }
 
@@ -194,7 +197,8 @@ OperatorPtr ApplyStages(OperatorPtr op,
         args.reserve(stage.args.size());
         for (const ExprPtr& a : stage.args) args.push_back(a->Clone());
         op = std::make_unique<CrossApplyOp>(std::move(op), stage.fn,
-                                            std::move(args), stage.fn_schema);
+                                            std::move(args), stage.fn_schema,
+                                            stage.outer_columns);
         break;
       }
     }
@@ -204,37 +208,12 @@ OperatorPtr ApplyStages(OperatorPtr op,
 
 }  // namespace
 
-OperatorPtr BuildMorselPipeline(catalog::TableDef* table, const Morsel& morsel,
+OperatorPtr BuildMorselPipeline(catalog::TableDef* table,
+                                const std::vector<int>& columns,
+                                const Morsel& morsel,
                                 const std::vector<ParallelStage>& stages) {
-  OperatorPtr op = std::make_unique<TableScanOp>(table, morsel);
+  OperatorPtr op = std::make_unique<TableScanOp>(table, columns, morsel);
   return ApplyStages(std::move(op), stages);
-}
-
-Schema PipelineSchema(catalog::TableDef* table,
-                      const std::vector<ParallelStage>& stages) {
-  Schema schema = table->schema;
-  for (const ParallelStage& stage : stages) {
-    switch (stage.kind) {
-      case ParallelStage::Kind::kFilter:
-        break;
-      case ParallelStage::Kind::kProject: {
-        Schema next;
-        for (size_t i = 0; i < stage.exprs.size(); ++i) {
-          Column col;
-          col.name = i < stage.names.size() ? stage.names[i]
-                                            : StringPrintf("col%zu", i);
-          col.type = stage.exprs[i]->result_type();
-          next.AddColumn(col);
-        }
-        schema = std::move(next);
-        break;
-      }
-      case ParallelStage::Kind::kApply:
-        schema = ConcatSchemas(schema, stage.fn_schema);
-        break;
-    }
-  }
-  return schema;
 }
 
 // --------------------------------------------------------------------------
@@ -261,11 +240,13 @@ std::string DistributeStreamsOp::Describe() const {
 }
 
 OperatorPtr BuildExplainPipeline(catalog::TableDef* table,
+                                 const std::vector<int>& columns,
                                  const std::vector<ParallelStage>& stages,
                                  int dop, size_t morsel_pages) {
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
   const size_t npages = heap != nullptr ? heap->num_pages() : 0;
-  OperatorPtr op = std::make_unique<TableScanOp>(table, Morsel{0, npages, 0});
+  OperatorPtr op =
+      std::make_unique<TableScanOp>(table, columns, Morsel{0, npages, 0});
   op = std::make_unique<DistributeStreamsOp>(std::move(op), dop, morsel_pages);
   return ApplyStages(std::move(op), stages);
 }
@@ -289,16 +270,17 @@ void LinkPipelineStats(const Operator* pipeline, const Operator* repr) {
 // ParallelMapOp.
 // --------------------------------------------------------------------------
 
-ParallelMapOp::ParallelMapOp(catalog::TableDef* table,
+ParallelMapOp::ParallelMapOp(catalog::TableDef* table, std::vector<int> columns,
                              std::vector<ParallelStage> stages, int dop,
                              size_t morsel_pages, bool preserve_order)
     : table_(table),
+      columns_(std::move(columns)),
       stages_(std::move(stages)),
       dop_(dop < 1 ? 1 : dop),
       morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages),
       preserve_order_(preserve_order),
-      schema_(PipelineSchema(table_, stages_)),
-      repr_(BuildExplainPipeline(table_, stages_, dop_, morsel_pages_)) {}
+      repr_(BuildExplainPipeline(table_, columns_, stages_, dop_,
+                                 morsel_pages_)) {}
 
 int64_t ParallelMapOp::EstimateRows() const {
   // Scan cardinality; filter/apply stages make the true fan-out unknown,
@@ -332,7 +314,7 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
         OperatorPtr pipeline =
-            BuildMorselPipeline(table_, morsels[m], stages_);
+            BuildMorselPipeline(table_, columns_, morsels[m], stages_);
         if (ctx->collect_stats) {
           LinkPipelineStats(pipeline.get(), repr_.get());
         }

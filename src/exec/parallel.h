@@ -74,6 +74,7 @@ struct ParallelStage {
   const udf::TableFunction* fn = nullptr;
   std::vector<ExprPtr> args;
   Schema fn_schema;
+  std::vector<int> outer_columns;  // input columns carried past the apply
 
   ParallelStage Clone() const;
 
@@ -81,19 +82,18 @@ struct ParallelStage {
   static ParallelStage Project(std::vector<ExprPtr> exprs,
                                std::vector<std::string> names);
   static ParallelStage Apply(const udf::TableFunction* fn,
-                             std::vector<ExprPtr> args, Schema fn_schema);
+                             std::vector<ExprPtr> args, Schema fn_schema,
+                             std::vector<int> outer_columns);
 };
 
 std::vector<ParallelStage> CloneStages(const std::vector<ParallelStage>& s);
 
-// Builds the per-morsel operator chain: a morsel scan of `table` wrapped
-// by each stage in order.
-OperatorPtr BuildMorselPipeline(catalog::TableDef* table, const Morsel& morsel,
+// Builds the per-morsel operator chain: a morsel scan of `columns` of
+// `table` wrapped by each stage in order.
+OperatorPtr BuildMorselPipeline(catalog::TableDef* table,
+                                const std::vector<int>& columns,
+                                const Morsel& morsel,
                                 const std::vector<ParallelStage>& stages);
-
-// Output schema of a pipeline over `table` (after every stage).
-Schema PipelineSchema(catalog::TableDef* table,
-                      const std::vector<ParallelStage>& stages);
 
 // EXPLAIN-only marker for the worker side of an exchange: prints
 // "Parallelism (Distribute Streams)" above the scan it wraps, mirroring
@@ -135,10 +135,15 @@ void LinkPipelineStats(const Operator* pipeline, const Operator* repr);
 // ---------------------------------------------------------------------------
 class ParallelMapOp : public Operator {
  public:
-  ParallelMapOp(catalog::TableDef* table, std::vector<ParallelStage> stages,
-                int dop, size_t morsel_pages, bool preserve_order);
+  // The pipeline scans `columns` of `table` (ascending schema indexes).
+  ParallelMapOp(catalog::TableDef* table, std::vector<int> columns,
+                std::vector<ParallelStage> stages, int dop,
+                size_t morsel_pages, bool preserve_order);
 
-  const Schema& output_schema() const override { return schema_; }
+  // The pipeline's output: the representative subtree's.
+  const Schema& output_schema() const override {
+    return repr_->output_schema();
+  }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
   std::string Describe() const override;
   std::vector<const Operator*> children() const override {
@@ -148,17 +153,19 @@ class ParallelMapOp : public Operator {
 
  private:
   catalog::TableDef* table_;
+  std::vector<int> columns_;
   std::vector<ParallelStage> stages_;
   int dop_;
   size_t morsel_pages_;
   bool preserve_order_;
-  Schema schema_;
   OperatorPtr repr_;  // representative subtree for EXPLAIN
 };
 
 // Builds the EXPLAIN subtree shared by the exchange operators: the stage
-// chain over a Distribute Streams marker over a full-range scan.
+// chain over a Distribute Streams marker over a full-range scan of
+// `columns`.
 OperatorPtr BuildExplainPipeline(catalog::TableDef* table,
+                                 const std::vector<int>& columns,
                                  const std::vector<ParallelStage>& stages,
                                  int dop, size_t morsel_pages);
 

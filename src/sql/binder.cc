@@ -56,7 +56,56 @@ struct Binder::Scope {
       cols.push_back({alias, c.name, c.type});
     }
   }
+
+  // Indexes of the columns `keep` names, ascending.
+  std::vector<int> Kept(const NameSet& keep) const;
+
+  // The columns at `indexes`, in that order.
+  Scope Project(const std::vector<int>& indexes) const {
+    Scope out;
+    for (int i : indexes) out.cols.push_back(cols[i]);
+    return out;
+  }
 };
+
+// Required columns: the names, by bare column name, that a plan stage must
+// hand upward. Matching ignores qualifiers, so `a.x` keeps every column
+// named x on every join side. That is conservative: a kept column that is
+// not used costs a copy, but a name can never resolve differently (or
+// stop being ambiguous) than it would over the unpruned input.
+struct Binder::NameSet {
+  bool all = false;             // a bare * keeps every column
+  std::set<std::string> names;  // upper-cased
+
+  bool Has(const std::string& name) const {
+    return all || names.count(ToUpper(name)) > 0;
+  }
+
+  // Adds every identifier in `e`.
+  void Add(const AstExpr& e) {
+    if (e.kind == AstExpr::Kind::kIdent) names.insert(ToUpper(e.ident.back()));
+    for (const AstExprPtr& a : e.args) Add(*a);
+    for (const AstExprPtr& o : e.over_order) Add(*o);
+    for (const AstExpr* child : {e.left.get(), e.right.get(), e.operand.get(),
+                                 e.case_else.get(), e.between_low.get(),
+                                 e.between_high.get()}) {
+      if (child != nullptr) Add(*child);
+    }
+    for (const auto& [c, r] : e.case_branches) {
+      Add(*c);
+      Add(*r);
+    }
+    for (const AstExprPtr& i : e.in_list) Add(*i);
+  }
+};
+
+std::vector<int> Binder::Scope::Kept(const NameSet& keep) const {
+  std::vector<int> out;
+  for (int i = 0; i < static_cast<int>(cols.size()); ++i) {
+    if (keep.Has(cols[i].name)) out.push_back(i);
+  }
+  return out;
+}
 
 // Post-aggregation resolution: expression text → aggregate-output column.
 struct Binder::AggScope {
@@ -80,6 +129,7 @@ struct Binder::FromResult {
   // by CROSS APPLY table functions (recorded in `apply_stages`): the
   // morsel-parallel plan candidates. A regular join clears it.
   catalog::TableDef* pipeline_heap = nullptr;
+  std::vector<int> pipeline_columns;  // the heap columns the pipeline scans
   std::vector<exec::ParallelStage> apply_stages;
 };
 
@@ -334,15 +384,22 @@ Result<ExprPtr> Binder::BindExpr(const AstExpr& ast, const BindContext& ctx) {
   return Status::Internal("unhandled AST expression kind");
 }
 
-Result<Binder::FromResult> Binder::BindTableRef(const TableRef& ref) {
+Result<Binder::FromResult> Binder::BindTableRef(const TableRef& ref,
+                                               const NameSet& needed) {
   FromResult out;
   switch (ref.kind) {
     case TableRef::Kind::kTable: {
       HTG_ASSIGN_OR_RETURN(catalog::TableDef * table, db_->GetTable(ref.name));
-      out.op = std::make_unique<exec::TableScanOp>(table);
       const std::string alias = ref.alias.empty() ? ref.name : ref.alias;
-      out.scope.Append(alias, table->schema);
-      if (table->clustered_key.empty()) out.pipeline_heap = table;
+      Scope full;
+      full.Append(alias, table->schema);
+      std::vector<int> columns = full.Kept(needed);
+      out.scope = full.Project(columns);
+      if (table->clustered_key.empty()) {
+        out.pipeline_heap = table;
+        out.pipeline_columns = columns;
+      }
+      out.op = std::make_unique<exec::TableScanOp>(table, std::move(columns));
       return out;
     }
     case TableRef::Kind::kTvf: {
@@ -386,7 +443,8 @@ Result<Binder::FromResult> Binder::BindTableRef(const TableRef& ref) {
   return Status::Internal("bad table reference");
 }
 
-Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
+Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt,
+                                           const NameSet& above) {
   if (stmt.from.kind == TableRef::Kind::kNone) {
     // SELECT without FROM: a single empty row.
     FromResult out;
@@ -395,9 +453,22 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
     out.op = std::make_unique<exec::ValuesOp>(Schema(), std::move(rows));
     return out;
   }
-  HTG_ASSIGN_OR_RETURN(FromResult left, BindTableRef(stmt.from));
+  // needed[i]: the names the input of join clause i must carry — those
+  // above the FROM clause plus the ON conditions and CROSS APPLY
+  // arguments of clause i and every later clause. needed[n] is `above`.
+  const size_t n = stmt.joins.size();
+  std::vector<NameSet> needed(n + 1, above);
+  for (size_t i = n; i-- > 0;) {
+    needed[i] = needed[i + 1];
+    const JoinClause& jc = stmt.joins[i];
+    if (jc.condition != nullptr) needed[i].Add(*jc.condition);
+    for (const AstExprPtr& a : jc.ref.args) needed[i].Add(*a);
+  }
+  HTG_ASSIGN_OR_RETURN(FromResult left, BindTableRef(stmt.from, needed[0]));
 
-  for (const JoinClause& jc : stmt.joins) {
+  for (size_t i = 0; i < n; ++i) {
+    const JoinClause& jc = stmt.joins[i];
+    const NameSet& after = needed[i + 1];
     if (jc.cross_apply) {
       if (jc.ref.kind != TableRef::Kind::kTvf) {
         return Status::BindError("CROSS APPLY expects a table function");
@@ -416,6 +487,9 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
       HTG_ASSIGN_OR_RETURN(Schema fn_schema, fn->BindSchema(const_args));
       const std::string alias =
           jc.ref.alias.empty() ? jc.ref.name : jc.ref.alias;
+      // The apply carries only the outer columns used above it.
+      std::vector<int> outer = left.scope.Kept(after);
+      left.scope = left.scope.Project(outer);
       left.scope.Append(alias, fn_schema);
       if (left.pipeline_heap != nullptr) {
         // The pipeline stays morsel-parallelizable: record the apply as a
@@ -424,10 +498,11 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
         arg_clones.reserve(args.size());
         for (const ExprPtr& a : args) arg_clones.push_back(a->Clone());
         left.apply_stages.push_back(exec::ParallelStage::Apply(
-            fn, std::move(arg_clones), fn_schema));
+            fn, std::move(arg_clones), fn_schema, outer));
       }
       left.op = std::make_unique<exec::CrossApplyOp>(
-          std::move(left.op), fn, std::move(args), std::move(fn_schema));
+          std::move(left.op), fn, std::move(args), std::move(fn_schema),
+          std::move(outer));
       continue;
     }
 
@@ -435,8 +510,7 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
     // heap-rooted pipeline.
     left.pipeline_heap = nullptr;
     left.apply_stages.clear();
-    HTG_ASSIGN_OR_RETURN(FromResult right, BindTableRef(jc.ref));
-    const int left_width = static_cast<int>(left.scope.cols.size());
+    HTG_ASSIGN_OR_RETURN(FromResult right, BindTableRef(jc.ref, needed[i]));
 
     Scope concat = left.scope;
     for (const ScopeColumn& c : right.scope.cols) concat.cols.push_back(c);
@@ -447,16 +521,13 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
     }
     std::vector<ExprPtr> left_keys;
     std::vector<ExprPtr> right_keys;
-    std::vector<ExprPtr> residual;
+    std::vector<const AstExpr*> residual_asts;
     BindContext lctx;
     lctx.scope = &left.scope;
     lctx.db = db_;
     BindContext rctx;
     rctx.scope = &right.scope;
     rctx.db = db_;
-    BindContext cctx;
-    cctx.scope = &concat;
-    cctx.db = db_;
     for (const AstExpr* c : conjuncts) {
       bool handled = false;
       if (c->kind == AstExpr::Kind::kBinary &&
@@ -478,33 +549,48 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
           }
         }
       }
-      if (!handled) {
-        HTG_ASSIGN_OR_RETURN(ExprPtr pred, BindExpr(*c, cctx));
-        residual.push_back(std::move(pred));
-      }
+      if (!handled) residual_asts.push_back(c);
+    }
+
+    // The join emits the columns used above it plus those of its residual
+    // predicates, which evaluate over its output row (a nested-loop
+    // predicate, or a filter over an equi-join). Keys evaluate against
+    // the join's inputs.
+    const bool equi = !left_keys.empty();
+    NameSet emitted = after;
+    for (const AstExpr* c : residual_asts) emitted.Add(*c);
+    const std::vector<int> columns = concat.Kept(emitted);
+    Scope joined = concat.Project(columns);
+    BindContext pctx;
+    pctx.scope = &joined;
+    pctx.db = db_;
+    std::vector<ExprPtr> residual;
+    for (const AstExpr* c : residual_asts) {
+      HTG_ASSIGN_OR_RETURN(ExprPtr pred, BindExpr(*c, pctx));
+      residual.push_back(std::move(pred));
     }
 
     if (jc.left_outer) {
       // LEFT OUTER JOIN: hash-based only, pure equi conditions (residual
       // predicates would need ON-clause semantics we do not implement).
-      if (left_keys.empty() || !residual.empty()) {
+      if (!equi || !residual.empty()) {
         return Status::BindError(
             "LEFT JOIN supports only equi-join ON conditions");
       }
       left.op = std::make_unique<exec::HashJoinOp>(
           std::move(left.op), std::move(right.op), std::move(left_keys),
-          std::move(right_keys), /*left_outer=*/true);
-      left.scope = std::move(concat);
-      (void)left_width;
+          std::move(right_keys), columns, /*left_outer=*/true);
+      left.scope = std::move(joined);
       continue;
     }
-    if (left_keys.empty()) {
+    if (!equi) {
       ExprPtr pred = AndTogether(std::move(residual));
       left.op = std::make_unique<exec::NestedLoopJoinOp>(
-          std::move(left.op), std::move(right.op), std::move(pred));
+          std::move(left.op), std::move(right.op), std::move(pred), columns);
     } else {
       // Merge join when both sides stream in join-key order off their
-      // clustered indexes.
+      // clustered indexes. Key column refs index the scans' projected
+      // columns; the clustered key names schema columns.
       bool merge_ok = false;
       auto* lscan = dynamic_cast<exec::TableScanOp*>(left.op.get());
       auto* rscan = dynamic_cast<exec::TableScanOp*>(right.op.get());
@@ -515,35 +601,33 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
             rkey.size() >= right_keys.size() &&
             left_keys.size() == right_keys.size()) {
           merge_ok = true;
-          for (size_t i = 0; i < left_keys.size() && merge_ok; ++i) {
-            auto* lc = dynamic_cast<exec::ColumnRefExpr*>(left_keys[i].get());
-            auto* rc = dynamic_cast<exec::ColumnRefExpr*>(right_keys[i].get());
+          for (size_t k = 0; k < left_keys.size() && merge_ok; ++k) {
+            auto* lc = dynamic_cast<exec::ColumnRefExpr*>(left_keys[k].get());
+            auto* rc = dynamic_cast<exec::ColumnRefExpr*>(right_keys[k].get());
             merge_ok = lc != nullptr && rc != nullptr &&
-                       lc->index() == lkey[i] && rc->index() == rkey[i];
+                       lscan->columns()[lc->index()] == lkey[k] &&
+                       rscan->columns()[rc->index()] == rkey[k];
           }
         }
       }
       // Right-side key column indexes are relative to the right input; the
       // join operators evaluate right keys against right rows, so no
-      // offsetting is needed. Residual predicates see the concatenated row.
+      // offsetting is needed.
       if (merge_ok) {
         left.op = std::make_unique<exec::MergeJoinOp>(
             std::move(left.op), std::move(right.op), std::move(left_keys),
-            std::move(right_keys));
+            std::move(right_keys), columns);
       } else {
         left.op = std::make_unique<exec::HashJoinOp>(
             std::move(left.op), std::move(right.op), std::move(left_keys),
-            std::move(right_keys));
+            std::move(right_keys), columns);
       }
       if (!residual.empty()) {
-        // Residual column refs bound over `concat` are already correct for
-        // the joined row layout.
         left.op = std::make_unique<exec::FilterOp>(
             std::move(left.op), AndTogether(std::move(residual)));
       }
     }
-    left.scope = std::move(concat);
-    (void)left_width;
+    left.scope = std::move(joined);
   }
   return left;
 }
@@ -573,7 +657,21 @@ MorselPlan PlanMorsels(const storage::HeapTable* heap,
 }  // namespace
 
 Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
-  HTG_ASSIGN_OR_RETURN(FromResult from, BindFrom(stmt));
+  // Required columns: every name the clauses over the FROM clause use.
+  NameSet above;
+  for (const SelectItem& item : stmt.items) {
+    if (item.star) {
+      above.all = true;
+    } else {
+      above.Add(*item.expr);
+    }
+  }
+  for (const AstExpr* e : {stmt.where.get(), stmt.having.get()}) {
+    if (e != nullptr) above.Add(*e);
+  }
+  for (const AstExprPtr& g : stmt.group_by) above.Add(*g);
+  for (const OrderItem& o : stmt.order_by) above.Add(*o.expr);
+  HTG_ASSIGN_OR_RETURN(FromResult from, BindFrom(stmt, above));
   Scope scope = std::move(from.scope);
   OperatorPtr plan = std::move(from.op);
 
@@ -664,8 +762,9 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
       std::vector<exec::AggSpec> spec_copies;
       for (const exec::AggSpec& s : specs) spec_copies.push_back(s.Clone());
       plan = std::make_unique<exec::ParallelAggregateOp>(
-          from.pipeline_heap, std::move(stages), std::move(group_exprs),
-          group_names, std::move(spec_copies), mp.dop, mp.morsel_pages);
+          from.pipeline_heap, from.pipeline_columns, std::move(stages),
+          std::move(group_exprs), group_names, std::move(spec_copies), mp.dop,
+          mp.morsel_pages);
     } else {
       if (where != nullptr) {
         plan = std::make_unique<exec::FilterOp>(std::move(plan),
@@ -696,8 +795,8 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
         stages.push_back(exec::ParallelStage::Filter(std::move(where)));
       }
       plan = std::make_unique<exec::ParallelMapOp>(
-          from.pipeline_heap, std::move(stages), mp.dop, mp.morsel_pages,
-          /*preserve_order=*/true);
+          from.pipeline_heap, from.pipeline_columns, std::move(stages),
+          mp.dop, mp.morsel_pages, /*preserve_order=*/true);
     } else if (where != nullptr) {
       plan =
           std::make_unique<exec::FilterOp>(std::move(plan), std::move(where));

@@ -15,6 +15,8 @@ namespace htg::sql {
 // operator tree. Planning is rule-based, modeled on the behaviours the
 // paper observes in SQL Server:
 //
+//  * every scan, join and CROSS APPLY carries only the columns the plan
+//    above it names (required-columns pruning, by column name);
 //  * predicates apply below aggregation;
 //  * equi-joins over clustered tables whose clustered keys match the join
 //    keys become merge joins (Fig. 10), other equi-joins hash joins,
@@ -37,9 +39,12 @@ class Binder {
   struct AggScope;
   struct BindContext;
   struct FromResult;
+  struct NameSet;
 
-  Result<FromResult> BindFrom(const SelectStmt& stmt);
-  Result<FromResult> BindTableRef(const TableRef& ref);
+  // `above` names the columns the clauses over the FROM clause use.
+  Result<FromResult> BindFrom(const SelectStmt& stmt, const NameSet& above);
+  // A base table is scanned for the columns `needed` names only.
+  Result<FromResult> BindTableRef(const TableRef& ref, const NameSet& needed);
   Result<exec::ExprPtr> BindExpr(const AstExpr& ast, const BindContext& ctx);
   Result<std::vector<exec::ExprPtr>> BindExprs(
       const std::vector<AstExprPtr>& asts, const BindContext& ctx);

@@ -40,9 +40,11 @@ Status DecodeLeafRef(const std::string& payload, LeafRef* ref) {
   return Status::OK();
 }
 
-// Verifies the per-row CRC32C trailer and decodes the row image.
+// Verifies the per-row CRC32C trailer over the whole row image, then
+// decodes its `columns`.
 Status DecodePayload(const Schema& schema, Compression row_mode,
-                     Slice payload, Row* row) {
+                     Slice payload, const std::vector<int>& columns,
+                     Row* row) {
   if (payload.size() < 4) {
     return Status::Corruption("clustered leaf payload too small");
   }
@@ -60,7 +62,8 @@ Status DecodePayload(const Schema& schema, Compression row_mode,
                      "(stored %08x, computed %08x)",
                      expected, actual));
   }
-  return DecodeRow(schema, row_mode, Slice(payload.data(), body), row);
+  return DecodeRow(schema, row_mode, Slice(payload.data(), body), columns,
+                   row);
 }
 
 // Full-key comparison, shorter keys sort first on ties (mirrors the
@@ -85,7 +88,9 @@ bool After(const LeafRef& a, const LeafRef& b) {
 }  // namespace
 
 Status ClusteredTable::DecodeEntryLocked(const std::string& payload,
-                                         PageGuard* guard, Row* row) const {
+                                         PageGuard* guard,
+                                         const std::vector<int>& columns,
+                                         Row* row) const {
   LeafRef ref;
   HTG_RETURN_IF_ERROR(DecodeLeafRef(payload, &ref));
   Slice page;
@@ -107,7 +112,8 @@ Status ClusteredTable::DecodeEntryLocked(const std::string& payload,
     return Status::Corruption("clustered leaf reference out of bounds");
   }
   return DecodePayload(schema_, row_mode_,
-                       Slice(page.data() + ref.offset, ref.length), row);
+                       Slice(page.data() + ref.offset, ref.length), columns,
+                       row);
 }
 
 // The clustered scan: key order, entries filtered by snapshot
@@ -122,14 +128,15 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
  public:
   // An empty `seek` scans from the first key.
   SnapshotIterator(const ClusteredTable* table, Snapshot snap, TxnId self,
-                   Row seek)
+                   Row seek, std::vector<int> columns)
       : table_(table),
         snap_(std::move(snap)),
         self_(self),
-        seek_(std::move(seek)) {}
+        seek_(std::move(seek)),
+        columns_(std::move(columns)) {}
 
   bool NextBatch(RowBatch* batch) override {
-    batch->StartFill(table_->schema_.num_columns());
+    batch->StartFill(columns_.size());
     size_t n = 0;
     while (n < batch->capacity() && Refill(batch, &n)) {
     }
@@ -158,7 +165,8 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
                              *n < batch->capacity();
          ++visited) {
       if (Visible(cur.stamp())) {
-        status_ = table_->DecodeEntryLocked(cur.payload(), &guard_, &row_);
+        status_ = table_->DecodeEntryLocked(cur.payload(), &guard_, columns_,
+                                            &row_);
         if (!status_.ok()) return false;
         batch->SwapRow((*n)++, &row_);
       }
@@ -199,6 +207,7 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
   const Snapshot snap_;
   const TxnId self_;
   const Row seek_;
+  const std::vector<int> columns_;  // schema columns decoded
 
   bool started_ = false;
   bool done_ = false;
@@ -292,22 +301,22 @@ StorageStats ClusteredTable::Stats() const {
 }
 
 std::unique_ptr<RowIterator> ClusteredTable::NewScan() {
-  return NewSnapshotScan(Snapshot::All(), kFrozenTxn);
+  return NewSnapshotScan(Snapshot::All(), kFrozenTxn, AllColumns(schema_));
 }
 
-std::unique_ptr<RowIterator> ClusteredTable::NewSnapshotScan(Snapshot snap,
-                                                             TxnId self) {
+std::unique_ptr<RowIterator> ClusteredTable::NewSnapshotScan(
+    Snapshot snap, TxnId self, std::vector<int> columns) {
   return std::make_unique<SnapshotIterator>(this, std::move(snap), self,
-                                            Row());
+                                            Row(), std::move(columns));
 }
 
 Result<std::unique_ptr<RowIterator>> ClusteredTable::NewSnapshotScanFrom(
-    const Row& prefix, Snapshot snap, TxnId self) {
+    const Row& prefix, Snapshot snap, TxnId self, std::vector<int> columns) {
   if (prefix.size() > key_columns_.size()) {
     return Status::InvalidArgument("seek key longer than clustered key");
   }
   return {std::make_unique<SnapshotIterator>(this, std::move(snap), self,
-                                             prefix)};
+                                             prefix, std::move(columns))};
 }
 
 void ClusteredTable::MarkAborted(uint64_t count) {

@@ -60,11 +60,13 @@ class ClusteredTable : public TableStorage {
 
   // Key-ordered scan of exactly the rows visible to `snap` (`self` sees
   // its own uncommitted inserts), optionally starting at the first key
-  // >= `prefix`. Safe against concurrent InsertStamped and SweepAborted.
-  std::unique_ptr<RowIterator> NewSnapshotScan(Snapshot snap, TxnId self);
-  Result<std::unique_ptr<RowIterator>> NewSnapshotScanFrom(const Row& prefix,
-                                                           Snapshot snap,
-                                                           TxnId self);
+  // >= `prefix`. Decodes only the schema columns in `columns` (ascending;
+  // AllColumns for full rows); each payload's CRC still covers the whole
+  // row image. Safe against concurrent InsertStamped and SweepAborted.
+  std::unique_ptr<RowIterator> NewSnapshotScan(Snapshot snap, TxnId self,
+                                               std::vector<int> columns);
+  Result<std::unique_ptr<RowIterator>> NewSnapshotScanFrom(
+      const Row& prefix, Snapshot snap, TxnId self, std::vector<int> columns);
 
   // Transaction abort: `count` freshly inserted entries now belong to an
   // aborted txn. They stay in the tree (hidden by their stamps) until
@@ -81,10 +83,11 @@ class ClusteredTable : public TableStorage {
   // Seals leaf_buf_ into the backing file (page CRC trailer appended).
   Status SealLeafPage() HTG_REQUIRES(latch_);
   Status InsertLocked(const Row& row, TxnId txn) HTG_REQUIRES(latch_);
-  // Resolves one tree payload (a LeafRef) to a decoded row, pinning its
-  // leaf page into `guard`.
+  // Resolves one tree payload (a LeafRef) to the decoded `columns` of its
+  // row, pinning its leaf page into `guard`.
   Status DecodeEntryLocked(const std::string& payload, PageGuard* guard,
-                           Row* row) const HTG_REQUIRES_SHARED(latch_);
+                           const std::vector<int>& columns, Row* row) const
+      HTG_REQUIRES_SHARED(latch_);
 
   Schema schema_;
   std::vector<int> key_columns_;

@@ -8,13 +8,17 @@ namespace htg::storage {
 
 class HeapTable::ScanIterator : public RowIterator {
  public:
-  ScanIterator(HeapTable* table, const PageRange& range)
-      : table_(table), page_index_(range.first_page), range_(range) {}
+  ScanIterator(HeapTable* table, const PageRange& range,
+               std::vector<int> columns)
+      : table_(table),
+        page_index_(range.first_page),
+        range_(range),
+        columns_(std::move(columns)) {}
 
-  // Decodes page rows straight into the batch while the page pin is
-  // held.
+  // Decodes the kept columns of page rows straight into the batch while
+  // the page pin is held.
   bool NextBatch(RowBatch* batch) override {
-    batch->StartFill(table_->schema_.num_columns());
+    batch->StartFill(columns_.size());
     size_t n = 0;
     while (status_.ok()) {
       if (reader_ != nullptr) {
@@ -61,7 +65,7 @@ class HeapTable::ScanIterator : public RowIterator {
                      ? range_.tail_rows
                      : std::numeric_limits<uint64_t>::max();
     HTG_METRIC_COUNTER("heap.page.reads")->Add(1);
-    reader_ = std::make_unique<PageReader>(&table_->schema_, page);
+    reader_ = std::make_unique<PageReader>(&table_->schema_, page, columns_);
     status_ = reader_->Init();
     if (!status_.ok()) {
       reader_.reset();
@@ -73,6 +77,7 @@ class HeapTable::ScanIterator : public RowIterator {
   HeapTable* table_;
   size_t page_index_;
   const PageRange range_;
+  const std::vector<int> columns_;  // schema columns decoded
   uint64_t rows_left_ = 0;  // cap on rows still to emit from this page
   PageGuard guard_;  // pin on the page reader_ is positioned on
   std::unique_ptr<PageReader> reader_;
@@ -155,7 +160,7 @@ std::unique_ptr<RowIterator> HeapTable::NewScan() {
   if (!range.ok()) {
     return std::make_unique<FailedIterator>(std::move(range).status());
   }
-  return NewScanRange(*range);
+  return NewScanRange(*range, AllColumns(schema_));
 }
 
 Result<HeapTable::PageRange> HeapTable::PlanVisiblePrefix(
@@ -177,8 +182,9 @@ Result<HeapTable::PageRange> HeapTable::PlanVisiblePrefix(
   return range;
 }
 
-std::unique_ptr<RowIterator> HeapTable::NewScanRange(const PageRange& range) {
-  return std::make_unique<ScanIterator>(this, range);
+std::unique_ptr<RowIterator> HeapTable::NewScanRange(
+    const PageRange& range, std::vector<int> columns) {
+  return std::make_unique<ScanIterator>(this, range, std::move(columns));
 }
 
 void HeapTable::Truncate() {
@@ -214,7 +220,7 @@ Status HeapTable::TruncateToRows(uint64_t target_rows) {
       if (!pinned.ok()) {
         status = std::move(pinned).status();
       } else {
-        PageReader reader(&schema_, pinned->data());
+        PageReader reader(&schema_, pinned->data(), AllColumns(schema_));
         status = reader.Init();
         if (status.ok()) {
           Row row;

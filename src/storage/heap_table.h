@@ -61,8 +61,11 @@ class HeapTable : public TableStorage {
   // only seal a reader performs.
   Result<PageRange> PlanVisiblePrefix(uint64_t row_limit);
 
-  // Scan of `range`, immune to appends that land after it opens.
-  std::unique_ptr<RowIterator> NewScanRange(const PageRange& range);
+  // Scan of `range`, immune to appends that land after it opens. Decodes
+  // only the schema columns in `columns` (ascending; AllColumns for full
+  // rows), so batches are columns.size() wide.
+  std::unique_ptr<RowIterator> NewScanRange(const PageRange& range,
+                                            std::vector<int> columns);
 
   // Pages holding rows, counting the in-progress page.
   size_t num_pages() const;

@@ -185,8 +185,9 @@ std::string PageBuilder::FinishPageCompressed() {
   return page;
 }
 
-PageReader::PageReader(const Schema* schema, Slice page)
-    : schema_(schema), page_(page) {}
+PageReader::PageReader(const Schema* schema, Slice page,
+                       std::vector<int> columns)
+    : schema_(schema), page_(page), columns_(std::move(columns)) {}
 
 Status PageReader::Init() {
   // Verify the CRC32C trailer before trusting a single header byte: any
@@ -233,8 +234,13 @@ Status PageReader::InitPageCompressed(const char* p, const char* limit) {
   const char* bitmaps = p;
   p += static_cast<size_t>(row_count_) * bitmap_bytes;
 
-  decoded_.assign(row_count_, Row(ncols));
+  decoded_.assign(row_count_, Row(columns_.size()));
+  size_t k = 0;  // next entry of columns_
+  std::string field;
   for (int c = 0; c < ncols; ++c) {
+    // A skipped column is walked entry by entry with the same bounds
+    // checks, but no field is assembled or decoded.
+    const bool keep = k < columns_.size() && columns_[k] == c;
     if (p >= limit) return Status::Corruption("page column truncated");
     const bool use_dict = *p++ != 0;
     std::string_view prefix;
@@ -252,12 +258,11 @@ Status PageReader::InitPageCompressed(const char* p, const char* limit) {
         if (p == nullptr) return Status::Corruption("page dict truncated");
       }
     }
-    std::string field;
     for (int r = 0; r < row_count_; ++r) {
       const char* bm = bitmaps + static_cast<size_t>(r) * bitmap_bytes;
       const bool is_null = (bm[c / 8] >> (c % 8)) & 1;
       if (is_null) {
-        decoded_[r][c] = Value::Null();
+        if (keep) decoded_[r][k] = Value::Null();
         continue;
       }
       std::string_view suffix;
@@ -272,16 +277,21 @@ Status PageReader::InitPageCompressed(const char* p, const char* limit) {
         p = GetLengthPrefixed(p, limit, &suffix);
         if (p == nullptr) return Status::Corruption("page field truncated");
       }
+      if (!keep) continue;
       field.assign(prefix);
       field.append(suffix);
       const char* end =
           DecodeField(schema_->column(c), Compression::kRow, field.data(),
-                      field.data() + field.size(), &decoded_[r][c]);
+                      field.data() + field.size(), &decoded_[r][k]);
       if (end == nullptr) {
         return Status::Corruption("page field undecodable: " +
                                   schema_->column(c).name);
       }
     }
+    if (keep) ++k;
+  }
+  if (k != columns_.size()) {
+    return Status::Internal("decode column list is not ascending in range");
   }
   return Status::OK();
 }
@@ -290,7 +300,7 @@ bool PageReader::Next(Row* row) {
   if (!status_.ok()) return false;
   if (next_row_ >= row_count_) return false;
   if (mode_ == Compression::kPage) {
-    *row = decoded_[next_row_++];
+    row->swap(decoded_[next_row_++]);
     return true;
   }
   std::string_view encoded;
@@ -299,7 +309,7 @@ bool PageReader::Next(Row* row) {
     status_ = Status::Corruption("page row stream truncated");
     return false;
   }
-  status_ = DecodeRow(*schema_, mode_, Slice(encoded), row);
+  status_ = DecodeRow(*schema_, mode_, Slice(encoded), columns_, row);
   if (!status_.ok()) return false;
   ++next_row_;
   return true;

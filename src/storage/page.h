@@ -67,15 +67,20 @@ class PageBuilder {
   size_t raw_bytes_ = 0;
 };
 
-// Iterates the rows of one serialized page.
+// Iterates the rows of one serialized page, decoding only the schema
+// columns in `columns` (ascending indexes; AllColumns for full rows).
+// Rows come out columns.size() wide.
 class PageReader {
  public:
-  PageReader(const Schema* schema, Slice page);
+  PageReader(const Schema* schema, Slice page, std::vector<int> columns);
 
-  // Parses the page header (and for PAGE compression, reconstructs rows).
+  // Parses the page header (and for PAGE compression, reconstructs the
+  // kept columns of every row; skipped columns are walked, not decoded).
   Status Init();
 
-  // Fetches the next row; returns false at end of page.
+  // Fetches the next row; returns false at end of page. `row`'s values
+  // are overwritten in place (NONE/ROW) or swapped out for the decoded
+  // row (PAGE).
   bool Next(Row* row);
 
   Status status() const { return status_; }
@@ -86,12 +91,13 @@ class PageReader {
 
   const Schema* schema_;
   Slice page_;
+  std::vector<int> columns_;
   Compression mode_ = Compression::kNone;
   int row_count_ = 0;
   int next_row_ = 0;
   const char* cursor_ = nullptr;
   const char* limit_ = nullptr;
-  // PAGE mode: eagerly reconstructed rows.
+  // PAGE mode: eagerly reconstructed rows, each emitted once.
   std::vector<Row> decoded_;
   Status status_;
 };

@@ -199,76 +199,53 @@ const char* DecodeField(const Column& column, Compression mode, const char* p,
   switch (column.type) {
     case DataType::kBool: {
       if (p >= limit) return nullptr;
-      *value = Value::Bool(*p != 0);
+      if (value != nullptr) *value = Value::Bool(*p != 0);
       return p + 1;
     }
-    case DataType::kInt32: {
-      if (compact) {
-        int64_t v = 0;
-        p = GetVarintSigned64(p, limit, &v);
-        if (p == nullptr) return nullptr;
-        *value = Value::Int32(static_cast<int32_t>(v));
-        return p;
-      }
-      uint32_t v = 0;
-      p = GetFixed32(p, limit, &v);
-      if (p == nullptr) return nullptr;
-      *value = Value::Int32(static_cast<int32_t>(v));
-      return p;
-    }
+    case DataType::kInt32:
     case DataType::kInt64: {
+      int64_t v = 0;
       if (compact) {
-        int64_t v = 0;
         p = GetVarintSigned64(p, limit, &v);
-        if (p == nullptr) return nullptr;
-        *value = Value::Int64(v);
-        return p;
+      } else if (column.type == DataType::kInt32) {
+        uint32_t fixed = 0;
+        p = GetFixed32(p, limit, &fixed);
+        v = static_cast<int32_t>(fixed);
+      } else {
+        uint64_t fixed = 0;
+        p = GetFixed64(p, limit, &fixed);
+        v = static_cast<int64_t>(fixed);
       }
-      uint64_t v = 0;
-      p = GetFixed64(p, limit, &v);
       if (p == nullptr) return nullptr;
-      *value = Value::Int64(static_cast<int64_t>(v));
+      if (value != nullptr) {
+        *value = column.type == DataType::kInt32
+                     ? Value::Int32(static_cast<int32_t>(v))
+                     : Value::Int64(v);
+      }
       return p;
     }
     case DataType::kDouble: {
       uint64_t bits = 0;
       p = GetFixed64(p, limit, &bits);
       if (p == nullptr) return nullptr;
-      double d;
-      memcpy(&d, &bits, 8);
-      *value = Value::Double(d);
+      if (value != nullptr) {
+        double d;
+        memcpy(&d, &bits, 8);
+        *value = Value::Double(d);
+      }
       return p;
     }
-    case DataType::kString: {
-      if (column.fixed_length > 0 && !compact) {
+    case DataType::kString:
+    case DataType::kBlob: {
+      std::string_view body;
+      if (column.type == DataType::kString && column.fixed_length > 0 &&
+          !compact) {
         const int width =
             column.utf16 ? column.fixed_length * 2 : column.fixed_length;
         if (limit - p < width) return nullptr;
-        std::string_view raw(p, width);
-        *value = Value::String(column.utf16 ? FromUtf16(raw)
-                                            : std::string(raw));
-        return p + width;
-      }
-      std::string_view body;
-      if (compact) {
-        p = GetLengthPrefixed(p, limit, &body);
-      } else {
-        uint32_t len = 0;
-        p = GetFixed32(p, limit, &len);
-        if (p == nullptr || static_cast<uint32_t>(limit - p) < len) {
-          return nullptr;
-        }
-        body = std::string_view(p, len);
-        p += len;
-      }
-      if (p == nullptr) return nullptr;
-      *value = Value::String(column.utf16 ? FromUtf16(body)
-                                          : std::string(body));
-      return p;
-    }
-    case DataType::kBlob: {
-      std::string_view body;
-      if (compact) {
+        body = std::string_view(p, width);
+        p += width;
+      } else if (compact) {
         p = GetLengthPrefixed(p, limit, &body);
         if (p == nullptr) return nullptr;
       } else {
@@ -280,7 +257,12 @@ const char* DecodeField(const Column& column, Compression mode, const char* p,
         body = std::string_view(p, len);
         p += len;
       }
-      *value = Value::Blob(std::string(body));
+      if (value == nullptr) return p;
+      if (column.type == DataType::kString && column.utf16) {
+        *value = Value::String(FromUtf16(body));
+      } else {
+        value->AssignString(column.type, body);
+      }
       return p;
     }
     case DataType::kGuid: {
@@ -288,17 +270,39 @@ const char* DecodeField(const Column& column, Compression mode, const char* p,
       const char tag = *p++;
       if (tag == 1) {
         if (limit - p < 16) return nullptr;
-        *value = Value::Guid(BytesToGuid(std::string_view(p, 16)));
+        if (value != nullptr) {
+          *value = Value::Guid(BytesToGuid(std::string_view(p, 16)));
+        }
         return p + 16;
       }
       std::string_view body;
       p = GetLengthPrefixed(p, limit, &body);
       if (p == nullptr) return nullptr;
-      *value = Value::Guid(std::string(body));
+      if (value != nullptr) value->AssignString(DataType::kGuid, body);
       return p;
     }
   }
   return nullptr;
+}
+
+namespace {
+
+// Walks past one field without materialising it, making every bounds
+// check DecodeField makes: a skipped field that is truncated or overruns
+// the row is corruption just like a decoded one.
+const char* SkipField(const Column& column, Compression mode, const char* p,
+                      const char* limit) {
+  return DecodeField(column, mode, p, limit, nullptr);
+}
+
+}  // namespace
+
+std::vector<int> AllColumns(const Schema& schema) {
+  std::vector<int> columns(static_cast<size_t>(schema.num_columns()));
+  for (size_t i = 0; i < columns.size(); ++i) {
+    columns[i] = static_cast<int>(i);
+  }
+  return columns;
 }
 
 Status EncodeRow(const Schema& schema, const Row& row, Compression mode,
@@ -321,7 +325,7 @@ Status EncodeRow(const Schema& schema, const Row& row, Compression mode,
 }
 
 Status DecodeRow(const Schema& schema, Compression mode, Slice data,
-                 Row* row) {
+                 const std::vector<int>& columns, Row* row) {
   const int ncols = schema.num_columns();
   const int bitmap_bytes = (ncols + 7) / 8;
   if (static_cast<int>(data.size()) < bitmap_bytes) {
@@ -330,19 +334,27 @@ Status DecodeRow(const Schema& schema, Compression mode, Slice data,
   const char* bitmap = data.data();
   const char* p = data.data() + bitmap_bytes;
   const char* limit = data.data() + data.size();
-  row->clear();
-  row->resize(ncols);
+  // Assign into the row's existing values so their string buffers are
+  // reused; every field is walked, kept or not, so the whole image is
+  // bounds-checked.
+  row->resize(columns.size());
+  size_t k = 0;
   for (int i = 0; i < ncols; ++i) {
+    const bool keep = k < columns.size() && columns[k] == i;
     const bool is_null = (bitmap[i / 8] >> (i % 8)) & 1;
     if (is_null) {
-      (*row)[i] = Value::Null();
+      if (keep) (*row)[k++] = Value::Null();
       continue;
     }
-    p = DecodeField(schema.column(i), mode, p, limit, &(*row)[i]);
+    p = keep ? DecodeField(schema.column(i), mode, p, limit, &(*row)[k++])
+             : SkipField(schema.column(i), mode, p, limit);
     if (p == nullptr) {
       return Status::Corruption("truncated field in row: " +
                                 schema.column(i).name);
     }
+  }
+  if (k != columns.size()) {
+    return Status::Internal("decode column list is not ascending in range");
   }
   return Status::OK();
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/slice.h"
@@ -28,17 +29,25 @@ std::string_view CompressionName(Compression c);
 void EncodeField(const Column& column, const Value& value, Compression mode,
                  std::string* out);
 
-// Decodes one field written by EncodeField. Returns the byte past the field
-// or nullptr on corruption.
+// Decodes one field written by EncodeField into *value; a null `value`
+// walks past the field with the same bounds checks. Returns the byte past
+// the field or nullptr on corruption.
 const char* DecodeField(const Column& column, Compression mode, const char* p,
                         const char* limit, Value* value);
+
+// The column list of a full-width decode: every index of `schema`.
+std::vector<int> AllColumns(const Schema& schema);
 
 // Encodes a full row: null bitmap followed by the non-null fields.
 Status EncodeRow(const Schema& schema, const Row& row, Compression mode,
                  std::string* out);
 
-// Decodes a full row written by EncodeRow.
-Status DecodeRow(const Schema& schema, Compression mode, Slice data, Row* row);
+// Decodes the fields `columns` (ascending schema indexes) of a row written
+// by EncodeRow into `row`, which ends up columns.size() wide. Skipped
+// fields are walked, not materialised; the row's values are assigned in
+// place, so a reused row keeps its string buffers.
+Status DecodeRow(const Schema& schema, Compression mode, Slice data,
+                 const std::vector<int>& columns, Row* row);
 
 // Parses a canonical 36-char GUID into 16 raw bytes ("" on failure).
 std::string GuidToBytes(const std::string& guid);

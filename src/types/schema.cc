@@ -19,6 +19,12 @@ Result<int> Schema::ResolveColumn(std::string_view name) const {
   return idx;
 }
 
+Schema Schema::Project(const std::vector<int>& indexes) const {
+  Schema out;
+  for (int i : indexes) out.AddColumn(columns_[i]);
+  return out;
+}
+
 std::string Schema::ToString() const {
   std::string out;
   for (int i = 0; i < num_columns(); ++i) {

@@ -46,6 +46,9 @@ class Schema {
   // Like FindColumn but errors with the table context on failure.
   Result<int> ResolveColumn(std::string_view name) const;
 
+  // The columns at `indexes`, in that order.
+  Schema Project(const std::vector<int>& indexes) const;
+
   // "name TYPE, name TYPE, ..." — used by EXPLAIN and error messages.
   std::string ToString() const;
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -48,6 +49,18 @@ class Value {
   }
   const std::string& AsString() const { return std::get<std::string>(data_); }
   std::string&& MoveString() && { return std::get<std::string>(std::move(data_)); }
+
+  // Overwrites this value with a string-kind value (kString, kBlob or
+  // kGuid) holding `s`, reusing the held string's buffer when there is
+  // one: scans decode into rows whose values cycle through batch slots.
+  void AssignString(DataType type, std::string_view s) {
+    type_ = type;
+    if (auto* held = std::get_if<std::string>(&data_)) {
+      held->assign(s.data(), s.size());
+    } else {
+      data_ = std::string(s);
+    }
+  }
 
   bool IsIntegerKind() const { return std::holds_alternative<int64_t>(data_); }
   bool IsDoubleKind() const { return std::holds_alternative<double>(data_); }

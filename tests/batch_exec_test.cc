@@ -540,6 +540,255 @@ TEST_F(BatchParityTest, ExplainAnalyzeEveryOperatorReportsBatches) {
   EXPECT_GE(producing, 5) << plan;
 }
 
+// ------------------------------------------------------- column pruning ---
+
+// Every scan, join and CROSS APPLY carries only the columns named above
+// it. Each query below names some column in exactly one place the
+// required-columns pass must see, or runs a plan whose operators are
+// narrowed to zero columns; all of them must match the oracle at DOP 1
+// and DOP 8 (where heap pipelines run as exchanges).
+TEST_F(BatchParityTest, ColumnPruningMatchesOracle) {
+  const int n = 2049;
+  const int m = 600;
+  std::vector<Row> t;
+  for (int i = 0; i < n; ++i) t.push_back(SeedRow(i));
+  // cl(tag, id, x) clustered on id, its second column; cr(id, x, note)
+  // clustered on id. Both have an `x`.
+  auto cl_row = [](int i) {
+    return Row{Value::String("g" + std::to_string(i % 5)), Value::Int64(i),
+               Value::Int64(i * 3)};
+  };
+  auto cr_row = [](int i) {
+    return Row{Value::Int64(i * 2), Value::Int64(i % 13),
+               i % 4 == 1 ? Value::Null()
+                          : Value::String("n" + std::to_string(i))};
+  };
+  // Join pairs: cl.id == cr.id for even ids below m.
+  std::vector<std::pair<Row, Row>> pairs;
+  for (int i = 0; i * 2 < m; ++i) pairs.emplace_back(cl_row(i * 2), cr_row(i));
+  // aligned(id, p, seq, quals, extra): the pivot reads p, seq, quals; the
+  // plan above the apply names only id.
+  const std::string bases = "ACGTNAC";
+  auto aligned_row = [&](int i) {
+    const size_t len = 1 + static_cast<size_t>(i % 7);
+    return Row{Value::Int64(i), Value::Int64(i * 2),
+               Value::String(bases.substr(0, len)),
+               Value::String(std::string(len, 'I')),
+               Value::String("extra" + std::to_string(i))};
+  };
+
+  struct Case {
+    std::string sql;
+    bool ordered;
+    std::vector<Row> want;
+  };
+  std::vector<Case> cases;
+  {
+    // SELECT * over a join: full width, left columns then right.
+    std::vector<Row> want;
+    for (const auto& [l, r] : pairs) {
+      Row row = l;
+      row.insert(row.end(), r.begin(), r.end());
+      want.push_back(std::move(row));
+    }
+    cases.push_back({"SELECT * FROM cl JOIN cr ON cl.id = cr.id", false, want});
+  }
+  {
+    // The same name on both sides, qualified.
+    std::vector<Row> want;
+    for (const auto& [l, r] : pairs) want.push_back(Row{l[2], r[1]});
+    cases.push_back(
+        {"SELECT cl.x, cr.x FROM cl JOIN cr ON cl.id = cr.id", false, want});
+  }
+  {
+    // Merge join whose left clustered key is the second kept column.
+    std::vector<Row> want;
+    for (const auto& [l, r] : pairs) want.push_back(Row{l[0], r[2]});
+    cases.push_back({"SELECT tag, cr.note FROM cl JOIN cr ON cl.id = cr.id",
+                     false, want});
+  }
+  {
+    // `note` named only in the join's ON residual.
+    std::vector<Row> want;
+    for (const auto& [l, r] : pairs) {
+      if (!r[2].is_null()) want.push_back(Row{l[0]});
+    }
+    cases.push_back({"SELECT tag FROM cl JOIN cr "
+                     "ON cl.id = cr.id AND cr.note IS NOT NULL",
+                     false, want});
+  }
+  // COUNT(*) over zero-column scans: a heap, a clustered table, a join.
+  cases.push_back({"SELECT COUNT(*) FROM t", false,
+                   {Row{Value::Int64(n)}}});
+  cases.push_back({"SELECT COUNT(*) FROM cl", false,
+                   {Row{Value::Int64(m)}}});
+  cases.push_back({"SELECT COUNT(*) FROM cl JOIN cr ON cl.id = cr.id", false,
+                   {Row{Value::Int64(static_cast<int64_t>(pairs.size()))}}});
+  {
+    // `c` named only in HAVING.
+    std::map<int64_t, std::pair<int64_t, std::optional<double>>> groups;
+    for (const Row& r : t) {
+      auto& [count, max_c] = groups[r[1].AsInt64()];
+      ++count;
+      if (!r[3].is_null()) {
+        max_c = std::max(max_c.value_or(r[3].AsDouble()), r[3].AsDouble());
+      }
+    }
+    std::vector<Row> want;
+    for (const auto& [a, g] : groups) {
+      if (g.second && *g.second > 500) {
+        want.push_back(Row{Value::Int64(a), Value::Int64(g.first)});
+      }
+    }
+    cases.push_back({"SELECT a, COUNT(*) FROM t GROUP BY a "
+                     "HAVING MAX(c) > 500",
+                     false, want});
+  }
+  {
+    // `id` named only in ORDER BY: a hidden sort column.
+    std::vector<Row> want;
+    for (const Row& r : t) {
+      if (r[1].AsInt64() < 5) want.push_back(Row{r[2]});
+    }
+    cases.push_back(
+        {"SELECT b FROM t WHERE a < 5 ORDER BY id DESC", true,
+         std::vector<Row>(want.rbegin(), want.rend())});
+  }
+  {
+    // `id` named only in a window ORDER BY.
+    std::vector<Row> want;
+    for (int i = n - 1; i >= 0; --i) {
+      if (t[i][1].AsInt64() == 3) {
+        want.push_back(
+            Row{Value::Int64(static_cast<int64_t>(want.size() + 1)), t[i][2]});
+      }
+    }
+    cases.push_back({"SELECT ROW_NUMBER() OVER (ORDER BY id DESC) AS rn, b "
+                     "FROM t WHERE a = 3",
+                     false, want});
+  }
+  {
+    // A derived table with *.
+    std::vector<Row> want;
+    for (const Row& r : t) {
+      if (r[0].AsInt64() < 100) want.push_back(Row{r[1], r[2]});
+    }
+    cases.push_back({"SELECT d.a, d.b FROM (SELECT * FROM t) d "
+                     "WHERE d.id < 100",
+                     false, want});
+  }
+  {
+    // Heap CROSS APPLY pipelines whose outer input is pruned to `id`: a
+    // parallel map and a parallel aggregate at DOP 8.
+    std::vector<Row> map_want;
+    std::vector<Row> agg_want;
+    for (int i = 0; i < n; ++i) {
+      const Row r = aligned_row(i);
+      const std::string& seq = r[2].AsString();
+      for (char base : seq) {
+        map_want.push_back(Row{r[0], Value::String(std::string(1, base))});
+      }
+      agg_want.push_back(
+          Row{r[0], Value::Int64(static_cast<int64_t>(seq.size()))});
+    }
+    cases.push_back({"SELECT id, base FROM aligned "
+                     "CROSS APPLY PivotAlignment(p, seq, quals) AS pa",
+                     false, map_want});
+    cases.push_back({"SELECT id, COUNT(*) FROM aligned "
+                     "CROSS APPLY PivotAlignment(p, seq, quals) AS pa "
+                     "GROUP BY id",
+                     false, agg_want});
+  }
+
+  for (int dop : {1, 8}) {
+    Instance in = Make(dop);
+    SeedT(in, n);
+    Exec(in, "CREATE TABLE cl (tag VARCHAR(10), id BIGINT, x BIGINT) "
+             "CLUSTER BY (id)");
+    Exec(in, "CREATE TABLE cr (id BIGINT, x BIGINT, note VARCHAR(10)) "
+             "CLUSTER BY (id)");
+    Exec(in, "CREATE TABLE aligned (id BIGINT, p BIGINT, seq VARCHAR(10), "
+             "quals VARCHAR(10), extra VARCHAR(20))");
+    auto cl = in.db->GetTable("cl");
+    auto cr = in.db->GetTable("cr");
+    auto aligned = in.db->GetTable("aligned");
+    ASSERT_TRUE(cl.ok() && cr.ok() && aligned.ok());
+    for (int i = 0; i < m; ++i) {
+      ASSERT_TRUE(in.db->InsertRow(*cl, cl_row(i)).ok());
+      ASSERT_TRUE(in.db->InsertRow(*cr, cr_row(i)).ok());
+    }
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(in.db->InsertRow(*aligned, aligned_row(i)).ok());
+    }
+    for (const Case& c : cases) {
+      EXPECT_EQ(Render(c.want, !c.ordered),
+                Render(Exec(in, c.sql).rows, !c.ordered))
+          << "dop=" << dop << ": " << c.sql;
+    }
+
+    // The unqualified name stays ambiguous: both `x` columns are kept.
+    Result<sql::QueryResult> ambiguous =
+        in.engine->Execute("SELECT x FROM cl JOIN cr ON cl.id = cr.id");
+    ASSERT_FALSE(ambiguous.ok());
+    EXPECT_NE(ambiguous.status().message().find("ambiguous column: x"),
+              std::string::npos)
+        << ambiguous.status().ToString();
+
+    // The plans really are narrowed.
+    const std::string merge =
+        Exec(in, "EXPLAIN SELECT tag, cr.note FROM cl JOIN cr "
+                 "ON cl.id = cr.id")
+            .message;
+    EXPECT_NE(merge.find("Merge Join"), std::string::npos) << merge;
+    EXPECT_NE(merge.find("Clustered Index Scan [cl] columns (tag, id)"),
+              std::string::npos)
+        << merge;
+    EXPECT_NE(merge.find("columns (tag, note)"), std::string::npos) << merge;
+    const std::string count = Exec(in, "EXPLAIN SELECT COUNT(*) FROM t").message;
+    EXPECT_NE(count.find("columns ()"), std::string::npos) << count;
+    const std::string apply =
+        Exec(in, "EXPLAIN SELECT id, COUNT(*) FROM aligned "
+                 "CROSS APPLY PivotAlignment(p, seq, quals) AS pa GROUP BY id")
+            .message;
+    EXPECT_NE(apply.find("Table Scan [aligned]"), std::string::npos) << apply;
+    EXPECT_NE(apply.find("columns (id, p, seq, quals)"), std::string::npos)
+        << apply;
+    EXPECT_NE(apply.find("[PivotAlignment] columns (id, pos, base, qual)"),
+              std::string::npos)
+        << apply;
+    if (dop > 1) {
+      EXPECT_NE(apply.find("Gather Streams"), std::string::npos) << apply;
+    }
+
+    // INSERT ... SELECT writes full rows of the target from a pruned scan.
+    Exec(in, "CREATE TABLE t2 (a BIGINT, b VARCHAR(20))");
+    Exec(in, "INSERT INTO t2 SELECT a, b FROM t WHERE id < 300");
+    std::vector<Row> want;
+    for (int i = 0; i < 300; ++i) want.push_back(Row{t[i][1], t[i][2]});
+    EXPECT_EQ(Render(want, true), Render(Exec(in, "SELECT * FROM t2").rows, true))
+        << "dop=" << dop;
+  }
+}
+
+TEST_F(BatchParityTest, ExplainAnalyzeReportsSelfNsPerRow) {
+  Instance in = Make();
+  SeedT(in, 3000);
+  Result<sql::QueryResult> result = in.engine->Execute(
+      "EXPLAIN ANALYZE SELECT a, COUNT(*) FROM t WHERE a >= 0 GROUP BY a");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string& plan = result->message;
+  // Each producing operator's batch group carries its self time per
+  // output row.
+  const size_t scan = plan.find("Table Scan [t] columns (a)");
+  ASSERT_NE(scan, std::string::npos) << plan;
+  const size_t end = plan.find('\n', scan);
+  const std::string line = plan.substr(scan, end - scan);
+  const size_t at = line.find("self ns/row=");
+  ASSERT_NE(at, std::string::npos) << line;
+  EXPECT_GT(std::strtod(line.c_str() + at + 12, nullptr), 0.0) << line;
+  EXPECT_LT(line.find("rows/batch="), at) << line;
+}
+
 TEST_F(BatchParityTest, UdfSeamStillCountsPerRowCalls) {
   // Vectorization must stop at the scalar-UDF boundary: CHARINDEX over n
   // rows is n individual udf.scalar.calls ticks (NULL inputs propagate

@@ -221,7 +221,7 @@ TEST(OperatorTest, ParallelAggregateMatchesSerial) {
   groups.push_back(Col(0, DataType::kInt32));
   // Morsels of 2 pages over a ~14-page heap exercise real work stealing.
   OperatorPtr parallel = std::make_unique<ParallelAggregateOp>(
-      table, std::vector<ParallelStage>{}, std::move(groups),
+      table, storage::AllColumns(table->schema), std::vector<ParallelStage>{}, std::move(groups),
       std::vector<std::string>{"k"}, make_aggs(), /*dop=*/4,
       /*morsel_pages=*/2);
   ExecContext ctx = ExecContext::For(db.get());
@@ -252,7 +252,7 @@ TEST(OperatorTest, ParallelAggregateWithFilterStage) {
   count.display = "COUNT(*)";
   aggs.push_back(std::move(count));
   OperatorPtr parallel = std::make_unique<ParallelAggregateOp>(
-      table, std::move(stages), std::vector<ExprPtr>{},
+      table, storage::AllColumns(table->schema), std::move(stages), std::vector<ExprPtr>{},
       std::vector<std::string>{}, std::move(aggs), /*dop=*/4,
       /*morsel_pages=*/2);
   ExecContext ctx = ExecContext::For(db.get());
@@ -335,7 +335,8 @@ TEST(OperatorTest, GroupTableManyCompositeKeysMatchOracle) {
             std::vector<std::string>{"k", "s"}, make_aggs()),
         "DOP 1");
   check(std::make_unique<ParallelAggregateOp>(
-            table, std::vector<ParallelStage>{}, make_groups(),
+            table, storage::AllColumns(table->schema),
+            std::vector<ParallelStage>{}, make_groups(),
             std::vector<std::string>{"k", "s"}, make_aggs(), /*dop=*/4,
             /*morsel_pages=*/8),
         "DOP 4");
@@ -392,7 +393,7 @@ TEST(ParallelTest, ParallelMapOpMatchesSerialOrder) {
   std::vector<ParallelStage> stages;
   stages.push_back(ParallelStage::Filter(make_pred()));
   OperatorPtr parallel = std::make_unique<ParallelMapOp>(
-      table, std::move(stages), /*dop=*/4, /*morsel_pages=*/2,
+      table, storage::AllColumns(table->schema), std::move(stages), /*dop=*/4, /*morsel_pages=*/2,
       /*preserve_order=*/true);
   ExecContext ctx = ExecContext::For(db.get());
   auto iter = parallel->Open(&ctx);
@@ -513,11 +514,13 @@ TEST(OperatorTest, HashAndMergeJoinAgree) {
     if (merge) {
       plan = std::make_unique<MergeJoinOp>(
           std::make_unique<TableScanOp>(left),
-          std::make_unique<TableScanOp>(right), std::move(lk), std::move(rk));
+          std::make_unique<TableScanOp>(right), std::move(lk), std::move(rk),
+          std::vector<int>{0, 1, 2, 3});
     } else {
       plan = std::make_unique<HashJoinOp>(
           std::make_unique<TableScanOp>(left),
-          std::make_unique<TableScanOp>(right), std::move(lk), std::move(rk));
+          std::make_unique<TableScanOp>(right), std::move(lk), std::move(rk),
+          std::vector<int>{0, 1, 2, 3});
     }
     ExecContext ctx = ExecContext::For(db.get());
     auto iter = plan->Open(&ctx);
@@ -546,7 +549,7 @@ TEST(OperatorTest, NestedLoopJoinWithResidual) {
   ExprPtr pred = std::make_unique<BinaryExpr>(BinaryOp::kLt, Col(1), Col(4));
   OperatorPtr plan = std::make_unique<NestedLoopJoinOp>(
       std::make_unique<TableScanOp>(a), std::make_unique<TableScanOp>(b),
-      std::move(pred));
+      std::move(pred), std::vector<int>{0, 1, 2, 3, 4, 5});
   ExecContext ctx = ExecContext::For(db.get());
   auto iter = plan->Open(&ctx);
   ASSERT_TRUE(iter.ok());

@@ -80,7 +80,7 @@ TEST_P(PageCorruptionTest, EveryByteFlipYieldsCorruption) {
 
   // Sanity: the clean page decodes.
   {
-    PageReader reader(&schema, Slice(page));
+    PageReader reader(&schema, Slice(page), AllColumns(schema));
     ASSERT_TRUE(reader.Init().ok());
     Row row;
     int rows = 0;
@@ -94,7 +94,7 @@ TEST_P(PageCorruptionTest, EveryByteFlipYieldsCorruption) {
   for (size_t i = 0; i < page.size(); ++i) {
     std::string corrupt = page;
     corrupt[i] ^= 0x04;
-    PageReader reader(&schema, Slice(corrupt));
+    PageReader reader(&schema, Slice(corrupt), AllColumns(schema));
     const Status s = reader.Init();
     ASSERT_FALSE(s.ok()) << "flip at byte " << i << " went undetected";
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
@@ -111,7 +111,8 @@ TEST_P(PageCorruptionTest, TruncatedPageYieldsCorruption) {
   }
   const std::string page = builder.Finish();
   for (size_t cut : {page.size() - 1, page.size() / 2, size_t{1}}) {
-    PageReader reader(&schema, Slice(page.data(), cut));
+    PageReader reader(&schema, Slice(page.data(), cut),
+                      AllColumns(schema));
     EXPECT_TRUE(reader.Init().IsCorruption()) << "cut to " << cut;
   }
 }

@@ -161,7 +161,9 @@ TEST_P(CodecProperty, RandomRowsRoundTrip) {
     ASSERT_TRUE(storage::EncodeRow(schema, row, GetParam(), &encoded).ok());
     Row decoded;
     ASSERT_TRUE(
-        storage::DecodeRow(schema, GetParam(), Slice(encoded), &decoded).ok())
+        storage::DecodeRow(schema, GetParam(), Slice(encoded),
+                           storage::AllColumns(schema), &decoded)
+            .ok())
         << "seed=" << seed;
     ExpectRowsEqual(schema, row, decoded, GetParam(), seed);
   }
@@ -183,7 +185,8 @@ TEST_P(CodecProperty, RandomPagesRoundTrip) {
       rows.push_back(std::move(row));
     }
     const std::string page = builder.Finish();
-    storage::PageReader reader(&schema, Slice(page));
+    storage::PageReader reader(&schema, Slice(page),
+                               storage::AllColumns(schema));
     ASSERT_TRUE(reader.Init().ok()) << "seed=" << seed;
     ASSERT_EQ(reader.row_count(), nrows);
     Row decoded;

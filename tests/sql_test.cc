@@ -148,6 +148,48 @@ TEST_F(SqlTest, JoinFallsBackToHashForHeaps) {
   EXPECT_NE(plan->find("Hash Match (Inner Join)"), std::string::npos) << *plan;
 }
 
+// Query 3's pivot plan (Fig. 10): the scans decode, and the merge join
+// and CROSS APPLY carry, only the columns the query names.
+TEST_F(SqlTest, PivotPlanCarriesOnlyNamedColumns) {
+  Exec("CREATE TABLE Read (r_id BIGINT NOT NULL, r_e_id INT, r_sg_id INT, "
+       "r_s_id INT, tile INT, x INT, y INT, "
+       "short_read_seq VARCHAR(300) NOT NULL, quality VARCHAR(300)) "
+       "CLUSTER BY (r_id) WITH (DATA_COMPRESSION = ROW)");
+  Exec("CREATE TABLE Alignment (a_e_id INT, a_sg_id INT, a_s_id INT, "
+       "a_r_id BIGINT NOT NULL, a_g_id INT NOT NULL, a_pos BIGINT NOT NULL, "
+       "a_strand BIT, a_mismatches INT, a_mapq INT) "
+       "CLUSTER BY (a_r_id) WITH (DATA_COMPRESSION = ROW)");
+  Result<std::string> plan = engine_->Explain(
+      "SELECT a_g_id, AssembleSequence(pos, b) AS consensus "
+      "  FROM (SELECT a_g_id, pa.pos AS pos, CallBase(base, qual) AS b "
+      "          FROM Alignment JOIN Read ON a_r_id = r_id "
+      "         CROSS APPLY PivotAlignment("
+      "             a_pos, "
+      "             CASE WHEN a_strand = 1 THEN REVCOMP(short_read_seq) "
+      "                  ELSE short_read_seq END, "
+      "             CASE WHEN a_strand = 1 THEN REVERSE(quality) "
+      "                  ELSE quality END) AS pa "
+      "         GROUP BY a_g_id, pa.pos) t "
+      " GROUP BY a_g_id");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("Nested Loops (Cross Apply) [PivotAlignment] "
+                       "columns (a_g_id, pos, base, qual)"),
+            std::string::npos)
+      << *plan;
+  EXPECT_NE(plan->find("Merge Join (Inner Join) [a_r_id#0 = r_id#0] columns "
+                       "(a_g_id, a_pos, a_strand, short_read_seq, quality)"),
+            std::string::npos)
+      << *plan;
+  EXPECT_NE(plan->find("Clustered Index Scan [Alignment] "
+                       "columns (a_r_id, a_g_id, a_pos, a_strand)"),
+            std::string::npos)
+      << *plan;
+  EXPECT_NE(plan->find("Clustered Index Scan [Read] "
+                       "columns (r_id, short_read_seq, quality)"),
+            std::string::npos)
+      << *plan;
+}
+
 TEST_F(SqlTest, LeftOuterJoin) {
   // The canonical genomics use: reads that did NOT align.
   Exec("CREATE TABLE Reads (r_id BIGINT, seq VARCHAR(20))");

@@ -3,7 +3,9 @@
 #include <filesystem>
 #include <map>
 
+#include "common/crc32c.h"
 #include "common/random.h"
+#include "common/varint.h"
 #include "storage/bplus_tree.h"
 #include "storage/clustered_table.h"
 #include "storage/filestream.h"
@@ -43,7 +45,8 @@ TEST_P(RowCodecTest, RoundTrip) {
   std::string encoded;
   ASSERT_TRUE(EncodeRow(schema, row, GetParam(), &encoded).ok());
   Row decoded;
-  ASSERT_TRUE(DecodeRow(schema, GetParam(), Slice(encoded), &decoded).ok());
+  ASSERT_TRUE(DecodeRow(schema, GetParam(), Slice(encoded), AllColumns(schema),
+                        &decoded).ok());
   ASSERT_EQ(decoded.size(), row.size());
   EXPECT_EQ(decoded[0].AsInt64(), 12345);
   EXPECT_EQ(decoded[1].AsInt64(), 12345 % 8);
@@ -57,7 +60,8 @@ TEST_P(RowCodecTest, NullsRoundTrip) {
   std::string encoded;
   ASSERT_TRUE(EncodeRow(schema, row, GetParam(), &encoded).ok());
   Row decoded;
-  ASSERT_TRUE(DecodeRow(schema, GetParam(), Slice(encoded), &decoded).ok());
+  ASSERT_TRUE(DecodeRow(schema, GetParam(), Slice(encoded), AllColumns(schema),
+                        &decoded).ok());
   for (const Value& v : decoded) EXPECT_TRUE(v.is_null());
 }
 
@@ -82,10 +86,14 @@ TEST(RowCodecTest, FixedCharPaddedUncompressed) {
   EXPECT_GT(none_encoded.size(), row_encoded.size());
   Row decoded;
   ASSERT_TRUE(
-      DecodeRow(schema, Compression::kNone, Slice(none_encoded), &decoded).ok());
+      DecodeRow(schema, Compression::kNone, Slice(none_encoded),
+                AllColumns(schema), &decoded)
+          .ok());
   EXPECT_EQ(decoded[0].AsString(), "AB      ");
   ASSERT_TRUE(
-      DecodeRow(schema, Compression::kRow, Slice(row_encoded), &decoded).ok());
+      DecodeRow(schema, Compression::kRow, Slice(row_encoded),
+                AllColumns(schema), &decoded)
+          .ok());
   EXPECT_EQ(decoded[0].AsString(), "AB");
 }
 
@@ -113,7 +121,9 @@ TEST(RowCodecTest, GuidPacksTo16Bytes) {
   EXPECT_EQ(encoded.size(), 1u + 1 + 16);
   Row decoded;
   ASSERT_TRUE(
-      DecodeRow(schema, Compression::kNone, Slice(encoded), &decoded).ok());
+      DecodeRow(schema, Compression::kNone, Slice(encoded),
+                AllColumns(schema), &decoded)
+          .ok());
   EXPECT_EQ(decoded[0].AsString(), guid);
 }
 
@@ -123,7 +133,8 @@ TEST(RowCodecTest, CorruptRowDetected) {
   ASSERT_TRUE(EncodeRow(schema, TestRow(1), Compression::kRow, &encoded).ok());
   Row decoded;
   EXPECT_FALSE(DecodeRow(schema, Compression::kRow,
-                         Slice(encoded.data(), encoded.size() / 2), &decoded)
+                         Slice(encoded.data(), encoded.size() / 2),
+                         AllColumns(schema), &decoded)
                    .ok());
 }
 
@@ -136,7 +147,7 @@ TEST_P(PageTest, BuildAndReadBack) {
     ASSERT_TRUE(builder.Add(TestRow(i)).ok());
   }
   const std::string page = builder.Finish();
-  PageReader reader(&schema, Slice(page));
+  PageReader reader(&schema, Slice(page), AllColumns(schema));
   ASSERT_TRUE(reader.Init().ok());
   EXPECT_EQ(reader.row_count(), 50);
   Row row;
@@ -158,7 +169,7 @@ TEST_P(PageTest, NullsInPage) {
   ASSERT_TRUE(builder.Add(with_nulls).ok());
   ASSERT_TRUE(builder.Add(TestRow(2)).ok());
   const std::string page = builder.Finish();
-  PageReader reader(&schema, Slice(page));
+  PageReader reader(&schema, Slice(page), AllColumns(schema));
   ASSERT_TRUE(reader.Init().ok());
   Row row;
   ASSERT_TRUE(reader.Next(&row));
@@ -247,7 +258,7 @@ TEST(HeapTableTest, RangeScansPartitionCompletely) {
     range.first_page = plan->end_page * p / parts;
     range.end_page = plan->end_page * (p + 1) / parts;
     range.tail_rows = p + 1 == parts ? plan->tail_rows : 0;
-    auto iter = table.NewScanRange(range);
+    auto iter = table.NewScanRange(range, AllColumns(table.schema()));
     for (const Row& row : ScanRows(iter.get())) {
       EXPECT_EQ(row[0].AsInt64(), next);
       ++next;
@@ -397,7 +408,7 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
   }
   auto iter =
       table.NewSnapshotScanFrom(Row{Value::Int64(90)}, Snapshot::All(),
-                                kFrozenTxn);
+                                kFrozenTxn, AllColumns(table.schema()));
   ASSERT_TRUE(iter.ok());
   int count = 0;
   for (const Row& row : ScanRows(iter->get())) {
@@ -405,6 +416,201 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
     ++count;
   }
   EXPECT_EQ(count, 10);
+}
+
+// ---------------------------------------------------- projected decode ---
+
+// Every field kind a scan can skip: a repetitive string (PAGE picks a
+// dictionary for it), a unique string (plain suffixes), fixed CHAR,
+// integers, a double, and NULLs in several columns.
+Schema ProjectionSchema() {
+  Schema schema;
+  schema.AddColumn({.name = "id", .type = DataType::kInt64});
+  schema.AddColumn({.name = "tag", .type = DataType::kString});
+  schema.AddColumn({.name = "seq", .type = DataType::kString});
+  schema.AddColumn({.name = "lane", .type = DataType::kInt32});
+  Column code;
+  code.name = "code";
+  code.type = DataType::kString;
+  code.fixed_length = 6;
+  schema.AddColumn(code);
+  schema.AddColumn({.name = "score", .type = DataType::kDouble});
+  schema.AddColumn({.name = "note", .type = DataType::kString});
+  return schema;
+}
+
+Row ProjectionRow(int i) {
+  Row row{Value::Int64(i * 1000 + 7),
+          Value::String(i % 3 == 0 ? "tag-alpha" : "tag-beta"),
+          Value::String("ACGT" + std::to_string(i * 7919)),
+          Value::Int32(i % 8),
+          Value::String("C" + std::to_string(i % 10)),
+          Value::Double(i * 0.25),
+          Value::String("note-" + std::to_string(i))};
+  if (i % 7 == 4) row[1] = Value::Null();
+  if (i % 5 == 2) row[5] = Value::Null();
+  if (i % 3 == 1) row[6] = Value::Null();
+  return row;
+}
+
+// Column lists from zero-wide to full, with gaps in every position.
+std::vector<std::vector<int>> Projections(const Schema& schema) {
+  return {{}, {0}, {1}, {2, 5}, {0, 1, 3, 6}, {6}, AllColumns(schema)};
+}
+
+Row Restrict(const Row& row, const std::vector<int>& columns) {
+  Row out;
+  for (int c : columns) out.push_back(row[c]);
+  return out;
+}
+
+std::string RowText(const Row& row) {
+  std::string out;
+  for (const Value& v : row) out += (v.is_null() ? "<null>" : v.ToString()) + "|";
+  return out;
+}
+
+// `body` with its CRC32C trailer, the checksum PageReader verifies first:
+// a page that passes it reaches the field decoder.
+std::string WithChecksum(std::string body) {
+  const uint32_t crc = Crc32c(body);
+  for (int i = 0; i < 4; ++i) {
+    body.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  }
+  return body;
+}
+
+class ProjectedDecodeTest : public ::testing::TestWithParam<Compression> {};
+
+TEST_P(ProjectedDecodeTest, RowImageMatchesFullDecodeRestricted) {
+  const Schema schema = ProjectionSchema();
+  for (int i = 0; i < 30; ++i) {
+    std::string encoded;
+    ASSERT_TRUE(EncodeRow(schema, ProjectionRow(i), GetParam(), &encoded).ok());
+    Row full;
+    ASSERT_TRUE(
+        DecodeRow(schema, GetParam(), Slice(encoded), AllColumns(schema), &full)
+            .ok());
+    // One reused target row: every decode overwrites the previous
+    // projection's values in place.
+    Row projected;
+    for (const std::vector<int>& columns : Projections(schema)) {
+      ASSERT_TRUE(DecodeRow(schema, GetParam(), Slice(encoded), columns,
+                            &projected)
+                      .ok());
+      EXPECT_EQ(RowText(Restrict(full, columns)), RowText(projected))
+          << "row " << i << ", " << columns.size() << " columns";
+    }
+  }
+}
+
+TEST_P(ProjectedDecodeTest, PageMatchesFullDecodeRestricted) {
+  const Schema schema = ProjectionSchema();
+  PageBuilder builder(&schema, GetParam(), 1 << 16);
+  for (int i = 0; i < 60; ++i) ASSERT_TRUE(builder.Add(ProjectionRow(i)).ok());
+  const std::string page = builder.Finish();
+  for (const std::vector<int>& columns : Projections(schema)) {
+    PageReader full(&schema, Slice(page), AllColumns(schema));
+    PageReader projected(&schema, Slice(page), columns);
+    ASSERT_TRUE(full.Init().ok());
+    ASSERT_TRUE(projected.Init().ok());
+    Row full_row;
+    Row row;
+    int n = 0;
+    while (full.Next(&full_row)) {
+      ASSERT_TRUE(projected.Next(&row)) << n;
+      EXPECT_EQ(RowText(Restrict(full_row, columns)), RowText(row))
+          << "row " << n << ", " << columns.size() << " columns";
+      ++n;
+    }
+    EXPECT_EQ(n, 60);
+    EXPECT_FALSE(projected.Next(&row));
+    EXPECT_TRUE(projected.status().ok());
+  }
+}
+
+// Skipping a column is not trusting it: a row image or PAGE column
+// section cut short inside a column the scan does not keep is still
+// corruption. (Clustered leaf payloads are NONE/ROW row images, decoded
+// by DecodeRow after their CRC check.)
+TEST_P(ProjectedDecodeTest, TruncatedSkippedColumnIsCorruption) {
+  const Schema schema = ProjectionSchema();
+  const std::vector<int> first_only = {0};
+  Row row = ProjectionRow(2);  // `note` (the last column) is not NULL
+  ASSERT_FALSE(row[6].is_null());
+  std::string encoded;
+  ASSERT_TRUE(EncodeRow(schema, row, GetParam(), &encoded).ok());
+  // Cut two bytes into the trailing `note` field.
+  const Slice cut(encoded.data(), encoded.size() - 2);
+  Row decoded;
+  EXPECT_TRUE(DecodeRow(schema, GetParam(), cut, first_only, &decoded)
+                  .IsCorruption());
+
+  std::string page;
+  if (GetParam() == Compression::kPage) {
+    // The last bytes of a PAGE body are the last column's section.
+    PageBuilder builder(&schema, Compression::kPage);
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(builder.Add(ProjectionRow(3 * i + 2)).ok());
+    }
+    std::string built = builder.Finish();
+    built.resize(built.size() - kPageChecksumBytes - 2);
+    page = WithChecksum(std::move(built));
+  } else {
+    // A row stream whose one row is length-consistent but its image is
+    // cut inside `note`.
+    std::string body;
+    body.push_back(static_cast<char>(GetParam()));
+    body.push_back(1);
+    body.push_back(0);
+    PutLengthPrefixed(&body, std::string_view(cut.data(), cut.size()));
+    page = WithChecksum(std::move(body));
+  }
+  PageReader reader(&schema, Slice(page), first_only);
+  Status status = reader.Init();
+  if (status.ok()) {
+    EXPECT_FALSE(reader.Next(&decoded));
+    status = reader.status();
+  }
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, ProjectedDecodeTest,
+                         ::testing::Values(Compression::kNone,
+                                           Compression::kRow,
+                                           Compression::kPage));
+
+TEST(ProjectedScanTest, HeapAndClusteredScansMatchFullScansRestricted) {
+  const Schema schema = ProjectionSchema();
+  PooledStorage storage("/tmp/htg_storage_test_projected_scan");
+  HeapTable heap(schema, Compression::kPage, storage.NewFile("heap"), 1024);
+  ClusteredTable clustered(schema, {3, 0}, Compression::kRow,
+                           storage.NewFile("clustered"));
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(heap.Insert(ProjectionRow(i)).ok());
+    ASSERT_TRUE(clustered.Insert(ProjectionRow(i)).ok());
+  }
+  ASSERT_GT(heap.num_pages(), 2u);
+  Result<HeapTable::PageRange> range = heap.PlanVisiblePrefix(heap.num_rows());
+  ASSERT_TRUE(range.ok());
+  const std::vector<Row> heap_full = ScanRows(heap.NewScan().get());
+  const std::vector<Row> clustered_full = ScanRows(clustered.NewScan().get());
+  ASSERT_EQ(heap_full.size(), 400u);
+  ASSERT_EQ(clustered_full.size(), 400u);
+  for (const std::vector<int>& columns : Projections(schema)) {
+    const std::vector<Row> heap_rows =
+        ScanRows(heap.NewScanRange(*range, columns).get());
+    const std::vector<Row> clustered_rows = ScanRows(
+        clustered.NewSnapshotScan(Snapshot::All(), kFrozenTxn, columns).get());
+    ASSERT_EQ(heap_rows.size(), 400u);
+    ASSERT_EQ(clustered_rows.size(), 400u);
+    for (size_t r = 0; r < 400; ++r) {
+      EXPECT_EQ(RowText(Restrict(heap_full[r], columns)),
+                RowText(heap_rows[r]));
+      EXPECT_EQ(RowText(Restrict(clustered_full[r], columns)),
+                RowText(clustered_rows[r]));
+    }
+  }
 }
 
 TEST(FileStreamTest, CreateReadDelete) {
