@@ -1,6 +1,10 @@
 #include "exec/aggregate_ops.h"
 
 #include <algorithm>
+#include <bit>
+#include <climits>
+#include <cstddef>
+#include <cstring>
 #include <unordered_set>
 
 #include "common/metrics.h"
@@ -13,125 +17,362 @@ namespace htg::exec {
 
 namespace {
 
-// Rough per-group accounting on top of the key values' own bytes (which
-// sit in the table's flat key vector): the group's share of the slot
-// array, 4 slots of 8 bytes at the lowest load factor (1/4, right after
-// a doubling), plus the flat vectors' growth slack; and per aggregate an
-// 8-byte pointer in the flat instance vector plus the heap instance with
-// its allocator header.
-constexpr size_t kGroupOverheadBytes = 64;
-constexpr size_t kInstanceOverheadBytes = 64;
+size_t AlignUp(size_t n, size_t align) {
+  return (n + align - 1) / align * align;
+}
+
+// COUNT(DISTINCT x) and the other DISTINCT aggregates: argument tuples
+// are deduplicated under the hash operators' key equality
+// (Value::Compare, so 1 = 1.0 and NULL = NULL, as in GROUP BY) and
+// replayed into the inner aggregate at Terminate, so that Merge (set
+// union) stays correct under parallel plans. The replay runs in
+// Value::Compare order, so order-sensitive results such as SUM over
+// doubles do not depend on which morsel saw a tuple first. The set
+// reports its bytes, so the query budget sees it grow.
+struct DistinctSet {
+  const udf::AggregateFunction* inner = nullptr;
+  std::unordered_set<Row, RowHash, RowEq> rows;
+  size_t bytes = 0;
+
+  template <class Args>
+  Status Accumulate(const Args& args) {
+    Row row(args.size());
+    for (size_t i = 0; i < args.size(); ++i) row[i] = args[i];
+    const size_t row_bytes = RowBytes(row);
+    if (rows.insert(std::move(row)).second) bytes += row_bytes;
+    return Status::OK();
+  }
+
+  Status Merge(DistinctSet& other) {
+    while (!other.rows.empty()) {
+      auto node = other.rows.extract(other.rows.begin());
+      const size_t row_bytes = RowBytes(node.value());
+      other.bytes -= row_bytes;
+      if (rows.insert(std::move(node)).inserted) bytes += row_bytes;
+    }
+    return Status::OK();
+  }
+
+  Result<Value> Terminate() {
+    std::vector<const Row*> order;
+    order.reserve(rows.size());
+    for (const Row& args : rows) order.push_back(&args);
+    std::sort(order.begin(), order.end(), [](const Row* a, const Row* b) {
+      for (size_t i = 0; i < a->size(); ++i) {
+        const int cmp = (*a)[i].Compare((*b)[i]);
+        if (cmp != 0) return cmp < 0;
+      }
+      return false;
+    });
+    udf::AggregateState replay(inner);
+    for (const Row* args : order) HTG_RETURN_IF_ERROR(replay.Accumulate(*args));
+    return replay.Terminate();
+  }
+
+  size_t HeapBytes() const { return bytes; }
+
+  // A set node: the row, its next pointer and cached hash, and a bucket.
+  static size_t RowBytes(const Row& row) {
+    return ApproxRowBytes(row) + 3 * sizeof(void*);
+  }
+};
+
+class DistinctAggregate : public udf::TypedAggregate<DistinctSet> {
+ public:
+  explicit DistinctAggregate(const udf::AggregateFunction* inner)
+      : inner_(inner) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  int min_args() const override { return inner_->min_args(); }
+  int max_args() const override { return inner_->max_args(); }
+  DataType result_type(const std::vector<DataType>& args) const override {
+    return inner_->result_type(args);
+  }
+  void Init(void* state) const override {
+    auto* set = new (state) DistinctSet();
+    set->inner = inner_;
+  }
+
+ private:
+  const udf::AggregateFunction* inner_;
+};
+
+// The aggregates of one plan as group entries hold them: each one's
+// function (COUNT(DISTINCT x) runs a DistinctAggregate around COUNT) and
+// the offset of its state in a group's state block.
+class AggLayout {
+ public:
+  explicit AggLayout(const std::vector<AggSpec>& aggs) {
+    for (const AggSpec& a : aggs) {
+      const udf::AggregateFunction* fn = a.fn;
+      if (a.distinct) {
+        distinct_.push_back(std::make_unique<DistinctAggregate>(a.fn));
+        fn = distinct_.back().get();
+      }
+      bytes_ = AlignUp(bytes_, fn->state_align());
+      offsets_.push_back(bytes_);
+      bytes_ += fn->state_size();
+      align_ = std::max(align_, fn->state_align());
+      fns_.push_back(fn);
+    }
+  }
+
+  size_t size() const { return fns_.size(); }
+  const udf::AggregateFunction* fn(size_t i) const { return fns_[i]; }
+  size_t offset(size_t i) const { return offsets_[i]; }
+  size_t bytes() const { return bytes_; }
+  size_t align() const { return align_; }
+
+  // Fresh states, one per aggregate, outside any group table (a stream
+  // aggregate's group, the empty global aggregate's one row).
+  std::vector<udf::AggregateState> NewStates() const {
+    HTG_METRIC_COUNTER("udf.uda.instances")->Add(fns_.size());
+    std::vector<udf::AggregateState> states;
+    states.reserve(fns_.size());
+    for (const udf::AggregateFunction* fn : fns_) states.emplace_back(fn);
+    return states;
+  }
+
+ private:
+  std::vector<std::unique_ptr<udf::AggregateFunction>> distinct_;
+  std::vector<const udf::AggregateFunction*> fns_;
+  std::vector<size_t> offsets_;
+  size_t bytes_ = 0;
+  size_t align_ = 1;
+};
+
+// One group-key column of a batch: row j's value is
+// (*values)[rows == nullptr ? j : rows[j]].
+struct KeyColumn {
+  const std::vector<Value>* values = nullptr;
+  const uint32_t* rows = nullptr;
+
+  const Value& at(size_t j) const {
+    return (*values)[rows == nullptr ? j : rows[j]];
+  }
+};
+
+// The batch columns aggregate k's arguments read: args[k][i] is argument
+// i's column, indexed by a row's position among the batch's live rows.
+using ArgColumns = std::vector<std::vector<const std::vector<Value>*>>;
+
+// The integer value a packed key word decodes to, under the key
+// expression's declared type.
+Value IntKeyValue(DataType declared, int64_t v) {
+  if (declared == DataType::kBool && (v == 0 || v == 1)) {
+    return Value::Bool(v != 0);
+  }
+  if (declared == DataType::kInt32 && v >= INT32_MIN && v <= INT32_MAX) {
+    return Value::Int32(static_cast<int32_t>(v));
+  }
+  return Value::Int64(v);
+}
 
 // The group table behind every hash aggregate (and SELECT DISTINCT): the
 // serial build, the parallel partial tables and their partitioned final
 // merge, and the spill re-aggregation passes. Open addressing with linear
-// probing over 8-byte slots of (cached hash, group index); group keys
-// and aggregate instances live in flat per-table vectors indexed by
-// group. Slots keep the low 32 bits of the key's hash, and group indexes
-// fit 32 bits (4 G groups, far past any memory budget).
+// probing over 8-byte slots of (cached hash, group index). Slots keep the
+// low 32 bits of the key's hash, and group indexes fit 32 bits (4 G
+// groups, far past any memory budget).
+//
+// Each group is one entry in an arena of chunks: its packed key, then
+// every aggregate's state at its declared alignment, so a group costs no
+// allocation of its own and states never move. Chunks double from 16
+// groups up to 1024, as a vector's capacity would, and each is charged
+// to the query budget (with its groups' share of the slot array) when it
+// is allocated.
+//
+// When every group expression binds to an integer type, keys are packed:
+// one int64 word per column plus a NULL mask word, compared as words.
+// Other keys keep Values, in a flat vector indexed by group. A batch that
+// brings a key that is neither NULL nor an integer re-encodes the
+// table's keys into Values once; entries keep their unused packed words,
+// so no state moves. Packed keys hash to exactly HashKey's value for the
+// same keys as Values, so partition routing and merges do not depend on
+// the layout.
+//
 // A probe compares cached hashes before it touches a key, and growth
-// re-slots by cached hash without re-hashing any key. Rows probe through
-// a reused scratch key, so a row whose group exists allocates nothing.
+// re-slots by cached hash without re-hashing any key. Each batch's keys
+// are hashed before it probes.
 class GroupTable {
  public:
-  static constexpr size_t kNone = ~size_t{0};
+  static constexpr uint32_t kNone = ~uint32_t{0};
 
-  GroupTable(size_t key_width, const std::vector<AggSpec>* aggs)
-      : width_(key_width),
-        aggs_(aggs),
-        scratch_(key_width),
-        slots_(kInitialSlots) {}
-
-  size_t size() const { return num_groups_; }
-
-  // The probe key: callers assign a row's group key values here, then
-  // call FindOrCreate.
-  Row& scratch() { return scratch_; }
-
-  udf::AggregateInstance* instance(size_t group, size_t agg) {
-    return instances_[group * aggs_->size() + agg].get();
+  GroupTable(const std::vector<ExprPtr>& group_exprs, const AggLayout* aggs)
+      : width_(group_exprs.size()), aggs_(aggs), slots_(kInitialSlots) {
+    packed_ = width_ < 64;
+    for (const ExprPtr& e : group_exprs) {
+      const DataType type = e->result_type();
+      types_.push_back(type);
+      packed_ = packed_ && (type == DataType::kBool ||
+                            type == DataType::kInt32 ||
+                            type == DataType::kInt64);
+    }
+    key_bytes_ = packed_ ? sizeof(int64_t) * (width_ + 1) : 0;
+    states_at_ = AlignUp(key_bytes_, aggs->align());
+    stride_ = AlignUp(states_at_ + aggs->bytes(),
+                      std::max(alignof(int64_t), aggs->align()));
   }
 
-  // Returns the group of the scratch key, creating it when absent. Group
-  // creation is charged against the query budget; once the budget
-  // rejects a new group, rows of unseen keys are routed to `spill`
-  // instead — keys already resident keep accumulating, so every resident
-  // group is complete and disjoint from the spilled keys. Returns kNone
-  // when the row was routed (the caller skips it); `make_input`
-  // materializes the input row only on that path.
-  template <typename InputFn>
-  Result<size_t> FindOrCreate(MemoryCharge* charge, PartitionSpill* spill,
-                              InputFn&& make_input) {
-    const auto hash =
-        static_cast<uint32_t>(HashKey(scratch_.data(), width_));
-    size_t slot = 0;
-    const size_t found = Find(hash, scratch_.data(), &slot);
-    if (found != kNone) return found;
-    const size_t bytes = GroupBytes(scratch_.data());
-    Status charged = charge->Add(bytes);
-    if (!charged.ok()) {
-      charge->Release(bytes);  // the group is not being created
-      if (!charged.IsResourceExhausted()) return charged;
-      HTG_RETURN_IF_ERROR(spill->Add(0, scratch_, make_input()));
-      return kNone;
+  ~GroupTable() {
+    for (size_t g = finalized_; g < num_groups_; ++g) DestroyStates(g);
+    CountInstances();
+  }
+
+  GroupTable(const GroupTable&) = delete;
+  GroupTable& operator=(const GroupTable&) = delete;
+
+  size_t size() const { return num_groups_; }
+  bool packed() const { return packed_; }
+
+  // Sets groups[j] to the group of row j's key (columns `keys`, n rows),
+  // creating the groups of new keys. Memory is charged per arena chunk
+  // (plus, for Value keys, each key's bytes); once the budget refuses a
+  // charge, the table takes no new group for the rest of the build and
+  // rows of unseen keys are routed to `spill` with groups[j] = kNone.
+  // Resident keys keep accumulating, so every resident group is complete
+  // and disjoint from the spilled keys. `batch` supplies spilled rows.
+  Status FindOrCreate(const std::vector<KeyColumn>& keys,
+                      const RowBatch& batch, size_t n, MemoryCharge* charge,
+                      PartitionSpill* spill, uint32_t* groups) {
+    HashKeys(keys, n, charge);
+    for (size_t j = 0; j < n; ++j) {
+      // Probes miss cache once tables outgrow it: load the slot of the
+      // row 2 * kAhead on, and the entry that slot names for the row
+      // kAhead on, while this row probes.
+      if (j + 2 * kAhead < n) {
+        __builtin_prefetch(
+            &slots_[hashes_[j + 2 * kAhead] & (slots_.size() - 1)]);
+      }
+      if (j + kAhead < n) {
+        PrefetchEntry(static_cast<uint32_t>(hashes_[j + kAhead]));
+      }
+      const auto hash = static_cast<uint32_t>(hashes_[j]);
+      size_t slot = 0;
+      uint32_t group = Find(
+          hash, packed_ ? &packed_keys_[j * (width_ + 1)] : nullptr,
+          [&](size_t c) -> const Value& { return keys[c].at(j); }, &slot);
+      if (group == kNone) {
+        HTG_ASSIGN_OR_RETURN(group, Create(hash, slot, keys, j, charge));
+        if (group == kNone) {
+          Row key(width_);
+          for (size_t c = 0; c < width_; ++c) key[c] = keys[c].at(j);
+          Row input;
+          batch.FillRow(j, &input);
+          HTG_RETURN_IF_ERROR(spill->Add(0, key, input));
+        }
+      }
+      groups[j] = group;
     }
-    const size_t group = AddGroup(hash, slot, scratch_.data());
-    for (const AggSpec& a : *aggs_) instances_.push_back(a.NewInstance());
-    return group;
+    return Status::OK();
+  }
+
+  // Accumulates the n rows of a batch into their groups (groups[j] from
+  // FindOrCreate; kNone rows were spilled), one AccumulateBatch call per
+  // aggregate. An aggregate whose states grow on the heap runs row by
+  // row, and its growth is charged unchecked: the peak stays honest, and
+  // new keys then spill under the rule above.
+  Status Accumulate(const ArgColumns& args, const uint32_t* groups, size_t n,
+                    MemoryCharge* charge) {
+    rows_.clear();
+    for (uint32_t j = 0; j < n; ++j) {
+      if (groups[j] != kNone) rows_.push_back(j);
+    }
+    const size_t m = rows_.size();
+    states_.resize(m);
+    for (size_t i = 0; i < aggs_->size(); ++i) {
+      const udf::AggregateFunction* fn = aggs_->fn(i);
+      for (size_t k = 0; k < m; ++k) states_[k] = State(groups[rows_[k]], i);
+      if (!fn->HoldsHeap()) {
+        HTG_RETURN_IF_ERROR(
+            fn->AccumulateBatch(states_.data(), args[i], rows_.data(), m));
+        continue;
+      }
+      size_t grown = 0;
+      Status status;
+      for (size_t k = 0; k < m && status.ok(); ++k) {
+        const size_t before = fn->HeapBytes(states_[k]);
+        status = fn->AccumulateBatch(&states_[k], args[i], &rows_[k], 1);
+        const size_t after = fn->HeapBytes(states_[k]);
+        if (after > before) grown += after - before;
+      }
+      charge->AddUnchecked(grown);
+      HTG_RETURN_IF_ERROR(status);
+    }
+    return Status::OK();
   }
 
   // Folds the groups of `from` whose cached hash falls in partition
-  // `part` of `nparts` into this table: instances of keys already here
-  // merge, new keys move in with their instances. A call moves only its
-  // own partition's entries out of `from`, so concurrent calls over
-  // disjoint partitions need no locking.
+  // `part` of `nparts` into this table: states of keys already here
+  // merge, new keys get fresh states that merge theirs in. A call moves
+  // only its own partition's entries out of `from`, so concurrent calls
+  // over disjoint partitions need no locking. Merged groups are not
+  // charged; callers account the merged table with ChargedBytes().
   Status MergeFrom(GroupTable* from, size_t part, size_t nparts) {
-    const size_t naggs = aggs_->size();
+    if (packed_ && !from->packed_) Reencode(nullptr);
+    Row decoded(width_);
     for (const Slot& s : from->slots_) {
       if (s.group == kFree || PartitionOf(s.hash, nparts) != part) continue;
-      Value* key = from->keys_.data() + s.group * width_;
-      std::unique_ptr<udf::AggregateInstance>* theirs =
-          from->instances_.data() + s.group * naggs;
-      size_t slot = 0;
-      const size_t found = Find(s.hash, key, &slot);
-      if (found == kNone) {
-        AddGroup(s.hash, slot, key);
-        for (size_t a = 0; a < naggs; ++a) {
-          instances_.push_back(std::move(theirs[a]));
-        }
-        continue;
+      Value* key = nullptr;
+      if (!packed_) {
+        key = from->packed_ ? from->DecodeKey(s.group, decoded.data())
+                            : &from->value_keys_[s.group * width_];
       }
-      for (size_t a = 0; a < naggs; ++a) {
-        HTG_RETURN_IF_ERROR(instance(found, a)->Merge(*theirs[a]));
+      size_t slot = 0;
+      uint32_t group = Find(
+          s.hash, from->Entry(s.group),
+          [&](size_t c) -> const Value& { return key[c]; }, &slot);
+      if (group == kNone) {
+        group = AddGroup(s.hash, slot);
+        if (packed_) {
+          std::memcpy(Entry(group), from->Entry(s.group), key_bytes_);
+        } else {
+          for (size_t c = 0; c < width_; ++c) {
+            value_key_bytes_ += key[c].ApproxBytes();
+            value_keys_.push_back(std::move(key[c]));
+          }
+        }
+        InitStates(group);
+      }
+      for (size_t i = 0; i < aggs_->size(); ++i) {
+        HTG_RETURN_IF_ERROR(
+            aggs_->fn(i)->Merge(State(group, i), from->State(s.group, i)));
       }
     }
     return Status::OK();
   }
 
-  // What FindOrCreate charged for every resident group.
+  // What a build charges for every resident group: its arena chunks, its
+  // Value keys, and the heap its states hold.
   size_t ChargedBytes() const {
-    size_t bytes = 0;
-    for (size_t g = 0; g < num_groups_; ++g) {
-      bytes += GroupBytes(keys_.data() + g * width_);
+    size_t bytes = capacity_ * GroupBytes() + value_key_bytes_;
+    for (size_t i = 0; i < aggs_->size(); ++i) {
+      const udf::AggregateFunction* fn = aggs_->fn(i);
+      if (!fn->HoldsHeap()) continue;
+      for (size_t g = 0; g < num_groups_; ++g) {
+        bytes += fn->HeapBytes(State(g, i));
+      }
     }
     return bytes;
   }
 
   // Output batches, each row the group key then each aggregate's result,
-  // in group creation order. Consumes the keys and instances.
+  // in group creation order. Consumes the keys and states, releasing each
+  // arena chunk once its groups are out.
   Result<std::vector<RowBatch>> Finalize(bool global_aggregate) {
     std::vector<RowBatch> out;
     const size_t naggs = aggs_->size();
     if (num_groups_ == 0 && global_aggregate) {
       // SELECT COUNT(*) over an empty input still yields one row.
       Row row;
-      for (const AggSpec& a : *aggs_) {
-        HTG_ASSIGN_OR_RETURN(Value v, a.NewInstance()->Terminate());
+      for (udf::AggregateState& state : aggs_->NewStates()) {
+        HTG_ASSIGN_OR_RETURN(Value v, state.Terminate());
         row.push_back(std::move(v));
       }
       out.emplace_back().AppendRow(std::move(row));
       return out;
     }
+    Row key(width_);
     for (size_t begin = 0; begin < num_groups_;
          begin += RowBatch::kDefaultRows) {
       const size_t end = std::min(num_groups_, begin + RowBatch::kDefaultRows);
@@ -141,16 +382,19 @@ class GroupTable {
         batch.column(c).reserve(end - begin);
       }
       for (size_t g = begin; g < end; ++g) {
-        for (size_t i = 0; i < width_; ++i) {
-          batch.column(i).push_back(std::move(keys_[g * width_ + i]));
+        Value* values = packed_ ? DecodeKey(g, key.data())
+                                : &value_keys_[g * width_];
+        for (size_t c = 0; c < width_; ++c) {
+          batch.column(c).push_back(std::move(values[c]));
         }
-        for (size_t a = 0; a < naggs; ++a) {
-          std::unique_ptr<udf::AggregateInstance>& inst =
-              instances_[g * naggs + a];
-          HTG_ASSIGN_OR_RETURN(Value v, inst->Terminate());
-          inst.reset();
-          batch.column(width_ + a).push_back(std::move(v));
+        for (size_t i = 0; i < naggs; ++i) {
+          HTG_ASSIGN_OR_RETURN(Value v, aggs_->fn(i)->Terminate(State(g, i)));
+          batch.column(width_ + i).push_back(std::move(v));
         }
+        DestroyStates(g);
+        finalized_ = g + 1;
+        const auto [chunk, index] = ChunkOf(g);
+        if (index + 1 == ChunkGroups(chunk)) chunks_[chunk].reset();
       }
       batch.set_num_rows(end - begin);
     }
@@ -164,6 +408,14 @@ class GroupTable {
     uint32_t group = kFree;
   };
   static constexpr size_t kInitialSlots = 16;
+  static constexpr size_t kAhead = 8;  // prefetch distance, in rows
+  // Groups in the first arena chunk, and in every chunk from the
+  // doubling that reaches kMaxChunkGroups on.
+  static constexpr size_t kFirstChunkGroups = 16;
+  static constexpr size_t kMaxChunkGroups = 1024;
+  // A group's share of the slot array: 4 slots of 8 bytes at the lowest
+  // load factor (1/4, right after a doubling).
+  static constexpr size_t kSlotBytesPerGroup = 4 * sizeof(Slot);
 
   // Partition of a cached hash in the parallel final merge: its top
   // bits, independent of the low bits the slot mask uses.
@@ -171,15 +423,113 @@ class GroupTable {
     return static_cast<size_t>((uint64_t{hash} * nparts) >> 32);
   }
 
-  size_t GroupBytes(const Value* key) const {
-    size_t bytes = kGroupOverheadBytes + aggs_->size() * kInstanceOverheadBytes;
-    for (size_t i = 0; i < width_; ++i) bytes += key[i].ApproxBytes();
-    return bytes;
+  // What a group's arena entry and slot share are charged.
+  size_t GroupBytes() const { return stride_ + kSlotBytesPerGroup; }
+
+  static size_t ChunkGroups(size_t chunk) {
+    return std::min(kFirstChunkGroups << std::min<size_t>(chunk, 16),
+                    kMaxChunkGroups);
+  }
+  // The chunk holding `group`, and its index there.
+  static std::pair<size_t, size_t> ChunkOf(size_t group) {
+    constexpr size_t kDoubling = kMaxChunkGroups - kFirstChunkGroups;
+    if (group < kDoubling) {
+      const size_t chunk = std::bit_width(group / kFirstChunkGroups + 1) - 1;
+      return {chunk, group - (ChunkGroups(chunk) - kFirstChunkGroups)};
+    }
+    constexpr size_t kDoublingChunks =
+        std::bit_width(kMaxChunkGroups / kFirstChunkGroups) - 1;
+    return {kDoublingChunks + (group - kDoubling) / kMaxChunkGroups,
+            (group - kDoubling) % kMaxChunkGroups};
   }
 
-  // The group of `key`, or kNone with *slot at the empty slot that ended
-  // the probe.
-  size_t Find(uint32_t hash, const Value* key, size_t* slot) const {
+  std::byte* Entry(size_t group) const {
+    const auto [chunk, index] = ChunkOf(group);
+    return reinterpret_cast<std::byte*>(chunks_[chunk].get()) + index * stride_;
+  }
+  void* State(size_t group, size_t agg) const {
+    return Entry(group) + states_at_ + aggs_->offset(agg);
+  }
+
+  void InitStates(size_t group) {
+    for (size_t i = 0; i < aggs_->size(); ++i) {
+      aggs_->fn(i)->Init(State(group, i));
+    }
+  }
+  void DestroyStates(size_t group) {
+    for (size_t i = 0; i < aggs_->size(); ++i) {
+      aggs_->fn(i)->Destroy(State(group, i));
+    }
+  }
+
+  // Hashes the batch's keys to HashKey's value for them and, while the
+  // table is packed, packs them into packed_keys_: width_ words and a
+  // NULL mask word per row. A key value that is neither NULL nor an
+  // integer re-encodes the table.
+  void HashKeys(const std::vector<KeyColumn>& keys, size_t n,
+                MemoryCharge* charge) {
+    const size_t words = width_ + 1;
+    bool fits = packed_;
+    if (packed_) packed_keys_.assign(n * words, 0);
+    hashes_.assign(n, KeyHashSeed());
+    for (size_t c = 0; c < width_; ++c) {
+      for (size_t j = 0; j < n; ++j) {
+        const Value& v = keys[c].at(j);
+        size_t hash = 0;
+        if (v.IsIntegerKind()) {
+          hash = Value::HashInt64(v.AsInt64());
+          if (fits) packed_keys_[j * words + c] = v.AsInt64();
+        } else if (v.is_null()) {
+          hash = Value::kNullHash;
+          if (fits) packed_keys_[j * words + width_] |= int64_t{1} << c;
+        } else {
+          hash = v.Hash();
+          fits = false;
+        }
+        hashes_[j] = KeyHashStep(hashes_[j], hash);
+      }
+    }
+    for (size_t& h : hashes_) h = KeyHashFinish(h);
+    if (packed_ && !fits) Reencode(charge);
+  }
+
+  // Writes group `group`'s packed key into out[0, width_) as Values, and
+  // returns `out`.
+  Value* DecodeKey(size_t group, Value* out) const {
+    const std::byte* entry = Entry(group);
+    int64_t nulls = 0;
+    std::memcpy(&nulls, entry + width_ * sizeof(int64_t), sizeof(nulls));
+    for (size_t c = 0; c < width_; ++c) {
+      int64_t word = 0;
+      std::memcpy(&word, entry + c * sizeof(int64_t), sizeof(word));
+      out[c] = ((nulls >> c) & 1) != 0 ? Value::Null()
+                                        : IntKeyValue(types_[c], word);
+    }
+    return out;
+  }
+
+  // Switches to Value keys, once: decodes every resident group's key.
+  void Reencode(MemoryCharge* charge) {
+    value_keys_.resize(num_groups_ * width_);
+    for (size_t g = 0; g < num_groups_; ++g) {
+      DecodeKey(g, &value_keys_[g * width_]);
+    }
+    value_key_bytes_ = value_keys_.size() * sizeof(Value);
+    if (charge != nullptr) charge->AddUnchecked(value_key_bytes_);
+    packed_ = false;
+  }
+
+  void PrefetchEntry(uint32_t hash) const {
+    const Slot& s = slots_[hash & (slots_.size() - 1)];
+    if (s.group != kFree && s.hash == hash) __builtin_prefetch(Entry(s.group));
+  }
+
+  // The group of a key, or kNone with *slot at the empty slot that ended
+  // the probe. Packed tables compare the key_bytes_ bytes at `packed`,
+  // Value tables each column c's key_at(c).
+  template <typename KeyAt>
+  uint32_t Find(uint32_t hash, const void* packed, KeyAt&& key_at,
+                size_t* slot) const {
     const size_t mask = slots_.size() - 1;
     for (size_t i = hash & mask;; i = (i + 1) & mask) {
       const Slot& s = slots_[i];
@@ -187,23 +537,76 @@ class GroupTable {
         *slot = i;
         return kNone;
       }
-      if (s.hash == hash &&
-          KeysEqual(keys_.data() + s.group * width_, key, width_)) {
-        return s.group;
+      if (s.hash != hash) continue;
+      if (packed_) {
+        if (std::memcmp(Entry(s.group), packed, key_bytes_) == 0) {
+          return s.group;
+        }
+        continue;
       }
+      const Value* resident = &value_keys_[s.group * width_];
+      size_t c = 0;
+      while (c < width_ && KeysEqual(&resident[c], &key_at(c), 1)) ++c;
+      if (c == width_) return s.group;
     }
   }
 
-  // Appends a group, moving its key values in from `key`; `slot` is the
-  // empty slot from the failed Find. Keeps the load factor at most 1/2.
-  size_t AddGroup(uint32_t hash, size_t slot, Value* key) {
+  // Charges and creates the group of row j's key, at `slot` from the
+  // failed probe; kNone when the budget refuses it.
+  Result<uint32_t> Create(uint32_t hash, size_t slot,
+                          const std::vector<KeyColumn>& keys, size_t j,
+                          MemoryCharge* charge) {
+    if (full_) return kNone;
+    size_t key_bytes = 0;
+    if (!packed_) {
+      for (size_t c = 0; c < width_; ++c) {
+        key_bytes += keys[c].at(j).ApproxBytes();
+      }
+    }
+    const size_t bytes =
+        key_bytes +
+        (NeedsChunk() ? ChunkGroups(chunks_.size()) * GroupBytes() : 0);
+    if (bytes > 0) {
+      Status charged = charge->Add(bytes);
+      if (!charged.ok()) {
+        charge->Release(bytes);  // the group is not being created
+        if (!charged.IsResourceExhausted()) return charged;
+        full_ = true;
+        return kNone;
+      }
+    }
+    if (NeedsChunk()) CountInstances();
+    const uint32_t group = AddGroup(hash, slot);
+    if (packed_) {
+      std::memcpy(Entry(group), &packed_keys_[j * (width_ + 1)], key_bytes_);
+    } else {
+      for (size_t c = 0; c < width_; ++c) value_keys_.push_back(keys[c].at(j));
+      value_key_bytes_ += key_bytes;
+    }
+    InitStates(group);
+    ++uncounted_;
+    return group;
+  }
+
+  bool NeedsChunk() const { return num_groups_ == capacity_; }
+
+  // Appends a group, with an arena entry whose states are not yet
+  // initialized; `slot` is the empty slot from the failed probe. Keeps
+  // the load factor at most 1/2.
+  uint32_t AddGroup(uint32_t hash, size_t slot) {
+    if (NeedsChunk()) {
+      const size_t groups = ChunkGroups(chunks_.size());
+      chunks_.push_back(std::make_unique_for_overwrite<std::max_align_t[]>(
+          1 + groups * stride_ / sizeof(std::max_align_t)));
+      capacity_ += groups;
+    }
     if (2 * (num_groups_ + 1) > slots_.size()) {
       Grow();
       slot = EmptySlot(hash);
     }
-    slots_[slot] = Slot{hash, static_cast<uint32_t>(num_groups_)};
-    for (size_t i = 0; i < width_; ++i) keys_.push_back(std::move(key[i]));
-    return num_groups_++;
+    const auto group = static_cast<uint32_t>(num_groups_++);
+    slots_[slot] = Slot{hash, group};
+    return group;
   }
 
   size_t EmptySlot(uint32_t hash) const {
@@ -222,28 +625,63 @@ class GroupTable {
     }
   }
 
+  // udf.uda.instances counts one instance per group per aggregate the
+  // build created, reported a chunk at a time.
+  void CountInstances() {
+    if (uncounted_ > 0 && aggs_->size() > 0) {
+      HTG_METRIC_COUNTER("udf.uda.instances")->Add(uncounted_ * aggs_->size());
+    }
+    uncounted_ = 0;
+  }
+
   size_t width_;
-  const std::vector<AggSpec>* aggs_;
-  Row scratch_;
+  const AggLayout* aggs_;
+  std::vector<DataType> types_;  // the group expressions' declared types
+  bool packed_ = false;
+  size_t key_bytes_ = 0;  // packed key words at the head of each entry
+  size_t states_at_ = 0;  // offset of the state block in an entry
+  size_t stride_ = 0;     // bytes per entry
   std::vector<Slot> slots_;  // power-of-two size
-  std::vector<Value> keys_;  // width_ values per group
-  // aggs_->size() instances per group.
-  std::vector<std::unique_ptr<udf::AggregateInstance>> instances_;
+  std::vector<std::unique_ptr<std::max_align_t[]>> chunks_;
+  size_t capacity_ = 0;  // groups the chunks hold
+  std::vector<Value> value_keys_;  // width_ per group, Value layout only
+  size_t value_key_bytes_ = 0;
   size_t num_groups_ = 0;
+  size_t finalized_ = 0;  // groups [0, finalized_) are destroyed
+  size_t uncounted_ = 0;
+  bool full_ = false;  // the budget refused a charge: no new groups
+  // Per-batch scratch.
+  std::vector<int64_t> packed_keys_;
+  std::vector<size_t> hashes_;
+  std::vector<uint32_t> rows_;
+  std::vector<void*> states_;
 };
 
-// One reusable argument vector per aggregate.
-std::vector<std::vector<Value>> ArgScratch(const std::vector<AggSpec>& aggs) {
-  std::vector<std::vector<Value>> args(aggs.size());
-  for (size_t i = 0; i < aggs.size(); ++i) args[i].resize(aggs[i].args.size());
-  return args;
+// Credits a finalized table to its operator's EXPLAIN ANALYZE line.
+void RecordGroups(OperatorStats* stats, const GroupTable& table) {
+  stats->agg_groups.fetch_add(table.size(), std::memory_order_relaxed);
+  stats->agg_key_layouts.fetch_or(table.packed() ? OperatorStats::kPackedKeys
+                                                 : OperatorStats::kValueKeys,
+                                  std::memory_order_relaxed);
+}
+
+// The batch column a plain column reference reads, so the build reads
+// keys and arguments in place; null for other expressions, which
+// evaluate into scratch columns.
+const std::vector<Value>* ColumnOf(const Expr& expr, const RowBatch& batch) {
+  const auto* ref = dynamic_cast<const ColumnRefExpr*>(&expr);
+  if (ref == nullptr || ref->index() < 0 ||
+      static_cast<size_t>(ref->index()) >= batch.num_columns()) {
+    return nullptr;
+  }
+  return &batch.column(static_cast<size_t>(ref->index()));
 }
 
 // Drains a child fully into a group table, charging new groups to
-// `charge` and spilling the rows of keys it refuses to `spill`. Group
-// keys and aggregate arguments evaluate as batch kernels, so only the
-// hash probe and the UDA Accumulate call (the per-row seam — udf.uda
-// instances accumulate row-at-a-time by contract) remain per-row work.
+// `charge` and spilling the rows of keys it refuses to `spill`. Per
+// batch: group keys and arguments evaluate as batch kernels (plain
+// column references are read in place), the keys are hashed and probed,
+// then each aggregate accumulates the batch in one AccumulateBatch call.
 // Spilled rows are reassembled from the (untouched) batch columns.
 Status BuildGroupsBatch(storage::RowIterator* iter,
                         const std::vector<ExprPtr>& group_exprs,
@@ -252,47 +690,43 @@ Status BuildGroupsBatch(storage::RowIterator* iter,
                         MemoryCharge* charge, PartitionSpill* spill) {
   RowBatch batch;
   std::vector<std::vector<Value>> key_cols(group_exprs.size());
-  std::vector<std::vector<std::vector<Value>>> agg_cols(aggs.size());
+  std::vector<KeyColumn> keys(group_exprs.size());
+  std::vector<std::vector<std::vector<Value>>> arg_cols(aggs.size());
+  ArgColumns args(aggs.size());
   for (size_t i = 0; i < aggs.size(); ++i) {
-    agg_cols[i].resize(aggs[i].args.size());
+    arg_cols[i].resize(aggs[i].args.size());
+    args[i].resize(aggs[i].args.size());
   }
-  Row& key = groups->scratch();
-  std::vector<std::vector<Value>> args = ArgScratch(aggs);
+  std::vector<uint32_t> group_of;
   while (iter->NextBatch(&batch)) {
     const size_t n = batch.ActiveRows();
+    if (n == 0) continue;
     const uint32_t* sel = batch.selection_data();
     for (size_t g = 0; g < group_exprs.size(); ++g) {
-      HTG_RETURN_IF_ERROR(
-          group_exprs[g]->EvalBatch(eval, batch, sel, n, &key_cols[g]));
+      keys[g] = {ColumnOf(*group_exprs[g], batch), sel};
+      if (keys[g].values == nullptr) {
+        HTG_RETURN_IF_ERROR(
+            group_exprs[g]->EvalBatch(eval, batch, sel, n, &key_cols[g]));
+        keys[g] = {&key_cols[g], nullptr};
+      }
     }
     for (size_t i = 0; i < aggs.size(); ++i) {
       for (size_t a = 0; a < aggs[i].args.size(); ++a) {
-        HTG_RETURN_IF_ERROR(
-            aggs[i].args[a]->EvalBatch(eval, batch, sel, n, &agg_cols[i][a]));
-      }
-    }
-    for (size_t j = 0; j < n; ++j) {
-      for (size_t g = 0; g < group_exprs.size(); ++g) {
-        key[g] = std::move(key_cols[g][j]);
-      }
-      HTG_ASSIGN_OR_RETURN(
-          const size_t group, groups->FindOrCreate(charge, spill, [&]() {
-            const size_t r = batch.ActiveIndex(j);
-            Row input;
-            input.reserve(batch.num_columns());
-            for (size_t c = 0; c < batch.num_columns(); ++c) {
-              input.push_back(batch.column(c)[r]);
-            }
-            return input;
-          }));
-      if (group == GroupTable::kNone) continue;
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        for (size_t a = 0; a < args[i].size(); ++a) {
-          args[i][a] = std::move(agg_cols[i][a][j]);
+        // Arguments are indexed by live-row position, which is the
+        // physical row only in a batch without a selection.
+        args[i][a] =
+            sel == nullptr ? ColumnOf(*aggs[i].args[a], batch) : nullptr;
+        if (args[i][a] == nullptr) {
+          HTG_RETURN_IF_ERROR(aggs[i].args[a]->EvalBatch(eval, batch, sel, n,
+                                                         &arg_cols[i][a]));
+          args[i][a] = &arg_cols[i][a];
         }
-        HTG_RETURN_IF_ERROR(groups->instance(group, i)->Accumulate(args[i]));
       }
     }
+    group_of.resize(n);
+    HTG_RETURN_IF_ERROR(groups->FindOrCreate(keys, batch, n, charge, spill,
+                                             group_of.data()));
+    HTG_RETURN_IF_ERROR(groups->Accumulate(args, group_of.data(), n, charge));
   }
   return iter->status();
 }
@@ -319,16 +753,17 @@ std::string DescribeAggs(const std::vector<ExprPtr>& group_exprs,
 // One re-aggregation pass: pops the next spilled partition and folds its
 // rows into a fresh group table under `charge`. Rows of keys the budget
 // still refuses spill one level deeper and queue on the worklist.
-Result<GroupTable> AggregateSpilledPartition(
+Result<std::unique_ptr<GroupTable>> AggregateSpilledPartition(
     SpillWorklist* worklist, const std::vector<ExprPtr>& group_exprs,
-    const std::vector<AggSpec>* aggs, ExecContext* ctx, OperatorStats* stats,
-    MemoryCharge* charge, const char* op) {
+    const std::vector<AggSpec>& aggs, const AggLayout* layout,
+    ExecContext* ctx, OperatorStats* stats, MemoryCharge* charge,
+    const char* op) {
   HTG_ASSIGN_OR_RETURN(SpillWork work, worklist->Pop(op));
   PartitionSpill sub(ctx, stats, op, work.level);
-  GroupTable groups(group_exprs.size(), aggs);
+  auto groups = std::make_unique<GroupTable>(group_exprs, layout);
   storage::SpillRunReader reader(work.file, std::move(work.runs[0]));
-  HTG_RETURN_IF_ERROR(BuildGroupsBatch(&reader, group_exprs, *aggs,
-                                       &ctx->eval, &groups, charge, &sub));
+  HTG_RETURN_IF_ERROR(BuildGroupsBatch(&reader, group_exprs, aggs, &ctx->eval,
+                                       groups.get(), charge, &sub));
   RecordPeakMem(stats, charge->peak());
   HTG_RETURN_IF_ERROR(sub.Finish(worklist));
   return groups;
@@ -342,13 +777,15 @@ class SpilledAggIterator : public BatchIterator {
   SpilledAggIterator(std::vector<RowBatch> ready, MemoryCharge charge,
                      SpillWorklist worklist,
                      const std::vector<ExprPtr>* group_exprs,
-                     const std::vector<AggSpec>* aggs, ExecContext* ctx,
+                     const std::vector<AggSpec>* aggs,
+                     std::unique_ptr<AggLayout> layout, ExecContext* ctx,
                      OperatorStats* stats)
       : ready_(std::move(ready)),
         charge_(std::move(charge)),
         worklist_(std::move(worklist)),
         group_exprs_(group_exprs),
         aggs_(aggs),
+        layout_(std::move(layout)),
         ctx_(ctx),
         stats_(stats) {}
 
@@ -372,10 +809,12 @@ class SpilledAggIterator : public BatchIterator {
     next_ready_ = 0;
     charge_.ReleaseAll();  // the previous partition's rows are consumed
     HTG_ASSIGN_OR_RETURN(
-        GroupTable groups,
-        AggregateSpilledPartition(&worklist_, *group_exprs_, aggs_, ctx_,
-                                  stats_, &charge_, "Hash Match (Aggregate)"));
-    HTG_ASSIGN_OR_RETURN(ready_, groups.Finalize(false));
+        std::unique_ptr<GroupTable> groups,
+        AggregateSpilledPartition(&worklist_, *group_exprs_, *aggs_,
+                                  layout_.get(), ctx_, stats_, &charge_,
+                                  "Hash Match (Aggregate)"));
+    RecordGroups(stats_, *groups);
+    HTG_ASSIGN_OR_RETURN(ready_, groups->Finalize(false));
     return Status::OK();
   }
 
@@ -385,56 +824,9 @@ class SpilledAggIterator : public BatchIterator {
   SpillWorklist worklist_;
   const std::vector<ExprPtr>* group_exprs_;
   const std::vector<AggSpec>* aggs_;
+  std::unique_ptr<AggLayout> layout_;
   ExecContext* ctx_;
   OperatorStats* stats_;
-};
-
-}  // namespace
-
-namespace {
-
-// Wraps an aggregate with DISTINCT semantics: argument tuples are
-// deduplicated under the hash operators' key equality (Value::Compare, so
-// 1 = 1.0 and NULL = NULL, as in GROUP BY) and replayed into a fresh inner
-// instance at Terminate, so that Merge (set union) stays correct under
-// parallel plans. The replay runs in Value::Compare order, so order-
-// sensitive results such as SUM over doubles do not depend on which
-// morsel saw a tuple first.
-class DistinctAggregateInstance : public udf::AggregateInstance {
- public:
-  explicit DistinctAggregateInstance(const udf::AggregateFunction* fn)
-      : fn_(fn) {}
-
-  Status Accumulate(const std::vector<Value>& args) override {
-    distinct_.insert(args);
-    return Status::OK();
-  }
-
-  Status Merge(const udf::AggregateInstance& other) override {
-    const auto& o = static_cast<const DistinctAggregateInstance&>(other);
-    distinct_.insert(o.distinct_.begin(), o.distinct_.end());
-    return Status::OK();
-  }
-
-  Result<Value> Terminate() override {
-    std::vector<const Row*> order;
-    order.reserve(distinct_.size());
-    for (const Row& args : distinct_) order.push_back(&args);
-    std::sort(order.begin(), order.end(), [](const Row* a, const Row* b) {
-      for (size_t i = 0; i < a->size(); ++i) {
-        const int cmp = (*a)[i].Compare((*b)[i]);
-        if (cmp != 0) return cmp < 0;
-      }
-      return false;
-    });
-    std::unique_ptr<udf::AggregateInstance> inner = fn_->NewInstance();
-    for (const Row* args : order) HTG_RETURN_IF_ERROR(inner->Accumulate(*args));
-    return inner->Terminate();
-  }
-
- private:
-  const udf::AggregateFunction* fn_;
-  std::unordered_set<Row, RowHash, RowEq> distinct_;
 };
 
 }  // namespace
@@ -447,12 +839,6 @@ AggSpec AggSpec::Clone() const {
   copy.args.reserve(args.size());
   for (const ExprPtr& a : args) copy.args.push_back(a->Clone());
   return copy;
-}
-
-std::unique_ptr<udf::AggregateInstance> AggSpec::NewInstance() const {
-  HTG_METRIC_COUNTER("udf.uda.instances")->Add(1);
-  if (distinct) return std::make_unique<DistinctAggregateInstance>(fn);
-  return fn->NewInstance();
 }
 
 DataType AggSpec::result_type() const {
@@ -499,10 +885,12 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
   const char* op = "Hash Match (Aggregate)";
   MemoryCharge charge(ctx->mem.get(), op);
   PartitionSpill spill(ctx, stats, op, 0);
-  GroupTable groups(group_exprs_.size(), &aggs_);
+  auto layout = std::make_unique<AggLayout>(aggs_);
+  GroupTable groups(group_exprs_, layout.get());
   HTG_RETURN_IF_ERROR(BuildGroupsBatch(child.get(), group_exprs_, aggs_,
                                        &ctx->eval, &groups, &charge, &spill));
   RecordPeakMem(stats, charge.peak());
+  RecordGroups(stats, groups);
   HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
                        groups.Finalize(group_exprs_.empty()));
   if (!spill.engaged()) {
@@ -513,7 +901,7 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
   HTG_RETURN_IF_ERROR(spill.Finish(&worklist));
   return {std::make_unique<SpilledAggIterator>(
       std::move(batches), std::move(charge), std::move(worklist),
-      &group_exprs_, &aggs_, ctx, stats)};
+      &group_exprs_, &aggs_, std::move(layout), ctx, stats)};
 }
 
 std::string HashAggregateOp::Describe() const {
@@ -541,9 +929,14 @@ class StreamAggIterator : public storage::RowSource {
         input_(child_.get()),
         group_exprs_(group_exprs),
         aggs_(aggs),
+        layout_(*aggs),
         eval_(eval),
         key_(group_exprs->size()),
-        args_(ArgScratch(*aggs)) {}
+        args_(aggs->size()) {
+    for (size_t i = 0; i < aggs->size(); ++i) {
+      args_[i].resize((*aggs)[i].args.size());
+    }
+  }
 
   bool Next(Row* out) override {
     if (done_) return false;
@@ -581,8 +974,7 @@ class StreamAggIterator : public storage::RowSource {
     current_key_.swap(key_);
     key_.resize(current_key_.size());
     has_group_ = true;
-    instances_.clear();
-    for (const AggSpec& a : *aggs_) instances_.push_back(a.NewInstance());
+    states_ = layout_.NewStates();
   }
 
   bool Accumulate() {
@@ -595,7 +987,7 @@ class StreamAggIterator : public storage::RowSource {
         }
         args_[i][a] = std::move(*v);
       }
-      const Status s = instances_[i]->Accumulate(args_[i]);
+      const Status s = states_[i].Accumulate(args_[i]);
       if (!s.ok()) {
         status_ = s;
         return false;
@@ -606,8 +998,8 @@ class StreamAggIterator : public storage::RowSource {
 
   bool EmitCurrent(Row* out) {
     *out = current_key_;
-    for (auto& instance : instances_) {
-      Result<Value> v = instance->Terminate();
+    for (udf::AggregateState& state : states_) {
+      Result<Value> v = state.Terminate();
       if (!v.ok()) {
         status_ = v.status();
         return false;
@@ -621,14 +1013,15 @@ class StreamAggIterator : public storage::RowSource {
   BatchReader input_;
   const std::vector<ExprPtr>* group_exprs_;
   const std::vector<AggSpec>* aggs_;
+  AggLayout layout_;
   udf::EvalContext* eval_;
   Row row_;          // the input row being folded in
   Row key_;          // its group key (scratch)
   Row current_key_;  // the open group's key
   bool has_group_ = false;
   bool done_ = false;
-  std::vector<std::unique_ptr<udf::AggregateInstance>> instances_;
-  std::vector<std::vector<Value>> args_;  // reused per row
+  std::vector<udf::AggregateState> states_;  // the open group's
+  std::vector<std::vector<Value>> args_;      // reused per row
   Status status_;
 };
 
@@ -698,10 +1091,10 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   // the stage pipeline over each page range, and accumulate into
   // thread-local partial tables. Expression trees are immutable and
   // shared; each worker evaluates through its own EvalContext copy.
-  std::vector<GroupTable> partials;
-  partials.reserve(dop);
+  const AggLayout layout(aggs_);
+  std::vector<std::unique_ptr<GroupTable>> partials;
   for (int w = 0; w < dop; ++w) {
-    partials.emplace_back(group_exprs_.size(), &aggs_);
+    partials.push_back(std::make_unique<GroupTable>(group_exprs_, &layout));
   }
   std::vector<ExecContext> worker_ctx(dop, *ctx);
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
@@ -722,17 +1115,18 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
           ++stats->worker_morsels[worker];
         }
         return BuildGroupsBatch(iter.get(), group_exprs_, aggs_,
-                                &worker_ctx[worker].eval, &partials[worker],
-                                &charge, &spill);
+                                &worker_ctx[worker].eval,
+                                partials[worker].get(), &charge, &spill);
       }));
   RecordPeakMem(stats, charge.peak());
 
   size_t total_groups = 0;
-  for (const GroupTable& p : partials) total_groups += p.size();
+  for (const auto& p : partials) total_groups += p->size();
   if (total_groups == 0 && !spill.engaged()) {
     // SELECT COUNT(*) over an empty input still yields one row.
+    RecordGroups(stats, *partials[0]);
     HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
-                         partials[0].Finalize(group_exprs_.empty()));
+                         partials[0]->Finalize(group_exprs_.empty()));
     return {std::make_unique<MaterializedBatchesIterator>(std::move(batches))};
   }
 
@@ -742,9 +1136,9 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     // only ordering that is correct when a key sits in one worker's table
     // and in the spill. Keys are owned by exactly one partition per level,
     // so a pass's groups can only collide with build-time residents.
-    GroupTable merged(group_exprs_.size(), &aggs_);
-    for (GroupTable& partial : partials) {
-      HTG_RETURN_IF_ERROR(merged.MergeFrom(&partial, 0, 1));
+    GroupTable merged(group_exprs_, &layout);
+    for (const auto& partial : partials) {
+      HTG_RETURN_IF_ERROR(merged.MergeFrom(partial.get(), 0, 1));
     }
     partials.clear();
     // The resident merged table was sized by the budget during the build;
@@ -758,13 +1152,14 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     while (!worklist.empty()) {
       MemoryCharge pass_charge(ctx->mem.get(), op);
       HTG_ASSIGN_OR_RETURN(
-          GroupTable part_groups,
-          AggregateSpilledPartition(&worklist, group_exprs_, &aggs_, ctx,
-                                    stats, &pass_charge, op));
-      HTG_RETURN_IF_ERROR(merged.MergeFrom(&part_groups, 0, 1));
+          std::unique_ptr<GroupTable> part_groups,
+          AggregateSpilledPartition(&worklist, group_exprs_, aggs_, &layout,
+                                    ctx, stats, &pass_charge, op));
+      HTG_RETURN_IF_ERROR(merged.MergeFrom(part_groups.get(), 0, 1));
     }
     charge.AddUnchecked(merged.ChargedBytes());
     RecordPeakMem(stats, charge.peak());
+    RecordGroups(stats, merged);
     HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
                          merged.Finalize(group_exprs_.empty()));
     return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
@@ -780,10 +1175,11 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   std::vector<std::vector<RowBatch>> out_parts(nparts);
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, nparts, [&](int, size_t part) -> Status {
-        GroupTable merged(group_exprs_.size(), &aggs_);
-        for (GroupTable& partial : partials) {
-          HTG_RETURN_IF_ERROR(merged.MergeFrom(&partial, part, nparts));
+        GroupTable merged(group_exprs_, &layout);
+        for (const auto& partial : partials) {
+          HTG_RETURN_IF_ERROR(merged.MergeFrom(partial.get(), part, nparts));
         }
+        RecordGroups(stats, merged);
         HTG_ASSIGN_OR_RETURN(out_parts[part], merged.Finalize(false));
         return Status::OK();
       }));

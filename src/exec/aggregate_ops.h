@@ -21,9 +21,6 @@ struct AggSpec {
 
   AggSpec Clone() const;
   DataType result_type() const;
-  // Instance factory; wraps the function's instance with a distinct
-  // filter when `distinct` is set.
-  std::unique_ptr<udf::AggregateInstance> NewInstance() const;
 };
 
 // Builds the aggregate output schema: group columns then aggregates.

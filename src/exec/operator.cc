@@ -145,6 +145,17 @@ void ExplainAnalyzeRec(const Operator& op, int depth, std::string* out) {
     if (peak_mem > 0 || spill_runs > 0) {
       out->append(StringPrintf(" (peak-mem=%.1f KiB",
                                static_cast<double>(peak_mem) / 1024.0));
+      const uint32_t layouts =
+          s.agg_key_layouts.load(std::memory_order_relaxed);
+      if (layouts != 0) {
+        // A table that met a non-integer key re-encoded to values.
+        out->append(StringPrintf(
+            ", groups=%llu keys=%s",
+            static_cast<unsigned long long>(
+                s.agg_groups.load(std::memory_order_relaxed)),
+            (layouts & OperatorStats::kValueKeys) != 0 ? "values"
+                                                       : "packed"));
+      }
       if (spill_runs > 0) {
         out->append(StringPrintf(
             ", spill runs=%llu, spill bytes=%llu",

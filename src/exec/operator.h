@@ -84,6 +84,12 @@ struct OperatorStats {
   std::atomic<uint64_t> peak_mem_bytes{0};
   std::atomic<uint64_t> spill_runs{0};
   std::atomic<uint64_t> spill_bytes{0};
+  // Hash aggregates: groups their tables finalized, and the key layouts
+  // those tables ended in (kPackedKeys / kValueKeys bits).
+  static constexpr uint32_t kPackedKeys = 1;
+  static constexpr uint32_t kValueKeys = 2;
+  std::atomic<uint64_t> agg_groups{0};
+  std::atomic<uint32_t> agg_key_layouts{0};
   // Indexed by dense worker id; sized by the exchange operator at Open.
   // Each slot is written by exactly one worker thread.
   std::vector<uint64_t> worker_rows;

@@ -21,19 +21,29 @@ namespace htg::exec {
 // both the hash aggregate and the hash join, and the run accounting the
 // external sort shares with them.
 
-// Hash of the key values [key, key + n), salted by `salt`. The final
-// avalanche spreads every input bit over the word, so both a power-of-two
-// slot mask (low bits) and "% partitions" see well-mixed bits.
-inline size_t HashKey(const Value* key, size_t n, size_t salt = 0) {
-  size_t h = 14695981039346656037ULL ^ (0x9e3779b97f4a7c15ULL * salt);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= key[i].Hash();
-    h *= 1099511628211ULL;
-  }
+// The key hash in steps, for callers that hold a key column by column
+// (the group table): start from KeyHashSeed(salt), fold in each value's
+// Value::Hash() in key order, then finish. The final avalanche spreads
+// every input bit over the word, so both a power-of-two slot mask (low
+// bits) and "% partitions" see well-mixed bits.
+inline size_t KeyHashSeed(size_t salt = 0) {
+  return 14695981039346656037ULL ^ (0x9e3779b97f4a7c15ULL * salt);
+}
+inline size_t KeyHashStep(size_t h, size_t value_hash) {
+  return (h ^ value_hash) * 1099511628211ULL;
+}
+inline size_t KeyHashFinish(size_t h) {
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;
   return h;
+}
+
+// Hash of the key values [key, key + n), salted by `salt`.
+inline size_t HashKey(const Value* key, size_t n, size_t salt = 0) {
+  size_t h = KeyHashSeed(salt);
+  for (size_t i = 0; i < n; ++i) h = KeyHashStep(h, key[i].Hash());
+  return KeyHashFinish(h);
 }
 
 // Key equality under Value::Compare (so 1 = 1.0, NULL = NULL), with the

@@ -38,106 +38,6 @@ class PivotIterator : public storage::RowSource {
   size_t index_ = 0;
 };
 
-class CallBaseInstance : public udf::AggregateInstance {
- public:
-  Status Accumulate(const std::vector<Value>& args) override {
-    if (args[0].is_null()) return Status::OK();
-    const std::string& base = args[0].AsString();
-    if (base.empty()) return Status::OK();
-    const double qual = args[1].is_null() ? 1.0 : args[1].AsDouble();
-    weights_[BaseIndex(base[0])] += qual > 0 ? qual : 1.0;
-    return Status::OK();
-  }
-
-  Status Merge(const udf::AggregateInstance& other) override {
-    const auto& o = static_cast<const CallBaseInstance&>(other);
-    for (int i = 0; i < 5; ++i) weights_[i] += o.weights_[i];
-    return Status::OK();
-  }
-
-  Result<Value> Terminate() override {
-    int best = 4;
-    double best_weight = 0;
-    for (int i = 0; i < 4; ++i) {
-      if (weights_[i] > best_weight) {
-        best = i;
-        best_weight = weights_[i];
-      }
-    }
-    return Value::String(std::string(1, IndexBase(best)));
-  }
-
- private:
-  double weights_[5] = {0, 0, 0, 0, 0};
-};
-
-class AssembleSequenceInstance : public udf::AggregateInstance {
- public:
-  Status Accumulate(const std::vector<Value>& args) override {
-    if (args[0].is_null() || args[1].is_null()) return Status::OK();
-    const std::string& base = args[1].AsString();
-    entries_.emplace_back(args[0].AsInt64(),
-                          base.empty() ? 'N' : base[0]);
-    return Status::OK();
-  }
-
-  Status Merge(const udf::AggregateInstance& other) override {
-    const auto& o = static_cast<const AssembleSequenceInstance&>(other);
-    entries_.insert(entries_.end(), o.entries_.begin(), o.entries_.end());
-    return Status::OK();
-  }
-
-  Result<Value> Terminate() override {
-    std::sort(entries_.begin(), entries_.end());
-    std::string out;
-    out.reserve(entries_.size());
-    int64_t expected = entries_.empty() ? 0 : entries_.front().first;
-    for (const auto& [pos, base] : entries_) {
-      // Uncovered gaps become 'N'.
-      while (expected < pos) {
-        out.push_back('N');
-        ++expected;
-      }
-      out.push_back(base);
-      expected = pos + 1;
-    }
-    return Value::String(std::move(out));
-  }
-
- private:
-  std::vector<std::pair<int64_t, char>> entries_;
-};
-
-class AssembleConsensusInstance : public udf::AggregateInstance {
- public:
-  Status Accumulate(const std::vector<Value>& args) override {
-    if (args[0].is_null() || args[1].is_null()) return Status::OK();
-    const int64_t pos = args[0].AsInt64();
-    if (pos < last_pos_) {
-      return Status::ExecError(
-          "AssembleConsensus requires input ordered by position");
-    }
-    last_pos_ = pos;
-    window_.Add(pos, args[1].AsString(),
-                args[2].is_null() ? std::string_view() : args[2].AsString());
-    return Status::OK();
-  }
-
-  Status Merge(const udf::AggregateInstance&) override {
-    return Status::NotImplemented(
-        "AssembleConsensus cannot merge partial windows (overlapping "
-        "partition borders)");
-  }
-
-  Result<Value> Terminate() override {
-    return Value::String(window_.Finish());
-  }
-
- private:
-  SlidingWindowConsensus window_;
-  int64_t last_pos_ = -1;
-};
-
 }  // namespace
 
 Result<Schema> PivotAlignmentTvf::BindSchema(const std::vector<Value>&) const {
@@ -163,19 +63,45 @@ Result<std::unique_ptr<storage::RowSource>> PivotAlignmentTvf::Open(
       args[2].is_null() ? std::string() : args[2].AsString())};
 }
 
-std::unique_ptr<udf::AggregateInstance> CallBaseAggregate::NewInstance()
-    const {
-  return std::make_unique<CallBaseInstance>();
+int CallBaseState::BaseSlot(char base) { return BaseIndex(base); }
+
+Status CallBaseState::Merge(CallBaseState& other) {
+  for (int i = 0; i < 5; ++i) weights[i] += other.weights[i];
+  return Status::OK();
 }
 
-std::unique_ptr<udf::AggregateInstance>
-AssembleSequenceAggregate::NewInstance() const {
-  return std::make_unique<AssembleSequenceInstance>();
+Result<Value> CallBaseState::Terminate() {
+  int best = 4;
+  double best_weight = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (weights[i] > best_weight) {
+      best = i;
+      best_weight = weights[i];
+    }
+  }
+  return Value::String(std::string(1, IndexBase(best)));
 }
 
-std::unique_ptr<udf::AggregateInstance>
-AssembleConsensusAggregate::NewInstance() const {
-  return std::make_unique<AssembleConsensusInstance>();
+Status AssembleSequenceState::Merge(AssembleSequenceState& other) {
+  entries.insert(entries.end(), other.entries.begin(), other.entries.end());
+  return Status::OK();
+}
+
+Result<Value> AssembleSequenceState::Terminate() {
+  std::sort(entries.begin(), entries.end());
+  std::string out;
+  out.reserve(entries.size());
+  int64_t expected = entries.empty() ? 0 : entries.front().first;
+  for (const auto& [pos, base] : entries) {
+    // Uncovered gaps become 'N'.
+    while (expected < pos) {
+      out.push_back('N');
+      ++expected;
+    }
+    out.push_back(base);
+    expected = pos + 1;
+  }
+  return Value::String(std::move(out));
 }
 
 void SlidingWindowConsensus::Add(int64_t position, std::string_view seq,

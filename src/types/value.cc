@@ -34,7 +34,7 @@ int Value::Compare(const Value& other) const {
 }
 
 size_t Value::Hash() const {
-  if (is_null()) return 0x7f4a7c159e3779b9ULL;
+  if (is_null()) return kNullHash;
   if (IsStringKind()) return std::hash<std::string_view>()(AsString());
   // Numbers that Compare() calls equal must hash alike: an integral
   // double (including -0.0) hashes as the int64 it equals.
@@ -50,7 +50,7 @@ size_t Value::Hash() const {
       std::memcpy(&bits, &d, sizeof(bits));
     }
   }
-  return static_cast<size_t>(bits) * 0x9e3779b97f4a7c15ULL;
+  return HashInt64(bits);
 }
 
 std::string Value::ToString() const {

@@ -80,6 +80,11 @@ class Value {
   // compare equal hash equal, across numeric kinds too. Not avalanched;
   // row hashes (exec/spill_util.h) mix it before masking.
   size_t Hash() const;
+  // Hash() of a NULL, and of an integer-kind value holding `v`.
+  static constexpr size_t kNullHash = 0x7f4a7c159e3779b9ULL;
+  static size_t HashInt64(int64_t v) {
+    return static_cast<size_t>(v) * 0x9e3779b97f4a7c15ULL;
+  }
 
   // Approximate resident bytes of this value, used by the executor's
   // memory accounting (MemoryContext charges). Counts the inline Value

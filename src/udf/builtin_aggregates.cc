@@ -7,23 +7,22 @@ namespace htg::udf {
 namespace {
 
 // COUNT(*) / COUNT(expr): rows, or non-null values.
-class CountInstance : public AggregateInstance {
- public:
-  Status Accumulate(const std::vector<Value>& args) override {
-    if (args.empty() || !args[0].is_null()) ++count_;
-    return Status::OK();
-  }
-  Status Merge(const AggregateInstance& other) override {
-    count_ += static_cast<const CountInstance&>(other).count_;
-    return Status::OK();
-  }
-  Result<Value> Terminate() override { return Value::Int64(count_); }
+struct CountState {
+  int64_t count = 0;
 
- private:
-  int64_t count_ = 0;
+  template <class Args>
+  Status Accumulate(const Args& args) {
+    if (args.size() == 0 || !args[0].is_null()) ++count;
+    return Status::OK();
+  }
+  Status Merge(CountState& other) {
+    count += other.count;
+    return Status::OK();
+  }
+  Result<Value> Terminate() { return Value::Int64(count); }
 };
 
-class CountFunction : public AggregateFunction {
+class CountFunction : public TypedAggregate<CountState> {
  public:
   std::string_view name() const override { return "COUNT"; }
   int min_args() const override { return 0; }
@@ -31,49 +30,43 @@ class CountFunction : public AggregateFunction {
   DataType result_type(const std::vector<DataType>&) const override {
     return DataType::kInt64;
   }
-  std::unique_ptr<AggregateInstance> NewInstance() const override {
-    return std::make_unique<CountInstance>();
-  }
 };
 
 // SUM: integer inputs sum in int64, doubles in double. NULLs ignored.
-class SumInstance : public AggregateInstance {
- public:
-  Status Accumulate(const std::vector<Value>& args) override {
-    if (args[0].is_null()) return Status::OK();
-    seen_ = true;
-    if (args[0].IsDoubleKind()) {
-      is_double_ = true;
-      dsum_ += args[0].AsDouble();
-    } else {
-      isum_ += args[0].AsInt64();
-    }
-    return Status::OK();
-  }
-  Status Merge(const AggregateInstance& other) override {
-    const auto& o = static_cast<const SumInstance&>(other);
-    seen_ = seen_ || o.seen_;
-    is_double_ = is_double_ || o.is_double_;
-    isum_ += o.isum_;
-    dsum_ += o.dsum_;
-    return Status::OK();
-  }
-  Result<Value> Terminate() override {
-    if (!seen_) return Value::Null();
-    if (is_double_) {
-      return Value::Double(dsum_ + static_cast<double>(isum_));
-    }
-    return Value::Int64(isum_);
-  }
+struct SumState {
+  bool seen = false;
+  bool is_double = false;
+  int64_t isum = 0;
+  double dsum = 0.0;
 
- private:
-  bool seen_ = false;
-  bool is_double_ = false;
-  int64_t isum_ = 0;
-  double dsum_ = 0.0;
+  template <class Args>
+  Status Accumulate(const Args& args) {
+    const Value& v = args[0];
+    if (v.is_null()) return Status::OK();
+    seen = true;
+    if (v.IsDoubleKind()) {
+      is_double = true;
+      dsum += v.AsDouble();
+    } else {
+      isum += v.AsInt64();
+    }
+    return Status::OK();
+  }
+  Status Merge(SumState& other) {
+    seen = seen || other.seen;
+    is_double = is_double || other.is_double;
+    isum += other.isum;
+    dsum += other.dsum;
+    return Status::OK();
+  }
+  Result<Value> Terminate() {
+    if (!seen) return Value::Null();
+    if (is_double) return Value::Double(dsum + static_cast<double>(isum));
+    return Value::Int64(isum);
+  }
 };
 
-class SumFunction : public AggregateFunction {
+class SumFunction : public TypedAggregate<SumState> {
  public:
   std::string_view name() const override { return "SUM"; }
   int min_args() const override { return 1; }
@@ -81,97 +74,77 @@ class SumFunction : public AggregateFunction {
   DataType result_type(const std::vector<DataType>& args) const override {
     return args[0] == DataType::kDouble ? DataType::kDouble : DataType::kInt64;
   }
-  std::unique_ptr<AggregateInstance> NewInstance() const override {
-    return std::make_unique<SumInstance>();
-  }
 };
 
 // MIN / MAX over any comparable type.
-class MinMaxInstance : public AggregateInstance {
- public:
-  explicit MinMaxInstance(bool is_min) : is_min_(is_min) {}
-  Status Accumulate(const std::vector<Value>& args) override {
-    if (args[0].is_null()) return Status::OK();
-    Take(args[0]);
-    return Status::OK();
-  }
-  Status Merge(const AggregateInstance& other) override {
-    const auto& o = static_cast<const MinMaxInstance&>(other);
-    if (o.seen_) Take(o.best_);
-    return Status::OK();
-  }
-  Result<Value> Terminate() override {
-    return seen_ ? best_ : Value::Null();
-  }
+template <bool kIsMin>
+struct MinMaxState {
+  bool seen = false;
+  Value best;
 
- private:
+  template <class Args>
+  Status Accumulate(const Args& args) {
+    if (!args[0].is_null()) Take(args[0]);
+    return Status::OK();
+  }
+  Status Merge(MinMaxState& other) {
+    if (other.seen) Take(other.best);
+    return Status::OK();
+  }
+  Result<Value> Terminate() { return seen ? best : Value::Null(); }
+
   void Take(const Value& v) {
-    if (!seen_) {
-      best_ = v;
-      seen_ = true;
+    if (!seen) {
+      best = v;
+      seen = true;
       return;
     }
-    const int cmp = v.Compare(best_);
-    if ((is_min_ && cmp < 0) || (!is_min_ && cmp > 0)) best_ = v;
+    const int cmp = v.Compare(best);
+    if (kIsMin ? cmp < 0 : cmp > 0) best = v;
   }
-
-  bool is_min_;
-  bool seen_ = false;
-  Value best_;
 };
 
-class MinMaxFunction : public AggregateFunction {
+template <bool kIsMin>
+class MinMaxFunction : public TypedAggregate<MinMaxState<kIsMin>> {
  public:
-  explicit MinMaxFunction(bool is_min) : is_min_(is_min) {}
-  std::string_view name() const override { return is_min_ ? "MIN" : "MAX"; }
+  std::string_view name() const override { return kIsMin ? "MIN" : "MAX"; }
   int min_args() const override { return 1; }
   int max_args() const override { return 1; }
   DataType result_type(const std::vector<DataType>& args) const override {
     return args[0];
   }
-  std::unique_ptr<AggregateInstance> NewInstance() const override {
-    return std::make_unique<MinMaxInstance>(is_min_);
-  }
-
- private:
-  bool is_min_;
 };
 
 // AVG: double mean over non-null inputs.
-class AvgInstance : public AggregateInstance {
- public:
-  Status Accumulate(const std::vector<Value>& args) override {
-    if (args[0].is_null()) return Status::OK();
-    sum_ += args[0].AsDouble();
-    ++count_;
-    return Status::OK();
-  }
-  Status Merge(const AggregateInstance& other) override {
-    const auto& o = static_cast<const AvgInstance&>(other);
-    sum_ += o.sum_;
-    count_ += o.count_;
-    return Status::OK();
-  }
-  Result<Value> Terminate() override {
-    if (count_ == 0) return Value::Null();
-    return Value::Double(sum_ / static_cast<double>(count_));
-  }
+struct AvgState {
+  double sum = 0.0;
+  int64_t count = 0;
 
- private:
-  double sum_ = 0.0;
-  int64_t count_ = 0;
+  template <class Args>
+  Status Accumulate(const Args& args) {
+    if (args[0].is_null()) return Status::OK();
+    sum += args[0].AsDouble();
+    ++count;
+    return Status::OK();
+  }
+  Status Merge(AvgState& other) {
+    sum += other.sum;
+    count += other.count;
+    return Status::OK();
+  }
+  Result<Value> Terminate() {
+    if (count == 0) return Value::Null();
+    return Value::Double(sum / static_cast<double>(count));
+  }
 };
 
-class AvgFunction : public AggregateFunction {
+class AvgFunction : public TypedAggregate<AvgState> {
  public:
   std::string_view name() const override { return "AVG"; }
   int min_args() const override { return 1; }
   int max_args() const override { return 1; }
   DataType result_type(const std::vector<DataType>&) const override {
     return DataType::kDouble;
-  }
-  std::unique_ptr<AggregateInstance> NewInstance() const override {
-    return std::make_unique<AvgInstance>();
   }
 };
 
@@ -183,9 +156,9 @@ Status RegisterBuiltinAggregates(FunctionRegistry* registry) {
   HTG_RETURN_IF_ERROR(
       registry->RegisterAggregate(std::make_unique<SumFunction>()));
   HTG_RETURN_IF_ERROR(
-      registry->RegisterAggregate(std::make_unique<MinMaxFunction>(true)));
+      registry->RegisterAggregate(std::make_unique<MinMaxFunction<true>>()));
   HTG_RETURN_IF_ERROR(
-      registry->RegisterAggregate(std::make_unique<MinMaxFunction>(false)));
+      registry->RegisterAggregate(std::make_unique<MinMaxFunction<false>>()));
   return registry->RegisterAggregate(std::make_unique<AvgFunction>());
 }
 

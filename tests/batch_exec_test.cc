@@ -540,6 +540,267 @@ TEST_F(BatchParityTest, ExplainAnalyzeEveryOperatorReportsBatches) {
   EXPECT_GE(producing, 5) << plan;
 }
 
+// ---------------------------------------------------- group key layouts ---
+
+// Row r of g(id BIGINT, i INT, n BIGINT, f BIT, s VARCHAR(10), d FLOAT):
+// i negative, zero and positive, NULL every 7th row; n beyond INT range;
+// f NULL every 11th row; s NULL every 13th row; d never integral, so no
+// double key equals an integer one.
+Row GroupSeedRow(int r) {
+  Row row;
+  row.push_back(Value::Int64(r));
+  row.push_back(r % 7 == 2 ? Value::Null() : Value::Int32(r % 37 - 18));
+  row.push_back(Value::Int64((r % 5 - 2) * int64_t{3000000000}));
+  row.push_back(r % 11 == 4 ? Value::Null() : Value::Bool(r % 3 == 0));
+  row.push_back(r % 13 == 6 ? Value::Null()
+                            : Value::String("s" + std::to_string(r % 4)));
+  row.push_back(Value::Double(r + 0.5));
+  return row;
+}
+
+struct RowLess {
+  bool operator()(const Row& a, const Row& b) const {
+    for (size_t c = 0; c < a.size(); ++c) {
+      const int cmp = a[c].Compare(b[c]);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  }
+};
+
+// GROUP BY oracle: one output row per distinct key(row), the key followed
+// by aggs(rows of the group).
+std::vector<Row> GroupOracle(
+    const std::vector<Row>& g, const std::function<Row(const Row&)>& key,
+    const std::function<Row(const std::vector<const Row*>&)>& aggs) {
+  std::map<Row, std::vector<const Row*>, RowLess> groups;
+  for (const Row& r : g) groups[key(r)].push_back(&r);
+  std::vector<Row> out;
+  for (const auto& [k, rows] : groups) {
+    Row row = k;
+    for (Value& v : aggs(rows)) row.push_back(std::move(v));
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+Value Count(const std::vector<const Row*>& rows, int col = -1) {
+  int64_t n = 0;
+  for (const Row* r : rows) n += col < 0 || !(*r)[col].is_null() ? 1 : 0;
+  return Value::Int64(n);
+}
+
+Value IntSum(const std::vector<const Row*>& rows, int col) {
+  std::optional<int64_t> sum;
+  for (const Row* r : rows) {
+    if (!(*r)[col].is_null()) sum = sum.value_or(0) + (*r)[col].AsInt64();
+  }
+  return sum ? Value::Int64(*sum) : Value::Null();
+}
+
+// Grouping by integer keys packs them; by any other key, or by a CASE
+// declared INT that yields a FLOAT partway through the input, keeps (or
+// re-encodes to) Value keys. Every layout must give the oracle's groups,
+// serially and through the parallel partial/final merge, whose partial
+// tables can end in different layouts.
+TEST_F(BatchParityTest, GroupKeyLayoutsMatchOracle) {
+  const int n = 2049;
+  std::vector<Row> g;
+  for (int r = 0; r < n; ++r) g.push_back(GroupSeedRow(r));
+  const auto int_key = [](const Row& r, int col) {
+    return r[col].is_null() ? Value::Null() : Value::Int64(r[col].AsInt64());
+  };
+  struct Case {
+    std::string sql;
+    std::vector<Row> want;
+  };
+  std::vector<Case> cases;
+  // NULL and negative integer keys.
+  cases.push_back(
+      {"SELECT i, COUNT(*), SUM(n) FROM g GROUP BY i",
+       GroupOracle(
+           g, [&](const Row& r) { return Row{int_key(r, 1)}; },
+           [](const std::vector<const Row*>& rows) {
+             return Row{Count(rows), IntSum(rows, 2)};
+           })});
+  // An INT key column next to a BIGINT one.
+  cases.push_back({"SELECT i, n, COUNT(*) FROM g GROUP BY i, n",
+                   GroupOracle(
+                       g,
+                       [&](const Row& r) {
+                         return Row{int_key(r, 1), r[2]};
+                       },
+                       [](const std::vector<const Row*>& rows) {
+                         return Row{Count(rows)};
+                       })});
+  // BOOL keys, NULL among them.
+  cases.push_back(
+      {"SELECT f, COUNT(*), MIN(id) FROM g GROUP BY f",
+       GroupOracle(
+           g, [](const Row& r) { return Row{r[3]}; },
+           [](const std::vector<const Row*>& rows) {
+             return Row{Count(rows), (*rows.front())[0]};
+           })});
+  // An arithmetic integer key (NULL where i is).
+  cases.push_back(
+      {"SELECT i * 1000 + id % 4, COUNT(*) FROM g GROUP BY i * 1000 + id % 4",
+       GroupOracle(
+           g,
+           [](const Row& r) {
+             return Row{r[1].is_null()
+                            ? Value::Null()
+                            : Value::Int64(r[1].AsInt64() * 1000 +
+                                           r[0].AsInt64() % 4)};
+           },
+           [](const std::vector<const Row*>& rows) {
+             return Row{Count(rows)};
+           })});
+  // A mixed integer + string key takes the Value layout.
+  cases.push_back({"SELECT i, s, COUNT(*) FROM g GROUP BY i, s",
+                   GroupOracle(
+                       g,
+                       [&](const Row& r) {
+                         return Row{int_key(r, 1), r[4]};
+                       },
+                       [](const std::vector<const Row*>& rows) {
+                         return Row{Count(rows)};
+                       })});
+  // Declared INT (the first branch), FLOAT on every third row from row
+  // 1500 on: the table re-encodes its packed keys once, then keeps
+  // finding the integer keys it created before.
+  cases.push_back(
+      {"SELECT CASE WHEN id < 1500 OR id % 3 <> 0 THEN i ELSE d END, "
+       "COUNT(*) FROM g "
+       "GROUP BY CASE WHEN id < 1500 OR id % 3 <> 0 THEN i ELSE d END",
+       GroupOracle(
+           g,
+           [&](const Row& r) {
+             const int64_t id = r[0].AsInt64();
+             return Row{id < 1500 || id % 3 != 0 ? int_key(r, 1) : r[5]};
+           },
+           [](const std::vector<const Row*>& rows) {
+             return Row{Count(rows)};
+           })});
+  // Every builtin, DISTINCT included, in one table.
+  cases.push_back(
+      {"SELECT f, COUNT(*), COUNT(s), SUM(n), MIN(s), MAX(d), AVG(i), "
+       "COUNT(DISTINCT i), SUM(DISTINCT n) FROM g GROUP BY f",
+       GroupOracle(
+           g, [](const Row& r) { return Row{r[3]}; },
+           [](const std::vector<const Row*>& rows) {
+             Value min_s;
+             double max_d = 0;
+             double i_sum = 0;
+             int64_t i_count = 0;
+             std::map<int64_t, bool> distinct_i;
+             std::map<int64_t, bool> distinct_n;
+             for (const Row* r : rows) {
+               const Row& row = *r;
+               if (!row[4].is_null() &&
+                   (min_s.is_null() || row[4].Compare(min_s) < 0)) {
+                 min_s = row[4];
+               }
+               max_d = std::max(max_d, row[5].AsDouble());
+               if (!row[1].is_null()) {
+                 i_sum += static_cast<double>(row[1].AsInt64());
+                 ++i_count;
+                 distinct_i[row[1].AsInt64()] = true;
+               }
+               distinct_n[row[2].AsInt64()] = true;
+             }
+             int64_t n_sum = 0;
+             for (const auto& [v, seen] : distinct_n) n_sum += v;
+             return Row{Count(rows),
+                        Count(rows, 4),
+                        IntSum(rows, 2),
+                        min_s,
+                        Value::Double(max_d),
+                        Value::Double(i_sum / static_cast<double>(i_count)),
+                        Value::Int64(static_cast<int64_t>(distinct_i.size())),
+                        Value::Int64(n_sum)};
+           })});
+  for (int dop : {1, 8}) {
+    Instance in = Make(dop);
+    Exec(in,
+         "CREATE TABLE g (id BIGINT, i INT, n BIGINT, f BIT, s VARCHAR(10), "
+         "d FLOAT)");
+    auto table = in.db->GetTable("g");
+    ASSERT_TRUE(table.ok());
+    for (const Row& r : g) ASSERT_TRUE(in.db->InsertRow(*table, r).ok());
+    for (const Case& c : cases) {
+      EXPECT_EQ(Render(c.want, true), Render(Exec(in, c.sql).rows, true))
+          << "dop=" << dop << ": " << c.sql;
+    }
+    const std::string reencoded =
+        Exec(in, "EXPLAIN ANALYZE " + cases[5].sql).message;
+    EXPECT_NE(reencoded.find("keys=values"), std::string::npos) << reencoded;
+  }
+}
+
+// EXPLAIN ANALYZE names each hash aggregate's key layout: the pivot's
+// (gid, pos) and gid keys and Query 2's arithmetic gene key are packed
+// integers; Query 1's read-sequence key is a string, kept as Values.
+TEST_F(BatchParityTest, ExplainAnalyzeReportsGroupKeyLayout) {
+  Instance in = Make();
+  Exec(in, "CREATE TABLE aln (rid BIGINT PRIMARY KEY, gid INT, pos BIGINT)");
+  Exec(in,
+       "CREATE TABLE rd (rid BIGINT PRIMARY KEY, seq VARCHAR(10), "
+       "quals VARCHAR(10))");
+  auto aln = in.db->GetTable("aln");
+  auto rd = in.db->GetTable("rd");
+  ASSERT_TRUE(aln.ok() && rd.ok());
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(in.db
+                    ->InsertRow(*aln, Row{Value::Int64(i), Value::Int32(i % 3),
+                                          Value::Int64(i * 7 % 500)})
+                    .ok());
+    ASSERT_TRUE(in.db
+                    ->InsertRow(*rd, Row{Value::Int64(i),
+                                         Value::String(i % 2 ? "ACG" : "TTA"),
+                                         Value::String("III")})
+                    .ok());
+  }
+  // The aggregate lines of `query`'s plan, in plan order.
+  auto aggregate_lines = [&](const std::string& query) {
+    const std::string plan = Exec(in, "EXPLAIN ANALYZE " + query).message;
+    std::vector<std::string> lines;
+    size_t begin = 0;
+    while (begin < plan.size()) {
+      size_t end = plan.find('\n', begin);
+      if (end == std::string::npos) end = plan.size();
+      const std::string line = plan.substr(begin, end - begin);
+      if (line.find("Hash Match (Aggregate)") != std::string::npos) {
+        lines.push_back(line);
+      }
+      begin = end + 1;
+    }
+    return lines;
+  };
+  const std::vector<std::string> pivot = aggregate_lines(
+      "SELECT gid, AssembleSequence(pos, b) AS consensus "
+      "FROM (SELECT gid, pa.pos AS pos, CallBase(base, qual) AS b "
+      "      FROM aln JOIN rd ON aln.rid = rd.rid "
+      "      CROSS APPLY PivotAlignment(aln.pos, seq, quals) AS pa "
+      "      GROUP BY gid, pa.pos) t "
+      "GROUP BY gid");
+  ASSERT_EQ(pivot.size(), 2u);
+  for (const std::string& line : pivot) {
+    EXPECT_NE(line.find("keys=packed"), std::string::npos) << line;
+  }
+  EXPECT_NE(pivot[0].find("groups=3 "), std::string::npos) << pivot[0];
+  const std::vector<std::string> gene = aggregate_lines(
+      "SELECT gid * 100000 + pos / 100 AS gene, COUNT(*) FROM aln "
+      "GROUP BY gid * 100000 + pos / 100");
+  ASSERT_EQ(gene.size(), 1u);
+  EXPECT_NE(gene[0].find("keys=packed"), std::string::npos) << gene[0];
+  const std::vector<std::string> reads = aggregate_lines(
+      "SELECT COUNT(*) AS freq, seq FROM rd "
+      "WHERE CHARINDEX('N', seq) = 0 GROUP BY seq");
+  ASSERT_EQ(reads.size(), 1u);
+  EXPECT_NE(reads[0].find("groups=2 keys=values"), std::string::npos)
+      << reads[0];
+}
+
 // ------------------------------------------------------- column pruning ---
 
 // Every scan, join and CROSS APPLY carries only the columns named above

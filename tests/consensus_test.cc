@@ -35,50 +35,50 @@ TEST(PivotAlignmentTest, ExplodesReadIntoBases) {
 
 TEST(CallBaseTest, QualityWeightedVote) {
   CallBaseAggregate agg;
-  auto instance = agg.NewInstance();
+  udf::AggregateState state(&agg);
   // Two low-quality As vs one high-quality C.
   ASSERT_TRUE(
-      instance->Accumulate({Value::String("A"), Value::Int32(5)}).ok());
+      state.Accumulate({Value::String("A"), Value::Int32(5)}).ok());
   ASSERT_TRUE(
-      instance->Accumulate({Value::String("A"), Value::Int32(5)}).ok());
+      state.Accumulate({Value::String("A"), Value::Int32(5)}).ok());
   ASSERT_TRUE(
-      instance->Accumulate({Value::String("C"), Value::Int32(40)}).ok());
-  EXPECT_EQ(instance->Terminate()->AsString(), "C");
+      state.Accumulate({Value::String("C"), Value::Int32(40)}).ok());
+  EXPECT_EQ(state.Terminate()->AsString(), "C");
 }
 
 TEST(CallBaseTest, MergeCombinesPartials) {
   CallBaseAggregate agg;
-  auto a = agg.NewInstance();
-  auto b = agg.NewInstance();
-  ASSERT_TRUE(a->Accumulate({Value::String("G"), Value::Int32(10)}).ok());
-  ASSERT_TRUE(b->Accumulate({Value::String("G"), Value::Int32(10)}).ok());
-  ASSERT_TRUE(b->Accumulate({Value::String("T"), Value::Int32(15)}).ok());
-  ASSERT_TRUE(a->Merge(*b).ok());
-  EXPECT_EQ(a->Terminate()->AsString(), "G");  // 20 vs 15
+  udf::AggregateState a(&agg);
+  udf::AggregateState b(&agg);
+  ASSERT_TRUE(a.Accumulate({Value::String("G"), Value::Int32(10)}).ok());
+  ASSERT_TRUE(b.Accumulate({Value::String("G"), Value::Int32(10)}).ok());
+  ASSERT_TRUE(b.Accumulate({Value::String("T"), Value::Int32(15)}).ok());
+  ASSERT_TRUE(a.Merge(b).ok());
+  EXPECT_EQ(a.Terminate()->AsString(), "G");  // 20 vs 15
 }
 
 TEST(CallBaseTest, NsNeverWin) {
   CallBaseAggregate agg;
-  auto instance = agg.NewInstance();
+  udf::AggregateState state(&agg);
   ASSERT_TRUE(
-      instance->Accumulate({Value::String("N"), Value::Int32(90)}).ok());
+      state.Accumulate({Value::String("N"), Value::Int32(90)}).ok());
   ASSERT_TRUE(
-      instance->Accumulate({Value::String("T"), Value::Int32(1)}).ok());
-  EXPECT_EQ(instance->Terminate()->AsString(), "T");
+      state.Accumulate({Value::String("T"), Value::Int32(1)}).ok());
+  EXPECT_EQ(state.Terminate()->AsString(), "T");
 }
 
 TEST(AssembleSequenceTest, OrdersByPositionAndFillsGaps) {
   AssembleSequenceAggregate agg;
-  auto instance = agg.NewInstance();
+  udf::AggregateState state(&agg);
   ASSERT_TRUE(
-      instance->Accumulate({Value::Int64(12), Value::String("G")}).ok());
+      state.Accumulate({Value::Int64(12), Value::String("G")}).ok());
   ASSERT_TRUE(
-      instance->Accumulate({Value::Int64(10), Value::String("A")}).ok());
+      state.Accumulate({Value::Int64(10), Value::String("A")}).ok());
   ASSERT_TRUE(
-      instance->Accumulate({Value::Int64(11), Value::String("C")}).ok());
+      state.Accumulate({Value::Int64(11), Value::String("C")}).ok());
   ASSERT_TRUE(
-      instance->Accumulate({Value::Int64(14), Value::String("T")}).ok());
-  EXPECT_EQ(instance->Terminate()->AsString(), "ACGNT");
+      state.Accumulate({Value::Int64(14), Value::String("T")}).ok());
+  EXPECT_EQ(state.Terminate()->AsString(), "ACGNT");
 }
 
 TEST(SlidingWindowTest, MatchesNaivePivotConsensus) {
@@ -151,12 +151,12 @@ TEST(SlidingWindowTest, GapsBecomeNs) {
 
 TEST(AssembleConsensusUdaTest, RequiresOrderedInput) {
   AssembleConsensusAggregate agg;
-  auto instance = agg.NewInstance();
-  ASSERT_TRUE(instance
-                  ->Accumulate({Value::Int64(10), Value::String("ACGT"),
-                                Value::String("IIII")})
+  udf::AggregateState state(&agg);
+  ASSERT_TRUE(state
+                  .Accumulate({Value::Int64(10), Value::String("ACGT"),
+                               Value::String("IIII")})
                   .ok());
-  const Status s = instance->Accumulate(
+  const Status s = state.Accumulate(
       {Value::Int64(5), Value::String("ACGT"), Value::String("IIII")});
   EXPECT_FALSE(s.ok());
 }
@@ -164,9 +164,9 @@ TEST(AssembleConsensusUdaTest, RequiresOrderedInput) {
 TEST(AssembleConsensusUdaTest, MergeUnsupported) {
   AssembleConsensusAggregate agg;
   EXPECT_FALSE(agg.SupportsMerge());
-  auto a = agg.NewInstance();
-  auto b = agg.NewInstance();
-  EXPECT_FALSE(a->Merge(*b).ok());
+  udf::AggregateState a(&agg);
+  udf::AggregateState b(&agg);
+  EXPECT_FALSE(a.Merge(b).ok());
 }
 
 TEST(SnpTest, FindsSubstitutions) {

@@ -1,21 +1,32 @@
-// Lint fixture: a UDA whose instance lacks Merge(), so it could never run
-// in a parallel partial/final plan (paper Sec. 5.3). Not compiled.
+// Lint fixture: aggregates without Merge(), so they could never run in a
+// parallel partial/final plan (paper Sec. 5.3). Not compiled.
 // expect-lint: uda-merge
 #include "udf/function.h"
 
 namespace htg::udf {
 
-class BrokenSumInstance : public AggregateInstance {
- public:
-  Status Accumulate(const std::vector<Value>& args) override {
-    total_ += args[0].AsInt64();
+// A TypedAggregate whose state has no Merge(): uda-merge must flag it.
+struct BrokenSumState {
+  int64_t total = 0;
+
+  template <class Args>
+  Status Accumulate(const Args& args) {
+    total += args[0].AsInt64();
     return Status::OK();
   }
-  // No Merge() override: uda-merge must flag this class.
-  Result<Value> Terminate() override { return Value::Int64(total_); }
+  Result<Value> Terminate() { return Value::Int64(total); }
+};
 
- private:
-  int64_t total_ = 0;
+class BrokenSum : public TypedAggregate<BrokenSumState> {
+ public:
+  std::string_view name() const override { return "BrokenSum"; }
+};
+
+// A direct AggregateFunction without Merge(): flagged as well.
+class BrokenCount : public AggregateFunction {
+ public:
+  std::string_view name() const override { return "BrokenCount"; }
+  Result<Value> Terminate(void* state) const override;
 };
 
 }  // namespace htg::udf

@@ -49,6 +49,15 @@ inline bool IsOk(const Status& s) {
   return false;
 }
 
+// An aggregate that cannot merge says so instead of implementing Merge().
+struct WindowState {
+  int64_t last = 0;
+};
+class WindowAggregate : public udf::TypedAggregate<WindowState> {
+ public:
+  bool SupportsMerge() const override { return false; }
+};
+
 // The sanctioned way to drop a Status (unlike a (void) cast).
 inline void BestEffort(Status (*op)()) { HTG_IGNORE_STATUS(op()); }
 

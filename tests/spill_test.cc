@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 #include "sql/engine.h"
 #include "storage/fault_injection.h"
 #include "storage/vfs.h"
+#include "udf/function.h"
 
 namespace htg::sql {
 namespace {
@@ -162,6 +165,137 @@ TEST(SpillParityTest, ParallelAggregateSpillsAtDop8) {
   ExpectParity(&ref_engine, &tiny_engine,
                "SELECT k, COUNT(*), SUM(v), MIN(s) FROM t GROUP BY k",
                /*ordered=*/false);
+}
+
+// Spill runs in a statement's EXPLAIN ANALYZE summary line.
+uint64_t ExplainedSpillRuns(SqlEngine* engine, const std::string& sql) {
+  Result<QueryResult> r = engine->Execute("EXPLAIN ANALYZE " + sql);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return 0;
+  const size_t at = r->message.rfind("spill runs=");
+  EXPECT_NE(at, std::string::npos) << r->message;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(r->message.c_str() + at + 11, nullptr, 10);
+}
+
+TEST(SpillParityTest, DistinctSetsCountAgainstTheBudget) {
+  // 120 groups arriving one after another, each collecting 100 distinct
+  // 32-character strings: the groups themselves fit the budget, their
+  // DISTINCT sets do not. The sets' bytes are charged as they grow, so
+  // later keys spill instead of the table growing past the budget.
+  const std::string sql =
+      "SELECT v / 100, COUNT(DISTINCT s), SUM(DISTINCT k) FROM t "
+      "GROUP BY v / 100";
+  for (int dop : {1, 8}) {
+    SCOPED_TRACE(dop);
+    auto ref = OpenLoaded("dsref" + std::to_string(dop), 0, true, dop);
+    auto tiny =
+        OpenLoaded("dstiny" + std::to_string(dop), kTinyBudget, true, dop);
+    ASSERT_NE(ref, nullptr);
+    ASSERT_NE(tiny, nullptr);
+    SqlEngine ref_engine(ref.get());
+    SqlEngine tiny_engine(tiny.get());
+    ExpectParity(&ref_engine, &tiny_engine, sql, /*ordered=*/false);
+    EXPECT_GT(ExplainedSpillRuns(&tiny_engine, sql), 0u);
+  }
+}
+
+// A UDA whose state owns heap memory and counts its constructions and
+// destructions, so a test can see that every state the engine creates is
+// destroyed exactly once. Accumulating -1 fails.
+struct TrackedState {
+  static inline std::atomic<int64_t> constructed{0};
+  static inline std::atomic<int64_t> destroyed{0};
+
+  std::unique_ptr<int64_t> sum = std::make_unique<int64_t>(0);
+
+  TrackedState() { constructed.fetch_add(1); }
+  ~TrackedState() { destroyed.fetch_add(1); }
+  TrackedState(const TrackedState&) = delete;
+  TrackedState& operator=(const TrackedState&) = delete;
+
+  template <class Args>
+  Status Accumulate(const Args& args) {
+    if (args[0].AsInt64() == -1) return Status::ExecError("poisoned row");
+    *sum += args[0].AsInt64();
+    return Status::OK();
+  }
+  Status Merge(TrackedState& other) {
+    *sum += *other.sum;
+    return Status::OK();
+  }
+  Result<Value> Terminate() { return Value::Int64(*sum); }
+};
+
+class TrackedSum : public udf::TypedAggregate<TrackedState> {
+ public:
+  std::string_view name() const override { return "TrackedSum"; }
+  int min_args() const override { return 1; }
+  int max_args() const override { return 1; }
+  DataType result_type(const std::vector<DataType>&) const override {
+    return DataType::kInt64;
+  }
+};
+
+TEST(AggregateStateLifetimeTest, EveryStateIsDestroyedOnce) {
+  struct Path {
+    const char* name;
+    int64_t budget;
+    int dop;
+    const char* sql;
+    bool ok;
+    int64_t states;  // states the path creates; -1 when not fixed
+  };
+  const Path paths[] = {
+      {"finalize", 0, 1, "SELECT k, TrackedSum(v) FROM t GROUP BY k", true,
+       kGroups},
+      {"accumulate error", 0, 1,
+       "SELECT k, TrackedSum(CASE WHEN v = 5000 THEN -1 ELSE v END) FROM t "
+       "GROUP BY k",
+       false, -1},
+      {"spilled build", kTinyBudget, 1,
+       "SELECT s, TrackedSum(v) FROM t GROUP BY s", true, -1},
+      {"partitioned merge", 0, 8, "SELECT k, TrackedSum(v) FROM t GROUP BY k",
+       true, -1},
+      {"empty global", 0, 1, "SELECT TrackedSum(v) FROM t WHERE k < 0", true,
+       1},
+  };
+  int64_t expected_sum = 0;
+  for (int i = 0; i < kRows; ++i) expected_sum += i;
+  for (const Path& path : paths) {
+    SCOPED_TRACE(path.name);
+    auto db = OpenLoaded("lifetime", path.budget, true, path.dop);
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(
+        db->functions()->RegisterAggregate(std::make_unique<TrackedSum>())
+            .ok());
+    SqlEngine engine(db.get());
+    const int64_t constructed = TrackedState::constructed.load();
+    const int64_t destroyed = TrackedState::destroyed.load();
+    const uint64_t runs_before = SpillRunsCounter();
+    Result<QueryResult> r = engine.Execute(path.sql);
+    ASSERT_EQ(r.ok(), path.ok) << r.status().ToString();
+    const int64_t created = TrackedState::constructed.load() - constructed;
+    EXPECT_GT(created, 0);
+    EXPECT_EQ(TrackedState::destroyed.load() - destroyed, created);
+    if (path.states >= 0) {
+      EXPECT_EQ(created, path.states);
+    }
+    if (path.budget > 0) {
+      EXPECT_GT(SpillRunsCounter(), runs_before);
+    }
+    if (path.dop > 1) {
+      Result<QueryResult> plan =
+          engine.Execute(std::string("EXPLAIN ") + path.sql);
+      ASSERT_TRUE(plan.ok());
+      EXPECT_NE(plan->message.find("Gather Streams"), std::string::npos);
+    }
+    if (r.ok() && path.states != 1) {
+      int64_t sum = 0;
+      for (const Row& row : r->rows) sum += row[1].AsInt64();
+      EXPECT_EQ(sum, expected_sum);
+    }
+  }
 }
 
 TEST(SpillParityTest, GraceHashJoinMatchesInMemoryJoin) {

@@ -137,52 +137,52 @@ TEST_F(BuiltinsTest, AggregatesRegistered) {
 
 TEST_F(BuiltinsTest, SumIntAndDouble) {
   const AggregateFunction* sum = registry_.FindAggregate("SUM");
-  auto instance = sum->NewInstance();
-  ASSERT_TRUE(instance->Accumulate({Value::Int64(3)}).ok());
-  ASSERT_TRUE(instance->Accumulate({Value::Null()}).ok());
-  ASSERT_TRUE(instance->Accumulate({Value::Int64(4)}).ok());
-  EXPECT_EQ(instance->Terminate()->AsInt64(), 7);
+  AggregateState state(sum);
+  ASSERT_TRUE(state.Accumulate({Value::Int64(3)}).ok());
+  ASSERT_TRUE(state.Accumulate({Value::Null()}).ok());
+  ASSERT_TRUE(state.Accumulate({Value::Int64(4)}).ok());
+  EXPECT_EQ(state.Terminate()->AsInt64(), 7);
 
-  auto dbl = sum->NewInstance();
-  ASSERT_TRUE(dbl->Accumulate({Value::Double(1.5)}).ok());
-  ASSERT_TRUE(dbl->Accumulate({Value::Int64(1)}).ok());
-  EXPECT_EQ(dbl->Terminate()->AsDouble(), 2.5);
+  AggregateState dbl(sum);
+  ASSERT_TRUE(dbl.Accumulate({Value::Double(1.5)}).ok());
+  ASSERT_TRUE(dbl.Accumulate({Value::Int64(1)}).ok());
+  EXPECT_EQ(dbl.Terminate()->AsDouble(), 2.5);
 }
 
 TEST_F(BuiltinsTest, SumOfAllNullsIsNull) {
-  auto instance = registry_.FindAggregate("SUM")->NewInstance();
-  ASSERT_TRUE(instance->Accumulate({Value::Null()}).ok());
-  EXPECT_TRUE(instance->Terminate()->is_null());
+  AggregateState state(registry_.FindAggregate("SUM"));
+  ASSERT_TRUE(state.Accumulate({Value::Null()}).ok());
+  EXPECT_TRUE(state.Terminate()->is_null());
 }
 
 TEST_F(BuiltinsTest, MinMaxMergeAcrossPartials) {
   const AggregateFunction* mx = registry_.FindAggregate("MAX");
-  auto a = mx->NewInstance();
-  auto b = mx->NewInstance();
-  ASSERT_TRUE(a->Accumulate({Value::Int64(3)}).ok());
-  ASSERT_TRUE(b->Accumulate({Value::Int64(9)}).ok());
-  ASSERT_TRUE(a->Merge(*b).ok());
-  EXPECT_EQ(a->Terminate()->AsInt64(), 9);
+  AggregateState a(mx);
+  AggregateState b(mx);
+  ASSERT_TRUE(a.Accumulate({Value::Int64(3)}).ok());
+  ASSERT_TRUE(b.Accumulate({Value::Int64(9)}).ok());
+  ASSERT_TRUE(a.Merge(b).ok());
+  EXPECT_EQ(a.Terminate()->AsInt64(), 9);
 }
 
 TEST_F(BuiltinsTest, AvgIgnoresNulls) {
-  auto instance = registry_.FindAggregate("AVG")->NewInstance();
-  ASSERT_TRUE(instance->Accumulate({Value::Int64(2)}).ok());
-  ASSERT_TRUE(instance->Accumulate({Value::Null()}).ok());
-  ASSERT_TRUE(instance->Accumulate({Value::Int64(4)}).ok());
-  EXPECT_EQ(instance->Terminate()->AsDouble(), 3.0);
+  AggregateState state(registry_.FindAggregate("AVG"));
+  ASSERT_TRUE(state.Accumulate({Value::Int64(2)}).ok());
+  ASSERT_TRUE(state.Accumulate({Value::Null()}).ok());
+  ASSERT_TRUE(state.Accumulate({Value::Int64(4)}).ok());
+  EXPECT_EQ(state.Terminate()->AsDouble(), 3.0);
 }
 
 TEST_F(BuiltinsTest, CountStarVersusCountColumn) {
   const AggregateFunction* count = registry_.FindAggregate("COUNT");
-  auto star = count->NewInstance();
-  auto col = count->NewInstance();
-  ASSERT_TRUE(star->Accumulate({}).ok());
-  ASSERT_TRUE(star->Accumulate({}).ok());
-  ASSERT_TRUE(col->Accumulate({Value::Int64(1)}).ok());
-  ASSERT_TRUE(col->Accumulate({Value::Null()}).ok());
-  EXPECT_EQ(star->Terminate()->AsInt64(), 2);
-  EXPECT_EQ(col->Terminate()->AsInt64(), 1);
+  AggregateState star(count);
+  AggregateState col(count);
+  ASSERT_TRUE(star.Accumulate({}).ok());
+  ASSERT_TRUE(star.Accumulate({}).ok());
+  ASSERT_TRUE(col.Accumulate({Value::Int64(1)}).ok());
+  ASSERT_TRUE(col.Accumulate({Value::Null()}).ok());
+  EXPECT_EQ(star.Terminate()->AsInt64(), 2);
+  EXPECT_EQ(col.Terminate()->AsInt64(), 1);
 }
 
 TEST(LikeMatcherTest, Wildcards) {

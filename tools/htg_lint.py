@@ -22,9 +22,11 @@ Rules (ids usable in NOLINT suppressions):
   statuscode-switch A switch over htg::StatusCode must be exhaustive: no
                     `default:` label that would silently swallow newly added
                     codes (the compiler's -Wswitch only helps without one).
-  uda-merge         Every AggregateInstance subclass must implement Merge()
-                    -- the paper's precondition (Sec. 5.3) for running the
-                    aggregate in a parallel partial/final plan.
+  uda-merge         Every aggregate -- the State of a TypedAggregate<State>,
+                    or a direct AggregateFunction subclass -- must
+                    implement Merge(), the paper's precondition (Sec. 5.3)
+                    for running it in a parallel partial/final plan, unless
+                    it declares `SupportsMerge() const { return false; }`.
   include-cc        Never #include a .cc file.
   pragma-once       Every header starts with #pragma once.
   void-status       No (void)/static_cast<void> discard of a call result in
@@ -322,24 +324,54 @@ def check_statuscode_switch(path, text, rel):
     return findings
 
 
-UDA_CLASS_RE = re.compile(
-    r"\bclass\s+(\w+)\s*(?:final\s*)?:\s*public\s+"
-    r"(?:::)?(?:htg::)?(?:udf::)?AggregateInstance\b"
-)
+# An aggregate is written either as a TypedAggregate<State> subclass,
+# whose State type carries the Merge, or as a direct AggregateFunction
+# subclass.
+_UDA_BASE = (r"\bclass\s+(\w+)\s*(?:final\s*)?:\s*public\s+"
+             r"(?:::)?(?:htg::)?(?:udf::)?")
+TYPED_UDA_RE = re.compile(
+    _UDA_BASE + r"TypedAggregate\s*<\s*(?:struct\s+|class\s+)?([\w:]+)")
+FUNCTION_UDA_RE = re.compile(_UDA_BASE + r"AggregateFunction\b")
+UDA_MERGE_RE = re.compile(r"\bMerge\s*\(")
+UDA_NO_MERGE_RE = re.compile(
+    r"\bSupportsMerge\s*\(\s*\)\s*const\s*(?:override\s*|final\s*)*"
+    r"\{\s*return\s+false\s*;\s*\}")
+
+
+def _class_body(text, start):
+    body_open = text.find("{", start)
+    if body_open < 0:
+        return ""
+    return text[body_open:matching_brace(text, body_open)]
 
 
 def check_uda_merge(path, text, rel):
+    """Every aggregate implements Merge() -- on its TypedAggregate state
+    (defined in the same file) or as an AggregateFunction override --
+    unless it declares `SupportsMerge() const { return false; }`."""
     findings = []
-    for m in UDA_CLASS_RE.finditer(text):
-        body_open = text.find("{", m.end())
-        if body_open < 0:
+    for m in TYPED_UDA_RE.finditer(text):
+        body = _class_body(text, m.end())
+        if UDA_NO_MERGE_RE.search(body) or UDA_MERGE_RE.search(body):
             continue
-        body = text[body_open:matching_brace(text, body_open)]
-        if not re.search(r"\bMerge\s*\(", body):
+        state = m.group(2).split("::")[-1]
+        state_def = re.search(
+            r"\b(?:struct|class)\s+" + re.escape(state) + r"\b[^;{]*\{", text)
+        state_body = _class_body(text, state_def.end() - 1) if state_def else ""
+        if not UDA_MERGE_RE.search(state_body):
             findings.append(Finding(
                 path, line_of(text, m.start()), "uda-merge",
-                f"aggregate instance `{m.group(1)}` does not implement "
-                "Merge(); parallel partial/final plans require it"))
+                f"aggregate `{m.group(1)}`: state `{state}` does not "
+                "implement Merge(); parallel partial/final plans require "
+                "it (or declare SupportsMerge() const { return false; })"))
+    for m in FUNCTION_UDA_RE.finditer(text):
+        body = _class_body(text, m.end())
+        if not UDA_MERGE_RE.search(body) and not UDA_NO_MERGE_RE.search(body):
+            findings.append(Finding(
+                path, line_of(text, m.start()), "uda-merge",
+                f"aggregate `{m.group(1)}` does not implement Merge(); "
+                "parallel partial/final plans require it (or declare "
+                "SupportsMerge() const { return false; })"))
     return findings
 
 
@@ -874,7 +906,8 @@ RULE_DESCRIPTIONS = {
     "naked-new": "no naked new/delete; ownership visible at the "
                  "allocation site",
     "statuscode-switch": "no `default:` in a switch over StatusCode",
-    "uda-merge": "every AggregateInstance subclass implements Merge()",
+    "uda-merge": "every aggregate implements Merge() or declares "
+                 "SupportsMerge() false",
     "include-cc": "never #include a .cc file",
     "pragma-once": "every header starts with #pragma once",
     "void-status": "no (void)-discard of a call result; use "
