@@ -1045,16 +1045,18 @@ ParallelAggregateOp::ParallelAggregateOp(catalog::TableDef* table,
                                          std::vector<ExprPtr> group_exprs,
                                          std::vector<std::string> group_names,
                                          std::vector<AggSpec> aggs, int dop,
-                                         size_t morsel_pages)
+                                         size_t morsel_pages,
+                                         storage::ScanPredicate predicate)
     : table_(table),
       columns_(std::move(columns)),
+      predicate_(std::move(predicate)),
       stages_(std::move(stages)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
       dop_(dop < 1 ? 1 : dop),
       morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages),
       schema_(MakeAggregateSchema(group_exprs_, group_names, aggs_)),
-      repr_(BuildExplainPipeline(table_, columns_, stages_, dop_,
+      repr_(BuildExplainPipeline(table_, columns_, predicate_, stages_, dop_,
                                  morsel_pages_)) {}
 
 int64_t ParallelAggregateOp::EstimateRows() const {
@@ -1099,8 +1101,8 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   std::vector<ExecContext> worker_ctx(dop, *ctx);
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
-        OperatorPtr pipeline =
-            BuildMorselPipeline(table_, columns_, morsels[m], stages_);
+        OperatorPtr pipeline = BuildMorselPipeline(
+            table_, columns_, predicate_, morsels[m], stages_);
         if (ctx->collect_stats) {
           LinkPipelineStats(pipeline.get(), repr_.get());
         }

@@ -89,12 +89,14 @@ class StreamAggregateOp : public Operator {
 // to SupportsMerge().
 class ParallelAggregateOp : public Operator {
  public:
-  // The pipeline scans `columns` of `table` (ascending schema indexes).
+  // The pipeline scans `columns` of `table` (ascending schema indexes)
+  // under `predicate`.
   ParallelAggregateOp(catalog::TableDef* table, std::vector<int> columns,
                       std::vector<ParallelStage> stages,
                       std::vector<ExprPtr> group_exprs,
                       std::vector<std::string> group_names,
-                      std::vector<AggSpec> aggs, int dop, size_t morsel_pages);
+                      std::vector<AggSpec> aggs, int dop, size_t morsel_pages,
+                      storage::ScanPredicate predicate = {});
 
   const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
@@ -107,6 +109,7 @@ class ParallelAggregateOp : public Operator {
  private:
   catalog::TableDef* table_;
   std::vector<int> columns_;
+  storage::ScanPredicate predicate_;
   std::vector<ParallelStage> stages_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;

@@ -131,9 +131,24 @@ TableScanOp::TableScanOp(catalog::TableDef* table)
     : TableScanOp(table, storage::AllColumns(table->schema)) {}
 
 TableScanOp::TableScanOp(catalog::TableDef* table, std::vector<int> columns,
-                         const storage::HeapTable::PageRange& morsel)
+                         const storage::HeapTable::PageRange& morsel,
+                         storage::ScanPredicate predicate)
     : TableScanOp(table, std::move(columns)) {
   morsel_ = morsel;
+  set_predicate(std::move(predicate));
+}
+
+void TableScanOp::set_predicate(storage::ScanPredicate predicate) {
+  predicate_ = std::move(predicate);
+  seek_ = storage::IntRange();
+  // Only integer literals on an integer leading key seek.
+  if (!table_->clustered_key.empty()) {
+    const int lead = table_->clustered_key[0];
+    const DataType type = table_->schema.column(lead).type;
+    if (type == DataType::kInt32 || type == DataType::kInt64) {
+      seek_ = storage::IntegerBounds(predicate_, lead);
+    }
+  }
 }
 
 Result<storage::HeapTable::PageRange> PlanVisibleHeap(
@@ -153,8 +168,18 @@ Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
     ExecContext* ctx) {
   if (auto* clustered =
           dynamic_cast<storage::ClusteredTable*>(table_->table.get())) {
-    return {clustered->NewSnapshotScan(*ctx->snapshot, ctx->txn_id,
-                                       columns_)};
+    if (!seek_.bounded) {
+      return {clustered->NewSnapshotScan(*ctx->snapshot, ctx->txn_id,
+                                         columns_)};
+    }
+    if (ctx->collect_stats) {
+      mutable_stats()->seeks.fetch_add(1, std::memory_order_relaxed);
+    }
+    // NULL keys sort first, so the seek also skips them: a NULL matches
+    // no term.
+    return clustered->NewSnapshotScanFrom(
+        Row{Value::Int64(seek_.lower)}, *ctx->snapshot, ctx->txn_id, columns_,
+        Value::Int64(seek_.upper));
   }
   storage::HeapTable::PageRange range;
   if (morsel_.has_value()) {
@@ -163,7 +188,9 @@ Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
     HTG_ASSIGN_OR_RETURN(range, PlanVisibleHeap(table_, *ctx));
   }
   return {static_cast<storage::HeapTable*>(table_->table.get())
-              ->NewScanRange(range, columns_)};
+              ->NewScanRange(range, columns_, predicate_,
+                             ctx->collect_stats ? &mutable_stats()->pages
+                                                : nullptr)};
 }
 
 int64_t TableScanOp::EstimateRows() const {
@@ -187,6 +214,9 @@ std::string TableScanOp::Describe() const {
   if (morsel_.has_value()) {
     out += StringPrintf(" pages [%zu, %zu)", morsel_->first_page,
                         morsel_->end_page);
+  }
+  if (!predicate_.empty()) {
+    out += " predicate (" + predicate_.ToString(table_->schema) + ")";
   }
   return out + DescribeColumns(schema_);
 }

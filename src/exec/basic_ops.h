@@ -19,6 +19,12 @@ namespace htg::exec {
 // visible prefix into morsels once, see PlanHeapMorsels). The scan
 // decodes and emits only the schema columns in its column list
 // (ascending indexes), the columns its plan uses.
+//
+// A scan predicate (the sargable terms of the statement's WHERE) lets the
+// scan skip data: a heap scan skips pages whose zone maps exclude a term,
+// and a clustered scan with integer terms on its leading key column seeks
+// to the range's start and stops past its end. The Filter above the scan
+// stays, so the predicate only ever drops work.
 class TableScanOp : public Operator {
  public:
   TableScanOp(catalog::TableDef* table, std::vector<int> columns);
@@ -28,7 +34,8 @@ class TableScanOp : public Operator {
 
   // Heap morsel scan.
   TableScanOp(catalog::TableDef* table, std::vector<int> columns,
-              const storage::HeapTable::PageRange& morsel);
+              const storage::HeapTable::PageRange& morsel,
+              storage::ScanPredicate predicate);
 
   const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
@@ -39,11 +46,16 @@ class TableScanOp : public Operator {
   // Schema column index of each output column.
   const std::vector<int>& columns() const { return columns_; }
 
+  void set_predicate(storage::ScanPredicate predicate);
+
  private:
   catalog::TableDef* table_;
   std::vector<int> columns_;
   Schema schema_;  // the table's schema projected onto columns_
   std::optional<storage::HeapTable::PageRange> morsel_;
+  storage::ScanPredicate predicate_;
+  // Clustered scans: the leading key range to seek (bounded = seek).
+  storage::IntRange seek_;
 };
 
 // The heap rows of `table` visible to ctx's snapshot, as one page range.

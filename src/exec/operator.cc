@@ -165,6 +165,15 @@ void ExplainAnalyzeRec(const Operator& op, int depth, std::string* out) {
       }
       out->push_back(')');
     }
+    const uint64_t read = s.pages.read.load(std::memory_order_relaxed);
+    const uint64_t skipped = s.pages.skipped.load(std::memory_order_relaxed);
+    if (read + skipped > 0) {
+      out->append(
+          StringPrintf(" (pages read %llu of %llu)",
+                       static_cast<unsigned long long>(read),
+                       static_cast<unsigned long long>(read + skipped)));
+    }
+    if (s.seeks.load(std::memory_order_relaxed) > 0) out->append(" (seek)");
   }
   out->push_back('\n');
   for (size_t w = 0; w < s.worker_rows.size(); ++w) {

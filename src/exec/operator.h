@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "exec/expression.h"
 #include "storage/mvcc.h"
+#include "storage/scan_predicate.h"
 #include "storage/table.h"
 #include "storage/tablespace.h"
 #include "types/schema.h"
@@ -90,6 +91,10 @@ struct OperatorStats {
   static constexpr uint32_t kValueKeys = 2;
   std::atomic<uint64_t> agg_groups{0};
   std::atomic<uint32_t> agg_key_layouts{0};
+  // Table scans: heap pages read and skipped by the scan predicate, and
+  // opens of a clustered scan that seeked on its leading key.
+  storage::PageCounts pages;
+  std::atomic<uint64_t> seeks{0};
   // Indexed by dense worker id; sized by the exchange operator at Open.
   // Each slot is written by exactly one worker thread.
   std::vector<uint64_t> worker_rows;

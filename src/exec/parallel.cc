@@ -210,9 +210,11 @@ OperatorPtr ApplyStages(OperatorPtr op,
 
 OperatorPtr BuildMorselPipeline(catalog::TableDef* table,
                                 const std::vector<int>& columns,
+                                const storage::ScanPredicate& predicate,
                                 const Morsel& morsel,
                                 const std::vector<ParallelStage>& stages) {
-  OperatorPtr op = std::make_unique<TableScanOp>(table, columns, morsel);
+  OperatorPtr op =
+      std::make_unique<TableScanOp>(table, columns, morsel, predicate);
   return ApplyStages(std::move(op), stages);
 }
 
@@ -241,12 +243,13 @@ std::string DistributeStreamsOp::Describe() const {
 
 OperatorPtr BuildExplainPipeline(catalog::TableDef* table,
                                  const std::vector<int>& columns,
+                                 const storage::ScanPredicate& predicate,
                                  const std::vector<ParallelStage>& stages,
                                  int dop, size_t morsel_pages) {
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
   const size_t npages = heap != nullptr ? heap->num_pages() : 0;
-  OperatorPtr op =
-      std::make_unique<TableScanOp>(table, columns, Morsel{0, npages, 0});
+  OperatorPtr op = std::make_unique<TableScanOp>(
+      table, columns, Morsel{0, npages, 0}, predicate);
   op = std::make_unique<DistributeStreamsOp>(std::move(op), dop, morsel_pages);
   return ApplyStages(std::move(op), stages);
 }
@@ -272,14 +275,16 @@ void LinkPipelineStats(const Operator* pipeline, const Operator* repr) {
 
 ParallelMapOp::ParallelMapOp(catalog::TableDef* table, std::vector<int> columns,
                              std::vector<ParallelStage> stages, int dop,
-                             size_t morsel_pages, bool preserve_order)
+                             size_t morsel_pages, bool preserve_order,
+                             storage::ScanPredicate predicate)
     : table_(table),
       columns_(std::move(columns)),
+      predicate_(std::move(predicate)),
       stages_(std::move(stages)),
       dop_(dop < 1 ? 1 : dop),
       morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages),
       preserve_order_(preserve_order),
-      repr_(BuildExplainPipeline(table_, columns_, stages_, dop_,
+      repr_(BuildExplainPipeline(table_, columns_, predicate_, stages_, dop_,
                                  morsel_pages_)) {}
 
 int64_t ParallelMapOp::EstimateRows() const {
@@ -313,8 +318,8 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
   done_order.reserve(morsels.size());
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
-        OperatorPtr pipeline =
-            BuildMorselPipeline(table_, columns_, morsels[m], stages_);
+        OperatorPtr pipeline = BuildMorselPipeline(
+            table_, columns_, predicate_, morsels[m], stages_);
         if (ctx->collect_stats) {
           LinkPipelineStats(pipeline.get(), repr_.get());
         }

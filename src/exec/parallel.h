@@ -89,9 +89,10 @@ struct ParallelStage {
 std::vector<ParallelStage> CloneStages(const std::vector<ParallelStage>& s);
 
 // Builds the per-morsel operator chain: a morsel scan of `columns` of
-// `table` wrapped by each stage in order.
+// `table` under `predicate`, wrapped by each stage in order.
 OperatorPtr BuildMorselPipeline(catalog::TableDef* table,
                                 const std::vector<int>& columns,
+                                const storage::ScanPredicate& predicate,
                                 const Morsel& morsel,
                                 const std::vector<ParallelStage>& stages);
 
@@ -135,10 +136,12 @@ void LinkPipelineStats(const Operator* pipeline, const Operator* repr);
 // ---------------------------------------------------------------------------
 class ParallelMapOp : public Operator {
  public:
-  // The pipeline scans `columns` of `table` (ascending schema indexes).
+  // The pipeline scans `columns` of `table` (ascending schema indexes)
+  // under `predicate`.
   ParallelMapOp(catalog::TableDef* table, std::vector<int> columns,
                 std::vector<ParallelStage> stages, int dop,
-                size_t morsel_pages, bool preserve_order);
+                size_t morsel_pages, bool preserve_order,
+                storage::ScanPredicate predicate = {});
 
   // The pipeline's output: the representative subtree's.
   const Schema& output_schema() const override {
@@ -154,6 +157,7 @@ class ParallelMapOp : public Operator {
  private:
   catalog::TableDef* table_;
   std::vector<int> columns_;
+  storage::ScanPredicate predicate_;
   std::vector<ParallelStage> stages_;
   int dop_;
   size_t morsel_pages_;
@@ -163,9 +167,10 @@ class ParallelMapOp : public Operator {
 
 // Builds the EXPLAIN subtree shared by the exchange operators: the stage
 // chain over a Distribute Streams marker over a full-range scan of
-// `columns`.
+// `columns` under `predicate`.
 OperatorPtr BuildExplainPipeline(catalog::TableDef* table,
                                  const std::vector<int>& columns,
+                                 const storage::ScanPredicate& predicate,
                                  const std::vector<ParallelStage>& stages,
                                  int dop, size_t morsel_pages);
 

@@ -131,6 +131,12 @@ struct Binder::FromResult {
   catalog::TableDef* pipeline_heap = nullptr;
   std::vector<int> pipeline_columns;  // the heap columns the pipeline scans
   std::vector<exec::ParallelStage> apply_stages;
+  // Set when the FROM clause reads one base table (heap or clustered),
+  // optionally extended by CROSS APPLY: the scan that takes WHERE's scan
+  // predicate. scan_origin[i] is the schema column that scope column i
+  // carries unchanged from it, or -1. A regular join clears both.
+  exec::TableScanOp* base_scan = nullptr;
+  std::vector<int> scan_origin;
 };
 
 namespace {
@@ -193,6 +199,71 @@ void SplitConjuncts(const AstExpr* e, std::vector<const AstExpr*>* out) {
     return;
   }
   out->push_back(e);
+}
+
+// The scan predicate of a bound WHERE: its top-level AND conjuncts of the
+// form `column op literal` or `literal op column` (flipped), with a
+// non-NULL literal and a column that `origin` traces to the scan.
+// BETWEEN binds as two such conjuncts.
+void ExtractScanTerms(const exec::Expr& e, const std::vector<int>& origin,
+                      storage::ScanPredicate* out) {
+  const auto* bin = dynamic_cast<const exec::BinaryExpr*>(&e);
+  if (bin == nullptr) return;
+  if (bin->op() == exec::BinaryOp::kAnd) {
+    ExtractScanTerms(*bin->left(), origin, out);
+    ExtractScanTerms(*bin->right(), origin, out);
+    return;
+  }
+  storage::ScanOp op;
+  switch (bin->op()) {
+    case exec::BinaryOp::kEq:
+      op = storage::ScanOp::kEq;
+      break;
+    case exec::BinaryOp::kLt:
+      op = storage::ScanOp::kLt;
+      break;
+    case exec::BinaryOp::kLe:
+      op = storage::ScanOp::kLe;
+      break;
+    case exec::BinaryOp::kGt:
+      op = storage::ScanOp::kGt;
+      break;
+    case exec::BinaryOp::kGe:
+      op = storage::ScanOp::kGe;
+      break;
+    default:
+      return;
+  }
+  const auto* col = dynamic_cast<const exec::ColumnRefExpr*>(bin->left());
+  const auto* lit = dynamic_cast<const exec::LiteralExpr*>(bin->right());
+  if (col == nullptr || lit == nullptr) {
+    // lit op col  ==  col op' lit with the comparison mirrored.
+    col = dynamic_cast<const exec::ColumnRefExpr*>(bin->right());
+    lit = dynamic_cast<const exec::LiteralExpr*>(bin->left());
+    if (col == nullptr || lit == nullptr) return;
+    switch (op) {
+      case storage::ScanOp::kLt:
+        op = storage::ScanOp::kGt;
+        break;
+      case storage::ScanOp::kLe:
+        op = storage::ScanOp::kGe;
+        break;
+      case storage::ScanOp::kGt:
+        op = storage::ScanOp::kLt;
+        break;
+      case storage::ScanOp::kGe:
+        op = storage::ScanOp::kLe;
+        break;
+      case storage::ScanOp::kEq:
+        break;
+    }
+  }
+  if (lit->value().is_null() ||
+      col->index() >= static_cast<int>(origin.size()) ||
+      origin[col->index()] < 0) {
+    return;
+  }
+  out->terms.push_back({origin[col->index()], op, lit->value()});
 }
 
 ExprPtr AndTogether(std::vector<ExprPtr> preds) {
@@ -399,7 +470,11 @@ Result<Binder::FromResult> Binder::BindTableRef(const TableRef& ref,
         out.pipeline_heap = table;
         out.pipeline_columns = columns;
       }
-      out.op = std::make_unique<exec::TableScanOp>(table, std::move(columns));
+      out.scan_origin = columns;
+      auto scan =
+          std::make_unique<exec::TableScanOp>(table, std::move(columns));
+      out.base_scan = scan.get();
+      out.op = std::move(scan);
       return out;
     }
     case TableRef::Kind::kTvf: {
@@ -491,6 +566,12 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt,
       std::vector<int> outer = left.scope.Kept(after);
       left.scope = left.scope.Project(outer);
       left.scope.Append(alias, fn_schema);
+      if (left.base_scan != nullptr) {
+        std::vector<int> origin;
+        for (int o : outer) origin.push_back(left.scan_origin[o]);
+        origin.resize(left.scope.cols.size(), -1);
+        left.scan_origin = std::move(origin);
+      }
       if (left.pipeline_heap != nullptr) {
         // The pipeline stays morsel-parallelizable: record the apply as a
         // replayable stage alongside the serial plan.
@@ -510,6 +591,8 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt,
     // heap-rooted pipeline.
     left.pipeline_heap = nullptr;
     left.apply_stages.clear();
+    left.base_scan = nullptr;
+    left.scan_origin.clear();
     HTG_ASSIGN_OR_RETURN(FromResult right, BindTableRef(jc.ref, needed[i]));
 
     Scope concat = left.scope;
@@ -679,10 +762,15 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   pre_ctx.scope = &scope;
   pre_ctx.db = db_;
 
-  // WHERE.
+  // WHERE, and its sargable terms as the base table scan's predicate.
   ExprPtr where;
+  storage::ScanPredicate scan_predicate;
   if (stmt.where != nullptr) {
     HTG_ASSIGN_OR_RETURN(where, BindExpr(*stmt.where, pre_ctx));
+    if (from.base_scan != nullptr) {
+      ExtractScanTerms(*where, from.scan_origin, &scan_predicate);
+      from.base_scan->set_predicate(scan_predicate);
+    }
   }
 
   // Collect aggregates and window calls from the output clauses.
@@ -728,6 +816,11 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
                                    call->call_name);
         }
         HTG_ASSIGN_OR_RETURN(spec.args, BindExprs(call->args, pre_ctx));
+        std::vector<DataType> arg_types;
+        for (const ExprPtr& a : spec.args) {
+          arg_types.push_back(a->result_type());
+        }
+        HTG_RETURN_IF_ERROR(fn->CheckArgTypes(arg_types));
       }
       agg_scope.agg_texts.push_back(spec.display);
       specs.push_back(std::move(spec));
@@ -764,7 +857,7 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
       plan = std::make_unique<exec::ParallelAggregateOp>(
           from.pipeline_heap, from.pipeline_columns, std::move(stages),
           std::move(group_exprs), group_names, std::move(spec_copies), mp.dop,
-          mp.morsel_pages);
+          mp.morsel_pages, std::move(scan_predicate));
     } else {
       if (where != nullptr) {
         plan = std::make_unique<exec::FilterOp>(std::move(plan),
@@ -796,7 +889,8 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
       }
       plan = std::make_unique<exec::ParallelMapOp>(
           from.pipeline_heap, from.pipeline_columns, std::move(stages),
-          mp.dop, mp.morsel_pages, /*preserve_order=*/true);
+          mp.dop, mp.morsel_pages, /*preserve_order=*/true,
+          std::move(scan_predicate));
     } else if (where != nullptr) {
       plan =
           std::make_unique<exec::FilterOp>(std::move(plan), std::move(where));

@@ -126,13 +126,14 @@ Status ClusteredTable::DecodeEntryLocked(const std::string& payload,
 // resume point is exact even when the entry it names was swept.
 class ClusteredTable::SnapshotIterator : public RowIterator {
  public:
-  // An empty `seek` scans from the first key.
+  // An empty `seek` scans from the first key; a NULL `stop` to the last.
   SnapshotIterator(const ClusteredTable* table, Snapshot snap, TxnId self,
-                   Row seek, std::vector<int> columns)
+                   Row seek, Value stop, std::vector<int> columns)
       : table_(table),
         snap_(std::move(snap)),
         self_(self),
         seek_(std::move(seek)),
+        stop_(std::move(stop)),
         columns_(std::move(columns)) {}
 
   bool NextBatch(RowBatch* batch) override {
@@ -164,6 +165,10 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
     for (size_t visited = 0; visited < kFillRows && cur.Valid() &&
                              *n < batch->capacity();
          ++visited) {
+      if (!stop_.is_null() && cur.key()[0].Compare(stop_) > 0) {
+        done_ = true;
+        break;
+      }
       if (Visible(cur.stamp())) {
         status_ = table_->DecodeEntryLocked(cur.payload(), &guard_, columns_,
                                             &row_);
@@ -207,6 +212,7 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
   const Snapshot snap_;
   const TxnId self_;
   const Row seek_;
+  const Value stop_;  // last leading key to visit
   const std::vector<int> columns_;  // schema columns decoded
 
   bool started_ = false;
@@ -307,16 +313,19 @@ std::unique_ptr<RowIterator> ClusteredTable::NewScan() {
 std::unique_ptr<RowIterator> ClusteredTable::NewSnapshotScan(
     Snapshot snap, TxnId self, std::vector<int> columns) {
   return std::make_unique<SnapshotIterator>(this, std::move(snap), self,
-                                            Row(), std::move(columns));
+                                            Row(), Value::Null(),
+                                            std::move(columns));
 }
 
 Result<std::unique_ptr<RowIterator>> ClusteredTable::NewSnapshotScanFrom(
-    const Row& prefix, Snapshot snap, TxnId self, std::vector<int> columns) {
+    const Row& prefix, Snapshot snap, TxnId self, std::vector<int> columns,
+    Value stop) {
   if (prefix.size() > key_columns_.size()) {
     return Status::InvalidArgument("seek key longer than clustered key");
   }
   return {std::make_unique<SnapshotIterator>(this, std::move(snap), self,
-                                             prefix, std::move(columns))};
+                                             prefix, std::move(stop),
+                                             std::move(columns))};
 }
 
 void ClusteredTable::MarkAborted(uint64_t count) {

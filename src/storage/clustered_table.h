@@ -60,13 +60,16 @@ class ClusteredTable : public TableStorage {
 
   // Key-ordered scan of exactly the rows visible to `snap` (`self` sees
   // its own uncommitted inserts), optionally starting at the first key
-  // >= `prefix`. Decodes only the schema columns in `columns` (ascending;
-  // AllColumns for full rows); each payload's CRC still covers the whole
-  // row image. Safe against concurrent InsertStamped and SweepAborted.
+  // >= `prefix` and ending before the first entry whose leading key
+  // compares above `stop` (NULL: no stop). Decodes only the schema
+  // columns in `columns` (ascending; AllColumns for full rows); each
+  // payload's CRC still covers the whole row image. Safe against
+  // concurrent InsertStamped and SweepAborted.
   std::unique_ptr<RowIterator> NewSnapshotScan(Snapshot snap, TxnId self,
                                                std::vector<int> columns);
   Result<std::unique_ptr<RowIterator>> NewSnapshotScanFrom(
-      const Row& prefix, Snapshot snap, TxnId self, std::vector<int> columns);
+      const Row& prefix, Snapshot snap, TxnId self, std::vector<int> columns,
+      Value stop = Value::Null());
 
   // Transaction abort: `count` freshly inserted entries now belong to an
   // aborted txn. They stay in the tree (hidden by their stamps) until

@@ -1,19 +1,28 @@
 #include "storage/heap_table.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/metrics.h"
+#include "common/string_util.h"
 
 namespace htg::storage {
 
 class HeapTable::ScanIterator : public RowIterator {
  public:
+  // Keeps only the terms on summarized columns: the others never prune.
   ScanIterator(HeapTable* table, const PageRange& range,
-               std::vector<int> columns)
+               std::vector<int> columns, const ScanPredicate& predicate,
+               PageCounts* counts)
       : table_(table),
         page_index_(range.first_page),
         range_(range),
-        columns_(std::move(columns)) {}
+        columns_(std::move(columns)),
+        counts_(counts) {
+    for (const ScanTerm& t : predicate.terms) {
+      if (table_->zone_slot_[t.column] >= 0) predicate_.terms.push_back(t);
+    }
+  }
 
   // Decodes the kept columns of page rows straight into the batch while
   // the page pin is held.
@@ -39,17 +48,31 @@ class HeapTable::ScanIterator : public RowIterator {
   Status status() const override { return status_; }
 
  private:
-  // Positions reader_ on the next page of the range. Returns false at the
-  // end of the range or on error (status_ distinguishes). The page fetch
-  // runs under the table's shared lock so it cannot race a truncation
-  // rewriting the page directory; the pin keeps the fetched image valid
-  // after the lock drops.
+  // Positions reader_ on the next page of the range that the predicate
+  // does not exclude. Returns false at the end of the range or on error
+  // (status_ distinguishes). Skipping and the page fetch run under the
+  // table's shared lock so they cannot race a truncation rewriting the
+  // page directory; the pin keeps the fetched image valid after the lock
+  // drops.
   bool AdvancePage() {
     if (page_index_ >= range_.end_page) return false;
     Slice page;
     {
       ReaderMutexLock lock(&table_->mu_);
-      if (page_index_ >= table_->page_rows_.size()) return false;
+      const size_t end = std::min(range_.end_page, table_->page_rows_.size());
+      const size_t first = page_index_;
+      while (page_index_ < end &&
+             table_->PageExcludedLocked(page_index_, predicate_)) {
+        ++page_index_;
+      }
+      if (page_index_ > first) {
+        const uint64_t skipped = page_index_ - first;
+        HTG_METRIC_COUNTER("heap.page.skipped")->Add(skipped);
+        if (counts_ != nullptr) {
+          counts_->skipped.fetch_add(skipped, std::memory_order_relaxed);
+        }
+      }
+      if (page_index_ >= end) return false;
       auto pinned = table_->backing_->ReadPage(page_index_);
       if (!pinned.ok()) {
         status_ = std::move(pinned).status();
@@ -65,6 +88,9 @@ class HeapTable::ScanIterator : public RowIterator {
                      ? range_.tail_rows
                      : std::numeric_limits<uint64_t>::max();
     HTG_METRIC_COUNTER("heap.page.reads")->Add(1);
+    if (counts_ != nullptr) {
+      counts_->read.fetch_add(1, std::memory_order_relaxed);
+    }
     reader_ = std::make_unique<PageReader>(&table_->schema_, page, columns_);
     status_ = reader_->Init();
     if (!status_.ok()) {
@@ -78,6 +104,8 @@ class HeapTable::ScanIterator : public RowIterator {
   size_t page_index_;
   const PageRange range_;
   const std::vector<int> columns_;  // schema columns decoded
+  ScanPredicate predicate_;  // terms on summarized columns
+  PageCounts* counts_;
   uint64_t rows_left_ = 0;  // cap on rows still to emit from this page
   PageGuard guard_;  // pin on the page reader_ is positioned on
   std::unique_ptr<PageReader> reader_;
@@ -100,13 +128,42 @@ class FailedIterator : public RowIterator {
 
 }  // namespace
 
+void HeapTable::Zone::Add(const Value& v) {
+  if (v.is_null() || state == kUnknown) return;
+  if (!v.IsIntegerKind()) {
+    state = kUnknown;
+    return;
+  }
+  const int64_t x = v.AsInt64();
+  if (state == kNoValues) {
+    min = max = x;
+    state = kRange;
+    return;
+  }
+  min = std::min(min, x);
+  max = std::max(max, x);
+}
+
 HeapTable::HeapTable(Schema schema, Compression mode,
                      std::unique_ptr<TableFile> file, size_t page_size)
     : schema_(std::move(schema)),
       mode_(mode),
       page_size_(page_size),
       builder_(&schema_, mode, page_size),
-      backing_(std::move(file)) {}
+      backing_(std::move(file)) {
+  // DOUBLE gets no summary (NaN has no place in a min/max order), nor do
+  // strings, BIT and blobs.
+  zone_slot_.assign(schema_.num_columns(), -1);
+  for (int c = 0; c < schema_.num_columns(); ++c) {
+    const DataType type = schema_.column(c).type;
+    if (type == DataType::kInt32 || type == DataType::kInt64) {
+      zone_slot_[c] = static_cast<int>(zone_columns_.size());
+      zone_columns_.push_back(c);
+    }
+  }
+  MutexLock lock(&mu_);
+  building_.assign(zone_columns_.size(), Zone());
+}
 
 Status HeapTable::Insert(const Row& row) {
   MutexLock lock(&mu_);
@@ -115,6 +172,9 @@ Status HeapTable::Insert(const Row& row) {
 
 Status HeapTable::InsertLocked(const Row& row) {
   HTG_RETURN_IF_ERROR(builder_.Add(row));
+  for (size_t z = 0; z < zone_columns_.size(); ++z) {
+    building_[z].Add(row[zone_columns_[z]]);
+  }
   num_rows_.fetch_add(1, std::memory_order_acq_rel);
   if (builder_.ShouldFlush()) HTG_RETURN_IF_ERROR(SealLocked());
   return Status::OK();
@@ -126,12 +186,15 @@ Status HeapTable::SealLocked() {
   std::string page = builder_.Finish();
   page_rows_.push_back(rows);
   page_bytes_.push_back(static_cast<uint32_t>(page.size()));
+  zones_.insert(zones_.end(), building_.begin(), building_.end());
+  building_.assign(zone_columns_.size(), Zone());
   auto page_no = backing_->AppendPage(std::move(page));
   if (!page_no.ok()) {
     // The rows of the failed page are gone; surface that rather than
     // pretending the table still holds them.
     page_rows_.pop_back();
     page_bytes_.pop_back();
+    zones_.resize(zones_.size() - zone_columns_.size());
     num_rows_.fetch_sub(static_cast<uint64_t>(rows),
                         std::memory_order_acq_rel);
     return std::move(page_no).status();
@@ -183,8 +246,64 @@ Result<HeapTable::PageRange> HeapTable::PlanVisiblePrefix(
 }
 
 std::unique_ptr<RowIterator> HeapTable::NewScanRange(
-    const PageRange& range, std::vector<int> columns) {
-  return std::make_unique<ScanIterator>(this, range, std::move(columns));
+    const PageRange& range, std::vector<int> columns,
+    const ScanPredicate& predicate, PageCounts* counts) {
+  return std::make_unique<ScanIterator>(this, range, std::move(columns),
+                                        predicate, counts);
+}
+
+bool HeapTable::PageExcludedLocked(size_t page,
+                                   const ScanPredicate& predicate) const {
+  const Zone* zones = zones_.data() + page * zone_columns_.size();
+  for (const ScanTerm& t : predicate.terms) {
+    const Zone& zone = zones[zone_slot_[t.column]];
+    // A NULL never satisfies a comparison with a non-NULL literal.
+    if (zone.state == Zone::kNoValues) return true;
+    if (zone.state == Zone::kRange && RangeExcludes(zone.min, zone.max, t)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+Status HeapTable::CheckPageDirectory() const {
+  ReaderMutexLock lock(&mu_);
+  const size_t width = zone_columns_.size();
+  const size_t pages = page_rows_.size();
+  if (page_bytes_.size() != pages || zones_.size() != pages * width ||
+      building_.size() != width || backing_->num_pages() != pages) {
+    return Status::Internal(StringPrintf(
+        "heap page directory out of step: %zu row counts, %zu sizes, %zu "
+        "summaries of %zu columns, %llu pages in the file",
+        pages, page_bytes_.size(), zones_.size(), width,
+        static_cast<unsigned long long>(backing_->num_pages())));
+  }
+  for (size_t p = 0; p < pages; ++p) {
+    HTG_ASSIGN_OR_RETURN(PageGuard guard, backing_->ReadPage(p));
+    PageReader reader(&schema_, guard.data(), zone_columns_);
+    HTG_RETURN_IF_ERROR(reader.Init());
+    std::vector<Zone> want(width);
+    Row row;
+    int rows = 0;
+    while (reader.Next(&row)) {
+      for (size_t z = 0; z < width; ++z) want[z].Add(row[z]);
+      ++rows;
+    }
+    HTG_RETURN_IF_ERROR(reader.status());
+    if (rows != page_rows_[p]) {
+      return Status::Internal(StringPrintf(
+          "heap page %zu holds %d rows, the directory says %d", p, rows,
+          page_rows_[p]));
+    }
+    for (size_t z = 0; z < width; ++z) {
+      if (!(want[z] == zones_[p * width + z])) {
+        return Status::Internal(StringPrintf(
+            "heap page %zu: summary of column %s does not match its rows", p,
+            schema_.column(zone_columns_[z]).name.c_str()));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 void HeapTable::Truncate() {
@@ -192,6 +311,8 @@ void HeapTable::Truncate() {
   HTG_IGNORE_STATUS(backing_->DropTailPages(0));
   page_rows_.clear();
   page_bytes_.clear();
+  zones_.clear();
+  building_.assign(zone_columns_.size(), Zone());
   sealed_rows_ = 0;
   builder_ = PageBuilder(&schema_, mode_, page_size_);
   num_rows_.store(0, std::memory_order_release);
@@ -248,6 +369,7 @@ Status HeapTable::TruncateToRows(uint64_t target_rows) {
   }
   page_rows_.resize(keep_pages);
   page_bytes_.resize(keep_pages);
+  zones_.resize(keep_pages * zone_columns_.size());
   sealed_rows_ = kept_sealed;
   num_rows_.store(rows, std::memory_order_release);
   for (const Row& r : survivors) {

@@ -7,6 +7,7 @@
 
 #include "common/synchronization.h"
 #include "storage/page.h"
+#include "storage/scan_predicate.h"
 #include "storage/table.h"
 #include "storage/tablespace.h"
 
@@ -29,6 +30,14 @@ namespace htg::storage {
 // down by a concurrent transaction abort (TruncateToRows) — visibility
 // limits guarantee a snapshot reader only decodes rows that survive any
 // abort.
+//
+// Zone maps: the page directory keeps, per page and per INT/BIGINT column,
+// the min and max of the page's values as stored (in memory only; the page
+// image does not change). A scan given a ScanPredicate skips, without
+// pinning or decoding, every page whose summary excludes one of its terms.
+// A summary covers all rows of its page, so for a scan capped mid-page or
+// a page holding another writer's uncommitted rows it describes a superset
+// of the visible rows, and skipping stays sound.
 class HeapTable : public TableStorage {
  public:
   // `file` (from TableSpace::CreateTableFile) receives the sealed pages.
@@ -63,9 +72,12 @@ class HeapTable : public TableStorage {
 
   // Scan of `range`, immune to appends that land after it opens. Decodes
   // only the schema columns in `columns` (ascending; AllColumns for full
-  // rows), so batches are columns.size() wide.
-  std::unique_ptr<RowIterator> NewScanRange(const PageRange& range,
-                                            std::vector<int> columns);
+  // rows), so batches are columns.size() wide. Pages whose summaries
+  // exclude a term of `predicate` are skipped; `counts` (may be null)
+  // accumulates the pages read and skipped.
+  std::unique_ptr<RowIterator> NewScanRange(
+      const PageRange& range, std::vector<int> columns,
+      const ScanPredicate& predicate = {}, PageCounts* counts = nullptr);
 
   // Pages holding rows, counting the in-progress page.
   size_t num_pages() const;
@@ -76,11 +88,37 @@ class HeapTable : public TableStorage {
   // left truncated to the rows that did survive.
   Status TruncateToRows(uint64_t target_rows);
 
+  // Consistency check of the page directory: its arrays describe the same
+  // pages, and every sealed page's summaries equal those recomputed from
+  // its rows. Reads every page; for tests.
+  Status CheckPageDirectory() const;
+
  private:
   class ScanIterator;
 
+  // One page's summary of one INT/BIGINT column.
+  struct Zone {
+    enum State : uint8_t {
+      kNoValues,  // every value NULL: no term can match
+      kRange,     // non-NULL values lie in [min, max]
+      kUnknown,   // a value of non-integer kind: never prunes
+    };
+    int64_t min = 0;
+    int64_t max = 0;
+    State state = kNoValues;
+
+    void Add(const Value& v);
+    bool operator==(const Zone& o) const {
+      return state == o.state &&
+             (state != kRange || (min == o.min && max == o.max));
+    }
+  };
+
   Status SealLocked() HTG_REQUIRES(mu_);
   Status InsertLocked(const Row& row) HTG_REQUIRES(mu_);
+  // True when the summaries of sealed page `page` exclude a term.
+  bool PageExcludedLocked(size_t page, const ScanPredicate& predicate) const
+      HTG_REQUIRES_SHARED(mu_);
 
   Schema schema_;
   Compression mode_;
@@ -88,6 +126,14 @@ class HeapTable : public TableStorage {
   mutable SharedMutex mu_{"HeapTable::mu_"};
   std::vector<int> page_rows_ HTG_GUARDED_BY(mu_);  // row count per page
   std::vector<uint32_t> page_bytes_ HTG_GUARDED_BY(mu_);  // serialized size
+  // Schema indexes of the summarized (INT/BIGINT) columns, and each schema
+  // column's slot among them (-1 = not summarized).
+  std::vector<int> zone_columns_;
+  std::vector<int> zone_slot_;
+  // zone_columns_.size() summaries per sealed page, page-major, in
+  // lockstep with page_rows_; building_ summarizes the builder's rows.
+  std::vector<Zone> zones_ HTG_GUARDED_BY(mu_);
+  std::vector<Zone> building_ HTG_GUARDED_BY(mu_);
   uint64_t sealed_rows_ HTG_GUARDED_BY(mu_) = 0;
   PageBuilder builder_ HTG_GUARDED_BY(mu_);
   // Written under mu_ exclusive; read lock-free by num_rows().

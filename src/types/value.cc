@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -77,6 +78,34 @@ std::string Value::ToString() const {
   return "?";
 }
 
+namespace {
+
+Status OutOfRange(const std::string& value, DataType target) {
+  return Status::InvalidArgument("value " + value + " is out of range for " +
+                                 std::string(DataTypeName(target)));
+}
+
+// An integer checked against the range of `target` (kInt32 or kInt64).
+Result<Value> IntegerAs(int64_t v, DataType target) {
+  if (target == DataType::kInt64) return Value::Int64(v);
+  if (v < std::numeric_limits<int32_t>::min() ||
+      v > std::numeric_limits<int32_t>::max()) {
+    return OutOfRange(std::to_string(v), target);
+  }
+  return Value::Int32(static_cast<int32_t>(v));
+}
+
+// A double truncated toward zero, as C++ converts it, once its truncation
+// is known to fit int64 (converting one that does not is undefined).
+Result<Value> DoubleAs(double d, DataType target) {
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+    return OutOfRange(StringPrintf("%g", d), target);
+  }
+  return IntegerAs(static_cast<int64_t>(d), target);
+}
+
+}  // namespace
+
 Result<Value> Value::CastTo(DataType target) const {
   if (is_null()) return Value::Null();
   if (type_ == target) return *this;
@@ -86,19 +115,12 @@ Result<Value> Value::CastTo(DataType target) const {
       if (IsDoubleKind()) return Value::Bool(AsDouble() != 0.0);
       break;
     case DataType::kInt32:
-      if (IsIntegerKind()) return Value::Int32(static_cast<int32_t>(AsInt64()));
-      if (IsDoubleKind()) return Value::Int32(static_cast<int32_t>(AsDouble()));
-      if (IsStringKind()) {
-        HTG_ASSIGN_OR_RETURN(int64_t v, ParseInt64(AsString()));
-        return Value::Int32(static_cast<int32_t>(v));
-      }
-      break;
     case DataType::kInt64:
-      if (IsIntegerKind()) return Value::Int64(AsInt64());
-      if (IsDoubleKind()) return Value::Int64(static_cast<int64_t>(AsDouble()));
+      if (IsIntegerKind()) return IntegerAs(AsInt64(), target);
+      if (IsDoubleKind()) return DoubleAs(AsDouble(), target);
       if (IsStringKind()) {
         HTG_ASSIGN_OR_RETURN(int64_t v, ParseInt64(AsString()));
-        return Value::Int64(v);
+        return IntegerAs(v, target);
       }
       break;
     case DataType::kDouble:

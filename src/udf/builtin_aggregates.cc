@@ -6,6 +6,21 @@ namespace htg::udf {
 
 namespace {
 
+// The run-time error of SUM/AVG fed a string-kind value, which the
+// binder's argument check lets through only from a mistyped expression (a
+// CASE or UDF declared numeric that yields a string).
+Status NonNumeric(const char* fn, const Value& v) {
+  return Status::ExecError(std::string(fn) + " over a non-numeric value (" +
+                           std::string(DataTypeName(v.type())) + ")");
+}
+
+// Binder check of SUM/AVG: the argument's declared type is numeric.
+Status CheckNumericArg(std::string_view fn, const std::vector<DataType>& args) {
+  if (args.empty() || IsNumeric(args[0])) return Status::OK();
+  return Status::BindError(std::string(fn) + " requires a numeric argument, "
+                           "got " + std::string(DataTypeName(args[0])));
+}
+
 // COUNT(*) / COUNT(expr): rows, or non-null values.
 struct CountState {
   int64_t count = 0;
@@ -43,6 +58,7 @@ struct SumState {
   Status Accumulate(const Args& args) {
     const Value& v = args[0];
     if (v.is_null()) return Status::OK();
+    if (v.IsStringKind()) return NonNumeric("SUM", v);
     seen = true;
     if (v.IsDoubleKind()) {
       is_double = true;
@@ -71,6 +87,9 @@ class SumFunction : public TypedAggregate<SumState> {
   std::string_view name() const override { return "SUM"; }
   int min_args() const override { return 1; }
   int max_args() const override { return 1; }
+  Status CheckArgTypes(const std::vector<DataType>& args) const override {
+    return CheckNumericArg(name(), args);
+  }
   DataType result_type(const std::vector<DataType>& args) const override {
     return args[0] == DataType::kDouble ? DataType::kDouble : DataType::kInt64;
   }
@@ -123,6 +142,7 @@ struct AvgState {
   template <class Args>
   Status Accumulate(const Args& args) {
     if (args[0].is_null()) return Status::OK();
+    if (args[0].IsStringKind()) return NonNumeric("AVG", args[0]);
     sum += args[0].AsDouble();
     ++count;
     return Status::OK();
@@ -143,6 +163,9 @@ class AvgFunction : public TypedAggregate<AvgState> {
   std::string_view name() const override { return "AVG"; }
   int min_args() const override { return 1; }
   int max_args() const override { return 1; }
+  Status CheckArgTypes(const std::vector<DataType>& args) const override {
+    return CheckNumericArg(name(), args);
+  }
   DataType result_type(const std::vector<DataType>&) const override {
     return DataType::kDouble;
   }

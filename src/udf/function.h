@@ -94,6 +94,11 @@ class AggregateFunction {
   virtual int min_args() const = 0;
   virtual int max_args() const = 0;
   virtual DataType result_type(const std::vector<DataType>& args) const = 0;
+  // Rejects argument types the aggregate cannot accumulate (a BindError);
+  // the binder calls it with the arguments' declared types.
+  virtual Status CheckArgTypes(const std::vector<DataType>&) const {
+    return Status::OK();
+  }
   // False disables parallel plans over this aggregate (no partial/final).
   virtual bool SupportsMerge() const { return true; }
 

@@ -1040,7 +1040,8 @@ TEST_F(BatchParityTest, ExplainAnalyzeReportsSelfNsPerRow) {
   const std::string& plan = result->message;
   // Each producing operator's batch group carries its self time per
   // output row.
-  const size_t scan = plan.find("Table Scan [t] columns (a)");
+  const size_t scan =
+      plan.find("Table Scan [t] predicate (a >= 0) columns (a)");
   ASSERT_NE(scan, std::string::npos) << plan;
   const size_t end = plan.find('\n', scan);
   const std::string line = plan.substr(scan, end - scan);
@@ -1048,6 +1049,293 @@ TEST_F(BatchParityTest, ExplainAnalyzeReportsSelfNsPerRow) {
   ASSERT_NE(at, std::string::npos) << line;
   EXPECT_GT(std::strtod(line.c_str() + at + 12, nullptr), 0.0) << line;
   EXPECT_LT(line.find("rows/batch="), at) << line;
+}
+
+// ---------------------------------------------------- scan predicates ---
+
+// Row r of z(id BIGINT, i INT, n BIGINT, s VARCHAR(10), d FLOAT), inserted
+// in id order: id ascends across the heap's pages, i = id / 50 ascends
+// with a NULL every 9th row, n descends and is NULL for ids 400..999 (whole
+// pages whose n summary holds no value), s is NULL every 13th row, and d
+// is a DOUBLE (never summarized).
+Row ZoneRow(int r) {
+  Row row;
+  row.push_back(Value::Int64(r));
+  row.push_back(r % 9 == 4 ? Value::Null() : Value::Int32(r / 50));
+  row.push_back(r >= 400 && r < 1000 ? Value::Null()
+                                     : Value::Int64(3000 - r));
+  row.push_back(r % 13 == 0 ? Value::Null()
+                            : Value::String("k" + std::to_string(r % 40)));
+  row.push_back(Value::Double(r * 0.25));
+  return row;
+}
+
+// A WHERE condition and its oracle over a ZoneRow (NULL never matches).
+struct ScanCase {
+  std::string where;
+  std::function<bool(const Row&)> keep;
+};
+
+std::vector<ScanCase> ScanCases() {
+  const auto num = [](const Row& r, int c) {
+    return r[c].is_null() ? std::optional<double>()
+                          : std::optional<double>(r[c].AsDouble());
+  };
+  const auto id = [](const Row& r) { return r[0].AsInt64(); };
+  const auto str = [](const Row& r) {
+    return r[3].is_null() ? std::optional<std::string>()
+                          : std::optional<std::string>(r[3].AsString());
+  };
+  return {
+      {"id = 1234", [=](const Row& r) { return id(r) == 1234; }},
+      // FLOAT literals against INT/BIGINT columns compare numerically.
+      {"id = 2.5", [](const Row&) { return false; }},
+      {"id >= 2.5 AND id < 10",
+       [=](const Row& r) { return id(r) >= 3 && id(r) < 10; }},
+      {"i = 2.5", [](const Row&) { return false; }},
+      {"i >= 2.5 AND i <= 4",
+       [=](const Row& r) {
+         return num(r, 1) && *num(r, 1) >= 2.5 && *num(r, 1) <= 4;
+       }},
+      // literal op column.
+      {"100 > id", [=](const Row& r) { return id(r) < 100; }},
+      {"2990 <= id", [=](const Row& r) { return id(r) >= 2990; }},
+      {"2500 < id", [=](const Row& r) { return id(r) > 2500; }},
+      {"500 >= id", [=](const Row& r) { return id(r) <= 500; }},
+      {"1234 = id", [=](const Row& r) { return id(r) == 1234; }},
+      {"id BETWEEN 500 AND 620",
+       [=](const Row& r) { return id(r) >= 500 && id(r) <= 620; }},
+      {"id BETWEEN 620 AND 500", [](const Row&) { return false; }},
+      {"id < -1", [](const Row&) { return false; }},
+      // NULLs, and pages whose n column is all NULL.
+      {"n >= 2500",
+       [=](const Row& r) { return num(r, 2) && *num(r, 2) >= 2500; }},
+      {"n = 300", [=](const Row& r) { return num(r, 2) && *num(r, 2) == 300; }},
+      {"n <= 2600 AND id < 1100",
+       [=](const Row& r) {
+         return num(r, 2) && *num(r, 2) <= 2600 && id(r) < 1100;
+       }},
+      // Strings and DOUBLE never prune; the Filter still decides.
+      {"s = 'k17'", [=](const Row& r) { return str(r) == "k17"; }},
+      {"s >= 'k5' AND id < 700",
+       [=](const Row& r) { return str(r) && *str(r) >= "k5" && id(r) < 700; }},
+      {"d >= 700.5", [=](const Row& r) { return r[4].AsDouble() >= 700.5; }},
+      {"i = 7 AND s = 'k3'",
+       [=](const Row& r) {
+         return num(r, 1) && *num(r, 1) == 7 && str(r) == "k3";
+       }},
+      // Not conjunctive: no scan predicate.
+      {"id = 1234 OR id = 5",
+       [=](const Row& r) { return id(r) == 1234 || id(r) == 5; }},
+  };
+}
+
+TEST_F(BatchParityTest, ScanPredicatesMatchUnprunedAndOracle) {
+  const int n = 3000;
+  std::vector<Row> rows;
+  for (int r = 0; r < n; ++r) rows.push_back(ZoneRow(r));
+  // Every case over the heap z and the clustered zc (same rows, key id),
+  // pruned and with the condition hidden behind `OR 1 = 0` (unpruned), as
+  // a plain scan, a global aggregate (parallel at DOP 8) and a CROSS APPLY
+  // pipeline (parallel at DOP 8), against the oracle over `rows`.
+  const auto expect_cases = [&](Instance& in, const std::vector<Row>& rows,
+                                 const std::string& label) {
+  for (const char* table : {"z", "zc"}) {
+    for (const ScanCase& c : ScanCases()) {
+      std::vector<Row> ids;
+      std::vector<Row> pivot;
+      int64_t count = 0;
+      int64_t sum = 0;
+      for (const Row& r : rows) {
+        if (!c.keep(r)) continue;
+        ids.push_back(Row{r[0]});
+        ++count;
+        sum += r[0].AsInt64();
+        if (r[3].is_null()) continue;
+        for (size_t k = 0; k < r[3].AsString().size(); ++k) {
+          pivot.push_back(Row{r[0], Value::Int64(r[0].AsInt64() +
+                                                 static_cast<int64_t>(k))});
+        }
+      }
+      const std::vector<Row> agg{
+          Row{Value::Int64(count), count > 0 ? Value::Int64(sum) : Value()}};
+      const std::string t = table;
+      const std::vector<std::pair<std::string, std::vector<Row>>> shapes{
+          {"SELECT id FROM " + t + " WHERE ", ids},
+          {"SELECT COUNT(*), SUM(id) FROM " + t + " WHERE ", agg},
+          {"SELECT id, pa.pos FROM " + t + " CROSS APPLY PivotAlignment(" +
+               t + ".id, s, s) AS pa WHERE ",
+           pivot}};
+      for (const auto& [select, want] : shapes) {
+        for (const std::string& where :
+             {c.where, "(" + c.where + ") OR 1 = 0"}) {
+          const std::string sql = select + where;
+          EXPECT_EQ(Render(want, true),
+                    Render(Exec(in, sql).rows, true))
+              << label << ": " << sql;
+        }
+      }
+    }
+  }
+  };
+  for (int dop : {1, 8}) {
+    Instance in = Make(dop);
+    Exec(in, "CREATE TABLE z (id BIGINT, i INT, n BIGINT, s VARCHAR(10), "
+             "d FLOAT)");
+    Exec(in, "CREATE TABLE zc (id BIGINT, i INT, n BIGINT, s VARCHAR(10), "
+             "d FLOAT) CLUSTER BY (id)");
+    auto z = in.db->GetTable("z");
+    auto zc = in.db->GetTable("zc");
+    ASSERT_TRUE(z.ok() && zc.ok());
+    for (int r = 0; r < n; ++r) {
+      ASSERT_TRUE(in.db->InsertRow(*z, rows[r]).ok());
+      ASSERT_TRUE(in.db->InsertRow(*zc, rows[n - 1 - r]).ok());
+    }
+    const std::string label = "dop=" + std::to_string(dop);
+    expect_cases(in, rows, label);
+
+    // The plans carry the predicate, parallel ones on every morsel scan.
+    const std::string plan =
+        Exec(in, "EXPLAIN SELECT COUNT(*), SUM(id) FROM z WHERE id = 1234")
+            .message;
+    EXPECT_NE(plan.find("predicate (id = 1234)"), std::string::npos) << plan;
+    if (dop > 1) {
+      EXPECT_NE(plan.find("Gather Streams"), std::string::npos) << plan;
+      const std::string apply =
+          Exec(in, "EXPLAIN SELECT id, pa.pos FROM z CROSS APPLY "
+                   "PivotAlignment(z.id, s, s) AS pa WHERE 100 > id")
+              .message;
+      EXPECT_NE(apply.find("Gather Streams"), std::string::npos) << apply;
+      EXPECT_NE(apply.find("predicate (id < 100)"), std::string::npos)
+          << apply;
+    }
+    const std::string analyzed =
+        Exec(in, "EXPLAIN ANALYZE SELECT COUNT(*), SUM(id) FROM z "
+                 "WHERE id = 1234")
+            .message;
+    EXPECT_NE(analyzed.find("(pages read 1 of "), std::string::npos)
+        << analyzed;
+    // Every non-NULL n matches `n >= 0`: only the pages whose n column is
+    // all NULL are skipped.
+    const std::string nulls =
+        Exec(in, "EXPLAIN ANALYZE SELECT id FROM z WHERE n >= 0").message;
+    const size_t read_at = nulls.find("(pages read ");
+    ASSERT_NE(read_at, std::string::npos) << nulls;
+    char* rest = nullptr;
+    const uint64_t read =
+        std::strtoull(nulls.c_str() + read_at + 12, &rest, 10);
+    const uint64_t total = std::strtoull(rest + 4, nullptr, 10);  // " of "
+    EXPECT_GT(read, 0u) << nulls;
+    EXPECT_LT(read, total) << nulls;
+
+    // Another transaction's uncommitted rows match most cases and share
+    // a page with newly committed ones, so the autocommit reader's
+    // visible prefix ends mid-page. Every result must still be the
+    // oracle's over the committed rows.
+    std::vector<Row> committed = rows;
+    for (int r = n; r < n + 50; ++r) {
+      committed.push_back(ZoneRow(r));
+      ASSERT_TRUE(in.db->InsertRow(*z, committed.back()).ok());
+      ASSERT_TRUE(in.db->InsertRow(*zc, committed.back()).ok());
+    }
+    auto txn = in.engine->BeginTxn();
+    ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+    sql::StatementOptions opts;
+    opts.txn = txn->get();
+    std::string values;
+    for (int r = 0; r < 150; ++r) {
+      values += std::string(r == 0 ? "" : ", ") +
+                "(1234, 3, 300, 'k17', 800.0), (" + std::to_string(-r - 2) +
+                ", 3, 2600, 'k5', 1.0)";
+    }
+    for (const char* t : {"z", "zc"}) {
+      ASSERT_TRUE(in.engine
+                      ->Execute(std::string("INSERT INTO ") + t + " VALUES " +
+                                    values,
+                                opts)
+                      .ok());
+    }
+    auto* heap = dynamic_cast<storage::HeapTable*>((*z)->table.get());
+    ASSERT_NE(heap, nullptr);
+    Result<storage::HeapTable::PageRange> prefix =
+        heap->PlanVisiblePrefix(committed.size());
+    ASSERT_TRUE(prefix.ok());
+    EXPECT_GT(prefix->tail_rows, 0u) << "the prefix should end mid-page";
+    expect_cases(in, committed, label + " with a pending writer");
+    ASSERT_TRUE(in.engine->AbortTxn(txn->get()).ok());
+  }
+}
+
+// A clustered scan with integer terms on its leading key seeks: an
+// equality, a range and an empty range return the full scan's rows, and
+// EXPLAIN ANALYZE marks the seek.
+TEST_F(BatchParityTest, ClusteredSeekMatchesFullScan) {
+  Instance in = Make();
+  Exec(in, "CREATE TABLE kv (k BIGINT PRIMARY KEY, v INT)");
+  auto kv = in.db->GetTable("kv");
+  ASSERT_TRUE(kv.ok());
+  for (int r = 0; r < 2000; ++r) {
+    ASSERT_TRUE(
+        in.db->InsertRow(*kv, Row{Value::Int64(r * 3), Value::Int32(r % 7)})
+            .ok());
+  }
+  for (const char* where :
+       {"k = 300", "k = 301", "k >= 100 AND k < 200", "k > 5990",
+        "k BETWEEN 50 AND 40", "k < 0", "k <= 2.5", "k >= 30 AND v = 3"}) {
+    const std::string seek =
+        Render(Exec(in, std::string("SELECT k, v FROM kv WHERE ") + where)
+                   .rows,
+               false);
+    const std::string full = Render(
+        Exec(in, std::string("SELECT k, v FROM kv WHERE (") + where +
+                     ") OR 1 = 0")
+            .rows,
+        false);
+    EXPECT_EQ(full, seek) << where;
+  }
+  EXPECT_EQ(Exec(in, "SELECT k FROM kv WHERE k >= 100 AND k < 200").rows.size(),
+            33u);
+  const std::string plan =
+      Exec(in, "EXPLAIN ANALYZE SELECT v FROM kv WHERE k = 300").message;
+  const size_t scan =
+      plan.find("Clustered Index Scan [kv] predicate (k = 300)");
+  ASSERT_NE(scan, std::string::npos) << plan;
+  const std::string line = plan.substr(scan, plan.find('\n', scan) - scan);
+  EXPECT_NE(line.find("actual rows=1,"), std::string::npos) << line;
+  EXPECT_NE(line.find("(seek)"), std::string::npos) << line;
+}
+
+// The wire_mixed point read over a multi-page Tag heap written in rank
+// order reads one page.
+TEST_F(BatchParityTest, PointReadReadsOnePage) {
+  Instance in = Make();
+  Exec(in, "CREATE TABLE Tag (t_id BIGINT NOT NULL, t_e_id INT, t_sg_id INT, "
+           "t_s_id INT, t_seq VARCHAR(300) NOT NULL, t_frequency BIGINT)");
+  auto tag = in.db->GetTable("Tag");
+  ASSERT_TRUE(tag.ok());
+  for (int r = 1; r <= 3000; ++r) {
+    ASSERT_TRUE(in.db
+                    ->InsertRow(*tag, Row{Value::Int64(r), Value::Int32(1),
+                                          Value::Int32(1), Value::Int32(1),
+                                          Value::String("ACGTACGTACGTACGTAC"),
+                                          Value::Int64(100000 / r)})
+                    .ok());
+  }
+  const std::string plan =
+      Exec(in, "EXPLAIN ANALYZE SELECT t_seq, t_frequency FROM Tag "
+               "WHERE t_id = 5")
+          .message;
+  const size_t at = plan.find("(pages read 1 of ");
+  ASSERT_NE(at, std::string::npos) << plan;
+  EXPECT_GT(std::strtoull(plan.c_str() + at + 17, nullptr, 10), 1u) << plan;
+  EXPECT_NE(plan.find("Table Scan [Tag] predicate (t_id = 5) columns "
+                      "(t_id, t_seq, t_frequency)"),
+            std::string::npos)
+      << plan;
+  const sql::QueryResult rows =
+      Exec(in, "SELECT t_seq, t_frequency FROM Tag WHERE t_id = 5");
+  ASSERT_EQ(rows.rows.size(), 1u);
+  EXPECT_EQ(rows.rows[0][1].AsInt64(), 20000);
 }
 
 TEST_F(BatchParityTest, UdfSeamStillCountsPerRowCalls) {

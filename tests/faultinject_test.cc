@@ -19,9 +19,12 @@
 #include "common/crc32c.h"
 #include "genomics/register.h"
 #include "sql/engine.h"
+#include "storage/buffer_pool.h"
 #include "storage/fault_injection.h"
 #include "storage/filestream.h"
+#include "storage/heap_table.h"
 #include "storage/page.h"
+#include "storage/tablespace.h"
 #include "storage/vfs.h"
 #include "storage/wal.h"
 
@@ -373,6 +376,52 @@ TEST(FileStreamFaultTest, RecoveryRollsForwardCommittedCreate) {
   auto bytes = (*reopened)->ReadAll(blob_path);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, content);
+}
+
+// ---------------------------------------------------------------------
+// Heap page directory under a failed seal
+// ---------------------------------------------------------------------
+
+// A seal whose page cannot enter the buffer pool (the pool must write a
+// dirty page back to make room, and the device fails) drops that page's
+// rows. The page directory's row counts, sizes and zone-map summaries
+// must all drop it together, so later scans and predicates see the same
+// pages.
+TEST(HeapFaultTest, FailedSealKeepsPageDirectoryInStep) {
+  FaultInjectingVfs vfs(Vfs::Default(), FaultPlan{});  // armed below
+  BufferPoolOptions pool_options;
+  pool_options.capacity_bytes = 3 * 1024;
+  BufferPool pool(pool_options);
+  auto space = TableSpace::Open(&vfs, "/tmp/htg_fi_heap_seal", &pool);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  auto file = (*space)->CreateTableFile("t");
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  Schema schema;
+  schema.AddColumn({.name = "id", .type = DataType::kInt64});
+  schema.AddColumn({.name = "lane", .type = DataType::kInt32});
+  schema.AddColumn({.name = "seq", .type = DataType::kString});
+  HeapTable table(schema, Compression::kRow, std::move(*file), 512);
+
+  FaultPlan plan;
+  plan.kind = FaultPlan::Kind::kFail;
+  plan.fail_at_op = 0;  // the first write-back
+  vfs.Reset(plan);
+  Status inserted;
+  for (int i = 0; i < 5000 && inserted.ok(); ++i) {
+    inserted = table.Insert(Row{Value::Int64(i), Value::Int32(i % 4),
+                                Value::String("ACGTACGT" + std::to_string(i))});
+  }
+  ASSERT_FALSE(inserted.ok()) << "no seal failed";
+  EXPECT_TRUE(vfs.fault_fired());
+  const Status checked = table.CheckPageDirectory();
+  EXPECT_TRUE(checked.ok()) << checked.ToString();
+  // The table counts exactly the rows its sealed pages hold.
+  auto scan = table.NewScan();
+  uint64_t rows = 0;
+  RowBatch batch;
+  while (scan->NextBatch(&batch)) rows += batch.ActiveRows();
+  EXPECT_TRUE(scan->status().ok()) << scan->status().ToString();
+  EXPECT_EQ(rows, table.num_rows());
 }
 
 }  // namespace

@@ -220,6 +220,42 @@ TEST_F(ServerTest, StatementErrorKeepsSessionUsable) {
   EXPECT_EQ(ok.rows[0][0].AsInt64(), 2);
 }
 
+// SUM over a VARCHAR column used to throw out of the aggregate and take
+// the whole server down; now it is a typed error, ad hoc and prepared,
+// and the session keeps serving (a clustered point read afterwards).
+TEST_F(ServerTest, SumOverVarcharIsTypedErrorAndSessionServes) {
+  StartServer();
+  std::unique_ptr<Client> client = Connect();
+  ASSERT_NE(client, nullptr);
+  Query(client.get(), "CREATE TABLE kv (k BIGINT PRIMARY KEY, s VARCHAR(10))");
+  Query(client.get(), "INSERT INTO kv VALUES (1, 'one'), (2, 'two')");
+  auto bad = client->Query("SELECT SUM(s) FROM kv");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kBindError)
+      << bad.status().ToString();
+  auto prepared = client->Prepare("SELECT AVG(s) FROM kv");
+  if (prepared.ok()) {
+    auto executed = client->Execute(*prepared);
+    ASSERT_FALSE(executed.ok());
+    EXPECT_EQ(executed.status().code(), StatusCode::kBindError)
+        << executed.status().ToString();
+  } else {
+    EXPECT_EQ(prepared.status().code(), StatusCode::kBindError)
+        << prepared.status().ToString();
+  }
+  const ClientResult point =
+      Query(client.get(), "SELECT s FROM kv WHERE k = 2");
+  ASSERT_EQ(point.rows.size(), 1u);
+  EXPECT_EQ(point.rows[0][0].AsString(), "two");
+  // A second client is served too: the server process survived.
+  std::unique_ptr<Client> other = Connect();
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(Query(other.get(), "SELECT COUNT(*) FROM kv").rows[0][0].AsInt64(),
+            2);
+  client->Goodbye();
+  other->Goodbye();
+}
+
 TEST_F(ServerTest, ConcurrentReadersAndWriterInterleave) {
   ServerOptions options;
   options.threads = 8;

@@ -628,6 +628,62 @@ TEST_F(SqlTest, ErrorsAreReported) {
   ExecError("CREATE TABLE t (a INT)");       // duplicate
 }
 
+// SUM and AVG accumulate numbers: a non-numeric argument is a typed bind
+// error, and a string reaching them at run time through an expression
+// declared numeric is a typed execution error, never a thrown variant
+// access.
+TEST_F(SqlTest, SumAndAvgRejectNonNumericArguments) {
+  Exec("CREATE TABLE t (a INT, s VARCHAR(10))");
+  Exec("INSERT INTO t VALUES (1, 'x'), (-1, 'y'), (2, NULL)");
+  for (const char* sql :
+       {"SELECT SUM(s) FROM t", "SELECT AVG(s) FROM t",
+        "SELECT a, SUM(s) FROM t GROUP BY a"}) {
+    Result<QueryResult> r = engine_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kBindError)
+        << sql << ": " << r.status().ToString();
+    EXPECT_NE(r.status().message().find("requires a numeric argument"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  // CASE is typed by its first branch (INT here); the ELSE branch yields
+  // a string for a <= 0.
+  for (const char* sql :
+       {"SELECT SUM(CASE WHEN a > 0 THEN a ELSE s END) FROM t",
+        "SELECT AVG(CASE WHEN a > 0 THEN a ELSE s END) FROM t"}) {
+    Result<QueryResult> r = engine_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kExecError)
+        << sql << ": " << r.status().ToString();
+  }
+  // Numeric arguments still aggregate; MIN/MAX still take strings.
+  QueryResult ok = Exec("SELECT SUM(a), AVG(a), MIN(s), MAX(s) FROM t");
+  ASSERT_EQ(ok.rows.size(), 1u);
+  EXPECT_EQ(ok.rows[0][0].AsInt64(), 2);
+  EXPECT_EQ(ok.rows[0][2].AsString(), "x");
+  EXPECT_EQ(ok.rows[0][3].AsString(), "y");
+}
+
+// An integer outside a column's range is rejected, not wrapped: 5e9 into
+// INT used to store 705032704.
+TEST_F(SqlTest, InsertOutOfRangeIntegerIsRejected) {
+  Exec("CREATE TABLE t (a INT, b BIGINT)");
+  for (const char* sql : {"INSERT INTO t VALUES (5000000000, 1)",
+                          "INSERT INTO t VALUES (-2147483649, 1)",
+                          "INSERT INTO t VALUES (3e9, 1)",
+                          "INSERT INTO t VALUES (1, 1e300)"}) {
+    Result<QueryResult> r = engine_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsInvalidArgument())
+        << sql << ": " << r.status().ToString();
+  }
+  Exec("INSERT INTO t VALUES (2147483647, 5000000000)");
+  QueryResult r = Exec("SELECT a, b FROM t");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt64(), 2147483647);
+  EXPECT_EQ(r.rows[0][1].AsInt64(), 5000000000LL);
+}
+
 TEST_F(SqlTest, TruncateAndDrop) {
   Exec("CREATE TABLE t (a INT)");
   Exec("INSERT INTO t VALUES (1), (2)");

@@ -283,6 +283,123 @@ TEST(HeapTableTest, TruncateToRowsUndoesAppends) {
   EXPECT_EQ(count, 100);
 }
 
+// SQL comparison of one row against a term: NULL matches nothing.
+bool Matches(const Row& row, const ScanTerm& term) {
+  const Value& v = row[term.column];
+  if (v.is_null()) return false;
+  const int cmp = v.Compare(term.literal);
+  switch (term.op) {
+    case ScanOp::kEq:
+      return cmp == 0;
+    case ScanOp::kLt:
+      return cmp < 0;
+    case ScanOp::kLe:
+      return cmp <= 0;
+    case ScanOp::kGt:
+      return cmp > 0;
+    case ScanOp::kGe:
+      return cmp >= 0;
+  }
+  return false;
+}
+
+// Ids of the rows matching `term`: over a scan of every page when
+// `pruned` is false, over a scan under the term otherwise (the filter
+// stays, as above a TableScanOp).
+std::vector<int64_t> MatchingIds(HeapTable* table, const ScanTerm& term,
+                                 bool pruned, PageCounts* counts = nullptr) {
+  Result<HeapTable::PageRange> range =
+      table->PlanVisiblePrefix(table->num_rows());
+  EXPECT_TRUE(range.ok());
+  ScanPredicate predicate;
+  if (pruned) predicate.terms.push_back(term);
+  auto iter = table->NewScanRange(*range, AllColumns(table->schema()),
+                                  predicate, counts);
+  std::vector<int64_t> ids;
+  for (const Row& row : ScanRows(iter.get())) {
+    if (Matches(row, term)) ids.push_back(row[0].AsInt64());
+  }
+  return ids;
+}
+
+TEST(HeapTableTest, ZoneMapsSkipPagesAPointReadCannotMatch) {
+  PooledStorage storage("/tmp/htg_storage_test_heap_zones");
+  HeapTable table(TestSchema(), Compression::kPage, storage.NewFile("t"),
+                  1024);
+  for (int i = 0; i < 600; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+  ASSERT_TRUE(table.CheckPageDirectory().ok());
+  PageCounts counts;
+  const ScanTerm point{0, ScanOp::kEq, Value::Int64(377)};
+  EXPECT_EQ(MatchingIds(&table, point, true, &counts),
+            MatchingIds(&table, point, false));
+  EXPECT_EQ(counts.read.load(), 1u);
+  EXPECT_EQ(counts.read.load() + counts.skipped.load(), table.num_pages());
+  // FLOAT literals against the BIGINT column compare numerically: no id
+  // equals 377.5, so at most the page spanning 377..378 is read, and
+  // none holds -0.5; >= 377.5 keeps the pages from 378 on.
+  PageCounts between;
+  EXPECT_TRUE(MatchingIds(&table, {0, ScanOp::kEq, Value::Double(377.5)},
+                          true, &between)
+                  .empty());
+  EXPECT_LE(between.read.load(), 1u);
+  PageCounts none;
+  EXPECT_TRUE(
+      MatchingIds(&table, {0, ScanOp::kEq, Value::Double(-0.5)}, true, &none)
+          .empty());
+  EXPECT_EQ(none.read.load(), 0u);
+  const ScanTerm ge{0, ScanOp::kGe, Value::Double(377.5)};
+  EXPECT_EQ(MatchingIds(&table, ge, true), MatchingIds(&table, ge, false));
+  // Every operator against every id and every half-way FLOAT literal,
+  // page boundaries included: pruned and unpruned scans agree.
+  for (int v = -1; v <= 601; ++v) {
+    for (ScanOp op : {ScanOp::kEq, ScanOp::kLt, ScanOp::kLe, ScanOp::kGt,
+                      ScanOp::kGe}) {
+      for (const Value& lit : {Value::Int64(v), Value::Double(v + 0.5)}) {
+        const ScanTerm term{0, op, lit};
+        ASSERT_EQ(MatchingIds(&table, term, true),
+                  MatchingIds(&table, term, false))
+            << static_cast<int>(op) << " " << lit.ToString();
+      }
+    }
+  }
+  // A term on the DOUBLE column never prunes.
+  PageCounts dbl;
+  MatchingIds(&table, {4, ScanOp::kEq, Value::Double(-1.0)}, true, &dbl);
+  EXPECT_EQ(dbl.skipped.load(), 0u);
+}
+
+// Undo of an append that ends mid-page rewrites that page's prefix; the
+// summaries must follow, through the rewrite and through later appends.
+TEST(HeapTableTest, ZoneMapsFollowMidPageTruncateAndReappend) {
+  PooledStorage storage("/tmp/htg_storage_test_heap_zone_truncate");
+  HeapTable table(TestSchema(), Compression::kRow, storage.NewFile("t"), 512);
+  for (int i = 0; i < 177; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+  ASSERT_TRUE(table.CheckPageDirectory().ok());
+  ASSERT_TRUE(table.TruncateToRows(130).ok());
+  ASSERT_TRUE(table.CheckPageDirectory().ok());
+  // Re-append: large ids, then a row whose lane is NULL.
+  for (int i = 1000; i < 1040; ++i) {
+    ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+  }
+  Row null_lane = TestRow(2000);
+  null_lane[1] = Value::Null();
+  ASSERT_TRUE(table.Insert(null_lane).ok());
+  ASSERT_TRUE(table.PlanVisiblePrefix(table.num_rows()).ok());  // seals
+  const Status checked = table.CheckPageDirectory();
+  ASSERT_TRUE(checked.ok()) << checked.ToString();
+  for (const ScanTerm& term :
+       {ScanTerm{0, ScanOp::kGe, Value::Int64(150)},
+        ScanTerm{0, ScanOp::kEq, Value::Int64(129)},
+        ScanTerm{0, ScanOp::kEq, Value::Int64(1039)},
+        ScanTerm{1, ScanOp::kEq, Value::Int64(3)}}) {
+    EXPECT_EQ(MatchingIds(&table, term, true),
+              MatchingIds(&table, term, false))
+        << term.column << " " << term.literal.ToString();
+  }
+  table.Truncate();
+  EXPECT_TRUE(table.CheckPageDirectory().ok());
+}
+
 TEST(HeapTableTest, TruncateClearsAll) {
   PooledStorage storage("/tmp/htg_storage_test_heap_truncate");
   HeapTable table(TestSchema(), Compression::kNone, storage.NewFile("t"));
@@ -416,6 +533,24 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
     ++count;
   }
   EXPECT_EQ(count, 10);
+
+  // A stop bound ends the scan past the last qualifying leading key; a
+  // stop below the seek key yields nothing.
+  auto bounded = table.NewSnapshotScanFrom(
+      Row{Value::Int64(40)}, Snapshot::All(), kFrozenTxn,
+      AllColumns(table.schema()), Value::Int64(44));
+  ASSERT_TRUE(bounded.ok());
+  std::vector<int64_t> keys;
+  for (const Row& row : ScanRows(bounded->get())) {
+    keys.push_back(row[0].AsInt64());
+  }
+  EXPECT_EQ(keys, (std::vector<int64_t>{40, 41, 42, 43, 44}));
+  auto empty = table.NewSnapshotScanFrom(Row{Value::Int64(40)},
+                                         Snapshot::All(), kFrozenTxn,
+                                         AllColumns(table.schema()),
+                                         Value::Int64(39));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(ScanRows(empty->get()).empty());
 }
 
 // ---------------------------------------------------- projected decode ---

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -86,6 +87,53 @@ TEST(ValueTest, CastNullStaysNull) {
   Result<Value> v = Value::Null().CastTo(DataType::kInt32);
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->is_null());
+}
+
+TEST(ValueTest, CastOutOfRangeIntegerIsTypedError) {
+  // INT holds [-2^31, 2^31); no silent wrap past either end.
+  EXPECT_EQ(Value::Int64(2147483647).CastTo(DataType::kInt32)->AsInt64(),
+            2147483647);
+  EXPECT_EQ(Value::Int64(-2147483648LL).CastTo(DataType::kInt32)->AsInt64(),
+            -2147483648LL);
+  for (int64_t v : {int64_t{5000000000}, int64_t{2147483648},
+                    int64_t{-2147483649}}) {
+    Result<Value> cast = Value::Int64(v).CastTo(DataType::kInt32);
+    ASSERT_FALSE(cast.ok()) << v;
+    EXPECT_TRUE(cast.status().IsInvalidArgument()) << cast.status().ToString();
+  }
+  EXPECT_TRUE(Value::String("5000000000")
+                  .CastTo(DataType::kInt32)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(Value::String("5000000000").CastTo(DataType::kInt64)->AsInt64(),
+            5000000000LL);
+}
+
+TEST(ValueTest, CastDoubleOutsideIntegerRangeIsTypedError) {
+  // In range: truncates toward zero.
+  EXPECT_EQ(Value::Double(-2.9).CastTo(DataType::kInt32)->AsInt64(), -2);
+  EXPECT_EQ(Value::Double(2147483647.9).CastTo(DataType::kInt32)->AsInt64(),
+            2147483647);
+  EXPECT_EQ(Value::Double(-9223372036854775808.0)
+                .CastTo(DataType::kInt64)
+                ->AsInt64(),
+            std::numeric_limits<int64_t>::min());
+  const double bad[] = {2147483648.0, -2147483649.0, 1e300,
+                        std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (double d : bad) {
+    Result<Value> cast = Value::Double(d).CastTo(DataType::kInt32);
+    ASSERT_FALSE(cast.ok()) << d;
+    EXPECT_TRUE(cast.status().IsInvalidArgument()) << cast.status().ToString();
+  }
+  for (double d : {9223372036854775808.0, -9223372036854777856.0, 1e300,
+                   std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    Result<Value> cast = Value::Double(d).CastTo(DataType::kInt64);
+    ASSERT_FALSE(cast.ok()) << d;
+    EXPECT_TRUE(cast.status().IsInvalidArgument()) << cast.status().ToString();
+  }
 }
 
 TEST(ValueTest, DoubleToStringReadable) {

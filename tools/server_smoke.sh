@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke of htgdb-server over a real loopback socket: launch the
 # server on an ephemeral port, drive a scripted htgdb-cli session (DDL ->
-# load -> query -> prepared statement -> close), then SIGTERM and verify a
-# clean graceful drain with no leaked process. CI's server-smoke job runs
+# load -> query -> prepared statement -> close) and a second one whose
+# failing statement must leave the server serving, then SIGTERM and verify
+# a clean graceful drain with no leaked process. CI's server-smoke job runs
 # exactly this script; locally:
 #
 #     tools/server_smoke.sh build
@@ -86,6 +87,29 @@ grep -q "^60$" "$CLI_OUT" || fail "SUM(v) result 60 not in cli output"
 # Post-ABORT count must still be 3; post-COMMIT count must be 4.
 TXN_COUNTS="$(grep -x '[0-9]*' "$CLI_OUT" | tail -2 | tr '\n' ' ')"
 [ "$TXN_COUNTS" = "3 4 " ] || fail "txn round trip counts were '$TXN_COUNTS' (want '3 4 ')"
+
+# A statement error must not take the server down: SUM over a VARCHAR
+# column fails with a typed bind error, and the same connection then gets
+# the answer to a point read (a clustered-key seek). htgdb-cli exits 1
+# because one statement failed.
+ERR_OUT="$WORK_DIR/cli_err.out"
+"$CLI" --port "$PORT" > "$ERR_OUT" 2>&1 <<'EOF'
+CREATE TABLE smoke_kv (k BIGINT PRIMARY KEY, s VARCHAR(10))
+INSERT INTO smoke_kv VALUES (1, 'one'), (2, 'two'), (3, 'three')
+SELECT SUM(s) FROM smoke_kv
+SELECT s FROM smoke_kv WHERE k = 2
+\quit
+EOF
+ERR_STATUS=$?
+echo "--- cli error session ---"
+cat "$ERR_OUT"
+[ "$ERR_STATUS" -eq 1 ] || fail "error session exited $ERR_STATUS (want 1)"
+grep -q "1 statement(s) failed" "$ERR_OUT" ||
+  fail "error session did not fail exactly one statement"
+grep -q "SUM requires a numeric argument" "$ERR_OUT" ||
+  fail "SUM(VARCHAR) did not return the typed error"
+grep -q "^two$" "$ERR_OUT" || fail "point read after the error got no answer"
+kill -0 "$SERVER_PID" 2>/dev/null || fail "server died after SUM(VARCHAR)"
 
 # Graceful drain: SIGTERM, then the process must exit 0 and be gone.
 kill -TERM "$SERVER_PID" || fail "could not signal server"
