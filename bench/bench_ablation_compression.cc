@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "storage/heap_table.h"
@@ -51,6 +53,13 @@ std::vector<Row> MakeRows(int n, bool repetitive) {
                        Value::String(std::move(qual))});
   }
   return rows;
+}
+
+// The rows of MakeRows as one batch, the form PageBuilder::Add takes.
+RowBatch MakeBatch(int n, bool repetitive) {
+  RowBatch batch;
+  for (Row& row : MakeRows(n, repetitive)) batch.AppendRow(std::move(row));
+  return batch;
 }
 
 void BM_EncodeRow(benchmark::State& state) {
@@ -102,13 +111,13 @@ void BM_PageCycle(benchmark::State& state) {
   const Schema schema = ReadSchema();
   const Compression mode = static_cast<Compression>(state.range(0));
   const bool repetitive = state.range(1) == 1;
-  const std::vector<Row> rows = MakeRows(80, repetitive);
+  const RowBatch rows = MakeBatch(80, repetitive);
   double ratio = 0;
   for (auto _ : state) {
     PageBuilder builder(&schema, mode);
     size_t raw = 0;
-    for (const Row& r : rows) {
-      bench::CheckOk(builder.Add(r), "PageBuilder::Add");
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      bench::CheckOk(builder.Add(rows, r), "PageBuilder::Add");
     }
     raw = builder.raw_bytes();
     const std::string page = builder.Finish();
@@ -132,10 +141,54 @@ BENCHMARK(BM_PageCycle)
     ->Args({1, 1})
     ->Args({2, 1});
 
-// Insert+scan throughput of a heap table per compression mode.
+// Page build cost per mode on the repetitive (DGE) regime: every row
+// goes through PageBuilder::Add, and a page is finished whenever the
+// builder reaches its flush boundary, as a heap seals. Items are rows;
+// finish_ns_per_row is the Finish() share (dictionary and page image).
+void BM_PageBuilderFinish(benchmark::State& state) {
+  const Schema schema = ReadSchema();
+  const Compression mode = static_cast<Compression>(state.range(0));
+  const RowBatch rows = MakeBatch(2000, true);
+  PageBuilder builder(&schema, mode);
+  int64_t finish_ns = 0;
+  size_t bytes = 0;
+  auto finish = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    const std::string page = builder.Finish();
+    finish_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    bytes += page.size();
+  };
+  for (auto _ : state) {
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      bench::CheckOk(builder.Add(rows, r), "PageBuilder::Add");
+      if (builder.ShouldFlush()) finish();
+    }
+    if (!builder.empty()) finish();
+  }
+  const double total_rows =
+      static_cast<double>(state.iterations()) * rows.num_rows();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.num_rows()));
+  state.counters["finish_ns_per_row"] =
+      total_rows > 0 ? static_cast<double>(finish_ns) / total_rows : 0;
+  state.counters["page_bytes_per_row"] =
+      total_rows > 0 ? static_cast<double>(bytes) / total_rows : 0;
+  state.SetLabel(std::string(CompressionName(mode)));
+}
+BENCHMARK(BM_PageBuilderFinish)->Arg(0)->Arg(1)->Arg(2);
+
+// Append+scan throughput of a heap table per compression mode: rows go
+// in through TableStorage::AppendBatch, RowBatch::kDefaultRows at a time.
 void BM_HeapInsertScan(benchmark::State& state) {
   const Compression mode = static_cast<Compression>(state.range(0));
   const std::vector<Row> rows = MakeRows(2000, true);
+  std::vector<RowBatch> batches;
+  for (const Row& r : rows) {
+    if (batches.empty() || batches.back().full()) batches.emplace_back();
+    batches.back().AppendRow(Row(r));
+  }
   // Heap pages seal into a buffer pool; the default 64 MiB holds them all.
   BufferPool pool;
   std::unique_ptr<TableSpace> space = bench::CheckOk(
@@ -145,7 +198,11 @@ void BM_HeapInsertScan(benchmark::State& state) {
                   bench::CheckOk(space->CreateTableFile("heap"),
                                  "CreateTableFile"));
   for (auto _ : state) {
-    for (const Row& r : rows) bench::CheckOk(table.Insert(r), "Insert");
+    uint64_t appended = 0;
+    for (const RowBatch& batch : batches) {
+      bench::CheckOk(table.AppendBatch(batch, kFrozenTxn, &appended),
+                     "AppendBatch");
+    }
     auto iter = table.NewScan();
     RowBatch batch;
     int count = 0;

@@ -135,79 +135,95 @@ std::vector<std::string> Database::ListTables() const {
 
 namespace {
 
-// Validates and casts `row`, moves FILESTREAM content into `store`, and
-// appends the row. Paths of the blobs it creates go to `blobs` even when
-// a later step fails, so the caller can delete them.
-Status StoreRow(storage::FileStreamStore* store, catalog::TableDef* table,
-                Row row, storage::TxnId stamp,
-                std::vector<std::string>* blobs) {
-  const Schema& schema = table->schema;
-  if (static_cast<int>(row.size()) != schema.num_columns()) {
-    return Status::InvalidArgument(StringPrintf(
-        "INSERT supplies %zu values for %d columns", row.size(),
-        schema.num_columns()));
-  }
-  for (int i = 0; i < schema.num_columns(); ++i) {
-    const Column& col = schema.column(i);
-    if (row[i].is_null()) {
-      if (!col.nullable) {
-        return Status::InvalidArgument("NULL into NOT NULL column " +
-                                       col.name);
-      }
-      continue;
-    }
-    if (col.filestream && row[i].IsStringKind()) {
-      // A string value that is already a path into the store stays a
-      // reference (rows copied between FILESTREAM tables); anything else
-      // is content and moves out into the FileStream store, with the row
-      // keeping the file path (PathName()/DATALENGTH resolve it later).
-      if (row[i].type() != DataType::kBlob &&
-          row[i].AsString().rfind(store->root(), 0) == 0 &&
-          store->BlobSize(row[i].AsString()).ok()) {
+// A blob created for one of a batch's rows: the row's position among the
+// batch's live rows, and the blob's path.
+struct CreatedBlob {
+  size_t row = 0;
+  std::string path;
+};
+
+// Validates and casts the live rows of `batch` a column at a time, and
+// moves FILESTREAM content into `store`. Blobs it creates go to `blobs`
+// even when a later value fails, so the caller can delete them.
+Status PrepareBatch(storage::FileStreamStore* store,
+                    const catalog::TableDef& table, RowBatch* batch,
+                    std::vector<CreatedBlob>* blobs) {
+  const Schema& schema = table.schema;
+  const size_t n = batch->ActiveRows();
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const Column& col = schema.column(c);
+    std::vector<Value>& values = batch->column(c);
+    for (size_t i = 0; i < n; ++i) {
+      Value& v = values[batch->ActiveIndex(i)];
+      if (v.is_null()) {
+        if (!col.nullable) {
+          return Status::InvalidArgument("NULL into NOT NULL column " +
+                                         col.name);
+        }
         continue;
       }
-      HTG_ASSIGN_OR_RETURN(
-          std::string path,
-          store->CreateBlob(table->name + "_" + col.name, row[i].AsString()));
-      blobs->push_back(path);
-      row[i] = Value::String(std::move(path));
-      continue;
-    }
-    if (row[i].type() != col.type) {
-      HTG_ASSIGN_OR_RETURN(row[i], row[i].CastTo(col.type));
+      if (col.filestream && v.IsStringKind()) {
+        // A string value that is already a path into the store stays a
+        // reference (rows copied between FILESTREAM tables); anything
+        // else is content and moves out into the FileStream store, with
+        // the row keeping the file path (PathName()/DATALENGTH resolve it
+        // later).
+        if (v.type() != DataType::kBlob &&
+            v.AsString().rfind(store->root(), 0) == 0 &&
+            store->BlobSize(v.AsString()).ok()) {
+          continue;
+        }
+        HTG_ASSIGN_OR_RETURN(
+            std::string path,
+            store->CreateBlob(table.name + "_" + col.name, v.AsString()));
+        blobs->push_back({i, path});
+        v = Value::String(std::move(path));
+        continue;
+      }
+      if (v.type() != col.type) {
+        HTG_ASSIGN_OR_RETURN(v, v.CastTo(col.type));
+      }
     }
   }
-  if (stamp != storage::kFrozenTxn) {
-    // Clustered entries carry the stamp so snapshot scans can filter;
-    // heaps stay unstamped — their visibility is a row-count watermark.
-    if (auto* clustered =
-            dynamic_cast<storage::ClusteredTable*>(table->table.get())) {
-      return clustered->InsertStamped(row, stamp);
-    }
-  }
-  return table->table->Insert(row);
+  return Status::OK();
 }
 
 }  // namespace
 
+Status Database::AppendBatch(catalog::TableDef* table, RowBatch* batch,
+                             storage::TxnId stamp,
+                             std::vector<std::string>* created_blobs,
+                             uint64_t* appended) {
+  if (batch->ActiveRows() == 0) return Status::OK();
+  if (static_cast<int>(batch->num_columns()) != table->schema.num_columns()) {
+    return Status::InvalidArgument(StringPrintf(
+        "INSERT supplies %zu values for %d columns", batch->num_columns(),
+        table->schema.num_columns()));
+  }
+  std::vector<CreatedBlob> blobs;
+  uint64_t landed = 0;
+  Status status = PrepareBatch(filestream_.get(), *table, batch, &blobs);
+  if (status.ok()) status = table->table->AppendBatch(*batch, stamp, &landed);
+  if (appended != nullptr) *appended += landed;
+  // Blobs of rows that did not land are referenced by nothing: delete
+  // them, newest first. The rest belong to the rows.
+  for (auto it = blobs.rbegin(); it != blobs.rend(); ++it) {
+    if (it->row >= landed) HTG_IGNORE_STATUS(filestream_->Delete(it->path));
+  }
+  if (created_blobs != nullptr) {
+    for (CreatedBlob& blob : blobs) {
+      if (blob.row < landed) created_blobs->push_back(std::move(blob.path));
+    }
+  }
+  return status;
+}
+
 Status Database::InsertRow(catalog::TableDef* table, Row row,
                            storage::TxnId stamp,
                            std::vector<std::string>* created_blobs) {
-  std::vector<std::string> blobs;
-  const Status stored =
-      StoreRow(filestream_.get(), table, std::move(row), stamp, &blobs);
-  if (!stored.ok()) {
-    // No row references these blobs (a later column or the append
-    // failed): delete them, newest first.
-    for (auto it = blobs.rbegin(); it != blobs.rend(); ++it) {
-      HTG_IGNORE_STATUS(filestream_->Delete(*it));
-    }
-    return stored;
-  }
-  if (created_blobs != nullptr) {
-    created_blobs->insert(created_blobs->end(), blobs.begin(), blobs.end());
-  }
-  return Status::OK();
+  RowBatch batch(1);
+  batch.AppendRow(std::move(row));
+  return AppendBatch(table, &batch, stamp, created_blobs);
 }
 
 void Database::MaybeSweepVersions() {

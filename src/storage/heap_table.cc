@@ -165,18 +165,37 @@ HeapTable::HeapTable(Schema schema, Compression mode,
   building_.assign(zone_columns_.size(), Zone());
 }
 
-Status HeapTable::Insert(const Row& row) {
+Status HeapTable::AppendBatch(const RowBatch& batch, TxnId /*stamp*/,
+                              uint64_t* appended) {
   MutexLock lock(&mu_);
-  return InsertLocked(row);
+  return AppendLocked(batch, appended);
 }
 
-Status HeapTable::InsertLocked(const Row& row) {
-  HTG_RETURN_IF_ERROR(builder_.Add(row));
-  for (size_t z = 0; z < zone_columns_.size(); ++z) {
-    building_[z].Add(row[zone_columns_[z]]);
+Status HeapTable::AppendLocked(const RowBatch& batch, uint64_t* appended) {
+  const size_t n = batch.ActiveRows();
+  size_t i = 0;
+  while (i < n) {
+    // Fill the builder up to its flush boundary (or the batch's end),
+    // then summarize that stretch column by column and seal.
+    const size_t begin = i;
+    Status added;
+    while (i < n && !builder_.ShouldFlush()) {
+      added = builder_.Add(batch, batch.ActiveIndex(i));
+      if (!added.ok()) break;
+      ++i;
+    }
+    for (size_t z = 0; z < zone_columns_.size(); ++z) {
+      const std::vector<Value>& column = batch.column(zone_columns_[z]);
+      Zone& zone = building_[z];
+      for (size_t k = begin; k < i; ++k) {
+        zone.Add(column[batch.ActiveIndex(k)]);
+      }
+    }
+    num_rows_.fetch_add(i - begin, std::memory_order_acq_rel);
+    *appended += i - begin;
+    HTG_RETURN_IF_ERROR(added);
+    if (builder_.ShouldFlush()) HTG_RETURN_IF_ERROR(SealLocked());
   }
-  num_rows_.fetch_add(1, std::memory_order_acq_rel);
-  if (builder_.ShouldFlush()) HTG_RETURN_IF_ERROR(SealLocked());
   return Status::OK();
 }
 
@@ -329,7 +348,7 @@ Status HeapTable::TruncateToRows(uint64_t target_rows) {
   // with its surviving prefix intact.
   uint64_t rows = num_rows();
   size_t keep_pages = page_rows_.size();
-  std::vector<Row> survivors;
+  RowBatch survivors;
   Status status;
   while (keep_pages > 0 && rows > target_rows) {
     const uint64_t page_rows =
@@ -353,7 +372,7 @@ Status HeapTable::TruncateToRows(uint64_t target_rows) {
                            : reader.status();
               break;
             }
-            survivors.push_back(row);
+            survivors.AppendRow(std::move(row));
           }
         }
       }
@@ -372,12 +391,11 @@ Status HeapTable::TruncateToRows(uint64_t target_rows) {
   zones_.resize(keep_pages * zone_columns_.size());
   sealed_rows_ = kept_sealed;
   num_rows_.store(rows, std::memory_order_release);
-  for (const Row& r : survivors) {
-    // Re-encoding rows that were valid on the dropped page; a failure here
-    // means the undo lost rows and must not be silently swallowed.
-    Status insert = InsertLocked(r);
-    if (!insert.ok() && status.ok()) status = insert;
-  }
+  // Re-encoding rows that were valid on the dropped page; a failure here
+  // means the undo lost rows and must not be silently swallowed.
+  uint64_t reappended = 0;
+  Status insert = AppendLocked(survivors, &reappended);
+  if (!insert.ok() && status.ok()) status = insert;
   Status sealed = SealLocked();
   if (!sealed.ok() && status.ok()) status = sealed;
   return status;

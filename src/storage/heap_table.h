@@ -47,7 +47,10 @@ class HeapTable : public TableStorage {
   const Schema& schema() const override { return schema_; }
   Compression compression() const override { return mode_; }
 
-  Status Insert(const Row& row) override;
+  // Takes the table lock once per batch; the zone-map summaries of each
+  // stretch of rows added to one page are updated a column at a time.
+  Status AppendBatch(const RowBatch& batch, TxnId stamp,
+                     uint64_t* appended) override;
   uint64_t num_rows() const override {
     return num_rows_.load(std::memory_order_acquire);
   }
@@ -115,7 +118,8 @@ class HeapTable : public TableStorage {
   };
 
   Status SealLocked() HTG_REQUIRES(mu_);
-  Status InsertLocked(const Row& row) HTG_REQUIRES(mu_);
+  Status AppendLocked(const RowBatch& batch, uint64_t* appended)
+      HTG_REQUIRES(mu_);
   // True when the summaries of sealed page `page` exclude a term.
   bool PageExcludedLocked(size_t page, const ScanPredicate& predicate) const
       HTG_REQUIRES_SHARED(mu_);

@@ -1,7 +1,7 @@
 #include "storage/page.h"
 
 #include <algorithm>
-#include <map>
+#include <functional>
 
 #include "common/crc32c.h"
 #include "common/metrics.h"
@@ -36,153 +36,150 @@ uint32_t GetU32(const char* p) {
   return v;
 }
 
-// Longest common prefix of a set of strings.
-size_t CommonPrefixLength(const std::vector<const std::string*>& values) {
-  if (values.empty()) return 0;
-  size_t lcp = values[0]->size();
-  for (size_t i = 1; i < values.size() && lcp > 0; ++i) {
-    const std::string& s = *values[i];
-    const size_t max = std::min(lcp, s.size());
-    size_t j = 0;
-    while (j < max && s[j] == (*values[0])[j]) ++j;
-    lcp = j;
-  }
-  return lcp;
-}
-
 }  // namespace
 
 PageBuilder::PageBuilder(const Schema* schema, Compression mode,
                          size_t page_size)
-    : schema_(schema), mode_(mode), page_size_(page_size) {}
+    : schema_(schema), mode_(mode), page_size_(page_size) {
+  if (mode_ == Compression::kPage) {
+    fields_.resize(schema_->num_columns());
+    field_ends_.resize(schema_->num_columns());
+  }
+}
 
-Status PageBuilder::Add(const Row& row) {
+Status PageBuilder::Add(const RowBatch& batch, size_t r) {
   const int ncols = schema_->num_columns();
-  if (static_cast<int>(row.size()) != ncols) {
-    return Status::Internal("row width does not match schema");
+  if (static_cast<int>(batch.num_columns()) != ncols) {
+    return Status::Internal("batch width does not match schema");
   }
   if (mode_ != Compression::kPage) {
-    std::string encoded;
-    HTG_RETURN_IF_ERROR(EncodeRow(*schema_, row, mode_, &encoded));
-    raw_bytes_ += encoded.size() + VarintLength(encoded.size());
-    encoded_rows_.push_back(std::move(encoded));
+    row_scratch_.clear();
+    EncodeRowValues(
+        *schema_, [&](int c) -> const Value& { return batch.column(c)[r]; },
+        mode_, &row_scratch_);
+    PutLengthPrefixed(&rows_, row_scratch_);
+    raw_bytes_ += row_scratch_.size() + VarintLength(row_scratch_.size());
   } else {
-    std::string bitmap((ncols + 7) / 8, '\0');
-    std::vector<std::string> row_fields(ncols);
-    for (int i = 0; i < ncols; ++i) {
-      if (row[i].is_null()) {
-        bitmap[i / 8] |= static_cast<char>(1 << (i % 8));
-      } else {
-        EncodeField(schema_->column(i), row[i], Compression::kRow,
-                    &row_fields[i]);
+    // Each column counts its field plus one byte (a NULL counts one),
+    // then the row's bitmap: the flush boundaries depend on it.
+    const size_t bitmap_at = bitmaps_.size();
+    bitmaps_.append((ncols + 7) / 8, '\0');
+    for (int c = 0; c < ncols; ++c) {
+      const Value& v = batch.column(c)[r];
+      if (v.is_null()) {
+        bitmaps_[bitmap_at + c / 8] |= static_cast<char>(1 << (c % 8));
+        raw_bytes_ += 1;
+        continue;
       }
-      raw_bytes_ += row_fields[i].size() + 1;
+      std::string& arena = fields_[c];
+      const size_t before = arena.size();
+      EncodeField(schema_->column(c), v, Compression::kRow, &arena);
+      field_ends_[c].push_back(static_cast<uint32_t>(arena.size()));
+      raw_bytes_ += arena.size() - before + 1;
     }
-    raw_bytes_ += bitmap.size();
-    bitmaps_.push_back(std::move(bitmap));
-    fields_.push_back(std::move(row_fields));
+    raw_bytes_ += (ncols + 7) / 8;
   }
   ++row_count_;
   return Status::OK();
 }
 
 std::string PageBuilder::Finish() {
-  std::string page = mode_ == Compression::kPage ? FinishPageCompressed()
-                                                 : FinishRowStream();
+  std::string page;
+  page.reserve(raw_bytes_ + 16);
+  page.push_back(static_cast<char>(mode_));
+  PutU16(&page, static_cast<uint16_t>(row_count_));
+  if (mode_ == Compression::kPage) {
+    PutU16(&page, static_cast<uint16_t>(schema_->num_columns()));
+    page.append(bitmaps_);  // null bitmaps, back to back
+    for (int c = 0; c < schema_->num_columns(); ++c) FinishColumn(c, &page);
+  } else {
+    page.append(rows_);
+  }
   // PAGE_VERIFY CHECKSUM: a CRC32C trailer over the whole page, so a torn
   // or bit-flipped page is a typed Status::Corruption at decode time, not
   // undefined behaviour.
   PutU32(&page, Crc32c(page));
+  // The image lives on in the buffer pool at its exact size.
+  page.shrink_to_fit();
   HTG_METRIC_COUNTER("page.build.ops")->Add(1);
   HTG_METRIC_COUNTER("page.build.bytes")->Add(page.size());
-  encoded_rows_.clear();
+  rows_.clear();
   bitmaps_.clear();
-  fields_.clear();
+  for (std::string& arena : fields_) arena.clear();
+  for (std::vector<uint32_t>& ends : field_ends_) ends.clear();
   row_count_ = 0;
   raw_bytes_ = 0;
   return page;
 }
 
-std::string PageBuilder::FinishRowStream() {
-  std::string page;
-  page.push_back(static_cast<char>(mode_));
-  PutU16(&page, static_cast<uint16_t>(row_count_));
-  for (const std::string& r : encoded_rows_) {
-    PutLengthPrefixed(&page, r);
+// One column's section: a dictionary flag, the entries' common prefix,
+// then either the distinct suffixes and each entry's id, or each
+// entry's suffix — whichever is smaller.
+void PageBuilder::FinishColumn(int c, std::string* page) {
+  const std::string& arena = fields_[c];
+  const std::vector<uint32_t>& ends = field_ends_[c];
+  const size_t n = ends.size();
+  auto entry = [&](size_t k) {
+    const size_t begin = k == 0 ? 0 : ends[k - 1];
+    return std::string_view(arena.data() + begin, ends[k] - begin);
+  };
+  const std::string_view first = n == 0 ? std::string_view() : entry(0);
+  size_t prefix_len = first.size();
+  for (size_t k = 1; k < n && prefix_len > 0; ++k) {
+    const std::string_view e = entry(k);
+    const size_t max = std::min(prefix_len, e.size());
+    size_t j = 0;
+    while (j < max && e[j] == first[j]) ++j;
+    prefix_len = j;
   }
-  return page;
-}
+  size_t plain_cost = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const size_t len = entry(k).size() - prefix_len;
+    plain_cost += VarintLength(len) + len;
+  }
 
-std::string PageBuilder::FinishPageCompressed() {
-  const int ncols = schema_->num_columns();
-  std::string page;
-  page.push_back(static_cast<char>(Compression::kPage));
-  PutU16(&page, static_cast<uint16_t>(row_count_));
-  PutU16(&page, static_cast<uint16_t>(ncols));
-  // Null bitmaps, back to back.
-  for (const std::string& bm : bitmaps_) page.append(bm);
+  // The dictionary's cost only grows as entries are added (its entry
+  // count's varint takes at least a byte), so the build stops as soon as
+  // it can no longer beat the plain layout.
+  size_t nslots = 16;
+  while (nslots < 2 * n) nslots *= 2;
+  slots_.assign(nslots, Slot());
+  ids_.resize(n);
+  dict_.clear();
+  const size_t mask = nslots - 1;
+  size_t dict_bytes = 0;  // distinct suffixes plus references so far
+  bool use_dict = true;
+  for (size_t k = 0; k < n && use_dict; ++k) {
+    const std::string_view suffix = entry(k).substr(prefix_len);
+    const auto hash =
+        static_cast<uint32_t>(std::hash<std::string_view>()(suffix));
+    size_t i = hash & mask;
+    while (slots_[i].id != kFree &&
+           (slots_[i].hash != hash || dict_[slots_[i].id] != suffix)) {
+      i = (i + 1) & mask;
+    }
+    if (slots_[i].id == kFree) {
+      slots_[i] = Slot{hash, static_cast<uint32_t>(dict_.size())};
+      dict_.push_back(suffix);
+      dict_bytes += VarintLength(suffix.size()) + suffix.size();
+    }
+    ids_[k] = slots_[i].id;
+    dict_bytes += VarintLength(ids_[k]);
+    use_dict = dict_bytes + 1 < plain_cost;
+  }
+  use_dict = use_dict && dict_bytes + VarintLength(dict_.size()) < plain_cost;
 
-  for (int c = 0; c < ncols; ++c) {
-    // Collect the encoded field of every non-null row in row order.
-    std::vector<const std::string*> entries;
-    entries.reserve(fields_.size());
-    for (size_t r = 0; r < fields_.size(); ++r) {
-      const bool is_null = (bitmaps_[r][c / 8] >> (c % 8)) & 1;
-      if (!is_null) entries.push_back(&fields_[r][c]);
-    }
-    const size_t prefix_len = CommonPrefixLength(entries);
-    const std::string prefix =
-        entries.empty() ? std::string() : entries[0]->substr(0, prefix_len);
-
-    // Candidate 1: dictionary of distinct suffixes.
-    std::map<std::string_view, int> dict;
-    size_t dict_entry_bytes = 0;
-    for (const std::string* e : entries) {
-      std::string_view suffix(*e);
-      suffix.remove_prefix(prefix_len);
-      auto [it, inserted] = dict.emplace(suffix, static_cast<int>(dict.size()));
-      if (inserted) {
-        dict_entry_bytes += VarintLength(suffix.size()) + suffix.size();
-      }
-    }
-    size_t dict_ref_bytes = 0;
-    for (const std::string* e : entries) {
-      std::string_view suffix(*e);
-      suffix.remove_prefix(prefix_len);
-      dict_ref_bytes += VarintLength(dict.find(suffix)->second);
-    }
-    const size_t dict_cost = dict_entry_bytes + dict_ref_bytes +
-                             VarintLength(dict.size());
-    // Candidate 2: plain prefix-stripped suffixes.
-    size_t plain_cost = 0;
-    for (const std::string* e : entries) {
-      const size_t n = e->size() - prefix_len;
-      plain_cost += VarintLength(n) + n;
-    }
-
-    const bool use_dict = dict_cost < plain_cost;
-    page.push_back(use_dict ? 1 : 0);
-    PutLengthPrefixed(&page, prefix);
-    if (use_dict) {
-      PutVarint64(&page, dict.size());
-      // Entries in id order.
-      std::vector<std::string_view> by_id(dict.size());
-      for (const auto& [suffix, id] : dict) by_id[id] = suffix;
-      for (std::string_view s : by_id) PutLengthPrefixed(&page, s);
-      for (const std::string* e : entries) {
-        std::string_view suffix(*e);
-        suffix.remove_prefix(prefix_len);
-        PutVarint64(&page, dict.find(suffix)->second);
-      }
-    } else {
-      for (const std::string* e : entries) {
-        std::string_view suffix(*e);
-        suffix.remove_prefix(prefix_len);
-        PutLengthPrefixed(&page, suffix);
-      }
+  page->push_back(use_dict ? 1 : 0);
+  PutLengthPrefixed(page, first.substr(0, prefix_len));
+  if (use_dict) {
+    PutVarint64(page, dict_.size());
+    for (std::string_view s : dict_) PutLengthPrefixed(page, s);
+    for (size_t k = 0; k < n; ++k) PutVarint64(page, ids_[k]);
+  } else {
+    for (size_t k = 0; k < n; ++k) {
+      PutLengthPrefixed(page, entry(k).substr(prefix_len));
     }
   }
-  return page;
 }
 
 PageReader::PageReader(const Schema* schema, Slice page,

@@ -1,12 +1,15 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/slice.h"
 #include "storage/row_codec.h"
+#include "types/row_batch.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -31,13 +34,19 @@ inline constexpr size_t kPageChecksumBytes = 4;
 // dictionary scope is one page, which is exactly why page compression is
 // effective on repetitive DGE tags and weak on nearly-unique 1000-Genomes
 // reads (paper §5.1.2).
+//
+// Rows go into arenas that keep their capacity across pages, so adding
+// one allocates nothing once a page or two is built. Finish() builds
+// each column's dictionary in an open-addressing table, hashing every
+// entry once and assigning ids in first-seen order.
 class PageBuilder {
  public:
   PageBuilder(const Schema* schema, Compression mode,
               size_t page_size = kDefaultPageSize);
 
-  // Adds a row. Callers should check ShouldFlush() after each Add.
-  Status Add(const Row& row);
+  // Adds physical row `r` of `batch` (schema-wide). Callers should check
+  // ShouldFlush() after each Add.
+  Status Add(const RowBatch& batch, size_t r);
 
   // True once the buffered (pre-page-compression) bytes reach the page size.
   bool ShouldFlush() const { return raw_bytes_ >= page_size_; }
@@ -50,18 +59,32 @@ class PageBuilder {
   std::string Finish();
 
  private:
-  std::string FinishRowStream();
-  std::string FinishPageCompressed();
+  static constexpr uint32_t kFree = ~uint32_t{0};
+  // One dictionary slot: an entry's cached hash and its id.
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t id = kFree;
+  };
+
+  void FinishColumn(int c, std::string* page);
 
   const Schema* schema_;
   Compression mode_;
   size_t page_size_;
 
-  // NONE/ROW: ready-to-ship encoded rows.
-  std::vector<std::string> encoded_rows_;
-  // PAGE: per-row null bitmap + per-row per-column encoded fields.
-  std::vector<std::string> bitmaps_;
-  std::vector<std::vector<std::string>> fields_;
+  // NONE/ROW: the row stream, each row's encoding length-prefixed.
+  std::string rows_;
+  std::string row_scratch_;  // one row's encoding
+  // PAGE: the rows' null bitmaps back to back; per column, its non-NULL
+  // ROW-encoded fields back to back and the end offset of each.
+  std::string bitmaps_;
+  std::vector<std::string> fields_;
+  std::vector<std::vector<uint32_t>> field_ends_;
+  // Finish() scratch: the dictionary's slots, each entry's id and the
+  // distinct suffixes in id order.
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> ids_;
+  std::vector<std::string_view> dict_;
 
   int row_count_ = 0;
   size_t raw_bytes_ = 0;

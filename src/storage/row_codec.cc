@@ -312,15 +312,8 @@ Status EncodeRow(const Schema& schema, const Row& row, Compression mode,
     return Status::Internal(StringPrintf(
         "row width %zu does not match schema width %d", row.size(), ncols));
   }
-  const size_t bitmap_offset = out->size();
-  out->append((ncols + 7) / 8, '\0');
-  for (int i = 0; i < ncols; ++i) {
-    if (row[i].is_null()) {
-      (*out)[bitmap_offset + i / 8] |= static_cast<char>(1 << (i % 8));
-    } else {
-      EncodeField(schema.column(i), row[i], mode, out);
-    }
-  }
+  EncodeRowValues(
+      schema, [&](int c) -> const Value& { return row[c]; }, mode, out);
   return Status::OK();
 }
 

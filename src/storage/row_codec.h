@@ -38,7 +38,26 @@ const char* DecodeField(const Column& column, Compression mode, const char* p,
 // The column list of a full-width decode: every index of `schema`.
 std::vector<int> AllColumns(const Schema& schema);
 
-// Encodes a full row: null bitmap followed by the non-null fields.
+// Appends the encoding of a full row to `out`: null bitmap followed by
+// the non-null fields. `value_at(c)` yields the row's value of schema
+// column c, so rows encode straight from a Row or a RowBatch.
+template <typename ValueAt>
+void EncodeRowValues(const Schema& schema, ValueAt&& value_at,
+                     Compression mode, std::string* out) {
+  const int ncols = schema.num_columns();
+  const size_t bitmap_offset = out->size();
+  out->append((ncols + 7) / 8, '\0');
+  for (int i = 0; i < ncols; ++i) {
+    const Value& v = value_at(i);
+    if (v.is_null()) {
+      (*out)[bitmap_offset + i / 8] |= static_cast<char>(1 << (i % 8));
+    } else {
+      EncodeField(schema.column(i), v, mode, out);
+    }
+  }
+}
+
+// Encodes a full row (EncodeRowValues over `row`, width-checked).
 Status EncodeRow(const Schema& schema, const Row& row, Compression mode,
                  std::string* out);
 

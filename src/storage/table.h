@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "storage/mvcc.h"
 #include "storage/row_codec.h"
 #include "types/row_batch.h"
 #include "types/schema.h"
@@ -74,7 +75,15 @@ class TableStorage {
   virtual const Schema& schema() const = 0;
   virtual Compression compression() const = 0;
 
-  virtual Status Insert(const Row& row) = 0;
+  // The one way rows enter a table: appends the live rows of `batch`
+  // (schema-wide, each value NULL or of its column's type) in order.
+  // Clustered entries carry `stamp`, the writing transaction's id
+  // (kFrozenTxn outside one); heaps ignore it, their visibility is a
+  // row-count watermark. Adds the rows that landed to *appended, also
+  // when a later row fails. Validation, casts and FILESTREAM moves are
+  // the caller's (Database::AppendBatch).
+  virtual Status AppendBatch(const RowBatch& batch, TxnId stamp,
+                             uint64_t* appended) = 0;
   virtual uint64_t num_rows() const = 0;
   virtual StorageStats Stats() const = 0;
 

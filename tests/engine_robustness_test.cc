@@ -78,6 +78,54 @@ TEST_F(RobustnessTest, FailedDirectInsertDeletesItsBlob) {
   EXPECT_EQ(table->table->num_rows(), 0u);
 }
 
+// Database::AppendBatch validates and casts the whole batch before any
+// of it lands: a bad row k fails the call with a typed error, the table
+// is unchanged, and the blobs the batch's rows created are deleted.
+TEST_F(RobustnessTest, AppendBatchFailsWholeOnABadRow) {
+  // The FILESTREAM column comes first, so every row's blob exists by the
+  // time the bad id fails the batch.
+  Exec("CREATE TABLE fh (data VARBINARY(MAX) FILESTREAM, id INT NOT NULL)");
+  Exec("CREATE TABLE fc (data VARBINARY(MAX) FILESTREAM, id INT NOT NULL, "
+       "PRIMARY KEY (id))");
+  const uint64_t start = db_->filestream()->TotalBytes();
+  auto batch_with = [](const Value& bad) {
+    RowBatch batch;
+    for (int i = 0; i < 5; ++i) {
+      batch.AppendRow(Row{Value::Blob("blob-" + std::to_string(i)),
+                          i == 3 ? bad : Value::Int32(i)});
+    }
+    return batch;
+  };
+  for (const char* name : {"fh", "fc"}) {
+    catalog::TableDef* table = *db_->GetTable(name);
+    const uint64_t before = db_->filestream()->TotalBytes();
+    // NOT NULL, then a BIGINT beyond INT's range.
+    for (const Value& bad : {Value::Null(), Value::Int64(5000000000)}) {
+      RowBatch batch = batch_with(bad);
+      uint64_t appended = 0;
+      const Status failed = db_->AppendBatch(
+          table, &batch, storage::kFrozenTxn, nullptr, &appended);
+      ASSERT_FALSE(failed.ok()) << name;
+      EXPECT_TRUE(failed.IsInvalidArgument()) << failed.ToString();
+      EXPECT_EQ(appended, 0u) << name;
+      EXPECT_EQ(table->table->num_rows(), 0u) << name;
+      EXPECT_EQ(db_->filestream()->TotalBytes(), before) << name;
+    }
+    // The same batch without the bad row lands whole and keeps its blobs.
+    RowBatch good = batch_with(Value::Int32(3));
+    uint64_t appended = 0;
+    ASSERT_TRUE(db_->AppendBatch(table, &good, storage::kFrozenTxn, nullptr,
+                                 &appended)
+                    .ok());
+    EXPECT_EQ(appended, 5u);
+    EXPECT_EQ(table->table->num_rows(), 5u);
+  }
+  EXPECT_EQ(db_->filestream()->TotalBytes(), start + 2 * 5 * 6);
+  QueryResult r = Exec("SELECT COUNT(*), SUM(id) FROM fc");
+  EXPECT_EQ(r.rows[0][0].AsInt64(), 5);
+  EXPECT_EQ(r.rows[0][1].AsInt64(), 10);
+}
+
 TEST_F(RobustnessTest, SuccessfulFilestreamInsertKeepsBlob) {
   Exec("CREATE TABLE files (id INT, data VARBINARY(MAX) FILESTREAM)");
   Exec("INSERT INTO files VALUES (1, 'blob-bytes')");

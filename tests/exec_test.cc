@@ -12,6 +12,7 @@
 #include "exec/operator.h"
 #include "exec/sort_ops.h"
 #include "storage/heap_table.h"
+#include "pooled_storage.h"
 
 namespace htg::exec {
 namespace {
@@ -38,7 +39,7 @@ catalog::TableDef* MakeNumbersTable(Database* db, const std::string& name,
   for (int i = 0; i < n; ++i) {
     Row row{Value::Int32(i % groups), Value::Int64(i),
             Value::String("s" + std::to_string(i % groups))};
-    EXPECT_TRUE(table->table->Insert(row).ok());
+    EXPECT_TRUE(storage::AppendRow(table->table.get(), row).ok());
   }
   return table;
 }
@@ -285,7 +286,9 @@ TEST(OperatorTest, GroupTableManyCompositeKeysMatchOracle) {
     const Value k = j % 97 == 0 ? Value::Null() : Value::Int32(j / 7);
     const Value s = j % 89 == 0 ? Value::Null()
                                 : Value::String("key-" + std::to_string(j % 7));
-    ASSERT_TRUE(table->table->Insert(Row{k, s, Value::Int64(i)}).ok());
+    ASSERT_TRUE(
+        storage::AppendRow(table->table.get(), Row{k, s, Value::Int64(i)})
+            .ok());
     auto& [count, sum] = oracle[k.ToString() + "|" + s.ToString()];
     ++count;
     sum += i;
@@ -495,15 +498,15 @@ TEST(OperatorTest, HashAndMergeJoinAgree) {
   catalog::TableDef* right = *db->GetTable("R");
   // Left: ids 0..99 with duplicates every 10; right: even ids, some dup.
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(left->table
-                    ->Insert(Row{Value::Int64(i % 90),
-                                 Value::String("l" + std::to_string(i))})
+    ASSERT_TRUE(storage::AppendRow(left->table.get(),
+                                   Row{Value::Int64(i % 90),
+                                       Value::String("l" + std::to_string(i))})
                     .ok());
   }
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(right->table
-                    ->Insert(Row{Value::Int64(i * 2),
-                                 Value::String("r" + std::to_string(i))})
+    ASSERT_TRUE(storage::AppendRow(right->table.get(),
+                                   Row{Value::Int64(i * 2),
+                                       Value::String("r" + std::to_string(i))})
                     .ok());
   }
   auto run = [&](bool merge) {
@@ -569,7 +572,9 @@ TEST(OperatorTest, StreamAggregateOverOrderedInput) {
   catalog::TableDef* table = *db->GetTable("ordered");
   for (int i = 0; i < 60; ++i) {
     ASSERT_TRUE(
-        table->table->Insert(Row{Value::Int32(i / 20), Value::Int64(i)}).ok());
+        storage::AppendRow(table->table.get(),
+                           Row{Value::Int32(i / 20), Value::Int64(i)})
+            .ok());
   }
   std::vector<ExprPtr> groups;
   groups.push_back(Col(0, DataType::kInt32));

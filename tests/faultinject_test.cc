@@ -27,6 +27,7 @@
 #include "storage/tablespace.h"
 #include "storage/vfs.h"
 #include "storage/wal.h"
+#include "pooled_storage.h"
 
 namespace htg::storage {
 namespace {
@@ -43,6 +44,42 @@ TEST(Crc32cTest, KnownVectors) {
   uint32_t piecewise = 0;
   for (char c : data) piecewise = Crc32cExtend(piecewise, &c, 1);
   EXPECT_EQ(piecewise, Crc32c(data));
+}
+
+// The RFC 3720 (iSCSI) vectors, and every split point and alignment of a
+// buffer long enough to reach the 8-byte inner loop, against a bytewise
+// reference.
+TEST(Crc32cTest, Rfc3720VectorsAndEverySplit) {
+  std::string zeros(32, '\0'), ones(32, '\xff'), up(32, '\0'), down(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(Crc32c(zeros), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(up), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c(down), 0x113FDB5Cu);
+  std::string data(100, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 131 + 7);
+  }
+  uint32_t want = ~0u;
+  for (char c : data) {
+    want ^= static_cast<unsigned char>(c);
+    for (int b = 0; b < 8; ++b) {
+      want = (want >> 1) ^ ((want & 1) ? 0x82F63B78u : 0);
+    }
+  }
+  want = ~want;
+  for (size_t offset = 0; offset < 9; ++offset) {
+    const std::string shifted = std::string(offset, 'x') + data;
+    for (size_t split = 0; split <= data.size(); ++split) {
+      const uint32_t head = Crc32cExtend(0, shifted.data() + offset, split);
+      const uint32_t whole = Crc32cExtend(
+          head, shifted.data() + offset + split, data.size() - split);
+      ASSERT_EQ(whole, want) << "offset " << offset << " split " << split;
+    }
+  }
 }
 
 TEST(Crc32cTest, DetectsSingleBitFlips) {
@@ -73,10 +110,10 @@ TEST_P(PageCorruptionTest, EveryByteFlipYieldsCorruption) {
   const Schema schema = PageSchema();
   PageBuilder builder(&schema, GetParam());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(builder
-                    .Add(Row{Value::Int64(i),
-                             Value::String("ACGTACGT" + std::to_string(i)),
-                             Value::Double(i * 0.25)})
+    ASSERT_TRUE(AddRow(&builder,
+                       Row{Value::Int64(i),
+                           Value::String("ACGTACGT" + std::to_string(i)),
+                           Value::Double(i * 0.25)})
                     .ok());
   }
   const std::string page = builder.Finish();
@@ -108,9 +145,9 @@ TEST_P(PageCorruptionTest, TruncatedPageYieldsCorruption) {
   const Schema schema = PageSchema();
   PageBuilder builder(&schema, GetParam());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        builder.Add(Row{Value::Int64(i), Value::String("x"), Value::Double(0)})
-            .ok());
+    ASSERT_TRUE(AddRow(&builder, Row{Value::Int64(i), Value::String("x"),
+                                     Value::Double(0)})
+                    .ok());
   }
   const std::string page = builder.Finish();
   for (size_t cut : {page.size() - 1, page.size() / 2, size_t{1}}) {
@@ -408,8 +445,9 @@ TEST(HeapFaultTest, FailedSealKeepsPageDirectoryInStep) {
   vfs.Reset(plan);
   Status inserted;
   for (int i = 0; i < 5000 && inserted.ok(); ++i) {
-    inserted = table.Insert(Row{Value::Int64(i), Value::Int32(i % 4),
-                                Value::String("ACGTACGT" + std::to_string(i))});
+    inserted = AppendRow(&table,
+                         Row{Value::Int64(i), Value::Int32(i % 4),
+                             Value::String("ACGTACGT" + std::to_string(i))});
   }
   ASSERT_FALSE(inserted.ok()) << "no seal failed";
   EXPECT_TRUE(vfs.fault_fired());

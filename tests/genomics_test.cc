@@ -103,6 +103,31 @@ TEST(ReadNameTest, FormatParseRoundTrip) {
   EXPECT_FALSE(ParseReadName("m_1:2:3").ok());
 }
 
+TEST(ReadNameTest, MalformedCoordinatesAreTypedErrors) {
+  for (const char* name : {
+           "IL4_855:1:17:5000000000:659",   // x beyond INT
+           "IL4_855:1:17:-2147483649:659",  // below INT
+           "IL4_855:1::954:659",            // empty part
+           "IL4_855:1:17:954:",             // empty last part
+           "IL4_855:1:17:+954:659",         // sign
+           "IL4_855:1:17: 954:659",         // leading space
+           "IL4_855:1:17:954 :659",         // trailing space
+           "IL4_855:1:17:954:659:1",        // a sixth part
+           "IL4_855:1:17:9x4:659",          // not a number
+       }) {
+    Result<ReadCoordinates> parsed = ParseReadName(name);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << name << ": " << parsed.status().ToString();
+  }
+  // INT's ends still parse.
+  Result<ReadCoordinates> ends =
+      ParseReadName("IL4_0:1:2147483647:-2147483648:0");
+  ASSERT_TRUE(ends.ok()) << ends.status().ToString();
+  EXPECT_EQ(ends->tile, 2147483647);
+  EXPECT_EQ(ends->x, -2147483647 - 1);
+}
+
 TEST(FastqTest, WholeFileRoundTrip) {
   std::vector<ShortRead> reads;
   for (int i = 0; i < 100; ++i) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "storage/buffer_pool.h"
+#include "storage/page.h"
 #include "storage/table.h"
 #include "storage/tablespace.h"
 #include "storage/vfs.h"
@@ -38,6 +39,22 @@ class PooledStorage {
   BufferPool pool_;
   std::unique_ptr<TableSpace> space_;
 };
+
+// Appends one row to `table` as a one-row batch stamped `stamp`.
+inline Status AppendRow(TableStorage* table, Row row,
+                        TxnId stamp = kFrozenTxn) {
+  RowBatch batch(1);
+  batch.AppendRow(std::move(row));
+  uint64_t appended = 0;
+  return table->AppendBatch(batch, stamp, &appended);
+}
+
+// Adds one row to `builder` through a one-row batch.
+inline Status AddRow(PageBuilder* builder, const Row& row) {
+  RowBatch batch(1);
+  batch.AppendRow(Row(row));
+  return builder->Add(batch, 0);
+}
 
 // Every row of a scan, drained batch by batch; a failed scan fails the
 // calling test.

@@ -181,7 +181,7 @@ TEST_P(CodecProperty, RandomPagesRoundTrip) {
       for (const Column& col : schema.columns()) {
         row.push_back(RandomValue(&rng, col));
       }
-      ASSERT_TRUE(builder.Add(row).ok());
+      ASSERT_TRUE(storage::AddRow(&builder, row).ok());
       rows.push_back(std::move(row));
     }
     const std::string page = builder.Finish();
@@ -347,8 +347,9 @@ TEST(HeapTableProperty, ScanReturnsInsertionOrderAtAnyPageSize) {
     const int n = 777;
     for (int i = 0; i < n; ++i) {
       ASSERT_TRUE(
-          table.Insert(Row{Value::Int64(i),
-                           Value::String(RandomAscii(&rng, 30))})
+          storage::AppendRow(&table,
+                             Row{Value::Int64(i),
+                                 Value::String(RandomAscii(&rng, 30))})
               .ok());
     }
     auto iter = table.NewScan();

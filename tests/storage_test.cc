@@ -144,7 +144,7 @@ TEST_P(PageTest, BuildAndReadBack) {
   const Schema schema = TestSchema();
   PageBuilder builder(&schema, GetParam());
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(builder.Add(TestRow(i)).ok());
+    ASSERT_TRUE(AddRow(&builder, TestRow(i)).ok());
   }
   const std::string page = builder.Finish();
   PageReader reader(&schema, Slice(page), AllColumns(schema));
@@ -166,8 +166,8 @@ TEST_P(PageTest, NullsInPage) {
   Row with_nulls = TestRow(1);
   with_nulls[2] = Value::Null();
   with_nulls[4] = Value::Null();
-  ASSERT_TRUE(builder.Add(with_nulls).ok());
-  ASSERT_TRUE(builder.Add(TestRow(2)).ok());
+  ASSERT_TRUE(AddRow(&builder, with_nulls).ok());
+  ASSERT_TRUE(AddRow(&builder, TestRow(2)).ok());
   const std::string page = builder.Finish();
   PageReader reader(&schema, Slice(page), AllColumns(schema));
   ASSERT_TRUE(reader.Init().ok());
@@ -194,8 +194,8 @@ TEST(PageCompressionTest, DictionaryShrinksRepetitiveColumns) {
   PageBuilder row_builder(&schema, Compression::kRow);
   for (int i = 0; i < 200; ++i) {
     Row row{Value::String("ACGTACGTACGTACGTACGT" + std::to_string(i % 4))};
-    ASSERT_TRUE(page_builder.Add(row).ok());
-    ASSERT_TRUE(row_builder.Add(row).ok());
+    ASSERT_TRUE(AddRow(&page_builder, row).ok());
+    ASSERT_TRUE(AddRow(&row_builder, row).ok());
   }
   const std::string page_compressed = page_builder.Finish();
   const std::string row_compressed = row_builder.Finish();
@@ -212,8 +212,8 @@ TEST(PageCompressionTest, UniqueValuesGainLittle) {
     std::string seq;
     for (int b = 0; b < 36; ++b) seq.push_back("ACGT"[rng.Uniform(4)]);
     Row row{Value::String(seq)};
-    ASSERT_TRUE(page_builder.Add(row).ok());
-    ASSERT_TRUE(row_builder.Add(row).ok());
+    ASSERT_TRUE(AddRow(&page_builder, row).ok());
+    ASSERT_TRUE(AddRow(&row_builder, row).ok());
   }
   const std::string page_compressed = page_builder.Finish();
   const std::string row_compressed = row_builder.Finish();
@@ -222,11 +222,140 @@ TEST(PageCompressionTest, UniqueValuesGainLittle) {
   EXPECT_GT(page_compressed.size(), row_compressed.size() * 85 / 100);
 }
 
+// Golden page images. The rows below go through a PageBuilder that
+// finishes a page whenever ShouldFlush() says so, exactly as a heap
+// seals; the page count, total bytes and CRC32C over every page image
+// were recorded from the builder that used a per-page std::map
+// dictionary. Any change to the encoding, the dictionary's id order or
+// the flush boundaries shows up here.
+struct PageImages {
+  size_t pages = 0;
+  size_t bytes = 0;
+  uint32_t crc = 0;
+};
+
+PageImages BuildPageImages(const Schema& schema, const std::vector<Row>& rows,
+                           Compression mode, size_t page_size) {
+  PageBuilder builder(&schema, mode, page_size);
+  PageImages out;
+  auto finish = [&] {
+    const std::string page = builder.Finish();
+    ++out.pages;
+    out.bytes += page.size();
+    // Each page ends in its own CRC32C, which would fold to a constant:
+    // fold the page's size and body instead.
+    const uint32_t size = static_cast<uint32_t>(page.size());
+    out.crc = Crc32cExtend(out.crc, &size, sizeof(size));
+    out.crc = Crc32cExtend(out.crc, page.data(),
+                           page.size() - kPageChecksumBytes);
+  };
+  for (const Row& row : rows) {
+    EXPECT_TRUE(AddRow(&builder, row).ok());
+    if (builder.ShouldFlush()) finish();
+  }
+  if (!builder.empty()) finish();
+  return out;
+}
+
+Schema GoldenSchema() {
+  Schema schema;
+  schema.AddColumn({.name = "id", .type = DataType::kInt64});
+  schema.AddColumn({.name = "lane", .type = DataType::kInt32});
+  schema.AddColumn({.name = "tag", .type = DataType::kString});  // dict wins
+  schema.AddColumn({.name = "name", .type = DataType::kString});  // plain wins
+  Column code;
+  code.name = "code";
+  code.type = DataType::kString;
+  code.fixed_length = 8;
+  schema.AddColumn(code);
+  schema.AddColumn({.name = "score", .type = DataType::kDouble});
+  schema.AddColumn({.name = "none", .type = DataType::kString});  // all NULL
+  schema.AddColumn({.name = "flag", .type = DataType::kBool});
+  return schema;
+}
+
+// NULLs in several columns, an all-NULL column, empty strings, a
+// repetitive column (the dictionary wins) and a unique one (plain wins).
+std::vector<Row> GoldenMixedRows(int n) {
+  static const char* const kTags[] = {"ACGTACGTAAC", "ACGTACGTTTG",
+                                      "ACGTAGGGCCA", ""};
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(Row{
+        Value::Int64(1000 + 37 * i),
+        i % 3 == 0 ? Value::Null() : Value::Int32(i % 8),
+        i % 11 == 5 ? Value::Null() : Value::String(kTags[(i * i) % 4]),
+        Value::String("HWI_" + std::to_string(i * 7919 % 10007) + ":" +
+                      std::to_string(i)),
+        Value::String(i % 4 == 0 ? "" : "AB" + std::to_string(i % 5)),
+        i % 7 == 0 ? Value::Null() : Value::Double(i * 0.25 - 3),
+        Value::Null(),
+        Value::Bool(i % 2 == 1)});
+  }
+  return rows;
+}
+
+// One column with 150 distinct values repeated four times: the page
+// dictionary holds more than 128 entries, so ids take 2-byte varints.
+std::vector<Row> GoldenWideDictRows() {
+  std::vector<Row> rows;
+  for (int i = 0; i < 600; ++i) {
+    const int v = (i * 7) % 150;
+    rows.push_back(Row{Value::String("gene_" + std::to_string(v * 101))});
+  }
+  return rows;
+}
+
+TEST(PageGoldenTest, ImagesMatchRecordedBytes) {
+  const Schema mixed = GoldenSchema();
+  Schema one;
+  one.AddColumn({.name = "gene", .type = DataType::kString});
+  const std::vector<Row> mixed_rows = GoldenMixedRows(300);
+  const std::vector<Row> wide_rows = GoldenWideDictRows();
+  // A row larger than the page, between ordinary rows.
+  std::vector<Row> big_rows = GoldenMixedRows(6);
+  big_rows[3][3] = Value::String(std::string(3000, 'N') + "tail");
+  struct Case {
+    const char* name;
+    const Schema* schema;
+    const std::vector<Row>* rows;
+    size_t page_size;
+    PageImages want[3];  // NONE, ROW, PAGE
+  };
+  const Case cases[] = {
+      {"mixed", &mixed, &mixed_rows, 1024,
+       {{17, 17424, 0xc02d66ce}, {12, 11950, 0x6e063eb3},
+        {14, 8771, 0xcdd3122d}}},
+      {"mixed-one-page", &mixed, &mixed_rows, 1 << 20,
+       {{1, 17312, 0xa6502fb5}, {1, 11873, 0x16199021},
+        {1, 7558, 0x3c6786eb}}},
+      {"wide-dict", &one, &wide_rows, 1 << 20,
+       {{1, 9159, 0x077db208}, {1, 7359, 0x2d1ec8e7},
+        {1, 2989, 0xa154a0f3}}},
+      {"big-row", &mixed, &big_rows, 512,
+       {{2, 3335, 0x1fce03fd}, {2, 3225, 0x3bffa985},
+        {2, 3240, 0x62f79580}}},
+  };
+  for (const Case& c : cases) {
+    for (Compression mode :
+         {Compression::kNone, Compression::kRow, Compression::kPage}) {
+      const PageImages got =
+          BuildPageImages(*c.schema, *c.rows, mode, c.page_size);
+      const PageImages& want = c.want[static_cast<int>(mode)];
+      const std::string where =
+          std::string(c.name) + " " + std::string(CompressionName(mode));
+      EXPECT_EQ(got.pages, want.pages) << where;
+      EXPECT_EQ(got.bytes, want.bytes) << where;
+      EXPECT_EQ(got.crc, want.crc) << where;
+    }
+  }
+}
+
 TEST(HeapTableTest, InsertScanRoundTrip) {
   PooledStorage storage("/tmp/htg_storage_test_heap_roundtrip");
   HeapTable table(TestSchema(), Compression::kRow, storage.NewFile("t"), 1024);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+    ASSERT_TRUE(AppendRow(&table, TestRow(i)).ok());
   }
   EXPECT_EQ(table.num_rows(), 500u);
   auto iter = table.NewScan();
@@ -245,7 +374,7 @@ TEST(HeapTableTest, InsertScanRoundTrip) {
 TEST(HeapTableTest, RangeScansPartitionCompletely) {
   PooledStorage storage("/tmp/htg_storage_test_heap_ranges");
   HeapTable table(TestSchema(), Compression::kNone, storage.NewFile("t"), 512);
-  for (int i = 0; i < 300; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(AppendRow(&table, TestRow(i)).ok());
   constexpr uint64_t kLimit = 250;
   Result<HeapTable::PageRange> plan = table.PlanVisiblePrefix(kLimit);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -270,8 +399,10 @@ TEST(HeapTableTest, RangeScansPartitionCompletely) {
 TEST(HeapTableTest, TruncateToRowsUndoesAppends) {
   PooledStorage storage("/tmp/htg_storage_test_heap_truncate_to");
   HeapTable table(TestSchema(), Compression::kRow, storage.NewFile("t"), 512);
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
-  for (int i = 100; i < 177; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(AppendRow(&table, TestRow(i)).ok());
+  for (int i = 100; i < 177; ++i) {
+    ASSERT_TRUE(AppendRow(&table, TestRow(i)).ok());
+  }
   ASSERT_TRUE(table.TruncateToRows(100).ok());
   EXPECT_EQ(table.num_rows(), 100u);
   auto iter = table.NewScan();
@@ -326,7 +457,7 @@ TEST(HeapTableTest, ZoneMapsSkipPagesAPointReadCannotMatch) {
   PooledStorage storage("/tmp/htg_storage_test_heap_zones");
   HeapTable table(TestSchema(), Compression::kPage, storage.NewFile("t"),
                   1024);
-  for (int i = 0; i < 600; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+  for (int i = 0; i < 600; ++i) ASSERT_TRUE(AppendRow(&table, TestRow(i)).ok());
   ASSERT_TRUE(table.CheckPageDirectory().ok());
   PageCounts counts;
   const ScanTerm point{0, ScanOp::kEq, Value::Int64(377)};
@@ -373,17 +504,17 @@ TEST(HeapTableTest, ZoneMapsSkipPagesAPointReadCannotMatch) {
 TEST(HeapTableTest, ZoneMapsFollowMidPageTruncateAndReappend) {
   PooledStorage storage("/tmp/htg_storage_test_heap_zone_truncate");
   HeapTable table(TestSchema(), Compression::kRow, storage.NewFile("t"), 512);
-  for (int i = 0; i < 177; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+  for (int i = 0; i < 177; ++i) ASSERT_TRUE(AppendRow(&table, TestRow(i)).ok());
   ASSERT_TRUE(table.CheckPageDirectory().ok());
   ASSERT_TRUE(table.TruncateToRows(130).ok());
   ASSERT_TRUE(table.CheckPageDirectory().ok());
   // Re-append: large ids, then a row whose lane is NULL.
   for (int i = 1000; i < 1040; ++i) {
-    ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+    ASSERT_TRUE(AppendRow(&table, TestRow(i)).ok());
   }
   Row null_lane = TestRow(2000);
   null_lane[1] = Value::Null();
-  ASSERT_TRUE(table.Insert(null_lane).ok());
+  ASSERT_TRUE(AppendRow(&table, null_lane).ok());
   ASSERT_TRUE(table.PlanVisiblePrefix(table.num_rows()).ok());  // seals
   const Status checked = table.CheckPageDirectory();
   ASSERT_TRUE(checked.ok()) << checked.ToString();
@@ -403,7 +534,7 @@ TEST(HeapTableTest, ZoneMapsFollowMidPageTruncateAndReappend) {
 TEST(HeapTableTest, TruncateClearsAll) {
   PooledStorage storage("/tmp/htg_storage_test_heap_truncate");
   HeapTable table(TestSchema(), Compression::kNone, storage.NewFile("t"));
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(AppendRow(&table, TestRow(i)).ok());
   table.Truncate();
   EXPECT_EQ(table.num_rows(), 0u);
   auto iter = table.NewScan();
@@ -493,12 +624,12 @@ TEST(ClusteredTableTest, ScanInKeyOrder) {
   ClusteredTable table(schema, {0, 1}, Compression::kRow, storage.NewFile("t"));
   Random rng(9);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(table
-                    .Insert(Row{Value::Int32(static_cast<int32_t>(
-                                    rng.Uniform(4))),
-                                Value::Int64(static_cast<int64_t>(
-                                    rng.Uniform(1000))),
-                                Value::String("v" + std::to_string(i))})
+    ASSERT_TRUE(AppendRow(&table,
+                          Row{Value::Int32(static_cast<int32_t>(
+                                  rng.Uniform(4))),
+                              Value::Int64(static_cast<int64_t>(
+                                  rng.Uniform(1000))),
+                              Value::String("v" + std::to_string(i))})
                     .ok());
   }
   auto iter = table.NewScan();
@@ -521,7 +652,8 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
   PooledStorage storage("/tmp/htg_storage_test_clustered_seek");
   ClusteredTable table(schema, {0}, Compression::kNone, storage.NewFile("t"));
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(table.Insert(Row{Value::Int64(i), Value::String("x")}).ok());
+    ASSERT_TRUE(
+        AppendRow(&table, Row{Value::Int64(i), Value::String("x")}).ok());
   }
   auto iter =
       table.NewSnapshotScanFrom(Row{Value::Int64(90)}, Snapshot::All(),
@@ -642,7 +774,9 @@ TEST_P(ProjectedDecodeTest, RowImageMatchesFullDecodeRestricted) {
 TEST_P(ProjectedDecodeTest, PageMatchesFullDecodeRestricted) {
   const Schema schema = ProjectionSchema();
   PageBuilder builder(&schema, GetParam(), 1 << 16);
-  for (int i = 0; i < 60; ++i) ASSERT_TRUE(builder.Add(ProjectionRow(i)).ok());
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(AddRow(&builder, ProjectionRow(i)).ok());
+  }
   const std::string page = builder.Finish();
   for (const std::vector<int>& columns : Projections(schema)) {
     PageReader full(&schema, Slice(page), AllColumns(schema));
@@ -686,7 +820,7 @@ TEST_P(ProjectedDecodeTest, TruncatedSkippedColumnIsCorruption) {
     // The last bytes of a PAGE body are the last column's section.
     PageBuilder builder(&schema, Compression::kPage);
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(builder.Add(ProjectionRow(3 * i + 2)).ok());
+      ASSERT_TRUE(AddRow(&builder, ProjectionRow(3 * i + 2)).ok());
     }
     std::string built = builder.Finish();
     built.resize(built.size() - kPageChecksumBytes - 2);
@@ -722,8 +856,8 @@ TEST(ProjectedScanTest, HeapAndClusteredScansMatchFullScansRestricted) {
   ClusteredTable clustered(schema, {3, 0}, Compression::kRow,
                            storage.NewFile("clustered"));
   for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(heap.Insert(ProjectionRow(i)).ok());
-    ASSERT_TRUE(clustered.Insert(ProjectionRow(i)).ok());
+    ASSERT_TRUE(AppendRow(&heap, ProjectionRow(i)).ok());
+    ASSERT_TRUE(AppendRow(&clustered, ProjectionRow(i)).ok());
   }
   ASSERT_GT(heap.num_pages(), 2u);
   Result<HeapTable::PageRange> range = heap.PlanVisiblePrefix(heap.num_rows());

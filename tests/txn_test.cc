@@ -22,6 +22,7 @@
 #include "sql/engine.h"
 #include "sql/parser.h"
 #include "storage/clustered_table.h"
+#include "storage/heap_table.h"
 #include "storage/mvcc.h"
 #include "pooled_storage.h"
 
@@ -156,15 +157,17 @@ TEST(ClusteredSweepTest, SweepRemovesAbortedStampsWithoutDeadRowAccounting) {
   storage::PooledStorage storage("/tmp/htg_txn_test_sweep");
   storage::ClusteredTable table(schema, {0}, storage::Compression::kNone,
                                 storage.NewFile("t"));
-  ASSERT_TRUE(table.Insert(Row{Value::Int64(1), Value::String("keep")}).ok());
+  ASSERT_TRUE(storage::AppendRow(
+                  &table, Row{Value::Int64(1), Value::String("keep")})
+                  .ok());
   // An entry stamped by an aborted txn whose MarkAborted accounting was
   // lost: dead_rows_ is zero, yet the sweep must still remove it — the
   // caller retires the id from the allocator's aborted set right after
   // the sweep, and a leftover entry would resurrect as committed data
   // the moment new snapshots stop recognizing the id as aborted.
-  ASSERT_TRUE(table
-                  .InsertStamped(Row{Value::Int64(2), Value::String("dead")},
-                                 /*txn=*/7)
+  ASSERT_TRUE(storage::AppendRow(
+                  &table, Row{Value::Int64(2), Value::String("dead")},
+                  /*stamp=*/7)
                   .ok());
   EXPECT_EQ(table.SweepAborted({7}), 1u);
   EXPECT_EQ(table.num_rows(), 1u);
@@ -433,9 +436,8 @@ TEST_F(TxnEngineTest, MidStatementFailureInTxnRollsBackOnAbort) {
   sql::StatementOptions opts;
   opts.txn = txn->get();
   // The second VALUES row has the wrong arity, so each statement fails
-  // after its first row was already inserted — and it is the txn's first
-  // (and only) write to that table. ABORT must still find the table,
-  // undo the partial row, and clear the pending-writer marker.
+  // — and it is the txn's first (and only) write to that table. ABORT
+  // must still find the table and clear the pending-writer marker.
   auto h = engine_->Execute("INSERT INTO h VALUES (2, 20), (3)", opts);
   ASSERT_FALSE(h.ok());
   auto c = engine_->Execute("INSERT INTO c VALUES (2, 20), (3)", opts);
@@ -458,6 +460,51 @@ TEST_F(TxnEngineTest, MidStatementFailureInTxnRollsBackOnAbort) {
   db_->SweepVersions();
   EXPECT_EQ(Count("c"), 3);
   EXPECT_TRUE(db_->txns()->AbortedSet().empty());
+}
+
+// An INSERT ... SELECT appends each batch it pulls: one that fails in
+// its third batch has already landed two, and ABORT must undo them on a
+// heap and on a clustered table alike.
+TEST_F(TxnEngineTest, MultiBatchInsertSelectFailureRollsBackOnAbort) {
+  Exec("CREATE TABLE src (a INT, b INT)");
+  Exec("CREATE TABLE h (a INT, b INT NOT NULL)");
+  Exec("CREATE TABLE c (a INT PRIMARY KEY, b INT NOT NULL)");
+  Exec("INSERT INTO h VALUES (-1, 0)");
+  Exec("INSERT INTO c VALUES (-1, 0)");
+  // 3000 source rows; row 2500 (in the third 1024-row batch) is NULL in b.
+  RowBatch rows;
+  for (int i = 0; i < 3000; ++i) {
+    Row row{Value::Int32(i), Value::Int32(i % 7)};
+    if (i == 2500) row[1] = Value::Null();
+    rows.AppendRow(std::move(row));
+  }
+  ASSERT_TRUE(db_->AppendBatch(*db_->GetTable("src"), &rows).ok());
+  const auto* heap =
+      dynamic_cast<storage::HeapTable*>((*db_->GetTable("h"))->table.get());
+  ASSERT_NE(heap, nullptr);
+  auto txn = engine_->BeginTxn();
+  ASSERT_TRUE(txn.ok());
+  sql::StatementOptions opts;
+  opts.txn = txn->get();
+  for (const std::string table : {"h", "c"}) {
+    auto failed = engine_->Execute(
+        "INSERT INTO " + table + " SELECT a, b FROM src", opts);
+    ASSERT_FALSE(failed.ok()) << table;
+    EXPECT_TRUE(failed.status().IsInvalidArgument())
+        << failed.status().ToString();
+    // The writer sees the two batches that landed before the failure.
+    EXPECT_EQ(Count(table, txn->get()), 1 + 2048) << table;
+  }
+  ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
+  EXPECT_EQ(Count("h"), 1);
+  EXPECT_EQ(Count("c"), 1);
+  EXPECT_EQ(heap->num_rows(), 1u);
+  // The abort discounts exactly the clustered entries that landed.
+  EXPECT_EQ((*db_->GetTable("c"))->table->num_rows(), 1u);
+  EXPECT_TRUE(heap->CheckPageDirectory().ok());
+  db_->SweepVersions();
+  EXPECT_EQ(Count("c"), 1);
+  EXPECT_EQ(Exec("SELECT SUM(a) FROM c").rows[0][0].AsInt64(), -1);
 }
 
 TEST_F(TxnEngineTest, GcSweepRemovesAbortedClusteredEntries) {

@@ -2,6 +2,7 @@
 
 #include "genomics/register.h"
 #include "genomics/simulator.h"
+#include "storage/heap_table.h"
 #include "workflow/loaders.h"
 #include "workflow/schema.h"
 
@@ -85,6 +86,21 @@ TEST_F(WorkflowTest, LoadReadsDecomposesCoordinates) {
   EXPECT_EQ(r.rows[0][0].AsInt64(), static_cast<int64_t>(reads_.size()));
   EXPECT_GE(r.rows[0][1].AsInt64(), 1);
   EXPECT_LE(r.rows[0][2].AsInt64(), 300);
+}
+
+// A coordinate beyond INT does not wrap: the read loads with NULL
+// coordinates and is counted as rejected, like any malformed name.
+TEST_F(WorkflowTest, LoadReadsRejectsOverflowingCoordinates) {
+  ASSERT_TRUE(CreateGenomicsSchema(engine_.get()).ok());
+  std::vector<ShortRead> reads(reads_.begin(), reads_.begin() + 3);
+  reads[1].name = "IL4_855:1:17:5000000000:659";
+  Result<LoadResult> loaded = LoadReads(db_.get(), "Read", reads, {1, 1, 1});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->loaded, 3u);
+  EXPECT_EQ(loaded->rejected, 1u);
+  sql::QueryResult r = Exec("SELECT r_id, x FROM Read WHERE x IS NULL");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt64(), 1);
 }
 
 TEST_F(WorkflowTest, NormalizedSmallerThanOneToOne) {
@@ -210,6 +226,98 @@ TEST_F(WorkflowTest, PaperQuery1OverLoadedLane) {
       "GROUP BY short_read_seq) t");
   EXPECT_EQ(total.rows[0][0].AsInt64(),
             static_cast<int64_t>(expected.size()));
+}
+
+// A Table 1 lane loaded by LoadReads/LoadTags (a batch at a time) seals
+// the same pages as the same rows inserted one InsertRow at a time: page
+// count, page bytes, zone maps and rows all agree. The page counts and
+// bytes were recorded from the row-at-a-time loaders.
+TEST_F(WorkflowTest, BatchLoadSealsTheSamePagesAsPerRowInserts) {
+  SchemaOptions batched;
+  batched.compression = storage::Compression::kPage;
+  ASSERT_TRUE(CreateGenomicsSchema(engine_.get(), batched).ok());
+  SchemaOptions per_row = batched;
+  per_row.suffix = "_rows";
+  ASSERT_TRUE(CreateGenomicsSchema(engine_.get(), per_row).ok());
+
+  genomics::SimulatorOptions sim_options;
+  sim_options.seed = 91;
+  genomics::ReadSimulator sim(&ref_, sim_options);
+  genomics::DgeOptions dge;
+  dge.num_genes = 200;
+  const std::vector<ShortRead> reads = sim.SimulateDge(5000, dge);
+  const std::vector<genomics::TagCount> tags =
+      genomics::BinUniqueReads(reads);
+  const SampleKey key{1, 2, 3};
+  Result<LoadResult> loaded = LoadReads(db_.get(), "Read", reads, key, 7);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->loaded, reads.size());
+  ASSERT_TRUE(LoadTags(db_.get(), "Tag", tags, key).ok());
+
+  catalog::TableDef* read_rows = *db_->GetTable("Read_rows");
+  for (size_t i = 0; i < reads.size(); ++i) {
+    Result<genomics::ReadCoordinates> c =
+        genomics::ParseReadName(reads[i].name);
+    ASSERT_TRUE(c.ok());
+    ASSERT_TRUE(db_->InsertRow(
+                       read_rows,
+                       Row{Value::Int64(7 + static_cast<int64_t>(i)),
+                           Value::Int32(1), Value::Int32(2), Value::Int32(3),
+                           Value::Int32(c->tile), Value::Int32(c->x),
+                           Value::Int32(c->y), Value::String(reads[i].sequence),
+                           reads[i].quality.empty()
+                               ? Value::Null()
+                               : Value::String(reads[i].quality)})
+                    .ok());
+  }
+  catalog::TableDef* tag_rows = *db_->GetTable("Tag_rows");
+  for (const genomics::TagCount& t : tags) {
+    ASSERT_TRUE(db_->InsertRow(tag_rows,
+                               Row{Value::Int64(t.rank), Value::Int32(1),
+                                   Value::Int32(2), Value::Int32(3),
+                                   Value::String(t.sequence),
+                                   Value::Int64(t.frequency)})
+                    .ok());
+  }
+
+  struct Want {
+    const char* table;
+    uint64_t pages;
+    uint64_t bytes;
+  };
+  for (const Want& want : {Want{"Read", 59, 416045}, Want{"Tag", 8, 57153}}) {
+    const std::string name = want.table;
+    auto* a = dynamic_cast<storage::HeapTable*>(
+        (*db_->GetTable(name))->table.get());
+    auto* b = dynamic_cast<storage::HeapTable*>(
+        (*db_->GetTable(name + "_rows"))->table.get());
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    // Seal the in-progress pages so every page is in the directory.
+    ASSERT_TRUE(a->PlanVisiblePrefix(a->num_rows()).ok());
+    ASSERT_TRUE(b->PlanVisiblePrefix(b->num_rows()).ok());
+    const storage::StorageStats sa = a->Stats();
+    const storage::StorageStats sb = b->Stats();
+    EXPECT_EQ(sa.rows, sb.rows) << name;
+    EXPECT_EQ(sa.pages, sb.pages) << name;
+    EXPECT_EQ(sa.data_bytes, sb.data_bytes) << name;
+    EXPECT_EQ(sa.pages, want.pages) << name;
+    EXPECT_EQ(sa.data_bytes, want.bytes) << name;
+    const Status ca = a->CheckPageDirectory();
+    EXPECT_TRUE(ca.ok()) << ca.ToString();
+    const Status cb = b->CheckPageDirectory();
+    EXPECT_TRUE(cb.ok()) << cb.ToString();
+    const sql::QueryResult ra = Exec("SELECT * FROM " + name);
+    const sql::QueryResult rb = Exec("SELECT * FROM " + name + "_rows");
+    ASSERT_EQ(ra.rows.size(), rb.rows.size());
+    for (size_t i = 0; i < ra.rows.size(); ++i) {
+      ASSERT_EQ(ra.rows[i].size(), rb.rows[i].size());
+      for (size_t c = 0; c < ra.rows[i].size(); ++c) {
+        ASSERT_EQ(ra.rows[i][c].Compare(rb.rows[i][c]), 0)
+            << name << " row " << i << " column " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

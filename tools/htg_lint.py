@@ -102,6 +102,13 @@ Rules (ids usable in NOLINT suppressions):
                     through the statement's snapshot -- and in
                     src/exec/parallel.cc. A scan that skips the snapshot
                     cannot creep back into the engine.
+  storage-append-seam
+                    Rows enter tables only through Database::AppendBatch,
+                    which validates, casts and moves FILESTREAM content
+                    before it appends. Outside src/storage/ and
+                    src/catalog/database.cc, code under src/ may not call
+                    AppendBatch( on anything but a Database handle (a
+                    receiver named db, db_, db() or database).
 
 Suppression: append `// NOLINT(htg-<rule>)` to the offending line (or a
 bare NOLINT comment, honoured for compatibility with clang-tidy). Lint
@@ -867,6 +874,29 @@ def check_sync_locked_suffix(path, text, rel):
     return findings
 
 
+APPEND_SEAM_RE = re.compile(
+    r"(\w+)\s*(?:\(\s*\))?\s*(?:->|\.)\s*AppendBatch\s*\(")
+APPEND_SEAM = {"src/catalog/database.cc"}
+DATABASE_RECEIVERS = {"db", "db_", "database"}
+
+
+def check_storage_append_seam(path, text, rel):
+    # Selftest fixtures arrive with a bare filename, which must still trip
+    # the rule.
+    norm = rel.replace(os.sep, "/")
+    if norm in APPEND_SEAM or norm.startswith("src/storage/") or (
+            "/" in norm and not norm.startswith("src/")):
+        return []
+    return [
+        Finding(path, line_of(text, m.start()), "storage-append-seam",
+                f"`{m.group(1)}` appends to table storage directly; append "
+                "through Database::AppendBatch, which validates, casts and "
+                "moves FILESTREAM content first")
+        for m in APPEND_SEAM_RE.finditer(text)
+        if m.group(1) not in DATABASE_RECEIVERS
+    ]
+
+
 # rule id -> (checker, directory scopes it applies to, wants_raw_text).
 # include-cc must see raw text: comment/string stripping blanks the quoted
 # include path it matches on.
@@ -889,6 +919,7 @@ RULES = {
         (check_exec_untracked_reserve, ("src",), False),
     "exec-spill-seam": (check_exec_spill_seam, ("src",), False),
     "exec-scan-seam": (check_exec_scan_seam, ("src",), False),
+    "storage-append-seam": (check_storage_append_seam, ("src",), False),
     # env-doc matches quoted knob names, so it needs unstripped text.
     "env-doc": (check_env_doc, ("src", "bench"), True),
     "sync-raw-mutex": (check_sync_raw_mutex, ("src",), False),
@@ -923,6 +954,9 @@ RULE_DESCRIPTIONS = {
                        "spill_util.h and sort_ops.cc",
     "exec-scan-seam": "table scans in src/exec, src/sql and src/server "
                       "open only in basic_ops.cc and parallel.cc",
+    "storage-append-seam": "rows enter tables only through "
+                           "Database::AppendBatch (calls in src/ outside "
+                           "src/storage and database.cc)",
     "env-doc": "every HTG_* env knob is documented in docs/OPERATIONS.md, "
                "and every documented knob is still referenced",
     "sync-raw-mutex": "raw std:: sync primitives live only in "
