@@ -32,10 +32,6 @@ struct DatabaseOptions {
   int max_dop = 4;
   // Row-count threshold below which the planner stays serial.
   uint64_t parallel_threshold = 10000;
-  // Upper bound on morsel size (heap pages per stolen work unit) for
-  // parallel plans; the planner shrinks morsels on small tables so every
-  // worker gets several.
-  size_t morsel_pages = 32;
   // Per-query memory budget for materializing operators (sort, hash
   // aggregate including DISTINCT, hash join).
   //   -1 = use HTG_QUERY_MEM_MB (default 256 MiB)

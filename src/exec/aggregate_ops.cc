@@ -10,6 +10,7 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "exec/batch.h"
+#include "exec/parallel.h"
 #include "exec/spill_util.h"
 #include "storage/spill.h"
 
@@ -831,16 +832,6 @@ class SpilledAggIterator : public BatchIterator {
 
 }  // namespace
 
-AggSpec AggSpec::Clone() const {
-  AggSpec copy;
-  copy.fn = fn;
-  copy.display = display;
-  copy.distinct = distinct;
-  copy.args.reserve(args.size());
-  for (const ExprPtr& a : args) copy.args.push_back(a->Clone());
-  return copy;
-}
-
 DataType AggSpec::result_type() const {
   std::vector<DataType> types;
   types.reserve(args.size());
@@ -1039,45 +1030,28 @@ std::string StreamAggregateOp::Describe() const {
   return "Stream Aggregate " + DescribeAggs(group_exprs_, aggs_);
 }
 
-ParallelAggregateOp::ParallelAggregateOp(catalog::TableDef* table,
-                                         std::vector<int> columns,
-                                         std::vector<ParallelStage> stages,
+ParallelAggregateOp::ParallelAggregateOp(OperatorPtr child,
+                                         catalog::TableDef* heap,
                                          std::vector<ExprPtr> group_exprs,
                                          std::vector<std::string> group_names,
                                          std::vector<AggSpec> aggs, int dop,
-                                         size_t morsel_pages,
-                                         storage::ScanPredicate predicate)
-    : table_(table),
-      columns_(std::move(columns)),
-      predicate_(std::move(predicate)),
-      stages_(std::move(stages)),
+                                         size_t morsel_pages)
+    : child_(std::move(child)),
+      heap_(heap),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
       dop_(dop < 1 ? 1 : dop),
-      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages),
-      schema_(MakeAggregateSchema(group_exprs_, group_names, aggs_)),
-      repr_(BuildExplainPipeline(table_, columns_, predicate_, stages_, dop_,
-                                 morsel_pages_)) {}
-
-int64_t ParallelAggregateOp::EstimateRows() const {
-  // A global aggregate yields exactly one row; grouped cardinality is
-  // unknown without column statistics.
-  return group_exprs_.empty() ? 1 : -1;
-}
+      morsel_pages_(morsel_pages),
+      schema_(MakeAggregateSchema(group_exprs_, group_names, aggs_)) {}
 
 Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     ExecContext* ctx) {
-  HTG_ASSIGN_OR_RETURN(const std::vector<Morsel> morsels,
-                       PlanHeapMorsels(table_, *ctx, morsel_pages_));
-  const int dop =
-      std::min(static_cast<size_t>(dop_), std::max<size_t>(1, morsels.size()));
-
   OperatorStats* stats = mutable_stats();
-  if (ctx->collect_stats) {
-    stats->worker_rows.assign(dop, 0);
-    stats->worker_morsels.assign(dop, 0);
-    stats->worker_batches.assign(dop, 0);
-  }
+  HTG_ASSIGN_OR_RETURN(
+      MorselDriver driver,
+      MorselDriver::Plan(child_.get(), heap_, dop_, morsel_pages_, *ctx,
+                         stats));
+  const int dop = driver.dop();
 
   // Shared governance: one charge ledger and one partition-spill sink
   // for all workers. A worker that cannot create a new group (budget
@@ -1089,35 +1063,19 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   MemoryCharge charge(ctx->mem.get(), op);
   PartitionSpill spill(ctx, stats, op, 0);
 
-  // Partial phase: workers steal morsels off the shared counter, replay
-  // the stage pipeline over each page range, and accumulate into
-  // thread-local partial tables. Expression trees are immutable and
+  // Partial phase: workers steal morsels off the shared counter, run the
+  // child subtree over each page range, and accumulate into thread-local
+  // partial tables. Operators and expression trees are immutable and
   // shared; each worker evaluates through its own EvalContext copy.
   const AggLayout layout(aggs_);
   std::vector<std::unique_ptr<GroupTable>> partials;
   for (int w = 0; w < dop; ++w) {
     partials.push_back(std::make_unique<GroupTable>(group_exprs_, &layout));
   }
-  std::vector<ExecContext> worker_ctx(dop, *ctx);
-  HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
-      ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
-        OperatorPtr pipeline = BuildMorselPipeline(
-            table_, columns_, predicate_, morsels[m], stages_);
-        if (ctx->collect_stats) {
-          LinkPipelineStats(pipeline.get(), repr_.get());
-        }
-        HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
-                             pipeline->Open(&worker_ctx[worker]));
-        if (ctx->collect_stats) {
-          // Count the rows (and batches) this worker feeds its partial
-          // table, for the per-worker skew lines under the exchange in
-          // ANALYZE output.
-          iter = WrapCounting(std::move(iter), &stats->worker_rows[worker],
-                              &stats->worker_batches[worker]);
-          ++stats->worker_morsels[worker];
-        }
-        return BuildGroupsBatch(iter.get(), group_exprs_, aggs_,
-                                &worker_ctx[worker].eval,
+  HTG_RETURN_IF_ERROR(
+      driver.Run([&](int worker, storage::RowIterator* iter) -> Status {
+        return BuildGroupsBatch(iter, group_exprs_, aggs_,
+                                &driver.worker_context(worker)->eval,
                                 partials[worker].get(), &charge, &spill);
       }));
   RecordPeakMem(stats, charge.peak());

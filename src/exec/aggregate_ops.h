@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "catalog/table_def.h"
 #include "exec/operator.h"
-#include "exec/parallel.h"
 #include "udf/function.h"
 
 namespace htg::exec {
@@ -19,7 +19,6 @@ struct AggSpec {
   // COUNT(DISTINCT x): deduplicate argument tuples before accumulation.
   bool distinct = false;
 
-  AggSpec Clone() const;
   DataType result_type() const;
 };
 
@@ -81,42 +80,37 @@ class StreamAggregateOp : public Operator {
 
 // Parallel partial→final aggregation, the shape of the paper's Fig. 9
 // plan, scheduled at morsel granularity: workers steal page-range morsels
-// of the heap scan from a shared counter, replay the stage pipeline
-// (filter / CROSS APPLY) per morsel, and accumulate into thread-local
-// partial group tables. The final merge is itself parallel — groups are
-// partitioned by hash and each partition merges/finalizes on its own
-// worker — and results stream out of the gather. Requires every aggregate
-// to SupportsMerge().
+// of `heap` from a shared counter, open `child` (the bound scan / CROSS
+// APPLY / filter subtree over that heap) once per morsel, and accumulate
+// into thread-local partial group tables. The final merge is itself
+// parallel — groups are partitioned by hash and each partition
+// merges/finalizes on its own worker — and results stream out of the
+// gather. Requires every aggregate to SupportsMerge().
 class ParallelAggregateOp : public Operator {
  public:
-  // The pipeline scans `columns` of `table` (ascending schema indexes)
-  // under `predicate`.
-  ParallelAggregateOp(catalog::TableDef* table, std::vector<int> columns,
-                      std::vector<ParallelStage> stages,
+  ParallelAggregateOp(OperatorPtr child, catalog::TableDef* heap,
                       std::vector<ExprPtr> group_exprs,
                       std::vector<std::string> group_names,
-                      std::vector<AggSpec> aggs, int dop, size_t morsel_pages,
-                      storage::ScanPredicate predicate = {});
+                      std::vector<AggSpec> aggs, int dop, size_t morsel_pages);
 
   const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
   std::string Describe() const override;
   std::vector<const Operator*> children() const override {
-    return {repr_.get()};
+    return {child_.get()};
   }
-  int64_t EstimateRows() const override;
+  int64_t EstimateRows() const override {
+    return group_exprs_.empty() ? 1 : -1;
+  }
 
  private:
-  catalog::TableDef* table_;
-  std::vector<int> columns_;
-  storage::ScanPredicate predicate_;
-  std::vector<ParallelStage> stages_;
+  OperatorPtr child_;
+  catalog::TableDef* heap_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
   int dop_;
   size_t morsel_pages_;
   Schema schema_;
-  OperatorPtr repr_;  // representative subtree for EXPLAIN
 };
 
 }  // namespace htg::exec

@@ -130,14 +130,6 @@ TableScanOp::TableScanOp(catalog::TableDef* table, std::vector<int> columns)
 TableScanOp::TableScanOp(catalog::TableDef* table)
     : TableScanOp(table, storage::AllColumns(table->schema)) {}
 
-TableScanOp::TableScanOp(catalog::TableDef* table, std::vector<int> columns,
-                         const storage::HeapTable::PageRange& morsel,
-                         storage::ScanPredicate predicate)
-    : TableScanOp(table, std::move(columns)) {
-  morsel_ = morsel;
-  set_predicate(std::move(predicate));
-}
-
 void TableScanOp::set_predicate(storage::ScanPredicate predicate) {
   predicate_ = std::move(predicate);
   seek_ = storage::IntRange();
@@ -162,8 +154,8 @@ Result<storage::HeapTable::PageRange> PlanVisibleHeap(
       table->mvcc->VisibleRows(*ctx.snapshot, ctx.txn_id, heap->num_rows()));
 }
 
-// The executor's one MVCC seam: every table scan, serial or morsel,
-// opens here through the context's snapshot.
+// The executor's one MVCC seam: every table scan, serial or under an
+// exchange, opens here through the context's snapshot.
 Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
     ExecContext* ctx) {
   if (auto* clustered =
@@ -182,8 +174,8 @@ Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
         Value::Int64(seek_.upper));
   }
   storage::HeapTable::PageRange range;
-  if (morsel_.has_value()) {
-    range = *morsel_;
+  if (ctx->morsel != nullptr) {
+    range = *ctx->morsel;
   } else {
     HTG_ASSIGN_OR_RETURN(range, PlanVisibleHeap(table_, *ctx));
   }
@@ -194,16 +186,7 @@ Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
 }
 
 int64_t TableScanOp::EstimateRows() const {
-  const auto rows = static_cast<int64_t>(table_->table->num_rows());
-  if (!morsel_.has_value()) return rows;
-  // Morsel: prorate by the fraction of the heap's pages scanned.
-  auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
-  const size_t npages = heap != nullptr ? heap->num_pages() : 0;
-  if (npages == 0) return rows;
-  const size_t span = morsel_->end_page > morsel_->first_page
-                          ? morsel_->end_page - morsel_->first_page
-                          : 0;
-  return static_cast<int64_t>(static_cast<uint64_t>(rows) * span / npages);
+  return static_cast<int64_t>(table_->table->num_rows());
 }
 
 std::string TableScanOp::Describe() const {
@@ -211,9 +194,11 @@ std::string TableScanOp::Describe() const {
                          ? "Table Scan"
                          : "Clustered Index Scan";
   std::string out = kind + " [" + table_->name + "]";
-  if (morsel_.has_value()) {
-    out += StringPrintf(" pages [%zu, %zu)", morsel_->first_page,
-                        morsel_->end_page);
+  if (distributed_) {
+    const auto* heap =
+        dynamic_cast<const storage::HeapTable*>(table_->table.get());
+    out += StringPrintf(" pages [0, %zu)",
+                        heap != nullptr ? heap->num_pages() : 0);
   }
   if (!predicate_.empty()) {
     out += " predicate (" + predicate_.ToString(table_->schema) + ")";

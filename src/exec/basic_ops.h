@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,11 +13,11 @@ namespace htg::exec {
 
 // Scan of a base table through the context's snapshot: a heap scan reads
 // the snapshot's visible row prefix, a clustered scan streams the
-// entries the snapshot sees in key order. A morsel scan reads one
-// pre-planned page range of a heap (parallel plans cut the statement's
-// visible prefix into morsels once, see PlanHeapMorsels). The scan
-// decodes and emits only the schema columns in its column list
-// (ascending indexes), the columns its plan uses.
+// entries the snapshot sees in key order. Under an exchange, a heap scan
+// reads the worker's morsel (ExecContext::morsel) instead: the exchange
+// cuts the statement's visible prefix into morsels once, see
+// MorselDriver. The scan decodes and emits only the schema columns in
+// its column list (ascending indexes), the columns its plan uses.
 //
 // A scan predicate (the sargable terms of the statement's WHERE) lets the
 // scan skip data: a heap scan skips pages whose zone maps exclude a term,
@@ -32,11 +31,6 @@ class TableScanOp : public Operator {
   // Every column.
   explicit TableScanOp(catalog::TableDef* table);
 
-  // Heap morsel scan.
-  TableScanOp(catalog::TableDef* table, std::vector<int> columns,
-              const storage::HeapTable::PageRange& morsel,
-              storage::ScanPredicate predicate);
-
   const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
   std::string Describe() const override;
@@ -48,11 +42,15 @@ class TableScanOp : public Operator {
 
   void set_predicate(storage::ScanPredicate predicate);
 
+  // Set by Distribute Streams over a heap scan: EXPLAIN shows the page
+  // range the exchange cuts into morsels.
+  void set_distributed() { distributed_ = true; }
+
  private:
   catalog::TableDef* table_;
   std::vector<int> columns_;
   Schema schema_;  // the table's schema projected onto columns_
-  std::optional<storage::HeapTable::PageRange> morsel_;
+  bool distributed_ = false;
   storage::ScanPredicate predicate_;
   // Clustered scans: the leading key range to seek (bounded = seek).
   storage::IntRange seek_;

@@ -66,16 +66,15 @@ std::vector<RowBatch> RowsToBatches(std::vector<Row> rows) {
   return batches;
 }
 
-Status DrainBatches(storage::RowIterator* iter, std::vector<RowBatch>* out,
-                    uint64_t* rows) {
-  for (;;) {
-    RowBatch batch;
-    if (!iter->NextBatch(&batch)) break;
-    if (batch.ActiveRows() == 0) continue;
-    *rows += batch.ActiveRows();
-    out->push_back(std::move(batch));
+size_t ApproxBatchBytes(const RowBatch& batch) {
+  size_t bytes =
+      sizeof(RowBatch) + batch.selection().capacity() * sizeof(uint32_t);
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    const std::vector<Value>& column = batch.column(c);
+    bytes += (column.capacity() - column.size()) * sizeof(Value);
+    for (const Value& v : column) bytes += v.ApproxBytes();
   }
-  return iter->status();
+  return bytes;
 }
 
 }  // namespace htg::exec

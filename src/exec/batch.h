@@ -59,8 +59,8 @@ class BatchReader {
 };
 
 // Iterator over pre-materialized batches: sort, aggregate and constant
-// scan results and the parallel gather. Holds the memory charge that
-// accounts for the batches until the consumer is done with them.
+// scan results. Holds the memory charge that accounts for the batches
+// until the consumer is done with them.
 class MaterializedBatchesIterator : public BatchIterator {
  public:
   explicit MaterializedBatchesIterator(std::vector<RowBatch> batches,
@@ -81,9 +81,8 @@ class MaterializedBatchesIterator : public BatchIterator {
 // each row as it is consumed.
 std::vector<RowBatch> RowsToBatches(std::vector<Row> rows);
 
-// Drains `iter` into freshly allocated batches, appending them to `out`
-// (empty batches are not stored). Adds the live row count to *rows.
-Status DrainBatches(storage::RowIterator* iter, std::vector<RowBatch>* out,
-                    uint64_t* rows);
+// Approximate resident bytes of a batch, every physical row included
+// (ApproxRowBytes' unit, for charging held batches to a query budget).
+size_t ApproxBatchBytes(const RowBatch& batch);
 
 }  // namespace htg::exec

@@ -216,13 +216,6 @@ std::string FnCallExpr::ToString() const {
   return out;
 }
 
-ExprPtr FnCallExpr::Clone() const {
-  std::vector<ExprPtr> args;
-  args.reserve(args_.size());
-  for (const ExprPtr& a : args_) args.push_back(a->Clone());
-  return std::make_unique<FnCallExpr>(fn_, std::move(args));
-}
-
 std::string CastExpr::ToString() const {
   return "CAST(" + operand_->ToString() + " AS " +
          std::string(DataTypeName(target_)) + ")";
@@ -249,16 +242,6 @@ std::string CaseExpr::ToString() const {
   if (else_ != nullptr) out += " ELSE " + else_->ToString();
   out += " END";
   return out;
-}
-
-ExprPtr CaseExpr::Clone() const {
-  std::vector<std::pair<ExprPtr, ExprPtr>> branches;
-  branches.reserve(branches_.size());
-  for (const auto& [c, r] : branches_) {
-    branches.emplace_back(c->Clone(), r->Clone());
-  }
-  return std::make_unique<CaseExpr>(std::move(branches),
-                                    else_ ? else_->Clone() : nullptr);
 }
 
 bool LikeExpr::Match(std::string_view text, std::string_view pattern) {

@@ -37,7 +37,6 @@ class Expr {
 
   virtual DataType result_type() const = 0;
   virtual std::string ToString() const = 0;
-  virtual ExprPtr Clone() const = 0;
 
   // Structural equality (GROUP BY matching in the binder).
   bool Equals(const Expr& other) const { return ToString() == other.ToString(); }
@@ -78,10 +77,6 @@ class ColumnRefExpr : public Expr {
                    std::vector<Value>* out) const override;
   DataType result_type() const override { return type_; }
   std::string ToString() const override;
-  ExprPtr Clone() const override {
-    return std::make_unique<ColumnRefExpr>(index_, name_, type_);
-  }
-
   int index() const { return index_; }
   const std::string& name() const { return name_; }
 
@@ -103,10 +98,6 @@ class LiteralExpr : public Expr {
                    std::vector<Value>* out) const override;
   DataType result_type() const override { return value_.type(); }
   std::string ToString() const override;
-  ExprPtr Clone() const override {
-    return std::make_unique<LiteralExpr>(value_);
-  }
-
   const Value& value() const { return value_; }
 
  private:
@@ -126,10 +117,6 @@ class BinaryExpr : public Expr {
                    std::vector<Value>* out) const override;
   DataType result_type() const override;
   std::string ToString() const override;
-  ExprPtr Clone() const override {
-    return std::make_unique<BinaryExpr>(op_, left_->Clone(), right_->Clone());
-  }
-
   BinaryOp op() const { return op_; }
   const Expr* left() const { return left_.get(); }
   const Expr* right() const { return right_.get(); }
@@ -155,9 +142,6 @@ class UnaryExpr : public Expr {
     return op_ == Op::kNot ? DataType::kBool : operand_->result_type();
   }
   std::string ToString() const override;
-  ExprPtr Clone() const override {
-    return std::make_unique<UnaryExpr>(op_, operand_->Clone());
-  }
 
  private:
   Op op_;
@@ -183,7 +167,6 @@ class FnCallExpr : public Expr {
                    std::vector<Value>* out) const override;
   DataType result_type() const override { return type_; }
   std::string ToString() const override;
-  ExprPtr Clone() const override;
 
  private:
   const udf::ScalarFunction* fn_;
@@ -205,9 +188,6 @@ class CastExpr : public Expr {
                    std::vector<Value>* out) const override;
   DataType result_type() const override { return target_; }
   std::string ToString() const override;
-  ExprPtr Clone() const override {
-    return std::make_unique<CastExpr>(operand_->Clone(), target_);
-  }
 
  private:
   ExprPtr operand_;
@@ -229,9 +209,6 @@ class IsNullExpr : public Expr {
                    std::vector<Value>* out) const override;
   DataType result_type() const override { return DataType::kBool; }
   std::string ToString() const override;
-  ExprPtr Clone() const override {
-    return std::make_unique<IsNullExpr>(operand_->Clone(), negated_);
-  }
 
  private:
   ExprPtr operand_;
@@ -250,7 +227,6 @@ class CaseExpr : public Expr {
                              : branches_[0].second->result_type();
   }
   std::string ToString() const override;
-  ExprPtr Clone() const override;
 
  private:
   std::vector<std::pair<ExprPtr, ExprPtr>> branches_;
@@ -272,10 +248,6 @@ class LikeExpr : public Expr {
                    std::vector<Value>* out) const override;
   DataType result_type() const override { return DataType::kBool; }
   std::string ToString() const override;
-  ExprPtr Clone() const override {
-    return std::make_unique<LikeExpr>(operand_->Clone(), pattern_, negated_);
-  }
-
   // Exposed for direct testing of the matcher.
   static bool Match(std::string_view text, std::string_view pattern);
 

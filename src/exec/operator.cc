@@ -83,9 +83,8 @@ uint64_t OwnNs(const OperatorStats& s) {
          s.close_ns.load(std::memory_order_relaxed);
 }
 
-// Inclusive time of `op`. Operators that never opened (EXPLAIN-only
-// markers such as Distribute Streams) are transparent: their children's
-// time stands in for theirs.
+// Inclusive time of `op`. Operators that never opened are transparent:
+// their children's time stands in for theirs.
 uint64_t InclusiveNs(const Operator& op) {
   if (op.stats().open_calls.load(std::memory_order_relaxed) > 0) {
     return OwnNs(op.stats());
@@ -204,7 +203,7 @@ void ExplainAnalyzeRec(const Operator& op, int depth, std::string* out) {
 Result<std::unique_ptr<storage::RowIterator>> Operator::Open(
     ExecContext* ctx) {
   if (!ctx->collect_stats) return OpenImpl(ctx);
-  OperatorStats* stats = sink_;
+  OperatorStats* stats = &stats_;
   Stopwatch sw;
   Result<std::unique_ptr<storage::RowIterator>> result = OpenImpl(ctx);
   stats->open_ns.fetch_add(sw.ElapsedNanos(), std::memory_order_relaxed);

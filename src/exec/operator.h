@@ -11,6 +11,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "exec/expression.h"
+#include "storage/heap_table.h"
 #include "storage/mvcc.h"
 #include "storage/scan_predicate.h"
 #include "storage/table.h"
@@ -44,6 +45,10 @@ struct ExecContext {
   // uncommitted writes. kFrozenTxn outside any transaction.
   storage::TxnId txn_id = storage::kFrozenTxn;
   udf::EvalContext eval;
+  // The page range a worker of an exchange is running its subtree over;
+  // null outside an exchange. A heap scan opened under it reads that
+  // morsel instead of its visible prefix.
+  const storage::HeapTable::PageRange* morsel = nullptr;
 
   // True when an over-budget operator may degrade to disk instead of
   // failing the statement.
@@ -72,7 +77,8 @@ struct ExecContext {
 // operator's stats from several morsel workers at once. Exchange
 // operators additionally record per-worker totals (skew diagnosis).
 struct OperatorStats {
-  std::atomic<uint64_t> open_calls{0};  // streams opened (morsel replays)
+  // Streams opened: one per morsel below an exchange.
+  std::atomic<uint64_t> open_calls{0};
   std::atomic<uint64_t> rows_out{0};
   std::atomic<uint64_t> batches_out{0};  // NextBatch calls that produced rows
   std::atomic<uint64_t> open_ns{0};
@@ -113,6 +119,10 @@ inline void RecordPeakMem(OperatorStats* stats, uint64_t bytes) {
 
 // A physical plan node. Open() builds the pull-based row stream; the tree
 // structure is also what EXPLAIN prints.
+//
+// OpenImpl never mutates its operator: all per-execution state lives in
+// the iterators it returns, because an exchange opens one tree from many
+// workers at once (one Open per morsel).
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -133,12 +143,11 @@ class Operator {
   // column; negative when unknown.
   virtual int64_t EstimateRows() const { return -1; }
 
-  // Stats are execution telemetry, not plan state: mutable so morsel
-  // pipeline clones can be pointed at the stats of the EXPLAIN tree node
-  // they replay (SetStatsSink), which the renderer walks const.
-  OperatorStats* mutable_stats() const { return sink_; }
-  const OperatorStats& stats() const { return *sink_; }
-  void SetStatsSink(OperatorStats* sink) const { sink_ = sink; }
+  // Stats are execution telemetry, not plan state: mutable so the
+  // workers that open one operator concurrently all accumulate into it,
+  // and the renderer walks the tree const.
+  OperatorStats* mutable_stats() const { return &stats_; }
+  const OperatorStats& stats() const { return stats_; }
 
  protected:
   virtual Result<std::unique_ptr<storage::RowIterator>> OpenImpl(
@@ -146,7 +155,6 @@ class Operator {
 
  private:
   mutable OperatorStats stats_;
-  mutable OperatorStats* sink_ = &stats_;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
@@ -161,7 +169,7 @@ std::string ExplainPlan(const Operator& root);
 
 // Renders the plan tree annotated with runtime stats. Only meaningful
 // after the plan ran with ExecContext::collect_stats set; operators that
-// never opened (EXPLAIN-only markers) print without an annotation.
+// never opened print without an annotation.
 // `time` is inclusive, `self` excludes the children; an exchange's self
 // is its wall time minus its workers' average, and it also prints the
 // workers' summed time.

@@ -6,11 +6,7 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/synchronization.h"
-#include "exec/apply_ops.h"
-#include "exec/basic_ops.h"
 #include "exec/batch.h"
-#include "exec/join_ops.h"
-#include "storage/heap_table.h"
 
 namespace htg::exec {
 
@@ -24,22 +20,13 @@ std::vector<Morsel> MakeMorsels(size_t num_pages, size_t morsel_pages) {
   return morsels;
 }
 
-Result<std::vector<Morsel>> PlanHeapMorsels(catalog::TableDef* table,
-                                            const ExecContext& ctx,
-                                            size_t morsel_pages) {
-  HTG_ASSIGN_OR_RETURN(const Morsel visible, PlanVisibleHeap(table, ctx));
-  std::vector<Morsel> morsels = MakeMorsels(visible.end_page, morsel_pages);
-  if (!morsels.empty()) morsels.back().tail_rows = visible.tail_rows;
-  return morsels;
-}
-
-size_t ChooseMorselPages(size_t num_pages, int dop, size_t max_pages) {
-  if (max_pages == 0) max_pages = kDefaultMorselPages;
+size_t ChooseMorselPages(size_t num_pages, int dop) {
   if (dop < 1) dop = 1;
   // Aim for ~4 morsels per worker so the shared counter can rebalance
   // skew, but never below one page per morsel.
   const size_t target = num_pages / (4 * static_cast<size_t>(dop));
-  return std::max<size_t>(1, std::min(max_pages, std::max<size_t>(1, target)));
+  return std::max<size_t>(
+      1, std::min(kDefaultMorselPages, std::max<size_t>(1, target)));
 }
 
 Status ParallelDrainMorsels(ThreadPool* pool, int dop, size_t num_morsels,
@@ -120,119 +107,77 @@ Status ParallelDrainMorsels(ThreadPool* pool, int dop, size_t num_morsels,
 }
 
 // --------------------------------------------------------------------------
-// Pipeline stages.
+// MorselDriver.
 // --------------------------------------------------------------------------
 
-ParallelStage ParallelStage::Clone() const {
-  ParallelStage copy;
-  copy.kind = kind;
-  if (predicate != nullptr) copy.predicate = predicate->Clone();
-  copy.exprs.reserve(exprs.size());
-  for (const ExprPtr& e : exprs) copy.exprs.push_back(e->Clone());
-  copy.names = names;
-  copy.fn = fn;
-  copy.args.reserve(args.size());
-  for (const ExprPtr& a : args) copy.args.push_back(a->Clone());
-  copy.fn_schema = fn_schema;
-  copy.outer_columns = outer_columns;
-  return copy;
-}
-
-ParallelStage ParallelStage::Filter(ExprPtr predicate) {
-  ParallelStage stage;
-  stage.kind = Kind::kFilter;
-  stage.predicate = std::move(predicate);
-  return stage;
-}
-
-ParallelStage ParallelStage::Project(std::vector<ExprPtr> exprs,
-                                     std::vector<std::string> names) {
-  ParallelStage stage;
-  stage.kind = Kind::kProject;
-  stage.exprs = std::move(exprs);
-  stage.names = std::move(names);
-  return stage;
-}
-
-ParallelStage ParallelStage::Apply(const udf::TableFunction* fn,
-                                   std::vector<ExprPtr> args,
-                                   Schema fn_schema,
-                                   std::vector<int> outer_columns) {
-  ParallelStage stage;
-  stage.kind = Kind::kApply;
-  stage.fn = fn;
-  stage.args = std::move(args);
-  stage.fn_schema = std::move(fn_schema);
-  stage.outer_columns = std::move(outer_columns);
-  return stage;
-}
-
-std::vector<ParallelStage> CloneStages(const std::vector<ParallelStage>& s) {
-  std::vector<ParallelStage> out;
-  out.reserve(s.size());
-  for (const ParallelStage& stage : s) out.push_back(stage.Clone());
-  return out;
-}
-
-namespace {
-
-OperatorPtr ApplyStages(OperatorPtr op,
-                        const std::vector<ParallelStage>& stages) {
-  for (const ParallelStage& stage : stages) {
-    switch (stage.kind) {
-      case ParallelStage::Kind::kFilter:
-        op = std::make_unique<FilterOp>(std::move(op),
-                                        stage.predicate->Clone());
-        break;
-      case ParallelStage::Kind::kProject: {
-        std::vector<ExprPtr> exprs;
-        exprs.reserve(stage.exprs.size());
-        for (const ExprPtr& e : stage.exprs) exprs.push_back(e->Clone());
-        op = std::make_unique<ProjectOp>(std::move(op), std::move(exprs),
-                                         stage.names);
-        break;
-      }
-      case ParallelStage::Kind::kApply: {
-        std::vector<ExprPtr> args;
-        args.reserve(stage.args.size());
-        for (const ExprPtr& a : stage.args) args.push_back(a->Clone());
-        op = std::make_unique<CrossApplyOp>(std::move(op), stage.fn,
-                                            std::move(args), stage.fn_schema,
-                                            stage.outer_columns);
-        break;
-      }
-    }
+MorselDriver::MorselDriver(Operator* child, std::vector<Morsel> morsels,
+                           int dop, const ExecContext& ctx,
+                           OperatorStats* stats)
+    : child_(child),
+      morsels_(std::move(morsels)),
+      workers_(std::min<size_t>(dop < 1 ? 1 : dop,
+                                std::max<size_t>(1, morsels_.size())),
+               ctx),
+      pool_(ctx.pool),
+      stats_(ctx.collect_stats ? stats : nullptr) {
+  if (stats_ != nullptr) {
+    stats_->worker_rows.assign(workers_.size(), 0);
+    stats_->worker_morsels.assign(workers_.size(), 0);
+    stats_->worker_batches.assign(workers_.size(), 0);
   }
-  return op;
 }
 
-}  // namespace
+Result<MorselDriver> MorselDriver::Plan(Operator* child,
+                                        catalog::TableDef* heap, int dop,
+                                        size_t morsel_pages,
+                                        const ExecContext& ctx,
+                                        OperatorStats* stats) {
+  HTG_ASSIGN_OR_RETURN(const Morsel visible, PlanVisibleHeap(heap, ctx));
+  std::vector<Morsel> morsels = MakeMorsels(visible.end_page, morsel_pages);
+  if (!morsels.empty()) morsels.back().tail_rows = visible.tail_rows;
+  return MorselDriver(child, std::move(morsels), dop, ctx, stats);
+}
 
-OperatorPtr BuildMorselPipeline(catalog::TableDef* table,
-                                const std::vector<int>& columns,
-                                const storage::ScanPredicate& predicate,
-                                const Morsel& morsel,
-                                const std::vector<ParallelStage>& stages) {
-  OperatorPtr op =
-      std::make_unique<TableScanOp>(table, columns, morsel, predicate);
-  return ApplyStages(std::move(op), stages);
+Result<std::unique_ptr<storage::RowIterator>> MorselDriver::OpenMorsel(
+    int worker, size_t m) {
+  ExecContext* wctx = &workers_[worker];
+  wctx->morsel = &morsels_[m];
+  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
+                       child_->Open(wctx));
+  if (stats_ != nullptr) {
+    // Count the rows (and batches) this worker consumes, for the
+    // per-worker skew lines under the exchange in ANALYZE output.
+    iter = WrapCounting(std::move(iter), &stats_->worker_rows[worker],
+                        &stats_->worker_batches[worker]);
+    ++stats_->worker_morsels[worker];
+  }
+  return iter;
+}
+
+Status MorselDriver::Run(
+    const std::function<Status(int, storage::RowIterator*)>& consume) {
+  return ParallelDrainMorsels(
+      pool_, dop(), morsels_.size(), [&](int worker, size_t m) -> Status {
+        HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
+                             OpenMorsel(worker, m));
+        return consume(worker, iter.get());
+      });
 }
 
 // --------------------------------------------------------------------------
 // DistributeStreamsOp.
 // --------------------------------------------------------------------------
 
-DistributeStreamsOp::DistributeStreamsOp(OperatorPtr child, int dop,
-                                         size_t morsel_pages)
-    : child_(std::move(child)),
-      dop_(dop < 1 ? 1 : dop),
-      morsel_pages_(morsel_pages) {}
+DistributeStreamsOp::DistributeStreamsOp(std::unique_ptr<TableScanOp> scan,
+                                         int dop, size_t morsel_pages)
+    : dop_(dop < 1 ? 1 : dop), morsel_pages_(morsel_pages) {
+  scan->set_distributed();
+  child_ = std::move(scan);
+}
 
 Result<std::unique_ptr<storage::RowIterator>> DistributeStreamsOp::OpenImpl(
-    ExecContext*) {
-  return Status::Internal(
-      "Distribute Streams is an EXPLAIN marker; exchange operators open "
-      "their morsel pipelines directly");
+    ExecContext* ctx) {
+  return child_->Open(ctx);
 }
 
 std::string DistributeStreamsOp::Describe() const {
@@ -241,127 +186,238 @@ std::string DistributeStreamsOp::Describe() const {
       morsel_pages_);
 }
 
-OperatorPtr BuildExplainPipeline(catalog::TableDef* table,
-                                 const std::vector<int>& columns,
-                                 const storage::ScanPredicate& predicate,
-                                 const std::vector<ParallelStage>& stages,
-                                 int dop, size_t morsel_pages) {
-  auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
-  const size_t npages = heap != nullptr ? heap->num_pages() : 0;
-  OperatorPtr op = std::make_unique<TableScanOp>(
-      table, columns, Morsel{0, npages, 0}, predicate);
-  op = std::make_unique<DistributeStreamsOp>(std::move(op), dop, morsel_pages);
-  return ApplyStages(std::move(op), stages);
-}
-
-void LinkPipelineStats(const Operator* pipeline, const Operator* repr) {
-  while (pipeline != nullptr && repr != nullptr) {
-    if (dynamic_cast<const DistributeStreamsOp*>(repr) != nullptr) {
-      const std::vector<const Operator*> kids = repr->children();
-      repr = kids.empty() ? nullptr : kids[0];
-      continue;
-    }
-    pipeline->SetStatsSink(repr->mutable_stats());
-    const std::vector<const Operator*> pkids = pipeline->children();
-    const std::vector<const Operator*> rkids = repr->children();
-    pipeline = pkids.empty() ? nullptr : pkids[0];
-    repr = rkids.empty() ? nullptr : rkids[0];
-  }
-}
-
 // --------------------------------------------------------------------------
 // ParallelMapOp.
 // --------------------------------------------------------------------------
 
-ParallelMapOp::ParallelMapOp(catalog::TableDef* table, std::vector<int> columns,
-                             std::vector<ParallelStage> stages, int dop,
-                             size_t morsel_pages, bool preserve_order,
-                             storage::ScanPredicate predicate)
-    : table_(table),
-      columns_(std::move(columns)),
-      predicate_(std::move(predicate)),
-      stages_(std::move(stages)),
-      dop_(dop < 1 ? 1 : dop),
-      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages),
-      preserve_order_(preserve_order),
-      repr_(BuildExplainPipeline(table_, columns_, predicate_, stages_, dop_,
-                                 morsel_pages_)) {}
+namespace {
 
-int64_t ParallelMapOp::EstimateRows() const {
-  // Scan cardinality; filter/apply stages make the true fan-out unknown,
-  // so only a bare pipeline keeps the estimate.
-  return stages_.empty() ? static_cast<int64_t>(table_->table->num_rows())
-                         : -1;
-}
+// The consumer side of ParallelMapOp. Helper tasks claim morsels in
+// order, at most `window` past the last one the consumer took and only
+// while half the query budget has room (MayClaim), and park each
+// morsel's batches in its slot; the consumer hands the slots out in
+// morsel order. A morsel nobody has claimed when the consumer reaches it
+// streams straight from the consumer's thread (as worker 0), as in the
+// serial plan, so the stream never waits on a pool that is busy
+// elsewhere and a tight budget degrades the gather to serial. Parked
+// batches are charged without a check (the gather has no out-of-core
+// fallback), each released as it is handed out.
+class GatherIterator : public BatchIterator {
+ public:
+  GatherIterator(MorselDriver driver, MemoryContext* mem,
+                 OperatorStats* stats)
+      : state_(std::make_shared<State>(std::move(driver), mem)),
+        stats_(stats) {
+    HTG_METRIC_COUNTER("exec.morsels.dispatched")
+        ->Add(state_->driver.num_morsels());
+    ThreadPool* pool = state_->driver.pool();
+    if (pool == nullptr) return;
+    for (int w = 1; w < state_->driver.dop(); ++w) {
+      pool->Submit([state = state_] {
+        const int worker = state->next_worker.fetch_add(1);
+        if (worker < state->driver.dop()) Help(state.get(), worker);
+      });
+    }
+  }
+
+  ~GatherIterator() override {
+    live_.reset();
+    {
+      // Helpers still inside a morsel use the operator tree and the
+      // statement's context: wait them out. Later ones see `stop`.
+      MutexLock lock(&state_->mu);
+      state_->stop = true;
+      while (state_->active > 0) state_->cv.Wait(&state_->mu);
+      state_->slots.clear();
+    }
+    state_->cv.NotifyAll();
+    RecordPeakMem(stats_, state_->charge.peak());
+    state_->charge.ReleaseAll();
+  }
+
+ protected:
+  bool ProduceBatch(RowBatch* batch) override {
+    State* s = state_.get();
+    for (;;) {
+      if (!status_.ok()) return false;
+      if (live_ != nullptr) {
+        while (live_->NextBatch(batch)) {
+          if (batch->ActiveRows() > 0) return true;
+        }
+        Status status = live_->status();
+        live_.reset();
+        if (!status.ok()) return Fail(std::move(status));
+        continue;
+      }
+      if (pos_ < current_.batches.size()) {
+        *batch = std::move(current_.batches[pos_]);
+        s->charge.Release(current_.bytes[pos_]);
+        ++pos_;
+        return true;
+      }
+      if (next_ == s->driver.num_morsels()) return false;
+      bool run_here = false;
+      {
+        MutexLock lock(&s->mu);
+        if (s->next == next_) {
+          ++s->next;
+          run_here = true;
+        } else {
+          while (!s->slots[next_].done) s->cv.Wait(&s->mu);
+          current_ = std::move(s->slots[next_]);
+          pos_ = 0;
+        }
+        s->consumed = next_ + 1;
+      }
+      s->cv.NotifyAll();
+      const size_t m = next_++;
+      if (run_here) {
+        Result<std::unique_ptr<storage::RowIterator>> iter =
+            s->driver.OpenMorsel(0, m);
+        if (!iter.ok()) return Fail(iter.status());
+        live_ = std::move(*iter);
+      } else if (!current_.status.ok()) {
+        // Batches of the failed morsel stay charged until the destructor.
+        return Fail(current_.status);
+      }
+    }
+  }
+
+ private:
+  // One morsel's parked output: its batches, each one's charged bytes,
+  // and how the morsel ended.
+  struct Slot {
+    std::vector<RowBatch> batches;
+    std::vector<size_t> bytes;
+    Status status;
+    bool done = false;
+  };
+
+  // Shared with the helper tasks, which can outlive the iterator.
+  struct State {
+    State(MorselDriver d, MemoryContext* m)
+        : driver(std::move(d)),
+          mem(m),
+          charge(m, "Gather Streams"),
+          window(static_cast<size_t>(driver.dop())),
+          slots(driver.num_morsels()) {}
+
+    MorselDriver driver;
+    MemoryContext* mem;
+    MemoryCharge charge;
+    const size_t window;
+    std::atomic<int> next_worker{1};  // 0 is the consumer
+    Mutex mu{"GatherIterator::mu"};
+    CondVar cv;
+    std::vector<Slot> slots HTG_GUARDED_BY(mu);
+    size_t next HTG_GUARDED_BY(mu) = 0;      // first unclaimed morsel
+    size_t consumed HTG_GUARDED_BY(mu) = 0;  // morsels the consumer took
+    size_t largest HTG_GUARDED_BY(mu) = 0;   // bytes of the largest slot
+    int active HTG_GUARDED_BY(mu) = 0;       // helpers inside a morsel
+    bool stop HTG_GUARDED_BY(mu) = false;    // consumer gone or failed
+  };
+
+  bool Fail(Status status) {
+    status_ = std::move(status);
+    MutexLock lock(&state_->mu);
+    state_->stop = true;
+    return false;
+  }
+
+  // Whether a helper may claim the next morsel: within the window, and
+  // half the budget has room for it and for the morsels other helpers
+  // are still parking, each as large as any parked yet. The operators
+  // above the gather always keep the other half.
+  static bool MayClaim(State* s) HTG_REQUIRES(s->mu) {
+    if (s->next >= s->consumed + s->window) return false;
+    const size_t parking = s->largest * (static_cast<size_t>(s->active) + 1);
+    return s->mem == nullptr || s->mem->unlimited() ||
+           s->mem->used() + parking <= s->mem->budget() / 2;
+  }
+
+  // Opens morsel `m` as `worker` and parks its batches, charging each.
+  static Slot Park(State* s, int worker, size_t m) {
+    Slot slot;
+    slot.done = true;
+    Result<std::unique_ptr<storage::RowIterator>> iter =
+        s->driver.OpenMorsel(worker, m);
+    if (!iter.ok()) {
+      slot.status = iter.status();
+      return slot;
+    }
+    for (;;) {
+      RowBatch batch;
+      if (!(*iter)->NextBatch(&batch)) break;
+      if (batch.ActiveRows() == 0) continue;
+      const size_t bytes = ApproxBatchBytes(batch);
+      s->charge.AddUnchecked(bytes);
+      slot.bytes.push_back(bytes);
+      slot.batches.push_back(std::move(batch));
+    }
+    slot.status = (*iter)->status();
+    return slot;
+  }
+
+  static void Help(State* s, int worker) {
+    for (;;) {
+      size_t m = 0;
+      {
+        MutexLock lock(&s->mu);
+        while (!s->stop && s->next < s->slots.size() && !MayClaim(s)) {
+          s->cv.Wait(&s->mu);
+        }
+        if (s->stop || s->next >= s->slots.size()) return;
+        m = s->next++;
+        ++s->active;
+      }
+      // A morsel a helper runs was "stolen" off the consumer.
+      HTG_METRIC_COUNTER("exec.morsels.stolen")->Add(1);
+      Slot slot = Park(s, worker, m);
+      size_t bytes = 0;
+      for (size_t b : slot.bytes) bytes += b;
+      {
+        MutexLock lock(&s->mu);
+        if (!slot.status.ok()) s->stop = true;
+        s->largest = std::max(s->largest, bytes);
+        s->slots[m] = std::move(slot);
+        --s->active;
+      }
+      s->cv.NotifyAll();
+    }
+  }
+
+  std::shared_ptr<State> state_;
+  OperatorStats* stats_;
+  size_t next_ = 0;  // next morsel to take
+  // The morsel being handed out: streamed (run here) or parked.
+  std::unique_ptr<storage::RowIterator> live_;
+  Slot current_;
+  size_t pos_ = 0;  // current_'s next batch
+};
+
+}  // namespace
+
+ParallelMapOp::ParallelMapOp(OperatorPtr child, catalog::TableDef* heap,
+                             int dop, size_t morsel_pages)
+    : child_(std::move(child)),
+      heap_(heap),
+      dop_(dop < 1 ? 1 : dop),
+      morsel_pages_(morsel_pages) {}
 
 Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
     ExecContext* ctx) {
-  HTG_ASSIGN_OR_RETURN(const std::vector<Morsel> morsels,
-                       PlanHeapMorsels(table_, *ctx, morsel_pages_));
-  const int dop = std::min<size_t>(dop_, std::max<size_t>(1, morsels.size()));
-
   OperatorStats* stats = mutable_stats();
-  if (ctx->collect_stats) {
-    stats->worker_rows.assign(dop, 0);
-    stats->worker_morsels.assign(dop, 0);
-    stats->worker_batches.assign(dop, 0);
-  }
-
-  // Workers drain morsels into per-morsel batch buffers; each worker
-  // evaluates expressions through its own EvalContext copy. Rows cross
-  // the exchange as RowBatches and are never converted to row form.
-  std::vector<ExecContext> worker_ctx(dop, *ctx);
-  std::vector<std::vector<RowBatch>> buffers(morsels.size());
-  std::vector<size_t> done_order;  // completion order of morsel indexes
-  Mutex done_mu;  // guards done_order until the drain barrier; the
-                  // gather loop below reads it quiescently afterwards
-  done_order.reserve(morsels.size());
-  HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
-      ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
-        OperatorPtr pipeline = BuildMorselPipeline(
-            table_, columns_, predicate_, morsels[m], stages_);
-        if (ctx->collect_stats) {
-          LinkPipelineStats(pipeline.get(), repr_.get());
-        }
-        HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
-                             pipeline->Open(&worker_ctx[worker]));
-        uint64_t morsel_rows = 0;
-        HTG_RETURN_IF_ERROR(DrainBatches(iter.get(), &buffers[m],
-                                         &morsel_rows));
-        if (ctx->collect_stats) {
-          stats->worker_rows[worker] += morsel_rows;
-          stats->worker_batches[worker] += buffers[m].size();
-          ++stats->worker_morsels[worker];
-        }
-        if (!preserve_order_) {
-          MutexLock lock(&done_mu);
-          done_order.push_back(m);
-        }
-        return Status::OK();
-      }));
-
-  size_t total = 0;
-  for (const std::vector<RowBatch>& b : buffers) total += b.size();
-  std::vector<RowBatch> batches;
-  batches.reserve(total);
-  if (preserve_order_) {
-    // Gather in morsel order: output matches the serial heap scan order.
-    for (std::vector<RowBatch>& b : buffers) {
-      for (RowBatch& batch : b) batches.push_back(std::move(batch));
-      b.clear();
-    }
-  } else {
-    for (size_t m : done_order) {
-      for (RowBatch& batch : buffers[m]) batches.push_back(std::move(batch));
-      buffers[m].clear();
-    }
-  }
-  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches))};
+  HTG_ASSIGN_OR_RETURN(
+      MorselDriver driver,
+      MorselDriver::Plan(child_.get(), heap_, dop_, morsel_pages_, *ctx,
+                         stats));
+  return {std::make_unique<GatherIterator>(std::move(driver), ctx->mem.get(),
+                                           stats)};
 }
 
 std::string ParallelMapOp::Describe() const {
-  return StringPrintf("Parallelism (Gather Streams) [DOP=%d%s]", dop_,
-                      preserve_order_ ? ", order preserving" : "");
+  return StringPrintf("Parallelism (Gather Streams) [DOP=%d, order preserving]",
+                      dop_);
 }
 
 }  // namespace htg::exec

@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "catalog/table_def.h"
+#include "exec/basic_ops.h"
 #include "exec/operator.h"
 #include "storage/heap_table.h"
-#include "udf/function.h"
 
 namespace htg::exec {
 
@@ -33,17 +33,10 @@ inline constexpr size_t kDefaultMorselPages = 32;
 // may be short). Empty input yields no morsels.
 std::vector<Morsel> MakeMorsels(size_t num_pages, size_t morsel_pages);
 
-// The statement's morsels: the heap rows of `table` visible to ctx's
-// snapshot (PlanVisibleHeap, planned once), cut into morsels of
-// `morsel_pages` pages. The last morsel carries the prefix's mid-page cap.
-Result<std::vector<Morsel>> PlanHeapMorsels(catalog::TableDef* table,
-                                            const ExecContext& ctx,
-                                            size_t morsel_pages);
-
-// Picks a morsel size for a table of `num_pages` pages: the configured
-// `max_pages` cap, shrunk so that `dop` workers see several morsels each
-// (work stealing needs slack to balance).
-size_t ChooseMorselPages(size_t num_pages, int dop, size_t max_pages);
+// Picks a morsel size for a table of `num_pages` pages: at most
+// kDefaultMorselPages, shrunk so that `dop` workers see several morsels
+// each (work stealing needs slack to balance).
+size_t ChooseMorselPages(size_t num_pages, int dop);
 
 // Runs fn(worker, morsel) for every morsel index in [0, num_morsels),
 // drained from a shared counter by `dop` workers. Worker ids are dense in
@@ -56,54 +49,64 @@ Status ParallelDrainMorsels(ThreadPool* pool, int dop, size_t num_morsels,
                             const std::function<Status(int, size_t)>& fn);
 
 // ---------------------------------------------------------------------------
-// Morsel pipelines: a restricted, cloneable description of the
-// scan→filter→project→CROSS APPLY operator chains that exchange operators
-// replay once per morsel.
+// Exchanges. The binder builds one operator tree; an exchange opens its
+// subtree once per morsel, on a worker ExecContext whose `morsel` names
+// that morsel, and the heap scan at the bottom of the subtree reads it.
+// Operators are immutable after binding (per-execution state lives in
+// iterators), so the workers share the subtree and its stats.
 // ---------------------------------------------------------------------------
 
-struct ParallelStage {
-  enum class Kind { kFilter, kProject, kApply };
+// The worker side shared by both exchanges: the statement's morsels of a
+// heap, the effective DOP (clamped to the morsel count) and one
+// ExecContext per worker.
+class MorselDriver {
+ public:
+  // Plans the statement's morsels: the rows of `heap` visible to ctx's
+  // snapshot (PlanVisibleHeap, planned once), cut into morsels of
+  // `morsel_pages` pages, the last one carrying the prefix's mid-page
+  // cap. `child` is the subtree opened per morsel. When ctx collects
+  // stats, sizes the per-worker slots in `stats`.
+  static Result<MorselDriver> Plan(Operator* child, catalog::TableDef* heap,
+                                   int dop, size_t morsel_pages,
+                                   const ExecContext& ctx,
+                                   OperatorStats* stats);
 
-  Kind kind = Kind::kFilter;
-  // kFilter.
-  ExprPtr predicate;
-  // kProject.
-  std::vector<ExprPtr> exprs;
-  std::vector<std::string> names;
-  // kApply.
-  const udf::TableFunction* fn = nullptr;
-  std::vector<ExprPtr> args;
-  Schema fn_schema;
-  std::vector<int> outer_columns;  // input columns carried past the apply
+  int dop() const { return static_cast<int>(workers_.size()); }
+  size_t num_morsels() const { return morsels_.size(); }
+  ThreadPool* pool() const { return pool_; }
+  ExecContext* worker_context(int worker) { return &workers_[worker]; }
 
-  ParallelStage Clone() const;
+  // Opens the child over morsel `m` on the worker's context. The rows,
+  // batches and morsels each worker consumes count into the stats.
+  Result<std::unique_ptr<storage::RowIterator>> OpenMorsel(int worker,
+                                                           size_t m);
 
-  static ParallelStage Filter(ExprPtr predicate);
-  static ParallelStage Project(std::vector<ExprPtr> exprs,
-                               std::vector<std::string> names);
-  static ParallelStage Apply(const udf::TableFunction* fn,
-                             std::vector<ExprPtr> args, Schema fn_schema,
-                             std::vector<int> outer_columns);
+  // Runs every morsel on the DOP workers (ParallelDrainMorsels) and
+  // hands each morsel's stream to consume(worker, rows).
+  Status Run(
+      const std::function<Status(int, storage::RowIterator*)>& consume);
+
+ private:
+  MorselDriver(Operator* child, std::vector<Morsel> morsels, int dop,
+               const ExecContext& ctx, OperatorStats* stats);
+
+  Operator* child_;
+  std::vector<Morsel> morsels_;
+  std::vector<ExecContext> workers_;
+  ThreadPool* pool_;
+  OperatorStats* stats_;  // null unless ctx collects stats
 };
 
-std::vector<ParallelStage> CloneStages(const std::vector<ParallelStage>& s);
-
-// Builds the per-morsel operator chain: a morsel scan of `columns` of
-// `table` under `predicate`, wrapped by each stage in order.
-OperatorPtr BuildMorselPipeline(catalog::TableDef* table,
-                                const std::vector<int>& columns,
-                                const storage::ScanPredicate& predicate,
-                                const Morsel& morsel,
-                                const std::vector<ParallelStage>& stages);
-
-// EXPLAIN-only marker for the worker side of an exchange: prints
-// "Parallelism (Distribute Streams)" above the scan it wraps, mirroring
-// the SQL Server showplan the paper reproduces. Never opened at runtime.
-// `dop` is the effective degree (already clamped to the morsel count at
-// plan time), so EXPLAIN output is deterministic and golden-testable.
+// "Parallelism (Distribute Streams)": the worker side of an exchange,
+// directly above the heap scan whose page range the exchange cuts into
+// morsels, mirroring the SQL Server showplan the paper reproduces. Passes
+// its child's stream through. `dop` is the effective degree (already
+// clamped to the morsel count at plan time), so EXPLAIN output is
+// deterministic and golden-testable.
 class DistributeStreamsOp : public Operator {
  public:
-  DistributeStreamsOp(OperatorPtr child, int dop, size_t morsel_pages);
+  DistributeStreamsOp(std::unique_ptr<TableScanOp> scan, int dop,
+                      size_t morsel_pages);
 
   const Schema& output_schema() const override {
     return child_->output_schema();
@@ -121,58 +124,34 @@ class DistributeStreamsOp : public Operator {
   size_t morsel_pages_;
 };
 
-// Points each operator of a morsel pipeline at the stats sink of its
-// counterpart in the EXPLAIN representative tree, so every morsel replay
-// accumulates into the single tree EXPLAIN ANALYZE renders. The repr tree
-// differs only by the Distribute Streams marker, which is skipped.
-void LinkPipelineStats(const Operator* pipeline, const Operator* repr);
-
-// ---------------------------------------------------------------------------
-// ParallelMapOp ("Parallelism (Gather Streams)" over a stateless pipeline):
-// runs the stage pipeline per-morsel on DOP workers and gathers the result
-// rows — in morsel (i.e. heap) order when `preserve_order` is set, in
-// completion order otherwise. This is what parallelizes the CROSS APPLY
-// read-alignment pipelines end to end.
-// ---------------------------------------------------------------------------
+// ParallelMapOp ("Parallelism (Gather Streams)" over a stateless
+// subtree): runs `child` per morsel of `heap` on DOP workers and streams
+// the result batches out in morsel (i.e. heap) order, so the output
+// matches the serial plan's. This is what parallelizes the CROSS APPLY
+// read-alignment pipelines end to end. Workers run at most DOP morsels
+// ahead of the consumer, and park output only within half the query's
+// memory budget; parked batches stay charged until the consumer takes
+// them.
 class ParallelMapOp : public Operator {
  public:
-  // The pipeline scans `columns` of `table` (ascending schema indexes)
-  // under `predicate`.
-  ParallelMapOp(catalog::TableDef* table, std::vector<int> columns,
-                std::vector<ParallelStage> stages, int dop,
-                size_t morsel_pages, bool preserve_order,
-                storage::ScanPredicate predicate = {});
+  ParallelMapOp(OperatorPtr child, catalog::TableDef* heap, int dop,
+                size_t morsel_pages);
 
-  // The pipeline's output: the representative subtree's.
   const Schema& output_schema() const override {
-    return repr_->output_schema();
+    return child_->output_schema();
   }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
   std::string Describe() const override;
   std::vector<const Operator*> children() const override {
-    return {repr_.get()};
+    return {child_.get()};
   }
-  int64_t EstimateRows() const override;
+  int64_t EstimateRows() const override { return child_->EstimateRows(); }
 
  private:
-  catalog::TableDef* table_;
-  std::vector<int> columns_;
-  storage::ScanPredicate predicate_;
-  std::vector<ParallelStage> stages_;
+  OperatorPtr child_;
+  catalog::TableDef* heap_;
   int dop_;
   size_t morsel_pages_;
-  bool preserve_order_;
-  OperatorPtr repr_;  // representative subtree for EXPLAIN
 };
 
-// Builds the EXPLAIN subtree shared by the exchange operators: the stage
-// chain over a Distribute Streams marker over a full-range scan of
-// `columns` under `predicate`.
-OperatorPtr BuildExplainPipeline(catalog::TableDef* table,
-                                 const std::vector<int>& columns,
-                                 const storage::ScanPredicate& predicate,
-                                 const std::vector<ParallelStage>& stages,
-                                 int dop, size_t morsel_pages);
-
 }  // namespace htg::exec
-

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/string_util.h"
@@ -125,12 +126,6 @@ struct Binder::BindContext {
 struct Binder::FromResult {
   OperatorPtr op;
   Scope scope;
-  // Set when the FROM clause is one heap base table, optionally extended
-  // by CROSS APPLY table functions (recorded in `apply_stages`): the
-  // morsel-parallel plan candidates. A regular join clears it.
-  catalog::TableDef* pipeline_heap = nullptr;
-  std::vector<int> pipeline_columns;  // the heap columns the pipeline scans
-  std::vector<exec::ParallelStage> apply_stages;
   // Set when the FROM clause reads one base table (heap or clustered),
   // optionally extended by CROSS APPLY: the scan that takes WHERE's scan
   // predicate. scan_origin[i] is the schema column that scope column i
@@ -456,7 +451,8 @@ Result<ExprPtr> Binder::BindExpr(const AstExpr& ast, const BindContext& ctx) {
 }
 
 Result<Binder::FromResult> Binder::BindTableRef(const TableRef& ref,
-                                               const NameSet& needed) {
+                                               const NameSet& needed,
+                                               const Exchange* exchange) {
   FromResult out;
   switch (ref.kind) {
     case TableRef::Kind::kTable: {
@@ -466,15 +462,16 @@ Result<Binder::FromResult> Binder::BindTableRef(const TableRef& ref,
       full.Append(alias, table->schema);
       std::vector<int> columns = full.Kept(needed);
       out.scope = full.Project(columns);
-      if (table->clustered_key.empty()) {
-        out.pipeline_heap = table;
-        out.pipeline_columns = columns;
-      }
       out.scan_origin = columns;
       auto scan =
           std::make_unique<exec::TableScanOp>(table, std::move(columns));
       out.base_scan = scan.get();
-      out.op = std::move(scan);
+      if (exchange != nullptr) {
+        out.op = std::make_unique<exec::DistributeStreamsOp>(
+            std::move(scan), exchange->dop, exchange->morsel_pages);
+      } else {
+        out.op = std::move(scan);
+      }
       return out;
     }
     case TableRef::Kind::kTvf: {
@@ -519,7 +516,8 @@ Result<Binder::FromResult> Binder::BindTableRef(const TableRef& ref,
 }
 
 Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt,
-                                           const NameSet& above) {
+                                           const NameSet& above,
+                                           const Exchange* exchange) {
   if (stmt.from.kind == TableRef::Kind::kNone) {
     // SELECT without FROM: a single empty row.
     FromResult out;
@@ -539,7 +537,8 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt,
     if (jc.condition != nullptr) needed[i].Add(*jc.condition);
     for (const AstExprPtr& a : jc.ref.args) needed[i].Add(*a);
   }
-  HTG_ASSIGN_OR_RETURN(FromResult left, BindTableRef(stmt.from, needed[0]));
+  HTG_ASSIGN_OR_RETURN(FromResult left,
+                       BindTableRef(stmt.from, needed[0], exchange));
 
   for (size_t i = 0; i < n; ++i) {
     const JoinClause& jc = stmt.joins[i];
@@ -572,28 +571,18 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt,
         origin.resize(left.scope.cols.size(), -1);
         left.scan_origin = std::move(origin);
       }
-      if (left.pipeline_heap != nullptr) {
-        // The pipeline stays morsel-parallelizable: record the apply as a
-        // replayable stage alongside the serial plan.
-        std::vector<ExprPtr> arg_clones;
-        arg_clones.reserve(args.size());
-        for (const ExprPtr& a : args) arg_clones.push_back(a->Clone());
-        left.apply_stages.push_back(exec::ParallelStage::Apply(
-            fn, std::move(arg_clones), fn_schema, outer));
-      }
       left.op = std::make_unique<exec::CrossApplyOp>(
           std::move(left.op), fn, std::move(args), std::move(fn_schema),
           std::move(outer));
       continue;
     }
 
-    // Regular inner join: the two-sided input is no longer a single
-    // heap-rooted pipeline.
-    left.pipeline_heap = nullptr;
-    left.apply_stages.clear();
+    // Regular inner join: the two-sided input no longer reads one base
+    // table.
     left.base_scan = nullptr;
     left.scan_origin.clear();
-    HTG_ASSIGN_OR_RETURN(FromResult right, BindTableRef(jc.ref, needed[i]));
+    HTG_ASSIGN_OR_RETURN(FromResult right,
+                         BindTableRef(jc.ref, needed[i], nullptr));
 
     Scope concat = left.scope;
     for (const ScopeColumn& c : right.scope.cols) concat.cols.push_back(c);
@@ -715,29 +704,48 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt,
   return left;
 }
 
-namespace {
-
-// DOP and morsel size for a morsel-parallel plan over `heap`. The heap's
-// current page must already be sealed.
-struct MorselPlan {
-  int dop = 1;
-  size_t morsel_pages = 1;
-};
-
-MorselPlan PlanMorsels(const storage::HeapTable* heap,
-                       const DatabaseOptions& options) {
+// Whether a SELECT gets an exchange, decided from the AST and the catalog
+// before its FROM clause binds. The plan parallelizes when it reads one
+// heap of at least parallel_threshold rows, extended by CROSS APPLY only,
+// and either aggregates with mergeable aggregates only or, without
+// aggregates, applies at least one table function (per-row work heavy
+// enough to be worth the exchange). Returns null for a serial plan.
+std::optional<Binder::Exchange> Binder::PlanExchange(
+    const SelectStmt& stmt, const std::vector<const AstExpr*>& agg_calls) {
+  const DatabaseOptions& options = db_->options();
+  if (options.max_dop <= 1 || stmt.from.kind != TableRef::Kind::kTable) {
+    return std::nullopt;
+  }
+  for (const JoinClause& jc : stmt.joins) {
+    if (!jc.cross_apply) return std::nullopt;
+  }
+  if (!agg_calls.empty() || !stmt.group_by.empty()) {
+    for (const AstExpr* call : agg_calls) {
+      if (!db_->functions()->FindAggregate(call->call_name)->SupportsMerge()) {
+        return std::nullopt;
+      }
+    }
+  } else if (stmt.joins.empty()) {
+    return std::nullopt;
+  }
+  Result<catalog::TableDef*> table = db_->GetTable(stmt.from.name);
+  if (!table.ok()) return std::nullopt;
+  auto* heap = dynamic_cast<storage::HeapTable*>((*table)->table.get());
+  if (heap == nullptr || heap->num_rows() < options.parallel_threshold) {
+    return std::nullopt;
+  }
+  // Morsel size and the DOP clamped to the morsel count, so EXPLAIN
+  // shows the degree the exchange runs at.
+  Exchange exchange;
+  exchange.heap = *table;
   const size_t npages = heap->num_pages();
-  MorselPlan plan;
-  plan.morsel_pages =
-      exec::ChooseMorselPages(npages, options.max_dop, options.morsel_pages);
+  exchange.morsel_pages = exec::ChooseMorselPages(npages, options.max_dop);
   const size_t nmorsels =
-      (npages + plan.morsel_pages - 1) / plan.morsel_pages;
-  plan.dop = static_cast<int>(std::min<size_t>(
+      (npages + exchange.morsel_pages - 1) / exchange.morsel_pages;
+  exchange.dop = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(options.max_dop), std::max<size_t>(1, nmorsels)));
-  return plan;
+  return exchange;
 }
-
-}  // namespace
 
 Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   // Required columns: every name the clauses over the FROM clause use.
@@ -754,24 +762,6 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   }
   for (const AstExprPtr& g : stmt.group_by) above.Add(*g);
   for (const OrderItem& o : stmt.order_by) above.Add(*o.expr);
-  HTG_ASSIGN_OR_RETURN(FromResult from, BindFrom(stmt, above));
-  Scope scope = std::move(from.scope);
-  OperatorPtr plan = std::move(from.op);
-
-  BindContext pre_ctx;
-  pre_ctx.scope = &scope;
-  pre_ctx.db = db_;
-
-  // WHERE, and its sargable terms as the base table scan's predicate.
-  ExprPtr where;
-  storage::ScanPredicate scan_predicate;
-  if (stmt.where != nullptr) {
-    HTG_ASSIGN_OR_RETURN(where, BindExpr(*stmt.where, pre_ctx));
-    if (from.base_scan != nullptr) {
-      ExtractScanTerms(*where, from.scan_origin, &scan_predicate);
-      from.base_scan->set_predicate(scan_predicate);
-    }
-  }
 
   // Collect aggregates and window calls from the output clauses.
   std::vector<const AstExpr*> agg_calls;
@@ -786,6 +776,28 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   }
   for (const OrderItem& o : stmt.order_by) {
     CollectCalls(*db_->functions(), *o.expr, &agg_calls, &window_calls);
+  }
+
+  const std::optional<Exchange> exchange = PlanExchange(stmt, agg_calls);
+  HTG_ASSIGN_OR_RETURN(
+      FromResult from,
+      BindFrom(stmt, above, exchange.has_value() ? &*exchange : nullptr));
+  Scope scope = std::move(from.scope);
+  OperatorPtr plan = std::move(from.op);
+
+  BindContext pre_ctx;
+  pre_ctx.scope = &scope;
+  pre_ctx.db = db_;
+
+  // WHERE, and its sargable terms as the base table scan's predicate.
+  if (stmt.where != nullptr) {
+    HTG_ASSIGN_OR_RETURN(ExprPtr where, BindExpr(*stmt.where, pre_ctx));
+    if (from.base_scan != nullptr) {
+      storage::ScanPredicate scan_predicate;
+      ExtractScanTerms(*where, from.scan_origin, &scan_predicate);
+      from.base_scan->set_predicate(std::move(scan_predicate));
+    }
+    plan = std::make_unique<exec::FilterOp>(std::move(plan), std::move(where));
   }
 
   const bool has_agg = !agg_calls.empty() || !stmt.group_by.empty();
@@ -828,74 +840,22 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
     agg_scope.schema =
         exec::MakeAggregateSchema(group_exprs, group_names, specs);
 
-    // Parallel plan: heap-rooted scan/filter/apply pipeline, big enough,
-    // mergeable aggs.
-    bool parallel = from.pipeline_heap != nullptr &&
-                    db_->options().max_dop > 1 &&
-                    from.pipeline_heap->table->num_rows() >=
-                        db_->options().parallel_threshold;
-    for (const exec::AggSpec& s : specs) {
-      parallel = parallel && s.fn->SupportsMerge();
-    }
-    auto* heap = from.pipeline_heap == nullptr
-                     ? nullptr
-                     : dynamic_cast<storage::HeapTable*>(
-                           from.pipeline_heap->table.get());
-    parallel = parallel && heap != nullptr;
-
-    if (parallel) {
-      const MorselPlan mp = PlanMorsels(heap, db_->options());
-      // Stage order matches the serial plan: CROSS APPLY stages from the
-      // FROM clause, then the WHERE filter over the widened rows.
-      std::vector<exec::ParallelStage> stages =
-          exec::CloneStages(from.apply_stages);
-      if (where != nullptr) {
-        stages.push_back(exec::ParallelStage::Filter(where->Clone()));
-      }
-      std::vector<exec::AggSpec> spec_copies;
-      for (const exec::AggSpec& s : specs) spec_copies.push_back(s.Clone());
+    if (exchange.has_value()) {
       plan = std::make_unique<exec::ParallelAggregateOp>(
-          from.pipeline_heap, from.pipeline_columns, std::move(stages),
-          std::move(group_exprs), group_names, std::move(spec_copies), mp.dop,
-          mp.morsel_pages, std::move(scan_predicate));
+          std::move(plan), exchange->heap, std::move(group_exprs),
+          group_names, std::move(specs), exchange->dop,
+          exchange->morsel_pages);
     } else {
-      if (where != nullptr) {
-        plan = std::make_unique<exec::FilterOp>(std::move(plan),
-                                                std::move(where));
-      }
       plan = std::make_unique<exec::HashAggregateOp>(
           std::move(plan), std::move(group_exprs), group_names,
           std::move(specs));
     }
-    where = nullptr;
-  } else {
-    // Non-aggregate pipelines parallelize when a CROSS APPLY stage makes
-    // the per-row work heavy enough to be worth the exchange; the gather
-    // preserves heap order so the result matches the serial plan exactly.
-    auto* heap = from.pipeline_heap == nullptr
-                     ? nullptr
-                     : dynamic_cast<storage::HeapTable*>(
-                           from.pipeline_heap->table.get());
-    const bool parallel = heap != nullptr && !from.apply_stages.empty() &&
-                          db_->options().max_dop > 1 &&
-                          from.pipeline_heap->table->num_rows() >=
-                              db_->options().parallel_threshold;
-    if (parallel) {
-      const MorselPlan mp = PlanMorsels(heap, db_->options());
-      std::vector<exec::ParallelStage> stages =
-          exec::CloneStages(from.apply_stages);
-      if (where != nullptr) {
-        stages.push_back(exec::ParallelStage::Filter(std::move(where)));
-      }
-      plan = std::make_unique<exec::ParallelMapOp>(
-          from.pipeline_heap, from.pipeline_columns, std::move(stages),
-          mp.dop, mp.morsel_pages, /*preserve_order=*/true,
-          std::move(scan_predicate));
-    } else if (where != nullptr) {
-      plan =
-          std::make_unique<exec::FilterOp>(std::move(plan), std::move(where));
-    }
-    where = nullptr;
+  } else if (exchange.has_value()) {
+    // The gather preserves heap order, so the result matches the serial
+    // plan exactly.
+    plan = std::make_unique<exec::ParallelMapOp>(
+        std::move(plan), exchange->heap, exchange->dop,
+        exchange->morsel_pages);
   }
 
   BindContext post_ctx;

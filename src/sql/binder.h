@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,10 +42,23 @@ class Binder {
   struct FromResult;
   struct NameSet;
 
-  // `above` names the columns the clauses over the FROM clause use.
-  Result<FromResult> BindFrom(const SelectStmt& stmt, const NameSet& above);
+  // The exchange of a parallel plan: the heap it cuts into morsels, its
+  // degree and its morsel size.
+  struct Exchange {
+    catalog::TableDef* heap = nullptr;
+    int dop = 1;
+    size_t morsel_pages = 1;
+  };
+  std::optional<Exchange> PlanExchange(
+      const SelectStmt& stmt, const std::vector<const AstExpr*>& agg_calls);
+
+  // `above` names the columns the clauses over the FROM clause use. A
+  // non-null `exchange` puts Distribute Streams over the base table scan.
+  Result<FromResult> BindFrom(const SelectStmt& stmt, const NameSet& above,
+                              const Exchange* exchange);
   // A base table is scanned for the columns `needed` names only.
-  Result<FromResult> BindTableRef(const TableRef& ref, const NameSet& needed);
+  Result<FromResult> BindTableRef(const TableRef& ref, const NameSet& needed,
+                                  const Exchange* exchange);
   Result<exec::ExprPtr> BindExpr(const AstExpr& ast, const BindContext& ctx);
   Result<std::vector<exec::ExprPtr>> BindExprs(
       const std::vector<AstExprPtr>& asts, const BindContext& ctx);

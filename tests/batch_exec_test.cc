@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -473,6 +475,225 @@ TEST_F(BatchParityTest, CrossApplyTvfSeam) {
         "CROSS APPLY PivotAlignment(aligned.pos, seq, quals) AS pa";
     EXPECT_EQ(Render(want, true), Render(Exec(in, query).rows, true))
         << "dop=" << dop;
+  }
+}
+
+// "actual rows=" of the first EXPLAIN ANALYZE line containing `marker`,
+// or -1 when there is no such line.
+int64_t ActualRowsOn(const std::string& plan, const std::string& marker) {
+  const size_t at = plan.find(marker);
+  if (at == std::string::npos) return -1;
+  const size_t end = plan.find('\n', at);
+  const std::string line = plan.substr(at, end - at);
+  const size_t rows = line.find("actual rows=");
+  if (rows == std::string::npos) return -1;
+  return std::strtoll(line.c_str() + rows + 12, nullptr, 10);
+}
+
+// One operator tree for serial and parallel plans: at DOP 8 the exchange
+// opens the bound scan → CROSS APPLY → filter subtree once per morsel, so
+// the subtree's operators report the same actual rows as at DOP 1, the
+// scan reads every row once, and the results match the oracle.
+TEST_F(BatchParityTest, ExchangeOpensTheBoundTreePerMorsel) {
+  const int n = 5000;
+  const std::string bases = "ACGTNAC";
+  auto seq_of = [&](int i) { return bases.substr(0, 1 + i % 7); };
+  std::map<std::string, int64_t> per_base;
+  std::vector<Row> map_want;
+  int64_t applied = 0;
+  for (int i = 0; i < n; ++i) {
+    for (char base : seq_of(i)) {
+      ++applied;
+      if (base == 'N') continue;
+      ++per_base[std::string(1, base)];
+      map_want.push_back(
+          Row{Value::Int64(i), Value::String(std::string(1, base))});
+    }
+  }
+  std::vector<Row> agg_want;
+  for (const auto& [base, count] : per_base) {
+    agg_want.push_back(Row{Value::String(base), Value::Int64(count)});
+  }
+  const std::string from =
+      " FROM aligned CROSS APPLY PivotAlignment(p, seq, quals) AS pa "
+      "WHERE base <> 'N'";
+  const std::string agg_sql =
+      "SELECT base, COUNT(*)" + from + " GROUP BY base";
+  const std::string map_sql = "SELECT id, base" + from;
+
+  std::map<std::string, std::string> serial_plans;
+  for (int dop : {1, 8}) {
+    Instance in = Make(dop);
+    Exec(in, "CREATE TABLE aligned (id BIGINT, p BIGINT, seq VARCHAR(10), "
+             "quals VARCHAR(10))");
+    auto table = in.db->GetTable("aligned");
+    ASSERT_TRUE(table.ok());
+    for (int i = 0; i < n; ++i) {
+      const std::string seq = seq_of(i);
+      const Row row{Value::Int64(i), Value::Int64(i * 3), Value::String(seq),
+                    Value::String(std::string(seq.size(), 'I'))};
+      ASSERT_TRUE(in.db->InsertRow(*table, row).ok());
+    }
+    EXPECT_EQ(Render(agg_want, true), Render(Exec(in, agg_sql).rows, true))
+        << "dop=" << dop;
+    EXPECT_EQ(Render(map_want, false), Render(Exec(in, map_sql).rows, false))
+        << "dop=" << dop;
+    for (const std::string& sql : {agg_sql, map_sql}) {
+      const std::string plan = Exec(in, "EXPLAIN ANALYZE " + sql).message;
+      EXPECT_EQ(dop > 1, plan.find("Distribute Streams") != std::string::npos)
+          << plan;
+      EXPECT_EQ(ActualRowsOn(plan, "Table Scan [aligned]"), n) << plan;
+      EXPECT_EQ(ActualRowsOn(plan, "Nested Loops (Cross Apply)"), applied)
+          << plan;
+      const int64_t filtered = ActualRowsOn(plan, "Filter [");
+      EXPECT_EQ(filtered, static_cast<int64_t>(map_want.size())) << plan;
+      if (dop == 1) {
+        serial_plans[sql] = plan;
+      } else {
+        EXPECT_EQ(filtered, ActualRowsOn(serial_plans[sql], "Filter ["))
+            << plan;
+      }
+    }
+  }
+}
+
+// `aligned(p, seq, quals)` with n reads of "ACGT": PivotAlignment turns
+// each into four rows.
+void SeedAligned(Database* db, int n) {
+  auto table = db->GetTable("aligned");
+  ASSERT_TRUE(table.ok());
+  for (int i = 0; i < n; ++i) {
+    const Row row{Value::Int64(i), Value::String("ACGT"),
+                  Value::String("IIII")};
+    ASSERT_TRUE(db->InsertRow(*table, row).ok());
+  }
+}
+
+// The parallel gather parks the batches its workers run ahead of the
+// consumer: they count against the query budget (peak-mem on the Gather
+// line), and each batch's charge goes as the batch is handed out.
+TEST_F(BatchParityTest, ParallelGatherChargesItsBuffers) {
+  Instance in = Make(4);
+  Exec(in, "CREATE TABLE aligned (p BIGINT, seq VARCHAR(10), "
+           "quals VARCHAR(10))");
+  SeedAligned(in.db.get(), 20000);
+  Result<exec::OperatorPtr> plan = in.engine->Plan(
+      "SELECT pa.pos, base FROM aligned "
+      "CROSS APPLY PivotAlignment(p, seq, quals) AS pa");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  exec::ExecContext ctx = exec::ExecContext::For(in.db.get());
+  ctx.collect_stats = true;
+  {
+    auto iter = (*plan)->Open(&ctx);
+    ASSERT_TRUE(iter.ok()) << iter.status().ToString();
+    RowBatch batch;
+    ASSERT_TRUE((*iter)->NextBatch(&batch));
+    size_t rows = batch.ActiveRows();
+    // While the consumer pauses, the workers park the morsels ahead.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (ctx.mem->used() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(ctx.mem->used(), 0u);
+    while ((*iter)->NextBatch(&batch)) rows += batch.ActiveRows();
+    ASSERT_TRUE((*iter)->status().ok()) << (*iter)->status().ToString();
+    EXPECT_EQ(rows, 80000u);
+    EXPECT_EQ(ctx.mem->used(), 0u);
+  }
+  EXPECT_EQ(ctx.mem->used(), 0u);
+  const std::string analyzed = exec::ExplainAnalyzePlan(**plan);
+  {
+    // A consumer that stops early (TOP) drops the gather while workers
+    // are still parking: they are waited out and their charge returned.
+    auto iter = (*plan)->Open(&ctx);
+    ASSERT_TRUE(iter.ok()) << iter.status().ToString();
+    RowBatch batch;
+    ASSERT_TRUE((*iter)->NextBatch(&batch));
+  }
+  EXPECT_EQ(ctx.mem->used(), 0u);
+  const size_t gather = analyzed.find("Parallelism (Gather Streams)");
+  ASSERT_NE(gather, std::string::npos) << analyzed;
+  const std::string line =
+      analyzed.substr(gather, analyzed.find('\n', gather) - gather);
+  EXPECT_NE(line.find("peak-mem="), std::string::npos) << analyzed;
+}
+
+// ORDER BY over a parallel CROSS APPLY. The Sort above the gather takes
+// over each batch's charge as it reads the batch, so where the serial
+// sort fits the budget the DOP-4 plan runs too, with spilling off, and
+// writes no run. Where the serial sort spills, the gather's workers park
+// morsels only within half the budget, so the DOP-4 sort's runs stay at
+// least half a budget long: no more than twice the serial count, never
+// one per row.
+TEST_F(BatchParityTest, SortAboveParallelGatherNeedsNoExtraBudget) {
+  const std::string sql =
+      "SELECT pa.pos, base FROM aligned "
+      "CROSS APPLY PivotAlignment(p, seq, quals) AS pa "
+      "ORDER BY base DESC, pa.pos";
+  Instance serial = Make(1);
+  Instance parallel = Make(4);
+  for (Instance* in : {&serial, &parallel}) {
+    Exec(*in, "CREATE TABLE aligned (p BIGINT, seq VARCHAR(10), "
+              "quals VARCHAR(10))");
+    SeedAligned(in->db.get(), 20000);
+  }
+  struct Outcome {
+    Status status;
+    std::vector<Row> rows;
+    uint64_t sort_peak = 0;
+    uint64_t spill_runs = 0;
+  };
+  // A budget of 0 is unlimited.
+  const auto run = [&](Instance& in, size_t budget, bool spill) {
+    Outcome out;
+    Result<exec::OperatorPtr> plan = in.engine->Plan(sql);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return out;
+    EXPECT_EQ(&in == &parallel,
+              exec::ExplainPlan(**plan).find("Gather Streams") !=
+                  std::string::npos);
+    const exec::Operator* sort = plan->get();
+    while (sort->Describe().rfind("Sort", 0) != 0) {
+      EXPECT_FALSE(sort->children().empty()) << exec::ExplainPlan(**plan);
+      if (sort->children().empty()) return out;
+      sort = sort->children()[0];
+    }
+    exec::ExecContext ctx = exec::ExecContext::For(in.db.get());
+    ctx.mem = std::make_shared<MemoryContext>(budget, spill);
+    auto iter = (*plan)->Open(&ctx);
+    out.status = iter.ok() ? exec::DrainIterator(iter->get(), &out.rows)
+                           : iter.status();
+    out.sort_peak = sort->stats().peak_mem_bytes.load();
+    out.spill_runs = sort->stats().spill_runs.load();
+    return out;
+  };
+
+  const Outcome want = run(serial, 0, true);
+  ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+  ASSERT_EQ(want.rows.size(), 80000u);
+  ASSERT_GT(want.sort_peak, 0u);
+
+  const size_t fits = want.sort_peak + want.sort_peak / 8;
+  for (Instance* in : {&serial, &parallel}) {
+    const Outcome got = run(*in, fits, false);
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    EXPECT_EQ(got.spill_runs, 0u);
+    EXPECT_EQ(got.rows, want.rows);
+  }
+
+  for (size_t parts : {3, 4}) {
+    const size_t tight = want.sort_peak / parts;
+    const Outcome serial_spill = run(serial, tight, true);
+    const Outcome parallel_spill = run(parallel, tight, true);
+    ASSERT_TRUE(serial_spill.status.ok()) << serial_spill.status.ToString();
+    ASSERT_TRUE(parallel_spill.status.ok())
+        << parallel_spill.status.ToString();
+    EXPECT_GE(serial_spill.spill_runs, parts);
+    EXPECT_LE(parallel_spill.spill_runs, 2 * serial_spill.spill_runs)
+        << "serial runs " << serial_spill.spill_runs;
+    EXPECT_EQ(parallel_spill.rows, want.rows);
   }
 }
 

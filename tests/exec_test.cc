@@ -10,6 +10,7 @@
 #include "exec/expression.h"
 #include "exec/join_ops.h"
 #include "exec/operator.h"
+#include "exec/parallel.h"
 #include "exec/sort_ops.h"
 #include "storage/heap_table.h"
 #include "pooled_storage.h"
@@ -122,12 +123,6 @@ TEST(ExpressionTest, IsNullAndCase) {
   EXPECT_EQ(case_expr.Eval(&eval, {})->AsInt64(), 10);
 }
 
-TEST(ExpressionTest, CloneIsDeepAndEqual) {
-  BinaryExpr original(BinaryOp::kAdd, Col(0), Lit(1));
-  ExprPtr clone = original.Clone();
-  EXPECT_TRUE(original.Equals(*clone));
-}
-
 TEST(OperatorTest, FilterProjectPipeline) {
   auto db = OpenTestDb("filter");
   catalog::TableDef* table = MakeNumbersTable(db.get(), "t", 100, 10);
@@ -222,7 +217,7 @@ TEST(OperatorTest, ParallelAggregateMatchesSerial) {
   groups.push_back(Col(0, DataType::kInt32));
   // Morsels of 2 pages over a ~14-page heap exercise real work stealing.
   OperatorPtr parallel = std::make_unique<ParallelAggregateOp>(
-      table, storage::AllColumns(table->schema), std::vector<ParallelStage>{}, std::move(groups),
+      std::make_unique<TableScanOp>(table), table, std::move(groups),
       std::vector<std::string>{"k"}, make_aggs(), /*dop=*/4,
       /*morsel_pages=*/2);
   ExecContext ctx = ExecContext::For(db.get());
@@ -241,19 +236,17 @@ TEST(OperatorTest, ParallelAggregateWithFilterStage) {
   catalog::TableDef* table = MakeNumbersTable(db.get(), "t", 5000, 13);
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
   ASSERT_NE(heap, nullptr);
-  // WHERE v >= 2500 as a per-morsel filter stage.
-  auto make_pred = [&]() -> ExprPtr {
-    return std::make_unique<BinaryExpr>(BinaryOp::kGe, Col(1), Lit(int64_t{2500}));
-  };
-  std::vector<ParallelStage> stages;
-  stages.push_back(ParallelStage::Filter(make_pred()));
+  // WHERE v >= 2500 as a filter over the scan, opened per morsel.
+  OperatorPtr filter = std::make_unique<FilterOp>(
+      std::make_unique<TableScanOp>(table),
+      std::make_unique<BinaryExpr>(BinaryOp::kGe, Col(1), Lit(int64_t{2500})));
   std::vector<AggSpec> aggs;
   AggSpec count;
   count.fn = db->functions()->FindAggregate("COUNT");
   count.display = "COUNT(*)";
   aggs.push_back(std::move(count));
   OperatorPtr parallel = std::make_unique<ParallelAggregateOp>(
-      table, storage::AllColumns(table->schema), std::move(stages), std::vector<ExprPtr>{},
+      std::move(filter), table, std::vector<ExprPtr>{},
       std::vector<std::string>{}, std::move(aggs), /*dop=*/4,
       /*morsel_pages=*/2);
   ExecContext ctx = ExecContext::For(db.get());
@@ -338,8 +331,7 @@ TEST(OperatorTest, GroupTableManyCompositeKeysMatchOracle) {
             std::vector<std::string>{"k", "s"}, make_aggs()),
         "DOP 1");
   check(std::make_unique<ParallelAggregateOp>(
-            table, storage::AllColumns(table->schema),
-            std::vector<ParallelStage>{}, make_groups(),
+            std::make_unique<TableScanOp>(table), table, make_groups(),
             std::vector<std::string>{"k", "s"}, make_aggs(), /*dop=*/4,
             /*morsel_pages=*/8),
         "DOP 4");
@@ -360,17 +352,14 @@ TEST(ParallelTest, MakeMorselsCoversAllPages) {
 }
 
 TEST(ParallelTest, ChooseMorselPagesShrinksForSlack) {
-  // Big table: capped at the configured maximum.
-  EXPECT_EQ(ChooseMorselPages(/*num_pages=*/10000, /*dop=*/4,
-                              /*max_pages=*/32),
-            32u);
+  // Big table: capped at the default maximum.
+  EXPECT_EQ(ChooseMorselPages(/*num_pages=*/10000, /*dop=*/4),
+            kDefaultMorselPages);
   // Small table: shrunk so each worker sees several morsels.
-  EXPECT_LT(ChooseMorselPages(/*num_pages=*/16, /*dop=*/4, /*max_pages=*/32),
-            16u);
-  EXPECT_GE(ChooseMorselPages(/*num_pages=*/16, /*dop=*/4, /*max_pages=*/32),
-            1u);
+  EXPECT_LT(ChooseMorselPages(/*num_pages=*/16, /*dop=*/4), 16u);
+  EXPECT_GE(ChooseMorselPages(/*num_pages=*/16, /*dop=*/4), 1u);
   // Never zero, even on empty input.
-  EXPECT_GE(ChooseMorselPages(0, 4, 32), 1u);
+  EXPECT_GE(ChooseMorselPages(0, 4), 1u);
 }
 
 TEST(ParallelTest, ParallelMapOpMatchesSerialOrder) {
@@ -393,11 +382,10 @@ TEST(ParallelTest, ParallelMapOpMatchesSerialOrder) {
     ASSERT_TRUE(DrainIterator(iter->get(), &serial).ok());
   }
 
-  std::vector<ParallelStage> stages;
-  stages.push_back(ParallelStage::Filter(make_pred()));
   OperatorPtr parallel = std::make_unique<ParallelMapOp>(
-      table, storage::AllColumns(table->schema), std::move(stages), /*dop=*/4, /*morsel_pages=*/2,
-      /*preserve_order=*/true);
+      std::make_unique<FilterOp>(std::make_unique<TableScanOp>(table),
+                                 make_pred()),
+      table, /*dop=*/4, /*morsel_pages=*/2);
   ExecContext ctx = ExecContext::For(db.get());
   auto iter = parallel->Open(&ctx);
   ASSERT_TRUE(iter.ok());

@@ -99,9 +99,8 @@ Rules (ids usable in NOLINT suppressions):
   exec-scan-seam    In src/exec, src/sql and src/server, table scans are
                     opened (NewScan, NewScanRange, NewSnapshotScan*) only
                     in src/exec/basic_ops.cc -- TableScanOp, which reads
-                    through the statement's snapshot -- and in
-                    src/exec/parallel.cc. A scan that skips the snapshot
-                    cannot creep back into the engine.
+                    through the statement's snapshot. A scan that skips
+                    the snapshot cannot creep back into the engine.
   storage-append-seam
                     Rows enter tables only through Database::AppendBatch,
                     which validates, casts and moves FILESTREAM content
@@ -657,7 +656,7 @@ def check_exec_spill_seam(path, text, rel):
 
 SCAN_SEAM_RE = re.compile(
     r"\bNewScan(?:Range)?\s*\(|\bNewSnapshotScan\w*")
-SCAN_SEAM = {"src/exec/basic_ops.cc", "src/exec/parallel.cc"}
+SCAN_SEAM = {"src/exec/basic_ops.cc"}
 SCAN_SEAM_DIRS = ("src/exec/", "src/sql/", "src/server/")
 
 
@@ -953,7 +952,7 @@ RULE_DESCRIPTIONS = {
     "exec-spill-seam": "spill files and run writers in src/exec only in "
                        "spill_util.h and sort_ops.cc",
     "exec-scan-seam": "table scans in src/exec, src/sql and src/server "
-                      "open only in basic_ops.cc and parallel.cc",
+                      "open only in basic_ops.cc",
     "storage-append-seam": "rows enter tables only through "
                            "Database::AppendBatch (calls in src/ outside "
                            "src/storage and database.cc)",
