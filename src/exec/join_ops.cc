@@ -504,15 +504,12 @@ Result<std::unique_ptr<storage::RowIterator>> NestedLoopJoinOp::OpenImpl(
     ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> right,
                        right_->Open(ctx));
-  std::vector<Row> right_rows;
-  HTG_RETURN_IF_ERROR(DrainIterator(right.get(), &right_rows));
   // The inner table has no out-of-core fallback; over budget is a typed
-  // statement error.
+  // statement error, raised by the batch that crosses the budget rather
+  // than after the whole inner side is read.
   MemoryCharge charge(ctx->mem.get(), "Nested Loops (Inner Join)");
-  size_t total = 0;
-  for (const Row& r : right_rows) total += ApproxRowBytes(r);
-  const Status charged = charge.Add(total);
-  if (!charged.ok()) return charged;
+  std::vector<Row> right_rows;
+  HTG_RETURN_IF_ERROR(DrainIterator(right.get(), &right_rows, &charge));
   RecordPeakMem(mutable_stats(), charge.peak());
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> left,
                        left_->Open(ctx));

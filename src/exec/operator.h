@@ -182,10 +182,14 @@ std::string ExplainAnalyzePlan(const Operator& root);
 // line of an operator that narrows its rows (scans, joins, CROSS APPLY).
 std::string DescribeColumns(const Schema& schema);
 
-// Drains `iter`, appending every row to `rows`. Pulls batches and moves
-// rows out of them, so pipelines stay vectorized up to the final
-// materialization.
-Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows);
+// Fetch-all: drains `iter`, appending every row to `rows`, which grows
+// geometrically. Pulls batches and moves rows out of them, so pipelines
+// stay vectorized up to the final materialization. With a `charge`,
+// each batch's rows are charged as they land and an over-budget charge
+// stops the drain; without one the rows belong to the caller and count
+// against no budget.
+Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows,
+                     MemoryCharge* charge = nullptr);
 
 // Wraps an iterator so rows passed through are counted into *counter
 // (single-writer; exchange operators use one slot per worker). When

@@ -177,8 +177,6 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
       HTG_RETURN_IF_ERROR(
           keys[k].expr->EvalBatch(&ctx->eval, batch, sel, n, &key_cols[k]));
     }
-    rows.reserve(rows.size() + n);
-    sort_keys.reserve(sort_keys.size() + n);
     for (size_t j = 0; j < n; ++j) {
       Row key;
       key.reserve(keys.size());

@@ -209,9 +209,8 @@ void Session::Serve(Socket* socket, const std::atomic<bool>* draining) {
   }
 }
 
-Result<sql::QueryResult> Session::Run(
-    const std::vector<sql::Statement>& stmts,
-    const std::string& client_token) {
+Status Session::Run(Socket* socket, const std::vector<sql::Statement>& stmts,
+                    const std::string& client_token) {
   LockFootprint fp = DeriveLockFootprint(stmts);
 
   sql::StatementOptions opts;
@@ -235,15 +234,15 @@ Result<sql::QueryResult> Session::Run(
   }
 
   uint64_t lock_wait_ns = 0;
-  LockSet stmt_locks;  // autocommit: released when Run returns
+  LockSet stmt_locks;  // autocommit: held until the last ResultBatch frame
   if (txn_ == nullptr) {
     // Locks span the retry loop: a retry is the same statement, and
     // letting the lock drop between attempts would let another writer
     // interleave into what the client sees as one operation.
-    HTG_ASSIGN_OR_RETURN(stmt_locks,
-                         locks_->Acquire(std::move(fp.reads),
-                                         std::move(fp.writes),
-                                         options_.lock_timeout_ms));
+    Result<LockSet> acquired = locks_->Acquire(
+        std::move(fp.reads), std::move(fp.writes), options_.lock_timeout_ms);
+    if (!acquired.ok()) return SendError(socket, acquired.status());
+    stmt_locks = std::move(*acquired);
     lock_wait_ns = stmt_locks.wait_ns();
   } else {
     // Fail DDL/TRUNCATE before lock acquisition: its footprint wants the
@@ -256,9 +255,10 @@ Result<sql::QueryResult> Session::Run(
           stmt.kind == sql::Statement::Kind::kTruncate) {
         AbortActiveTxn();
         HTG_METRIC_COUNTER("server.txn.auto_aborts")->Add();
-        return Status::InvalidArgument(
-            "DDL and TRUNCATE are not allowed inside a transaction "
-            "(transaction aborted)");
+        return SendError(socket,
+                         Status::InvalidArgument(
+                             "DDL and TRUNCATE are not allowed inside a "
+                             "transaction (transaction aborted)"));
       }
     }
     // Accumulate only the locks the transaction does not already hold:
@@ -294,8 +294,9 @@ Result<sql::QueryResult> Session::Run(
       // coverage silently has a hole.
       AbortActiveTxn();
       HTG_METRIC_COUNTER("server.txn.auto_aborts")->Add();
-      return Status(acquired.status().code(),
-                    acquired.status().message() + " (transaction aborted)");
+      return SendError(socket, Status(acquired.status().code(),
+                                      acquired.status().message() +
+                                          " (transaction aborted)"));
     }
     lock_wait_ns = acquired->wait_ns();
     txn_locks_.push_back(std::move(*acquired));
@@ -313,36 +314,54 @@ Result<sql::QueryResult> Session::Run(
     }
   }
 
-  Result<sql::QueryResult> r = engine_->ExecuteParsed(stmts, opts);
-  if (txn_ == nullptr) {
-    for (int attempt = 1; !r.ok() && r.status().IsTransient() &&
-                          attempt < options_.statement_retries;
-         ++attempt) {
-      HTG_METRIC_COUNTER("server.statement.retries")->Add();
-      r = engine_->ExecuteParsed(stmts, opts);
+  // A statement retries on kTransient only while nothing of it has been
+  // written: once a frame is out the client has seen part of the result.
+  Status failure;
+  bool written = false;
+  uint64_t rows_affected = 0;
+  std::string message;
+  for (int attempt = 1;; ++attempt) {
+    Result<std::unique_ptr<sql::Cursor>> cursor = engine_->Start(stmts, opts);
+    failure = cursor.status();
+    if (cursor.ok()) {
+      // A transport failure ends the session; the cursor closes on the
+      // way out, and the locks release after it.
+      HTG_RETURN_IF_ERROR(StreamRows(socket, cursor->get(), &written));
+      failure = (*cursor)->status();
+      rows_affected = (*cursor)->rows_affected();
+      message = (*cursor)->message();
     }
-  } else if (!r.ok()) {
-    // Any failure inside an explicit transaction — including kTransient:
-    // re-executing one statement against the accumulated effects of its
-    // earlier siblings is not a replay of the transaction — aborts the
-    // whole transaction.
-    AbortActiveTxn();
-    HTG_METRIC_COUNTER("server.txn.auto_aborts")->Add();
-    statements_.fetch_add(1, std::memory_order_relaxed);
-    return Status(r.status().code(),
-                  r.status().message() + " (transaction aborted)");
+    if (failure.ok() || written || txn_ != nullptr ||
+        !failure.IsTransient() || attempt >= options_.statement_retries) {
+      break;
+    }
+    HTG_METRIC_COUNTER("server.statement.retries")->Add();
   }
   statements_.fetch_add(1, std::memory_order_relaxed);
-  if (r.ok() && !stmts.empty() &&
-      stmts.back().kind == sql::Statement::Kind::kExplain &&
+  // The cursor has closed. The locks go before the last frame, so a
+  // client holding its answer finds the tables unlocked.
+  stmt_locks.Release();
+  if (!failure.ok()) {
+    if (txn_ != nullptr) {
+      // Any failure inside an explicit transaction — including
+      // kTransient: re-executing one statement against the accumulated
+      // effects of its earlier siblings is not a replay of the
+      // transaction — aborts the whole transaction.
+      AbortActiveTxn();
+      HTG_METRIC_COUNTER("server.txn.auto_aborts")->Add();
+      failure = Status(failure.code(),
+                       failure.message() + " (transaction aborted)");
+    }
+    return SendError(socket, failure);
+  }
+  if (stmts.back().kind == sql::Statement::Kind::kExplain &&
       stmts.back().explain_analyze) {
     // Surface the concurrency cost alongside the engine's plan stats.
-    r->message += StringPrintf(
-        "locks: wait=%.3f ms (timeout %lld ms)\n",
-        static_cast<double>(lock_wait_ns) / 1e6,
-        static_cast<long long>(options_.lock_timeout_ms));
+    message += StringPrintf("locks: wait=%.3f ms (timeout %lld ms)\n",
+                            static_cast<double>(lock_wait_ns) / 1e6,
+                            static_cast<long long>(options_.lock_timeout_ms));
   }
-  return r;
+  return SendDone(socket, message, rows_affected);
 }
 
 Status Session::HandleQuery(Socket* socket, const Frame& frame) {
@@ -350,9 +369,7 @@ Status Session::HandleQuery(Socket* socket, const Frame& frame) {
   HTG_RETURN_IF_ERROR(DecodeQuery(frame.payload, &msg));
   Result<std::vector<sql::Statement>> parsed = sql::ParseSql(msg.sql);
   if (!parsed.ok()) return SendError(socket, parsed.status());
-  Result<sql::QueryResult> r = Run(*parsed, msg.token);
-  if (!r.ok()) return SendError(socket, r.status());
-  return SendResult(socket, *r);
+  return Run(socket, *parsed, msg.token);
 }
 
 Status Session::HandlePrepare(Socket* socket, const Frame& frame) {
@@ -391,9 +408,7 @@ Status Session::HandleExecute(Socket* socket, const Frame& frame) {
   // Touch the LRU: this id moves to the back of the eviction order.
   lru_.erase(std::find(lru_.begin(), lru_.end(), msg.statement_id));
   lru_.push_back(msg.statement_id);
-  Result<sql::QueryResult> r = Run(it->second.statements, msg.token);
-  if (!r.ok()) return SendError(socket, r.status());
-  return SendResult(socket, *r);
+  return Run(socket, it->second.statements, msg.token);
 }
 
 Status Session::HandleClose(Socket* socket, const Frame& frame) {
@@ -407,8 +422,10 @@ Status Session::HandleClose(Socket* socket, const Frame& frame) {
   return SendDone(socket, "closed");
 }
 
-Status Session::SendDone(Socket* socket, const std::string& message) {
+Status Session::SendDone(Socket* socket, const std::string& message,
+                         uint64_t rows_affected) {
   ResultDoneMsg done;
+  done.rows_affected = rows_affected;
   done.message = message;
   std::string payload;
   EncodeResultDone(done, &payload);
@@ -468,26 +485,42 @@ void Session::AbortActiveTxn() {
   txn_held_writes_.clear();
 }
 
-Status Session::SendResult(Socket* socket, const sql::QueryResult& result) {
-  if (result.schema.num_columns() > 0) {
-    std::string payload;
-    EncodeSchema(result.schema, &payload);
-    HTG_RETURN_IF_ERROR(WriteFrame(socket, MsgType::kResultHeader, payload));
-    for (size_t begin = 0; begin < result.rows.size();
-         begin += kResultBatchRows) {
-      const size_t end =
-          std::min(begin + kResultBatchRows, result.rows.size());
-      payload.clear();
-      EncodeRowBatch(result.rows, begin, end, &payload);
-      HTG_RETURN_IF_ERROR(WriteFrame(socket, MsgType::kResultBatch, payload));
+Status Session::StreamRows(Socket* socket, sql::Cursor* cursor,
+                           bool* written) {
+  std::string payload;
+  std::string rows;  // the encoded rows of the frame being filled
+  size_t frame_rows = 0;
+  // Writes the header before the first frame, then the frame filled so
+  // far. The header waits until a frame is full or the cursor ends, so a
+  // statement that fails before then has written nothing.
+  const auto flush = [&]() -> Status {
+    if (!*written) {
+      *written = true;
+      EncodeSchema(cursor->schema(), &payload);
+      HTG_RETURN_IF_ERROR(WriteFrame(socket, MsgType::kResultHeader, payload));
+    }
+    if (frame_rows == 0) return Status::OK();
+    payload.clear();
+    EncodeRowBatch(frame_rows, rows, &payload);
+    rows.clear();
+    frame_rows = 0;
+    return WriteFrame(socket, MsgType::kResultBatch, payload);
+  };
+  RowBatch batch;
+  while (cursor->NextBatch(&batch)) {
+    // Frames hold exactly kResultBatchRows rows, carried across batches.
+    for (size_t begin = 0, n = batch.ActiveRows(); begin < n;) {
+      const size_t end = std::min(n, begin + kResultBatchRows - frame_rows);
+      EncodeRows(batch, begin, end, &rows);
+      frame_rows += end - begin;
+      begin = end;
+      if (frame_rows == kResultBatchRows) HTG_RETURN_IF_ERROR(flush());
     }
   }
-  ResultDoneMsg done;
-  done.rows_affected = result.rows_affected;
-  done.message = result.message;
-  std::string payload;
-  EncodeResultDone(done, &payload);
-  return WriteFrame(socket, MsgType::kResultDone, payload);
+  if (!cursor->status().ok() || cursor->schema().num_columns() == 0) {
+    return Status::OK();
+  }
+  return flush();
 }
 
 Status Session::SendError(Socket* socket, const Status& status) {

@@ -2,10 +2,12 @@
 
 // One connected client. A Session owns the request loop for its socket:
 // it parses each statement once, derives the lock set from the AST,
-// acquires the locks for the statement's duration, and executes through
-// the shared SqlEngine under the session's memory budget. Statement
-// failures cross the wire as typed Error frames and the loop keeps
-// serving; only protocol errors or a peer hangup end the session.
+// acquires the locks for the statement's duration, starts it through
+// the shared SqlEngine under the session's memory budget, and streams
+// the cursor's rows to the client as 256-row frames while the plan
+// produces them. Statement failures cross the wire as typed Error frames
+// and the loop keeps serving; only protocol errors or a peer hangup end
+// the session.
 //
 // Lock regime (see docs/CONCURRENCY.md): readers do not lock tables at
 // all — their snapshot isolates them from concurrent inserts — they hold
@@ -23,6 +25,7 @@
 // kTransient statements itself, pinning a dedupe token so a load whose
 // first run committed is never executed twice (the engine's internal
 // retry loop is disabled via StatementOptions::caller_owns_retries).
+// It retries only while no frame of the statement has gone out.
 //
 // Prepared statements are a bounded per-session LRU of parsed ASTs:
 // Prepare parses once, Execute replans/reruns under fresh locks, and an
@@ -106,9 +109,10 @@ class Session {
     std::vector<sql::Statement> statements;
   };
 
-  // Lock + execute + (session-owned) retry for one parsed batch.
-  Result<sql::QueryResult> Run(const std::vector<sql::Statement>& stmts,
-                               const std::string& client_token);
+  // Lock + execute + (session-owned) retry for one parsed batch, with its
+  // result or Error frame sent. Returns the transport status.
+  Status Run(Socket* socket, const std::vector<sql::Statement>& stmts,
+             const std::string& client_token);
 
   Status HandleQuery(Socket* socket, const Frame& frame);
   Status HandlePrepare(Socket* socket, const Frame& frame);
@@ -122,9 +126,13 @@ class Session {
   // accumulated. Safe to call with no transaction open.
   void AbortActiveTxn();
 
-  Status SendResult(Socket* socket, const sql::QueryResult& result);
+  // Sends the cursor's rows as ResultHeader and ResultBatch frames,
+  // unless it fails; *written says whether any frame went out. Returns
+  // the transport status.
+  Status StreamRows(Socket* socket, sql::Cursor* cursor, bool* written);
   Status SendError(Socket* socket, const Status& status);
-  Status SendDone(Socket* socket, const std::string& message);
+  Status SendDone(Socket* socket, const std::string& message,
+                  uint64_t rows_affected = 0);
 
   const uint64_t id_;
   sql::SqlEngine* const engine_;

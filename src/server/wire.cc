@@ -304,13 +304,19 @@ Status DecodeSchema(std::string_view payload, Schema* schema) {
   return Status::OK();
 }
 
-void EncodeRowBatch(const std::vector<Row>& rows, size_t begin, size_t end,
-                    std::string* out) {
-  PutVarint64(out, end - begin);
-  for (size_t r = begin; r < end; ++r) {
-    PutVarint64(out, rows[r].size());
-    for (const Value& value : rows[r]) EncodeValue(value, out);
+void EncodeRows(const RowBatch& batch, size_t begin, size_t end,
+                std::string* out) {
+  const size_t ncols = batch.num_columns();
+  for (size_t i = begin; i < end; ++i) {
+    const size_t r = batch.ActiveIndex(i);
+    PutVarint64(out, ncols);
+    for (size_t c = 0; c < ncols; ++c) EncodeValue(batch.column(c)[r], out);
   }
+}
+
+void EncodeRowBatch(size_t num_rows, std::string_view rows, std::string* out) {
+  PutVarint64(out, num_rows);
+  out->append(rows);
 }
 
 Status DecodeRowBatch(std::string_view payload, std::vector<Row>* rows) {

@@ -14,10 +14,13 @@
 //                             <-  HelloAck{version, server, session_id}
 //   Query{sql, token}         ->
 //                             <-  ResultHeader{schema}        (row results)
-//                             <-  ResultBatch{rows}*          (<= 256 rows each)
+//                             <-  ResultBatch{rows}*          (256 rows each,
+//                                                              the last fewer)
 //                             <-  ResultDone{rows_affected, message}
 //                         or <-  Error{status_code, message}  (statement
-//                                 failed; session stays usable)
+//                                 failed; session stays usable; may
+//                                 follow ResultBatch frames when the
+//                                 failure came mid-stream)
 //   Prepare{sql}              ->
 //                             <-  PrepareAck{statement_id}
 //   Execute{statement_id, token} -> (same result framing as Query)
@@ -51,6 +54,7 @@
 
 #include "common/result.h"
 #include "server/net_socket.h"
+#include "types/row_batch.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -142,11 +146,15 @@ Status DecodeU64(std::string_view payload, uint64_t* v);
 void EncodeSchema(const Schema& schema, std::string* out);
 Status DecodeSchema(std::string_view payload, Schema* schema);
 
-// Self-describing row batch (tag per value), independent of the schema so
+// Self-describing rows (tag per value), independent of the schema so
 // expression results whose runtime kind differs from the declared column
-// type survive the trip.
-void EncodeRowBatch(const std::vector<Row>& rows, size_t begin, size_t end,
-                    std::string* out);
+// type survive the trip. A ResultBatch payload is a row count followed by
+// that many rows: EncodeRows appends the live rows [begin, end) of
+// `batch`, and EncodeRowBatch prefixes `num_rows` rows encoded that way
+// with their count.
+void EncodeRows(const RowBatch& batch, size_t begin, size_t end,
+                std::string* out);
+void EncodeRowBatch(size_t num_rows, std::string_view rows, std::string* out);
 Status DecodeRowBatch(std::string_view payload, std::vector<Row>* rows);
 
 }  // namespace htg::server

@@ -12,40 +12,6 @@
 
 namespace htg::sql {
 
-namespace {
-
-// A statement's MVCC read view, installed into its context: the session
-// transaction's snapshot, or an autocommit read transaction that pins
-// the GC horizon so the sweep cannot collapse versions out from under
-// the running scan. The pin commits when the view goes out of scope, so
-// every return path ends it.
-class ReadView {
- public:
-  ReadView(storage::TxnManager* txns, const StatementOptions& opts,
-           exec::ExecContext* ctx)
-      : txns_(txns) {
-    if (opts.txn != nullptr) {
-      ctx->snapshot = &opts.txn->snapshot;
-      ctx->txn_id = opts.txn->id;
-    } else {
-      pin_ = txns_->Begin();
-      ctx->snapshot = &pin_.snapshot;
-      ctx->txn_id = pin_.id;
-    }
-  }
-  ~ReadView() {
-    if (pin_.id != storage::kFrozenTxn) txns_->Commit(pin_.id);
-  }
-  ReadView(const ReadView&) = delete;
-  ReadView& operator=(const ReadView&) = delete;
-
- private:
-  storage::TxnManager* txns_;
-  storage::TxnManager::BeginResult pin_;
-};
-
-}  // namespace
-
 std::string QueryResult::ToString(size_t max_rows) const {
   if (schema.num_columns() == 0) {
     return message.empty()
@@ -93,6 +59,63 @@ std::string QueryResult::ToString(size_t max_rows) const {
   return out;
 }
 
+bool Cursor::NextBatch(RowBatch* batch) {
+  if (iter_ == nullptr || !iter_->NextBatch(batch)) return false;
+  rows_affected_ += batch->ActiveRows();
+  return true;
+}
+
+Status Cursor::status() const {
+  return iter_ != nullptr ? iter_->status() : status_;
+}
+
+Status Cursor::Drain() {
+  RowBatch batch;
+  while (NextBatch(&batch)) {
+  }
+  Close();
+  return status_;
+}
+
+Result<QueryResult> Cursor::FetchAll() {
+  QueryResult result;
+  const Status drained = exec::DrainIterator(this, &result.rows);
+  Close();
+  HTG_RETURN_IF_ERROR(drained);
+  result.schema = schema_;
+  result.rows_affected = rows_affected_;
+  result.message = message_;
+  return result;
+}
+
+void Cursor::Close() {
+  if (iter_ != nullptr) {
+    status_ = iter_->status();
+    iter_.reset();  // operators release their charges before the peak is read
+    HTG_METRIC_GAUGE("mem.query.peak")
+        ->Set(static_cast<int64_t>(ctx_.mem->peak()));
+  }
+  if (pin_.id != storage::kFrozenTxn) ctx_.db->txns()->Commit(pin_.id);
+  pin_.id = storage::kFrozenTxn;
+}
+
+namespace {
+
+bool Writes(const Statement& stmt) {
+  return stmt.kind != Statement::Kind::kSelect &&
+         stmt.kind != Statement::Kind::kExplain;
+}
+
+// Inside an explicit transaction there is no silent re-execution: the
+// statement may have built on the transaction's earlier writes, so the
+// only sound recovery is aborting the whole transaction, which the
+// session layer does on any statement error.
+bool EngineRetries(const StatementOptions& opts) {
+  return !opts.caller_owns_retries && opts.txn == nullptr;
+}
+
+}  // namespace
+
 Result<QueryResult> SqlEngine::Execute(std::string_view sql) {
   return Execute(sql, StatementOptions{});
 }
@@ -105,56 +128,131 @@ Result<QueryResult> SqlEngine::Execute(std::string_view sql,
 
 Result<QueryResult> SqlEngine::ExecuteParsed(
     const std::vector<Statement>& statements, const StatementOptions& opts) {
+  HTG_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
+                       Start(statements, opts));
+  Result<QueryResult> result = cursor->FetchAll();
+  // A final SELECT that fails transiently while it is fetched has handed
+  // out no row yet, so it reruns whole like any other statement.
+  for (int attempt = 1; !result.ok() && result.status().IsTransient() &&
+                        EngineRetries(opts) && attempt < kStatementRetries;
+       ++attempt) {
+    cursor.reset();
+    HTG_ASSIGN_OR_RETURN(cursor, StartStatement(statements.back(), opts,
+                                                /*drain=*/false));
+    result = cursor->FetchAll();
+  }
+  return result;
+}
+
+Result<std::unique_ptr<Cursor>> SqlEngine::Start(
+    const std::vector<Statement>& statements, const StatementOptions& opts) {
   if (statements.empty()) {
     return Status::ParseError("no statement to execute");
   }
-  // Dedupe before touching any table: a session retrying a statement whose
+  const bool ends_in_select =
+      statements.back().kind == Statement::Kind::kSelect;
+  const bool record = !opts.token.empty() &&
+                      std::any_of(statements.begin(), statements.end(), Writes);
+  // Dedupe before touching any table: a session retrying a batch whose
   // first run committed (the transient fault hit after the commit point)
-  // must observe the recorded result, not a second execution.
-  if (!opts.token.empty()) {
-    QueryResult recorded;
-    if (LookupToken(opts.token, &recorded)) {
-      HTG_METRIC_COUNTER("sql.token.dedupe_hit")->Add();
-      return recorded;
+  // must not write a second time.
+  Recorded recorded;
+  if (record && LookupToken(opts.token, &recorded)) {
+    HTG_METRIC_COUNTER("sql.token.dedupe_hit")->Add();
+    if (!ends_in_select) {
+      return std::unique_ptr<Cursor>(
+          new Cursor(recorded.rows_affected, std::move(recorded.message)));
     }
-  }
-  QueryResult last;
-  for (const Statement& stmt : statements) {
-    // Statement-level degradation: a failed statement has already rolled
-    // back its partial writes (see ExecuteInsert), so a transient I/O fault
-    // can be retried whole-statement, and a hard failure aborts the batch
-    // while leaving the session fully usable. When the caller owns retries
-    // (the session layer, with its dedupe token) the internal loop is off.
-    Result<QueryResult> r = ExecuteStatement(stmt, opts);
-    // Inside an explicit transaction there is no silent re-execution:
-    // the statement may have observed (and built on) the transaction's
-    // earlier writes, so the only sound recovery is aborting the whole
-    // transaction — which the session layer does on any statement error.
-    if (!opts.caller_owns_retries && opts.txn == nullptr) {
-      for (int attempt = 1; !r.ok() && r.status().IsTransient() &&
-                            attempt < kStatementRetries;
-           ++attempt) {
-        r = ExecuteStatement(stmt, opts);
-      }
+  } else {
+    // Every statement but a final SELECT runs to completion; a failed one
+    // has rolled back its partial writes (see ExecuteInsert), so the batch
+    // stops there and the session stays usable.
+    std::unique_ptr<Cursor> cursor;
+    for (size_t i = 0; i + (ends_in_select ? 1 : 0) < statements.size(); ++i) {
+      cursor.reset();  // one statement's read view ends before the next runs
+      HTG_ASSIGN_OR_RETURN(cursor, StartStatement(statements[i], opts,
+                                                  /*drain=*/true));
     }
-    HTG_ASSIGN_OR_RETURN(last, std::move(r));
+    if (record) {
+      RecordToken(opts.token, ends_in_select
+                                  ? Recorded{}
+                                  : Recorded{cursor->rows_affected(),
+                                             cursor->message()});
+    }
+    if (!ends_in_select) return cursor;
   }
-  if (!opts.token.empty()) RecordToken(opts.token, last);
-  return last;
+  return StartStatement(statements.back(), opts, /*drain=*/false);
 }
 
-bool SqlEngine::LookupToken(const std::string& token, QueryResult* result) {
+Result<std::unique_ptr<Cursor>> SqlEngine::StartStatement(
+    const Statement& stmt, const StatementOptions& opts, bool drain) {
+  const auto attempt = [&]() -> Result<std::unique_ptr<Cursor>> {
+    if (stmt.kind != Statement::Kind::kSelect) {
+      HTG_ASSIGN_OR_RETURN(QueryResult done, ExecuteStatement(stmt, opts));
+      return std::unique_ptr<Cursor>(
+          new Cursor(done.rows_affected, std::move(done.message)));
+    }
+    Binder binder(db_);
+    HTG_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
+                         binder.BindSelect(*stmt.select));
+    HTG_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
+                         OpenCursor(std::move(plan), opts,
+                                    /*collect_stats=*/false));
+    if (drain) HTG_RETURN_IF_ERROR(cursor->Drain());
+    return cursor;
+  };
+  // A failed statement is side-effect-free, so a transient fault can be
+  // retried whole-statement (unless the caller owns retries).
+  Result<std::unique_ptr<Cursor>> result = attempt();
+  for (int n = 1; !result.ok() && result.status().IsTransient() &&
+                  EngineRetries(opts) && n < kStatementRetries;
+       ++n) {
+    result = attempt();
+  }
+  return result;
+}
+
+Result<std::unique_ptr<Cursor>> SqlEngine::OpenCursor(
+    exec::OperatorPtr plan, const StatementOptions& opts,
+    bool collect_stats) {
+  std::unique_ptr<Cursor> cursor(new Cursor(0, ""));
+  exec::ExecContext& ctx = cursor->ctx_;
+  ctx = exec::ExecContext::For(db_);
+  ctx.collect_stats = collect_stats;
+  if (opts.query_mem_bytes > 0) {
+    // Session-scoped budget: tighter than (and independent of) the
+    // database-wide default, same spill policy.
+    ctx.mem = std::make_shared<MemoryContext>(
+        opts.query_mem_bytes, db_->options().ResolvedSpillEnabled());
+  }
+  // The read view: the transaction's snapshot, or an autocommit read
+  // that pins the GC horizon so the sweep cannot collapse versions out
+  // from under the scan until the cursor closes.
+  if (opts.txn != nullptr) {
+    ctx.snapshot = &opts.txn->snapshot;
+    ctx.txn_id = opts.txn->id;
+  } else {
+    cursor->pin_ = db_->txns()->Begin();
+    ctx.snapshot = &cursor->pin_.snapshot;
+    ctx.txn_id = cursor->pin_.id;
+  }
+  cursor->schema_ = plan->output_schema();
+  HTG_ASSIGN_OR_RETURN(cursor->iter_, plan->Open(&ctx));
+  cursor->plan_ = std::move(plan);
+  return cursor;
+}
+
+bool SqlEngine::LookupToken(const std::string& token, Recorded* recorded) {
   MutexLock lock(&ledger_mu_);
   const auto it = committed_.find(token);
   if (it == committed_.end()) return false;
-  *result = it->second;
+  *recorded = it->second;
   return true;
 }
 
-void SqlEngine::RecordToken(const std::string& token,
-                            const QueryResult& result) {
+void SqlEngine::RecordToken(const std::string& token, Recorded recorded) {
   MutexLock lock(&ledger_mu_);
-  const auto [it, inserted] = committed_.emplace(token, result);
+  const auto [it, inserted] = committed_.emplace(token, std::move(recorded));
   (void)it;
   if (!inserted) return;
   committed_order_.push_back(token);
@@ -162,17 +260,6 @@ void SqlEngine::RecordToken(const std::string& token,
     committed_.erase(committed_order_.front());
     committed_order_.pop_front();
   }
-}
-
-exec::ExecContext SqlEngine::MakeContext(const StatementOptions& opts) {
-  exec::ExecContext ctx = exec::ExecContext::For(db_);
-  if (opts.query_mem_bytes > 0) {
-    // Session-scoped budget: tighter than (and independent of) the
-    // database-wide default, same spill policy.
-    ctx.mem = std::make_shared<MemoryContext>(
-        opts.query_mem_bytes, db_->options().ResolvedSpillEnabled());
-  }
-  return ctx;
 }
 
 Result<exec::OperatorPtr> SqlEngine::Plan(std::string_view sql) {
@@ -202,7 +289,7 @@ Result<QueryResult> SqlEngine::ExecuteStatement(const Statement& stmt,
   }
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
-      return ExecuteSelect(*stmt.select, opts);
+      return Status::Internal("a SELECT opens a cursor: StartStatement");
     case Statement::Kind::kExplain: {
       Binder binder(db_);
       HTG_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
@@ -213,22 +300,19 @@ Result<QueryResult> SqlEngine::ExecuteStatement(const Statement& stmt,
         return result;
       }
       // EXPLAIN ANALYZE: run the plan to completion with per-operator
-      // stats collection on, then render the annotated tree. Result rows
-      // are drained and discarded — the plan is the output.
-      exec::ExecContext ctx = MakeContext(opts);
-      ctx.collect_stats = true;
-      ReadView view(db_->txns(), opts, &ctx);
+      // stats collection on, then render the annotated tree. Rows are
+      // counted, not kept — the plan is the output.
       const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
       Stopwatch total;
-      HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
-                           plan->Open(&ctx));
-      std::vector<Row> rows;
-      HTG_RETURN_IF_ERROR(exec::DrainIterator(iter.get(), &rows));
-      iter.reset();  // fold iterator teardown into the close timings
+      HTG_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
+                           OpenCursor(std::move(plan), opts,
+                                      /*collect_stats=*/true));
+      // Drain closes the cursor: iterator teardown lands in the timings.
+      HTG_RETURN_IF_ERROR(cursor->Drain());
       result.message =
-          exec::ExplainAnalyzePlan(*plan) +
+          exec::ExplainAnalyzePlan(*cursor->plan_) +
           StringPrintf("total: %llu rows in %.3f ms\n",
-                       static_cast<unsigned long long>(rows.size()),
+                       static_cast<unsigned long long>(cursor->rows_affected()),
                        total.ElapsedMillis());
       // Cache behaviour of this one statement: the pool counters' delta
       // across the run. Omitted when the plan never touched the pool.
@@ -253,18 +337,17 @@ Result<QueryResult> SqlEngine::ExecuteStatement(const Statement& stmt,
       }
       // Per-statement memory governance summary: the query context's peak
       // charge, its budget, and any graceful-degradation spilling.
-      const size_t peak = ctx.mem->peak();
-      HTG_METRIC_GAUGE("mem.query.peak")->Set(static_cast<int64_t>(peak));
+      const MemoryContext& mem = *cursor->ctx_.mem;
       std::string budget_text =
-          ctx.mem->unlimited()
+          mem.unlimited()
               ? std::string("unlimited")
               : StringPrintf("%.1f MiB",
-                             static_cast<double>(ctx.mem->budget()) /
+                             static_cast<double>(mem.budget()) /
                                  (1024.0 * 1024.0));
       result.message += StringPrintf(
           "memory: peak=%.1f KiB (budget %s), spill runs=%llu, "
           "spill bytes=%llu\n",
-          static_cast<double>(peak) / 1024.0, budget_text.c_str(),
+          static_cast<double>(mem.peak()) / 1024.0, budget_text.c_str(),
           static_cast<unsigned long long>(counter("exec.spill.runs")),
           static_cast<unsigned long long>(counter("exec.spill.bytes")));
       return result;
@@ -292,24 +375,6 @@ Result<QueryResult> SqlEngine::ExecuteStatement(const Statement& stmt,
       return ExecuteInsert(*stmt.insert, opts);
   }
   return Status::Internal("unhandled statement kind");
-}
-
-Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
-                                             const StatementOptions& opts) {
-  Binder binder(db_);
-  HTG_ASSIGN_OR_RETURN(exec::OperatorPtr plan, binder.BindSelect(stmt));
-  exec::ExecContext ctx = MakeContext(opts);
-  ReadView view(db_->txns(), opts, &ctx);
-  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
-                       plan->Open(&ctx));
-  QueryResult result;
-  result.schema = plan->output_schema();
-  HTG_RETURN_IF_ERROR(exec::DrainIterator(iter.get(), &result.rows));
-  iter.reset();  // operators release their charges before we read the peak
-  HTG_METRIC_GAUGE("mem.query.peak")
-      ->Set(static_cast<int64_t>(ctx.mem->peak()));
-  result.rows_affected = result.rows.size();
-  return result;
 }
 
 Result<QueryResult> SqlEngine::ExecuteCreateTable(const CreateTableStmt& stmt) {
@@ -558,17 +623,17 @@ Result<QueryResult> SqlEngine::InsertInTxn(const InsertStmt& stmt,
     Binder binder(db_);
     HTG_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
                          binder.BindSelect(*stmt.select));
-    exec::ExecContext ctx = MakeContext(opts);
     // INSERT..SELECT reads through the writing transaction's snapshot
     // (and sees its own earlier writes via self-visibility).
-    ctx.snapshot = &txn->snapshot;
-    ctx.txn_id = txn->id;
-    HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
-                         plan->Open(&ctx));
+    StatementOptions source_opts = opts;
+    source_opts.txn = txn;
+    HTG_ASSIGN_OR_RETURN(
+        std::unique_ptr<Cursor> source,
+        OpenCursor(std::move(plan), source_opts, /*collect_stats=*/false));
     // Appends each batch it pulls: the live source rows, moved into the
     // table's column order.
     RowBatch in;
-    while (iter->NextBatch(&in)) {
+    while (source->NextBatch(&in)) {
       HTG_RETURN_IF_ERROR(check_width(in.num_columns()));
       const size_t n = in.ActiveRows();
       out.StartFill(ncols);
@@ -582,7 +647,7 @@ Result<QueryResult> SqlEngine::InsertInTxn(const InsertStmt& stmt,
       out.FinishFill(n);
       HTG_RETURN_IF_ERROR(append());
     }
-    HTG_RETURN_IF_ERROR(iter->status());
+    HTG_RETURN_IF_ERROR(source->status());
   }
 
   QueryResult result;

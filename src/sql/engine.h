@@ -15,7 +15,8 @@
 
 namespace htg::sql {
 
-// Materialized result of one statement.
+// A statement's result fetched whole: what Execute returns to in-process
+// callers (examples, tests, benches, the shell).
 struct QueryResult {
   Schema schema;
   std::vector<Row> rows;
@@ -25,6 +26,48 @@ struct QueryResult {
 
   // Renders an ASCII table (for examples and the shell).
   std::string ToString(size_t max_rows = 50) const;
+};
+
+// A started statement. A SELECT's cursor owns its bound plan, its
+// ExecContext, its read view (the transaction's snapshot, or an
+// autocommit pin on the GC horizon) and the open iterator, and streams
+// rows a batch at a time. Any other statement has already run; its
+// cursor yields no rows. Closing it (at the end of a fetch, or on
+// destruction) tears the iterator down, sets `mem.query.peak`, and ends
+// the read view. Not movable: the operators point into its ExecContext.
+class Cursor : public storage::RowIterator {
+ public:
+  ~Cursor() override { Close(); }
+  Cursor(const Cursor&) = delete;
+  Cursor& operator=(const Cursor&) = delete;
+
+  // Output columns; empty for statements that return no rows.
+  const Schema& schema() const { return schema_; }
+  bool NextBatch(RowBatch* batch) override;
+  Status status() const override;
+  // A SELECT's rows handed out so far, or the rows a write affected.
+  uint64_t rows_affected() const { return rows_affected_; }
+  const std::string& message() const { return message_; }
+
+  // Reads every remaining row into a QueryResult and closes.
+  Result<QueryResult> FetchAll();
+
+ private:
+  friend class SqlEngine;
+  // Reads every remaining row, keeping none, and closes.
+  Status Drain();
+  void Close();
+  Cursor(uint64_t rows_affected, std::string message)
+      : rows_affected_(rows_affected), message_(std::move(message)) {}
+
+  exec::OperatorPtr plan_;
+  exec::ExecContext ctx_;
+  storage::TxnManager::BeginResult pin_;  // id kFrozenTxn: no pin held
+  std::unique_ptr<storage::RowIterator> iter_;
+  Schema schema_;
+  uint64_t rows_affected_;
+  std::string message_;
+  Status status_;  // the iterator's, kept once it is closed
 };
 
 // State of one transaction. An explicit one (wire BEGIN .. COMMIT/ABORT)
@@ -57,12 +100,12 @@ struct TxnContext {
 
 // Per-call execution knobs, threaded from the session layer.
 struct StatementOptions {
-  // Statement dedupe token. When non-empty, a successfully committed
-  // execution is recorded in a bounded ledger under this token, and a
-  // later Execute with the same token returns the recorded result instead
-  // of re-running. This is what makes retry-after-kTransient safe for
-  // non-idempotent loads: a transient fault *after* commit (say, while the
-  // response crossed the wire) must not insert the rows twice.
+  // Statement dedupe token. A batch that writes and succeeds is recorded
+  // in a bounded ledger under it, and a later run with the same token
+  // skips the writes: it returns the recorded rows_affected and message,
+  // or runs a final SELECT again. This makes retry-after-kTransient safe
+  // for non-idempotent loads: a transient fault *after* commit (say, while
+  // the response crossed the wire) must not insert the rows twice.
   std::string token;
   // Per-statement memory budget override in bytes; 0 keeps the
   // database-wide DatabaseOptions::query_mem_bytes policy. Sessions use
@@ -83,6 +126,8 @@ struct StatementOptions {
 //
 //   SqlEngine engine(db);
 //   auto result = engine.Execute("SELECT COUNT(*) FROM Read");
+//
+// Execute is Start plus Cursor::FetchAll; the server streams the cursor.
 //
 // The engine itself is stateless apart from the committed-token ledger,
 // which is internally synchronized: concurrent sessions may share one
@@ -111,6 +156,13 @@ class SqlEngine {
   Result<QueryResult> ExecuteParsed(const std::vector<Statement>& statements,
                                     const StatementOptions& opts);
 
+  // Runs every statement of the batch but a final SELECT, which it opens
+  // and returns unread; SELECTs before the last are drained and dropped.
+  // A batch that does not end in a SELECT returns its last statement's
+  // row-less cursor.
+  Result<std::unique_ptr<Cursor>> Start(
+      const std::vector<Statement>& statements, const StatementOptions& opts);
+
   // Plans a single SELECT without executing it (benchmarks stream the
   // iterator themselves).
   Result<exec::OperatorPtr> Plan(std::string_view sql);
@@ -135,10 +187,24 @@ class SqlEngine {
   Database* db() { return db_; }
 
  private:
+  // What the dedupe ledger keeps of a batch that wrote.
+  struct Recorded {
+    uint64_t rows_affected = 0;
+    std::string message;
+  };
+
+  // Starts one statement, retrying kTransient failures when the engine
+  // owns retries; with `drain`, each attempt reads a SELECT to its end.
+  Result<std::unique_ptr<Cursor>> StartStatement(const Statement& stmt,
+                                                 const StatementOptions& opts,
+                                                 bool drain);
+  // The one place a SELECT plan gets its context, read view and iterator.
+  Result<std::unique_ptr<Cursor>> OpenCursor(exec::OperatorPtr plan,
+                                             const StatementOptions& opts,
+                                             bool collect_stats);
+  // The statements that return no rows.
   Result<QueryResult> ExecuteStatement(const Statement& stmt,
                                        const StatementOptions& opts);
-  Result<QueryResult> ExecuteSelect(const SelectStmt& stmt,
-                                    const StatementOptions& opts);
   Result<QueryResult> ExecuteCreateTable(const CreateTableStmt& stmt);
   Result<QueryResult> ExecuteInsert(const InsertStmt& stmt,
                                     const StatementOptions& opts);
@@ -147,17 +213,14 @@ class SqlEngine {
                                   catalog::TableDef* table, TxnContext* txn,
                                   const StatementOptions& opts);
 
-  // ExecContext::For(db_) with the per-statement budget override applied.
-  exec::ExecContext MakeContext(const StatementOptions& opts);
-
-  // Returns true and fills *result when `token` already committed.
-  bool LookupToken(const std::string& token, QueryResult* result);
-  void RecordToken(const std::string& token, const QueryResult& result);
+  // Returns true and fills *recorded when `token` already committed.
+  bool LookupToken(const std::string& token, Recorded* recorded);
+  void RecordToken(const std::string& token, Recorded recorded);
 
   Database* db_;
 
   Mutex ledger_mu_{"SqlEngine::ledger_mu_"};
-  std::map<std::string, QueryResult> committed_ HTG_GUARDED_BY(ledger_mu_);
+  std::map<std::string, Recorded> committed_ HTG_GUARDED_BY(ledger_mu_);
   std::deque<std::string> committed_order_ HTG_GUARDED_BY(ledger_mu_);
 };
 

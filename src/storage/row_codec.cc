@@ -35,7 +35,8 @@ const char* GetFixed64(const char* p, const char* limit, uint64_t* v) {
 
 // Expands ASCII text to UTF-16LE (the NVARCHAR on-disk form).
 void AppendUtf16(std::string_view s, std::string* out) {
-  out->reserve(out->size() + s.size() * 2);
+  // std::string's reserve grows geometrically, unlike std::vector's.
+  out->reserve(out->size() + s.size() * 2);  // NOLINT(htg-exact-reserve)
   for (char c : s) {
     out->push_back(c);
     out->push_back('\0');

@@ -14,6 +14,11 @@ Status NonNumeric(const char* fn, const Value& v) {
                            std::string(DataTypeName(v.type())) + ")");
 }
 
+// SUM over integers whose total leaves int64.
+Status SumOverflow() {
+  return Status::OutOfRange("SUM: arithmetic overflow");
+}
+
 // Binder check of SUM/AVG: the argument's declared type is numeric.
 Status CheckNumericArg(std::string_view fn, const std::vector<DataType>& args) {
   if (args.empty() || IsNumeric(args[0])) return Status::OK();
@@ -63,16 +68,16 @@ struct SumState {
     if (v.IsDoubleKind()) {
       is_double = true;
       dsum += v.AsDouble();
-    } else {
-      isum += v.AsInt64();
+    } else if (__builtin_add_overflow(isum, v.AsInt64(), &isum)) {
+      return SumOverflow();
     }
     return Status::OK();
   }
   Status Merge(SumState& other) {
     seen = seen || other.seen;
     is_double = is_double || other.is_double;
-    isum += other.isum;
     dsum += other.dsum;
+    if (__builtin_add_overflow(isum, other.isum, &isum)) return SumOverflow();
     return Status::OK();
   }
   Result<Value> Terminate() {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -141,6 +144,47 @@ TEST(OperatorTest, FilterProjectPipeline) {
   ASSERT_TRUE(DrainIterator(iter->get(), &rows).ok());
   ASSERT_EQ(rows.size(), 10u);
   EXPECT_EQ(rows[3][0].AsInt64(), 6);
+}
+
+// Yields `total` rows in full batches and records the capacity of the
+// vector DrainIterator fills before each batch. The rows are zero-width:
+// the vector's growth is under test, not the rows' contents.
+class CapacityProbe : public storage::RowIterator {
+ public:
+  CapacityProbe(size_t total, const std::vector<Row>* dest)
+      : total_(total), dest_(dest) {}
+
+  bool NextBatch(RowBatch* batch) override {
+    if (produced_ == total_) return false;
+    capacities_.insert(dest_->capacity());
+    const size_t n = std::min(RowBatch::kDefaultRows, total_ - produced_);
+    batch->ResetColumns(0);
+    batch->set_num_rows(n);
+    produced_ += n;
+    return true;
+  }
+
+  const std::set<size_t>& capacities() const { return capacities_; }
+
+ private:
+  const size_t total_;
+  const std::vector<Row>* dest_;
+  size_t produced_ = 0;
+  std::set<size_t> capacities_;
+};
+
+// Fetch-all grows its vector geometrically: a per-batch exact reserve
+// would give every batch a new capacity (and move every row each time).
+TEST(OperatorTest, DrainIteratorGrowsGeometrically) {
+  constexpr size_t kRows = 2'000'000;
+  std::vector<Row> rows;
+  CapacityProbe probe(kRows, &rows);
+  ASSERT_TRUE(DrainIterator(&probe, &rows).ok());
+  EXPECT_EQ(rows.size(), kRows);
+  const double bound =
+      2 * std::log2(static_cast<double>(kRows) / RowBatch::kDefaultRows);
+  EXPECT_LE(static_cast<double>(probe.capacities().size()), bound)
+      << probe.capacities().size() << " distinct capacities";
 }
 
 TEST(OperatorTest, HashAggregateGroups) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "server/client.h"
 #include "server/lock_manager.h"
 #include "server/server.h"
@@ -20,6 +21,7 @@
 #include "server/wire.h"
 #include "sql/engine.h"
 #include "sql/parser.h"
+#include "storage/heap_table.h"
 
 namespace htg::server {
 namespace {
@@ -61,15 +63,25 @@ class ServerTest : public ::testing::Test {
 
 // ----------------------------------------------------------- wire codecs
 
-TEST(WireCodec, ValueRoundTripAllTypes) {
-  std::vector<Row> rows;
-  rows.push_back({Value::Null(), Value::Bool(true), Value::Int32(-7),
-                  Value::Int64(1ll << 40), Value::Double(2.5),
-                  Value::String("chr1"), Value::Blob(std::string("\0\xff", 2)),
-                  Value::Guid("0123456789abcdef")});
-  rows.push_back({Value::Int64(0)});
+// Encodes the live rows [begin, end) of `batch` as one ResultBatch
+// payload.
+std::string EncodePayload(const RowBatch& batch, size_t begin, size_t end) {
+  std::string rows;
+  EncodeRows(batch, begin, end, &rows);
   std::string payload;
-  EncodeRowBatch(rows, 0, rows.size(), &payload);
+  EncodeRowBatch(end - begin, rows, &payload);
+  return payload;
+}
+
+TEST(WireCodec, ValueRoundTripAllTypes) {
+  RowBatch batch;
+  batch.AppendRow({Value::Null(), Value::Bool(true), Value::Int32(-7),
+                   Value::Int64(1ll << 40), Value::Double(2.5),
+                   Value::String("chr1"),
+                   Value::Blob(std::string("\0\xff", 2)),
+                   Value::Guid("0123456789abcdef")});
+  batch.AppendRow({Value::Int64(0)});
+  const std::string payload = EncodePayload(batch, 0, batch.ActiveRows());
   std::vector<Row> decoded;
   ASSERT_TRUE(DecodeRowBatch(payload, &decoded).ok());
   ASSERT_EQ(decoded.size(), 2u);
@@ -83,11 +95,23 @@ TEST(WireCodec, ValueRoundTripAllTypes) {
   EXPECT_EQ(decoded[0][7].type(), DataType::kGuid);
 }
 
+// The encoder walks a batch's live rows: the selection, in its order.
+TEST(WireCodec, EncodesLiveRowRange) {
+  RowBatch batch;
+  for (int64_t i = 0; i < 6; ++i) batch.AppendRow({Value::Int64(i)});
+  batch.SetSelection({5, 1, 4, 2});
+  const std::string payload = EncodePayload(batch, 1, 3);
+  std::vector<Row> decoded;
+  ASSERT_TRUE(DecodeRowBatch(payload, &decoded).ok());
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[0][0].AsInt64(), 1);
+  EXPECT_EQ(decoded[1][0].AsInt64(), 4);
+}
+
 TEST(WireCodec, TruncatedPayloadIsCorruption) {
-  std::vector<Row> rows;
-  rows.push_back({Value::String("a long enough string")});
-  std::string payload;
-  EncodeRowBatch(rows, 0, 1, &payload);
+  RowBatch batch;
+  batch.AppendRow({Value::String("a long enough string")});
+  const std::string payload = EncodePayload(batch, 0, 1);
   std::vector<Row> decoded;
   const Status s =
       DecodeRowBatch(std::string_view(payload).substr(0, payload.size() - 3),
@@ -476,6 +500,33 @@ TEST_F(ServerTest, TokenDedupeDoesNotReExecuteCommittedLoad) {
   count = engine.Execute("SELECT COUNT(*) FROM reads");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->rows[0][0].AsInt64(), 4);
+
+  // A batch that writes and then reads, under one token: the retry skips
+  // the committed INSERT and runs the SELECT again, so it sees a row a
+  // later writer added (6), and not a second copy of its own (7).
+  const char* kLoadThenCount =
+      "INSERT INTO reads VALUES (5); SELECT COUNT(*) FROM reads";
+  opts.token = "load-3";
+  auto both = engine.Execute(kLoadThenCount, opts);
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  ASSERT_EQ(both->rows.size(), 1u);
+  EXPECT_EQ(both->rows[0][0].AsInt64(), 5);
+  ASSERT_TRUE(engine.Execute("INSERT INTO reads VALUES (6)").ok());
+  auto both_again = engine.Execute(kLoadThenCount, opts);
+  ASSERT_TRUE(both_again.ok()) << both_again.status().ToString();
+  ASSERT_EQ(both_again->rows.size(), 1u);
+  EXPECT_EQ(both_again->rows[0][0].AsInt64(), 6);
+
+  // A token on a read-only SELECT records nothing: the same token reads
+  // the table as it is now.
+  opts.token = "read-1";
+  auto read = engine.Execute("SELECT COUNT(*) FROM reads", opts);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->rows[0][0].AsInt64(), 6);
+  ASSERT_TRUE(engine.Execute("INSERT INTO reads VALUES (7)").ok());
+  read = engine.Execute("SELECT COUNT(*) FROM reads", opts);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->rows[0][0].AsInt64(), 7);
 }
 
 TEST_F(ServerTest, ClientTokenDedupesAcrossWire) {
@@ -490,6 +541,84 @@ TEST_F(ServerTest, ClientTokenDedupesAcrossWire) {
   ASSERT_TRUE(retry.ok());
   const ClientResult count = Query(client.get(), "SELECT COUNT(*) FROM t");
   EXPECT_EQ(count.rows[0][0].AsInt64(), 1);
+}
+
+// SUM overflow is a typed kOutOfRange on the wire too, and the session
+// keeps serving.
+TEST_F(ServerTest, SumOverflowIsTypedErrorAndSessionServes) {
+  StartServer();
+  std::unique_ptr<Client> client = Connect();
+  ASSERT_NE(client, nullptr);
+  Query(client.get(), "CREATE TABLE n (v BIGINT)");
+  Query(client.get(), "INSERT INTO n VALUES (9223372036854775807), (1)");
+  auto bad = client->Query("SELECT SUM(v) FROM n");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange)
+      << bad.status().ToString();
+  const ClientResult count = Query(client.get(), "SELECT COUNT(*) FROM n");
+  ASSERT_EQ(count.rows.size(), 1u);
+  EXPECT_EQ(count.rows[0][0].AsInt64(), 2);
+  client->Goodbye();
+}
+
+// The session streams a SELECT from the plan root: when the client has
+// read only the header and the first frame, the scan has not read the
+// whole heap (the socket buffers hold the server back), and a client
+// that then hangs up releases the statement's locks.
+TEST_F(ServerTest, ResultStreamsAsTheClientReads) {
+  constexpr int kRows = 200000;
+  sql::SqlEngine engine(db_.get());
+  ASSERT_TRUE(
+      engine.Execute("CREATE TABLE wide (id BIGINT, pad VARCHAR(200))").ok());
+  catalog::TableDef* table = *db_->GetTable("wide");
+  const std::string pad(200, 'x');
+  RowBatch batch;
+  for (int i = 0; i < kRows;) {
+    batch.Clear();
+    for (int j = 0; j < 1000; ++j, ++i) {
+      batch.AppendRow({Value::Int64(i), Value::String(pad)});
+    }
+    ASSERT_TRUE(db_->AppendBatch(table, &batch).ok());
+  }
+  const size_t pages =
+      dynamic_cast<storage::HeapTable*>(table->table.get())->num_pages();
+  ASSERT_GT(pages, 0u);
+  StartServer();
+
+  obs::Counter* page_reads =
+      obs::MetricsRegistry::Global().GetCounter("heap.page.reads");
+  const uint64_t reads_before = page_reads->Value();
+  auto raw = ConnectLoopback(server_->port());
+  ASSERT_TRUE(raw.ok());
+  HelloMsg hello;
+  std::string payload;
+  EncodeHello(hello, &payload);
+  ASSERT_TRUE(WriteFrame(raw->get(), MsgType::kHello, payload).ok());
+  Frame frame;
+  ASSERT_TRUE(ReadFrame(raw->get(), &frame).ok());
+  QueryMsg query;
+  query.sql = "SELECT id, pad FROM wide";
+  payload.clear();
+  EncodeQuery(query, &payload);
+  ASSERT_TRUE(WriteFrame(raw->get(), MsgType::kQuery, payload).ok());
+  ASSERT_TRUE(ReadFrame(raw->get(), &frame).ok());
+  ASSERT_EQ(frame.type, MsgType::kResultHeader);
+  ASSERT_TRUE(ReadFrame(raw->get(), &frame).ok());
+  ASSERT_EQ(frame.type, MsgType::kResultBatch);
+  std::vector<Row> first;
+  ASSERT_TRUE(DecodeRowBatch(frame.payload, &first).ok());
+  EXPECT_EQ(first.size(), kResultBatchRows);
+  // Give the server time to run ahead until the socket buffers fill.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const uint64_t read = page_reads->Value() - reads_before;
+  EXPECT_GT(read, 0u);
+  EXPECT_LT(read, pages) << "the statement read the whole heap before the "
+                            "client read its second frame";
+  (*raw)->Close();
+  for (int i = 0; i < 500 && server_->locks()->LockedTableCount() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server_->locks()->LockedTableCount(), 0u);
 }
 
 // Per-session memory budgets surface as typed kResourceExhausted.

@@ -3,11 +3,12 @@
 // DISTINCT / hash join (serial and DOP-8 parallel aggregation; inner and
 // left-outer joins over NULL and unmatched keys; recursive join
 // partitions), typed kResourceExhausted failures when spilling is
-// unavailable or repartitioning hits the depth limit, EXPLAIN ANALYZE
-// spill reporting, and fault injection into the aggregate's and the
-// join's spill writes through the Vfs seam (ENOSPC, torn write,
-// transient EIO) — after which the session keeps working and no orphan
-// spill files remain.
+// unavailable, repartitioning hits the depth limit, or a nested-loop
+// join's inner side outgrows the budget (before it is read to its end),
+// EXPLAIN ANALYZE spill reporting, and fault injection into the
+// aggregate's and the join's spill writes through the Vfs seam (ENOSPC,
+// torn write, transient EIO) — after which the session keeps working and
+// no orphan spill files remain.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "common/metrics.h"
 #include "sql/engine.h"
 #include "storage/fault_injection.h"
+#include "storage/heap_table.h"
 #include "storage/vfs.h"
 #include "udf/function.h"
 
@@ -422,6 +424,34 @@ TEST(SpillDisabledTest, OverBudgetFailsTypedAndSessionSurvives) {
   Result<QueryResult> alive = engine.Execute("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(alive.ok()) << alive.status().ToString();
   EXPECT_EQ(alive->rows[0][0].AsInt64(), kRows);
+}
+
+// The nested-loop join's inner side has no out-of-core fallback; it is
+// charged batch by batch as it is read, so an over-budget inner side
+// fails typed long before the scan reaches its end.
+TEST(NestedLoopBudgetTest, InnerSideFailsBeforeItIsRead) {
+  auto db = OpenLoaded("nlj", kTinyBudget, /*enable_spill=*/true, 1);
+  ASSERT_NE(db, nullptr);
+  SqlEngine engine(db.get());
+  const char* sql = "SELECT u.w, t.v FROM u JOIN t ON u.k < t.k";
+  Result<std::string> plan = engine.Explain(sql);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_NE(plan->find("Nested Loops"), std::string::npos) << *plan;
+  catalog::TableDef* t = *db->GetTable("t");
+  const size_t pages =
+      dynamic_cast<storage::HeapTable*>(t->table.get())->num_pages();
+  obs::Counter* page_reads =
+      obs::MetricsRegistry::Global().GetCounter("heap.page.reads");
+  const uint64_t before = page_reads->Value();
+  Result<QueryResult> r = engine.Execute(sql);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("Nested Loops (Inner Join)"),
+            std::string::npos)
+      << r.status().ToString();
+  const uint64_t read = page_reads->Value() - before;
+  EXPECT_GT(read, 0u);
+  EXPECT_LT(read, pages / 2) << "the inner side was read before the charge";
 }
 
 TEST(SpillDisabledTest, DistinctSpillsOrFailsTyped) {

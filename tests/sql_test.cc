@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "genomics/register.h"
@@ -664,6 +665,46 @@ TEST_F(SqlTest, SumAndAvgRejectNonNumericArguments) {
   EXPECT_EQ(ok.rows[0][3].AsString(), "y");
 }
 
+// SUM over BIGINT that leaves int64 is a typed kOutOfRange, not a wrapped
+// total: serially, and at DOP 8 where the partials meet in Merge.
+TEST_F(SqlTest, SumOverflowIsTypedError) {
+  Exec("CREATE TABLE t (v BIGINT)");
+  Exec("INSERT INTO t VALUES (9223372036854775807), (1)");
+  db_->set_max_dop(1);
+  Result<QueryResult> serial = engine_->Execute("SELECT SUM(v) FROM t");
+  ASSERT_FALSE(serial.ok());
+  EXPECT_EQ(serial.status().code(), StatusCode::kOutOfRange)
+      << serial.status().ToString();
+  EXPECT_NE(serial.status().message().find("arithmetic overflow"),
+            std::string::npos);
+
+  // Two halves of the overflow at opposite ends of a table past the
+  // parallel threshold, in one group: each partial fits, their merge
+  // does not.
+  Exec("CREATE TABLE big (k INT, v BIGINT)");
+  auto* table = *db_->GetTable("big");
+  constexpr int kRows = 20000;
+  constexpr int64_t kHalf = std::numeric_limits<int64_t>::max() / 2 + 1;
+  for (int i = 0; i < kRows; ++i) {
+    const int64_t v = (i == 0 || i == kRows - 5) ? kHalf : 0;
+    ASSERT_TRUE(
+        db_->InsertRow(table, Row{Value::Int32(i % 5), Value::Int64(v)}).ok());
+  }
+  db_->set_max_dop(8);
+  for (const char* sql : {"SELECT SUM(v) FROM big",
+                          "SELECT k, SUM(v) FROM big GROUP BY k"}) {
+    Result<std::string> plan = engine_->Explain(sql);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_NE(plan->find("Gather Streams"), std::string::npos) << *plan;
+    Result<QueryResult> r = engine_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange)
+        << sql << ": " << r.status().ToString();
+  }
+  // The engine keeps serving.
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM big").rows[0][0].AsInt64(), kRows);
+}
+
 // An integer outside a column's range is rejected, not wrapped: 5e9 into
 // INT used to store 705032704.
 TEST_F(SqlTest, InsertOutOfRangeIntegerIsRejected) {
@@ -714,6 +755,11 @@ TEST_F(SqlTest, MultiStatementScript) {
       "CREATE TABLE t (a INT); INSERT INTO t VALUES (5); SELECT a FROM t");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].AsInt64(), 5);
+  // A SELECT before the last statement is read and dropped; the batch
+  // answers with the last one.
+  r = Exec("SELECT a FROM t; INSERT INTO t VALUES (6); SELECT COUNT(*) FROM t");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt64(), 2);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "catalog/database.h"
 #include "exec/expression.h"
 #include "udf/registry.h"
@@ -147,6 +149,35 @@ TEST_F(BuiltinsTest, SumIntAndDouble) {
   ASSERT_TRUE(dbl.Accumulate({Value::Double(1.5)}).ok());
   ASSERT_TRUE(dbl.Accumulate({Value::Int64(1)}).ok());
   EXPECT_EQ(dbl.Terminate()->AsDouble(), 2.5);
+}
+
+// Integer SUM that leaves int64 is a typed kOutOfRange, in Accumulate
+// and in the Merge of two parallel partials, instead of wrapping.
+TEST_F(BuiltinsTest, SumOverflowIsOutOfRange) {
+  const AggregateFunction* sum = registry_.FindAggregate("SUM");
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  AggregateState up(sum);
+  ASSERT_TRUE(up.Accumulate({Value::Int64(kMax)}).ok());
+  const Status over = up.Accumulate({Value::Int64(1)});
+  EXPECT_EQ(over.code(), StatusCode::kOutOfRange) << over.ToString();
+  EXPECT_NE(over.message().find("arithmetic overflow"), std::string::npos);
+
+  AggregateState down(sum);
+  ASSERT_TRUE(down.Accumulate({Value::Int64(-kMax)}).ok());
+  EXPECT_EQ(down.Accumulate({Value::Int64(-2)}).code(),
+            StatusCode::kOutOfRange);
+
+  AggregateState a(sum);
+  AggregateState b(sum);
+  ASSERT_TRUE(a.Accumulate({Value::Int64(kMax / 2 + 1)}).ok());
+  ASSERT_TRUE(b.Accumulate({Value::Int64(kMax / 2 + 1)}).ok());
+  EXPECT_EQ(a.Merge(b).code(), StatusCode::kOutOfRange);
+
+  // The largest representable total still sums.
+  AggregateState edge(sum);
+  ASSERT_TRUE(edge.Accumulate({Value::Int64(kMax - 1)}).ok());
+  ASSERT_TRUE(edge.Accumulate({Value::Int64(1)}).ok());
+  EXPECT_EQ(edge.Terminate()->AsInt64(), kMax);
 }
 
 TEST_F(BuiltinsTest, SumOfAllNullsIsNull) {

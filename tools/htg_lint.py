@@ -88,6 +88,15 @@ Rules (ids usable in NOLINT suppressions):
                     MemoryContext) so the bytes count against the query
                     budget and can trigger spilling. Fixed-size literal
                     reservations and arity-sized scratch are exempt.
+  exact-reserve     No `x.reserve(x.size() + n)` (or `x->reserve(x->size()
+                    + n)`) on one identifier: libstdc++'s vector::reserve
+                    allocates exactly the size asked for, so calling it
+                    once per batch reallocates and moves every element
+                    each time and growth inside a loop turns quadratic.
+                    Let push_back grow the vector geometrically, or
+                    reserve the total once. NOLINT a hit whose container
+                    grows geometrically anyway (std::string), with the
+                    reason.
   exec-spill-seam   In src/exec, spill files are created and spill runs
                     written (SpillFile::Create, SpillRunWriter) only in
                     src/exec/spill_util.h -- the one hash-partition
@@ -635,6 +644,24 @@ def check_exec_untracked_reserve(path, text, rel):
     return findings
 
 
+EXACT_RESERVE_RE = re.compile(
+    r"\b(\w+)\s*(\.|->)\s*reserve\s*\(\s*\1\s*\2\s*size\s*\(\s*\)\s*\+")
+
+
+def check_exact_reserve(path, text, rel):
+    """`x.reserve(x.size() + n)`: the exact-size reserve that makes a
+    vector appended to once per batch reallocate and move every element
+    on every call."""
+    return [
+        Finding(path, line_of(text, m.start()), "exact-reserve",
+                f"`{m.group(1)}{m.group(2)}reserve({m.group(1)}{m.group(2)}"
+                "size() + ...)` asks for exactly the new size, so growth in "
+                "a loop is quadratic; let push_back grow the vector "
+                "geometrically, or reserve the total once")
+        for m in EXACT_RESERVE_RE.finditer(text)
+    ]
+
+
 SPILL_SEAM_RE = re.compile(
     r"\bSpillFile\s*::\s*Create\b|\bSpillRunWriter\b")
 SPILL_SEAM = {"src/exec/spill_util.h", "src/exec/sort_ops.cc"}
@@ -916,6 +943,7 @@ RULES = {
     "exec-batch-rowloop": (check_exec_batch_rowloop, ("src",), False),
     "exec-untracked-reserve":
         (check_exec_untracked_reserve, ("src",), False),
+    "exact-reserve": (check_exact_reserve, ("src", "bench", "tests"), False),
     "exec-spill-seam": (check_exec_spill_seam, ("src",), False),
     "exec-scan-seam": (check_exec_scan_seam, ("src",), False),
     "storage-append-seam": (check_storage_append_seam, ("src",), False),
@@ -949,6 +977,8 @@ RULE_DESCRIPTIONS = {
                           "kernels",
     "exec-untracked-reserve": "data-proportional row buffers hold a "
                               "MemoryCharge",
+    "exact-reserve": "no `x.reserve(x.size() + n)`: exact-size growth in "
+                     "a loop is quadratic",
     "exec-spill-seam": "spill files and run writers in src/exec only in "
                        "spill_util.h and sort_ops.cc",
     "exec-scan-seam": "table scans in src/exec, src/sql and src/server "
