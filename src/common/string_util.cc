@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -83,6 +84,10 @@ Result<double> ParseDouble(std::string_view s) {
   const double v = strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) {
     return Status::InvalidArgument("bad numeric literal: " + buf);
+  }
+  // NaN and infinities ("nan", "inf", "1e999") are not SQL numbers.
+  if (!std::isfinite(v)) {
+    return Status::OutOfRange("numeric literal out of range: " + buf);
   }
   return v;
 }

@@ -899,137 +899,6 @@ std::string HashAggregateOp::Describe() const {
   return "Hash Match (Aggregate) " + DescribeAggs(group_exprs_, aggs_);
 }
 
-StreamAggregateOp::StreamAggregateOp(OperatorPtr child,
-                                     std::vector<ExprPtr> group_exprs,
-                                     std::vector<std::string> group_names,
-                                     std::vector<AggSpec> aggs)
-    : child_(std::move(child)),
-      group_exprs_(std::move(group_exprs)),
-      aggs_(std::move(aggs)),
-      schema_(MakeAggregateSchema(group_exprs_, group_names, aggs_)) {}
-
-namespace {
-
-// Emits one row per run of equal group keys in the (ordered) input.
-class StreamAggIterator : public storage::RowSource {
- public:
-  StreamAggIterator(std::unique_ptr<storage::RowIterator> child,
-                    const std::vector<ExprPtr>* group_exprs,
-                    const std::vector<AggSpec>* aggs, udf::EvalContext* eval)
-      : child_(std::move(child)),
-        input_(child_.get()),
-        group_exprs_(group_exprs),
-        aggs_(aggs),
-        layout_(*aggs),
-        eval_(eval),
-        key_(group_exprs->size()),
-        args_(aggs->size()) {
-    for (size_t i = 0; i < aggs->size(); ++i) {
-      args_[i].resize((*aggs)[i].args.size());
-    }
-  }
-
-  bool Next(Row* out) override {
-    if (done_) return false;
-    for (;;) {
-      if (!input_.Next(&row_)) {
-        status_ = input_.status();
-        done_ = true;
-        if (!status_.ok() || !has_group_) return false;
-        return EmitCurrent(out);
-      }
-      for (size_t g = 0; g < group_exprs_->size(); ++g) {
-        Result<Value> v = (*group_exprs_)[g]->Eval(eval_, row_);
-        if (!v.ok()) {
-          status_ = v.status();
-          return false;
-        }
-        key_[g] = std::move(*v);
-      }
-      const bool same = has_group_ && RowEq()(key_, current_key_);
-      if (!same && has_group_) {
-        // Close the previous group, then start the new one with this row.
-        if (!EmitCurrent(out)) return false;
-        StartGroup();
-        return Accumulate();
-      }
-      if (!has_group_) StartGroup();
-      if (!Accumulate()) return false;
-    }
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  void StartGroup() {
-    current_key_.swap(key_);
-    key_.resize(current_key_.size());
-    has_group_ = true;
-    states_ = layout_.NewStates();
-  }
-
-  bool Accumulate() {
-    for (size_t i = 0; i < aggs_->size(); ++i) {
-      for (size_t a = 0; a < args_[i].size(); ++a) {
-        Result<Value> v = (*aggs_)[i].args[a]->Eval(eval_, row_);
-        if (!v.ok()) {
-          status_ = v.status();
-          return false;
-        }
-        args_[i][a] = std::move(*v);
-      }
-      const Status s = states_[i].Accumulate(args_[i]);
-      if (!s.ok()) {
-        status_ = s;
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool EmitCurrent(Row* out) {
-    *out = current_key_;
-    for (udf::AggregateState& state : states_) {
-      Result<Value> v = state.Terminate();
-      if (!v.ok()) {
-        status_ = v.status();
-        return false;
-      }
-      out->push_back(std::move(*v));
-    }
-    return true;
-  }
-
-  std::unique_ptr<storage::RowIterator> child_;
-  BatchReader input_;
-  const std::vector<ExprPtr>* group_exprs_;
-  const std::vector<AggSpec>* aggs_;
-  AggLayout layout_;
-  udf::EvalContext* eval_;
-  Row row_;          // the input row being folded in
-  Row key_;          // its group key (scratch)
-  Row current_key_;  // the open group's key
-  bool has_group_ = false;
-  bool done_ = false;
-  std::vector<udf::AggregateState> states_;  // the open group's
-  std::vector<std::vector<Value>> args_;      // reused per row
-  Status status_;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<storage::RowIterator>> StreamAggregateOp::OpenImpl(
-    ExecContext* ctx) {
-  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
-                       child_->Open(ctx));
-  return {std::make_unique<StreamAggIterator>(std::move(child), &group_exprs_,
-                                              &aggs_, &ctx->eval)};
-}
-
-std::string StreamAggregateOp::Describe() const {
-  return "Stream Aggregate " + DescribeAggs(group_exprs_, aggs_);
-}
-
 ParallelAggregateOp::ParallelAggregateOp(OperatorPtr child,
                                          catalog::TableDef* heap,
                                          std::vector<ExprPtr> group_exprs,

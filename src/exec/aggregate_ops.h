@@ -52,32 +52,6 @@ class HashAggregateOp : public Operator {
   Schema schema_;
 };
 
-// Grouping over input already ordered on the group expressions ("Stream
-// Aggregate"): non-blocking, emits each group as soon as its run ends.
-// This is the shape of the paper's sliding-window consensus plan (§5.3.3).
-class StreamAggregateOp : public Operator {
- public:
-  StreamAggregateOp(OperatorPtr child, std::vector<ExprPtr> group_exprs,
-                    std::vector<std::string> group_names,
-                    std::vector<AggSpec> aggs);
-
-  const Schema& output_schema() const override { return schema_; }
-  Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
-  std::string Describe() const override;
-  std::vector<const Operator*> children() const override {
-    return {child_.get()};
-  }
-  int64_t EstimateRows() const override {
-    return group_exprs_.empty() ? 1 : -1;
-  }
-
- private:
-  OperatorPtr child_;
-  std::vector<ExprPtr> group_exprs_;
-  std::vector<AggSpec> aggs_;
-  Schema schema_;
-};
-
 // Parallel partial→final aggregation, the shape of the paper's Fig. 9
 // plan, scheduled at morsel granularity: workers steal page-range morsels
 // of `heap` from a shared counter, open `child` (the bound scan / CROSS

@@ -208,22 +208,21 @@ std::string TableScanOp::Describe() const {
 
 Result<std::unique_ptr<storage::RowIterator>> ValuesOp::OpenImpl(
     ExecContext* ctx) {
-  MemoryCharge charge(ctx->mem.get(), "Constant Scan");
-  std::vector<Row> rows;
-  rows.reserve(rows_.size());
-  for (const auto& exprs : rows_) {
-    Row row;
-    row.reserve(exprs.size());
-    for (const ExprPtr& e : exprs) {
-      HTG_ASSIGN_OR_RETURN(Value v, e->Eval(&ctx->eval, Row{}));
-      row.push_back(std::move(v));
+  std::vector<RowBatch> batches(1);
+  RowBatch& batch = batches[0];
+  batch.StartFill(rows_.empty() ? 0 : rows_[0].size());
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    for (size_t c = 0; c < rows_[r].size(); ++c) {
+      HTG_ASSIGN_OR_RETURN(batch.Slot(c, r),
+                           rows_[r][c]->Eval(&ctx->eval, Row{}));
     }
-    HTG_RETURN_IF_ERROR(charge.Add(ApproxRowBytes(row)));
-    rows.push_back(std::move(row));
   }
+  batch.FinishFill(rows_.size());
+  MemoryCharge charge(ctx->mem.get(), "Constant Scan");
+  HTG_RETURN_IF_ERROR(charge.Add(ApproxBatchBytes(batch)));
   RecordPeakMem(mutable_stats(), charge.peak());
-  return {std::make_unique<MaterializedBatchesIterator>(
-      RowsToBatches(std::move(rows)), std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                        std::move(charge))};
 }
 
 std::string ValuesOp::Describe() const {
@@ -249,15 +248,16 @@ Result<std::unique_ptr<storage::RowIterator>> OpenRowsetOp::OpenImpl(
     return Status::NotFound("OPENROWSET(BULK): cannot open " + path_ + ": " +
                             read.status().message());
   }
-  std::string bytes = std::move(*read);
-  std::vector<Row> rows;
-  rows.push_back(Row{Value::Blob(std::move(bytes))});
+  std::vector<RowBatch> batches(1);
+  batches[0].StartFill(1);
+  batches[0].Slot(0, 0) = Value::Blob(std::move(*read));
+  batches[0].FinishFill(1);
   // The whole import is held in memory as one blob row; charge it.
   MemoryCharge charge(ctx->mem.get(), "Bulk Import");
-  HTG_RETURN_IF_ERROR(charge.Add(ApproxRowBytes(rows[0])));
+  HTG_RETURN_IF_ERROR(charge.Add(ApproxBatchBytes(batches[0])));
   RecordPeakMem(mutable_stats(), charge.peak());
-  return {std::make_unique<MaterializedBatchesIterator>(
-      RowsToBatches(std::move(rows)), std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                        std::move(charge))};
 }
 
 std::string OpenRowsetOp::Describe() const {

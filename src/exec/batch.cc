@@ -1,7 +1,5 @@
 #include "exec/batch.h"
 
-#include <algorithm>
-
 #include "common/metrics.h"
 
 namespace htg::exec {
@@ -43,27 +41,6 @@ bool MaterializedBatchesIterator::ProduceBatch(RowBatch* batch) {
     if (batch->ActiveRows() > 0) return true;
   }
   return false;
-}
-
-std::vector<RowBatch> RowsToBatches(std::vector<Row> rows) {
-  std::vector<RowBatch> batches;
-  for (size_t begin = 0; begin < rows.size();
-       begin += RowBatch::kDefaultRows) {
-    const size_t end = std::min(rows.size(), begin + RowBatch::kDefaultRows);
-    RowBatch& batch = batches.emplace_back();
-    batch.ResetColumns(rows[begin].size());
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      batch.column(c).reserve(end - begin);
-    }
-    for (size_t r = begin; r < end; ++r) {
-      for (size_t c = 0; c < batch.num_columns(); ++c) {
-        batch.column(c).push_back(std::move(rows[r][c]));
-      }
-      Row().swap(rows[r]);
-    }
-    batch.set_num_rows(end - begin);
-  }
-  return batches;
 }
 
 size_t ApproxBatchBytes(const RowBatch& batch) {

@@ -33,10 +33,10 @@ class BatchIterator : public storage::RowIterator {
 };
 
 // Row cursor over a batch stream: the one way a row-at-a-time consumer
-// (the joins, the stream aggregate, INSERT ... SELECT, provenance) reads
-// an operator's output. Each live row is swapped out of the cursor's own
-// batch into the caller's row; exec.batch.fillrow_rows counts the rows
-// that cross back into row form.
+// (the joins, INSERT ... SELECT, provenance) reads an operator's output.
+// Each live row is swapped out of the cursor's own batch into the
+// caller's row; exec.batch.fillrow_rows counts the rows that cross back
+// into row form.
 class BatchReader {
  public:
   explicit BatchReader(storage::RowIterator* iter) : iter_(iter) {}
@@ -58,8 +58,8 @@ class BatchReader {
   uint64_t uncounted_ = 0;  // rows read since the metric last ticked
 };
 
-// Iterator over pre-materialized batches: sort, aggregate and constant
-// scan results. Holds the memory charge that accounts for the batches
+// Iterator over pre-materialized batches: aggregate, constant scan and
+// bulk import results. Holds the memory charge that accounts for the batches
 // until the consumer is done with them.
 class MaterializedBatchesIterator : public BatchIterator {
  public:
@@ -76,10 +76,6 @@ class MaterializedBatchesIterator : public BatchIterator {
   size_t next_ = 0;
   MemoryCharge charge_;
 };
-
-// Moves `rows` into dense batches of RowBatch::kDefaultRows rows, freeing
-// each row as it is consumed.
-std::vector<RowBatch> RowsToBatches(std::vector<Row> rows);
 
 // Approximate resident bytes of a batch, every physical row included
 // (ApproxRowBytes' unit, for charging held batches to a query budget).

@@ -1,6 +1,7 @@
 #include "exec/expression.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -51,6 +52,10 @@ std::string LiteralExpr::ToString() const {
 
 namespace {
 
+Status ArithmeticOverflow(std::string_view op) {
+  return Status::OutOfRange(std::string(op) + ": arithmetic overflow");
+}
+
 Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
   // String '+' is concatenation (T-SQL).
   if (op == BinaryOp::kAdd && l.IsStringKind() && r.IsStringKind()) {
@@ -60,45 +65,64 @@ Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
     return Status::ExecError("arithmetic on non-numeric operands");
   }
   const bool use_double = l.IsDoubleKind() || r.IsDoubleKind();
+  const std::string_view name = BinaryOpName(op);
   if (use_double) {
     const double a = l.AsDouble();
     const double b = r.AsDouble();
     switch (op) {
       case BinaryOp::kAdd:
-        return Value::Double(a + b);
+        return FiniteDouble(name, a + b, a, b);
       case BinaryOp::kSub:
-        return Value::Double(a - b);
+        return FiniteDouble(name, a - b, a, b);
       case BinaryOp::kMul:
-        return Value::Double(a * b);
+        return FiniteDouble(name, a * b, a, b);
       case BinaryOp::kDiv:
         if (b == 0.0) return Status::ExecError("division by zero");
-        return Value::Double(a / b);
+        return FiniteDouble(name, a / b, a, b);
       case BinaryOp::kMod:
         if (b == 0.0) return Status::ExecError("division by zero");
-        return Value::Double(std::fmod(a, b));
+        return FiniteDouble(name, std::fmod(a, b), a, b);
       default:
         break;
     }
   }
+  // Integer results that leave int64 (INT64_MIN / -1 and % -1 among
+  // them, which would trap) are typed errors.
   const int64_t a = l.AsInt64();
   const int64_t b = r.AsInt64();
+  int64_t out = 0;
+  bool overflow = false;
   switch (op) {
     case BinaryOp::kAdd:
-      return Value::Int64(a + b);
+      overflow = __builtin_add_overflow(a, b, &out);
+      break;
     case BinaryOp::kSub:
-      return Value::Int64(a - b);
+      overflow = __builtin_sub_overflow(a, b, &out);
+      break;
     case BinaryOp::kMul:
-      return Value::Int64(a * b);
+      overflow = __builtin_mul_overflow(a, b, &out);
+      break;
     case BinaryOp::kDiv:
-      if (b == 0) return Status::ExecError("division by zero");
-      return Value::Int64(a / b);
     case BinaryOp::kMod:
       if (b == 0) return Status::ExecError("division by zero");
-      return Value::Int64(a % b);
-    default:
+      overflow = a == std::numeric_limits<int64_t>::min() && b == -1;
+      if (!overflow) out = op == BinaryOp::kDiv ? a / b : a % b;
       break;
+    default:
+      return Status::Internal("bad arithmetic operator");
   }
-  return Status::Internal("bad arithmetic operator");
+  if (overflow) return ArithmeticOverflow(name);
+  return Value::Int64(out);
+}
+
+// Unary minus; negating INT64_MIN is a typed error.
+Result<Value> Negate(const Value& v) {
+  if (v.IsDoubleKind()) return Value::Double(-v.AsDouble());
+  int64_t out = 0;
+  if (__builtin_sub_overflow(int64_t{0}, v.AsInt64(), &out)) {
+    return ArithmeticOverflow("-");
+  }
+  return Value::Int64(out);
 }
 
 }  // namespace
@@ -183,8 +207,7 @@ Result<Value> UnaryExpr::Eval(udf::EvalContext* ctx, const Row& row) const {
   HTG_ASSIGN_OR_RETURN(Value v, operand_->Eval(ctx, row));
   if (v.is_null()) return Value::Null();
   if (op_ == Op::kNot) return Value::Bool(!v.AsBool());
-  if (v.IsDoubleKind()) return Value::Double(-v.AsDouble());
-  return Value::Int64(-v.AsInt64());
+  return Negate(v);
 }
 
 std::string UnaryExpr::ToString() const {
@@ -436,10 +459,8 @@ Status UnaryExpr::EvalBatch(udf::EvalContext* ctx, const RowBatch& batch,
     if (v.is_null()) continue;
     if (op_ == Op::kNot) {
       v = Value::Bool(!v.AsBool());
-    } else if (v.IsDoubleKind()) {
-      v = Value::Double(-v.AsDouble());
     } else {
-      v = Value::Int64(-v.AsInt64());
+      HTG_ASSIGN_OR_RETURN(v, Negate(v));
     }
   }
   return Status::OK();

@@ -1,9 +1,8 @@
 #include "exec/sort_ops.h"
 
 #include <algorithm>
-#include <iterator>
+#include <numeric>
 
-#include "common/string_util.h"
 #include "exec/batch.h"
 #include "exec/parallel.h"
 #include "exec/spill_util.h"
@@ -24,252 +23,281 @@ std::string DescribeKeys(const std::vector<SortKey>& keys) {
   return out;
 }
 
-// Rows below this count sort serially: chunked sorting + k-way merge has
-// fixed overhead that only pays off on sizable inputs.
+// Rows below this count sort serially: chunked sorting + merge rounds
+// have fixed overhead that only pays off on sizable inputs.
 constexpr size_t kParallelSortMinRows = 4096;
 
-// K-way merge over sorted spill runs. Records are (key values ++ payload
-// row); the comparator orders by the key prefix with per-key direction,
-// breaking ties by run index — runs are written in arrival order and
-// sorted stably, so the merged order equals the in-memory stable sort.
-class SortRunMergeIterator : public storage::RowSource {
+// Rows held column by column: the evaluated sort keys, then the payload
+// columns, so row i has the (keys ++ payload) layout of a spill-run
+// record. The sort buffers its input in one; its run merge then keeps run
+// r's head record at row r.
+class SortColumns {
  public:
-  SortRunMergeIterator(std::unique_ptr<storage::SpillFile> file,
-                       std::vector<storage::SpillRun> runs, size_t nkeys,
-                       std::vector<bool> descending)
-      : file_(std::move(file)),
-        nkeys_(nkeys),
-        descending_(std::move(descending)) {
-    readers_.reserve(runs.size());
-    // One head row per run: bounded by the merge fan-in, not the data.
-    heads_.resize(runs.size());  // NOLINT(htg-exec-untracked-reserve)
-    alive_.assign(runs.size(), false);
-    for (auto& run : runs) {
-      readers_.push_back(
-          std::make_unique<storage::SpillRunReader>(file_.get(),
-                                                    std::move(run)));
+  explicit SortColumns(const std::vector<SortKey>& keys)
+      : descending_(keys.size()), cols_(keys.size()) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      descending_[k] = keys[k].descending;
     }
-    for (size_t i = 0; i < readers_.size(); ++i) Advance(i);
   }
 
-  bool Next(Row* row) override {
-    if (!status_.ok()) return false;
-    size_t best = readers_.size();
-    for (size_t i = 0; i < readers_.size(); ++i) {
-      if (!alive_[i]) continue;
-      if (best == readers_.size() || KeyLess(heads_[i], heads_[best])) {
-        best = i;
-      }
-    }
-    if (best == readers_.size()) return false;
-    Row& head = heads_[best];
-    row->assign(std::make_move_iterator(head.begin() +
-                                        static_cast<ptrdiff_t>(nkeys_)),
-                std::make_move_iterator(head.end()));
-    Advance(best);
-    return status_.ok();
-  }
+  size_t rows() const { return rows_; }
+  size_t num_keys() const { return descending_.size(); }
+  size_t num_columns() const { return cols_.size(); }
+  std::vector<Value>& column(size_t c) { return cols_[c]; }
 
-  Status status() const override { return status_; }
-
- private:
-  bool KeyLess(const Row& a, const Row& b) const {
-    for (size_t k = 0; k < nkeys_; ++k) {
-      const int cmp = a[k].Compare(b[k]);
+  // The one key comparison of the sort: orders rows a and b by the keys,
+  // each in its own direction, and equal keys by row index, so input
+  // order (or, among run heads, run order) breaks ties.
+  bool Less(uint32_t a, uint32_t b) const {
+    for (size_t k = 0; k < descending_.size(); ++k) {
+      const int cmp = cols_[k][a].Compare(cols_[k][b]);
       if (cmp != 0) return descending_[k] ? cmp > 0 : cmp < 0;
     }
-    return false;  // equal keys: the lower run index (earlier run) wins
+    return a < b;
   }
 
-  void Advance(size_t i) {
-    alive_[i] = readers_[i]->Next(&heads_[i]);
-    if (!alive_[i] && !readers_[i]->status().ok()) {
-      status_ = readers_[i]->status();
+  // Moves the live rows of `batch`, after their evaluated `keys`, into
+  // the columns. Returns the bytes to charge: the values' footprint and
+  // a sort position per row.
+  size_t Append(std::vector<std::vector<Value>>* keys, RowBatch* batch) {
+    if (rows_ == 0) cols_.resize(num_keys() + batch->num_columns());
+    const size_t n = batch->ActiveRows();
+    size_t bytes = n * sizeof(uint32_t);
+    const auto take = [&](Value& v, std::vector<Value>& col) {
+      bytes += v.ApproxBytes();
+      col.push_back(std::move(v));
+    };
+    for (size_t k = 0; k < num_keys(); ++k) {
+      for (size_t j = 0; j < n; ++j) take((*keys)[k][j], cols_[k]);
     }
+    for (size_t c = 0; c < batch->num_columns(); ++c) {
+      for (size_t j = 0; j < n; ++j) {
+        take(batch->column(c)[batch->ActiveIndex(j)], cols_[num_keys() + c]);
+      }
+    }
+    rows_ += n;
+    return bytes;
   }
 
-  std::unique_ptr<storage::SpillFile> file_;
-  size_t nkeys_;
+  // Drops every row and its memory, leaving `rows` NULL rows.
+  void Reset(size_t rows) {
+    for (std::vector<Value>& col : cols_) col = std::vector<Value>(rows);
+    rows_ = rows;
+  }
+
+ private:
   std::vector<bool> descending_;
-  std::vector<std::unique_ptr<storage::SpillRunReader>> readers_;
-  std::vector<Row> heads_;
-  std::vector<bool> alive_;
-  Status status_;
+  std::vector<std::vector<Value>> cols_;
+  size_t rows_ = 0;
 };
 
-// Sorts `order` (indices into rows/sort_keys) by the key columns,
-// breaking ties by original index so the result matches a stable sort.
-void SortOrder(std::vector<size_t>* order, const std::vector<Row>& sort_keys,
-               const std::vector<SortKey>& keys) {
-  std::sort(order->begin(), order->end(), [&](size_t a, size_t b) {
-    for (size_t k = 0; k < keys.size(); ++k) {
-      const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
-      if (cmp != 0) return keys[k].descending ? cmp > 0 : cmp < 0;
-    }
-    return a < b;
-  });
+// The positions of `cols`' rows in key order. Above kParallelSortMinRows
+// the DOP workers sort one chunk each, then rounds of std::inplace_merge
+// join neighbouring chunks, each round's merges on the workers. Ties
+// order by position, so every chunking gives the serial order.
+Result<std::vector<uint32_t>> SortPositions(const SortColumns& cols,
+                                            ExecContext* ctx) {
+  std::vector<uint32_t> order(cols.rows());
+  std::iota(order.begin(), order.end(), 0u);
+  const auto less = [&cols](uint32_t a, uint32_t b) {
+    return cols.Less(a, b);
+  };
+  const size_t n = order.size();
+  const size_t dop = ctx->pool != nullptr && ctx->dop > 1 &&
+                             n >= kParallelSortMinRows
+                         ? std::min<size_t>(ctx->dop, n / 1024)
+                         : 1;
+  if (dop <= 1) {
+    std::sort(order.begin(), order.end(), less);
+    return order;
+  }
+  const auto at = [&](size_t i) {
+    return order.begin() + static_cast<ptrdiff_t>(std::min(i, n));
+  };
+  const size_t chunk = (n + dop - 1) / dop;
+  HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
+      ctx->pool, static_cast<int>(dop), dop, [&](int, size_t c) -> Status {
+        std::sort(at(c * chunk), at((c + 1) * chunk), less);
+        return Status::OK();
+      }));
+  for (size_t width = chunk; width < n; width *= 2) {
+    const size_t merges = (n + 2 * width - 1) / (2 * width);
+    HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
+        ctx->pool, static_cast<int>(std::min(dop, merges)), merges,
+        [&](int, size_t m) -> Status {
+          const size_t lo = 2 * m * width;
+          std::inplace_merge(at(lo), at(lo + width), at(lo + 2 * width),
+                             less);
+          return Status::OK();
+        }));
+  }
+  return order;
 }
+
+// Streams the sorted rows into output batches, moving each payload value
+// by position, so a consumer that stops early (TOP) moves only the rows
+// it takes; for ROW_NUMBER it appends the 1-based rank. In memory,
+// `rows_` is the buffer and `order_` its sorted positions. After a
+// spill, row r of `rows_` is run r's head record, and `order_` a binary
+// heap of the runs with records left, ordered by their heads: runs are
+// written in arrival order and sorted with input-order ties, so ties
+// going to the earlier run give the in-memory order.
+class SortedIterator : public BatchIterator {
+ public:
+  SortedIterator(SortColumns rows, std::vector<uint32_t> order,
+                 MemoryCharge charge, bool number_rows)
+      : rows_(std::move(rows)),
+        order_(std::move(order)),
+        charge_(std::move(charge)),
+        number_rows_(number_rows) {}
+
+  SortedIterator(SortColumns heads, std::unique_ptr<storage::SpillFile> file,
+                 std::vector<storage::SpillRun> runs, bool number_rows)
+      : rows_(std::move(heads)),
+        file_(std::move(file)),
+        charge_(nullptr),
+        number_rows_(number_rows) {
+    rows_.Reset(runs.size());
+    for (uint32_t r = 0; r < runs.size(); ++r) {
+      readers_.push_back(std::make_unique<storage::SpillRunReader>(
+          file_.get(), std::move(runs[r])));
+      if (Advance(r)) order_.push_back(r);
+    }
+    std::make_heap(order_.begin(), order_.end(), After{&rows_});
+  }
+
+ protected:
+  bool ProduceBatch(RowBatch* batch) override {
+    const size_t keys = rows_.num_keys();
+    const size_t width = rows_.num_columns() - keys;
+    const bool merging = file_ != nullptr;
+    batch->StartFill(width + (number_rows_ ? 1 : 0));
+    size_t n = 0;
+    for (; n < batch->capacity() && status_.ok(); ++n) {
+      if (merging ? order_.empty() : next_ == order_.size()) break;
+      if (merging) std::pop_heap(order_.begin(), order_.end(), After{&rows_});
+      const uint32_t r = merging ? order_.back() : order_[next_++];
+      for (size_t c = keys; c < rows_.num_columns(); ++c) {
+        batch->Slot(c - keys, n) = std::move(rows_.column(c)[r]);
+      }
+      if (number_rows_) batch->Slot(width, n) = Value::Int64(++rank_);
+      // The run's next record takes its place in the heap.
+      if (merging && Advance(r)) {
+        std::push_heap(order_.begin(), order_.end(), After{&rows_});
+      } else if (merging) {
+        order_.pop_back();
+      }
+    }
+    batch->FinishFill(n);
+    return n > 0 && status_.ok();
+  }
+
+ private:
+  // Heap order: the top is the run whose head sorts first.
+  struct After {
+    const SortColumns* heads;
+    bool operator()(uint32_t a, uint32_t b) const {
+      return heads->Less(b, a);
+    }
+  };
+
+  // Reads run r's next record into row r; false at the run's end or on a
+  // read error (kept in status_).
+  bool Advance(uint32_t r) {
+    // Spill records are row-major: the run is read one record at a time.
+    if (!readers_[r]->Next(&record_)) {  // NOLINT(htg-exec-batch-rowloop)
+      if (!readers_[r]->status().ok()) status_ = readers_[r]->status();
+      return false;
+    }
+    for (size_t c = 0; c < record_.size(); ++c) {
+      rows_.column(c)[r] = std::move(record_[c]);
+    }
+    return true;
+  }
+
+  SortColumns rows_;
+  std::vector<uint32_t> order_;
+  size_t next_ = 0;
+  std::unique_ptr<storage::SpillFile> file_;
+  std::vector<std::unique_ptr<storage::SpillRunReader>> readers_;
+  Row record_;
+  MemoryCharge charge_;
+  bool number_rows_;
+  int64_t rank_ = 0;
+};
 
 }  // namespace
 
 Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
-    Operator* child, const std::vector<SortKey>& keys, ExecContext* ctx,
-    OperatorStats* stats) {
+    Operator* child, const std::vector<SortKey>& keys, bool number_rows,
+    ExecContext* ctx, OperatorStats* stats) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
                        child->Open(ctx));
   MemoryCharge charge(ctx->mem.get(), "Sort");
-  std::vector<Row> rows;
-  std::vector<Row> sort_keys;
+  SortColumns buffer(keys);
   std::unique_ptr<storage::SpillFile> spill;
   std::vector<storage::SpillRun> runs;
 
-  // Sorts the buffered rows and writes them out as one external run
-  // (key columns ++ payload), releasing their memory charge.
+  // Writes the buffer out as one sorted run of (keys ++ payload) records,
+  // then empties it and releases its charge.
   const auto flush_run = [&]() -> Status {
     if (spill == nullptr) {
-      HTG_ASSIGN_OR_RETURN(spill,
-                           storage::SpillFile::Create(ctx->tablespace,
-                                                      "sort"));
+      HTG_ASSIGN_OR_RETURN(
+          spill, storage::SpillFile::Create(ctx->tablespace, "sort"));
     }
-    std::vector<size_t> order(rows.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    SortOrder(&order, sort_keys, keys);
+    HTG_ASSIGN_OR_RETURN(std::vector<uint32_t> order,
+                         SortPositions(buffer, ctx));
     storage::SpillRunWriter writer(spill.get());
-    Row record;
-    for (size_t i : order) {
-      record.clear();
-      record.reserve(sort_keys[i].size() + rows[i].size());
-      for (Value& v : sort_keys[i]) record.push_back(std::move(v));
-      for (Value& v : rows[i]) record.push_back(std::move(v));
+    Row record(buffer.num_columns());
+    for (uint32_t i : order) {
+      for (size_t c = 0; c < record.size(); ++c) {
+        record[c] = std::move(buffer.column(c)[i]);
+      }
       HTG_RETURN_IF_ERROR(writer.Add(record));
     }
     HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writer.Finish());
     HTG_RETURN_IF_ERROR(spill->Flush());
     CountSpillRun(stats, run);
     runs.push_back(std::move(run));
-    rows.clear();
-    sort_keys.clear();
+    buffer.Reset(0);
     charge.ReleaseAll();
     return Status::OK();
   };
 
-  // Buffers one row + its precomputed sort key, charging the budget and
-  // degrading to an external run when the charge is rejected.
-  const auto append_row = [&](Row row, Row key) -> Status {
-    const size_t bytes = ApproxRowBytes(row) + ApproxRowBytes(key);
-    rows.push_back(std::move(row));
-    sort_keys.push_back(std::move(key));
-    Status charged = charge.Add(bytes);
-    if (charged.ok()) return Status::OK();
-    if (!charged.IsResourceExhausted()) return charged;
-    if (!ctx->CanSpill()) return SpillUnavailableError("Sort", *ctx->mem);
-    return flush_run();
-  };
-
-  // Extract sort keys with batch kernels while the input drains,
-  // materializing rows by moving values out of each batch.
+  // Buffers each input batch after its keys, evaluated by the batch
+  // kernels; the budget is charged once per batch, and a refused charge
+  // writes the buffer out as a run.
   RowBatch batch;
   std::vector<std::vector<Value>> key_cols(keys.size());
   while (iter->NextBatch(&batch)) {
-    const size_t n = batch.ActiveRows();
-    const uint32_t* sel = batch.selection_data();
     for (size_t k = 0; k < keys.size(); ++k) {
-      HTG_RETURN_IF_ERROR(
-          keys[k].expr->EvalBatch(&ctx->eval, batch, sel, n, &key_cols[k]));
+      HTG_RETURN_IF_ERROR(keys[k].expr->EvalBatch(
+          &ctx->eval, batch, batch.selection_data(), batch.ActiveRows(),
+          &key_cols[k]));
     }
-    for (size_t j = 0; j < n; ++j) {
-      Row key;
-      key.reserve(keys.size());
-      for (size_t k = 0; k < keys.size(); ++k) {
-        key.push_back(std::move(key_cols[k][j]));
-      }
-      const size_t r = batch.ActiveIndex(j);
-      Row row;
-      row.reserve(batch.num_columns());
-      for (size_t c = 0; c < batch.num_columns(); ++c) {
-        row.push_back(std::move(batch.column(c)[r]));
-      }
-      HTG_RETURN_IF_ERROR(append_row(std::move(row), std::move(key)));
-    }
+    const Status charged = charge.Add(buffer.Append(&key_cols, &batch));
+    if (charged.ok()) continue;
+    if (!charged.IsResourceExhausted()) return charged;
+    if (!ctx->CanSpill()) return SpillUnavailableError("Sort", *ctx->mem);
+    HTG_RETURN_IF_ERROR(flush_run());
   }
   HTG_RETURN_IF_ERROR(iter->status());
-
-  if (!runs.empty()) {
-    // External path: the tail buffer becomes the final run, then a k-way
-    // merge streams the total order back from disk.
-    if (!rows.empty()) HTG_RETURN_IF_ERROR(flush_run());
-    if (stats != nullptr) RecordPeakMem(stats, charge.peak());
-    std::vector<bool> descending(keys.size());
-    for (size_t k = 0; k < keys.size(); ++k) {
-      descending[k] = keys[k].descending;
-    }
-    return {std::make_unique<SortRunMergeIterator>(
-        std::move(spill), std::move(runs), keys.size(),
-        std::move(descending))};
-  }
-
-  // In-memory path. Keys are already materialized, so parallelism is a
-  // pure chunk-sort + k-way merge over index ranges.
-  const auto less = [&](size_t a, size_t b) {
-    for (size_t k = 0; k < keys.size(); ++k) {
-      const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
-      if (cmp != 0) return keys[k].descending ? cmp > 0 : cmp < 0;
-    }
-    return a < b;
-  };
-
-  std::vector<size_t> order(rows.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  const int dop = ctx->pool != nullptr && ctx->dop > 1 &&
-                          rows.size() >= kParallelSortMinRows
-                      ? std::min<int>(ctx->dop,
-                                      static_cast<int>(rows.size() / 1024))
-                      : 1;
-  if (dop <= 1) {
-    std::sort(order.begin(), order.end(), less);
-  } else {
-    // Parallel sort: per-worker chunk sort, then a k-way merge. Ties
-    // resolve to input order (see `less`), so the result is identical to
-    // a serial stable sort no matter how the rows are chunked.
-    const size_t nchunks = static_cast<size_t>(dop);
-    const size_t chunk = (rows.size() + nchunks - 1) / nchunks;
-    HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
-        ctx->pool, dop, nchunks, [&](int, size_t c) -> Status {
-          const size_t lo = c * chunk;
-          const size_t hi = std::min(lo + chunk, rows.size());
-          if (lo < hi) std::sort(order.begin() + lo, order.begin() + hi, less);
-          return Status::OK();
-        }));
-    std::vector<size_t> merged;
-    merged.reserve(order.size());
-    std::vector<size_t> head(nchunks);
-    for (size_t c = 0; c < nchunks; ++c) head[c] = c * chunk;
-    for (size_t produced = 0; produced < order.size(); ++produced) {
-      size_t best = nchunks;
-      for (size_t c = 0; c < nchunks; ++c) {
-        const size_t end = std::min((c + 1) * chunk, order.size());
-        if (head[c] >= end) continue;
-        if (best == nchunks || less(order[head[c]], order[head[best]])) {
-          best = c;
-        }
-      }
-      merged.push_back(order[head[best]++]);
-    }
-    order = std::move(merged);
-  }
-
-  std::vector<Row> sorted;
-  sorted.reserve(rows.size());
-  for (size_t i : order) sorted.push_back(std::move(rows[i]));
+  if (!runs.empty() && buffer.rows() > 0) HTG_RETURN_IF_ERROR(flush_run());
   if (stats != nullptr) RecordPeakMem(stats, charge.peak());
-  return {std::make_unique<MaterializedBatchesIterator>(
-      RowsToBatches(std::move(sorted)), std::move(charge))};
+  if (!runs.empty()) {
+    return {std::make_unique<SortedIterator>(
+        std::move(buffer), std::move(spill), std::move(runs), number_rows)};
+  }
+  HTG_ASSIGN_OR_RETURN(std::vector<uint32_t> order,
+                       SortPositions(buffer, ctx));
+  return {std::make_unique<SortedIterator>(
+      std::move(buffer), std::move(order), std::move(charge), number_rows)};
 }
 
 Result<std::unique_ptr<storage::RowIterator>> SortOp::OpenImpl(
     ExecContext* ctx) {
-  return OpenSorted(child_.get(), keys_, ctx, mutable_stats());
+  return OpenSorted(child_.get(), keys_, /*number_rows=*/false, ctx,
+                    mutable_stats());
 }
 
 std::string SortOp::Describe() const { return "Sort " + DescribeKeys(keys_); }
@@ -284,43 +312,10 @@ RowNumberOp::RowNumberOp(OperatorPtr child, std::vector<SortKey> keys,
   schema_.AddColumn(col);
 }
 
-namespace {
-
-// Streams the sorted input, appending the 1-based rank column to each
-// batch — no extra materialization on top of the sort.
-class RowNumberIterator : public BatchIterator {
- public:
-  explicit RowNumberIterator(std::unique_ptr<storage::RowIterator> input)
-      : input_(std::move(input)) {}
-
- protected:
-  bool ProduceBatch(RowBatch* batch) override {
-    if (!input_->NextBatch(batch)) {
-      status_ = input_->status();
-      return false;
-    }
-    // The rank column is dense over the physical rows; rows outside the
-    // selection keep a NULL rank nobody reads.
-    std::vector<Value>& ranks = batch->AddColumn();
-    for (size_t i = 0; i < batch->ActiveRows(); ++i) {
-      ranks[batch->ActiveIndex(i)] =
-          Value::Int64(static_cast<int64_t>(++rank_));
-    }
-    return true;
-  }
-
- private:
-  std::unique_ptr<storage::RowIterator> input_;
-  uint64_t rank_ = 0;
-};
-
-}  // namespace
-
 Result<std::unique_ptr<storage::RowIterator>> RowNumberOp::OpenImpl(
     ExecContext* ctx) {
-  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> sorted,
-                       OpenSorted(child_.get(), keys_, ctx, mutable_stats()));
-  return {std::make_unique<RowNumberIterator>(std::move(sorted))};
+  return OpenSorted(child_.get(), keys_, /*number_rows=*/true, ctx,
+                    mutable_stats());
 }
 
 std::string RowNumberOp::Describe() const {

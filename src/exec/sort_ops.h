@@ -13,7 +13,8 @@ struct SortKey {
   bool descending = false;
 };
 
-// In-memory sort (blocking).
+// ORDER BY (blocking): sorts in memory, or merges sorted spill runs when
+// the input outgrows the query budget.
 class SortOp : public Operator {
  public:
   SortOp(OperatorPtr child, std::vector<SortKey> keys)
@@ -55,14 +56,15 @@ class RowNumberOp : public Operator {
   Schema schema_;
 };
 
-// Shared helper: drains `child` and returns its rows sorted by `keys`.
+// Shared helper: drains `child` and returns its rows sorted by `keys`,
+// each with its 1-based BIGINT rank appended when `number_rows`.
 // Charges the buffered working set against ctx->mem and degrades to an
 // external merge sort (runs through the tablespace) when the budget is
 // exceeded; with spilling unavailable it fails with kResourceExhausted.
 // Peak memory and spill activity are recorded into `stats`.
 Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
-    Operator* child, const std::vector<SortKey>& keys, ExecContext* ctx,
-    OperatorStats* stats);
+    Operator* child, const std::vector<SortKey>& keys, bool number_rows,
+    ExecContext* ctx, OperatorStats* stats);
 
 }  // namespace htg::exec
 

@@ -28,12 +28,11 @@ class RowIterator {
 };
 
 // Adapter base of the row-at-a-time producers: the TVF iterators (the
-// paper's §5.2 seam), the joins, the stream aggregate, the sort-run merge
-// and the spill-run readers. Subclasses implement Next(); NextBatch()
-// fills the batch from it through one reused row whose values are
-// swapped into the batch's retained value slots, so each value is copied
-// once (by Next) and string buffers circulate instead of being
-// reallocated.
+// paper's §5.2 seam), the joins and the spill-run readers. Subclasses
+// implement Next(); NextBatch() fills the batch from it through one reused
+// row whose values are swapped into the batch's retained value slots, so
+// each value is copied once (by Next) and string buffers circulate
+// instead of being reallocated.
 class RowSource : public RowIterator {
  public:
   // Produces the next row. Returns false at end of stream or on error

@@ -11,6 +11,15 @@
 
 namespace htg {
 
+Result<Value> FiniteDouble(std::string_view op, double result, double a,
+                           double b) {
+  if (!std::isfinite(result) && std::isfinite(a) && std::isfinite(b)) {
+    return Status::OutOfRange(std::string(op) +
+                              ": result is not a finite number");
+  }
+  return Value::Double(result);
+}
+
 int Value::Compare(const Value& other) const {
   if (is_null() && other.is_null()) return 0;
   if (is_null()) return -1;

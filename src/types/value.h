@@ -125,6 +125,13 @@ using Row = std::vector<Value>;
 // Lexicographic comparison of two rows on the given column indexes.
 int CompareRowsOn(const Row& a, const Row& b, const std::vector<int>& cols);
 
+// A double operation's result over the inputs `a` and `b`: when finite
+// inputs gave a result that is not (overflow to ±inf, or NaN from a domain
+// error such as SQRT(-1)), kOutOfRange naming `op`, so no NaN reaches a
+// comparison or a sort.
+Result<Value> FiniteDouble(std::string_view op, double result, double a,
+                           double b = 0.0);
+
 // Approximate resident bytes of a row (vector overhead + per-value
 // footprint); the unit the executor charges against query budgets.
 inline size_t ApproxRowBytes(const Row& row) {

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/guid.h"
 #include "common/string_util.h"
@@ -169,6 +170,9 @@ Status RegisterBuiltins(FunctionRegistry* registry) {
   reg(MakeFn("ABS", 1, 1, DataType::kDouble,
              [](EvalContext*, const std::vector<Value>& a) -> Result<Value> {
                if (a[0].IsIntegerKind()) {
+                 if (a[0].AsInt64() == std::numeric_limits<int64_t>::min()) {
+                   return Status::OutOfRange("ABS: arithmetic overflow");
+                 }
                  return Value::Int64(std::abs(a[0].AsInt64()));
                }
                return Value::Double(std::abs(a[0].AsDouble()));
@@ -183,22 +187,29 @@ Status RegisterBuiltins(FunctionRegistry* registry) {
              }));
   reg(MakeFn("SQRT", 1, 1, DataType::kDouble,
              [](EvalContext*, const std::vector<Value>& a) -> Result<Value> {
-               return Value::Double(std::sqrt(a[0].AsDouble()));
+               const double x = a[0].AsDouble();
+               return FiniteDouble("SQRT", std::sqrt(x), x);
              }));
   reg(MakeFn("LOG", 1, 1, DataType::kDouble,
              [](EvalContext*, const std::vector<Value>& a) -> Result<Value> {
-               return Value::Double(std::log(a[0].AsDouble()));
+               const double x = a[0].AsDouble();
+               return FiniteDouble("LOG", std::log(x), x);
              }));
   reg(MakeFn("POWER", 2, 2, DataType::kDouble,
              [](EvalContext*, const std::vector<Value>& a) -> Result<Value> {
-               return Value::Double(
-                   std::pow(a[0].AsDouble(), a[1].AsDouble()));
+               const double x = a[0].AsDouble();
+               const double y = a[1].AsDouble();
+               return FiniteDouble("POWER", std::pow(x, y), x, y);
              }));
   reg(MakeFn("ROUND", 2, 2, DataType::kDouble,
              [](EvalContext*, const std::vector<Value>& a) -> Result<Value> {
+               const double x = a[0].AsDouble();
                const double scale = std::pow(10.0, a[1].AsDouble());
-               return Value::Double(std::round(a[0].AsDouble() * scale) /
-                                    scale);
+               // Digits past double's range leave x as it is; rounding to
+               // a unit past it gives 0 (not inf / inf or 0 / 0 = NaN).
+               if (!std::isfinite(x * scale)) return Value::Double(x);
+               if (scale == 0.0) return Value::Double(0.0);
+               return FiniteDouble("ROUND", std::round(x * scale) / scale, x);
              }));
 
   {

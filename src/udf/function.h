@@ -203,8 +203,8 @@ class TypedAggregate : public AggregateFunction {
 };
 
 // Owns one aggregate state outside a group table: Init on construction,
-// Destroy on destruction. The stream aggregate, the DISTINCT replay and
-// the empty global aggregate keep their states in these.
+// Destroy on destruction. The DISTINCT replay and the empty global
+// aggregate keep their states in these.
 class AggregateState {
  public:
   explicit AggregateState(const AggregateFunction* fn)

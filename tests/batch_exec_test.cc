@@ -697,6 +697,88 @@ TEST_F(BatchParityTest, SortAboveParallelGatherNeedsNoExtraBudget) {
   }
 }
 
+// ORDER BY over mixed-direction INT, FLOAT and VARCHAR keys with NULLs
+// and many ties, and ROW_NUMBER over the same keys, against a
+// std::stable_sort oracle over input order: at the batch boundaries and
+// past the parallel chunk sort's 4096 rows, at DOP 1 and 8, in memory and
+// under a one-byte budget that spills every input batch as its own run.
+TEST_F(BatchParityTest, SortMatchesStableSortOracle) {
+  const std::string keys = "i DESC, f, s DESC";
+  const bool descending[] = {true, false, true};
+  for (int n : {0, 1, 1023, 1024, 1025, 12000}) {
+    // id is the input position; i, f and s take a few values each, and
+    // NULLs, so most rows tie with many others.
+    std::vector<Row> rows;
+    for (int id = 0; id < n; ++id) {
+      const uint32_t h = static_cast<uint32_t>(id) * 2654435761u;
+      rows.push_back(Row{
+          Value::Int64(id),
+          h % 7 == 0 ? Value::Null()
+                     : Value::Int32(static_cast<int32_t>((h >> 8) % 5) - 2),
+          (h >> 4) % 4 == 0 ? Value::Null()
+                            : Value::Double(((h >> 12) % 3) * 0.5 - 0.5),
+          (h >> 16) % 5 == 0 ? Value::Null()
+                             : Value::String(std::string((h >> 20) % 3, 'x'))});
+    }
+    std::vector<Row> sorted = rows;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [&](const Row& a, const Row& b) {
+                       for (size_t k = 0; k < 3; ++k) {
+                         const int cmp = a[k + 1].Compare(b[k + 1]);
+                         if (cmp != 0) return descending[k] ? cmp > 0 : cmp < 0;
+                       }
+                       return false;
+                     });
+    std::vector<Row> ranked;
+    for (size_t j = 0; j < sorted.size(); ++j) {
+      ranked.push_back(
+          Row{sorted[j][0], Value::Int64(static_cast<int64_t>(j + 1))});
+    }
+    for (int dop : {1, 8}) {
+      Instance in = Make(dop);
+      Exec(in, "CREATE TABLE t (id BIGINT, i INT, f FLOAT, s VARCHAR(8))");
+      catalog::TableDef* table = *in.db->GetTable("t");
+      for (const Row& row : rows) {
+        ASSERT_TRUE(in.db->InsertRow(table, row).ok());
+      }
+      // A budget of 0 is unlimited.
+      for (size_t budget : {0, 1}) {
+        SCOPED_TRACE("rows " + std::to_string(n) + ", dop " +
+                     std::to_string(dop) + ", budget " +
+                     std::to_string(budget));
+        const auto run = [&](const std::string& sql) {
+          std::vector<Row> out;
+          Result<exec::OperatorPtr> plan = in.engine->Plan(sql);
+          EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+          if (!plan.ok()) return out;
+          const exec::Operator* sort = plan->get();
+          while (sort->Describe().find("Sort [") == std::string::npos &&
+                 !sort->children().empty()) {
+            sort = sort->children()[0];
+          }
+          exec::ExecContext ctx = exec::ExecContext::For(in.db.get());
+          ctx.mem = std::make_shared<MemoryContext>(budget, true);
+          auto iter = (*plan)->Open(&ctx);
+          const Status status = iter.ok()
+                                    ? exec::DrainIterator(iter->get(), &out)
+                                    : iter.status();
+          EXPECT_TRUE(status.ok()) << status.ToString();
+          EXPECT_EQ(sort->stats().spill_runs.load() > 0, budget > 0 && n > 0)
+              << exec::ExplainAnalyzePlan(**plan);
+          return out;
+        };
+        EXPECT_EQ(Render(run("SELECT id, i, f, s FROM t ORDER BY " + keys),
+                         false),
+                  Render(sorted, false));
+        EXPECT_EQ(Render(run("SELECT id, ROW_NUMBER() OVER (ORDER BY " +
+                             keys + ") AS rn FROM t"),
+                         false),
+                  Render(ranked, false));
+      }
+    }
+  }
+}
+
 TEST_F(BatchParityTest, ExplainAnalyzeReportsBatchSizes) {
   Instance in = Make();
   SeedT(in, 4000);

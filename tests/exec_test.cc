@@ -593,40 +593,6 @@ TEST(OperatorTest, NestedLoopJoinWithResidual) {
   EXPECT_EQ(rows.size(), 45u);
 }
 
-TEST(OperatorTest, StreamAggregateOverOrderedInput) {
-  auto db = OpenTestDb("streamagg");
-  catalog::TableDef def;
-  def.name = "ordered";
-  def.schema.AddColumn({.name = "g", .type = DataType::kInt32});
-  def.schema.AddColumn({.name = "v", .type = DataType::kInt64});
-  def.clustered_key = {0};
-  ASSERT_TRUE(db->CreateTable(std::move(def)).ok());
-  catalog::TableDef* table = *db->GetTable("ordered");
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(
-        storage::AppendRow(table->table.get(),
-                           Row{Value::Int32(i / 20), Value::Int64(i)})
-            .ok());
-  }
-  std::vector<ExprPtr> groups;
-  groups.push_back(Col(0, DataType::kInt32));
-  std::vector<AggSpec> aggs;
-  AggSpec count;
-  count.fn = db->functions()->FindAggregate("COUNT");
-  count.display = "COUNT(*)";
-  aggs.push_back(std::move(count));
-  OperatorPtr plan = std::make_unique<StreamAggregateOp>(
-      std::make_unique<TableScanOp>(table), std::move(groups),
-      std::vector<std::string>{"g"}, std::move(aggs));
-  ExecContext ctx = ExecContext::For(db.get());
-  auto iter = plan->Open(&ctx);
-  ASSERT_TRUE(iter.ok());
-  std::vector<Row> rows;
-  ASSERT_TRUE(DrainIterator(iter->get(), &rows).ok());
-  ASSERT_EQ(rows.size(), 3u);
-  for (const Row& r : rows) EXPECT_EQ(r[1].AsInt64(), 20);
-}
-
 TEST(OperatorTest, ExplainRendersTree) {
   auto db = OpenTestDb("explain");
   catalog::TableDef* table = MakeNumbersTable(db.get(), "t", 10, 2);

@@ -561,6 +561,23 @@ TEST_F(ServerTest, SumOverflowIsTypedErrorAndSessionServes) {
   client->Goodbye();
 }
 
+// INT64_MIN / -1 used to trap with SIGFPE and take the server and every
+// session down; it is a typed kOutOfRange Error frame, and the same
+// session keeps serving.
+TEST_F(ServerTest, DivisionOverflowIsTypedErrorAndSessionServes) {
+  StartServer();
+  std::unique_ptr<Client> client = Connect();
+  ASSERT_NE(client, nullptr);
+  auto bad = client->Query("SELECT (-9223372036854775807 - 1) / -1");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange)
+      << bad.status().ToString();
+  const ClientResult one = Query(client.get(), "SELECT 1");
+  ASSERT_EQ(one.rows.size(), 1u);
+  EXPECT_EQ(one.rows[0][0].AsInt64(), 1);
+  client->Goodbye();
+}
+
 // The session streams a SELECT from the plan root: when the client has
 // read only the header and the first frame, the scan has not read the
 // whole heap (the socket buffers hold the server back), and a client

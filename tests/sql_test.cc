@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "genomics/register.h"
 #include "sql/engine.h"
@@ -703,6 +706,93 @@ TEST_F(SqlTest, SumOverflowIsTypedError) {
   }
   // The engine keeps serving.
   EXPECT_EQ(Exec("SELECT COUNT(*) FROM big").rows[0][0].AsInt64(), kRows);
+}
+
+// Arithmetic whose result leaves the value domain is a typed kOutOfRange,
+// never undefined behaviour, a SIGFPE or a NaN: integer overflow (and
+// INT64_MIN / -1, % -1, negation and ABS), double overflow, SQRT / LOG /
+// POWER domain errors and non-finite numeric text. Each case runs as a
+// constant SELECT and over table columns through the batch kernels (a
+// projection and a sort key), serially and at DOP 8.
+TEST_F(SqlTest, ArithmeticOutsideTheValueDomainIsTypedError) {
+  Exec("CREATE TABLE big (k INT, lo BIGINT, hi BIGINT, d FLOAT, e FLOAT, "
+       "s VARCHAR(8))");
+  auto* table = *db_->GetTable("big");
+  constexpr int kRows = 20000;
+  constexpr int kOdd = kRows - 3;  // the one row whose values leave the domain
+  for (int i = 0; i < kRows; ++i) {
+    const bool odd = i == kOdd;
+    ASSERT_TRUE(
+        db_->InsertRow(
+               table,
+               Row{Value::Int32(i),
+                   Value::Int64(odd ? std::numeric_limits<int64_t>::min()
+                                    : -i),
+                   Value::Int64(odd ? std::numeric_limits<int64_t>::max()
+                                    : i),
+                   Value::Double(odd ? -1.0 : 4.0),
+                   Value::Double(odd ? 1e308 : 1.0),
+                   Value::String(odd ? "nan" : "2.5")})
+            .ok());
+  }
+  // {constant expression, the same over the columns}
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"(-9223372036854775807 - 1) / -1", "lo / -1"},
+      {"(-9223372036854775807 - 1) % -1", "lo % -1"},
+      {"-(-9223372036854775807 - 1)", "-lo"},
+      {"ABS(-9223372036854775807 - 1)", "ABS(lo)"},
+      {"(-9223372036854775807 - 1) - 1", "lo - 1"},
+      {"9223372036854775807 + 1", "hi + 1"},
+      {"9223372036854775807 * 2", "hi * 2"},
+      {"1e308 * 10.0", "e * 10.0"},
+      {"1e308 + 1e308", "e + e"},
+      {"-1e308 - 1e308", "-e - e"},
+      {"1e308 / 0.1", "e / 0.1"},
+      {"SQRT(-1.0)", "SQRT(d)"},
+      {"LOG(-1.0)", "LOG(d)"},
+      {"LOG(0.0)", "LOG(d - d)"},
+      {"POWER(10.0, 400.0)", "POWER(e, 2.0)"},
+      {"POWER(-1.0, 0.5)", "POWER(d, 0.5)"},
+      {"CAST('nan' AS FLOAT)", "CAST(s AS FLOAT)"},
+      {"CAST('inf' AS FLOAT)", "CAST(s AS FLOAT) + 1.0"},
+      {"1e999", "e + 1e999"},
+  };
+  for (int dop : {1, 8}) {
+    SCOPED_TRACE(dop);
+    db_->set_max_dop(dop);
+    for (const auto& [constant, column] : cases) {
+      for (const std::string& sql :
+           {"SELECT " + constant, "SELECT k, " + column + " FROM big",
+            "SELECT k FROM big ORDER BY " + column}) {
+        Result<QueryResult> r = engine_->Execute(sql);
+        ASSERT_FALSE(r.ok()) << sql;
+        EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange)
+            << sql << ": " << r.status().ToString();
+      }
+    }
+    // In-range arithmetic still works, and the short-circuit AND keeps
+    // the odd row away from the division.
+    EXPECT_EQ(Exec("SELECT COUNT(*) FROM big WHERE k <> " +
+                   std::to_string(kOdd) + " AND lo / -1 >= 0")
+                  .rows[0][0]
+                  .AsInt64(),
+              kRows - 1);
+    const QueryResult ok = Exec(
+        "SELECT -9223372036854775807 - 1, 9223372036854775806 + 1, "
+        "-7 / 2, -7 % 3, SQRT(4.0), LOG(1.0), POWER(2.0, 10.0), "
+        "ROUND(2.5, 400), ROUND(2.5, -400), ROUND(1e300, 10)");
+    ASSERT_EQ(ok.rows.size(), 1u);
+    EXPECT_EQ(ok.rows[0][0].AsInt64(), std::numeric_limits<int64_t>::min());
+    EXPECT_EQ(ok.rows[0][1].AsInt64(), std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(ok.rows[0][2].AsInt64(), -3);
+    EXPECT_EQ(ok.rows[0][3].AsInt64(), -1);
+    EXPECT_EQ(ok.rows[0][4].AsDouble(), 2.0);
+    EXPECT_EQ(ok.rows[0][5].AsDouble(), 0.0);
+    EXPECT_EQ(ok.rows[0][6].AsDouble(), 1024.0);
+    EXPECT_EQ(ok.rows[0][7].AsDouble(), 2.5);
+    EXPECT_EQ(ok.rows[0][8].AsDouble(), 0.0);
+    EXPECT_EQ(ok.rows[0][9].AsDouble(), 1e300);
+  }
 }
 
 // An integer outside a column's range is rejected, not wrapped: 5e9 into

@@ -75,8 +75,8 @@ Rules (ids usable in NOLINT suppressions):
                     row by row there silently degrades the batch path
                     back to tuple-at-a-time. Pull whole batches with
                     NextBatch(). Row-at-a-time pulls are sanctioned in
-                    the RowSource operators (joins, stream aggregate,
-                    spill readers) and at the TVF seam inside CROSS APPLY
+                    the RowSource operators (joins, spill readers) and
+                    at the TVF seam inside CROSS APPLY
                     (src/exec/apply_ops.cc is exempt wholesale).
   exec-untracked-reserve
                     In the materializing operator files (sort_ops,
