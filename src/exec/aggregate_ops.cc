@@ -5,7 +5,7 @@
 #include <climits>
 #include <cstddef>
 #include <cstring>
-#include <unordered_set>
+#include <set>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -26,13 +26,14 @@ size_t AlignUp(size_t n, size_t align) {
 // are deduplicated under the hash operators' key equality
 // (Value::Compare, so 1 = 1.0 and NULL = NULL, as in GROUP BY) and
 // replayed into the inner aggregate at Terminate, so that Merge (set
-// union) stays correct under parallel plans. The replay runs in
-// Value::Compare order, so order-sensitive results such as SUM over
-// doubles do not depend on which morsel saw a tuple first. The set
-// reports its bytes, so the query budget sees it grow.
+// union) stays correct under parallel plans. The set orders tuples by
+// Value::Compare, column by column (Row's operator<), and replays them
+// in that order, so order-sensitive results such as SUM over doubles do
+// not depend on which morsel saw a tuple first. The set reports its
+// bytes, so the query budget sees it grow.
 struct DistinctSet {
   const udf::AggregateFunction* inner = nullptr;
-  std::unordered_set<Row, RowHash, RowEq> rows;
+  std::set<Row> rows;
   size_t bytes = 0;
 
   template <class Args>
@@ -55,26 +56,16 @@ struct DistinctSet {
   }
 
   Result<Value> Terminate() {
-    std::vector<const Row*> order;
-    order.reserve(rows.size());
-    for (const Row& args : rows) order.push_back(&args);
-    std::sort(order.begin(), order.end(), [](const Row* a, const Row* b) {
-      for (size_t i = 0; i < a->size(); ++i) {
-        const int cmp = (*a)[i].Compare((*b)[i]);
-        if (cmp != 0) return cmp < 0;
-      }
-      return false;
-    });
     udf::AggregateState replay(inner);
-    for (const Row* args : order) HTG_RETURN_IF_ERROR(replay.Accumulate(*args));
+    for (const Row& args : rows) HTG_RETURN_IF_ERROR(replay.Accumulate(args));
     return replay.Terminate();
   }
 
   size_t HeapBytes() const { return bytes; }
 
-  // A set node: the row, its next pointer and cached hash, and a bucket.
+  // A set node: the row, and the node's three links and color.
   static size_t RowBytes(const Row& row) {
-    return ApproxRowBytes(row) + 3 * sizeof(void*);
+    return ApproxRowBytes(row) + 4 * sizeof(void*);
   }
 };
 
@@ -188,8 +179,8 @@ Value IntKeyValue(DataType declared, int64_t v) {
 // Other keys keep Values, in a flat vector indexed by group. A batch that
 // brings a key that is neither NULL nor an integer re-encodes the
 // table's keys into Values once; entries keep their unused packed words,
-// so no state moves. Packed keys hash to exactly HashKey's value for the
-// same keys as Values, so partition routing and merges do not depend on
+// so no state moves. Packed keys hash to exactly HashKeyAt's value for
+// the same keys as Values, so partition routing and merges do not depend on
 // the layout.
 //
 // A probe compares cached hashes before it touches a key, and growth
@@ -256,11 +247,12 @@ class GroupTable {
       if (group == kNone) {
         HTG_ASSIGN_OR_RETURN(group, Create(hash, slot, keys, j, charge));
         if (group == kNone) {
-          Row key(width_);
-          for (size_t c = 0; c < width_; ++c) key[c] = keys[c].at(j);
-          Row input;
-          batch.FillRow(j, &input);
-          HTG_RETURN_IF_ERROR(spill->Add(0, key, input));
+          size_t h = KeyHashSeed(spill->salt());
+          for (size_t c = 0; c < width_; ++c) {
+            h = KeyHashStep(h, keys[c].at(j).Hash());
+          }
+          HTG_RETURN_IF_ERROR(spill->Add(0, KeyHashFinish(h), batch.columns(),
+                                         batch.ActiveIndex(j)));
         }
       }
       groups[j] = group;
@@ -463,7 +455,7 @@ class GroupTable {
     }
   }
 
-  // Hashes the batch's keys to HashKey's value for them and, while the
+  // Hashes the batch's keys to HashKeyAt's value for them and, while the
   // table is packed, packs them into packed_keys_: width_ words and a
   // NULL mask word per row. A key value that is neither NULL nor an
   // integer re-encodes the table.
@@ -547,7 +539,7 @@ class GroupTable {
       }
       const Value* resident = &value_keys_[s.group * width_];
       size_t c = 0;
-      while (c < width_ && KeysEqual(&resident[c], &key_at(c), 1)) ++c;
+      while (c < width_ && KeyEqual(resident[c], key_at(c))) ++c;
       if (c == width_) return s.group;
     }
   }
@@ -683,7 +675,7 @@ const std::vector<Value>* ColumnOf(const Expr& expr, const RowBatch& batch) {
 // batch: group keys and arguments evaluate as batch kernels (plain
 // column references are read in place), the keys are hashed and probed,
 // then each aggregate accumulates the batch in one AccumulateBatch call.
-// Spilled rows are reassembled from the (untouched) batch columns.
+// Spilled rows are encoded from the (untouched) batch columns.
 Status BuildGroupsBatch(storage::RowIterator* iter,
                         const std::vector<ExprPtr>& group_exprs,
                         const std::vector<AggSpec>& aggs,

@@ -69,7 +69,7 @@ class CrossApplyIterator : public BatchIterator {
       }
       outer_row_ = outer_.ActiveIndex(next_outer_++);
       HTG_METRIC_COUNTER("udf.tvf.opens")->Add(1);
-      Result<std::unique_ptr<storage::RowSource>> inner =
+      Result<std::unique_ptr<udf::RowSource>> inner =
           fn_->Open(arg_values_, db_);
       if (!inner.ok()) {
         status_ = inner.status();
@@ -109,7 +109,7 @@ class CrossApplyIterator : public BatchIterator {
   std::vector<std::vector<Value>> arg_cols_;  // per argument, per live row
   std::vector<Value> arg_values_;
   Row inner_row_;
-  std::unique_ptr<storage::RowSource> inner_;
+  std::unique_ptr<udf::RowSource> inner_;
 };
 
 }  // namespace
@@ -123,7 +123,7 @@ Result<std::unique_ptr<storage::RowIterator>> TvfScanOp::OpenImpl(
     args.push_back(std::move(v));
   }
   HTG_METRIC_COUNTER("udf.tvf.opens")->Add(1);
-  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowSource> source,
+  HTG_ASSIGN_OR_RETURN(std::unique_ptr<udf::RowSource> source,
                        fn_->Open(args, ctx->db));
   return {std::move(source)};
 }

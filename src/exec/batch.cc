@@ -1,5 +1,7 @@
 #include "exec/batch.h"
 
+#include <algorithm>
+
 #include "common/metrics.h"
 
 namespace htg::exec {
@@ -11,28 +13,40 @@ bool BatchIterator::NextBatch(RowBatch* batch) {
   return true;
 }
 
-BatchReader::~BatchReader() {
-  HTG_METRIC_COUNTER("exec.batch.fillrow_rows")->Add(uncounted_);
+size_t KeyedColumns::Append(std::vector<std::vector<Value>>* keys,
+                            RowBatch* batch, const std::vector<int>* payload,
+                            size_t begin, size_t end) {
+  end = std::min(end, batch->ActiveRows());
+  const size_t width =
+      payload != nullptr ? payload->size() : batch->num_columns();
+  if (rows_ == 0) cols_.resize(num_keys_ + width);
+  size_t bytes = 0;
+  const auto take = [&bytes](Value& v, std::vector<Value>& col) {
+    bytes += v.ApproxBytes();
+    col.push_back(std::move(v));
+  };
+  for (size_t k = 0; k < num_keys_; ++k) {
+    for (size_t j = begin; j < end; ++j) take((*keys)[k][j], cols_[k]);
+  }
+  for (size_t p = 0; p < width; ++p) {
+    std::vector<Value>& from =
+        batch->column(payload != nullptr ? (*payload)[p] : p);
+    for (size_t j = begin; j < end; ++j) {
+      take(from[batch->ActiveIndex(j)], cols_[num_keys_ + p]);
+    }
+  }
+  if (end > begin) rows_ += end - begin;
+  return bytes;
 }
 
-bool BatchReader::Next(Row* row) {
-  while (pos_ >= batch_.ActiveRows()) {
-    // The metric ticks once per batch rather than once per row.
-    HTG_METRIC_COUNTER("exec.batch.fillrow_rows")->Add(uncounted_);
-    uncounted_ = 0;
-    if (!iter_->NextBatch(&batch_)) return false;
-    pos_ = 0;
-  }
-  // Selection vectors never repeat a physical row, so each value is
-  // taken exactly once; the row's previous value goes back into the
-  // batch, to be overwritten by its next refill.
-  const size_t r = batch_.ActiveIndex(pos_++);
-  row->resize(batch_.num_columns());
-  for (size_t c = 0; c < batch_.num_columns(); ++c) {
-    swap((*row)[c], batch_.column(c)[r]);
-  }
-  ++uncounted_;
-  return true;
+void KeyedColumns::Clear() {
+  for (std::vector<Value>& col : cols_) col.clear();
+  rows_ = 0;
+}
+
+void KeyedColumns::Reset(size_t rows) {
+  for (std::vector<Value>& col : cols_) col = std::vector<Value>(rows);
+  rows_ = rows;
 }
 
 bool MaterializedBatchesIterator::ProduceBatch(RowBatch* batch) {

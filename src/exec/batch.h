@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -32,30 +33,43 @@ class BatchIterator : public storage::RowIterator {
   Status status_;
 };
 
-// Row cursor over a batch stream: the one way a row-at-a-time consumer
-// (the joins, INSERT ... SELECT, provenance) reads an operator's output.
-// Each live row is swapped out of the cursor's own batch into the
-// caller's row; exec.batch.fillrow_rows counts the rows that cross back
-// into row form.
-class BatchReader {
+// Rows held column by column: evaluated keys, then payload columns, so
+// row i has the (keys ++ payload) layout of a spill-run record. The one
+// buffer of the blocking operators other than the aggregate: the sort's
+// input and the heads of its run merge, the hash join's build side, the
+// merge join's current right key group and the nested-loop join's inner
+// side.
+class KeyedColumns {
  public:
-  explicit BatchReader(storage::RowIterator* iter) : iter_(iter) {}
-  ~BatchReader();
+  explicit KeyedColumns(size_t num_keys)
+      : num_keys_(num_keys), cols_(num_keys) {}
 
-  BatchReader(const BatchReader&) = delete;
-  BatchReader& operator=(const BatchReader&) = delete;
+  size_t rows() const { return rows_; }
+  size_t num_keys() const { return num_keys_; }
+  size_t num_columns() const { return cols_.size(); }
+  std::vector<Value>& column(size_t c) { return cols_[c]; }
+  const std::vector<Value>& column(size_t c) const { return cols_[c]; }
+  // Every column, keys first.
+  const std::vector<std::vector<Value>>& columns() const { return cols_; }
 
-  // Produces the next row. Returns false at end of stream or on error
-  // (check status() to distinguish).
-  bool Next(Row* row);
+  // Moves live rows [begin, end) of `batch` into the columns: row j's
+  // evaluated keys (*keys)[k][j], then its `payload` columns (every
+  // column of the batch when null). Returns the values' footprint, for
+  // the caller to charge.
+  size_t Append(std::vector<std::vector<Value>>* keys, RowBatch* batch,
+                const std::vector<int>* payload = nullptr, size_t begin = 0,
+                size_t end = SIZE_MAX);
 
-  Status status() const { return iter_->status(); }
+  // Drops every row, keeping the columns' capacity for the next rows.
+  void Clear();
+
+  // Drops every row and its memory, leaving `rows` NULL rows.
+  void Reset(size_t rows);
 
  private:
-  storage::RowIterator* iter_;
-  RowBatch batch_;
-  size_t pos_ = 0;
-  uint64_t uncounted_ = 0;  // rows read since the metric last ticked
+  size_t num_keys_;
+  std::vector<std::vector<Value>> cols_;
+  size_t rows_ = 0;
 };
 
 // Iterator over pre-materialized batches: aggregate, constant scan and

@@ -1,10 +1,10 @@
 #include "exec/join_ops.h"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_map>
+#include <bit>
+#include <numeric>
+#include <utility>
 
-#include "common/string_util.h"
 #include "exec/batch.h"
 #include "exec/spill_util.h"
 #include "storage/spill.h"
@@ -13,173 +13,257 @@ namespace htg::exec {
 
 namespace {
 
-using BuildMap = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
+constexpr size_t kLeft = 0;
+constexpr size_t kRight = 1;
+constexpr uint32_t kNoRow = ~uint32_t{0};
 
-// Rough accounting overhead per build-table entry (hash node + bucket
-// vector slot) on top of the key's and row's own bytes.
-constexpr size_t kJoinEntryOverheadBytes = 96;
-
-// Evaluates the join keys of `row` into `out`, assigning into its
-// existing values.
-Status EvalKeysInto(const std::vector<ExprPtr>& keys, udf::EvalContext* eval,
-                    const Row& row, Row* out) {
-  out->resize(keys.size());
-  for (size_t k = 0; k < keys.size(); ++k) {
-    HTG_ASSIGN_OR_RETURN((*out)[k], keys[k]->Eval(eval, row));
+// Evaluates `exprs` over the live rows of `batch`: (*keys)[k][j] is key
+// k of live row j.
+Status EvalKeys(const std::vector<ExprPtr>& exprs, udf::EvalContext* eval,
+                const RowBatch& batch, KeyCols* keys) {
+  keys->resize(exprs.size());
+  for (size_t k = 0; k < exprs.size(); ++k) {
+    HTG_RETURN_IF_ERROR(exprs[k]->EvalBatch(eval, batch, batch.selection_data(),
+                                            batch.ActiveRows(), &(*keys)[k]));
   }
   return Status::OK();
 }
 
-bool HasNull(const Row& key) {
-  bool has_null = false;
-  for (const Value& v : key) has_null = has_null || v.is_null();
-  return has_null;
+bool HasNullKey(const KeyCols& keys, size_t j) {
+  return std::any_of(keys.begin(), keys.end(),
+                     [j](const std::vector<Value>& key) {
+                       return key[j].is_null();
+                     });
 }
 
-// Writes the `columns` of left ++ right into `out`, copy-assigning into
-// its existing values so a reused output row keeps its string buffers.
-void AssignJoined(const Row& left, const Row& right,
-                  const JoinColumns& columns, Row* out) {
-  out->resize(columns.left.size() + columns.right.size());
-  auto it = out->begin();
-  for (int c : columns.left) *it++ = left[c];
-  for (int c : columns.right) *it++ = right[c];
-}
-
-std::string DescribeJoinKeys(const std::vector<ExprPtr>& l,
-                             const std::vector<ExprPtr>& r) {
-  std::string out = "[";
-  for (size_t i = 0; i < l.size(); ++i) {
-    if (i > 0) out += " AND ";
-    out += l[i]->ToString() + " = " + r[i]->ToString();
+// Narrows `batch` to its live rows whose keys hold no NULL, compacting
+// the evaluated keys to match: SQL equi-joins never match a NULL key.
+void DropNullKeys(KeyCols* keys, RowBatch* batch) {
+  std::vector<uint32_t> live;
+  for (size_t j = 0; j < batch->ActiveRows(); ++j) {
+    if (HasNullKey(*keys, j)) continue;
+    for (std::vector<Value>& key : *keys) swap(key[live.size()], key[j]);
+    live.push_back(static_cast<uint32_t>(batch->ActiveIndex(j)));
   }
-  out += "]";
-  return out;
+  if (live.size() == batch->ActiveRows()) return;
+  for (std::vector<Value>& key : *keys) key.resize(live.size());
+  batch->SetSelection(std::move(live));
 }
 
-// Streams a hash join, in memory or partitioned to disk. A pass builds
-// the table from the right child (level 0) or a spilled build run, then
-// streams the left child or the paired probe run against it. When the
-// build busts the budget, the pass dumps its table into a PartitionSpill
-// at its level and routes the rest of the build and all its probe rows
-// there; each partition is a later pass one level deeper. The in-memory
-// join is the case where nothing spilled. Output order of a spilled join
-// differs from the in-memory join's.
-class HashJoinIterator : public storage::RowSource {
+// Writes output row `r` of the fill in progress: the columns `left` of
+// physical row `lr` of `batch`, then the `width` columns after the keys
+// of row `rr` of `right`, or NULLs when `rr` is kNoRow.
+void WriteJoined(const RowBatch& batch, const std::vector<int>& left,
+                 size_t lr, const KeyedColumns& right, size_t width,
+                 uint32_t rr, RowBatch* out, size_t r) {
+  size_t c = 0;
+  for (int col : left) out->Slot(c++, r) = batch.column(col)[lr];
+  for (size_t p = right.num_keys(); p < right.num_keys() + width; ++p) {
+    out->Slot(c++, r) = rr == kNoRow ? Value::Null() : right.column(p)[rr];
+  }
+}
+
+// What a hash join charges per build row besides its values: the cached
+// hash, the chain link, and up to two bucket heads.
+constexpr size_t kIndexBytesPerRow = 4 * sizeof(uint32_t);
+
+// Streams a hash join, in memory or partitioned to disk, in passes. A
+// pass buffers the build side (per row its keys, then the right columns
+// the join emits) from the right child (level 0) or a spilled build run,
+// indexes it, and streams the left child or the paired probe run against
+// it. When the budget refuses a build batch, the buffered rows, the rest
+// of the build and every probe row go to the pass's partitions as (keys
+// ++ emitted columns) records; each partition is a pass one level
+// deeper, which reads its keys from the records. The in-memory join
+// (nothing spilled) emits in probe order, and a key's build rows in build
+// order; a spilled join's order differs.
+class HashJoinIterator : public BatchIterator {
  public:
-  HashJoinIterator(const std::vector<ExprPtr>* left_keys,
-                   const std::vector<ExprPtr>* right_keys, ExecContext* ctx,
-                   OperatorStats* stats, bool left_outer, int right_width,
-                   const JoinColumns* columns, const char* op)
-      : left_keys_(left_keys),
-        right_keys_(right_keys),
+  HashJoinIterator(const JoinSpec* spec, bool left_outer, ExecContext* ctx,
+                   OperatorStats* stats, const char* op)
+      : spec_(spec),
+        left_outer_(left_outer),
         ctx_(ctx),
         stats_(stats),
-        left_outer_(left_outer),
-        columns_(columns),
-        null_right_(right_width, Value::Null()),
         op_(op),
-        charge_(ctx->mem.get(), op) {}
+        charge_(ctx->mem.get(), op),
+        build_(spec->keys[kRight].size()),
+        scratch_(build_.num_keys()) {
+    // Below level 0, a side's emitted columns follow the record's keys.
+    for (size_t side : {kLeft, kRight}) {
+      spilled_[side].resize(Emitted(side)->size());
+      std::iota(spilled_[side].begin(), spilled_[side].end(),
+                static_cast<int>(build_.num_keys()));
+    }
+  }
 
-  // Loads the build table of a pass at `level` from `input`: each row is
-  // charged, or, once the budget refuses one, the resident table is
-  // dumped into this level's partitions and the rest of the input routed
-  // there.
+  // Buffers and indexes the build side of a pass at `level`, charging it
+  // per batch. Once the budget refuses a batch, the buffered rows and
+  // the rest of `input` go to this level's partitions.
   Status Build(storage::RowIterator* input, int level) {
-    matches_ = nullptr;  // pointed into the previous pass's table
-    build_.clear();
+    level_ = level;
+    build_.Reset(0);
     charge_.ReleaseAll();
     spill_ = std::make_unique<PartitionSpill>(ctx_, stats_, op_, level,
                                               /*sides=*/2);
-    BatchReader rows(input);
-    Row row;
-    Row key;
-    while (rows.Next(&row)) {
-      HTG_RETURN_IF_ERROR(EvalKeysInto(*right_keys_, &ctx_->eval, row, &key));
-      if (HasNull(key)) continue;  // NULL build keys never match
+    RowBatch batch;
+    while (input->NextBatch(&batch)) {
+      HTG_RETURN_IF_ERROR(KeysOf(kRight, &batch));
+      DropNullKeys(&keys_, &batch);  // NULL build keys never match
       if (spill_->engaged()) {
-        HTG_RETURN_IF_ERROR(spill_->Add(0, key, row));
+        scratch_.Append(&keys_, &batch, Emitted(kRight));
+        HTG_RETURN_IF_ERROR(Spill(0, &scratch_));
         continue;
       }
-      const size_t bytes =
-          ApproxRowBytes(key) + ApproxRowBytes(row) + kJoinEntryOverheadBytes;
-      const Status charged = charge_.Add(bytes);
-      if (charged.ok()) {
-        build_[std::move(key)].push_back(std::move(row));
-        continue;
-      }
-      charge_.Release(bytes);
+      const Status charged =
+          charge_.Add(build_.Append(&keys_, &batch, Emitted(kRight)) +
+                      batch.ActiveRows() * kIndexBytesPerRow);
+      if (charged.ok()) continue;
       if (!charged.IsResourceExhausted()) return charged;
-      for (auto& [bkey, brows] : build_) {
-        for (const Row& brow : brows) {
-          HTG_RETURN_IF_ERROR(spill_->Add(0, bkey, brow));
-        }
-      }
-      build_.clear();
+      HTG_RETURN_IF_ERROR(Spill(0, &build_));
       charge_.ReleaseAll();
-      HTG_RETURN_IF_ERROR(spill_->Add(0, key, row));
     }
     RecordPeakMem(stats_, charge_.peak());
-    return rows.status();
+    HTG_RETURN_IF_ERROR(input->status());
+    if (!spill_->engaged()) Index();
+    return Status::OK();
   }
 
-  // Streams `input` against the table Build loaded, or, when the build
+  // Streams `input` against the table Build loaded or, when the build
   // spilled, routes it into the same partitions and queues them. NULL
-  // keys match nothing: an inner join drops those rows, a left-outer join
+  // keys never match: an inner join drops those rows, a left-outer join
   // routes them like any other and pads them in their partition.
   Status Probe(std::unique_ptr<storage::RowIterator> input) {
+    probe_rows_ = pos_ = 0;
     if (!spill_->engaged()) {
       probe_ = std::move(input);
-      probe_rows_.emplace(probe_.get());
       return Status::OK();
     }
-    BatchReader rows(input.get());
-    Row row;
-    Row key;
-    while (rows.Next(&row)) {
-      HTG_RETURN_IF_ERROR(EvalKeysInto(*left_keys_, &ctx_->eval, row, &key));
-      if (!left_outer_ && HasNull(key)) continue;
-      HTG_RETURN_IF_ERROR(spill_->Add(1, key, row));
+    RowBatch batch;
+    while (input->NextBatch(&batch)) {
+      HTG_RETURN_IF_ERROR(KeysOf(kLeft, &batch));
+      if (!left_outer_) DropNullKeys(&keys_, &batch);
+      scratch_.Append(&keys_, &batch, Emitted(kLeft));
+      HTG_RETURN_IF_ERROR(Spill(1, &scratch_));
     }
-    HTG_RETURN_IF_ERROR(rows.status());
+    HTG_RETURN_IF_ERROR(input->status());
     return spill_->Finish(&worklist_);
   }
 
-  bool Next(Row* row) override {
-    for (;;) {
-      if (matches_ != nullptr && match_index_ < matches_->size()) {
-        AssignJoined(probe_row_, (*matches_)[match_index_++], *columns_, row);
-        return true;
-      }
-      if (!probe_rows_.has_value() || !probe_rows_->Next(&probe_row_)) {
-        if (probe_rows_.has_value()) status_ = probe_rows_->status();
-        probe_rows_.reset();
-        if (!status_.ok() || worklist_.empty()) return false;
+ protected:
+  bool ProduceBatch(RowBatch* out) override {
+    out->StartFill(spec_->columns.left.size() + spec_->columns.right.size());
+    size_t n = 0;
+    while (n < out->capacity() && status_.ok()) {
+      if (pos_ < probe_rows_) {
+        n = ProbeRows(out, n);
+      } else if (probe_ != nullptr) {
+        if (!NextProbeBatch()) probe_.reset();
+      } else if (!worklist_.empty()) {
         status_ = NextPartition();
-        if (!status_.ok()) return false;
-        continue;
+      } else {
+        break;
       }
-      status_ = EvalKeysInto(*left_keys_, &ctx_->eval, probe_row_, &probe_key_);
-      if (!status_.ok()) return false;
-      // SQL equi-join: NULL keys never match.
-      auto it = HasNull(probe_key_) ? build_.end() : build_.find(probe_key_);
-      if (it == build_.end()) {
-        matches_ = nullptr;
-        if (left_outer_) {
-          // Unmatched left row: pad the right side with NULLs.
-          AssignJoined(probe_row_, null_right_, *columns_, row);
-          return true;
-        }
-        continue;
-      }
-      matches_ = &it->second;
-      match_index_ = 0;
+    }
+    out->FinishFill(n);
+    return n > 0 && status_.ok();
+  }
+
+ private:
+  // The columns a side's rows carry into the output and into spill
+  // records: the join's at level 0, the record's after its keys below.
+  const std::vector<int>* Emitted(size_t side) const {
+    if (level_ > 0) return &spilled_[side];
+    return side == kLeft ? &spec_->columns.left : &spec_->columns.right;
+  }
+
+  // The keys of `batch` into keys_: evaluated at level 0, a (dense)
+  // record batch's leading columns below.
+  Status KeysOf(size_t side, RowBatch* batch) {
+    if (level_ == 0) {
+      return EvalKeys(spec_->keys[side], &ctx_->eval, *batch, &keys_);
+    }
+    keys_.resize(build_.num_keys());
+    for (size_t k = 0; k < keys_.size(); ++k) keys_[k].swap(batch->column(k));
+    return Status::OK();
+  }
+
+  // Moves every row of `rows` to its partition on `side`.
+  Status Spill(size_t side, KeyedColumns* rows) {
+    for (size_t i = 0; i < rows->rows(); ++i) {
+      const size_t hash =
+          HashKeyAt(rows->columns(), rows->num_keys(), i, spill_->salt());
+      HTG_RETURN_IF_ERROR(spill_->Add(side, hash, rows->columns(), i));
+    }
+    rows->Reset(0);
+    return Status::OK();
+  }
+
+  // Links every build row into the chain of its bucket, in build order.
+  void Index() {
+    const size_t n = build_.rows();
+    const size_t buckets = std::bit_ceil(std::max<size_t>(n, 1));
+    mask_ = buckets - 1;
+    heads_.assign(buckets, kNoRow);
+    next_.resize(n);
+    hashes_.resize(n);
+    for (size_t i = n; i-- > 0;) {
+      hashes_[i] = static_cast<uint32_t>(
+          HashKeyAt(build_.columns(), build_.num_keys(), i));
+      next_[i] = std::exchange(heads_[hashes_[i] & mask_],
+                               static_cast<uint32_t>(i));
     }
   }
 
-  Status status() const override { return status_; }
+  // Pulls the next probe batch and evaluates its keys. False at the end
+  // or on error.
+  bool NextProbeBatch() {
+    probe_rows_ = pos_ = 0;
+    if (!probe_->NextBatch(&probe_batch_)) {
+      status_ = probe_->status();
+      return false;
+    }
+    status_ = KeysOf(kLeft, &probe_batch_);
+    if (!status_.ok()) return false;
+    probe_rows_ = probe_batch_.ActiveRows();
+    StartRow();
+    return true;
+  }
 
- private:
+  // Hashes probe row pos_ and points cursor_ at its chain (none for a
+  // NULL key).
+  void StartRow() {
+    matched_ = false;
+    if (pos_ == probe_rows_) return;
+    hash_ = static_cast<uint32_t>(HashKeyAt(keys_, keys_.size(), pos_));
+    cursor_ = HasNullKey(keys_, pos_) ? kNoRow : heads_[hash_ & mask_];
+  }
+
+  // Writes the pairs of the probe rows from pos_ on into `out` from row
+  // n, until the batch or the probe rows run out; returns the new row
+  // count. A probe row whose matches do not all fit resumes at cursor_.
+  size_t ProbeRows(RowBatch* out, size_t n) {
+    const std::vector<int>& left = *Emitted(kLeft);
+    const size_t width = spec_->columns.right.size();
+    for (; pos_ < probe_rows_; ++pos_, StartRow()) {
+      const size_t lr = probe_batch_.ActiveIndex(pos_);
+      while (cursor_ != kNoRow && n < out->capacity()) {
+        const uint32_t b = std::exchange(cursor_, next_[cursor_]);
+        if (hashes_[b] == hash_ &&
+            KeysEqual(build_.columns(), b, keys_, pos_, keys_.size())) {
+          WriteJoined(probe_batch_, left, lr, build_, width, b, out, n++);
+          matched_ = true;
+        }
+      }
+      if (cursor_ != kNoRow || n == out->capacity()) break;
+      // Unmatched left-outer row: pad the right side with NULLs.
+      if (!matched_ && left_outer_) {
+        WriteJoined(probe_batch_, left, lr, build_, width, kNoRow, out, n++);
+      }
+    }
+    return n;
+  }
+
   // One pass over the next spilled partition.
   Status NextPartition() {
     HTG_ASSIGN_OR_RETURN(SpillWork work, worklist_.Pop(op_));
@@ -189,225 +273,190 @@ class HashJoinIterator : public storage::RowSource {
         work.file, std::move(work.runs[1])));
   }
 
-  const std::vector<ExprPtr>* left_keys_;
-  const std::vector<ExprPtr>* right_keys_;
+  const JoinSpec* spec_;
+  bool left_outer_;
   ExecContext* ctx_;
   OperatorStats* stats_;
-  bool left_outer_;
-  const JoinColumns* columns_;
-  Row null_right_;  // right-side padding of unmatched left-outer rows
   const char* op_;
-  MemoryCharge charge_;  // keeps the build table accounted while live
-  BuildMap build_;
+  MemoryCharge charge_;  // keeps the build side accounted while live
+  int level_ = 0;
+  std::vector<int> spilled_[2];  // Emitted() below level 0, by side
+  KeyedColumns build_;    // keys ++ emitted right columns
+  KeyedColumns scratch_;  // rows on their way to the partitions
+  KeyCols keys_;          // the current batch's keys
+  // The index over build_: bucket heads, and per build row its chain link
+  // and cached hash.
+  std::vector<uint32_t> heads_;
+  size_t mask_ = 0;
+  std::vector<uint32_t> next_;
+  std::vector<uint32_t> hashes_;
   // The worklist owns the spill files, so it outlives their readers.
   SpillWorklist worklist_;
   std::unique_ptr<PartitionSpill> spill_;  // this pass's partitions
-  std::unique_ptr<storage::RowIterator> probe_;
-  std::optional<BatchReader> probe_rows_;  // over probe_; empty when spilled
-  Row probe_row_;
-  Row probe_key_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_index_ = 0;
-  Status status_;
+  std::unique_ptr<storage::RowIterator> probe_;  // null once drained
+  RowBatch probe_batch_;
+  size_t probe_rows_ = 0;     // its live rows
+  size_t pos_ = 0;            // the probe row being joined
+  uint32_t hash_ = 0;         // its cached hash
+  uint32_t cursor_ = kNoRow;  // the next build row of its chain
+  bool matched_ = false;      // it has matched a build row
 };
 
-// Streaming merge join. Both inputs ascend on their keys; buffers the
-// right-side group matching the current key (charged against the query
-// budget — a pathological key group can be arbitrarily wide).
-class MergeJoinIterator : public storage::RowSource {
+// Streaming merge join. Both inputs ascend on their keys; batches are
+// pulled with their keys evaluated and NULL-keyed rows dropped, and the
+// right side's rows are buffered one key group at a time, charged as the
+// group grows (a key group can be arbitrarily wide). With no keys it is
+// the nested loop: every left row matches the one group, the whole inner
+// side, and `predicate` (over the output row) narrows each output batch.
+class MergeJoinIterator : public BatchIterator {
  public:
   MergeJoinIterator(std::unique_ptr<storage::RowIterator> left,
                     std::unique_ptr<storage::RowIterator> right,
-                    const std::vector<ExprPtr>* left_keys,
-                    const std::vector<ExprPtr>* right_keys,
-                    const JoinColumns* columns, udf::EvalContext* eval,
-                    MemoryContext* mem)
-      : left_(std::move(left)),
-        right_(std::move(right)),
-        left_rows_(left_.get()),
-        right_rows_(right_.get()),
-        left_keys_(left_keys),
-        right_keys_(right_keys),
-        columns_(columns),
-        eval_(eval),
-        charge_(mem, "Merge Join") {}
+                    const JoinSpec* spec, const Expr* predicate,
+                    ExecContext* ctx, OperatorStats* stats, const char* op)
+      : inputs_{std::move(left), std::move(right)},
+        spec_(spec),
+        predicate_(predicate),
+        eval_(&ctx->eval),
+        stats_(stats),
+        charge_(ctx->mem.get(), op),
+        group_(spec->keys[kRight].size()) {}
 
-  bool Next(Row* row) override {
-    if (!status_.ok()) return false;
-    for (;;) {
-      if (emitting_ && group_index_ < right_group_.size()) {
-        AssignJoined(left_row_, right_group_[group_index_++], *columns_, row);
-        return true;
+ protected:
+  bool ProduceBatch(RowBatch* out) override {
+    const size_t width = spec_->columns.right.size();
+    do {
+      out->StartFill(spec_->columns.left.size() + width);
+      const size_t n = Fill(out, width);
+      out->FinishFill(n);
+      if (n == 0 || !status_.ok()) return false;
+      if (predicate_ != nullptr) {
+        status_ = FilterBatch(*predicate_, eval_, out, &scratch_);
       }
-      emitting_ = false;
-      // Advance the left side.
-      if (!AdvanceLeft()) return false;
-      // Align the right side's buffered group to the new left key.
-      for (;;) {
-        const int cmp = group_valid_
-                            ? CompareKeys(left_key_, right_group_key_)
-                            : 1;
-        if (group_valid_ && cmp == 0) {
-          emitting_ = true;
-          group_index_ = 0;
-          break;
-        }
-        if (group_valid_ && cmp < 0) {
-          // Left key smaller: this left row has no match.
-          break;
-        }
-        if (!LoadNextRightGroup()) {
-          if (!status_.ok()) return false;
-          return false;  // right exhausted: no further matches possible
-        }
-      }
-      if (!emitting_) continue;
-    }
+    } while (status_.ok() && out->ActiveRows() == 0);
+    return status_.ok();
   }
 
-  Status status() const override { return status_; }
-
  private:
-  static int CompareKeys(const Row& a, const Row& b) {
-    for (size_t i = 0; i < a.size(); ++i) {
-      const int r = a[i].Compare(b[i]);
-      if (r != 0) return r;
+  // Writes joined rows into `out` until it is full or the join ends;
+  // returns how many.
+  size_t Fill(RowBatch* out, size_t width) {
+    size_t n = 0;
+    while (n < out->capacity() && status_.ok() && !done_) {
+      if (emitting_) {
+        const size_t lr = batches_[kLeft].ActiveIndex(pos_[kLeft]);
+        for (; gpos_ < group_.rows() && n < out->capacity(); ++gpos_) {
+          WriteJoined(batches_[kLeft], spec_->columns.left, lr, group_, width,
+                      static_cast<uint32_t>(gpos_), out, n++);
+        }
+        if (gpos_ < group_.rows()) break;
+        emitting_ = false;
+        ++pos_[kLeft];
+      } else if (pos_[kLeft] >= rows_[kLeft]) {
+        done_ = !Pull(kLeft);
+      } else {
+        // Align the buffered right group with the left row's key.
+        const int cmp =
+            group_.rows() == 0
+                ? 1
+                : CompareKeys(keys_[kLeft], pos_[kLeft], group_.columns(), 0);
+        if (cmp == 0) {
+          emitting_ = true;
+          gpos_ = 0;
+        } else if (cmp < 0) {
+          ++pos_[kLeft];  // no right row has this left row's key
+        } else {
+          done_ = !LoadNextRightGroup();  // false: no more right rows
+        }
+      }
+    }
+    return n;
+  }
+
+  // Orders row i of `a` against row j of `b` on the join keys.
+  int CompareKeys(const KeyCols& a, size_t i, const KeyCols& b,
+                  size_t j) const {
+    for (size_t k = 0; k < group_.num_keys(); ++k) {
+      const int cmp = a[k][i].Compare(b[k][j]);
+      if (cmp != 0) return cmp;
     }
     return 0;
   }
 
-  bool AdvanceLeft() {
-    if (!left_rows_.Next(&left_row_)) {
-      status_ = left_rows_.status();
+  // Pulls the next batch of `side` with its keys. False at the end or on
+  // error (kept in status_).
+  bool Pull(size_t side) {
+    rows_[side] = pos_[side] = 0;
+    if (!inputs_[side]->NextBatch(&batches_[side])) {
+      status_ = inputs_[side]->status();
       return false;
     }
-    status_ = EvalKeysInto(*left_keys_, eval_, left_row_, &left_key_);
-    return status_.ok();
-  }
-
-  bool BufferRightRow(Row row) {
-    const Status charged = charge_.Add(ApproxRowBytes(row));
-    if (!charged.ok()) {
-      status_ = charged;
-      return false;
-    }
-    right_group_.push_back(std::move(row));
+    status_ = EvalKeys(spec_->keys[side], eval_, batches_[side], &keys_[side]);
+    if (!status_.ok()) return false;
+    DropNullKeys(&keys_[side], &batches_[side]);
+    rows_[side] = batches_[side].ActiveRows();
     return true;
   }
 
-  // Reads the next run of equal-keyed rows from the right input.
+  // Buffers the next run of equal-keyed right rows, which may span
+  // batches, charging each batch's share before the next is read. False
+  // when the right side is exhausted, or on error.
   bool LoadNextRightGroup() {
-    right_group_.clear();
+    group_.Clear();
     charge_.ReleaseAll();
-    if (!pending_valid_) {
-      if (!right_rows_.Next(&pending_row_)) {
-        status_ = right_rows_.status();
-        group_valid_ = false;
-        return false;
-      }
-      status_ = EvalKeysInto(*right_keys_, eval_, pending_row_, &pending_key_);
-      if (!status_.ok()) return false;
-      pending_valid_ = true;
-    }
-    right_group_key_ = pending_key_;
-    if (!BufferRightRow(std::move(pending_row_))) return false;
-    pending_valid_ = false;
-    // Pull until the key changes.
     for (;;) {
-      if (!right_rows_.Next(&pending_row_)) {
-        status_ = right_rows_.status();
-        break;
+      if (pos_[kRight] >= rows_[kRight]) {
+        if (!right_done_ && Pull(kRight)) continue;
+        right_done_ = true;
+        return status_.ok() && group_.rows() > 0;
       }
-      status_ = EvalKeysInto(*right_keys_, eval_, pending_row_, &pending_key_);
+      // Rows [begin, end) of this batch carry the group's key.
+      const size_t begin = pos_[kRight];
+      const bool open = group_.rows() == 0;
+      const KeyCols& key = open ? keys_[kRight] : group_.columns();
+      size_t end = open ? begin + 1 : begin;
+      while (end < rows_[kRight] &&
+             CompareKeys(keys_[kRight], end, key, open ? begin : 0) == 0) {
+        ++end;
+      }
+      status_ = charge_.Add(group_.Append(&keys_[kRight], &batches_[kRight],
+                                          &spec_->columns.right, begin, end));
+      RecordPeakMem(stats_, charge_.peak());
       if (!status_.ok()) return false;
-      if (CompareKeys(pending_key_, right_group_key_) == 0) {
-        if (!BufferRightRow(std::move(pending_row_))) return false;
-        continue;
-      }
-      pending_valid_ = true;
-      break;
+      pos_[kRight] = end;
+      if (end < rows_[kRight]) return true;
     }
-    group_valid_ = true;
-    return true;
   }
 
-  std::unique_ptr<storage::RowIterator> left_;
-  std::unique_ptr<storage::RowIterator> right_;
-  BatchReader left_rows_;
-  BatchReader right_rows_;
-  const std::vector<ExprPtr>* left_keys_;
-  const std::vector<ExprPtr>* right_keys_;
-  const JoinColumns* columns_;
+  std::unique_ptr<storage::RowIterator> inputs_[2];  // by side
+  const JoinSpec* spec_;
+  const Expr* predicate_;  // null: keep every pair
   udf::EvalContext* eval_;
-  MemoryCharge charge_;
-
-  Row left_row_;
-  Row left_key_;
-  std::vector<Row> right_group_;
-  Row right_group_key_;
-  bool group_valid_ = false;
-  size_t group_index_ = 0;
+  OperatorStats* stats_;
+  MemoryCharge charge_;  // the buffered group
+  // Each side's current batch, its keys, its live rows and the next row:
+  // the left row being joined, the first right row not yet buffered.
+  RowBatch batches_[2];
+  KeyCols keys_[2];
+  size_t rows_[2] = {0, 0};
+  size_t pos_[2] = {0, 0};
+  bool right_done_ = false;
+  KeyedColumns group_;  // keys ++ emitted right columns of one key
+  size_t gpos_ = 0;     // the group row the left row joins next
   bool emitting_ = false;
-  Row pending_row_;
-  Row pending_key_;
-  bool pending_valid_ = false;
-  Status status_;
-};
-
-class NestedLoopIterator : public storage::RowSource {
- public:
-  NestedLoopIterator(std::unique_ptr<storage::RowIterator> left,
-                     std::vector<Row> right, const Expr* predicate,
-                     const JoinColumns* columns, udf::EvalContext* eval,
-                     MemoryCharge charge)
-      : left_(std::move(left)),
-        left_rows_(left_.get()),
-        right_(std::move(right)),
-        predicate_(predicate),
-        columns_(columns),
-        eval_(eval),
-        charge_(std::move(charge)) {}
-
-  bool Next(Row* row) override {
-    for (;;) {
-      while (right_index_ < right_.size()) {
-        AssignJoined(left_row_, right_[right_index_++], *columns_, row);
-        if (predicate_ == nullptr) return true;
-        Result<bool> keep = EvalPredicate(*predicate_, eval_, *row);
-        if (!keep.ok()) {
-          status_ = keep.status();
-          return false;
-        }
-        if (*keep) return true;
-      }
-      if (!left_rows_.Next(&left_row_)) {
-        status_ = left_rows_.status();
-        return false;
-      }
-      right_index_ = 0;
-    }
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  std::unique_ptr<storage::RowIterator> left_;
-  BatchReader left_rows_;
-  std::vector<Row> right_;
-  const Expr* predicate_;
-  const JoinColumns* columns_;
-  udf::EvalContext* eval_;
-  MemoryCharge charge_;  // keeps the inner table accounted while live
-  Row left_row_;
-  size_t right_index_ = static_cast<size_t>(-1);
-  Status status_;
+  bool done_ = false;
+  std::vector<Value> scratch_;  // predicate values
 };
 
 }  // namespace
 
-Schema ConcatSchemas(const Schema& left, const Schema& right) {
+Schema ConcatSchemas(const Schema& left, const Schema& right,
+                     bool right_nullable) {
   Schema out = left;
-  for (const Column& c : right.columns()) out.AddColumn(c);
+  for (Column c : right.columns()) {
+    c.nullable = c.nullable || right_nullable;
+    out.AddColumn(std::move(c));
+  }
   return out;
 }
 
@@ -421,32 +470,41 @@ JoinColumns::JoinColumns(const std::vector<int>& columns, int left_width) {
   }
 }
 
+JoinOp::JoinOp(OperatorPtr left, OperatorPtr right,
+               std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
+               const std::vector<int>& columns, bool right_nullable)
+    : left_(std::move(left)),
+      right_(std::move(right)),
+      spec_{{std::move(left_keys), std::move(right_keys)},
+            JoinColumns(columns, left_->output_schema().num_columns())},
+      schema_(ConcatSchemas(left_->output_schema(), right_->output_schema(),
+                            right_nullable)
+                  .Project(columns)) {}
+
+std::string JoinOp::DescribeKeys(const char* label) const {
+  std::string out = std::string(label) + " [";
+  for (size_t i = 0; i < spec_.keys[kLeft].size(); ++i) {
+    if (i > 0) out += " AND ";
+    out += spec_.keys[kLeft][i]->ToString() + " = " +
+           spec_.keys[kRight][i]->ToString();
+  }
+  return out + "]" + DescribeColumns(schema_);
+}
+
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
                        std::vector<ExprPtr> left_keys,
                        std::vector<ExprPtr> right_keys,
                        const std::vector<int>& columns, bool left_outer)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      left_outer_(left_outer),
-      columns_(columns, left_->output_schema().num_columns()) {
-  Schema joined = left_->output_schema();
-  for (Column col : right_->output_schema().columns()) {
-    // Outer-padded right columns are nullable in the output schema.
-    if (left_outer_) col.nullable = true;
-    joined.AddColumn(std::move(col));
-  }
-  schema_ = joined.Project(columns);
-}
+    : JoinOp(std::move(left), std::move(right), std::move(left_keys),
+             std::move(right_keys), columns, left_outer),
+      left_outer_(left_outer) {}
 
 Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
     ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> right,
                        right_->Open(ctx));
   auto join = std::make_unique<HashJoinIterator>(
-      &left_keys_, &right_keys_, ctx, mutable_stats(), left_outer_,
-      right_->output_schema().num_columns(), &columns_,
+      &spec_, left_outer_, ctx, mutable_stats(),
       left_outer_ ? "Hash Match (Left Outer Join)" : "Hash Match (Inner Join)");
   HTG_RETURN_IF_ERROR(join->Build(right.get(), /*level=*/0));
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> left,
@@ -456,66 +514,39 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
 }
 
 std::string HashJoinOp::Describe() const {
-  return std::string(left_outer_ ? "Hash Match (Left Outer Join) "
-                                 : "Hash Match (Inner Join) ") +
-         DescribeJoinKeys(left_keys_, right_keys_) + DescribeColumns(schema_);
+  return DescribeKeys(left_outer_ ? "Hash Match (Left Outer Join)"
+                                  : "Hash Match (Inner Join)");
 }
 
 MergeJoinOp::MergeJoinOp(OperatorPtr left, OperatorPtr right,
                          std::vector<ExprPtr> left_keys,
                          std::vector<ExprPtr> right_keys,
                          const std::vector<int>& columns)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      columns_(columns, left_->output_schema().num_columns()),
-      schema_(ConcatSchemas(left_->output_schema(), right_->output_schema())
-                  .Project(columns)) {}
+    : JoinOp(std::move(left), std::move(right), std::move(left_keys),
+             std::move(right_keys), columns) {}
 
+MergeJoinOp::MergeJoinOp(OperatorPtr left, OperatorPtr right,
+                         ExprPtr predicate, const std::vector<int>& columns)
+    : JoinOp(std::move(left), std::move(right), {}, {}, columns),
+      predicate_(std::move(predicate)) {}
+
+// A nested loop's inner side has no out-of-core fallback: over budget is
+// a typed statement error, raised by the batch that crosses the budget
+// before the next one is read.
 Result<std::unique_ptr<storage::RowIterator>> MergeJoinOp::OpenImpl(
     ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> left,
                        left_->Open(ctx));
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> right,
                        right_->Open(ctx));
-  return {std::make_unique<MergeJoinIterator>(std::move(left), std::move(right),
-                                              &left_keys_, &right_keys_,
-                                              &columns_, &ctx->eval,
-                                              ctx->mem.get())};
+  return {std::make_unique<MergeJoinIterator>(
+      std::move(left), std::move(right), &spec_, predicate_.get(), ctx,
+      mutable_stats(),
+      spec_.keys[kLeft].empty() ? "Nested Loops (Inner Join)" : "Merge Join")};
 }
 
 std::string MergeJoinOp::Describe() const {
-  return "Merge Join (Inner Join) " +
-         DescribeJoinKeys(left_keys_, right_keys_) + DescribeColumns(schema_);
-}
-
-NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
-                                   ExprPtr predicate,
-                                   const std::vector<int>& columns)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      predicate_(std::move(predicate)),
-      columns_(columns, left_->output_schema().num_columns()),
-      schema_(ConcatSchemas(left_->output_schema(), right_->output_schema())
-                  .Project(columns)) {}
-
-Result<std::unique_ptr<storage::RowIterator>> NestedLoopJoinOp::OpenImpl(
-    ExecContext* ctx) {
-  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> right,
-                       right_->Open(ctx));
-  // The inner table has no out-of-core fallback; over budget is a typed
-  // statement error, raised by the batch that crosses the budget rather
-  // than after the whole inner side is read.
-  MemoryCharge charge(ctx->mem.get(), "Nested Loops (Inner Join)");
-  std::vector<Row> right_rows;
-  HTG_RETURN_IF_ERROR(DrainIterator(right.get(), &right_rows, &charge));
-  RecordPeakMem(mutable_stats(), charge.peak());
-  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> left,
-                       left_->Open(ctx));
-  return {std::make_unique<NestedLoopIterator>(
-      std::move(left), std::move(right_rows), predicate_.get(), &columns_,
-      &ctx->eval, std::move(charge))};
+  return DescribeKeys("Merge Join (Inner Join)");
 }
 
 std::string NestedLoopJoinOp::Describe() const {

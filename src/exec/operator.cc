@@ -234,12 +234,10 @@ std::string DescribeColumns(const Schema& schema) {
   return out;
 }
 
-Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows,
-                     MemoryCharge* charge) {
+Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows) {
   RowBatch batch;
   while (iter->NextBatch(&batch)) {
     const size_t n = batch.ActiveRows();
-    size_t bytes = 0;
     // push_back grows the vector geometrically; reserving the exact new
     // size once per batch would reallocate and move every row each time.
     for (size_t i = 0; i < n; ++i) {
@@ -251,10 +249,8 @@ Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows,
       for (size_t c = 0; c < batch.num_columns(); ++c) {
         row.push_back(std::move(batch.column(c)[r]));
       }
-      if (charge != nullptr) bytes += ApproxRowBytes(row);
       rows->push_back(std::move(row));
     }
-    if (charge != nullptr) HTG_RETURN_IF_ERROR(charge->Add(bytes));
   }
   return iter->status();
 }

@@ -184,12 +184,9 @@ std::string DescribeColumns(const Schema& schema);
 
 // Fetch-all: drains `iter`, appending every row to `rows`, which grows
 // geometrically. Pulls batches and moves rows out of them, so pipelines
-// stay vectorized up to the final materialization. With a `charge`,
-// each batch's rows are charged as they land and an over-budget charge
-// stops the drain; without one the rows belong to the caller and count
-// against no budget.
-Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows,
-                     MemoryCharge* charge = nullptr);
+// stay vectorized up to the final materialization. The rows belong to
+// the caller and count against no budget.
+Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows);
 
 // Wraps an iterator so rows passed through are counted into *counter
 // (single-writer; exchange operators use one slot per worker). When

@@ -27,68 +27,31 @@ std::string DescribeKeys(const std::vector<SortKey>& keys) {
 // have fixed overhead that only pays off on sizable inputs.
 constexpr size_t kParallelSortMinRows = 4096;
 
-// Rows held column by column: the evaluated sort keys, then the payload
-// columns, so row i has the (keys ++ payload) layout of a spill-run
-// record. The sort buffers its input in one; its run merge then keeps run
-// r's head record at row r.
-class SortColumns {
+// The sort's buffer: the evaluated sort keys, then the payload columns.
+// The sort buffers its input in one; its run merge then keeps run r's
+// head record at row r.
+class SortColumns : public KeyedColumns {
  public:
   explicit SortColumns(const std::vector<SortKey>& keys)
-      : descending_(keys.size()), cols_(keys.size()) {
+      : KeyedColumns(keys.size()), descending_(keys.size()) {
     for (size_t k = 0; k < keys.size(); ++k) {
       descending_[k] = keys[k].descending;
     }
   }
-
-  size_t rows() const { return rows_; }
-  size_t num_keys() const { return descending_.size(); }
-  size_t num_columns() const { return cols_.size(); }
-  std::vector<Value>& column(size_t c) { return cols_[c]; }
 
   // The one key comparison of the sort: orders rows a and b by the keys,
   // each in its own direction, and equal keys by row index, so input
   // order (or, among run heads, run order) breaks ties.
   bool Less(uint32_t a, uint32_t b) const {
     for (size_t k = 0; k < descending_.size(); ++k) {
-      const int cmp = cols_[k][a].Compare(cols_[k][b]);
+      const int cmp = column(k)[a].Compare(column(k)[b]);
       if (cmp != 0) return descending_[k] ? cmp > 0 : cmp < 0;
     }
     return a < b;
   }
 
-  // Moves the live rows of `batch`, after their evaluated `keys`, into
-  // the columns. Returns the bytes to charge: the values' footprint and
-  // a sort position per row.
-  size_t Append(std::vector<std::vector<Value>>* keys, RowBatch* batch) {
-    if (rows_ == 0) cols_.resize(num_keys() + batch->num_columns());
-    const size_t n = batch->ActiveRows();
-    size_t bytes = n * sizeof(uint32_t);
-    const auto take = [&](Value& v, std::vector<Value>& col) {
-      bytes += v.ApproxBytes();
-      col.push_back(std::move(v));
-    };
-    for (size_t k = 0; k < num_keys(); ++k) {
-      for (size_t j = 0; j < n; ++j) take((*keys)[k][j], cols_[k]);
-    }
-    for (size_t c = 0; c < batch->num_columns(); ++c) {
-      for (size_t j = 0; j < n; ++j) {
-        take(batch->column(c)[batch->ActiveIndex(j)], cols_[num_keys() + c]);
-      }
-    }
-    rows_ += n;
-    return bytes;
-  }
-
-  // Drops every row and its memory, leaving `rows` NULL rows.
-  void Reset(size_t rows) {
-    for (std::vector<Value>& col : cols_) col = std::vector<Value>(rows);
-    rows_ = rows;
-  }
-
  private:
   std::vector<bool> descending_;
-  std::vector<std::vector<Value>> cols_;
-  size_t rows_ = 0;
 };
 
 // The positions of `cols`' rows in key order. Above kParallelSortMinRows
@@ -201,16 +164,15 @@ class SortedIterator : public BatchIterator {
     }
   };
 
-  // Reads run r's next record into row r; false at the run's end or on a
-  // read error (kept in status_).
+  // Reads run r's next record into row r, through a one-row batch; false
+  // at the run's end or on a read error (kept in status_).
   bool Advance(uint32_t r) {
-    // Spill records are row-major: the run is read one record at a time.
-    if (!readers_[r]->Next(&record_)) {  // NOLINT(htg-exec-batch-rowloop)
+    if (!readers_[r]->NextBatch(&record_)) {
       if (!readers_[r]->status().ok()) status_ = readers_[r]->status();
       return false;
     }
-    for (size_t c = 0; c < record_.size(); ++c) {
-      rows_.column(c)[r] = std::move(record_[c]);
+    for (size_t c = 0; c < record_.num_columns(); ++c) {
+      swap(rows_.column(c)[r], record_.column(c)[0]);
     }
     return true;
   }
@@ -220,7 +182,7 @@ class SortedIterator : public BatchIterator {
   size_t next_ = 0;
   std::unique_ptr<storage::SpillFile> file_;
   std::vector<std::unique_ptr<storage::SpillRunReader>> readers_;
-  Row record_;
+  RowBatch record_{1};
   MemoryCharge charge_;
   bool number_rows_;
   int64_t rank_ = 0;
@@ -248,12 +210,8 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
     HTG_ASSIGN_OR_RETURN(std::vector<uint32_t> order,
                          SortPositions(buffer, ctx));
     storage::SpillRunWriter writer(spill.get());
-    Row record(buffer.num_columns());
     for (uint32_t i : order) {
-      for (size_t c = 0; c < record.size(); ++c) {
-        record[c] = std::move(buffer.column(c)[i]);
-      }
-      HTG_RETURN_IF_ERROR(writer.Add(record));
+      HTG_RETURN_IF_ERROR(writer.Add(buffer.columns(), i));
     }
     HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writer.Finish());
     HTG_RETURN_IF_ERROR(spill->Flush());
@@ -275,7 +233,10 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
           &ctx->eval, batch, batch.selection_data(), batch.ActiveRows(),
           &key_cols[k]));
     }
-    const Status charged = charge.Add(buffer.Append(&key_cols, &batch));
+    // A sort position per row besides the values.
+    const size_t positions = batch.ActiveRows() * sizeof(uint32_t);
+    const Status charged =
+        charge.Add(buffer.Append(&key_cols, &batch) + positions);
     if (charged.ok()) continue;
     if (!charged.IsResourceExhausted()) return charged;
     if (!ctx->CanSpill()) return SpillUnavailableError("Sort", *ctx->mem);

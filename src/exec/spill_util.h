@@ -15,17 +15,16 @@
 
 namespace htg::exec {
 
-// Shared pieces of the hash operators (the one row hash and equality)
+// Shared pieces of the hash operators (the one key hash and equality)
 // and of the operators' spill machinery: the one hash-partition spill
 // (PartitionSpill) and its recursion worklist (SpillWorklist) behind
 // both the hash aggregate and the hash join, and the run accounting the
 // external sort shares with them.
 
-// The key hash in steps, for callers that hold a key column by column
-// (the group table): start from KeyHashSeed(salt), fold in each value's
-// Value::Hash() in key order, then finish. The final avalanche spreads
-// every input bit over the word, so both a power-of-two slot mask (low
-// bits) and "% partitions" see well-mixed bits.
+// The key hash in steps: start from KeyHashSeed(salt), fold in each
+// value's Value::Hash() in key order, then finish. The final avalanche
+// spreads every input bit over the word, so both a power-of-two slot
+// mask (low bits) and "% partitions" see well-mixed bits.
 inline size_t KeyHashSeed(size_t salt = 0) {
   return 14695981039346656037ULL ^ (0x9e3779b97f4a7c15ULL * salt);
 }
@@ -39,37 +38,35 @@ inline size_t KeyHashFinish(size_t h) {
   return h;
 }
 
-// Hash of the key values [key, key + n), salted by `salt`.
-inline size_t HashKey(const Value* key, size_t n, size_t salt = 0) {
+// Keys held column by column: cols[k][row] is key k of a row, for the
+// first n columns of `cols`.
+using KeyCols = std::vector<std::vector<Value>>;
+
+// The key hash of row `row`, salted by `salt`.
+inline size_t HashKeyAt(const KeyCols& cols, size_t n, size_t row,
+                        size_t salt = 0) {
   size_t h = KeyHashSeed(salt);
-  for (size_t i = 0; i < n; ++i) h = KeyHashStep(h, key[i].Hash());
+  for (size_t k = 0; k < n; ++k) h = KeyHashStep(h, cols[k][row].Hash());
   return KeyHashFinish(h);
 }
 
 // Key equality under Value::Compare (so 1 = 1.0, NULL = NULL), with the
 // common integer-integer case inline.
-inline bool KeysEqual(const Value* a, const Value* b, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i].IsIntegerKind() && b[i].IsIntegerKind()) {
-      if (a[i].AsInt64() != b[i].AsInt64()) return false;
-    } else if (a[i].Compare(b[i]) != 0) {
-      return false;
-    }
+inline bool KeyEqual(const Value& a, const Value& b) {
+  if (a.IsIntegerKind() && b.IsIntegerKind()) {
+    return a.AsInt64() == b.AsInt64();
+  }
+  return a.Compare(b) == 0;
+}
+
+// KeyEqual over the first n key columns of row i of `a` and row j of `b`.
+inline bool KeysEqual(const KeyCols& a, size_t i, const KeyCols& b, size_t j,
+                      size_t n) {
+  for (size_t k = 0; k < n; ++k) {
+    if (!KeyEqual(a[k][i], b[k][j])) return false;
   }
   return true;
 }
-
-// Hasher / equality for std containers keyed by a whole Row.
-struct RowHash {
-  size_t operator()(const Row& row) const {
-    return HashKey(row.data(), row.size());
-  }
-};
-struct RowEq {
-  bool operator()(const Row& a, const Row& b) const {
-    return a.size() == b.size() && KeysEqual(a.data(), b.data(), a.size());
-  }
-};
 
 // Fan-out of one partition-spill pass.
 inline constexpr size_t kSpillPartitions = 16;
@@ -78,13 +75,6 @@ inline constexpr size_t kSpillPartitions = 16;
 // pathologically skewed (or the budget is absurdly small); the operator
 // gives up with kResourceExhausted instead of looping.
 inline constexpr int kMaxSpillDepth = 8;
-
-// The row hash salted by spill recursion level: keys that collide into
-// one partition at level N scatter across partitions at level N+1, and
-// no level shares the unsalted hash that in-memory tables probe with.
-inline size_t SpillRowHash(const Row& key, int level) {
-  return HashKey(key.data(), key.size(), static_cast<size_t>(level) + 1);
-}
 
 // The error an over-budget operator raises when it cannot degrade.
 inline Status SpillUnavailableError(const char* op, const MemoryContext& mem) {
@@ -142,12 +132,15 @@ class SpillWorklist {
   std::vector<SpillWork> work_;
 };
 
-// One pass's hash-partition spill: rows are routed by their key's
-// level-salted hash into kSpillPartitions runs per side on one spill
-// file. Side 0 takes aggregate input or join build rows, side 1 join
-// probe rows. Thread-safe, and lazily engaged: the file and writers
-// materialize on the first spilled row, so an operator that never spills
-// pays one atomic load per check.
+// One pass's hash-partition spill: rows are routed by their key's hash,
+// salted by the pass's recursion level, into kSpillPartitions runs per
+// side on one spill file. The salt scatters keys that collided into one
+// partition at level N across the partitions of level N+1, and no level
+// shares the unsalted hash that in-memory tables probe with. Side 0
+// takes aggregate input or join build rows, side 1 join probe rows.
+// Thread-safe, and lazily engaged: the file and writers materialize on
+// the first spilled row, so an operator that never spills pays one
+// atomic load per check.
 class PartitionSpill {
  public:
   PartitionSpill(ExecContext* ctx, OperatorStats* stats, const char* op,
@@ -156,10 +149,14 @@ class PartitionSpill {
 
   bool engaged() const { return engaged_.load(std::memory_order_acquire); }
 
-  // Appends `row` to its key's partition on `side`. The first call
-  // creates the spill file, or fails with SpillUnavailableError when
-  // the statement may not spill.
-  Status Add(size_t side, const Row& key, const Row& row) {
+  // The salt of this pass's key hash.
+  size_t salt() const { return static_cast<size_t>(level_) + 1; }
+
+  // Appends row `row` of `columns` as one record to the partition on
+  // `side` of `hash`, the row's key hash salted with salt(). The first
+  // call creates the spill file, or fails with SpillUnavailableError
+  // when the statement may not spill.
+  Status Add(size_t side, size_t hash, const KeyCols& columns, size_t row) {
     MutexLock lock(&mu_);
     if (file_ == nullptr) {
       if (!ctx_->CanSpill()) return SpillUnavailableError(op_, *ctx_->mem);
@@ -171,8 +168,8 @@ class PartitionSpill {
       }
       engaged_.store(true, std::memory_order_release);
     }
-    const size_t part = SpillRowHash(key, level_) % kSpillPartitions;
-    return writers_[side * kSpillPartitions + part].Add(row);
+    return writers_[side * kSpillPartitions + hash % kSpillPartitions].Add(
+        columns, row);
   }
 
   // Seals every partition, flushes the file so injected write faults

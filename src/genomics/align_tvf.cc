@@ -59,9 +59,9 @@ Result<const CachedReference*> GetOrBuild(const std::string& path,
 }
 
 // Pulls reads from the lane stream, aligns, and emits aligned rows.
-class AlignIterator : public storage::RowSource {
+class AlignIterator : public udf::RowSource {
  public:
-  AlignIterator(std::unique_ptr<storage::RowSource> reads,
+  AlignIterator(std::unique_ptr<udf::RowSource> reads,
                 const CachedReference* cached)
       : reads_(std::move(reads)), cached_(cached) {}
 
@@ -92,7 +92,7 @@ class AlignIterator : public storage::RowSource {
   Status status() const override { return status_; }
 
  private:
-  std::unique_ptr<storage::RowSource> reads_;
+  std::unique_ptr<udf::RowSource> reads_;
   const CachedReference* cached_;
   Row read_row_;
   Status status_;
@@ -111,7 +111,7 @@ Result<Schema> AlignReadsTvf::BindSchema(const std::vector<Value>&) const {
   return schema;
 }
 
-Result<std::unique_ptr<storage::RowSource>> AlignReadsTvf::Open(
+Result<std::unique_ptr<udf::RowSource>> AlignReadsTvf::Open(
     const std::vector<Value>& args, Database* db) const {
   if (args.size() < 3 || args[2].is_null()) {
     return Status::InvalidArgument(

@@ -26,7 +26,7 @@ class AlignReadsTvf : public udf::TableFunction {
  public:
   std::string_view name() const override { return "AlignReads"; }
   Result<Schema> BindSchema(const std::vector<Value>& args) const override;
-  Result<std::unique_ptr<storage::RowSource>> Open(
+  Result<std::unique_ptr<udf::RowSource>> Open(
       const std::vector<Value>& args, Database* db) const override;
 };
 

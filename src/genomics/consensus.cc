@@ -15,7 +15,7 @@ int BaseIndex(char base) {
 
 char IndexBase(int i) { return i < 4 ? kBases[i] : 'N'; }
 
-class PivotIterator : public storage::RowSource {
+class PivotIterator : public udf::RowSource {
  public:
   PivotIterator(int64_t position, std::string seq, std::string quals)
       : position_(position), seq_(std::move(seq)), quals_(std::move(quals)) {}
@@ -50,7 +50,7 @@ Result<Schema> PivotAlignmentTvf::BindSchema(const std::vector<Value>&) const {
 
 // Thread-safe for concurrent Open() (parallel CROSS APPLY): no shared
 // mutable state — each iterator owns copies of its arguments.
-Result<std::unique_ptr<storage::RowSource>> PivotAlignmentTvf::Open(
+Result<std::unique_ptr<udf::RowSource>> PivotAlignmentTvf::Open(
     const std::vector<Value>& args, Database*) const {
   if (args.size() != 3) {
     return Status::InvalidArgument("PivotAlignment(pos, seq, quals)");

@@ -18,7 +18,7 @@ class PivotAlignmentTvf : public udf::TableFunction {
  public:
   std::string_view name() const override { return "PivotAlignment"; }
   Result<Schema> BindSchema(const std::vector<Value>& args) const override;
-  Result<std::unique_ptr<storage::RowSource>> Open(
+  Result<std::unique_ptr<udf::RowSource>> Open(
       const std::vector<Value>& args, Database* db) const override;
 };
 

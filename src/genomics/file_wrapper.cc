@@ -158,7 +158,7 @@ Result<Schema> ListShortReadsTvf::BindSchema(
   return ShortReadSchema(format);
 }
 
-Result<std::unique_ptr<storage::RowSource>> ListShortReadsTvf::Open(
+Result<std::unique_ptr<udf::RowSource>> ListShortReadsTvf::Open(
     const std::vector<Value>& args, Database* db) const {
   if (args.size() < 2 || args.size() > 4) {
     return Status::InvalidArgument(
@@ -182,7 +182,7 @@ Result<Schema> ReadFastqFileTvf::BindSchema(const std::vector<Value>&) const {
   return ShortReadSchema(ShortReadFormat::kFastq);
 }
 
-Result<std::unique_ptr<storage::RowSource>> ReadFastqFileTvf::Open(
+Result<std::unique_ptr<udf::RowSource>> ReadFastqFileTvf::Open(
     const std::vector<Value>& args, Database* db) const {
   if (args.empty() || args[0].is_null()) {
     return Status::InvalidArgument("ReadFastqFile(path [, chunk_kb])");
@@ -198,7 +198,7 @@ Result<Schema> ReadFastaFileTvf::BindSchema(const std::vector<Value>&) const {
   return ShortReadSchema(ShortReadFormat::kFasta);
 }
 
-Result<std::unique_ptr<storage::RowSource>> ReadFastaFileTvf::Open(
+Result<std::unique_ptr<udf::RowSource>> ReadFastaFileTvf::Open(
     const std::vector<Value>& args, Database* db) const {
   if (args.empty() || args[0].is_null()) {
     return Status::InvalidArgument("ReadFastaFile(path [, chunk_kb])");

@@ -26,7 +26,7 @@ Schema ShortReadSchema(ShortReadFormat format);
 // buffer, and pages incomplete trailing entries to the buffer front before
 // refilling — exactly the pseudo-code of §4.1. Each Next() performs the
 // FillRow-style conversion of parsed fields into engine Values.
-class ShortReadStreamIterator : public storage::RowSource {
+class ShortReadStreamIterator : public udf::RowSource {
  public:
   ShortReadStreamIterator(std::unique_ptr<storage::FileStreamReader> stream,
                           ShortReadFormat format,
@@ -62,7 +62,7 @@ class ListShortReadsTvf : public udf::TableFunction {
  public:
   std::string_view name() const override { return "ListShortReads"; }
   Result<Schema> BindSchema(const std::vector<Value>& args) const override;
-  Result<std::unique_ptr<storage::RowSource>> Open(
+  Result<std::unique_ptr<udf::RowSource>> Open(
       const std::vector<Value>& args, Database* db) const override;
 };
 
@@ -71,7 +71,7 @@ class ReadFastqFileTvf : public udf::TableFunction {
  public:
   std::string_view name() const override { return "ReadFastqFile"; }
   Result<Schema> BindSchema(const std::vector<Value>& args) const override;
-  Result<std::unique_ptr<storage::RowSource>> Open(
+  Result<std::unique_ptr<udf::RowSource>> Open(
       const std::vector<Value>& args, Database* db) const override;
 };
 
@@ -80,7 +80,7 @@ class ReadFastaFileTvf : public udf::TableFunction {
  public:
   std::string_view name() const override { return "ReadFastaFile"; }
   Result<Schema> BindSchema(const std::vector<Value>& args) const override;
-  Result<std::unique_ptr<storage::RowSource>> Open(
+  Result<std::unique_ptr<udf::RowSource>> Open(
       const std::vector<Value>& args, Database* db) const override;
 };
 

@@ -123,7 +123,7 @@ namespace {
 // Streams an SRF FileStream BLOB record by record with the Fig. 5 chunk
 // pager (records are length-delimited, so paging needs only "retry when
 // DecodeRecord hits the buffer end").
-class SrfStreamIterator : public storage::RowSource {
+class SrfStreamIterator : public udf::RowSource {
  public:
   SrfStreamIterator(std::unique_ptr<storage::FileStreamReader> stream,
                     size_t chunk_bytes)
@@ -234,7 +234,7 @@ Result<Schema> ReadSrfFileTvf::BindSchema(const std::vector<Value>&) const {
   return schema;
 }
 
-Result<std::unique_ptr<storage::RowSource>> ReadSrfFileTvf::Open(
+Result<std::unique_ptr<udf::RowSource>> ReadSrfFileTvf::Open(
     const std::vector<Value>& args, Database* db) const {
   if (args.empty() || args[0].is_null()) {
     return Status::InvalidArgument("ReadSrfFile(path [, chunk_kb])");

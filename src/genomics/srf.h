@@ -45,7 +45,7 @@ class ReadSrfFileTvf : public udf::TableFunction {
  public:
   std::string_view name() const override { return "ReadSrfFile"; }
   Result<Schema> BindSchema(const std::vector<Value>& args) const override;
-  Result<std::unique_ptr<storage::RowSource>> Open(
+  Result<std::unique_ptr<udf::RowSource>> Open(
       const std::vector<Value>& args, Database* db) const override;
 };
 

@@ -396,7 +396,15 @@ Result<QueryResult> SqlEngine::ExecuteCreateTable(const CreateTableStmt& stmt) {
         EqualsIgnoreCase(ast.type_name, "NTEXT")) {
       col.utf16 = true;
     }
-    col.nullable = !ast.not_null && !ast.primary_key;
+    // Key columns are NOT NULL, whether the key is declared on the
+    // column or as the table's PRIMARY KEY (...).
+    const bool key =
+        ast.primary_key ||
+        std::any_of(stmt.primary_key.begin(), stmt.primary_key.end(),
+                    [&](const std::string& name) {
+                      return EqualsIgnoreCase(name, ast.name);
+                    });
+    col.nullable = !ast.not_null && !key;
     col.filestream = ast.filestream;
     col.rowguid = ast.rowguid;
     if (col.filestream && col.type != DataType::kBlob) {

@@ -29,94 +29,67 @@ Status Truncated() {
   return Status::Corruption("spill record truncated");
 }
 
-}  // namespace
-
-void SpillEncodeRow(const Row& row, std::string* out) {
-  PutVarint64(out, row.size());
-  for (const Value& v : row) {
-    if (v.is_null()) {
-      out->push_back(kTagNull);
-      continue;
-    }
-    if (v.IsIntegerKind()) {
-      out->push_back(kTagInt);
-      out->push_back(static_cast<char>(v.type()));
-      PutVarintSigned64(out, v.AsInt64());
-    } else if (v.IsDoubleKind()) {
-      out->push_back(kTagDouble);
-      out->push_back(static_cast<char>(v.type()));
-      const double d = v.AsDouble();
-      char bytes[sizeof(double)];
-      std::memcpy(bytes, &d, sizeof(double));
-      out->append(bytes, sizeof(double));
-    } else {
-      out->push_back(kTagString);
-      out->push_back(static_cast<char>(v.type()));
-      PutLengthPrefixed(out, v.AsString());
-    }
+// Appends `v` in the record format.
+void EncodeValue(const Value& v, std::string* out) {
+  if (v.is_null()) {
+    out->push_back(kTagNull);
+    return;
+  }
+  out->push_back(v.IsIntegerKind()  ? kTagInt
+                 : v.IsDoubleKind() ? kTagDouble
+                                    : kTagString);
+  out->push_back(static_cast<char>(v.type()));
+  if (v.IsIntegerKind()) {
+    PutVarintSigned64(out, v.AsInt64());
+  } else if (v.IsDoubleKind()) {
+    const double d = v.AsDouble();
+    out->append(reinterpret_cast<const char*>(&d), sizeof(d));
+  } else {
+    PutLengthPrefixed(out, v.AsString());
   }
 }
 
-Status SpillDecodeRow(const char** p, const char* limit, Row* row) {
-  row->clear();
-  uint64_t ncols = 0;
-  const char* cur = GetVarint64(*p, limit, &ncols);
-  if (cur == nullptr) return Truncated();
-  row->reserve(ncols);
-  for (uint64_t i = 0; i < ncols; ++i) {
-    if (cur >= limit) return Truncated();
-    const char tag = *cur++;
-    if (tag == kTagNull) {
-      row->push_back(Value::Null());
-      continue;
-    }
-    if (cur >= limit) return Truncated();
-    const auto type = static_cast<DataType>(*cur++);
-    switch (tag) {
-      case kTagInt: {
-        int64_t v = 0;
-        cur = GetVarintSigned64(cur, limit, &v);
-        if (cur == nullptr) return Truncated();
-        if (type == DataType::kBool) {
-          row->push_back(Value::Bool(v != 0));
-        } else if (type == DataType::kInt32) {
-          row->push_back(Value::Int32(static_cast<int32_t>(v)));
-        } else {
-          row->push_back(Value::Int64(v));
-        }
-        break;
-      }
-      case kTagDouble: {
-        if (limit - cur < static_cast<ptrdiff_t>(sizeof(double))) {
-          return Truncated();
-        }
-        double d = 0;
-        std::memcpy(&d, cur, sizeof(double));
-        cur += sizeof(double);
-        row->push_back(Value::Double(d));
-        break;
-      }
-      case kTagString: {
-        std::string_view s;
-        cur = GetLengthPrefixed(cur, limit, &s);
-        if (cur == nullptr) return Truncated();
-        if (type == DataType::kBlob) {
-          row->push_back(Value::Blob(std::string(s)));
-        } else if (type == DataType::kGuid) {
-          row->push_back(Value::Guid(std::string(s)));
-        } else {
-          row->push_back(Value::String(std::string(s)));
-        }
-        break;
-      }
-      default:
-        return Status::Corruption(
-            StringPrintf("spill record has unknown tag %d", tag));
-    }
+// Decodes one value from [*p, limit) into `v`, reusing its string buffer,
+// and advances *p past it. Corruption on malformed input.
+Status DecodeValue(const char** p, const char* limit, Value* v) {
+  const char* cur = *p;
+  if (cur >= limit) return Truncated();
+  const char tag = *cur++;
+  if (tag == kTagNull) {
+    *v = Value::Null();
+    *p = cur;
+    return Status::OK();
+  }
+  if (cur >= limit) return Truncated();
+  const auto type = static_cast<DataType>(*cur++);
+  if (tag == kTagInt) {
+    int64_t i = 0;
+    cur = GetVarintSigned64(cur, limit, &i);
+    if (cur == nullptr) return Truncated();
+    *v = type == DataType::kBool    ? Value::Bool(i != 0)
+         : type == DataType::kInt32 ? Value::Int32(static_cast<int32_t>(i))
+                                    : Value::Int64(i);
+  } else if (tag == kTagDouble) {
+    double d = 0;
+    if (limit - cur < static_cast<ptrdiff_t>(sizeof(d))) return Truncated();
+    std::memcpy(&d, cur, sizeof(d));
+    cur += sizeof(d);
+    *v = Value::Double(d);
+  } else if (tag == kTagString) {
+    std::string_view s;
+    cur = GetLengthPrefixed(cur, limit, &s);
+    if (cur == nullptr) return Truncated();
+    const bool binary = type == DataType::kBlob || type == DataType::kGuid;
+    v->AssignString(binary ? type : DataType::kString, s);
+  } else {
+    return Status::Corruption(
+        StringPrintf("spill record has unknown tag %d", tag));
   }
   *p = cur;
   return Status::OK();
 }
+
+}  // namespace
 
 Result<std::unique_ptr<SpillFile>> SpillFile::Create(
     TableSpace* space, const std::string& label) {
@@ -128,8 +101,12 @@ Result<std::unique_ptr<SpillFile>> SpillFile::Create(
   return {std::unique_ptr<SpillFile>(new SpillFile(std::move(file)))};
 }
 
-Status SpillRunWriter::Add(const Row& row) {
-  SpillEncodeRow(row, &buf_);
+Status SpillRunWriter::Add(const std::vector<std::vector<Value>>& columns,
+                           size_t row) {
+  PutVarint64(&buf_, columns.size());
+  for (const std::vector<Value>& column : columns) {
+    EncodeValue(column[row], &buf_);
+  }
   ++buf_rows_;
   if (buf_.size() >= page_bytes_) return SealPage();
   return Status::OK();
@@ -185,16 +162,28 @@ bool SpillRunReader::LoadNextPage() {
   return true;
 }
 
-bool SpillRunReader::Next(Row* row) {
-  if (!status_.ok()) return false;
-  if (!LoadNextPage()) return false;
-  const Status s = SpillDecodeRow(&pos_, limit_, row);
-  if (!s.ok()) {
-    status_ = s;
-    return false;
+bool SpillRunReader::NextBatch(RowBatch* batch) {
+  size_t n = 0;
+  while (status_.ok() && n < batch->capacity() && LoadNextPage()) {
+    uint64_t width = 0;
+    pos_ = GetVarint64(pos_, limit_, &width);
+    if (pos_ == nullptr) {
+      status_ = Truncated();
+      break;
+    }
+    if (n == 0) batch->StartFill(width);
+    if (width != batch->num_columns()) {
+      status_ = Status::Corruption("spill records of one run differ in width");
+      break;
+    }
+    for (size_t c = 0; c < width && status_.ok(); ++c) {
+      status_ = DecodeValue(&pos_, limit_, &batch->Slot(c, n));
+    }
+    --page_rows_left_;
+    ++n;
   }
-  --page_rows_left_;
-  return true;
+  if (n > 0) batch->FinishFill(n);
+  return n > 0 && status_.ok();
 }
 
 }  // namespace htg::storage

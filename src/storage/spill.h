@@ -21,8 +21,9 @@ namespace htg::storage {
 //
 // Page layout (self-contained, like every engine page):
 //   [varint row_count] [row records...] [4-byte CRC32C trailer]
-// Row records are self-describing (SpillEncodeRow below), so readers need
-// no schema — operators spill heterogeneous (key ++ payload) rows freely.
+// Row records are self-describing (a column count, then each value's kind
+// tag, type and bytes), so readers need no schema — operators spill
+// heterogeneous (keys ++ payload) rows freely.
 
 // Target payload bytes per spill page. Larger than table pages: spill
 // I/O is sequential, and fewer pages mean fewer WAL records.
@@ -37,13 +38,6 @@ struct SpillRun {
   // Encoded record bytes (excludes page headers/trailers).
   uint64_t bytes = 0;
 };
-
-// Appends `row` to `out` in the self-describing spill record format.
-void SpillEncodeRow(const Row& row, std::string* out);
-
-// Decodes one record from [*p, limit) into `row` (cleared first) and
-// advances *p past it. Corruption on malformed input.
-Status SpillDecodeRow(const char** p, const char* limit, Row* row);
 
 // Owns the spill TableFile of one operator. Destroying the SpillFile
 // deletes the file (TableFile semantics) — spill data never outlives the
@@ -74,7 +68,9 @@ class SpillRunWriter {
   explicit SpillRunWriter(SpillFile* file, size_t page_bytes = kSpillPageBytes)
       : file_(file), page_bytes_(page_bytes) {}
 
-  Status Add(const Row& row);
+  // Appends row `row` of `columns` (columns[c][row] for every c) as one
+  // record.
+  Status Add(const std::vector<std::vector<Value>>& columns, size_t row);
 
   // Seals the buffered tail page and returns the finished run. The
   // writer is spent afterwards. Ticks exec.spill.runs / exec.spill.bytes.
@@ -94,14 +90,15 @@ class SpillRunWriter {
   SpillRun run_;
 };
 
-// Streams one run back, pinning pages through the buffer pool (CRC
-// verified on any miss fill).
-class SpillRunReader : public RowSource {
+// Streams one run back in batches, pinning pages through the buffer pool
+// (CRC verified on any miss fill). Records decode straight into the
+// batch's retained value slots; a batch is as wide as its records.
+class SpillRunReader : public RowIterator {
  public:
   SpillRunReader(SpillFile* file, SpillRun run)
       : file_(file), run_(std::move(run)) {}
 
-  bool Next(Row* row) override;
+  bool NextBatch(RowBatch* batch) override;
   Status status() const override { return status_; }
 
  private:

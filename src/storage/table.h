@@ -27,33 +27,6 @@ class RowIterator {
   virtual Status status() const { return Status::OK(); }
 };
 
-// Adapter base of the row-at-a-time producers: the TVF iterators (the
-// paper's §5.2 seam), the joins and the spill-run readers. Subclasses
-// implement Next(); NextBatch() fills the batch from it through one reused
-// row whose values are swapped into the batch's retained value slots, so
-// each value is copied once (by Next) and string buffers circulate
-// instead of being reallocated.
-class RowSource : public RowIterator {
- public:
-  // Produces the next row. Returns false at end of stream or on error
-  // (check status() to distinguish). `row` holds stale values from
-  // earlier rows: implementations overwrite every value, assigning into
-  // the existing ones rather than rebuilding the row, so their buffers
-  // are reused.
-  virtual bool Next(Row* row) = 0;
-
-  bool NextBatch(RowBatch* batch) final {
-    batch->StartFill(batch->num_columns());
-    size_t n = 0;
-    while (n < batch->capacity() && Next(&row_)) batch->SwapRow(n++, &row_);
-    batch->FinishFill(n);
-    return n > 0;
-  }
-
- private:
-  Row row_;
-};
-
 // Physical storage accounting, the measurement behind Tables 1 and 2.
 struct StorageStats {
   uint64_t rows = 0;

@@ -44,6 +44,7 @@ class RowBatch {
 
   std::vector<Value>& column(size_t c) { return columns_[c]; }
   const std::vector<Value>& column(size_t c) const { return columns_[c]; }
+  const std::vector<std::vector<Value>>& columns() const { return columns_; }
 
   bool has_selection() const { return has_selection_; }
   const std::vector<uint32_t>& selection() const { return selection_; }

@@ -44,6 +44,33 @@ struct ScalarFunction {
   bool null_tolerant = false;
 };
 
+// The row stream a TableFunction opens: the paper's §5.2 seam, and the
+// engine's only row-at-a-time producer. Subclasses implement Next();
+// NextBatch() fills the batch from it through one reused row whose values
+// are swapped into the batch's retained value slots, so each value is
+// copied once (by Next) and string buffers circulate instead of being
+// reallocated.
+class RowSource : public storage::RowIterator {
+ public:
+  // Produces the next row. Returns false at end of stream or on error
+  // (check status() to distinguish). `row` holds stale values from
+  // earlier rows: implementations overwrite every value, assigning into
+  // the existing ones rather than rebuilding the row, so their buffers
+  // are reused.
+  virtual bool Next(Row* row) = 0;
+
+  bool NextBatch(RowBatch* batch) final {
+    batch->StartFill(batch->num_columns());
+    size_t n = 0;
+    while (n < batch->capacity() && Next(&row_)) batch->SwapRow(n++, &row_);
+    batch->FinishFill(n);
+    return n > 0;
+  }
+
+ private:
+  Row row_;
+};
+
 // A table-valued function (paper §2.3.2 / Fig. 5): binds an output schema
 // from constant arguments, then opens a pull-based row source. The source
 // owns all file access and parsing; the engine pulls one row at a time
@@ -67,7 +94,7 @@ class TableFunction {
   virtual Result<Schema> BindSchema(const std::vector<Value>& args) const = 0;
 
   // Opens the row stream for one invocation.
-  virtual Result<std::unique_ptr<storage::RowSource>> Open(
+  virtual Result<std::unique_ptr<RowSource>> Open(
       const std::vector<Value>& args, Database* db) const = 0;
 };
 

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "common/string_util.h"
-#include "exec/batch.h"
 
 namespace htg::workflow {
 
@@ -54,19 +53,25 @@ Result<std::vector<ProvenanceRecorder::Event>> ProvenanceRecorder::LineageOf(
   std::vector<Event> all;
   {
     std::unique_ptr<storage::RowIterator> scan = table->table->NewScan();
-    exec::BatchReader rows(scan.get());
-    Row row;
-    while (rows.Next(&row)) {
-      Event event;
-      event.event_id = row[0].AsInt64();
-      event.sequence = event.event_id;
-      event.tool = row[1].AsString();
-      event.parameters = row[2].is_null() ? "" : row[2].AsString();
-      event.input_artifact = row[3].is_null() ? "" : row[3].AsString();
-      event.output_artifact = row[4].AsString();
-      all.push_back(std::move(event));
+    RowBatch batch;
+    const auto text = [&batch](size_t c, size_t r) {
+      const Value& v = batch.column(c)[r];
+      return v.is_null() ? std::string() : v.AsString();
+    };
+    while (scan->NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.ActiveRows(); ++i) {
+        const size_t r = batch.ActiveIndex(i);
+        Event event;
+        event.event_id = batch.column(0)[r].AsInt64();
+        event.sequence = event.event_id;
+        event.tool = text(1, r);
+        event.parameters = text(2, r);
+        event.input_artifact = text(3, r);
+        event.output_artifact = text(4, r);
+        all.push_back(std::move(event));
+      }
     }
-    HTG_RETURN_IF_ERROR(rows.status());
+    HTG_RETURN_IF_ERROR(scan->status());
   }
   std::set<std::string> frontier = {artifact};
   std::set<int64_t> selected;

@@ -779,6 +779,156 @@ TEST_F(BatchParityTest, SortMatchesStableSortOracle) {
   }
 }
 
+// Row `id` of the join tests' tables (id, i INT, b BIGINT, f FLOAT,
+// s VARCHAR(8), p VARCHAR(300)): i, b and f carry one key k in three
+// numeric kinds (f is k + 0.5 on every third row, which no integer
+// matches), s a coarser string key. Keys repeat on both sides and are
+// NULL on some rows. On the right side every fifth row carries the hot
+// key 7 and a NULL payload, so a left row with key 7 matches more than
+// 1024 right rows (at 6000 rows) and its matches cross an output batch;
+// the other right rows carry a 200-byte payload.
+Row JoinSeedRow(int id, bool right) {
+  const bool hot = right ? id % 5 == 0 : id % 2500 == 1;
+  const int k = hot ? 7 : (id * 37) % 997 - 10;
+  const bool null_key = !hot && (id * 13) % 17 == 0;
+  const Value key32 = null_key ? Value::Null() : Value::Int32(k);
+  Row row{Value::Int64(id), key32,
+          null_key ? Value::Null() : Value::Int64(k),
+          null_key ? Value::Null()
+                   : Value::Double(k + (!hot && id % 3 == 0 ? 0.5 : 0.0)),
+          null_key || id % 11 == 0 ? Value::Null()
+                                   : Value::String("s" + std::to_string(k % 10)),
+          hot ? Value::Null()
+              : Value::String(std::string(200, static_cast<char>('a' + id % 26)))};
+  return row;
+}
+
+// The hash, merge and nested-loop joins against a plain nested loop over
+// the seeded rows: INT, BIGINT, FLOAT and VARCHAR keys, mixed numeric
+// kinds, NULL keys and duplicates on both sides, at the batch boundaries
+// and at 6000 rows per side, at DOP 1 and 8, with an unlimited budget and
+// one that makes the hash joins spill and repartition at 6000 rows. The
+// in-memory serial hash joins also keep the nested loop's order.
+TEST_F(BatchParityTest, JoinsMatchNestedLoopOracle) {
+  using Pred = std::function<bool(const Row&, const Row&)>;
+  using Out = std::function<Row(const Row&, const Row*)>;
+  const auto eq = [](int lc, int rc) -> Pred {
+    return [lc, rc](const Row& l, const Row& r) {
+      return !l[lc].is_null() && !r[rc].is_null() && l[lc].Compare(r[rc]) == 0;
+    };
+  };
+  struct JoinQuery {
+    std::string sql;
+    const char* op;  // the EXPLAIN label the plan must carry
+    bool left_outer;
+    Pred match;
+    Out out;
+  };
+  const Out ids_and_payload = [](const Row& l, const Row* r) {
+    return Row{l[0], r != nullptr ? (*r)[0] : Value::Null(),
+               r != nullptr ? (*r)[5] : Value::Null()};
+  };
+  const Out ids = [](const Row& l, const Row* r) { return Row{l[0], (*r)[0]}; };
+  const std::vector<JoinQuery> queries = {
+      {"SELECT l.id, r.id, r.p FROM l JOIN r ON l.i = r.f",
+       "Hash Match (Inner Join)", false, eq(1, 3), ids_and_payload},
+      {"SELECT l.id, l.s, r.id FROM l JOIN r ON l.b = r.i AND l.s = r.s",
+       "Hash Match (Inner Join)", false,
+       [eq](const Row& l, const Row& r) {
+         return eq(2, 1)(l, r) && eq(4, 4)(l, r);
+       },
+       [](const Row& l, const Row* r) { return Row{l[0], l[4], (*r)[0]}; }},
+      {"SELECT l.id, r.id, r.p FROM l LEFT JOIN r ON l.f = r.b",
+       "Hash Match (Left Outer Join)", true, eq(3, 2), ids_and_payload},
+      {"SELECT lc.id, rc.id FROM lc JOIN rc ON lc.i = rc.f",
+       "Merge Join (Inner Join)", false, eq(1, 3), ids},
+      {"SELECT l.id, rs.id FROM l JOIN (SELECT id, i FROM r WHERE id % 50 = 0)"
+       " AS rs ON l.i < rs.i AND rs.i < l.i + 3",
+       "Nested Loops (Inner Join)", false,
+       [](const Row& l, const Row& r) {
+         return r[0].AsInt64() % 50 == 0 && !l[1].is_null() &&
+                !r[1].is_null() && l[1].AsInt64() < r[1].AsInt64() &&
+                r[1].AsInt64() < l[1].AsInt64() + 3;
+       },
+       ids},
+  };
+  constexpr size_t kTinyBudget = 256 * 1024;
+  for (int n : {0, 1, 1023, 1024, 1025, 6000}) {
+    std::vector<Row> left;
+    std::vector<Row> right;
+    for (int id = 0; id < n; ++id) {
+      left.push_back(JoinSeedRow(id, false));
+      right.push_back(JoinSeedRow(id, true));
+    }
+    // The oracle: every left row against every right row, in order.
+    std::vector<std::vector<Row>> expected;
+    for (const JoinQuery& q : queries) {
+      std::vector<Row>& rows = expected.emplace_back();
+      for (const Row& l : left) {
+        bool matched = false;
+        for (const Row& r : right) {
+          if (!q.match(l, r)) continue;
+          rows.push_back(q.out(l, &r));
+          matched = true;
+        }
+        if (!matched && q.left_outer) rows.push_back(q.out(l, nullptr));
+      }
+    }
+    for (int dop : {1, 8}) {
+      Instance in = Make(dop);
+      const std::string columns =
+          " (id BIGINT, i INT, b BIGINT, f FLOAT, s VARCHAR(8), "
+          "p VARCHAR(300))";
+      for (const std::string& table :
+           {"l" + columns, "r" + columns, "lc" + columns + " CLUSTER BY (i)",
+            "rc" + columns + " CLUSTER BY (f)"}) {
+        Exec(in, "CREATE TABLE " + table);
+        const bool is_right = table[0] == 'r';
+        catalog::TableDef* def =
+            *in.db->GetTable(table.substr(0, table.find(' ')));
+        for (const Row& row : is_right ? right : left) {
+          ASSERT_TRUE(in.db->InsertRow(def, row).ok());
+        }
+      }
+      // A budget of 0 is unlimited.
+      for (size_t budget : {size_t{0}, kTinyBudget}) {
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          const JoinQuery& q = queries[qi];
+          SCOPED_TRACE("rows " + std::to_string(n) + ", dop " +
+                       std::to_string(dop) + ", budget " +
+                       std::to_string(budget) + ": " + q.sql);
+          Result<exec::OperatorPtr> plan = in.engine->Plan(q.sql);
+          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+          const std::string shape = exec::ExplainPlan(**plan);
+          const exec::Operator* join = plan->get();
+          while (join->Describe().rfind(q.op, 0) != 0 &&
+                 !join->children().empty()) {
+            join = join->children()[0];
+          }
+          ASSERT_EQ(join->Describe().rfind(q.op, 0), 0u) << shape;
+          exec::ExecContext ctx = exec::ExecContext::For(in.db.get());
+          ctx.mem = std::make_shared<MemoryContext>(budget, true);
+          std::vector<Row> got;
+          auto iter = (*plan)->Open(&ctx);
+          const Status status =
+              iter.ok() ? exec::DrainIterator(iter->get(), &got)
+                        : iter.status();
+          ASSERT_TRUE(status.ok()) << status.ToString() << "\n" << shape;
+          const uint64_t runs = join->stats().spill_runs.load();
+          const bool hash = std::string(q.op).rfind("Hash", 0) == 0;
+          if (hash && budget > 0 && n == 6000) {
+            // One level writes at most 16 build and 16 probe runs.
+            EXPECT_GT(runs, 32u) << "no repartitioning\n" << shape;
+          }
+          const bool ordered = hash && runs == 0 &&
+                               shape.find("Parallelism") == std::string::npos;
+          EXPECT_EQ(Render(got, !ordered), Render(expected[qi], !ordered));
+        }
+      }
+    }
+  }
+}
+
 TEST_F(BatchParityTest, ExplainAnalyzeReportsBatchSizes) {
   Instance in = Make();
   SeedT(in, 4000);

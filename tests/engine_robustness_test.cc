@@ -181,6 +181,21 @@ TEST_F(RobustnessTest, PrimaryKeyColumnsClusterTheTable) {
   ASSERT_EQ(r.rows.size(), 3u);
   EXPECT_EQ(r.rows[0][1].AsInt64(), 3);
   EXPECT_EQ(r.rows[2][1].AsInt64(), 9);
+  // Key columns are NOT NULL, whichever form declares the key.
+  Exec("CREATE TABLE pkc (k INT PRIMARY KEY, v INT)");
+  for (const char* insert :
+       {"INSERT INTO pk VALUES (NULL, 5)", "INSERT INTO pk VALUES (5, NULL)",
+        "INSERT INTO pkc VALUES (NULL, 5)"}) {
+    Result<QueryResult> failed = engine_->Execute(insert);
+    ASSERT_FALSE(failed.ok()) << insert;
+    EXPECT_EQ(failed.status().code(),
+              engine_->Execute("INSERT INTO pkc VALUES (NULL, 6)")
+                  .status()
+                  .code())
+        << insert << ": " << failed.status().ToString();
+  }
+  EXPECT_EQ(Exec("SELECT a FROM pk").rows.size(), 3u);
+  EXPECT_EQ(Exec("SELECT k FROM pkc").rows.size(), 0u);
 }
 
 TEST_F(RobustnessTest, DistinctWithHiddenOrderByRejected) {

@@ -1,6 +1,6 @@
 // Fixture: a src/exec batch kernel that secretly degrades to per-row
-// pulls. Both detection paths must fire on the same pattern: a class
-// deriving BatchIterator, and a free function whose name contains Batch.
+// pulls, in a class deriving BatchIterator and in a free function whose
+// name contains Batch.
 // expect-lint: exec-batch-rowloop
 
 #include "exec/batch.h"
@@ -9,7 +9,7 @@ namespace htg::exec {
 
 class LeakyBatchScan : public BatchIterator {
  public:
-  explicit LeakyBatchScan(storage::RowSource* child) : child_(child) {}
+  explicit LeakyBatchScan(udf::RowSource* child) : child_(child) {}
 
  protected:
   bool ProduceBatch(RowBatch* batch) override {
@@ -23,10 +23,10 @@ class LeakyBatchScan : public BatchIterator {
   }
 
  private:
-  storage::RowSource* child_;
+  udf::RowSource* child_;
 };
 
-inline Status DrainOneBatch(storage::RowSource* iter, RowBatch* batch) {
+inline Status DrainOneBatch(udf::RowSource* iter, RowBatch* batch) {
   batch->Clear();
   Row row;
   while (!batch->full() && iter->Next(&row)) {

@@ -236,6 +236,29 @@ TEST_F(SqlTest, JoinResultsCorrect) {
   EXPECT_EQ(r.rows[1][2].AsString(), "y");
 }
 
+// SQL equi-joins never match a NULL key: the merge join (clustered
+// inputs) and the hash join (heaps) over the same rows agree.
+TEST_F(SqlTest, MergeJoinNullKeysNeverMatch) {
+  for (const char* layout : {" CLUSTER BY (k)", ""}) {
+    Exec(std::string("CREATE TABLE a (k INT, v INT)") + layout);
+    Exec(std::string("CREATE TABLE b (k INT, w INT)") + layout);
+    Exec("INSERT INTO a VALUES (NULL, 1), (NULL, 2), (1, 3)");
+    Exec("INSERT INTO b VALUES (NULL, 10), (1, 30)");
+    const char* sql = "SELECT v, w FROM a JOIN b ON a.k = b.k";
+    Result<std::string> plan = engine_->Explain(sql);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_NE(plan->find(*layout != '\0' ? "Merge Join" : "Hash Match"),
+              std::string::npos)
+        << *plan;
+    QueryResult r = Exec(sql);
+    ASSERT_EQ(r.rows.size(), 1u) << *plan;
+    EXPECT_EQ(r.rows[0][0].AsInt64(), 3);
+    EXPECT_EQ(r.rows[0][1].AsInt64(), 30);
+    Exec("DROP TABLE a");
+    Exec("DROP TABLE b");
+  }
+}
+
 TEST_F(SqlTest, HashJoinMatchesAcrossNumericKinds) {
   // 1 and 1.0 compare equal, so they must also hash alike for the Hash
   // Match build table to pair them.

@@ -69,14 +69,11 @@ Rules (ids usable in NOLINT suppressions):
                     for "caller already holds the lock", and the
                     annotation is what lets Clang enforce it.
   exec-batch-rowloop
-                    No per-row `Next()` pulls inside src/exec batch
-                    kernels (functions named *Batch* or classes deriving
-                    BatchIterator): pulling a RowSource or a BatchReader
-                    row by row there silently degrades the batch path
-                    back to tuple-at-a-time. Pull whole batches with
-                    NextBatch(). Row-at-a-time pulls are sanctioned in
-                    the RowSource operators (joins, spill readers) and
-                    at the TVF seam inside CROSS APPLY
+                    No per-row `Next()` pulls anywhere in src/exec: every
+                    operator, the joins and the spill readers included,
+                    pulls whole batches with NextBatch(), so no pipeline
+                    silently degrades to tuple-at-a-time. The one row
+                    seam is the TVF inside CROSS APPLY
                     (src/exec/apply_ops.cc is exempt wholesale).
   exec-untracked-reserve
                     In the materializing operator files (sort_ops,
@@ -495,76 +492,28 @@ def check_exec_raw_timing(path, text, rel):
 
 
 ROW_NEXT_RE = re.compile(r"(?:->|\.)\s*Next\s*\(")
-BATCH_FN_RE = re.compile(r"\b[\w:~]*Batch[\w:]*\s*\(")
-BATCH_CLASS_RE = re.compile(
-    r"\bclass\s+\w+\s*(?:final\s*)?:\s*(?:public\s+)?[\w:]*\bBatchIterator\b"
-)
 BATCH_ROWLOOP_EXEMPT = {"src/exec/apply_ops.cc"}
 
 
-def _batch_kernel_bodies(text):
-    """(start, end) offset ranges of batch-kernel code: bodies of functions
-    whose name contains `Batch`, and bodies of classes deriving
-    BatchIterator."""
-    bodies = []
-    for m in BATCH_FN_RE.finditer(text):
-        # Find the close of the parameter list, then decide definition vs
-        # call/declaration by what follows: qualifiers then `{` = definition.
-        depth, i = 0, m.end() - 1
-        while i < len(text):
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        j = i + 1
-        while j < len(text):
-            tail = text[j:]
-            qm = re.match(r"\s*(const|override|final|noexcept)\b", tail)
-            if qm:
-                j += qm.end()
-                continue
-            break
-        rest = text[j:].lstrip()
-        if rest.startswith("{"):
-            open_idx = text.index("{", j)
-            bodies.append((open_idx, matching_brace(text, open_idx)))
-    for m in BATCH_CLASS_RE.finditer(text):
-        open_idx = text.find("{", m.end())
-        if open_idx >= 0:
-            bodies.append((open_idx, matching_brace(text, open_idx)))
-    return bodies
-
-
 def check_exec_batch_rowloop(path, text, rel):
-    # Only the executor's batch kernels are restricted; the storage layer's
-    # RowSource adapter legitimately fills batches from Next(). apply_ops.cc
-    # is the deliberate row seam (CROSS APPLY pulls the TVF row by row,
-    # paper Sec. 5.2) and is exempt wholesale. Selftest fixtures arrive
-    # with a bare filename, which must still trip the rule.
+    # Every src/exec operator pulls batches. apply_ops.cc is the deliberate
+    # row seam (CROSS APPLY pulls the TVF row by row, paper Sec. 5.2) and
+    # is exempt wholesale. Selftest fixtures arrive with a bare filename,
+    # which must still trip the rule.
     norm = rel.replace(os.sep, "/")
     if "/" in norm and not norm.startswith("src/exec/"):
         return []
     if norm in BATCH_ROWLOOP_EXEMPT:
         return []
-    bodies = _batch_kernel_bodies(text)
-    seen = set()
-    findings = []
-    for m in ROW_NEXT_RE.finditer(text):
-        if m.start() in seen:
-            continue
-        if any(lo <= m.start() < hi for lo, hi in bodies):
-            seen.add(m.start())
-            findings.append(Finding(
-                path, line_of(text, m.start()), "exec-batch-rowloop",
-                "per-row Next() inside a batch kernel degrades the "
-                "vectorized path to tuple-at-a-time; pull whole batches "
-                "with NextBatch() (row pulls are sanctioned only in "
-                "RowSource operators and at the TVF seam, "
-                "src/exec/apply_ops.cc)"))
-    return findings
+    return [
+        Finding(
+            path, line_of(text, m.start()), "exec-batch-rowloop",
+            "per-row Next() in src/exec degrades the vectorized path to "
+            "tuple-at-a-time; pull whole batches with NextBatch() (row "
+            "pulls are sanctioned only at the TVF seam, "
+            "src/exec/apply_ops.cc)")
+        for m in ROW_NEXT_RE.finditer(text)
+    ]
 
 
 RESERVE_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*(reserve|resize)\s*\(")
@@ -973,8 +922,8 @@ RULE_DESCRIPTIONS = {
     "status-ok-drop": "no `expr.ok();` in statement position",
     "exec-raw-timing": "operator timing uses htg::Stopwatch, not raw "
                        "clock reads",
-    "exec-batch-rowloop": "no per-row Next() pulls inside src/exec batch "
-                          "kernels",
+    "exec-batch-rowloop": "no per-row Next() pulls in src/exec outside the "
+                          "TVF seam (apply_ops.cc)",
     "exec-untracked-reserve": "data-proportional row buffers hold a "
                               "MemoryCharge",
     "exact-reserve": "no `x.reserve(x.size() + n)`: exact-size growth in "
